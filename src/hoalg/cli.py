@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical verification failed,
 2 parse/shape error.  Identical inputs and flags produce byte-identical
-output regardless of internal parallelism.
+output.
 """
 
 from __future__ import annotations

@@ -11,35 +11,23 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, format_vector, koszul_sign, lin_acc, lin_scale,
-    lin_single, pmap, sym_normalize, unshuffles,
+    Report, SYMMETRIC, TENSOR, compositions, first_witness, format_vector,
+    hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
+    map_is_surjective, map_kernel_basis, map_right_inverse,
+    multilinear_from_graded_map, sym_words, unshuffles,
 )
 
 # A TupleCombo is a formal combination of basis tuples: dict[tuple[str,...], Fraction].
 
 
-def _combo_acc(acc, tup, coeff):
-    if not coeff:
-        return
-    cur = acc.get(tup, 0) + coeff
-    if cur:
-        acc[tup] = cur
-    else:
-        del acc[tup]
-
-
-def _expand_head(vec: dict, rest: tuple, acc: dict, coeff):
-    """acc += coeff * (vec tensor rest) expanded to pure basis tuples, head slot first."""
-    for n, c in vec.items():
-        _combo_acc(acc, (n,) + rest, coeff * c)
-
-
 def _expand_at(pre: tuple, vec: dict, post: tuple, acc: dict, coeff):
+    """acc += coeff * (pre (x) vec (x) post), expanded to pure basis tuples."""
     for n, c in vec.items():
-        _combo_acc(acc, pre + (n,) + post, coeff * c)
+        lin_add(acc, pre + (n,) + post, coeff * c)
 
 
 class OoStructure:
@@ -70,13 +58,6 @@ class OoStructure:
             self.taylor[k] = q
         self._coder_memo = {}
 
-    def q(self, k: int):
-        return self.taylor.get(k)
-
-    def q_value(self, names) -> dict:
-        q = self.taylor.get(len(names))
-        return q.value(names) if q is not None else {}
-
     def coder_component(self, j: int, k: int, names: tuple) -> dict:
         """Q^j_k on a basis tuple, as a combination of j-tuples (memoized)."""
         key = (j, k, names)
@@ -101,14 +82,7 @@ class OoStructure:
     def basis_words(self, k: int):
         if self.flavor == TENSOR:
             return itertools.product(self.space.names, repeat=k)
-        deg = self.space.degree
-        idx = self.space.index
-        words = []
-        for tup in itertools.combinations_with_replacement(self.space.names, k):
-            if sym_normalize(tup, idx, deg) is None:
-                continue
-            words.append(tup)
-        return words
+        return sym_words(self.space.names, self.space.degree, k)
 
     def __repr__(self):
         return "OoStructure(%s, dim %d, arities %s, max_weight %d)" % (
@@ -135,9 +109,6 @@ class OoMorphism:
                 raise MalformedInput("morphism coefficient f_%d has wrong spaces" % k)
             self.taylor[k] = f
         self._morph_memo = {}
-
-    def f(self, k: int):
-        return self.taylor.get(k)
 
     def f_value(self, names) -> dict:
         f = self.taylor.get(len(names))
@@ -200,7 +171,7 @@ def coderivation_component_value(struct: OoStructure, j: int, k: int,
             tail = tuple(names[s - 1] for s in sigma[m:])
             val = q.value(head)
             if val:
-                _expand_head(val, tail, out, eps)
+                _expand_at((), val, tail, out, eps)
     return out
 
 
@@ -212,81 +183,45 @@ def morphism_component_value(morph: OoMorphism, j: int, k: int, names: tuple) ->
     out: dict = {}
     if j < 1 or j > k:
         return out
-    deg = morph.source.space.degree
+    taylor = morph.taylor
     if morph.flavor == TENSOR:
-        for part in _compositions(k, j):
-            pos = 0
-            combos = [{(): Fraction(1)}]
-            dead = False
-            pieces = []
-            for size in part:
-                f = morph.taylor.get(size)
-                if f is None:
-                    dead = True
-                    break
-                val = f.value(names[pos:pos + size])
-                if not val:
-                    dead = True
-                    break
-                pieces.append(val)
-                pos += size
-            if dead:
-                continue
-            acc = {(): Fraction(1)}
-            for val in pieces:
-                nxt: dict = {}
-                for tup, c in acc.items():
-                    for n, cv in val.items():
-                        _combo_acc(nxt, tup + (n,), c * cv)
-                acc = nxt
-            for tup, c in acc.items():
-                _combo_acc(out, tup, c)
-    else:
-        degs = [deg[n] for n in names]
-        inv_jfac = Fraction(1, _factorial(j))
-        for part in _compositions(k, j):
-            if any(morph.taylor.get(size) is None for size in part):
-                continue
-            for sigma in unshuffles(*part):
-                eps = koszul_sign(sigma, degs)
-                pos = 0
-                pieces = []
-                dead = False
-                for size in part:
-                    block = tuple(names[sigma[pos + t] - 1] for t in range(size))
-                    val = morph.taylor[size].value(block)
-                    if not val:
-                        dead = True
-                        break
-                    pieces.append(val)
-                    pos += size
-                if dead:
-                    continue
-                acc = {(): Fraction(1)}
-                for val in pieces:
-                    nxt: dict = {}
-                    for tup, c in acc.items():
-                        for n, cv in val.items():
-                            _combo_acc(nxt, tup + (n,), c * cv)
-                    acc = nxt
-                for tup, c in acc.items():
-                    _combo_acc(out, tup, c * eps * inv_jfac)
+        for part in compositions(k, j):
+            fs = [taylor.get(size) for size in part]
+            if all(fs):
+                _add_block_product(fs, names, out, 1)
+        return out
+    degs = [morph.source.space.degree[n] for n in names]
+    inv_jfac = Fraction(1, factorial(j))
+    for part in compositions(k, j):
+        fs = [taylor.get(size) for size in part]
+        if not all(fs):
+            continue
+        for sigma in unshuffles(*part):
+            _add_block_product(fs, tuple(names[s - 1] for s in sigma), out,
+                               koszul_sign(sigma, degs) * inv_jfac)
     return out
 
 
-def _factorial(n):
-    from math import factorial
-    return factorial(n)
-
-
-def _compositions(k: int, j: int):
-    """Ordered partitions of k into j parts >= 1, lexicographically."""
-    if j == 1:
-        yield (k,)
-        return
-    for first in range(1, k - j + 2):
-        for rest in _compositions(k - first, j - 1):
-            yield (first,) + rest
+def _add_block_product(fs, word: tuple, out: dict, coeff):
+    """out += coeff * f_1(w_1) (x) ... (x) f_j(w_j), where word = w_1 .. w_j is
+    cut into blocks of the arities of the maps fs; expanded to pure basis tuples."""
+    pieces = []
+    pos = 0
+    for f in fs:
+        val = f.value(word[pos:pos + f.arity])
+        if not val:
+            return
+        pieces.append(val)
+        pos += f.arity
+    acc = {(): coeff}
+    for val in pieces:
+        nxt: dict = {}
+        for tup, c in acc.items():
+            for n, cv in val.items():
+                lin_add(nxt, tup + (n,), c * cv)
+        acc = nxt
+    for tup, c in acc.items():
+        lin_add(out, tup, c)
 
 
 class TensorComponent:
@@ -306,12 +241,7 @@ def prolong_coderivation(space: GradedSpace, taylor: dict, flavor: str,
                          j: int, k: int, coder_degree: int = 1) -> TensorComponent:
     """Public wrapper: the component Q^j_k of the coderivation with the given
     Taylor coefficients (zero map whenever j > k+1)."""
-    struct = OoStructure.__new__(OoStructure)
-    struct.space = space
-    struct.flavor = flavor
-    struct.taylor = dict(taylor)
-    struct.max_weight = max(taylor) if taylor else 1
-    struct._coder_memo = {}
+    struct = OoStructure(space, flavor, taylor, max(taylor, default=1))
     return TensorComponent(
         space, k, j,
         lambda names: coderivation_component_value(struct, j, k, names, coder_degree))
@@ -332,29 +262,30 @@ def prolong_morphism(source_space: GradedSpace, target_space: GradedSpace,
 # structure / morphism verification
 
 
-def check_structure(s: OoStructure, max_weight=None, workers: int = 1) -> Report:
-    """Verify [Q,Q] = 0 up to the requested weight; first failing word wins."""
-    r = Report("structure equation")
-    top = s.max_weight if max_weight is None else min(max_weight, s.max_weight)
+def _check_words(r: Report, label: str, words_of, residual, top: int, space):
+    """One check per weight k <= top: residual(word) == 0 on every word of
+    words_of(k), witnessed by the first word where it is not."""
     for k in range(1, top + 1):
-        words = list(s.basis_words(k))
-        residuals = pmap(s.square_residual, words, workers)
-        bad = None
-        for word, res in zip(words, residuals):
+        for word in words_of(k):
+            res = residual(word)
             if res:
-                bad = (word, res)
+                r.add(label, False, weight=k, witness=word,
+                      lhs=format_vector(res, space), rhs="0")
                 break
-        if bad is None:
-            r.add("QQ=0", True, weight=k)
         else:
-            r.add("QQ=0", False, weight=k, witness=bad[0],
-                  lhs=format_vector(bad[1], s.space), rhs="0")
+            r.add(label, True, weight=k)
     return r
 
 
-def check_morphism(F: OoMorphism, max_weight=None, workers: int = 1) -> Report:
+def check_structure(s: OoStructure, max_weight=None) -> Report:
+    """Verify [Q,Q] = 0 up to the requested weight; first failing word wins."""
+    top = s.max_weight if max_weight is None else min(max_weight, s.max_weight)
+    return _check_words(Report("structure equation"), "QQ=0", s.basis_words,
+                        s.square_residual, top, s.space)
+
+
+def check_morphism(F: OoMorphism, max_weight=None) -> Report:
     """Verify p(F Q) = p(R F) componentwise up to the requested weight."""
-    r = Report("morphism equation")
     s, t = F.source, F.target
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
 
@@ -377,20 +308,8 @@ def check_morphism(F: OoMorphism, max_weight=None, workers: int = 1) -> Report:
         lin_acc(lhs, rhs, -1)
         return lhs
 
-    for k in range(1, top + 1):
-        words = list(s.basis_words(k))
-        residuals = pmap(residual, words, workers)
-        bad = None
-        for word, res in zip(words, residuals):
-            if res:
-                bad = (word, res)
-                break
-        if bad is None:
-            r.add("FQ=RF", True, weight=k)
-        else:
-            r.add("FQ=RF", False, weight=k, witness=bad[0],
-                  lhs=format_vector(bad[1], t.space), rhs="0")
-    return r
+    return _check_words(Report("morphism equation"), "FQ=RF", s.basis_words,
+                        residual, top, t.space)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +317,6 @@ def check_morphism(F: OoMorphism, max_weight=None, workers: int = 1) -> Report:
 
 
 def identity_morphism(s: OoStructure) -> OoMorphism:
-    from .graded import multilinear_from_graded_map
     f1 = multilinear_from_graded_map(GradedMap.identity(s.space), s.flavor)
     return OoMorphism(s, s, {1: f1})
 
@@ -427,7 +345,6 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
 
 def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     """Coalgebra inverse of F (requires invertible f_1)."""
-    from .graded import map_right_inverse, multilinear_from_graded_map
     top = max_weight or F.max_weight
     f1 = F.taylor.get(1)
     if f1 is None:
@@ -532,53 +449,33 @@ class DgLieAlgebra:
         sp = self.space
         dd = self.d.compose(self.d)
         r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
-        ok = True
-        wit = None
-        for x in sp.names:
-            for y in sp.names:
-                lhs = self.bracket.value((x, y))
-                sign = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
-                rhs = lin_scale(self.bracket.value((y, x)), -sign)
-                if not _eq(lhs, rhs):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("antisymmetry", ok, witness=wit)
-        ok = True
-        wit = None
-        for x in sp.names:
-            for y in sp.names:
-                lhs = self.d.apply(self.bracket.value((x, y)))
-                rhs = self.bracket.apply_vectors([self.d.value(x), lin_single(y)])
-                sgn = -1 if sp.degree[x] % 2 else 1
-                lin_acc(rhs, self.bracket.apply_vectors([lin_single(x), self.d.value(y)]), sgn)
-                if not _eq(lhs, rhs):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("leibniz", ok, witness=wit)
-        ok = True
-        wit = None
-        for x in sp.names:
-            for y in sp.names:
-                for z in sp.names:
-                    lhs = self.bracket.apply_vectors(
-                        [lin_single(x), self.bracket.value((y, z))])
-                    rhs = self.bracket.apply_vectors(
-                        [self.bracket.value((x, y)), lin_single(z)])
-                    sgn = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
-                    lin_acc(rhs, self.bracket.apply_vectors(
-                        [lin_single(y), self.bracket.value((x, z))]), sgn)
-                    if not _eq(lhs, rhs):
-                        ok, wit = False, (x, y, z)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        r.add("jacobi", ok, witness=wit)
+
+        def antisymmetric(w):
+            x, y = w
+            sign = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
+            return lin_eq(self.bracket.value((x, y)),
+                          lin_scale(self.bracket.value((y, x)), -sign))
+
+        def leibniz(w):
+            x, y = w
+            rhs = self.bracket.apply_vectors([self.d.value(x), lin_single(y)])
+            sgn = -1 if sp.degree[x] % 2 else 1
+            lin_acc(rhs, self.bracket.apply_vectors([lin_single(x), self.d.value(y)]), sgn)
+            return lin_eq(self.d.apply(self.bracket.value((x, y))), rhs)
+
+        def jacobi(w):
+            x, y, z = w
+            lhs = self.bracket.apply_vectors([lin_single(x), self.bracket.value((y, z))])
+            rhs = self.bracket.apply_vectors([self.bracket.value((x, y)), lin_single(z)])
+            sgn = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
+            lin_acc(rhs, self.bracket.apply_vectors(
+                [lin_single(y), self.bracket.value((x, z))]), sgn)
+            return lin_eq(lhs, rhs)
+
+        for label, holds, arity in (("antisymmetry", antisymmetric, 2),
+                                    ("leibniz", leibniz, 2), ("jacobi", jacobi, 3)):
+            wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
+            r.add(label, wit is None, witness=wit)
         return r
 
 
@@ -602,33 +499,22 @@ class DgAlgebra:
         sp = self.space
         dd = self.d.compose(self.d)
         r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
-        ok, wit = True, None
-        for x in sp.names:
-            for y in sp.names:
-                for z in sp.names:
-                    lhs = self.mul(self.product.value((x, y)), lin_single(z))
-                    rhs = self.mul(lin_single(x), self.product.value((y, z)))
-                    if not _eq(lhs, rhs):
-                        ok, wit = False, (x, y, z)
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        r.add("associativity", ok, witness=wit)
-        ok, wit = True, None
-        for x in sp.names:
-            for y in sp.names:
-                lhs = self.d.apply(self.product.value((x, y)))
-                rhs = self.mul(self.d.value(x), lin_single(y))
-                sgn = -1 if sp.degree[x] % 2 else 1
-                lin_acc(rhs, self.mul(lin_single(x), self.d.value(y)), sgn)
-                if not _eq(lhs, rhs):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("leibniz", ok, witness=wit)
+
+        def associative(w):
+            x, y, z = w
+            return lin_eq(self.mul(self.product.value((x, y)), lin_single(z)),
+                          self.mul(lin_single(x), self.product.value((y, z))))
+
+        def leibniz(w):
+            x, y = w
+            rhs = self.mul(self.d.value(x), lin_single(y))
+            sgn = -1 if sp.degree[x] % 2 else 1
+            lin_acc(rhs, self.mul(lin_single(x), self.d.value(y)), sgn)
+            return lin_eq(self.d.apply(self.product.value((x, y))), rhs)
+
+        for label, holds, arity in (("associativity", associative, 3), ("leibniz", leibniz, 2)):
+            wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
+            r.add(label, wit is None, witness=wit)
         return r
 
     def commutator_dgla(self) -> DgLieAlgebra:
@@ -655,30 +541,18 @@ class DglaMorphism:
 
     @property
     def is_injective(self) -> bool:
-        from .graded import map_kernel_basis
         return not map_kernel_basis(self.map)
 
     @property
     def is_surjective(self) -> bool:
-        from .graded import map_is_surjective
         return map_is_surjective(self.map)
 
     def check(self) -> Report:
         r = Report("dgla morphism")
         chain = self.target.d.compose(self.map) == self.map.compose(self.source.d)
         r.add("chain_map", chain)
-        ok, wit = True, None
-        for x in self.source.space.names:
-            for y in self.source.space.names:
-                lhs = self.map.apply(self.source.bracket.value((x, y)))
-                rhs = self.target.bracket.apply_vectors(
-                    [self.map.value(x), self.map.value(y)])
-                if not _eq(lhs, rhs):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("bracket_compatible", ok, witness=wit)
+        r.add("bracket_compatible",
+              *_multiplicative(self.map, self.source.bracket, self.target.bracket))
         return r
 
 
@@ -696,18 +570,8 @@ class DgaMorphism:
         r = Report("dga morphism")
         r.add("chain_map",
               self.target.d.compose(self.map) == self.map.compose(self.source.d))
-        ok, wit = True, None
-        for x in self.source.space.names:
-            for y in self.source.space.names:
-                lhs = self.map.apply(self.source.product.value((x, y)))
-                rhs = self.target.product.apply_vectors(
-                    [self.map.value(x), self.map.value(y)])
-                if not _eq(lhs, rhs):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("multiplicative", ok, witness=wit)
+        r.add("multiplicative",
+              *_multiplicative(self.map, self.source.product, self.target.product))
         return r
 
     def commutator_dgla_morphism(self) -> DglaMorphism:
@@ -715,8 +579,14 @@ class DgaMorphism:
                             self.target.commutator_dgla(), self.map)
 
 
-def _eq(a, b):
-    return {n: c for n, c in a.items() if c} == {n: c for n, c in b.items() if c}
+def _multiplicative(gmap: GradedMap, src: MultilinearMap, tgt: MultilinearMap):
+    """(ok, witness): whether gmap(src(x, y)) = tgt(gmap(x), gmap(y)) on all
+    basis pairs, with the first failing pair (x, y)."""
+    wit = first_witness(
+        itertools.product(gmap.source.names, repeat=2),
+        lambda w: lin_eq(gmap.apply(src.value(w)),
+                         tgt.apply_vectors([gmap.value(w[0]), gmap.value(w[1])])))
+    return wit is None, wit
 
 
 def _first_nonzero(gm: GradedMap):
@@ -799,7 +669,6 @@ def decalage_dga(A: DgAlgebra, max_weight: int = 6, validate: bool = True) -> Oo
 
 def end_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
     """End(V) as a DGLA on elementary matrices `t<-s`, differential [d, -]."""
-    from .graded import hom_space
     E = hom_space(space.names, space.names, space)
     dE = GradedMap(E, E, 1)
     for s in space.names:

@@ -18,26 +18,15 @@ from .coalg import (
     OoStructure, check_structure, decalage_dga, transport_structure,
 )
 from .graded import (
-    GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, bernoulli, koszul_sign, lin_acc, lin_scale,
-    lin_single, map_is_surjective, map_right_inverse, multilinear_from_graded_map,
-    pair_space, prefix_vector, sign_pow, sym_normalize, unshuffles,
+    Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
+    Report, SYMMETRIC, TENSOR, bernoulli, compositions, first_witness, koszul_sign,
+    lin_acc, lin_scale, lin_single, map_is_surjective, map_right_inverse,
+    multilinear_from_graded_map, pair_space, prefix_vector, sign_pow, sym_normalize,
+    sym_words, unshuffles,
 )
 
 A_PRE = "a:"
 B_PRE = "b:"
-
-
-def _nonodd_multisets(names, degree, k):
-    """Sorted k-multisets of basis names, skipping repeated odd symbols."""
-    for tup in itertools.combinations_with_replacement(names, k):
-        ok = True
-        for x, y in zip(tup, tup[1:]):
-            if x == y and degree[x] % 2:
-                ok = False
-                break
-        if ok:
-            yield tup
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +75,7 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
             fx = f.map.value(x)
             if not fx:
                 continue
-            for ms in _nonodd_multisets(M.space.names, mdeg, k):
+            for ms in sym_words(M.space.names, mdeg, k):
                 degs = [mdeg[m] for m in ms]
                 acc: dict = {}
                 for sigma in unshuffles(*([1] * k)):
@@ -182,8 +171,6 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
                     continue
                 for front in itertools.product(B.space.names, repeat=i):
                     sgn = sign_pow(i + 1 + sum(bdeg[b] for b in front))
-                    left = {(): Fraction(1)}
-                    cur: dict = None
                     vec = None
                     for b in front:
                         vec = B.mul(vec, lin_single(b)) if vec is not None else lin_single(b)
@@ -287,30 +274,16 @@ class Splitting:
         """kind 'square_zero' (C.C = 0, derived products) or 'abelian' ([A,A] = 0)."""
         r = Report("splitting")
         sub = set(self.sub_names)
-        ok, wit = True, None
-        for n in self.sub_names:
-            if any(t not in sub for t in self.ambient.d.value(n)):
-                ok, wit = False, n
-                break
-        r.add("d(sub)<=sub", ok, witness=wit)
-        ok, wit = True, None
-        for x in self.sub_names:
-            for y in self.sub_names:
-                if any(t not in sub for t in self.op.value((x, y))):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("sub_closed", ok, witness=wit)
-        ok, wit = True, None
-        for x in self.complement_names:
-            for y in self.complement_names:
-                if self.op.value((x, y)):
-                    ok, wit = False, (x, y)
-                    break
-            if not ok:
-                break
-        r.add("complement_%s" % kind, ok, witness=wit)
+        op = self.op
+        for label, words, holds in (
+                ("d(sub)<=sub", self.sub_names,
+                 lambda n: all(t in sub for t in self.ambient.d.value(n))),
+                ("sub_closed", itertools.product(self.sub_names, repeat=2),
+                 lambda w: all(t in sub for t in op.value(w))),
+                ("complement_%s" % kind, itertools.product(self.complement_names, repeat=2),
+                 lambda w: not op.value(w))):
+            wit = first_witness(words, holds)
+            r.add(label, wit is None, witness=wit)
         return r
 
     def sub_dga(self) -> DgaMorphism:
@@ -341,7 +314,6 @@ def cocone_contraction(split: Splitting, inclusion: DgaMorphism,
                        cinf_space: GradedSpace):
     """The explicit contraction of C(i)[1] onto (C, Pd):
     f1(c) = (P'dc, c), g1(a, b) = Pb, K(a, b) = (P'b, 0)."""
-    from .graded import Contraction
     amb = split.ambient
     Csp = split.complement_space()
     d_small = GradedMap(Csp, Csp, 1)
@@ -454,7 +426,7 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
             for word in itertools.product(amb.space.names, repeat=k):
                 acc: dict = {}
                 for j in range(1, k + 1):
-                    for part in _compositions_of(k, j):
+                    for part in compositions(k, j):
                         val = nested(word, part)
                         if val:
                             lin_acc(acc, val, coeff_fn(k, j, part))
@@ -474,15 +446,6 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
                            cas, cinf, inclusion, contraction)
 
 
-def _compositions_of(k, j):
-    if j == 1:
-        yield (k,)
-        return
-    for first in range(1, k - j + 2):
-        for rest in _compositions_of(k - first, j - 1):
-            yield (first,) + rest
-
-
 def _prod_factorials(part):
     out = 1
     for p in part:
@@ -494,7 +457,7 @@ def partition_coefficient_identity(i: int) -> bool:
     """sum over compositions (h_1..h_p) of i of (-1)^{p+i}/(h_1!..h_p!) == 1/i!."""
     total = Fraction(0)
     for p in range(1, i + 1):
-        for part in _compositions_of(i, p):
+        for part in compositions(i, p):
             total += Fraction((-1) ** (p + i)) / _prod_factorials(part)
     return total == Fraction(1, factorial(i))
 
@@ -574,7 +537,7 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
         taylor[1] = q1
     for k in range(2, max_weight + 1):
         qk = MultilinearMap(Asp, Asp, 1, k, SYMMETRIC)
-        for word in _nonodd_multisets(split.complement_names, Asp.degree, k):
+        for word in sym_words(split.complement_names, Asp.degree, k):
             cur = M.d.value(word[0])
             for a in word[1:]:
                 cur = M.bracket_vec(cur, lin_single(a))
@@ -594,7 +557,7 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
         if val:
             action.set((m,), (), val)
         for k in range(1, max_weight + 1):
-            for word in _nonodd_multisets(split.complement_names, Asp.degree, k):
+            for word in sym_words(split.complement_names, Asp.degree, k):
                 cur = lin_single(m)
                 for a in word:
                     cur = M.bracket_vec(cur, lin_single(a))
@@ -635,8 +598,8 @@ def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
                              prefix_vector(vec, A_PRE))
         for j in range(0, k + 1):
             # canonical word: j i-names then (k - j) m-names
-            for iword in _nonodd_multisets(I.space.names, ideg, j):
-                for mword in _nonodd_multisets(M.space.names, mdeg, k - j):
+            for iword in sym_words(I.space.names, ideg, j):
+                for mword in sym_words(M.space.names, mdeg, k - j):
                     if not mword:
                         continue
                     vec: dict = {}
@@ -743,7 +706,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     for k in range(2, max_weight + 1):
         qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
         # pure-A words: nested derived brackets P[...[da_1, a_2]..., a_k]
-        for word in _nonodd_multisets(split.complement_names, adeg, k):
+        for word in sym_words(split.complement_names, adeg, k):
             cur = M.d.value(word[0])
             for a in word[1:]:
                 cur = M.bracket_vec(cur, lin_single(a))
@@ -755,7 +718,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
                     qk.set_entry(tuple(A_PRE + a for a in word),
                                  prefix_vector(val, A_PRE))
         # pure-x words: (P s f_k, shifted bracket at k = 2)
-        for word in _nonodd_multisets(L.space.names, xdeg, k):
+        for word in sym_words(L.space.names, xdeg, k):
             vec = prefix_vector(split.P.apply(F.f_value(word)), A_PRE)
             if k == 2:
                 x, y = word
@@ -771,11 +734,11 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
             fj = F.taylor.get(j)
             if fj is None:
                 continue
-            for xword in _nonodd_multisets(L.space.names, xdeg, j):
+            for xword in sym_words(L.space.names, xdeg, j):
                 sf = fj.value(xword)
                 if not sf:
                     continue
-                for aword in _nonodd_multisets(split.complement_names, adeg, cnt):
+                for aword in sym_words(split.complement_names, adeg, cnt):
                     cur = sf
                     for a in aword:
                         cur = M.bracket_vec(cur, lin_single(a))

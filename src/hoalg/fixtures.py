@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .coalg import (
-    DgAlgebra, DgLieAlgebra, DglaMorphism, DgaMorphism, MultilinearMap,
+    DgAlgebra, DgLieAlgebra, DgaMorphism, MultilinearMap,
     end_dgla, end_preserving_sub_dgla,
 )
 from .graded import (
@@ -129,21 +129,6 @@ def abelian_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
 def zero_dgla() -> DgLieAlgebra:
     sp = GradedSpace([])
     return abelian_dgla(sp, GradedMap(sp, sp, 1))
-
-
-def random_dgla_morphism(seed: int, dim: int = 2) -> DglaMorphism:
-    """A rotating family of honest DGLA morphisms (inclusions, identities)."""
-    rng = random.Random("dglamor:%d" % seed)
-    kind = rng.randrange(3)
-    if kind == 0:
-        _, _, inc = random_filtered_inclusion(seed, dim)
-        return inc
-    if kind == 1:
-        L = random_end_dgla(seed, dim)
-        return DglaMorphism(L, L, GradedMap.identity(L.space))
-    L = random_end_dgla(seed, dim)
-    zero = zero_dgla()
-    return DglaMorphism(zero, L, GradedMap(zero.space, L.space, 0))
 
 
 def random_dga_morphism(seed: int, dim: int = 2) -> DgaMorphism:
@@ -441,6 +426,6 @@ def random_artin_element(seed: int, ring, space, degree: int, density=0.5):
 __all__ = [
     "random_complex", "end_dga", "random_end_dga", "random_end_dgla",
     "sl2_dgla", "heisenberg_dgla", "random_filtered_inclusion", "abelian_dgla",
-    "zero_dgla", "random_dgla_morphism", "random_dga_morphism",
+    "zero_dgla", "random_dga_morphism",
     "harmonic_contraction", "random_artin_element", "lambda_cartan_fixture",
 ]

@@ -82,6 +82,24 @@ def unshuffles(*sizes: int):
     return list(rec(tuple(range(1, k + 1)), tuple(sizes)))
 
 
+def compositions(k: int, j: int):
+    """Ordered partitions of k into j parts >= 1, lexicographically."""
+    if j == 1:
+        yield (k,)
+        return
+    for first in range(1, k - j + 2):
+        for rest in compositions(k - first, j - 1):
+            yield (first,) + rest
+
+
+def sym_words(names, degree: dict, k: int):
+    """Sorted k-multisets of `names` (in the given order) that are nonzero in
+    the symmetric algebra, i.e. repeat no odd symbol."""
+    for tup in itertools.combinations_with_replacement(names, k):
+        if not any(x == y and degree[x] % 2 for x, y in zip(tup, tup[1:])):
+            yield tup
+
+
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number in the convention t/(e^t-1) = sum B_k t^k/k!  (B_1 = -1/2)."""
@@ -110,6 +128,18 @@ def lin_acc(acc: dict, vec: dict, coeff=1) -> dict:
             acc[n] = nv
         else:
             del acc[n]
+    return acc
+
+
+def lin_add(acc: dict, key, coeff) -> dict:
+    """acc[key] += coeff, in place; drops a zero entry."""
+    if not coeff:
+        return acc
+    cur = acc.get(key, 0) + coeff
+    if cur:
+        acc[key] = cur
+    else:
+        del acc[key]
     return acc
 
 
@@ -189,9 +219,6 @@ class GradedSpace:
     def dim(self) -> int:
         return len(self.names)
 
-    def basis_of_degree(self, d: int):
-        return [n for n in self.names if self.degree[n] == d]
-
     def degrees_present(self):
         return sorted(set(self.degree.values()))
 
@@ -241,19 +268,6 @@ def pair_space(a: GradedSpace, b: GradedSpace, prefix_a="a:", prefix_b="b:") -> 
             else:
                 basis.append((pre + n, src.degree[n], bid))
     return GradedSpace(basis)
-
-
-def split_pair_vector(vec: dict, prefix_a="a:", prefix_b="b:"):
-    """Split a combination on a pair space into the two unprefixed components."""
-    va, vb = {}, {}
-    for n, c in vec.items():
-        if n.startswith(prefix_a):
-            va[n[len(prefix_a):]] = c
-        elif n.startswith(prefix_b):
-            vb[n[len(prefix_b):]] = c
-        else:
-            raise MalformedInput("name %r carries no pair prefix" % n)
-    return va, vb
 
 
 def prefix_vector(vec: dict, prefix: str) -> dict:
@@ -396,9 +410,6 @@ class GradedMap:
         names = set(self.entries) | set(other.entries)
         return all(lin_eq(self.entries.get(n, {}), other.entries.get(n, {})) for n in names)
 
-    def __hash__(self):
-        return id(self)
-
     @staticmethod
     def identity(space: GradedSpace) -> "GradedMap":
         out = GradedMap(space, space, 0)
@@ -422,8 +433,7 @@ def elementary_to_graded_map(vec: dict, hom: GradedSpace, source: GradedSpace,
     acc = {}
     for name, c in vec.items():
         t, s = name.split("<-")
-        acc.setdefault(s, {})
-        lin_acc(acc[s], lin_single(t), c)
+        lin_add(acc.setdefault(s, {}), t, c)
     for s, v in acc.items():
         out.set(s, v)
     return out
@@ -437,7 +447,7 @@ def graded_map_to_elementary(gm: GradedMap, hom: GradedSpace) -> dict:
             name = "%s<-%s" % (t, s)
             if name not in hom.degree:
                 raise MalformedInput("map does not live in the given hom space (%s)" % name)
-            lin_acc(vec, lin_single(name), c)
+            lin_add(vec, name, c)
     return vec
 
 
@@ -562,9 +572,6 @@ class MultilinearMap:
         keys = set(self.entries) | set(other.entries)
         return all(lin_eq(self.entries.get(k, {}), other.entries.get(k, {})) for k in keys)
 
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         return "MultilinearMap(%s, arity %d, degree %d, %d entries)" % (
             self.flavor, self.arity, self.degree, len(self.entries))
@@ -657,7 +664,16 @@ class Contraction:
         self.side_conditions = side_conditions
 
 
-def _map_identity_check(report, label, lhs: GradedMap, rhs: GradedMap):
+def first_witness(words, holds):
+    """The first word on which `holds` is false, or None when it holds on all."""
+    for word in words:
+        if not holds(word):
+            return word
+    return None
+
+
+def check_map_identity(report, label, lhs: GradedMap, rhs: GradedMap):
+    """Add a check that lhs == rhs, witnessed by the first differing basis element."""
     names = set(lhs.entries) | set(rhs.entries)
     for n in sorted(names, key=lambda x: lhs.source.index[x]):
         a, b = lhs.value(n), rhs.value(n)
@@ -679,26 +695,26 @@ def check_contraction(c: Contraction) -> Report:
                  and c.homotopy.degree == -1)
     if not shapes_ok:
         raise MalformedInput("contraction shapes are inconsistent")
-    _map_identity_check(r, "d_small^2=0", c.d_small.compose(c.d_small),
-                        GradedMap.zero(c.small, c.small, 2))
-    _map_identity_check(r, "d_big^2=0", c.d_big.compose(c.d_big),
-                        GradedMap.zero(c.big, c.big, 2))
-    _map_identity_check(r, "inject_chain", c.d_big.compose(c.inject),
-                        c.inject.compose(c.d_small))
-    _map_identity_check(r, "project_chain", c.d_small.compose(c.project),
-                        c.project.compose(c.d_big))
-    _map_identity_check(r, "project.inject=id", c.project.compose(c.inject),
-                        GradedMap.identity(c.small))
+    check_map_identity(r, "d_small^2=0", c.d_small.compose(c.d_small),
+                       GradedMap.zero(c.small, c.small, 2))
+    check_map_identity(r, "d_big^2=0", c.d_big.compose(c.d_big),
+                       GradedMap.zero(c.big, c.big, 2))
+    check_map_identity(r, "inject_chain", c.d_big.compose(c.inject),
+                       c.inject.compose(c.d_small))
+    check_map_identity(r, "project_chain", c.d_small.compose(c.project),
+                       c.project.compose(c.d_big))
+    check_map_identity(r, "project.inject=id", c.project.compose(c.inject),
+                       GradedMap.identity(c.small))
     homot = c.d_big.compose(c.homotopy).add(c.homotopy.compose(c.d_big))
-    _map_identity_check(r, "dK+Kd=fg-id", homot,
-                        c.inject.compose(c.project).add(GradedMap.identity(c.big), -1))
+    check_map_identity(r, "dK+Kd=fg-id", homot,
+                       c.inject.compose(c.project).add(GradedMap.identity(c.big), -1))
     if c.side_conditions:
-        _map_identity_check(r, "project.K=0", c.project.compose(c.homotopy),
-                            GradedMap.zero(c.big, c.small, -1))
-        _map_identity_check(r, "K.inject=0", c.homotopy.compose(c.inject),
-                            GradedMap.zero(c.small, c.big, -1))
-        _map_identity_check(r, "K^2=0", c.homotopy.compose(c.homotopy),
-                            GradedMap.zero(c.big, c.big, -2))
+        check_map_identity(r, "project.K=0", c.project.compose(c.homotopy),
+                           GradedMap.zero(c.big, c.small, -1))
+        check_map_identity(r, "K.inject=0", c.homotopy.compose(c.inject),
+                           GradedMap.zero(c.small, c.big, -1))
+        check_map_identity(r, "K^2=0", c.homotopy.compose(c.homotopy),
+                           GradedMap.zero(c.big, c.big, -2))
     return r
 
 
@@ -817,28 +833,15 @@ def map_is_surjective(gm: GradedMap) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# deterministic map with optional thread workers
-
-
-def pmap(fn, items, workers: int = 1):
-    """Order-preserving map; results are identical for any worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
-    "koszul_sign", "unshuffles", "bernoulli", "factorial", "sign_pow",
-    "lin_acc", "lin_scale", "lin_single", "lin_eq", "format_vector", "format_coeff",
-    "GradedSpace", "pair_space", "split_pair_vector", "prefix_vector", "hom_space",
+    "koszul_sign", "unshuffles", "compositions", "sym_words", "bernoulli",
+    "factorial", "sign_pow",
+    "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "format_vector",
+    "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
     "sym_normalize", "GradedMap", "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
-    "Report", "Contraction", "check_contraction",
+    "Report", "first_witness", "check_map_identity", "Contraction", "check_contraction",
     "rref", "solve_matrix", "map_solve", "map_right_inverse", "map_kernel_basis",
-    "map_is_surjective", "pmap",
+    "map_is_surjective",
 ]

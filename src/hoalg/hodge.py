@@ -16,16 +16,19 @@ import random
 from fractions import Fraction
 from math import factorial
 
-from .coalg import DgLieAlgebra, OoMorphism, OoStructure
-from .cocone import A_PRE, B_PRE
+from .coalg import (
+    DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla, end_preserving_sub_dgla,
+    symmetrize_structure,
+)
+from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
-    GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, UnsupportedOperation, format_vector,
-    graded_map_to_elementary,
+    Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
+    Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
+    elementary_to_graded_map, first_witness, format_vector, graded_map_to_elementary,
     hom_space, koszul_sign, lin_acc, lin_scale, lin_single, map_kernel_basis,
     pair_space, prefix_vector, sign_pow, unshuffles,
 )
-from .mc import ArtinElement, dgla_mc_residual
+from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +59,6 @@ class ExteriorModel:
         if not combo:
             return "one"
         return "^".join(self.gens[i][0] for i in combo)
-
-    def subset(self, name):
-        return self._by_name[name]
 
     def wedge_monomials(self, c1, c2):
         """(combo, sign) for the product of two monomials, or None."""
@@ -153,39 +153,25 @@ def check_hodge_package(pkg: HodgePackage) -> Report:
     r = Report("hodge package")
     A, H = pkg.A, pkg.H
     zero_AA2 = GradedMap.zero(A, A, 2)
-
-    def ident(label, lhs, rhs):
-        names = set(lhs.entries) | set(rhs.entries)
-        for x in sorted(names, key=lambda s: lhs.source.index[s]):
-            a, b = lhs.value(x), rhs.value(x)
-            if a != b and not _veq(a, b):
-                r.add(label, False, witness=x,
-                      lhs=format_vector(a, lhs.target), rhs=format_vector(b, rhs.target))
-                return
-        r.add(label, True)
-
-    ident("del^2=0", pkg.dell.compose(pkg.dell), zero_AA2)
-    ident("delbar^2=0", pkg.delbar.compose(pkg.delbar), zero_AA2)
-    ident("del.delbar+delbar.del=0",
-          pkg.dell.compose(pkg.delbar).add(pkg.delbar.compose(pkg.dell)), zero_AA2)
-    homot = pkg.delbar.compose(pkg.h).add(pkg.h.compose(pkg.delbar))
-    ident("[delbar,h]=iota.pi-id", homot,
-          pkg.iota.compose(pkg.pi).add(GradedMap.identity(A), -1))
-    ident("h.iota=0", pkg.h.compose(pkg.iota), GradedMap.zero(H, A, -1))
-    ident("pi.h=0", pkg.pi.compose(pkg.h), GradedMap.zero(A, H, -1))
-    ident("h^2=0", pkg.h.compose(pkg.h), GradedMap.zero(A, A, -2))
-    ident("[del,h]=0", pkg.dell.compose(pkg.h).add(pkg.h.compose(pkg.dell)),
-          GradedMap.zero(A, A, 0))
-    ident("del.iota=0", pkg.dell.compose(pkg.iota), GradedMap.zero(H, A, 1))
-    ident("pi.del=0", pkg.pi.compose(pkg.dell), GradedMap.zero(A, H, 1))
-    ident("delbar.iota=0", pkg.delbar.compose(pkg.iota), GradedMap.zero(H, A, 1))
-    ident("pi.delbar=0", pkg.pi.compose(pkg.delbar), GradedMap.zero(A, H, 1))
-    ident("pi.iota=id", pkg.pi.compose(pkg.iota), GradedMap.identity(H))
+    dell, delbar, h, iota, pi = pkg.dell, pkg.delbar, pkg.h, pkg.iota, pkg.pi
+    for label, lhs, rhs in (
+            ("del^2=0", dell.compose(dell), zero_AA2),
+            ("delbar^2=0", delbar.compose(delbar), zero_AA2),
+            ("del.delbar+delbar.del=0",
+             dell.compose(delbar).add(delbar.compose(dell)), zero_AA2),
+            ("[delbar,h]=iota.pi-id", delbar.compose(h).add(h.compose(delbar)),
+             iota.compose(pi).add(GradedMap.identity(A), -1)),
+            ("h.iota=0", h.compose(iota), GradedMap.zero(H, A, -1)),
+            ("pi.h=0", pi.compose(h), GradedMap.zero(A, H, -1)),
+            ("h^2=0", h.compose(h), GradedMap.zero(A, A, -2)),
+            ("[del,h]=0", dell.compose(h).add(h.compose(dell)), GradedMap.zero(A, A, 0)),
+            ("del.iota=0", dell.compose(iota), GradedMap.zero(H, A, 1)),
+            ("pi.del=0", pi.compose(dell), GradedMap.zero(A, H, 1)),
+            ("delbar.iota=0", delbar.compose(iota), GradedMap.zero(H, A, 1)),
+            ("pi.delbar=0", pi.compose(delbar), GradedMap.zero(A, H, 1)),
+            ("pi.iota=id", pi.compose(iota), GradedMap.identity(H))):
+        check_map_identity(r, label, lhs, rhs)
     return r
-
-
-def _veq(a, b):
-    return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
 
 
 class CartanHomotopy:
@@ -239,45 +225,21 @@ def check_cartan(c: CartanHomotopy) -> Report:
     r = Report("cartan homotopy")
     names = c.L.space.names
     lmaps = {x: c.l(x) for x in names}
-    ok, wit = True, None
-    for x in names:
-        for y in names:
-            if not c.i[x].commutator(c.i[y]).is_zero():
-                ok, wit = False, (x, y)
-                break
-        if not ok:
-            break
-    r.add("[i,i]=0", ok, witness=wit)
-    ok, wit = True, None
-    for x in names:
-        for y in names:
-            lhs = c.i[x].commutator(lmaps[y])
-            rhs = c.i_vec(c.L.bracket.value((x, y)))
-            if not (lhs == rhs or (lhs.is_zero() and rhs.is_zero())):
-                ok, wit = False, (x, y)
-                break
-        if not ok:
-            break
-    r.add("[i,l]=i[.,.]", ok, witness=wit)
-    ok, wit = True, None
-    for x in names:
-        for y in names:
-            lhs = lmaps[x].commutator(lmaps[y])
-            rhs = c.l_vec(c.L.bracket.value((x, y)))
-            if not (lhs == rhs or (lhs.is_zero() and rhs.is_zero())):
-                ok, wit = False, (x, y)
-                break
-        if not ok:
-            break
-    r.add("l[.,.]=[l,l]", ok, witness=wit)
-    ok, wit = True, None
-    for x in names:
-        lhs = c.d_V.commutator(lmaps[x])
-        rhs = c.l_vec(c.L.d.value(x))
-        if not (lhs == rhs or (lhs.is_zero() and rhs.is_zero())):
-            ok, wit = False, x
-            break
-    r.add("l.d=[d,l]", ok, witness=wit)
+    pairs = list(itertools.product(names, repeat=2))
+
+    def same(lhs, rhs):
+        return lhs == rhs or (lhs.is_zero() and rhs.is_zero())
+
+    for label, words, holds in (
+            ("[i,i]=0", pairs, lambda w: c.i[w[0]].commutator(c.i[w[1]]).is_zero()),
+            ("[i,l]=i[.,.]", pairs, lambda w: same(c.i[w[0]].commutator(lmaps[w[1]]),
+                                                   c.i_vec(c.L.bracket.value(w)))),
+            ("l[.,.]=[l,l]", pairs, lambda w: same(lmaps[w[0]].commutator(lmaps[w[1]]),
+                                                   c.l_vec(c.L.bracket.value(w)))),
+            ("l.d=[d,l]", names, lambda x: same(c.d_V.commutator(lmaps[x]),
+                                                c.l_vec(c.L.d.value(x))))):
+        wit = first_witness(words, holds)
+        r.add(label, wit is None, witness=wit)
     return r
 
 
@@ -301,22 +263,13 @@ class FormalPeriodData:
         r = Report("formal period data")
         wset = set(self.w_names)
         c = self.cartan
-        ok, wit = True, None
-        for n in self.w_names:
-            if any(t not in wset for t in c.d_V.value(n)):
-                ok, wit = False, n
-                break
-        r.add("d(W)<=W", ok, witness=wit)
-        ok, wit = True, None
-        for x in c.L.space.names:
-            lx = c.l(x)
-            for n in self.w_names:
-                if any(t not in wset for t in lx.value(n)):
-                    ok, wit = False, (x, n)
-                    break
-            if not ok:
-                break
-        r.add("l(W)<=W", ok, witness=wit)
+        wit = first_witness(self.w_names,
+                            lambda n: all(t in wset for t in c.d_V.value(n)))
+        r.add("d(W)<=W", wit is None, witness=wit)
+        lmaps = {x: c.l(x) for x in c.L.space.names}
+        wit = first_witness(itertools.product(c.L.space.names, self.w_names),
+                            lambda w: all(t in wset for t in lmaps[w[0]].value(w[1])))
+        r.add("l(W)<=W", wit is None, witness=wit)
         return r
 
 
@@ -431,14 +384,8 @@ def synthetic_package(seed: int, harmonic_pad: int = 1):
 # operator series over Artin coefficients (perturbation theory)
 
 
-def _op(ring, gm):
-    from .mc import ArtinMap
-    return ArtinMap.from_graded(ring, gm)
-
-
 def cartan_artin_maps(c: CartanHomotopy, xi: ArtinElement):
     """(i_xi, l_xi) as B-linear operators on V (x) B."""
-    from .mc import ArtinMap
     i_op = ArtinMap(xi.ring, c.V, c.V)
     l_op = ArtinMap(xi.ring, c.V, c.V)
     for (x, mono), coeff in xi.terms.items():
@@ -462,10 +409,9 @@ def require_integrable(c: CartanHomotopy, xi: ArtinElement):
 def integrability_identity(c: CartanHomotopy, xi: ArtinElement) -> Report:
     """e^{-i_xi} d e^{i_xi} = d + l_xi and (d + l_xi)^2 = 0 on V (x) B."""
     require_integrable(c, xi)
-    from .mc import ArtinMap
     r = Report("integrability")
     i_op, l_op = cartan_artin_maps(c, xi)
-    d = _op(xi.ring, c.d_V)
+    d = ArtinMap.from_graded(xi.ring, c.d_V)
     lhs = i_op.scaled(-1).exp().compose(d).compose(i_op.exp())
     rhs = d.plus(l_op)
     r.add("e^{-i}de^{i}=d+l", lhs == rhs)
@@ -486,9 +432,9 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
         raise MalformedInput("package and homotopy must share the space")
     ring = xi.ring
     _, l_op = cartan_artin_maps(c, xi)
-    h = _op(ring, pkg.h)
-    iota = _op(ring, pkg.iota)
-    pi = _op(ring, pkg.pi)
+    h = ArtinMap.from_graded(ring, pkg.h)
+    iota = ArtinMap.from_graded(ring, pkg.iota)
+    pi = ArtinMap.from_graded(ring, pkg.pi)
     hl = h.compose(l_op)
     lh = l_op.compose(h)
     iota_xi = hl.geometric_series().compose(iota)
@@ -497,10 +443,9 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     delta_xi = pi.compose(lh.geometric_series()).compose(l_op).compose(iota)
     r = Report("perturbation maps")
     r.add("delta_xi=0", delta_xi.is_zero())
-    from .mc import ArtinMap
     r.add("pi_xi.iota_xi=id",
           pi_xi.compose(iota_xi) == ArtinMap.identity(ring, pkg.H))
-    dbar_l = _op(ring, pkg.delbar).plus(l_op)
+    dbar_l = ArtinMap.from_graded(ring, pkg.delbar).plus(l_op)
     r.add("(delbar+l).iota_xi=0", dbar_l.compose(iota_xi).is_zero())
     homot = dbar_l.compose(h_xi).plus(h_xi.compose(dbar_l))
     want = iota_xi.compose(pi_xi).plus(ArtinMap.identity(ring, pkg.A), -1)
@@ -508,7 +453,7 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     # chain isomorphism (Id - h l) on ker del: unipotent, so bijective; check
     # the chain-map property on a kernel basis
     corr = ArtinMap.identity(ring, pkg.A).plus(h.compose(l_op), -1)
-    dbar = _op(ring, pkg.delbar)
+    dbar = ArtinMap.from_graded(ring, pkg.delbar)
     ok = True
     for v in map_kernel_basis(pkg.dell):
         x = ArtinElement(ring, pkg.A, allow_constant=True)
@@ -538,24 +483,15 @@ def psi_obstruction(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     _, l_eta = cartan_artin_maps(c, eta)
     diff = xi.plus(eta.scaled(-1))
     i_diff, _ = cartan_artin_maps(c, diff)
-    h = _op(ring, pkg.h)
-    iota = _op(ring, pkg.iota)
-    pi = _op(ring, pkg.pi)
+    h = ArtinMap.from_graded(ring, pkg.h)
+    iota = ArtinMap.from_graded(ring, pkg.iota)
+    pi = ArtinMap.from_graded(ring, pkg.pi)
     iota_xi = h.compose(l_xi).geometric_series().compose(iota)
     pi_eta = pi.compose(l_eta.compose(h).geometric_series())
-    power = _op(ring, GradedMap.identity(pkg.A))
+    power = ArtinMap.identity(ring, pkg.A)
     for _ in range(pkg.n):
         power = i_diff.compose(power)
-    psi = pi_eta.compose(power).compose(iota_xi)
-    # restrict to the (n, 0) block
-    from .mc import ArtinMap
-    out = ArtinMap(ring, pkg.H, pkg.H)
-    keep = set(pkg.harmonic_names(p=pkg.n, q=0))
-    for nm, table in psi.entries.items():
-        if nm in keep:
-            for (t, m), cv in table.items():
-                out.add(nm, t, m, cv)
-    return out
+    return _restrict_to_top_block(pkg, pi_eta.compose(power).compose(iota_xi))
 
 
 def psi_double_sum(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
@@ -565,14 +501,13 @@ def psi_double_sum(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     _, l_xi = cartan_artin_maps(c, xi)
     _, l_eta = cartan_artin_maps(c, eta)
     i_diff, _ = cartan_artin_maps(c, xi.plus(eta.scaled(-1)))
-    h = _op(ring, pkg.h)
-    iota = _op(ring, pkg.iota)
-    pi = _op(ring, pkg.pi)
-    from .mc import ArtinMap
+    h = ArtinMap.from_graded(ring, pkg.h)
+    iota = ArtinMap.from_graded(ring, pkg.iota)
+    pi = ArtinMap.from_graded(ring, pkg.pi)
     total = ArtinMap(ring, pkg.H, pkg.H)
     lh = l_eta.compose(h)
     hl = h.compose(l_xi)
-    power = _op(ring, GradedMap.identity(pkg.A))
+    power = ArtinMap.identity(ring, pkg.A)
     for _ in range(pkg.n):
         power = i_diff.compose(power)
     left_terms = []
@@ -588,29 +523,18 @@ def psi_double_sum(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     for lt in left_terms:
         for rt in right_terms:
             total = total.plus(lt.compose(power).compose(rt))
+    return _restrict_to_top_block(pkg, total)
+
+
+def _restrict_to_top_block(pkg: HodgePackage, op: ArtinMap) -> ArtinMap:
+    """The operator H (x) B -> H (x) B restricted to the (n, 0) harmonic block."""
     keep = set(pkg.harmonic_names(p=pkg.n, q=0))
-    out = ArtinMap(ring, pkg.H, pkg.H)
-    for nm, table in total.entries.items():
-        if nm in keep:
-            for (t, m), cv in table.items():
-                out.add(nm, t, m, cv)
-    return out
+    return ArtinMap(op.ring, pkg.H, pkg.H,
+                    {nm: table for nm, table in op.entries.items() if nm in keep})
 
 
 # ---------------------------------------------------------------------------
 # hom-complex structures (derived products on End(V) = End(V;W) + Hom(W,A))
-
-
-def _as_end_map(vec: dict, hom: GradedSpace, V: GradedSpace, degree) -> GradedMap:
-    out = GradedMap(V, V, degree)
-    acc = {}
-    for name, cv in vec.items():
-        t, s = name.split("<-")
-        acc.setdefault(s, {})
-        lin_acc(acc[s], lin_single(t), cv)
-    for s, v in acc.items():
-        out.set(s, v)
-    return out
 
 
 def _restrict_to_hom(gm: GradedMap, w_names, a_names) -> dict:
@@ -635,7 +559,7 @@ def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
     q1 = MultilinearMap(hom, hom, 1, 1, TENSOR)
     realized = {}
     for name in hom.names:
-        gm = _as_end_map(lin_single(name), hom, V, hom.degree[name])
+        gm = elementary_to_graded_map(lin_single(name), hom, V, V, hom.degree[name])
         realized[name] = gm
         comm = d.commutator(gm)
         vec = _restrict_to_hom(comm, w_names, a_names)
@@ -669,7 +593,6 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     symmetrized derived-product structure of the splitting
     End(V) = End(V; W) (+) Hom(W, A).
     """
-    from .coalg import decalage_dgla, symmetrize_structure
     c = fpd.cartan
     rep = fpd.check()
     if not rep.ok:
@@ -688,7 +611,7 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
                 eps = koszul_sign(sigma, degs)
                 perm = [word[s - 1] for s in sigma]
                 for j in range(1, k + 1):
-                    for part in _compositions(k, j):
+                    for part in compositions(k, j):
                         coeff = Fraction((-1) ** (k + j))
                         for size in part:
                             coeff /= factorial(size)
@@ -708,21 +631,12 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     return OoMorphism(source, target, taylor), target
 
 
-def _compositions(k, j):
-    if j == 1:
-        yield (k,)
-        return
-    for first in range(1, k - j + 2):
-        for rest in _compositions(k - first, j - 1):
-            yield (first,) + rest
-
-
 def split_period_coefficient(k: int, j: int) -> Fraction:
     """The Hodge-splitting component coefficient via the partition sum
     k! * sum over compositions with last block > j of (-1)^{h+k}/prod(i!)."""
     total = Fraction(0)
     for h in range(1, k + 1):
-        for part in _compositions(k, h):
+        for part in compositions(k, h):
             if part[-1] <= j:
                 continue
             coeff = Fraction((-1) ** (h + k))
@@ -746,7 +660,6 @@ def hom_transfer_contraction(pkg: HodgePackage, p: int, max_weight: int = 4):
     i(f) = iota f pi, g1(f) = pi f iota, K(f) = h f + (-1)^{|f|} iota pi f h.
 
     Returns (big A-infinity structure, Contraction)."""
-    from .graded import Contraction
     w_names = pkg.a_names(lambda bp, bq: bp >= p)
     a_names = pkg.a_names(lambda bp, bq: bp < p)
     big = derived_hom_structure(pkg.A, pkg.d, w_names, a_names, max_weight)
@@ -771,7 +684,8 @@ def hom_transfer_contraction(pkg: HodgePackage, p: int, max_weight: int = 4):
     project = GradedMap(bigsp, small, 0)
     K = GradedMap(bigsp, bigsp, -1)
     for name in bigsp.names:
-        gm = _as_end_map(lin_single(name), bigsp, pkg.A, bigsp.degree[name])
+        gm = elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
+                                      bigsp.degree[name])
         pv = pkg.pi.compose(gm).compose(pkg.iota)
         vec = _restrict_to_hom(pv, hw_top, hw_low)
         if vec:
@@ -804,8 +718,8 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     bigsp = source.space
     hdel = pkg.h.compose(pkg.dell)
-    realized = {name: _as_end_map(lin_single(name), bigsp, pkg.A,
-                                  bigsp.degree[name])
+    realized = {name: elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
+                                               bigsp.degree[name])
                 for name in bigsp.names}
     taylor = {}
     for k in range(1, max_weight + 1):
@@ -840,7 +754,6 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
     """p_k = sum_{j=1}^{k} sum over S(j,1,..,1) unshuffles of the signed words
     pi i..i (h l) .. (h l) iota, into Hom*(H^{n,*}, H^{<n,*}) with the trivial
     structure."""
-    from .coalg import decalage_dgla
     n = pkg.n
     hw = pkg.harmonic_names()
     hw_top = [x for x in hw if pkg.H.bidegree[x][0] >= n]
@@ -882,7 +795,6 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
                  max_weight: int = 4) -> OoStructure:
     """Homotopy-fiber-product model on L[1] x Hom*(H^{n,*}, H^{0,*})[-1]:
     minimal fiber, brackets through the propagator words."""
-    from .coalg import decalage_dgla
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
@@ -936,7 +848,6 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
                     max_weight: int = 4) -> OoStructure:
     """Second model on L[1] x Hom*(A^{n,*}, A^{0,*})[-1]: no propagator in the
     brackets (fiber differential -[delbar, -], mixed bracket through l)."""
-    from .coalg import decalage_dgla
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
@@ -947,7 +858,8 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     base = decalage_dgla(c.L, max_weight)
     space = pair_space(base.space, fiber)
     lmaps = {x: c.l(x) for x in c.L.space.names}
-    realized = {name: _as_end_map(lin_single(name), hom, pkg.A, hom.degree[name])
+    realized = {name: elementary_to_graded_map(lin_single(name), hom, pkg.A, pkg.A,
+                                               hom.degree[name])
                 for name in hom.names}
     taylor = {}
     q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
@@ -1013,7 +925,6 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
 def yukawa_mc_fiber_residual(model: OoStructure, xi: ArtinElement) -> ArtinElement:
     """Fiber component of the Maurer-Cartan residual of (xi, 0) in a Yukawa
     model (xi given over the controlling algebra L, unprefixed names)."""
-    from .mc import mc_check
     lifted = ArtinElement(xi.ring, model.space)
     for (nm, mono), cv in xi.terms.items():
         lifted.add(A_PRE + nm, mono, cv)
@@ -1035,8 +946,6 @@ def strict_period_morphism(fpd: FormalPeriodData, max_weight: int = 3):
     Returns (morphism, cocone structure); the morphism is strict and passing
     the morphism check is exactly the formal-Cartan-identity content.
     """
-    from .coalg import decalage_dgla, end_preserving_sub_dgla
-    from .cocone import fm_cocone_lie
     c = fpd.cartan
     sub, amb, inc = end_preserving_sub_dgla(c.V, c.d_V, fpd.w_names)
     cocone = fm_cocone_lie(inc, max_weight)

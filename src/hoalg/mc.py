@@ -14,7 +14,7 @@ from math import factorial
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
-    GradedMap, MalformedInput, Report, format_coeff, lin_acc, map_solve,
+    GradedMap, MalformedInput, Report, format_coeff, lin_add, lin_eq, map_solve,
 )
 
 
@@ -112,12 +112,7 @@ class ArtinElement:
             return
         if sum(mono) == 0 and not self.allow_constant:
             raise MalformedInput("element must lie in V (x) m_B")
-        key = (name, mono)
-        cur = self.terms.get(key, 0) + Fraction(coeff)
-        if cur:
-            self.terms[key] = cur
-        else:
-            self.terms.pop(key, None)
+        lin_add(self.terms, (name, mono), Fraction(coeff))
 
     def scaled(self, coeff) -> "ArtinElement":
         out = ArtinElement(self.ring, self.space, allow_constant=self.allow_constant)
@@ -136,9 +131,6 @@ class ArtinElement:
 
     def is_zero(self) -> bool:
         return not any(self.terms.values())
-
-    def degrees(self):
-        return sorted({self.space.degree[n] for (n, _), c in self.terms.items() if c})
 
     def is_homogeneous(self, degree) -> bool:
         return all(self.space.degree[n] == degree
@@ -173,8 +165,7 @@ class ArtinElement:
 
     def __eq__(self, other):
         return isinstance(other, ArtinElement) and self.ring == other.ring and \
-            {k: v for k, v in self.terms.items() if v} == \
-            {k: v for k, v in other.terms.items() if v}
+            lin_eq(self.terms, other.terms)
 
     def __repr__(self):
         return "ArtinElement(%d terms)" % len(self.terms)
@@ -205,14 +196,9 @@ class ArtinMap:
         if sum(mono) >= self.ring.order or not coeff:
             return
         table = self.entries.setdefault(name, {})
-        key = (out, mono)
-        cur = table.get(key, 0) + Fraction(coeff)
-        if cur:
-            table[key] = cur
-        else:
-            del table[key]
-            if not table:
-                del self.entries[name]
+        lin_add(table, (out, mono), Fraction(coeff))
+        if not table:
+            del self.entries[name]
 
     @staticmethod
     def from_graded(ring: ArtinRing, gm: GradedMap) -> "ArtinMap":
@@ -232,12 +218,7 @@ class ArtinMap:
         for (t, m), c in self.entries.get(name, {}).items():
             mm = self.ring.mul(mono, m)
             if mm is not None:
-                key = (t, mm)
-                cur = out.get(key, 0) + c
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+                lin_add(out, (t, mm), c)
         return out
 
     def apply(self, x: ArtinElement) -> ArtinElement:
@@ -282,22 +263,11 @@ class ArtinMap:
                     best = min(best, sum(m))
         return best
 
-    def geometric_series(self) -> "ArtinMap":
-        """sum_{k>=0} self^k (requires strictly positive monomial degrees)."""
+    def _power_series(self, what: str, coeff) -> "ArtinMap":
+        """sum_{k>=0} coeff(k) self^k, with coeff(0) = 1; the powers vanish
+        after finitely many steps because the coefficients lie in m_B."""
         if self.min_ideal_order() < 1:
-            raise MalformedInput("geometric series needs coefficients in m_B")
-        total = ArtinMap.identity(self.ring, self.source)
-        cur = ArtinMap.identity(self.ring, self.source)
-        while True:
-            cur = self.compose(cur)
-            if cur.is_zero():
-                return total
-            total = total.plus(cur)
-
-    def exp(self) -> "ArtinMap":
-        """sum self^k / k! (requires strictly positive monomial degrees)."""
-        if self.min_ideal_order() < 1:
-            raise MalformedInput("exponential needs coefficients in m_B")
+            raise MalformedInput("%s needs coefficients in m_B" % what)
         total = ArtinMap.identity(self.ring, self.source)
         cur = ArtinMap.identity(self.ring, self.source)
         k = 0
@@ -306,18 +276,21 @@ class ArtinMap:
             k += 1
             if cur.is_zero():
                 return total
-            total = total.plus(cur, Fraction(1, factorial(k)))
+            total = total.plus(cur, coeff(k))
+
+    def geometric_series(self) -> "ArtinMap":
+        """sum_{k>=0} self^k (requires strictly positive monomial degrees)."""
+        return self._power_series("geometric series", lambda k: 1)
+
+    def exp(self) -> "ArtinMap":
+        """sum self^k / k! (requires strictly positive monomial degrees)."""
+        return self._power_series("exponential", lambda k: Fraction(1, factorial(k)))
 
     def __eq__(self, other):
         if not isinstance(other, ArtinMap):
             return NotImplemented
-        names = set(self.entries) | set(other.entries)
-        for n in names:
-            a = {k: v for k, v in self.entries.get(n, {}).items() if v}
-            b = {k: v for k, v in other.entries.get(n, {}).items() if v}
-            if a != b:
-                return False
-        return True
+        return all(lin_eq(self.entries.get(n, {}), other.entries.get(n, {}))
+                   for n in set(self.entries) | set(other.entries))
 
     def __repr__(self):
         return "ArtinMap(%d basis entries)" % len(self.entries)
@@ -384,24 +357,22 @@ def mc_check(s: OoStructure, x: ArtinElement) -> ArtinElement:
         raise MalformedInput("element lives on the wrong space")
     if not x.is_homogeneous(0):
         raise MalformedInput("Maurer-Cartan elements are degree-0 in the shifted grading")
-    out = ArtinElement(x.ring, s.space, allow_constant=True)
-    for n in range(1, x.ring.order):
-        q = s.taylor.get(n)
-        if q is None:
-            continue
-        term = eval_taylor(q, [x] * n)
-        out = out.plus(term.scaled(Fraction(1, factorial(n))))
-    return out
+    return _exp_series(s.taylor, x, s.space)
 
 
 def mc_pushforward(F: OoMorphism, x: ArtinElement) -> ArtinElement:
     """sum_{n>=1} (1/n!) f_n(x^{(.)n}) in the target space."""
-    out = ArtinElement(x.ring, F.target.space, allow_constant=True)
+    return _exp_series(F.taylor, x, F.target.space)
+
+
+def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
+    """sum_{n>=1} (1/n!) t_n(x^{(.)n}) for a Taylor family t; the terms with
+    n >= ring order vanish because x lies in V (x) m_B."""
+    out = ArtinElement(x.ring, target, allow_constant=True)
     for n in range(1, x.ring.order):
-        f = F.taylor.get(n)
-        if f is None:
-            continue
-        out = out.plus(eval_taylor(f, [x] * n).scaled(Fraction(1, factorial(n))))
+        t = taylor.get(n)
+        if t is not None:
+            out = out.plus(eval_taylor(t, [x] * n).scaled(Fraction(1, factorial(n))))
     return out
 
 
@@ -410,9 +381,14 @@ def mc_pushforward(F: OoMorphism, x: ArtinElement) -> ArtinElement:
 
 
 def gauge_act(L: DgLieAlgebra, a: ArtinElement, x: ArtinElement) -> ArtinElement:
-    """e^a * x = x + sum_{n>=0} (ad_a^n/(n+1)!) ([a,x] - da)."""
+    """e^a * x = x + sum_{n>=0} (ad_a^n/(n+1)!) ([a,x] - da).
+
+    a must lie in L (x) m_B, so that ad_a is nilpotent and the series is finite.
+    """
     if not a.is_homogeneous(0) or (not x.is_zero() and not x.is_homogeneous(1)):
         raise MalformedInput("gauge needs deg(a) = 0 and deg(x) = 1")
+    if any(not sum(mono) for (_, mono) in a.terms):
+        raise MalformedInput("gauge parameter must lie in L (x) m_B (no constant terms)")
     w = artin_bracket(L, a, x).plus(artin_apply(L.d, a).scaled(-1))
     out = x
     n = 0
@@ -420,8 +396,6 @@ def gauge_act(L: DgLieAlgebra, a: ArtinElement, x: ArtinElement) -> ArtinElement
         out = out.plus(w.scaled(Fraction(1, factorial(n + 1))))
         w = artin_bracket(L, a, w)
         n += 1
-        if n > x.ring.order + 2:
-            break
     return out
 
 
@@ -510,7 +484,7 @@ def mc_extend(s: OoStructure, x: ArtinElement, order: int):
         rhs = {n: -c for n, c in by_mono[mono].items()}
         sol = map_solve(gm, rhs)
         if sol is None:
-            r.add("lift exists", False, witness=s.taylor and None,
+            r.add("lift exists", False, witness=x.ring.mono_str(mono),
                   lhs=";".join(obstruction.lines()))
             return r, obstruction, None
         bump = ArtinElement(x.ring, s.space)

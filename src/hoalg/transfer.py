@@ -16,7 +16,7 @@ import itertools
 from .coalg import OoMorphism, OoStructure
 from .graded import (
     Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
-    UnsupportedOperation, check_contraction, lin_acc, lin_single,
+    UnsupportedOperation, check_contraction, lin_acc, lin_add, lin_single,
     multilinear_from_graded_map,
 )
 
@@ -99,13 +99,7 @@ def _homotopy_word_expansion(c: Contraction, word, degrees) -> dict:
             for n, cf in combo:
                 coeff *= cf
                 tup.append(n)
-            if coeff:
-                key = tuple(tup)
-                cur = out.get(key, 0) + coeff
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
+            lin_add(out, tuple(tup), coeff)
     return out
 
 

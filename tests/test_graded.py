@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import itertools
+import math
+import pkgutil
 from fractions import Fraction
 
 import pytest
@@ -9,9 +12,9 @@ from hypothesis import strategies as st
 
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
-    SYMMETRIC, TENSOR, bernoulli, check_contraction, koszul_sign, lin_single,
-    map_kernel_basis, map_right_inverse, map_solve, pair_space, sym_normalize,
-    unshuffles,
+    SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions, koszul_sign,
+    lin_single, map_kernel_basis, map_right_inverse, map_solve, pair_space,
+    sym_normalize, sym_words, unshuffles,
 )
 
 
@@ -82,6 +85,25 @@ def test_unshuffle_count_is_multinomial(sizes):
             block = perm[pos:pos + s]
             assert list(block) == sorted(block)
             pos += s
+
+
+# --- compositions and symmetric words ---------------------------------------
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_compositions_count_order_and_parts(k):
+    for j in range(1, k + 2):
+        parts = list(compositions(k, j))
+        assert len(parts) == math.comb(k - 1, j - 1)
+        assert parts == sorted(set(parts))
+        assert all(len(p) == j and sum(p) == k and min(p) >= 1 for p in parts)
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+def test_sym_words_are_the_nonzero_sorted_words(k):
+    V = GradedSpace([("x", 1), ("y", 0), ("z", 1), ("w", 2)])
+    want = [w for w in itertools.combinations_with_replacement(V.names, k)
+            if sym_normalize(w, V.index, V.degree) is not None]
+    assert list(sym_words(V.names, V.degree, k)) == want
 
 
 # --- bernoulli --------------------------------------------------------------
@@ -162,6 +184,25 @@ def test_sym_normalize_repeated_odd_is_zero():
     V = GradedSpace([("x", 1), ("y", 2)])
     assert sym_normalize(("x", "x"), V.index, V.degree) is None
     assert sym_normalize(("y", "x"), V.index, V.degree) == (("x", "y"), 1)
+
+
+def test_maps_with_structural_equality_are_unhashable():
+    V = GradedSpace([("x", 1), ("y", 2)])
+    with pytest.raises(TypeError):
+        hash(GradedMap.identity(V))
+    with pytest.raises(TypeError):
+        hash(MultilinearMap(V, V, 0, 2, TENSOR))
+
+
+def test_every_exported_name_resolves():
+    import hoalg
+    checked = 0
+    for info in pkgutil.iter_modules(hoalg.__path__):
+        mod = importlib.import_module("hoalg." + info.name)
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), (info.name, name)
+            checked += 1
+    assert checked
 
 
 def test_multilinear_symmetric_koszul_read():

@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from hoalg.coalg import DglaMorphism, OoStructure, decalage_dgla, decalage_dgla_morphism
+from hoalg.coalg import (
+    DgLieAlgebra, DglaMorphism, OoStructure, decalage_dgla, decalage_dgla_morphism,
+)
 from hoalg.fixtures import (
     abelian_dgla, random_artin_element, random_end_dgla,
     random_filtered_inclusion, sl2_dgla, zero_dgla,
 )
 from hoalg.graded import (
-    GradedMap, GradedSpace, MalformedInput, MultilinearMap, SYMMETRIC,
+    GradedMap, GradedSpace, MalformedInput, MultilinearMap, SYMMETRIC, TENSOR,
     lin_single,
 )
 from hoalg.mc import (
@@ -106,6 +108,21 @@ def test_gauge_identity_and_abelian():
     got = gauge_act(A, a, ArtinElement(R, sp))
     want = artin_apply(A.d, a).scaled(-1)
     assert got == want
+
+
+def test_gauge_rejects_constant_parameter():
+    # [h, e] = e: a constant h-term makes ad_a the identity on e, never nilpotent,
+    # so the series e^a * x cannot be summed in V (x) m_B
+    sp = GradedSpace([("h", 0), ("e", 1)])
+    br = MultilinearMap(sp, sp, 0, 2, TENSOR)
+    br.set_entry(("h", "e"), lin_single("e"))
+    br.set_entry(("e", "h"), {"e": Fraction(-1)})
+    L = DgLieAlgebra(sp, GradedMap(sp, sp, 1), br)
+    R = t_ring(3)
+    a = ArtinElement(R, sp, {("h", (0,)): Fraction(1)}, allow_constant=True)
+    x = ArtinElement(R, sp, {("e", (1,)): Fraction(1)})
+    with pytest.raises(MalformedInput):
+        gauge_act(L, a, x)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -235,6 +252,7 @@ def test_mc_extend_quadratic_obstruction():
     assert obs.terms == {("y", (2,)): Fraction(1, 2)}
     assert lift is None  # q1 = 0 cannot kill it
     assert not rep.ok
+    assert rep.first_failure()["witness"] == "t1^2"
 
 
 def test_mc_extend_lifts_through_exact_obstruction():

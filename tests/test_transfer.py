@@ -114,13 +114,6 @@ def test_transfer_commutes_with_symmetrization(seed):
         assert F_l.taylor.get(k) == sym_F.taylor.get(k), k
 
 
-def test_determinism_under_parallel_evaluation():
-    big = decalage_dga(random_end_dga(4, 2), max_weight=3)
-    rep1 = check_structure(big, workers=1)
-    rep2 = check_structure(big, workers=4)
-    assert rep1.lines() == rep2.lines()
-
-
 def test_quasi_inverse_rejects_symmetric_flavor():
     big = symmetrize_structure(decalage_dga(random_end_dga(0, 2), max_weight=3))
     sp = big.space
