@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
@@ -240,8 +241,12 @@ class TensorComponent:
 def prolong_coderivation(space: GradedSpace, taylor: dict, flavor: str,
                          j: int, k: int, coder_degree: int = 1) -> TensorComponent:
     """Public wrapper: the component Q^j_k of the coderivation with the given
-    Taylor coefficients (zero map whenever j > k+1)."""
-    struct = OoStructure(space, flavor, taylor, max(taylor, default=1))
+    Taylor coefficients (zero map whenever j > k+1).
+
+    The coefficients may have any degree, so they are not validated as an
+    OoStructure (which fixes degree +1); only space, flavor and taylor are read.
+    """
+    struct = SimpleNamespace(space=space, flavor=flavor, taylor=dict(taylor))
     return TensorComponent(
         space, k, j,
         lambda names: coderivation_component_value(struct, j, k, names, coder_degree))
@@ -551,8 +556,8 @@ class DglaMorphism:
         r = Report("dgla morphism")
         chain = self.target.d.compose(self.map) == self.map.compose(self.source.d)
         r.add("chain_map", chain)
-        r.add("bracket_compatible",
-              *_multiplicative(self.map, self.source.bracket, self.target.bracket))
+        wit = _multiplicative_witness(self.map, self.source.bracket, self.target.bracket)
+        r.add("bracket_compatible", wit is None, witness=wit)
         return r
 
 
@@ -570,8 +575,8 @@ class DgaMorphism:
         r = Report("dga morphism")
         r.add("chain_map",
               self.target.d.compose(self.map) == self.map.compose(self.source.d))
-        r.add("multiplicative",
-              *_multiplicative(self.map, self.source.product, self.target.product))
+        wit = _multiplicative_witness(self.map, self.source.product, self.target.product)
+        r.add("multiplicative", wit is None, witness=wit)
         return r
 
     def commutator_dgla_morphism(self) -> DglaMorphism:
@@ -579,14 +584,14 @@ class DgaMorphism:
                             self.target.commutator_dgla(), self.map)
 
 
-def _multiplicative(gmap: GradedMap, src: MultilinearMap, tgt: MultilinearMap):
-    """(ok, witness): whether gmap(src(x, y)) = tgt(gmap(x), gmap(y)) on all
-    basis pairs, with the first failing pair (x, y)."""
-    wit = first_witness(
+def _multiplicative_witness(gmap: GradedMap, src: MultilinearMap,
+                            tgt: MultilinearMap):
+    """The first basis pair (x, y) with gmap(src(x, y)) != tgt(gmap(x), gmap(y)),
+    or None when gmap is multiplicative."""
+    return first_witness(
         itertools.product(gmap.source.names, repeat=2),
         lambda w: lin_eq(gmap.apply(src.value(w)),
                          tgt.apply_vectors([gmap.value(w[0]), gmap.value(w[1])])))
-    return wit is None, wit
 
 
 def _first_nonzero(gm: GradedMap):

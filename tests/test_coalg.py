@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hoalg.coalg import (
-    DgLieAlgebra, check_morphism, check_structure, compose_morphisms,
+    DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, decalage_dgla, decalage_dgla_morphism, identity_morphism,
     invert_morphism, OoMorphism, OoStructure, prolong_coderivation,
     prolong_morphism, symmetrize_morphism, symmetrize_structure,
@@ -350,3 +350,27 @@ def test_prolongation_with_even_coderivation_degree_drops_signs():
                                      ("x", "y"): Fraction(-1)}
     assert even.value(("x", "x")) == {("y", "x"): Fraction(1),
                                       ("x", "y"): Fraction(1)}
+
+
+def test_prolongation_of_degree_zero_coderivation():
+    # a degree-0 coderivation is prolonged from degree-0 coefficients, unsigned
+    V = GradedSpace([("x", 1), ("y", 1)])
+    q1 = MultilinearMap(V, V, 0, 1, TENSOR)
+    q1.set_entry(("x",), lin_single("y"))
+    comp = prolong_coderivation(V, {1: q1}, TENSOR, 2, 2, coder_degree=0)
+    assert comp.value(("x", "x")) == {("y", "x"): Fraction(1),
+                                      ("x", "y"): Fraction(1)}
+    assert comp.value(("y", "y")) == {}
+
+
+def test_dgla_morphism_bracket_failure_names_first_pair():
+    # 2*id on sl2 doubles [x,y] but quadruples [2x,2y]; (e,e) has zero bracket,
+    # so (e,h) is the first failing pair in basis order
+    L = sl2_dgla()
+    rep = DglaMorphism(L, L, GradedMap.identity(L.space).scale(2)).check()
+    fail = rep.first_failure()
+    assert fail["label"] == "bracket_compatible"
+    assert fail["witness"] == ("e", "h")
+    assert fail["weight"] is None
+    assert rep.lines()[1] == ("RELATION bracket_compatible weight=- tuple=(e,h) "
+                              "lhs=- rhs=- status=FAIL")

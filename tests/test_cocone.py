@@ -147,6 +147,20 @@ def truncated_polynomial_dga(top=7):
     return DgAlgebra(sp, GradedMap(sp, sp, 1), prod)
 
 
+def test_dga_morphism_product_failure_names_first_pair():
+    # 2*id is a chain map but not multiplicative: u1*u1 = u2 is the first
+    # nonzero product in basis order
+    A = truncated_polynomial_dga(3)
+    rep = DgaMorphism(A, A, GradedMap.identity(A.space).scale(2)).check()
+    assert [c["ok"] for c in rep.checks] == [True, False]
+    fail = rep.first_failure()
+    assert fail["label"] == "multiplicative"
+    assert fail["witness"] == ("u1", "u1")
+    assert fail["weight"] is None
+    assert rep.lines()[1] == ("RELATION multiplicative weight=- tuple=(u1,u1) "
+                              "lhs=- rhs=- status=FAIL")
+
+
 def test_exp_log_unit_coefficients():
     A = truncated_polynomial_dga(4)
     m = DgaMorphism(A, A, GradedMap.identity(A.space))
