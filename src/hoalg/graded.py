@@ -67,7 +67,13 @@ def unshuffles(*sizes: int):
     """
     if any(s < 0 for s in sizes):
         raise MalformedInput("block sizes must be >= 0")
-    k = sum(sizes)
+    return list(_unshuffles(tuple(sizes)))
+
+
+@lru_cache(maxsize=256)
+def _unshuffles(sizes) -> tuple:
+    """The unshuffles of one size tuple, kept as a tuple so that the cached
+    value cannot be mutated through a caller's list."""
 
     def rec(remaining, blocks):
         if not blocks:
@@ -79,7 +85,7 @@ def unshuffles(*sizes: int):
             for tail in rec(left, rest):
                 yield combo + tail
 
-    return list(rec(tuple(range(1, k + 1)), tuple(sizes)))
+    return tuple(rec(tuple(range(1, sum(sizes) + 1)), sizes))
 
 
 def compositions(k: int, j: int):
@@ -186,7 +192,8 @@ class GradedSpace:
     """Finite-dimensional Z-graded (optionally Z^2-bigraded) space with named basis.
 
     The basis order is the declaration order and is the single source of
-    determinism for every computation downstream.
+    determinism for every computation downstream.  A space is not mutated
+    after construction, so its data tuple and hash are computed once.
     """
 
     def __init__(self, basis):
@@ -214,6 +221,8 @@ class GradedSpace:
         self.degree = degree
         self.bidegree = bidegree
         self.index = {n: i for i, n in enumerate(self.names)}
+        self._data = tuple((n, degree[n], bidegree[n]) for n in self.names)
+        self._hash = hash(self._data)
 
     @property
     def dim(self) -> int:
@@ -245,13 +254,16 @@ class GradedSpace:
         return degs.pop()
 
     def data(self):
-        return tuple((n, self.degree[n], self.bidegree[n]) for n in self.names)
+        return self._data
 
     def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self.data() == other.data()
+        # GradedMap.compose checks shapes with this on every call
+        return self is other or (isinstance(other, GradedSpace)
+                                 and self._hash == other._hash
+                                 and self._data == other._data)
 
     def __hash__(self):
-        return hash(self.data())
+        return self._hash
 
     def __repr__(self):
         return "GradedSpace(%d elements)" % self.dim
@@ -378,13 +390,10 @@ class GradedMap:
     def add(self, other: "GradedMap", coeff=1) -> "GradedMap":
         if (other.source, other.target, other.degree) != (self.source, self.target, self.degree):
             raise MalformedInput("sum shape mismatch")
-        out = GradedMap(self.source, self.target, self.degree)
-        for name in set(self.entries) | set(other.entries):
-            vec = dict(self.entries.get(name, {}))
-            lin_acc(vec, other.entries.get(name, {}), coeff)
-            if vec:
-                out.set(name, vec)
-        return out
+        out = {name: dict(vec) for name, vec in self.entries.items()}
+        for name, vec in other.entries.items():
+            lin_acc(out.setdefault(name, {}), vec, coeff)
+        return GradedMap(self.source, self.target, self.degree, out)
 
     def scale(self, coeff) -> "GradedMap":
         out = GradedMap(self.source, self.target, self.degree)

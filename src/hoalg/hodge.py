@@ -388,11 +388,12 @@ def cartan_artin_maps(c: CartanHomotopy, xi: ArtinElement):
     """(i_xi, l_xi) as B-linear operators on V (x) B."""
     i_op = ArtinMap(xi.ring, c.V, c.V)
     l_op = ArtinMap(xi.ring, c.V, c.V)
+    lmaps = {x: c.l(x) for x in dict.fromkeys(x for x, _ in xi.terms)}
     for (x, mono), coeff in xi.terms.items():
         for n, vec in c.i[x].entries.items():
             for t, cv in vec.items():
                 i_op.add(n, t, mono, coeff * cv)
-        for n, vec in c.l(x).entries.items():
+        for n, vec in lmaps[x].entries.items():
             for t, cv in vec.items():
                 l_op.add(n, t, mono, coeff * cv)
     return i_op, l_op
@@ -436,11 +437,11 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     iota = ArtinMap.from_graded(ring, pkg.iota)
     pi = ArtinMap.from_graded(ring, pkg.pi)
     hl = h.compose(l_op)
-    lh = l_op.compose(h)
+    lh_series = l_op.compose(h).geometric_series()
     iota_xi = hl.geometric_series().compose(iota)
-    pi_xi = pi.compose(lh.geometric_series())
-    h_xi = h.compose(lh.geometric_series())
-    delta_xi = pi.compose(lh.geometric_series()).compose(l_op).compose(iota)
+    pi_xi = pi.compose(lh_series)
+    h_xi = h.compose(lh_series)
+    delta_xi = pi_xi.compose(l_op).compose(iota)
     r = Report("perturbation maps")
     r.add("delta_xi=0", delta_xi.is_zero())
     r.add("pi_xi.iota_xi=id",
@@ -452,7 +453,7 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     r.add("homotopy identity", homot == want)
     # chain isomorphism (Id - h l) on ker del: unipotent, so bijective; check
     # the chain-map property on a kernel basis
-    corr = ArtinMap.identity(ring, pkg.A).plus(h.compose(l_op), -1)
+    corr = ArtinMap.identity(ring, pkg.A).plus(hl, -1)
     dbar = ArtinMap.from_graded(ring, pkg.delbar)
     ok = True
     for v in map_kernel_basis(pkg.dell):
@@ -550,6 +551,35 @@ def _restrict_to_hom(gm: GradedMap, w_names, a_names) -> dict:
     return vec
 
 
+def _propagator_words(left: GradedMap, head_ops: dict, tail_ops: dict,
+                      right: GradedMap, w_names, a_names):
+    """word(head, tail): the Hom(W, A) entries of
+    left o head_ops[head[0]] o .. o tail_ops[tail[0]] o .. o right.
+
+    Every suffix product is memoized on its (head, tail) name tuples, and the
+    memo lives as long as the returned function: one builder call.  (No
+    recursive closure: a self-referencing one would keep the memo alive in a
+    reference cycle until the next garbage collection.)
+    """
+    products = {((), ()): right}
+    words = {}
+
+    def word(head, tail):
+        got = words.get((head, tail))
+        if got is None:
+            keys = [(head[p:], tail) for p in range(len(head))] + \
+                   [((), tail[p:]) for p in range(len(tail) + 1)]
+            ops = [head_ops[x] for x in head] + [tail_ops[x] for x in tail]
+            p = next(p for p, key in enumerate(keys) if key in products)
+            cur = products[keys[p]]
+            for q in range(p - 1, -1, -1):
+                cur = products[keys[q]] = ops[q].compose(cur)
+            got = words[head, tail] = _restrict_to_hom(left.compose(cur), w_names, a_names)
+        return got
+
+    return word
+
+
 def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
                           max_weight: int = 6) -> OoStructure:
     """A-infinity[1] structure on Hom*(W, A) for the splitting
@@ -589,6 +619,16 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     """Taylor coefficients pi_k = sum over permutations and ordered partitions
     of the signed nested projection words P i..i P ... P i..i P-perp.
 
+    The partition of k into j blocks carries (-1)^{k+j} / prod(size!), that is
+    (-1)^k prod(-1/size!), so the sum over all partitions of one permuted
+    word s is (-1)^k R(s) with the recursion in the first block's length m
+
+        R(()) = P-perp,
+        R(s)  = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]).
+
+    R is memoized on its name tuple for the whole call, so suffixes are shared
+    across permutations, words and weights.
+
     Returns (morphism L[1] -> Hom*(W, A), target structure): the target is the
     symmetrized derived-product structure of the splitting
     End(V) = End(V; W) (+) Hom(W, A).
@@ -601,6 +641,23 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
         derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
     source = decalage_dgla(c.L, max_weight)
     Lsh = source.space
+    memo = {(): fpd.Pperp}
+
+    def chain(s):
+        """R(s), filling in the missing suffixes shortest first."""
+        for start in range(len(s) - 1, -1, -1):
+            t = s[start:]
+            if t in memo:
+                continue
+            # Horner in m: i_{t[0]} (R(t[1:]) + 1/2 i_{t[1]} (R(t[2:]) + ...))
+            inner = fpd.Pperp
+            for r in range(len(t) - 1, -1, -1):
+                inner = c.i[t[r]].compose(inner)
+                if r:
+                    inner = memo[t[r:]].add(inner, Fraction(1, r + 1))
+            memo[t] = fpd.P.compose(inner).scale(-1)
+        return memo[s]
+
     taylor = {}
     for k in range(1, max_weight + 1):
         pk = MultilinearMap(Lsh, target.space, 0, k, SYMMETRIC)
@@ -608,22 +665,9 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
             degs = [Lsh.degree[w] for w in word]
             acc: dict = {}
             for sigma in unshuffles(*([1] * k)):
-                eps = koszul_sign(sigma, degs)
-                perm = [word[s - 1] for s in sigma]
-                for j in range(1, k + 1):
-                    for part in compositions(k, j):
-                        coeff = Fraction((-1) ** (k + j))
-                        for size in part:
-                            coeff /= factorial(size)
-                        cur = fpd.Pperp
-                        pos = k
-                        for size in reversed(part):
-                            for x in reversed(perm[pos - size:pos]):
-                                cur = c.i[x].compose(cur)
-                            cur = fpd.P.compose(cur)
-                            pos -= size
-                        vec = _restrict_to_hom(cur, fpd.w_names, fpd.a_names)
-                        lin_acc(acc, vec, eps * coeff)
+                cur = chain(tuple(word[t - 1] for t in sigma))
+                vec = _restrict_to_hom(cur, fpd.w_names, fpd.a_names)
+                lin_acc(acc, vec, koszul_sign(sigma, degs) * sign_pow(k))
             if acc:
                 pk.add_entry(word, acc)
         if not pk.is_zero():
@@ -721,6 +765,9 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
     realized = {name: elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
                                                bigsp.degree[name])
                 for name in bigsp.names}
+    chain = _propagator_words(pkg.pi, realized,
+                              {x: hdel.compose(f) for x, f in realized.items()},
+                              pkg.iota, hw_top, hw_low)
     taylor = {}
     for k in range(1, max_weight + 1):
         gk = MultilinearMap(bigsp, small, 0, k, SYMMETRIC)
@@ -728,16 +775,8 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
             degs = [bigsp.degree[w] for w in word]
             acc: dict = {}
             for sigma in unshuffles(*([1] * k)):
-                eps = koszul_sign(sigma, degs)
-                cur = pkg.iota
-                first = True
-                for x in reversed([word[s - 1] for s in sigma]):
-                    if not first:
-                        cur = hdel.compose(cur)
-                    cur = realized[x].compose(cur)
-                    first = False
-                cur = pkg.pi.compose(cur)
-                lin_acc(acc, _restrict_to_hom(cur, hw_top, hw_low), eps)
+                perm = tuple(word[t - 1] for t in sigma)
+                lin_acc(acc, chain(perm[:1], perm[1:]), koszul_sign(sigma, degs))
             if acc:
                 gk.add_entry(word, acc)
         if not gk.is_zero():
@@ -747,6 +786,13 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
 
 # ---------------------------------------------------------------------------
 # minimal period map (harmonic target, trivial structure)
+
+
+def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, w_names, a_names):
+    """word(head, tail) = pi i_head (h l)_tail iota, restricted to Hom(W, A)."""
+    return _propagator_words(pkg.pi, c.i,
+                             {x: pkg.h.compose(c.l(x)) for x in c.L.space.names},
+                             pkg.iota, w_names, a_names)
 
 
 def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
@@ -762,7 +808,7 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     source = decalage_dgla(c.L, max_weight)
     Lsh = source.space
-    lmaps = {x: c.l(x) for x in c.L.space.names}
+    chain = _contraction_words(pkg, c, hw_top, hw_low)
     taylor = {}
     for k in range(1, max_weight + 1):
         pk = MultilinearMap(Lsh, small, 0, k, SYMMETRIC)
@@ -771,15 +817,8 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
             acc: dict = {}
             for j in range(1, k + 1):
                 for sigma in unshuffles(*([j] + [1] * (k - j))):
-                    eps = koszul_sign(sigma, degs)
-                    perm = [word[s - 1] for s in sigma]
-                    cur = pkg.iota
-                    for x in reversed(perm[j:]):
-                        cur = pkg.h.compose(lmaps[x]).compose(cur)
-                    for x in reversed(perm[:j]):
-                        cur = c.i[x].compose(cur)
-                    cur = pkg.pi.compose(cur)
-                    lin_acc(acc, _restrict_to_hom(cur, hw_top, hw_low), eps)
+                    perm = tuple(word[t - 1] for t in sigma)
+                    lin_acc(acc, chain(perm[:j], perm[j:]), koszul_sign(sigma, degs))
             if acc:
                 pk.add_entry(word, acc)
         if not pk.is_zero():
@@ -804,7 +843,7 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
     fiber = hom_space(bottom, top, pkg.H).shifted(-1)
     base = decalage_dgla(c.L, max_weight)
     space = pair_space(base.space, fiber)
-    lmaps = {x: c.l(x) for x in c.L.space.names}
+    chain = _contraction_words(pkg, c, top, bottom)
     taylor = {}
     q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
     for x in c.L.space.names:
@@ -827,15 +866,8 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
                 degs = [base.space.degree[w] for w in word]
                 fib: dict = {}
                 for sigma in unshuffles(*([n] + [1] * (k - n))):
-                    eps = koszul_sign(sigma, degs)
-                    perm = [word[s - 1] for s in sigma]
-                    cur = pkg.iota
-                    for x in reversed(perm[n:]):
-                        cur = pkg.h.compose(lmaps[x]).compose(cur)
-                    for x in reversed(perm[:n]):
-                        cur = c.i[x].compose(cur)
-                    cur = pkg.pi.compose(cur)
-                    lin_acc(fib, _restrict_to_hom(cur, top, bottom), eps)
+                    perm = tuple(word[t - 1] for t in sigma)
+                    lin_acc(fib, chain(perm[:n], perm[n:]), koszul_sign(sigma, degs))
                 lin_acc(acc, prefix_vector(fib, B_PRE))
             if acc:
                 qk.add_entry(tuple(A_PRE + w for w in word), acc)

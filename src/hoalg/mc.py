@@ -351,10 +351,15 @@ def mc_check(s: OoStructure, x: ArtinElement) -> ArtinElement:
     """Residual sum_{n>=1} (1/n!) q_n(x^{(.)n}); zero iff x is Maurer-Cartan.
 
     The sum is finite by nilpotency; the structure must carry Taylor
-    coefficients up to arity (ring order - 1) for the truncation to be exact.
+    coefficients up to arity (ring order - 1) for the truncation to be exact,
+    and a structure truncated below that arity is rejected.
     """
     if x.space != s.space:
         raise MalformedInput("element lives on the wrong space")
+    if s.max_weight < x.ring.order - 1:
+        raise MalformedInput(
+            "structure truncated at arity %d, but m^%d = 0 needs arities up to %d"
+            % (s.max_weight, x.ring.order, x.ring.order - 1))
     if not x.is_homogeneous(0):
         raise MalformedInput("Maurer-Cartan elements are degree-0 in the shifted grading")
     return _exp_series(s.taylor, x, s.space)

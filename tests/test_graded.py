@@ -66,6 +66,16 @@ def test_unshuffles_2_2_brute_force():
     assert len(unshuffles(2, 2)) == 6
 
 
+def test_unshuffles_returns_a_fresh_list():
+    first = unshuffles(1, 2)
+    first.append("junk")
+    first[0] = None
+    assert unshuffles(1, 2) == [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
+    assert unshuffles(1, 2) is not unshuffles(1, 2)
+    with pytest.raises(MalformedInput):
+        unshuffles(2, -1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=3).filter(lambda s: sum(s) <= 7))
 def test_unshuffle_count_is_multinomial(sizes):

@@ -199,6 +199,31 @@ def test_perturbation_maps_nonflat(seed):
     assert l_xi.is_zero() or not unmoved
 
 
+def test_perturbation_maps_build_each_series_and_l_once(monkeypatch):
+    from hoalg.mc import ArtinMap
+    pkg, cartan, fpd = synthetic_package(0)
+    R = ArtinRing(1, 3)
+    xi = one_section(cartan, R, [("x1", (1,), Fraction(1)), ("x1", (2,), Fraction(2)),
+                                 ("x2", (1,), Fraction(-1))])
+    calls = {"series": 0, "l": 0}
+    series, l = ArtinMap.geometric_series, CartanHomotopy.l
+
+    def counted_series(self):
+        calls["series"] += 1
+        return series(self)
+
+    def counted_l(self, x):
+        calls["l"] += 1
+        return l(self, x)
+
+    monkeypatch.setattr(ArtinMap, "geometric_series", counted_series)
+    monkeypatch.setattr(CartanHomotopy, "l", counted_l)
+    *_, rep = perturbation_maps(pkg, cartan, xi)
+    assert rep.ok
+    # (h l)^n and (l h)^n once each; l_x once per name of xi
+    assert calls == {"series": 2, "l": 2}
+
+
 # --- psi obstruction -----------------------------------------------------------------
 
 
@@ -548,3 +573,184 @@ def test_period_maps_on_nonabelian_nonflat_fixture():
     assert check_morphism(Pi, max_weight=3).ok
     F, cocone = strict_period_morphism(fpd, max_weight=2)
     assert check_morphism(F, max_weight=2).ok
+
+
+# --- reference chain loops (every composition, every chain rebuilt) ---------------
+
+
+def _reference_split_taylor(fpd, source, target_space, max_weight):
+    """pi_k as the explicit double sum: every permutation, every composition of
+    k, and the whole P i..i P ... P-perp chain recomposed for each term."""
+    from hoalg.graded import (
+        MultilinearMap, compositions, koszul_sign, lin_acc, unshuffles,
+    )
+    from hoalg.hodge import _restrict_to_hom
+    c = fpd.cartan
+    Lsh = source.space
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        pk = MultilinearMap(Lsh, target_space, 0, k, SYMMETRIC)
+        for word in source.basis_words(k):
+            degs = [Lsh.degree[w] for w in word]
+            acc = {}
+            for sigma in unshuffles(*([1] * k)):
+                eps = koszul_sign(sigma, degs)
+                perm = [word[s - 1] for s in sigma]
+                for j in range(1, k + 1):
+                    for part in compositions(k, j):
+                        coeff = Fraction((-1) ** (k + j))
+                        for size in part:
+                            coeff /= factorial(size)
+                        cur = fpd.Pperp
+                        pos = k
+                        for size in reversed(part):
+                            for x in reversed(perm[pos - size:pos]):
+                                cur = c.i[x].compose(cur)
+                            cur = fpd.P.compose(cur)
+                            pos -= size
+                        lin_acc(acc, _restrict_to_hom(cur, fpd.w_names, fpd.a_names),
+                                eps * coeff)
+            if acc:
+                pk.add_entry(word, acc)
+        if not pk.is_zero():
+            taylor[k] = pk
+    return taylor
+
+
+def _reference_contraction_sum(pkg, cartan, word, head, w_names, a_names):
+    """sum over (head, 1, .., 1)-unshuffles of eps * pi i_head (h l)_tail iota,
+    with h o l_x recomposed for every factor."""
+    from hoalg.graded import koszul_sign, lin_acc, unshuffles
+    from hoalg.hodge import _restrict_to_hom
+    k = len(word)
+    degs = [cartan.L.space.degree[w] - 1 for w in word]
+    acc = {}
+    for sigma in unshuffles(*([head] + [1] * (k - head))):
+        perm = [word[s - 1] for s in sigma]
+        cur = pkg.iota
+        for x in reversed(perm[head:]):
+            cur = pkg.h.compose(cartan.l(x)).compose(cur)
+        for x in reversed(perm[:head]):
+            cur = cartan.i[x].compose(cur)
+        cur = pkg.pi.compose(cur)
+        lin_acc(acc, _restrict_to_hom(cur, w_names, a_names), koszul_sign(sigma, degs))
+    return acc
+
+
+def _reference_minimal_taylor(pkg, cartan, source, small, max_weight):
+    from hoalg.graded import MultilinearMap, lin_acc
+    hw = pkg.harmonic_names()
+    top = [x for x in hw if pkg.H.bidegree[x][0] >= pkg.n]
+    low = [x for x in hw if pkg.H.bidegree[x][0] < pkg.n]
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        pk = MultilinearMap(source.space, small, 0, k, SYMMETRIC)
+        for word in source.basis_words(k):
+            acc = {}
+            for j in range(1, k + 1):
+                lin_acc(acc, _reference_contraction_sum(pkg, cartan, word, j, top, low))
+            if acc:
+                pk.add_entry(word, acc)
+        if not pk.is_zero():
+            taylor[k] = pk
+    return taylor
+
+
+def _reference_yukawa_fiber(pkg, cartan, max_weight):
+    """The fiber components {(k, word): vec} of the Yukawa brackets."""
+    from hoalg.graded import prefix_vector
+    hw = pkg.harmonic_names()
+    top = [x for x in hw if pkg.H.bidegree[x][0] == pkg.n]
+    bottom = [x for x in hw if pkg.H.bidegree[x][0] == 0]
+    base = decalage_dgla(cartan.L, max_weight)
+    out = {}
+    for k in range(pkg.n, max_weight + 1):
+        for word in base.basis_words(k):
+            fib = _reference_contraction_sum(pkg, cartan, word, pkg.n, top, bottom)
+            if fib:
+                out[k, tuple(A_PRE + w for w in word)] = prefix_vector(fib, B_PRE)
+    return out
+
+
+def _oracle_fixture(name):
+    if name == "torus2":
+        return torus_package(2)
+    if name.startswith("synthetic"):
+        return synthetic_package(int(name[-1]))
+    if name == "lambda021":
+        cartan, fpd, _ = lambda_cartan_fixture(0, 2, 1)
+    else:
+        cartan, fpd, _ = lambda_cartan_fixture(3, 3, 1, p=2)
+    return None, cartan, fpd
+
+
+def _entries(taylor):
+    return {k: m.entries for k, m in taylor.items()}
+
+
+@pytest.mark.parametrize("fixture,weight", [
+    ("torus2", 3), ("synthetic0", 3), ("synthetic1", 3), ("synthetic2", 3),
+    ("lambda021", 3), ("lambda331", 3), ("synthetic0", 4)])
+def test_split_period_map_matches_reference_loops(fixture, weight):
+    pkg, cartan, fpd = _oracle_fixture(fixture)
+    Pi, target = split_period_map(fpd, max_weight=weight)
+    ref = _reference_split_taylor(fpd, Pi.source, target.space, weight)
+    assert Pi.taylor and _entries(Pi.taylor) == _entries(ref)
+
+
+@pytest.mark.parametrize("fixture,weight", [
+    ("torus2", 3), ("synthetic0", 3), ("synthetic1", 3), ("synthetic2", 3),
+    ("synthetic0", 4)])
+def test_minimal_period_map_and_yukawa_match_reference_loops(fixture, weight):
+    pkg, cartan, fpd = _oracle_fixture(fixture)
+    P = minimal_period_map(pkg, cartan, max_weight=weight)
+    ref = _reference_minimal_taylor(pkg, cartan, P.source, P.target.space, weight)
+    assert P.taylor and _entries(P.taylor) == _entries(ref)
+    Y = yukawa_model(pkg, cartan, max_weight=weight)
+    fib = {(k, word): {t: c for t, c in vec.items() if t.startswith(B_PRE)}
+           for k, q in Y.taylor.items() for word, vec in q.entries.items()}
+    fib = {key: vec for key, vec in fib.items() if vec}
+    assert fib == _reference_yukawa_fiber(pkg, cartan, weight)
+
+
+def test_graded_space_equality_is_by_value():
+    basis = [("a", 1, (1, 0)), ("b", 2, (1, 1)), ("c", 0)]
+    U, V = GradedSpace(basis), GradedSpace(list(basis))
+    assert U is not V and U == V and hash(U) == hash(V)
+    assert U.data() == V.data() == tuple(basis[:2]) + (("c", 0, None),)
+    assert U != GradedSpace([("a", 1, (1, 0)), ("b", 3, (1, 2)), ("c", 0)])
+    assert U != GradedSpace([("a", 1, (0, 1)), ("b", 2, (1, 1)), ("c", 0)])
+    assert U != GradedSpace([("a", 1), ("b", 2, (1, 1)), ("c", 0)])
+    assert U != U.data()
+
+
+# GradedMap.compose calls per builder: (fixture, weight, bound); the comments
+# give the count of the chain-per-term loops and of the suffix-memo builders.
+COMPOSE_BOUNDS = {
+    "split synthetic0": (4, 600),      # 7,056 -> 418
+    "split torus2": (3, 5000),         # 13,537 -> 4,405 (2,496 build the target)
+    "minimal torus2": (3, 2000),       # 5,225 -> 1,773
+    "yukawa torus2": (4, 4500),        # 17,561 -> 4,131
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSE_BOUNDS))
+def test_chain_builders_share_suffixes(case, monkeypatch):
+    builder, fixture = case.split()
+    weight, bound = COMPOSE_BOUNDS[case]
+    pkg, cartan, fpd = _oracle_fixture(fixture)
+    calls = [0]
+    compose = GradedMap.compose
+
+    def counted(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(GradedMap, "compose", counted)
+    if builder == "split":
+        split_period_map(fpd, max_weight=weight)
+    elif builder == "minimal":
+        minimal_period_map(pkg, cartan, max_weight=weight)
+    else:
+        yukawa_model(pkg, cartan, max_weight=weight)
+    assert 0 < calls[0] <= bound, calls[0]

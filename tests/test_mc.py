@@ -81,6 +81,16 @@ def test_mc_residual_matches_classical_equation():
     assert {k: -v for k, v in classical.terms.items()} == res.terms
 
 
+def test_mc_check_rejects_structure_truncated_below_ring_order():
+    # over Q[t]/t^5 the residual needs q_1..q_4; a weight-3 truncation would
+    # silently drop the q_4 term
+    s = decalage_dgla(random_end_dgla(0, 2), max_weight=3)
+    x = random_artin_element(0, ArtinRing(1, 5), s.space, 0)
+    with pytest.raises(MalformedInput, match="truncated at arity 3"):
+        mc_check(s, x)
+    assert mc_check(s, x.truncated(ArtinRing(1, 4))) is not None
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_mc_residual_natural_in_the_ring(seed):
     s = decalage_dgla(random_end_dgla(seed, 2), max_weight=4)
