@@ -15,15 +15,19 @@ from fractions import Fraction
 from . import fmt
 from .coalg import (
     check_morphism, check_structure, compose_morphisms, decalage_dga,
-    decalage_dgla, decalage_dgla_morphism,
+    decalage_dgla, decalage_dgla_morphism, end_preserving_sub_dgla,
 )
 from .cocone import (
     Splitting, cocone_associative, derived_products_model, exp_log_isos,
     fiber_product_model, fm_cocone_assoc, fm_cocone_lie, semidirect_product,
     voronov_brackets,
 )
+from .fixtures import (
+    end_splitting, harmonic_contraction, lambda_cartan_fixture, random_dga_morphism,
+    random_end_dga, random_filtered_inclusion,
+)
 from .graded import (
-    MalformedInput, RejectedInput, Report, check_contraction,
+    MalformedInput, RejectedInput, Report, check_contraction, linear_part,
 )
 from .hodge import (
     check_cartan, check_hodge_package, contraction_table_lines,
@@ -76,30 +80,16 @@ def _example_period_data(ref: str, p=None):
     if kind == "synthetic":
         return synthetic_package(int(arg or 0))
     if kind == "lambda":
-        from .fixtures import lambda_cartan_fixture
         cartan, fpd, _ = lambda_cartan_fixture(int(arg or 0), 2, 1, p=p)
         return None, cartan, fpd
     raise MalformedInput("unknown example %r" % ref)
 
 
-def _example_splitting(seed: int, lie: bool):
-    import random
-    from .fixtures import end_dga, random_complex
-    from .coalg import end_dgla
-    V, d = random_complex(seed, 3)
-    rng = random.Random("endsplit:%d" % seed)
-    stable = []
-    for n in V.names:
-        if all(t in stable for t in d.value(n)) and rng.random() < 0.6:
-            stable.append(n)
-    if not stable:
-        stable = [next(n for n in V.names if not d.value(n))]
-    if len(stable) == len(V.names):
-        stable = stable[:-1]
-    ambient = end_dgla(V, d) if lie else end_dga(V, d)
-    comp = [n for n in ambient.space.names
-            if n.split("<-")[1] in stable and n.split("<-")[0] not in stable]
-    return V, d, ambient, comp, stable
+def _add_vanishing(report: Report, label: str, comp, mw: int):
+    """One check per weight 2..mw that the composite's Taylor entry vanishes."""
+    for k in range(2, mw + 1):
+        t = comp.taylor.get(k)
+        report.add(label, t is None or t.is_zero(), weight=k)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +126,10 @@ def cmd_transfer(args, out):
     mw = args.max_weight
     machine = args.format == "machine"
     if args.example:
-        from .fixtures import harmonic_contraction, random_end_dga
-        from .graded import GradedMap
         seed = int(args.example.partition(":")[2] or args.seed)
         big = decalage_dga(random_end_dga(seed, 2), max_weight=mw)
-        d = GradedMap(big.space, big.space, 1)
-        if 1 in big.taylor:
-            for (n,), vec in big.taylor[1].entries.items():
-                d.set(n, vec)
-        c = harmonic_contraction(big.space, d)
+        c = harmonic_contraction(big.space,
+                                 linear_part(big.taylor.get(1), big.space, big.space, 1))
     else:
         doc = _load(args.file)
         big = doc.structures[args.structure]
@@ -152,17 +137,13 @@ def cmd_transfer(args, out):
     small, F = transfer_structure(big, c, max_weight=mw)
     reports = [check_structure(small, max_weight=mw),
                check_morphism(F, max_weight=mw)]
-    extra = []
     if args.quasi_inverse:
         G = transfer_quasi_inverse(big, c, F, max_weight=mw)
         reports.append(check_morphism(G, max_weight=mw))
-        comp = compose_morphisms(G, F, max_weight=mw)
         gf = Report("G.F = id")
-        for k in range(2, mw + 1):
-            t = comp.taylor.get(k)
-            gf.add("vanishing", t is None or t.is_zero(), weight=k)
+        _add_vanishing(gf, "vanishing", compose_morphisms(G, F, max_weight=mw), mw)
         reports.append(gf)
-    return _emit(out, reports, machine, extra)
+    return _emit(out, reports, machine)
 
 
 def cmd_cocone(args, out):
@@ -170,7 +151,6 @@ def cmd_cocone(args, out):
     machine = args.format == "machine"
     if args.kind == "lie":
         if args.example:
-            from .fixtures import random_filtered_inclusion
             seed = int(args.example.partition(":")[2] or args.seed)
             _, _, f = random_filtered_inclusion(seed, 2)
         else:
@@ -178,7 +158,6 @@ def cmd_cocone(args, out):
         s = fm_cocone_lie(f, max_weight=mw)
         return _emit(out, [check_structure(s, max_weight=mw)], machine)
     if args.example:
-        from .fixtures import random_dga_morphism
         seed = int(args.example.partition(":")[2] or args.seed)
         f = random_dga_morphism(seed, 2)
         doc = None
@@ -195,15 +174,12 @@ def cmd_cocone(args, out):
         reports = [check_morphism(E, max_weight=mw), check_morphism(L, max_weight=mw)]
         idrep = Report("E.L = L.E = id")
         for G, H, label in ((E, L, "E.L"), (L, E, "L.E")):
-            comp = compose_morphisms(G, H, max_weight=mw)
-            for k in range(2, mw + 1):
-                t = comp.taylor.get(k)
-                idrep.add(label, t is None or t.is_zero(), weight=k)
+            _add_vanishing(idrep, label, compose_morphisms(G, H, max_weight=mw), mw)
         reports.append(idrep)
         return _emit(out, reports, machine)
     if args.kind == "derived":
         if args.example:
-            _, _, ambient, comp, _ = _example_splitting(
+            _, _, ambient, comp, _ = end_splitting(
                 int(args.example.partition(":")[2] or args.seed), lie=False)
             split = Splitting(ambient, comp)
         else:
@@ -237,26 +213,20 @@ def cmd_product(args, out):
         else args.seed
     if args.kind == "semidirect":
         if args.example or not args.file:
-            V, d, M, comp, stable = _example_splitting(seed, lie=True)
+            V, d, M, comp, stable = end_splitting(seed)
             split = Splitting(M, comp)
         else:
             doc = _load(args.file)
             split = doc.splittings[args.name]
             M = split.ambient
         phi, action = voronov_brackets(split, max_weight=mw)
-        Mdec = decalage_dgla(M, max_weight=mw)
-        from .cocone import CoderAction
-        act = CoderAction(Mdec.space, phi.space)
-        for (j, k), table in action.comps.items():
-            for (mt, it), vec in table.items():
-                act.set(mt, it, vec)
-        sd = semidirect_product(phi, Mdec, act, max_weight=mw, validate=False)
+        sd = semidirect_product(phi, decalage_dgla(M, max_weight=mw), action,
+                                max_weight=mw, validate=False)
         return _emit(out, [check_structure(phi, max_weight=mw),
                            check_structure(sd, max_weight=mw)], machine)
     if args.kind == "fiber":
-        from .coalg import end_preserving_sub_dgla
         if args.example or not args.file:
-            V, d, M, comp, stable = _example_splitting(seed, lie=True)
+            V, d, M, comp, stable = end_splitting(seed)
             split = Splitting(M, comp)
             sub, _, inc = end_preserving_sub_dgla(V, d, stable)
             F = decalage_dgla_morphism(inc, max_weight=mw,

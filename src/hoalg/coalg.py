@@ -18,7 +18,7 @@ from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, compositions, first_witness, format_vector,
     hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
-    map_is_surjective, map_kernel_basis, map_right_inverse,
+    linear_part, map_is_surjective, map_kernel_basis, map_right_inverse,
     multilinear_from_graded_map, sym_words, unshuffles,
 )
 
@@ -70,15 +70,7 @@ class OoStructure:
 
     def square_residual(self, names: tuple) -> dict:
         """(p o Q o Q) evaluated on a basis word: sum_j q_j(Q^j_k(word))."""
-        k = len(names)
-        out: dict = {}
-        for j in range(1, k + 1):
-            qj = self.taylor.get(j)
-            if qj is None:
-                continue
-            for tup, c in self.coder_component(j, k, names).items():
-                lin_acc(out, qj.value(tup), c)
-        return out
+        return taylor_after(self.taylor, self.coder_component, names, 1)
 
     def basis_words(self, k: int):
         if self.flavor == TENSOR:
@@ -133,6 +125,19 @@ class OoMorphism:
 
 # ---------------------------------------------------------------------------
 # prolongation components
+
+
+def taylor_after(taylor: dict, component, word: tuple, lo: int, hi: int = None) -> dict:
+    """sum_{j=lo}^{hi} t_j(C^j_k(word)) for a Taylor family t and prolonged
+    components C(j, k, word), with k = len(word) and hi defaulting to k."""
+    k = len(word)
+    out: dict = {}
+    for j in range(lo, (k if hi is None else hi) + 1):
+        tj = taylor.get(j)
+        if tj is not None:
+            for tup, c in component(j, k, word).items():
+                lin_acc(out, tj.value(tup), c)
+    return out
 
 
 def coderivation_component_value(struct: OoStructure, j: int, k: int,
@@ -295,23 +300,8 @@ def check_morphism(F: OoMorphism, max_weight=None) -> Report:
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
 
     def residual(word):
-        k = len(word)
-        lhs: dict = {}
-        for j in range(1, k + 1):
-            fj = F.taylor.get(j)
-            if fj is None:
-                continue
-            for tup, c in s.coder_component(j, k, word).items():
-                lin_acc(lhs, fj.value(tup), c)
-        rhs: dict = {}
-        for i in range(1, k + 1):
-            qi = t.taylor.get(i)
-            if qi is None:
-                continue
-            for tup, c in F.morph_component(i, k, word).items():
-                lin_acc(rhs, qi.value(tup), c)
-        lin_acc(lhs, rhs, -1)
-        return lhs
+        lhs = taylor_after(F.taylor, s.coder_component, word, 1)
+        return lin_acc(lhs, taylor_after(t.taylor, F.morph_component, word, 1), -1)
 
     return _check_words(Report("morphism equation"), "FQ=RF", s.basis_words,
                         residual, top, t.space)
@@ -335,13 +325,7 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
     for k in range(1, top + 1):
         hk = MultilinearMap(F.source.space, G.target.space, 0, k, F.flavor)
         for word in F.source.basis_words(k):
-            acc: dict = {}
-            for j in range(1, k + 1):
-                gj = G.taylor.get(j)
-                if gj is None:
-                    continue
-                for tup, c in F.morph_component(j, k, word).items():
-                    lin_acc(acc, gj.value(tup), c)
+            acc = taylor_after(G.taylor, F.morph_component, word, 1)
             if acc:
                 hk.add_entry(word, acc)
         taylor[k] = hk
@@ -354,9 +338,7 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     f1 = F.taylor.get(1)
     if f1 is None:
         raise RejectedInput("f_1 is zero, morphism is not invertible")
-    gm1 = GradedMap(F.source.space, F.target.space, 0, dict(
-        (n, f1.value((n,))) for n in F.source.space.names))
-    inv1 = map_right_inverse(gm1)
+    inv1 = map_right_inverse(linear_part(f1, F.source.space, F.target.space, 0))
     if inv1 is None or F.source.space.dim != F.target.space.dim:
         raise RejectedInput("f_1 is not invertible")
     taylor = {1: multilinear_from_graded_map(inv1, F.flavor)}
@@ -364,13 +346,7 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     for k in range(2, top + 1):
         hk = MultilinearMap(F.target.space, F.source.space, 0, k, F.flavor)
         for word in H.source.basis_words(k):
-            acc: dict = {}
-            for j in range(2, k + 1):
-                fj = F.taylor.get(j)
-                if fj is None:
-                    continue
-                for tup, c in H.morph_component(j, k, word).items():
-                    lin_acc(acc, fj.value(tup), c)
+            acc = taylor_after(F.taylor, H.morph_component, word, 2)
             if acc:
                 img = inv1.apply(acc)
                 hk.add_entry(word, img, -1)
@@ -393,16 +369,8 @@ def transport_structure(G: OoMorphism, max_weight=None) -> OoStructure:
         for word in G.target.basis_words(k):
             acc: dict = {}
             for b in range(1, k + 1):
-                hcomp = H.morph_component(b, k, word)
-                if not hcomp:
-                    continue
-                for tup, c in hcomp.items():
-                    for a in range(1, b + 2):
-                        ga = G.taylor.get(a)
-                        if ga is None:
-                            continue
-                        for tup2, c2 in s.coder_component(a, b, tup).items():
-                            lin_acc(acc, ga.value(tup2), c * c2)
+                for tup, c in H.morph_component(b, k, word).items():
+                    lin_acc(acc, taylor_after(G.taylor, s.coder_component, tup, 1, b + 1), c)
             if acc:
                 qk.add_entry(word, acc)
         if not qk.is_zero():
@@ -706,6 +674,37 @@ def end_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
     return DgLieAlgebra(E, dE, br)
 
 
+def sub_algebra(amb, names):
+    """The basis-aligned subalgebra of a DgAlgebra or DgLieAlgebra spanned by
+    `names` (closed under d and the operation), with its inclusion morphism."""
+    names = tuple(names)
+    sub_space = amb.space.subspace(names)
+    d = GradedMap(sub_space, sub_space, 1, {n: amb.d.value(n) for n in names})
+    lie = isinstance(amb, DgLieAlgebra)
+    table = amb.bracket if lie else amb.product
+    op = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR)
+    for w in itertools.product(names, repeat=2):
+        val = table.value(w)
+        if val:
+            op.set_entry(w, val)
+    algebra, morphism = (DgLieAlgebra, DglaMorphism) if lie else (DgAlgebra, DgaMorphism)
+    sub = algebra(sub_space, d, op)
+    inc = GradedMap(sub_space, amb.space, 0, {n: lin_single(n) for n in names})
+    return sub, morphism(sub, amb, inc)
+
+
+def end_preserving_sub(End, W):
+    """End(V; W) inside End(V) (DGLA or DGA on `t<-s` names) for a
+    basis-aligned subspace W: (subalgebra, inclusion morphism)."""
+    W = set(W)
+    keep = [n for n in End.space.names
+            if not (n.split("<-")[1] in W and n.split("<-")[0] not in W)]
+    kept = set(keep)
+    if any(t not in kept for n in keep for t in End.d.value(n)):
+        raise RejectedInput("End(V;W) is not closed under [d,-]")
+    return sub_algebra(End, keep)
+
+
 def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
     """End(V; W) for a basis-aligned subspace W, with its inclusion into End(V).
 
@@ -718,31 +717,12 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
         if any(t not in preserved for t in d.value(w)):
             raise RejectedInput("differential does not preserve the subspace")
     amb = end_dgla(space, d)
-    keep = [n for n in amb.space.names
-            if not (n.split("<-")[1] in preserved and n.split("<-")[0] not in preserved)]
-    sub_space = amb.space.subspace(keep)
-    dS = GradedMap(sub_space, sub_space, 1)
-    for n in keep:
-        val = amb.d.value(n)
-        if any(m not in sub_space.degree for m in val):
-            raise RejectedInput("End(V;W) is not closed under [d,-]")
-        if val:
-            dS.set(n, val)
-    brS = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR)
-    for n1 in keep:
-        for n2 in keep:
-            val = amb.bracket.value((n1, n2))
-            if val:
-                brS.set_entry((n1, n2), val)
-    sub = DgLieAlgebra(sub_space, dS, brS)
-    inc = GradedMap(sub_space, amb.space, 0)
-    for n in keep:
-        inc.set(n, lin_single(n))
-    return sub, amb, DglaMorphism(sub, amb, inc)
+    sub, inc = end_preserving_sub(amb, preserved)
+    return sub, amb, inc
 
 
 __all__ = [
-    "OoStructure", "OoMorphism", "TensorComponent",
+    "OoStructure", "OoMorphism", "TensorComponent", "taylor_after",
     "coderivation_component_value", "morphism_component_value",
     "prolong_coderivation", "prolong_morphism",
     "check_structure", "check_morphism",
@@ -750,5 +730,5 @@ __all__ = [
     "symmetrize_structure", "symmetrize_morphism",
     "DgLieAlgebra", "DgAlgebra", "DglaMorphism", "DgaMorphism",
     "decalage_dgla", "decalage_dgla_morphism", "decalage_dga",
-    "end_dgla", "end_preserving_sub_dgla",
+    "end_dgla", "sub_algebra", "end_preserving_sub", "end_preserving_sub_dgla",
 ]

@@ -15,14 +15,15 @@ from math import factorial
 
 from .coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism,
-    OoStructure, check_structure, decalage_dga, transport_structure,
+    OoStructure, check_structure, decalage_dga, decalage_dgla, sub_algebra,
+    transport_structure,
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, bernoulli, compositions, first_witness, koszul_sign,
-    lin_acc, lin_scale, lin_single, map_is_surjective, map_right_inverse,
-    multilinear_from_graded_map, pair_space, prefix_vector, sign_pow, sym_normalize,
-    sym_words, unshuffles,
+    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli, compositions, first_witness,
+    koszul_sign, lin_acc, lin_scale, lin_single, linear_part, map_is_surjective,
+    map_right_inverse, multilinear_from_graded_map, nested, pair_space, prefix_vector,
+    sign_pow, sym_normalize, sym_words, unshuffles,
 )
 
 A_PRE = "a:"
@@ -42,28 +43,9 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
-    q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
-    for x in L.space.names:
-        vec = prefix_vector(lin_scale(L.d.value(x), -1), A_PRE)
-        lin_acc(vec, prefix_vector(f.map.value(x), B_PRE), -1)
-        if vec:
-            q1.set_entry((A_PRE + x,), vec)
-    for m in M.space.names:
-        vec = prefix_vector(M.d.value(m), B_PRE)
-        if vec:
-            q1.set_entry((B_PRE + m,), vec)
-    taylor = {1: q1}
-
+    taylor = {1: _cocone_q1(f, space, SYMMETRIC)}
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
-    for i, x in enumerate(L.space.names):
-        for y in L.space.names[i:]:
-            if x == y and space.degree[A_PRE + x] % 2:
-                continue
-            val = L.bracket.value((x, y))
-            if val:
-                sgn = -1 if L.space.degree[x] % 2 else 1
-                q2.add_entry((A_PRE + x, A_PRE + y),
-                             prefix_vector(val, A_PRE), sgn)
+    add_prefixed(q2, decalage_dgla(L, max_weight, validate=False).taylor.get(2), A_PRE)
     mdeg = M.space.degree
     for k in range(1, max_weight):
         if k >= 2 and bernoulli(k) == 0:
@@ -79,19 +61,30 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
                 degs = [mdeg[m] for m in ms]
                 acc: dict = {}
                 for sigma in unshuffles(*([1] * k)):
-                    eps = koszul_sign(sigma, degs)
-                    cur = fx
-                    for s in sigma:
-                        cur = M.bracket_vec(cur, lin_single(ms[s - 1]))
-                        if not cur:
-                            break
+                    cur = nested(M.bracket_vec, fx, [ms[s - 1] for s in sigma])
                     if cur:
-                        lin_acc(acc, cur, eps)
+                        lin_acc(acc, cur, koszul_sign(sigma, degs))
                 if acc:
                     qk.add_entry((A_PRE + x,) + tuple(B_PRE + m for m in ms),
                                  prefix_vector(acc, B_PRE), coeff)
     taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
+
+
+def _cocone_q1(f, space: GradedSpace, flavor: str) -> MultilinearMap:
+    """q1(x, m) = (-dx, dm - f(x)) on the cocone space L[1] x M of f: L -> M."""
+    L, M = f.source, f.target
+    q1 = MultilinearMap(space, space, 1, 1, flavor)
+    for x in L.space.names:
+        vec = prefix_vector(lin_scale(L.d.value(x), -1), A_PRE)
+        lin_acc(vec, prefix_vector(f.map.value(x), B_PRE), -1)
+        if vec:
+            q1.set_entry((A_PRE + x,), vec)
+    for m in M.space.names:
+        vec = prefix_vector(M.d.value(m), B_PRE)
+        if vec:
+            q1.set_entry((B_PRE + m,), vec)
+    return q1
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +127,9 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     """
     A, B = f.source, f.target
     space = pair_space(A.space.shifted(1), B.space)
-    q1 = MultilinearMap(space, space, 1, 1, TENSOR)
-    for x in A.space.names:
-        vec = prefix_vector(lin_scale(A.d.value(x), -1), A_PRE)
-        lin_acc(vec, prefix_vector(f.map.value(x), B_PRE), -1)
-        if vec:
-            q1.set_entry((A_PRE + x,), vec)
-    for y in B.space.names:
-        vec = prefix_vector(B.d.value(y), B_PRE)
-        if vec:
-            q1.set_entry((B_PRE + y,), vec)
-    taylor = {1: q1}
-    q2 = MultilinearMap(space, space, 1, 2, TENSOR)
-    for x in A.space.names:
-        for y in A.space.names:
-            val = A.product.value((x, y))
-            if val:
-                sgn = -1 if A.space.degree[x] % 2 else 1
-                q2.set_entry((A_PRE + x, A_PRE + y),
-                             lin_scale(prefix_vector(val, A_PRE), sgn))
-    taylor[2] = q2
+    taylor = {1: _cocone_q1(f, space, TENSOR),
+              2: MultilinearMap(space, space, 1, 2, TENSOR)}
+    add_prefixed(taylor[2], decalage_dga(A, max_weight, validate=False).taylor.get(2), A_PRE)
     bdeg = B.space.degree
     for w in range(1, max_weight):          # w = i + j, arity w + 1
         if w >= 2 and bernoulli(w) == 0:
@@ -171,22 +147,12 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
                     continue
                 for front in itertools.product(B.space.names, repeat=i):
                     sgn = sign_pow(i + 1 + sum(bdeg[b] for b in front))
-                    vec = None
-                    for b in front:
-                        vec = B.mul(vec, lin_single(b)) if vec is not None else lin_single(b)
-                        if not vec:
-                            break
-                    if i and not vec:
-                        continue
-                    mid = B.mul(vec, fx) if vec is not None else fx
+                    mid = B.mul(nested(B.mul, lin_single(front[0]), front[1:]), fx) \
+                        if front else fx
                     if not mid:
                         continue
                     for back in itertools.product(B.space.names, repeat=j):
-                        out = mid
-                        for b in back:
-                            out = B.mul(out, lin_single(b))
-                            if not out:
-                                break
+                        out = nested(B.mul, mid, back)
                         if not out:
                             continue
                         key = tuple(B_PRE + b for b in front) + (A_PRE + x,) + \
@@ -220,11 +186,7 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6):
             ek = MultilinearMap(space, space, 0, k, TENSOR)
             coeff = coeff_fn(k)
             for word in itertools.product(B.space.names, repeat=k):
-                vec = lin_single(word[0])
-                for b in word[1:]:
-                    vec = B.mul(vec, lin_single(b))
-                    if not vec:
-                        break
+                vec = nested(B.mul, lin_single(word[0]), word[1:])
                 if vec:
                     ek.set_entry(tuple(B_PRE + b for b in word),
                                  lin_scale(prefix_vector(vec, B_PRE), coeff))
@@ -288,22 +250,7 @@ class Splitting:
 
     def sub_dga(self) -> DgaMorphism:
         """The inclusion of the sub algebra (DgAlgebra ambient only)."""
-        amb = self.ambient
-        sub_space = amb.space.subspace(self.sub_names)
-        d = GradedMap(sub_space, sub_space, 1)
-        for n in self.sub_names:
-            d.set(n, amb.d.value(n))
-        prod = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR)
-        for x in self.sub_names:
-            for y in self.sub_names:
-                val = amb.product.value((x, y))
-                if val:
-                    prod.set_entry((x, y), val)
-        sub = DgAlgebra(sub_space, d, prod)
-        inc = GradedMap(sub_space, amb.space, 0)
-        for n in self.sub_names:
-            inc.set(n, lin_single(n))
-        return DgaMorphism(sub, amb, inc)
+        return sub_algebra(self.ambient, self.sub_names)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +283,7 @@ def cocone_contraction(split: Splitting, inclusion: DgaMorphism,
         val = split.Pperp.value(n)
         if val:
             K.set(B_PRE + n, prefix_vector(val, A_PRE))
-    # big differential: q1 of the cocone, read off as a map
-    d_big = GradedMap(cinf_space, cinf_space, 1)
-    for x in split.sub_names:
-        vec = prefix_vector(lin_scale(inclusion.source.d.value(x), -1), A_PRE)
-        lin_acc(vec, lin_single(B_PRE + x), -1)
-        d_big.set(A_PRE + x, vec)
-    for y in amb.space.names:
-        vec = prefix_vector(amb.d.value(y), B_PRE)
-        if vec:
-            d_big.set(B_PRE + y, vec)
+    d_big = linear_part(_cocone_q1(inclusion, cinf_space, TENSOR), cinf_space, cinf_space, 1)
     return Contraction(Csp, d_small, cinf_space, d_big, inj, proj, K)
 
 
@@ -364,49 +302,31 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     inclusion = split.sub_dga()
     cinf = fm_cocone_assoc(inclusion, max_weight)
     cas = decalage_dga(cocone_associative(inclusion), max_weight, validate=False)
-    Csp = split.complement_space()
-
-    q1 = MultilinearMap(Csp, Csp, 1, 1, TENSOR)
-    for c in split.complement_names:
-        val = split.P.apply(amb.d.value(c))
-        if val:
-            q1.set_entry((c,), val)
+    # q1 = Pd, f1 and g1 are the linear maps of the cocone contraction
+    contraction = cocone_contraction(split, inclusion, cinf.space)
+    Csp = contraction.small
     q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR)
-    for c1 in split.complement_names:
-        dc1 = amb.d.value(c1)
-        for c2 in split.complement_names:
-            val = split.P.apply(amb.mul(dc1, lin_single(c2)))
-            if val:
-                q2.set_entry((c1, c2), val)
-    structure = OoStructure(Csp, TENSOR, {1: q1, 2: q2}, max_weight)
-
-    f1 = MultilinearMap(Csp, cinf.space, 0, 1, TENSOR)
-    for c in split.complement_names:
-        vec = prefix_vector(split.Pperp.apply(amb.d.value(c)), A_PRE)
-        lin_acc(vec, lin_single(B_PRE + c))
-        f1.set_entry((c,), vec)
     f2 = MultilinearMap(Csp, cinf.space, 0, 2, TENSOR)
-    for c1 in split.complement_names:
-        dc1 = amb.d.value(c1)
-        for c2 in split.complement_names:
-            val = split.Pperp.apply(amb.mul(dc1, lin_single(c2)))
-            if val:
-                f2.set_entry((c1, c2), prefix_vector(val, A_PRE))
+    for c1, c2 in itertools.product(split.complement_names, repeat=2):
+        prod = amb.mul(amb.d.value(c1), lin_single(c2))
+        q2.set_entry((c1, c2), split.P.apply(prod))
+        f2.set_entry((c1, c2), prefix_vector(split.Pperp.apply(prod), A_PRE))
+    q1 = multilinear_from_graded_map(contraction.d_small, TENSOR)
+    structure = OoStructure(Csp, TENSOR, {1: q1, 2: q2}, max_weight)
+    f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
     F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
     F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
 
-    def nested(word, part):
+    def block_product(word, part):
         """g^{i_1,..,i_j} on an all-b word (names without prefix)."""
         acc = None
         pos = len(word)
         for size in reversed(part):
             block = word[pos - size:pos]
             pos -= size
-            vec = lin_single(block[0])
-            for b in block[1:]:
-                vec = amb.mul(vec, lin_single(b))
-                if not vec:
-                    return {}
+            vec = nested(amb.mul, lin_single(block[0]), block[1:])
+            if not vec:
+                return {}
             if acc is not None:
                 vec = amb.mul(vec, acc)
                 if not vec:
@@ -417,17 +337,14 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
         return acc
 
     def g_taylor(coeff_fn):
-        taylor = {1: multilinear_from_graded_map(
-            GradedMap(cinf.space, Csp, 0,
-                      {B_PRE + n: split.P.value(n) for n in amb.space.names
-                       if split.P.value(n)}), TENSOR)}
+        taylor = {1: multilinear_from_graded_map(contraction.project, TENSOR)}
         for k in range(2, max_weight + 1):
             gk = MultilinearMap(cinf.space, Csp, 0, k, TENSOR)
             for word in itertools.product(amb.space.names, repeat=k):
                 acc: dict = {}
                 for j in range(1, k + 1):
                     for part in compositions(k, j):
-                        val = nested(word, part)
+                        val = block_product(word, part)
                         if val:
                             lin_acc(acc, val, coeff_fn(k, j, part))
                 if acc:
@@ -441,7 +358,6 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     G_inf = OoMorphism(cinf, structure,
                        g_taylor(lambda k, j, part: Fraction((-1) ** (k + j)) /
                                 _prod_factorials(part)))
-    contraction = cocone_contraction(split, inclusion, cinf.space)
     return DerivedProducts(structure, F_as, G_as, F_inf, G_inf,
                            cas, cinf, inclusion, contraction)
 
@@ -518,7 +434,8 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
     sub-DGLA, plus the first-construction action of the ambient algebra.
 
     Returns (structure on A, CoderAction with components
-    (m; a_1..a_k) -> P[...[m, a_1]..., a_k]).
+    (m; a_1..a_k) -> P[...[m, a_1]..., a_k]).  The action's m-symbols live on
+    M[1], the space of decalage_dgla(M), so it feeds semidirect_product as is.
     """
     if not isinstance(split.ambient, DgLieAlgebra):
         raise MalformedInput("voronov brackets need a DG-Lie ambient")
@@ -527,47 +444,32 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
         raise RejectedInput("splitting invalid: %s" % rep.first_failure())
     M = split.ambient
     Asp = split.complement_space()
-    taylor = {}
-    q1 = MultilinearMap(Asp, Asp, 1, 1, SYMMETRIC)
-    for a in split.complement_names:
-        val = split.P.apply(M.d.value(a))
-        if val:
-            q1.set_entry((a,), val)
-    if not q1.is_zero():
-        taylor[1] = q1
-    for k in range(2, max_weight + 1):
-        qk = MultilinearMap(Asp, Asp, 1, k, SYMMETRIC)
-        for word in sym_words(split.complement_names, Asp.degree, k):
-            cur = M.d.value(word[0])
-            for a in word[1:]:
-                cur = M.bracket_vec(cur, lin_single(a))
-                if not cur:
-                    break
-            if cur:
-                val = split.P.apply(cur)
-                if val:
-                    qk.set_entry(word, val)
-        if not qk.is_zero():
-            taylor[k] = qk
-    structure = OoStructure(Asp, SYMMETRIC, taylor, max_weight)
-
-    action = CoderAction(M.space, Asp)
+    structure = OoStructure(Asp, SYMMETRIC, {k: _derived_brackets(split, k)
+                                             for k in range(1, max_weight + 1)}, max_weight)
+    action = CoderAction(M.space.shifted(1), Asp)
     for m in M.space.names:
         val = split.P.value(m)
         if val:
             action.set((m,), (), val)
         for k in range(1, max_weight + 1):
             for word in sym_words(split.complement_names, Asp.degree, k):
-                cur = lin_single(m)
-                for a in word:
-                    cur = M.bracket_vec(cur, lin_single(a))
-                    if not cur:
-                        break
-                if cur:
-                    pv = split.P.apply(cur)
-                    if pv:
-                        action.set((m,), word, pv)
+                pv = split.P.apply(nested(M.bracket_vec, lin_single(m), word))
+                if pv:
+                    action.set((m,), word, pv)
     return structure, action
+
+
+def _derived_brackets(split: Splitting, k: int) -> MultilinearMap:
+    """phi_k(a_1 .. a_k) = P[...[d a_1, a_2]..., a_k] on the complement A
+    (k = 1 gives P d a)."""
+    M = split.ambient
+    Asp = split.complement_space()
+    qk = MultilinearMap(Asp, Asp, 1, k, SYMMETRIC)
+    for word in sym_words(split.complement_names, Asp.degree, k):
+        val = split.P.apply(nested(M.bracket_vec, M.d.value(word[0]), word[1:]))
+        if val:
+            qk.set_entry(word, val)
+    return qk
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +493,7 @@ def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
     taylor = {}
     for k in range(1, max_weight + 1):
         qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
-        qI = I.taylor.get(k)
-        if qI is not None:
-            for word, vec in qI.entries.items():
-                qk.set_entry(tuple(A_PRE + n for n in word),
-                             prefix_vector(vec, A_PRE))
+        add_prefixed(qk, I.taylor.get(k), A_PRE)
         for j in range(0, k + 1):
             # canonical word: j i-names then (k - j) m-names
             for iword in sym_words(I.space.names, ideg, j):
@@ -643,8 +541,7 @@ def strictify_fibration(F: OoMorphism):
     f1 = F.taylor.get(1)
     if f1 is None:
         raise RejectedInput("fibration needs a surjective linear part")
-    gm1 = GradedMap(F.source.space, F.target.space, 0,
-                    {n: f1.value((n,)) for n in F.source.space.names})
+    gm1 = linear_part(f1, F.source.space, F.target.space, 0)
     if not map_is_surjective(gm1):
         raise RejectedInput("linear part is not surjective")
     r = map_right_inverse(gm1)
@@ -685,52 +582,22 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     if F.source.space != L.space.shifted(1) or F.target.space != M.space.shifted(1):
         raise MalformedInput("morphism must run L[1] -> M[1]")
     Asp = split.complement_space()
-    Lsh = L.space.shifted(1)
-    space = pair_space(Asp, Lsh)
+    base = decalage_dgla(L, max_weight, validate=False)
+    space = pair_space(Asp, base.space)
     adeg = Asp.degree
-    xdeg = Lsh.degree
+    xdeg = base.space.degree
     taylor = {}
-
-    q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
-    for a in split.complement_names:
-        val = split.P.apply(M.d.value(a))
-        if val:
-            q1.set_entry((A_PRE + a,), val and prefix_vector(val, A_PRE))
-    for x in L.space.names:
-        vec = prefix_vector(split.P.apply(F.f_value((x,))), A_PRE)
-        lin_acc(vec, prefix_vector(L.d.value(x), B_PRE), -1)
-        if vec:
-            q1.set_entry((B_PRE + x,), vec)
-    taylor[1] = q1
-
-    for k in range(2, max_weight + 1):
+    for k in range(1, max_weight + 1):
         qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
-        # pure-A words: nested derived brackets P[...[da_1, a_2]..., a_k]
-        for word in sym_words(split.complement_names, adeg, k):
-            cur = M.d.value(word[0])
-            for a in word[1:]:
-                cur = M.bracket_vec(cur, lin_single(a))
-                if not cur:
-                    break
-            if cur:
-                val = split.P.apply(cur)
-                if val:
-                    qk.set_entry(tuple(A_PRE + a for a in word),
-                                 prefix_vector(val, A_PRE))
-        # pure-x words: (P s f_k, shifted bracket at k = 2)
+        # pure-A words: the derived brackets; pure-x words: (P s f_k, base q_k)
+        add_prefixed(qk, _derived_brackets(split, k), A_PRE)
+        add_prefixed(qk, base.taylor.get(k), B_PRE)
         for word in sym_words(L.space.names, xdeg, k):
             vec = prefix_vector(split.P.apply(F.f_value(word)), A_PRE)
-            if k == 2:
-                x, y = word
-                br = L.bracket.value((x, y))
-                if br:
-                    sgn = -1 if L.space.degree[x] % 2 else 1
-                    lin_acc(vec, prefix_vector(br, B_PRE), sgn)
             if vec:
                 qk.add_entry(tuple(B_PRE + x for x in word), vec)
         # mixed words: P[...[s f_j(x's), a_1]..., a_cnt]
         for j in range(1, k):
-            cnt = k - j
             fj = F.taylor.get(j)
             if fj is None:
                 continue
@@ -738,23 +605,15 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
                 sf = fj.value(xword)
                 if not sf:
                     continue
-                for aword in sym_words(split.complement_names, adeg, cnt):
-                    cur = sf
-                    for a in aword:
-                        cur = M.bracket_vec(cur, lin_single(a))
-                        if not cur:
-                            break
-                    if not cur:
-                        continue
-                    val = split.P.apply(cur)
+                for aword in sym_words(split.complement_names, adeg, k - j):
+                    val = split.P.apply(nested(M.bracket_vec, sf, aword))
                     if not val:
                         continue
                     # formula order (x-block, a-block); canonical is (a, x)
                     sw = sum(adeg[a] for a in aword) * sum(xdeg[x] for x in xword)
                     key = tuple(A_PRE + a for a in aword) + \
                         tuple(B_PRE + x for x in xword)
-                    qk.add_entry(key, prefix_vector(val, A_PRE),
-                                 -1 if sw % 2 else 1)
+                    qk.add_entry(key, prefix_vector(val, A_PRE), sign_pow(sw))
         if not qk.is_zero():
             taylor[k] = qk
     return OoStructure(space, SYMMETRIC, taylor, max_weight)

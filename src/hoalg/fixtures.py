@@ -12,13 +12,15 @@ import random
 from fractions import Fraction
 
 from .coalg import (
-    DgAlgebra, DgLieAlgebra, DgaMorphism, MultilinearMap,
-    end_dgla, end_preserving_sub_dgla,
+    DgAlgebra, DgLieAlgebra, DgaMorphism, end_dgla, end_preserving_sub,
+    end_preserving_sub_dgla,
 )
 from .graded import (
-    Contraction, GradedMap, GradedSpace, RejectedInput, TENSOR, lin_acc,
-    lin_single, map_kernel_basis,
+    Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
+    lin_acc, lin_single, map_kernel_basis,
 )
+from .hodge import CartanHomotopy, ExteriorModel, FormalPeriodData, check_cartan
+from .mc import ArtinElement
 
 
 def _rand_coeff(rng, zero_bias=0.35):
@@ -104,22 +106,36 @@ def heisenberg_dgla(degrees=(0, 0, 0)) -> DgLieAlgebra:
     return DgLieAlgebra(sp, d, br)
 
 
-def random_filtered_inclusion(seed: int, dim: int = 2):
-    """Inclusion End(V;F) -> End(V) for a random complex with a d-stable
-    basis-aligned subspace F (always exists in the tower pattern)."""
-    rng = random.Random("filtered:%d" % seed)
-    V, d = random_complex(seed, dim)
+def _stable_names(rng, V: GradedSpace, d: GradedMap):
+    """A seeded d-stable set of basis names, never empty: the first closed
+    name stands in when the draw keeps none (the tower pattern has one)."""
     stable = []
     for n in V.names:
         if all(t in stable for t in d.value(n)) and rng.random() < 0.6:
             stable.append(n)
-    if not stable:
-        for n in V.names:
-            if not d.value(n):
-                stable.append(n)
-                break
-    sub, amb, inc = end_preserving_sub_dgla(V, d, stable)
-    return sub, amb, inc
+    return stable or [next(n for n in V.names if not d.value(n))]
+
+
+def random_filtered_inclusion(seed: int, dim: int = 2):
+    """Inclusion End(V;F) -> End(V) for a random complex with a d-stable
+    basis-aligned subspace F (always exists in the tower pattern)."""
+    V, d = random_complex(seed, dim)
+    stable = _stable_names(random.Random("filtered:%d" % seed), V, d)
+    return end_preserving_sub_dgla(V, d, stable)
+
+
+def end_splitting(seed: int, dim: int = 3, lie: bool = True):
+    """End(V) = End(V; W) (+) Hom(W, V/W) for a random complex and a seeded
+    proper d-stable W.  Returns (V, d, End(V) as a DGLA or a DGA, the
+    complement names `t<-s` with s in W and t not, W)."""
+    V, d = random_complex(seed, dim)
+    stable = _stable_names(random.Random("endsplit:%d" % seed), V, d)
+    if len(stable) == len(V.names):
+        stable = stable[:-1]
+    ambient = end_dgla(V, d) if lie else end_dga(V, d)
+    comp = [n for n in ambient.space.names
+            if n.split("<-")[1] in stable and n.split("<-")[0] not in stable]
+    return V, d, ambient, comp, stable
 
 
 def abelian_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
@@ -137,34 +153,8 @@ def random_dga_morphism(seed: int, dim: int = 2) -> DgaMorphism:
         A = random_end_dga(seed, dim)
         return DgaMorphism(A, A, GradedMap.identity(A.space))
     V, d = random_complex(seed, dim)
-    rng2 = random.Random("filtered:%d" % seed)
-    stable = []
-    for n in V.names:
-        if all(t in stable for t in d.value(n)) and rng2.random() < 0.6:
-            stable.append(n)
-    if not stable:
-        for n in V.names:
-            if not d.value(n):
-                stable.append(n)
-                break
-    big = end_dga(V, d)
-    keep = [n for n in big.space.names
-            if not (n.split("<-")[1] in stable and n.split("<-")[0] not in stable)]
-    sub_space = big.space.subspace(keep)
-    dS = GradedMap(sub_space, sub_space, 1)
-    for n in keep:
-        dS.set(n, big.d.value(n))
-    prodS = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR)
-    for n1 in keep:
-        for n2 in keep:
-            val = big.product.value((n1, n2))
-            if val:
-                prodS.set_entry((n1, n2), val)
-    sub = DgAlgebra(sub_space, dS, prodS)
-    inc = GradedMap(sub_space, big.space, 0)
-    for n in keep:
-        inc.set(n, lin_single(n))
-    return DgaMorphism(sub, big, inc)
+    stable = _stable_names(random.Random("filtered:%d" % seed), V, d)
+    return end_preserving_sub(end_dga(V, d), stable)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +289,6 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
     (the higher derived brackets vanish because [i, i] = 0).  Returns
     (CartanHomotopy, FormalPeriodData with W = A^{>=p}, ExteriorModel).
     """
-    from .hodge import CartanHomotopy, ExteriorModel, FormalPeriodData, check_cartan
     rng = random.Random("lambda:%d" % seed)
     p = holo if p is None else p
     gens = [("ph%d" % i, (1, 0)) for i in range(1, holo + 1)] + \
@@ -357,8 +346,7 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
             lname = "v%d|%s" % (j, nm)
             q = sum(1 for ch in nm.split("^") if ch != "one")
             lbasis.append((lname, q))
-    from .graded import GradedSpace as _GS
-    Lsp = _GS(lbasis)
+    Lsp = GradedSpace(lbasis)
     imaps = {}
     for lname, _ in lbasis:
         j, nm = lname.split("|")
@@ -387,15 +375,13 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
         if vec:
             dL.set(lname, vec)
     lmaps = {lname: dell.commutator(imaps[lname]) for lname, _ in lbasis}
-    from .graded import MultilinearMap as _MM, TENSOR as _T
-    br = _MM(Lsp, Lsp, 0, 2, _T)
+    br = MultilinearMap(Lsp, Lsp, 0, 2, TENSOR)
     for n1, _ in lbasis:
         for n2, _ in lbasis:
             vec = decompose(imaps[n1].commutator(lmaps[n2]))
             if vec:
                 br.set_entry((n1, n2), vec)
-    from .coalg import DgLieAlgebra as _DG
-    L = _DG(Lsp, dL, br)
+    L = DgLieAlgebra(Lsp, dL, br)
     rep = L.check()
     if not rep.ok:
         raise RejectedInput("lambda fixture failed DGLA axioms: %s" % rep.first_failure())
@@ -410,7 +396,6 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
 
 def random_artin_element(seed: int, ring, space, degree: int, density=0.5):
     """Random homogeneous element of the given degree in V (x) m_B."""
-    from .mc import ArtinElement
     rng = random.Random("artin:%d" % seed)
     out = ArtinElement(ring, space)
     for name in space.names:
@@ -425,7 +410,8 @@ def random_artin_element(seed: int, ring, space, degree: int, density=0.5):
 
 __all__ = [
     "random_complex", "end_dga", "random_end_dga", "random_end_dgla",
-    "sl2_dgla", "heisenberg_dgla", "random_filtered_inclusion", "abelian_dgla",
+    "sl2_dgla", "heisenberg_dgla", "random_filtered_inclusion", "end_splitting",
+    "abelian_dgla",
     "zero_dgla", "random_dga_morphism",
     "harmonic_contraction", "random_artin_element", "lambda_cartan_fixture",
 ]

@@ -13,10 +13,13 @@ from fractions import Fraction
 from .coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism, OoStructure,
 )
+from .cocone import Splitting
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
-    SYMMETRIC, TENSOR, format_vector, lin_acc,
+    SYMMETRIC, TENSOR, format_vector, lin_acc, multilinear_from_graded_map,
 )
+from .hodge import CartanHomotopy, HodgePackage
+from .mc import ArtinElement
 
 _KEYWORDS = ("space", "map", "multilinear", "structure", "morphism",
              "contraction", "dgla", "dgalgebra", "dglamorphism", "dgamorphism",
@@ -74,7 +77,6 @@ class Document:
 
     def element(self, name, ring):
         """Materialize a stored element over the given Artin ring."""
-        from .mc import ArtinElement
         space_name, rows = self.elements[name]
         out = ArtinElement(ring, self.spaces[space_name])
         for basis, mono_text, coeff in rows:
@@ -149,55 +151,51 @@ def _parse_multilinear(doc, header, body):
     doc.multilinears[name] = mm
 
 
-def _taylor_entry(doc, arity, ref):
-    if ref in doc.multilinears:
-        return doc.multilinears[ref]
-    gm = doc.maps[ref]
-    if arity != 1:
-        raise MalformedInput("plain maps only enter at arity 1")
-    return gm
+def _taylor(doc, body, flavor, kind, letter):
+    """The Taylor family of `LETTER ARITY NAME` lines; a plain map enters
+    only at arity 1."""
+    taylor = {}
+    for line in body:
+        parts = line.split()
+        if parts[0] != letter:
+            raise MalformedInput("%s lines are `%s ARITY NAME`" % (kind, letter))
+        arity = int(parts[1])
+        ref = parts[2]
+        if ref in doc.multilinears:
+            taylor[arity] = doc.multilinears[ref]
+            continue
+        gm = doc.maps[ref]
+        if arity != 1:
+            raise MalformedInput("plain maps only enter at arity 1")
+        taylor[arity] = multilinear_from_graded_map(gm, flavor)
+    return taylor
+
+
+def _fields(body, table=None):
+    """`KEY REF` lines as {key: table[ref]}, or {key: ref} without a table."""
+    fields = {}
+    for line in body:
+        key, ref = line.split()
+        fields[key] = ref if table is None else table[ref]
+    return fields
 
 
 def _parse_structure(doc, header, body):
     _, name, space, flavor, mw = header[:5]
-    taylor = {}
-    for line in body:
-        parts = line.split()
-        if parts[0] != "q":
-            raise MalformedInput("structure lines are `q ARITY NAME`")
-        arity = int(parts[1])
-        entry = _taylor_entry(doc, arity, parts[2])
-        if isinstance(entry, GradedMap):
-            from .graded import multilinear_from_graded_map
-            entry = multilinear_from_graded_map(entry, flavor)
-        taylor[arity] = entry
+    taylor = _taylor(doc, body, flavor, "structure", "q")
     doc.structures[name] = OoStructure(doc.spaces[space], flavor, taylor, int(mw))
 
 
 def _parse_morphism(doc, header, body):
     _, name, src, tgt = header[:4]
-    taylor = {}
-    flavor = doc.structures[src].flavor
-    for line in body:
-        parts = line.split()
-        if parts[0] != "f":
-            raise MalformedInput("morphism lines are `f ARITY NAME`")
-        arity = int(parts[1])
-        entry = _taylor_entry(doc, arity, parts[2])
-        if isinstance(entry, GradedMap):
-            from .graded import multilinear_from_graded_map
-            entry = multilinear_from_graded_map(entry, flavor)
-        taylor[arity] = entry
+    taylor = _taylor(doc, body, doc.structures[src].flavor, "morphism", "f")
     doc.morphisms[name] = OoMorphism(doc.structures[src], doc.structures[tgt],
                                      taylor)
 
 
 def _parse_contraction(doc, header, body):
     _, name, small, big = header[:4]
-    fields = {}
-    for line in body:
-        key, ref = line.split()
-        fields[key] = doc.maps[ref]
+    fields = _fields(body, doc.maps)
     doc.contractions[name] = Contraction(
         doc.spaces[small], fields["d_small"], doc.spaces[big], fields["d_big"],
         fields["inject"], fields["project"], fields["homotopy"])
@@ -205,20 +203,14 @@ def _parse_contraction(doc, header, body):
 
 def _parse_dgla(doc, header, body):
     _, name, space = header[:3]
-    fields = {}
-    for line in body:
-        key, ref = line.split()
-        fields[key] = ref
+    fields = _fields(body)
     doc.dglas[name] = DgLieAlgebra(doc.spaces[space], doc.maps[fields["d"]],
                                    doc.multilinears[fields["bracket"]])
 
 
 def _parse_dgalgebra(doc, header, body):
     _, name, space = header[:3]
-    fields = {}
-    for line in body:
-        key, ref = line.split()
-        fields[key] = ref
+    fields = _fields(body)
     doc.dgalgebras[name] = DgAlgebra(doc.spaces[space], doc.maps[fields["d"]],
                                      doc.multilinears[fields["product"]])
 
@@ -236,7 +228,6 @@ def _parse_dgamorphism(doc, header, body):
 
 
 def _parse_splitting(doc, header, body):
-    from .cocone import Splitting
     _, name, ambient = header[:3]
     complement = []
     for line in body:
@@ -259,19 +250,14 @@ def _parse_element(doc, header, body):
 
 
 def _parse_hodge(doc, header, body):
-    from .hodge import HodgePackage
     _, name, aspace, hspace, n = header[:5]
-    fields = {}
-    for line in body:
-        key, ref = line.split()
-        fields[key] = doc.maps[ref]
+    fields = _fields(body, doc.maps)
     doc.hodges[name] = HodgePackage(
         doc.spaces[aspace], fields["del"], fields["delbar"], doc.spaces[hspace],
         fields["inject"], fields["project"], fields["h"], int(n))
 
 
 def _parse_cartan(doc, header, body):
-    from .hodge import CartanHomotopy
     _, name, dgla, vspace, dmap = header[:5]
     i = {}
     for line in body:

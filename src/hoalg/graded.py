@@ -163,6 +163,16 @@ def lin_eq(a: dict, b: dict) -> bool:
     return {n: v for n, v in a.items() if v} == {n: v for n, v in b.items() if v}
 
 
+def nested(op, vec: dict, names) -> dict:
+    """op(..op(op(vec, a_1), a_2).., a_k) for basis names a_i; {} as soon as a
+    step vanishes."""
+    for a in names:
+        vec = op(vec, lin_single(a))
+        if not vec:
+            return {}
+    return vec
+
+
 def format_coeff(c) -> str:
     c = Fraction(c)
     return str(c)
@@ -593,6 +603,23 @@ def multilinear_from_graded_map(gm: GradedMap, flavor: str) -> MultilinearMap:
     return out
 
 
+def linear_part(f, source: GradedSpace, target: GradedSpace, degree: int) -> GradedMap:
+    """The arity-1 Taylor coefficient f read as a GradedMap (zero when f is None)."""
+    out = GradedMap(source, target, degree)
+    if f is not None:
+        for n in source.names:
+            out.set(n, f.value((n,)))
+    return out
+
+
+def add_prefixed(dst: MultilinearMap, src, prefix: str):
+    """dst += src on the block of a pair space whose names carry `prefix`
+    (a None src adds nothing)."""
+    if src is not None:
+        for word, vec in src.entries.items():
+            dst.add_entry(tuple(prefix + n for n in word), prefix_vector(vec, prefix))
+
+
 # ---------------------------------------------------------------------------
 # verification reports
 
@@ -846,10 +873,11 @@ __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
     "koszul_sign", "unshuffles", "compositions", "sym_words", "bernoulli",
     "factorial", "sign_pow",
-    "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "format_vector",
+    "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "nested", "format_vector",
     "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
     "sym_normalize", "GradedMap", "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
+    "linear_part", "add_prefixed",
     "Report", "first_witness", "check_map_identity", "Contraction", "check_contraction",
     "rref", "solve_matrix", "map_solve", "map_right_inverse", "map_kernel_basis",
     "map_is_surjective",

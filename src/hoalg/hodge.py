@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .coalg import (
     DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla, end_preserving_sub_dgla,
@@ -25,8 +25,8 @@ from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
     elementary_to_graded_map, first_witness, format_vector, graded_map_to_elementary,
-    hom_space, koszul_sign, lin_acc, lin_scale, lin_single, map_kernel_basis,
-    pair_space, prefix_vector, sign_pow, unshuffles,
+    add_prefixed, hom_space, koszul_sign, lin_acc, lin_scale, lin_single, linear_part,
+    map_kernel_basis, pair_space, prefix_vector, sign_pow, unshuffles,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -384,19 +384,20 @@ def synthetic_package(seed: int, harmonic_pad: int = 1):
 # operator series over Artin coefficients (perturbation theory)
 
 
+def _artin_op(V: GradedSpace, maps: dict, xi: ArtinElement) -> ArtinMap:
+    """The B-linear operator sum c t^m maps[x] over the terms c t^m x of xi."""
+    op = ArtinMap(xi.ring, V, V)
+    for (x, mono), coeff in xi.terms.items():
+        for n, vec in maps[x].entries.items():
+            for t, cv in vec.items():
+                op.add(n, t, mono, coeff * cv)
+    return op
+
+
 def cartan_artin_maps(c: CartanHomotopy, xi: ArtinElement):
     """(i_xi, l_xi) as B-linear operators on V (x) B."""
-    i_op = ArtinMap(xi.ring, c.V, c.V)
-    l_op = ArtinMap(xi.ring, c.V, c.V)
     lmaps = {x: c.l(x) for x in dict.fromkeys(x for x, _ in xi.terms)}
-    for (x, mono), coeff in xi.terms.items():
-        for n, vec in c.i[x].entries.items():
-            for t, cv in vec.items():
-                i_op.add(n, t, mono, coeff * cv)
-        for n, vec in lmaps[x].entries.items():
-            for t, cv in vec.items():
-                l_op.add(n, t, mono, coeff * cv)
-    return i_op, l_op
+    return _artin_op(c.V, c.i, xi), _artin_op(c.V, lmaps, xi)
 
 
 def require_integrable(c: CartanHomotopy, xi: ArtinElement):
@@ -482,8 +483,7 @@ def psi_obstruction(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     ring = xi.ring
     _, l_xi = cartan_artin_maps(c, xi)
     _, l_eta = cartan_artin_maps(c, eta)
-    diff = xi.plus(eta.scaled(-1))
-    i_diff, _ = cartan_artin_maps(c, diff)
+    i_diff = _artin_op(c.V, c.i, xi.plus(eta.scaled(-1)))
     h = ArtinMap.from_graded(ring, pkg.h)
     iota = ArtinMap.from_graded(ring, pkg.iota)
     pi = ArtinMap.from_graded(ring, pkg.pi)
@@ -501,7 +501,7 @@ def psi_double_sum(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     ring = xi.ring
     _, l_xi = cartan_artin_maps(c, xi)
     _, l_eta = cartan_artin_maps(c, eta)
-    i_diff, _ = cartan_artin_maps(c, xi.plus(eta.scaled(-1)))
+    i_diff = _artin_op(c.V, c.i, xi.plus(eta.scaled(-1)))
     h = ArtinMap.from_graded(ring, pkg.h)
     iota = ArtinMap.from_graded(ring, pkg.iota)
     pi = ArtinMap.from_graded(ring, pkg.pi)
@@ -691,7 +691,6 @@ def split_period_coefficient(k: int, j: int) -> Fraction:
 
 
 def split_period_coefficient_closed(k: int, j: int) -> Fraction:
-    from math import comb
     return Fraction(sum((-1) ** h * comb(k, h) for h in range(j + 1)))
 
 
@@ -707,21 +706,13 @@ def hom_transfer_contraction(pkg: HodgePackage, p: int, max_weight: int = 4):
     w_names = pkg.a_names(lambda bp, bq: bp >= p)
     a_names = pkg.a_names(lambda bp, bq: bp < p)
     big = derived_hom_structure(pkg.A, pkg.d, w_names, a_names, max_weight)
-    hw = pkg.harmonic_names()
-    hw_top = [x for x in hw if pkg.H.bidegree[x][0] >= p]
-    hw_low = [x for x in hw if pkg.H.bidegree[x][0] < p]
-    small = hom_space(hw_low, hw_top, pkg.H)
+    hw_top, hw_low, small = _harmonic_hom(pkg, p)
     bigsp = big.space
-
-    def realize_small(name):
-        t, s = name.split("<-")
-        gm = GradedMap(pkg.H, pkg.H, small.degree[name])
-        gm.set(s, lin_single(t))
-        return gm
-
     inject = GradedMap(small, bigsp, 0)
     for name in small.names:
-        gm = pkg.iota.compose(realize_small(name)).compose(pkg.pi)
+        gm = elementary_to_graded_map(lin_single(name), small, pkg.H, pkg.H,
+                                      small.degree[name])
+        gm = pkg.iota.compose(gm).compose(pkg.pi)
         vec = _restrict_to_hom(gm, w_names, a_names)
         if vec:
             inject.set(name, vec)
@@ -740,25 +731,25 @@ def hom_transfer_contraction(pkg: HodgePackage, p: int, max_weight: int = 4):
         vec = _restrict_to_hom(kv, w_names, a_names)
         if vec:
             K.set(name, vec)
-    d_big = GradedMap(bigsp, bigsp, 1)
-    q1 = big.taylor.get(1)
-    if q1 is not None:
-        for (n,), vec in q1.entries.items():
-            d_big.set(n, vec)
+    d_big = linear_part(big.taylor.get(1), bigsp, bigsp, 1)
     contraction = Contraction(small, GradedMap(small, small, 1), bigsp, d_big,
                               inject, project, K)
     return big, contraction
+
+
+def _harmonic_hom(pkg: HodgePackage, p: int):
+    """(H^{>=p} names, H^{<p} names, Hom*(H^{>=p}, H^{<p}))."""
+    hw = pkg.harmonic_names()
+    top = [x for x in hw if pkg.H.bidegree[x][0] >= p]
+    low = [x for x in hw if pkg.H.bidegree[x][0] < p]
+    return top, low, hom_space(low, top, pkg.H)
 
 
 def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
                            max_weight: int = 4) -> OoMorphism:
     """Closed-form symmetric quasi-inverse onto harmonic hom classes:
     g_k(f_1 . ... . f_k) = sum_sigma eps(sigma) pi f h(del) f ... h(del) f iota."""
-    w_names = pkg.a_names(lambda bp, bq: bp >= p)
-    hw = pkg.harmonic_names()
-    hw_top = [x for x in hw if pkg.H.bidegree[x][0] >= p]
-    hw_low = [x for x in hw if pkg.H.bidegree[x][0] < p]
-    small = hom_space(hw_low, hw_top, pkg.H)
+    hw_top, hw_low, small = _harmonic_hom(pkg, p)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     bigsp = source.space
     hdel = pkg.h.compose(pkg.dell)
@@ -800,11 +791,7 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
     """p_k = sum_{j=1}^{k} sum over S(j,1,..,1) unshuffles of the signed words
     pi i..i (h l) .. (h l) iota, into Hom*(H^{n,*}, H^{<n,*}) with the trivial
     structure."""
-    n = pkg.n
-    hw = pkg.harmonic_names()
-    hw_top = [x for x in hw if pkg.H.bidegree[x][0] >= n]
-    hw_low = [x for x in hw if pkg.H.bidegree[x][0] < n]
-    small = hom_space(hw_low, hw_top, pkg.H)
+    hw_top, hw_low, small = _harmonic_hom(pkg, pkg.n)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     source = decalage_dgla(c.L, max_weight)
     Lsh = source.space
@@ -845,32 +832,17 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
     space = pair_space(base.space, fiber)
     chain = _contraction_words(pkg, c, top, bottom)
     taylor = {}
-    q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
-    for x in c.L.space.names:
-        dx = c.L.d.value(x)
-        if dx:
-            q1.set_entry((A_PRE + x,), prefix_vector(lin_scale(dx, -1), A_PRE))
-    if not q1.is_zero():
-        taylor[1] = q1
-    for k in range(2, max_weight + 1):
+    for k in range(1, max_weight + 1):
         qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
-        for word in base.basis_words(k):
-            acc: dict = {}
-            if k == 2:
-                x, y = word
-                br = c.L.bracket.value((x, y))
-                if br:
-                    sgn = -1 if c.L.space.degree[x] % 2 else 1
-                    lin_acc(acc, prefix_vector(br, A_PRE), sgn)
-            if k >= n:
-                degs = [base.space.degree[w] for w in word]
-                fib: dict = {}
-                for sigma in unshuffles(*([n] + [1] * (k - n))):
-                    perm = tuple(word[t - 1] for t in sigma)
-                    lin_acc(fib, chain(perm[:n], perm[n:]), koszul_sign(sigma, degs))
-                lin_acc(acc, prefix_vector(fib, B_PRE))
-            if acc:
-                qk.add_entry(tuple(A_PRE + w for w in word), acc)
+        add_prefixed(qk, base.taylor.get(k), A_PRE)
+        for word in (base.basis_words(k) if k >= n else ()):
+            degs = [base.space.degree[w] for w in word]
+            fib: dict = {}
+            for sigma in unshuffles(*([n] + [1] * (k - n))):
+                perm = tuple(word[t - 1] for t in sigma)
+                lin_acc(fib, chain(perm[:n], perm[n:]), koszul_sign(sigma, degs))
+            if fib:
+                qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
         if not qk.is_zero():
             taylor[k] = qk
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
@@ -895,10 +867,7 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
                 for name in hom.names}
     taylor = {}
     q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
-    for x in c.L.space.names:
-        dx = c.L.d.value(x)
-        if dx:
-            q1.set_entry((A_PRE + x,), prefix_vector(lin_scale(dx, -1), A_PRE))
+    add_prefixed(q1, base.taylor.get(1), A_PRE)
     for name in hom.names:
         gm = realized[name]
         comm = pkg.delbar.commutator(gm)
@@ -909,20 +878,11 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     if not q1.is_zero():
         taylor[1] = q1
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
-    for i, x in enumerate(c.L.space.names):
-        for y in c.L.space.names[i:]:
-            if x == y and space.degree[A_PRE + x] % 2:
-                continue
-            acc: dict = {}
-            br = c.L.bracket.value((x, y))
-            if br:
-                sgn = -1 if c.L.space.degree[x] % 2 else 1
-                lin_acc(acc, prefix_vector(br, A_PRE), sgn)
-            if n == 2:
-                vec = _restrict_to_hom(c.i[x].compose(c.i[y]), top, bottom)
-                lin_acc(acc, prefix_vector(vec, B_PRE))
-            if acc:
-                q2.add_entry((A_PRE + x, A_PRE + y), acc)
+    add_prefixed(q2, base.taylor.get(2), A_PRE)
+    for x, y in (base.basis_words(2) if n == 2 else ()):
+        vec = _restrict_to_hom(c.i[x].compose(c.i[y]), top, bottom)
+        if vec:
+            q2.add_entry((A_PRE + x, A_PRE + y), prefix_vector(vec, B_PRE))
     # mixed family: q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), stored on the
     # canonical word (a:x, b:f) with the block-swap Koszul sign
     for name in hom.names:

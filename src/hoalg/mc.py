@@ -14,7 +14,8 @@ from math import factorial
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
-    GradedMap, MalformedInput, Report, format_coeff, lin_add, lin_eq, map_solve,
+    GradedMap, MalformedInput, Report, format_coeff, lin_add, lin_eq, linear_part,
+    map_solve,
 )
 
 
@@ -304,21 +305,8 @@ def artin_apply(gm: GradedMap, x: ArtinElement) -> ArtinElement:
     return out
 
 
-def artin_bilinear(binary, x: ArtinElement, y: ArtinElement, space) -> ArtinElement:
-    """Extend a bilinear basis-level map over the (even) ring coefficients."""
-    out = ArtinElement(x.ring, space, allow_constant=True)
-    for (n1, m1), c1 in x.terms.items():
-        for (n2, m2), c2 in y.terms.items():
-            mono = x.ring.mul(m1, m2)
-            if mono is None:
-                continue
-            for t, cv in binary(n1, n2).items():
-                out.add(t, mono, c1 * c2 * cv)
-    return out
-
-
 def artin_bracket(L: DgLieAlgebra, x: ArtinElement, y: ArtinElement) -> ArtinElement:
-    return artin_bilinear(lambda a, b: L.bracket.value((a, b)), x, y, L.space)
+    return eval_taylor(L.bracket, [x, y])
 
 
 def eval_taylor(q, args) -> ArtinElement:
@@ -476,11 +464,7 @@ def mc_extend(s: OoStructure, x: ArtinElement, order: int):
     if obstruction.is_zero():
         r.add("lift exists", True)
         return r, obstruction, x
-    q1 = s.taylor.get(1)
-    gm = GradedMap(s.space, s.space, 1)
-    if q1 is not None:
-        for (n,), vec in q1.entries.items():
-            gm.set(n, vec)
+    gm = linear_part(s.taylor.get(1), s.space, s.space, 1)
     lift = x
     by_mono = {}
     for (n, mono), c in obstruction.terms.items():
@@ -502,7 +486,7 @@ def mc_extend(s: OoStructure, x: ArtinElement, order: int):
 
 __all__ = [
     "ArtinRing", "ArtinElement", "ArtinMap", "artin_apply", "artin_bracket",
-    "artin_bilinear", "eval_taylor", "mc_check", "mc_pushforward", "gauge_act",
+    "eval_taylor", "mc_check", "mc_pushforward", "gauge_act",
     "dgla_mc_residual", "mc_f_check", "cocone_element",
     "cocone_mc_correspondence", "mc_extend",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .coalg import OoMorphism, OoStructure
+from .coalg import OoMorphism, OoStructure, taylor_after
 from .graded import (
     Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
     UnsupportedOperation, check_contraction, lin_acc, lin_add, lin_single,
@@ -53,13 +53,7 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
         fk = MultilinearMap(c.small, c.big, 0, k, flavor)
         rk = MultilinearMap(c.small, c.small, 1, k, flavor)
         for word in small.basis_words(k):
-            acc: dict = {}
-            for j in range(2, k + 1):
-                qj = big.taylor.get(j)
-                if qj is None:
-                    continue
-                for tup, cf in F.morph_component(j, k, word).items():
-                    lin_acc(acc, qj.value(tup), cf)
+            acc = taylor_after(big.taylor, F.morph_component, word, 2)
             if not acc:
                 continue
             kv = c.homotopy.apply(acc)
@@ -130,12 +124,7 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
                 continue
             acc: dict = {}
             for tup, cf in kk.items():
-                for j in range(1, k):
-                    gj = G.taylor.get(j)
-                    if gj is None:
-                        continue
-                    for tup2, cf2 in big.coder_component(j, k, tup).items():
-                        lin_acc(acc, gj.value(tup2), cf * cf2)
+                lin_acc(acc, taylor_after(G.taylor, big.coder_component, tup, 1, k - 1), cf)
             if acc:
                 gk.add_entry(word, acc)
         if not gk.is_zero():

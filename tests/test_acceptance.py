@@ -7,7 +7,6 @@ Each test prints `ACCEPTANCE <n>: PASS <summary>` when it completes; run with
 from __future__ import annotations
 
 import io
-import random
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -26,11 +25,9 @@ from hoalg.cocone import (
     partition_coefficient_identity, semidirect_product, voronov_brackets,
 )
 from hoalg.fixtures import (
-    end_dga, harmonic_contraction, lambda_cartan_fixture, random_artin_element,
-    random_complex, random_dga_morphism, random_end_dga,
-    random_filtered_inclusion,
+    end_splitting, harmonic_contraction, lambda_cartan_fixture, random_artin_element,
+    random_dga_morphism, random_end_dga, random_filtered_inclusion,
 )
-from hoalg.coalg import end_dgla
 from hoalg.graded import GradedMap, check_contraction, lin_single
 from hoalg.hodge import (
     harmonic_quasi_inverse, hom_transfer_contraction, integrability_identity,
@@ -52,23 +49,6 @@ def _announce(n, text):
     print("ACCEPTANCE %d: PASS %s" % (n, text))
 
 
-def _end_splitting(seed, lie=True, dim=2):
-    V, d = random_complex(seed, dim)
-    rng = random.Random("endsplit:%d" % seed)
-    stable = []
-    for nm in V.names:
-        if all(t in stable for t in d.value(nm)) and rng.random() < 0.6:
-            stable.append(nm)
-    if not stable:
-        stable = [next(nm for nm in V.names if not d.value(nm))]
-    if len(stable) == len(V.names):
-        stable = stable[:-1]
-    ambient = end_dgla(V, d) if lie else end_dga(V, d)
-    comp = [nm for nm in ambient.space.names
-            if nm.split("<-")[1] in stable and nm.split("<-")[0] not in stable]
-    return V, d, ambient, comp, stable
-
-
 def test_acceptance_1_structure_equations():
     """Every construction passes the structure check at weight 4 on >= 20
     seeded fixtures each, dims <= 4, within the time budget."""
@@ -83,7 +63,7 @@ def test_acceptance_1_structure_equations():
         assert check_structure(fm_cocone_assoc(m, max_weight=4)).ok, seed
         counts["fm_cocone_assoc"] = counts.get("fm_cocone_assoc", 0) + 1
 
-        V, d, M, comp, stable = _end_splitting(seed)
+        V, d, M, comp, stable = end_splitting(seed, 2)
         split = Splitting(M, comp)
         phi, action = voronov_brackets(split, max_weight=4)
         assert check_structure(phi).ok, seed
@@ -156,7 +136,7 @@ def test_acceptance_3_derived_products_suite():
     """Derived-product structure, both commuting triangles, and the partition
     identity for i <= 8, all exact."""
     for seed in (0, 1):
-        V, d, A, comp, stable = _end_splitting(seed, lie=False, dim=3)
+        V, d, A, comp, stable = end_splitting(seed, lie=False)
         split = Splitting(A, comp)
         dp = derived_products_model(split, max_weight=4)
         assert check_contraction(dp.contraction).ok

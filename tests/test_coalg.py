@@ -7,12 +7,13 @@ import pytest
 
 from hoalg.coalg import (
     DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
-    decalage_dga, decalage_dgla, decalage_dgla_morphism, identity_morphism,
-    invert_morphism, OoMorphism, OoStructure, prolong_coderivation,
-    prolong_morphism, symmetrize_morphism, symmetrize_structure,
+    decalage_dga, decalage_dgla, decalage_dgla_morphism, end_preserving_sub,
+    identity_morphism, invert_morphism, OoMorphism, OoStructure, prolong_coderivation,
+    prolong_morphism, sub_algebra, symmetrize_morphism, symmetrize_structure,
 )
 from hoalg.fixtures import (
-    abelian_dgla, heisenberg_dgla, random_end_dga, random_end_dgla, sl2_dgla,
+    abelian_dgla, end_splitting, heisenberg_dgla, random_end_dga, random_end_dgla,
+    sl2_dgla,
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
@@ -374,3 +375,21 @@ def test_dgla_morphism_bracket_failure_names_first_pair():
     assert fail["weight"] is None
     assert rep.lines()[1] == ("RELATION bracket_compatible weight=- tuple=(e,h) "
                               "lhs=- rhs=- status=FAIL")
+
+
+# --- sub-algebras -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("lie", (True, False))
+@pytest.mark.parametrize("seed", range(4))
+def test_sub_algebra_is_a_checked_subalgebra(seed, lie):
+    V, d, amb, comp, stable = end_splitting(seed, 3, lie)
+    names = [n for n in amb.space.names if n not in comp]
+    sub, inc = sub_algebra(amb, names)
+    assert type(sub) is type(amb)
+    assert sub.space.names == tuple(names)
+    assert sub.check().ok and inc.check().ok
+    assert inc.target is amb and inc.source is sub
+    # End(V; W) is that subalgebra
+    sub2, inc2 = end_preserving_sub(amb, stable)
+    assert sub2.space == sub.space and inc2.map == inc.map

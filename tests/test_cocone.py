@@ -18,8 +18,8 @@ from hoalg.cocone import (
     voronov_brackets,
 )
 from hoalg.fixtures import (
-    abelian_dgla, end_dga, end_dgla, random_complex, random_dga_morphism,
-    random_filtered_inclusion, zero_dgla,
+    abelian_dgla, end_dga, end_dgla, end_splitting, random_complex,
+    random_dga_morphism, random_filtered_inclusion, zero_dgla,
 )
 from hoalg.coalg import end_preserving_sub_dgla
 from hoalg.graded import (
@@ -29,8 +29,9 @@ from hoalg.graded import (
 from powerseries import phi_compose_coefficients
 
 
-def end_lie_splitting(seed, dim=3):
-    """End(V) = End(V;W) (+) Hom(W, V/W): square-zero/abelian complement."""
+def _reference_end_splitting(seed, lie, dim):
+    """The end-splitting loop as the test modules and the CLI each once wrote
+    it, kept as the oracle for fixtures.end_splitting."""
     V, d = random_complex(seed, dim)
     rng = random.Random("endsplit:%d" % seed)
     stable = []
@@ -41,10 +42,21 @@ def end_lie_splitting(seed, dim=3):
         stable = [next(n for n in V.names if not d.value(n))]
     if len(stable) == len(V.names):
         stable = stable[:-1]
-    M = end_dgla(V, d)
-    comp = [n for n in M.space.names
+    ambient = end_dgla(V, d) if lie else end_dga(V, d)
+    comp = [n for n in ambient.space.names
             if n.split("<-")[1] in stable and n.split("<-")[0] not in stable]
-    return V, d, M, comp, stable
+    return V, d, ambient, comp, stable
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+@pytest.mark.parametrize("lie", (True, False))
+def test_end_splitting_matches_reference_loop(dim, lie):
+    for seed in range(40):
+        V, d, amb, comp, stable = end_splitting(seed, dim, lie)
+        V0, d0, amb0, comp0, stable0 = _reference_end_splitting(seed, lie, dim)
+        assert (V, d, amb.space, amb.d, comp, stable) == \
+            (V0, d0, amb0.space, amb0.d, comp0, stable0), seed
+        assert type(amb) is type(amb0)
 
 
 # --- fm_cocone_lie ------------------------------------------------------------
@@ -235,7 +247,7 @@ def test_exp_log_relation_coefficient_matches_series_on_polynomial_fixture():
 
 
 def end_dga_splitting(seed, dim=3):
-    V, d, M, comp, stable = end_lie_splitting(seed, dim)
+    V, d, M, comp, stable = end_splitting(seed, dim)
     return Splitting(end_dga(V, d), comp)
 
 
@@ -344,7 +356,7 @@ def test_gas_matches_transfer_quasi_inverse():
 
 
 def test_voronov_action_zero_component_is_projection():
-    V, d, M, comp, stable = end_lie_splitting(0, 3)
+    V, d, M, comp, stable = end_splitting(0, 3)
     sp = Splitting(M, comp)
     _, action = voronov_brackets(sp, max_weight=3)
     for m in M.space.names:
@@ -388,7 +400,7 @@ def test_voronov_flat_case_no_higher_brackets():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_voronov_structure_checks(seed):
-    V, d, M, comp, stable = end_lie_splitting(seed, 3)
+    V, d, M, comp, stable = end_splitting(seed, 3)
     phi, _ = voronov_brackets(Splitting(M, comp), max_weight=4)
     assert check_structure(phi).ok
 
@@ -430,7 +442,7 @@ def test_semidirect_classical_action_matches_bracket_table():
 
 
 def test_semidirect_with_voronov_action_checks():
-    V, d, M, comp, stable = end_lie_splitting(1, 3)
+    V, d, M, comp, stable = end_splitting(1, 3)
     sp = Splitting(M, comp)
     phi, action = voronov_brackets(sp, max_weight=4)
     Mdec = decalage_dgla(M, max_weight=4)
@@ -439,6 +451,17 @@ def test_semidirect_with_voronov_action_checks():
         for (mt, it), vec in table.items():
             act.set(mt, it, vec)
     sd = semidirect_product(phi, Mdec, act, max_weight=4)
+    assert check_structure(sd).ok
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_voronov_action_lives_on_the_decalage(seed):
+    # the action feeds semidirect_product without re-keying its m-symbols
+    V, d, M, comp, stable = end_splitting(seed, 3)
+    phi, action = voronov_brackets(Splitting(M, comp), max_weight=4)
+    Mdec = decalage_dgla(M, max_weight=4)
+    assert action.m_space == Mdec.space
+    sd = semidirect_product(phi, Mdec, action, max_weight=4, validate=False)
     assert check_structure(sd).ok
 
 
@@ -539,7 +562,7 @@ def test_strictify_rejects_non_surjective():
 
 
 def test_fiber_product_zero_morphism_is_voronov_times_base():
-    V, d, M, comp, stable = end_lie_splitting(0, 3)
+    V, d, M, comp, stable = end_splitting(0, 3)
     sp = Splitting(M, comp)
     sub, amb2, inc = end_preserving_sub_dgla(V, d, stable)
     Mdec = decalage_dgla(M, max_weight=4)
@@ -555,7 +578,7 @@ def test_fiber_product_zero_morphism_is_voronov_times_base():
 
 
 def test_fiber_product_q1_formula():
-    V, d, M, comp, stable = end_lie_splitting(1, 3)
+    V, d, M, comp, stable = end_splitting(1, 3)
     sp = Splitting(M, comp)
     sub, _, inc = end_preserving_sub_dgla(V, d, stable)
     F = decalage_dgla_morphism(inc, max_weight=4,
@@ -579,7 +602,7 @@ def test_fiber_product_q1_formula():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fiber_product_passes_structure_check(seed):
-    V, d, M, comp, stable = end_lie_splitting(seed, 3)
+    V, d, M, comp, stable = end_splitting(seed, 3)
     sp = Splitting(M, comp)
     sub, _, inc = end_preserving_sub_dgla(V, d, stable)
     F = decalage_dgla_morphism(inc, max_weight=4,
@@ -591,7 +614,7 @@ def test_fiber_product_nonstrict_morphism():
     # abelian L with f1 = 0 and f2 valued in a closed square-zero degree-1
     # endomorphism: an honest non-strict morphism into M[1]
     from hoalg.graded import elementary_to_graded_map
-    V, d, M, comp, stable = end_lie_splitting(1, 3)
+    V, d, M, comp, stable = end_splitting(1, 3)
     sp = Splitting(M, comp)
     Lsp = GradedSpace([("p", 1), ("q", 1)])
     Label = abelian_dgla(Lsp, GradedMap(Lsp, Lsp, 1))
@@ -619,7 +642,7 @@ def test_fiber_product_nonstrict_morphism():
 def test_fiber_product_a_restriction_is_voronov_for_any_morphism():
     # the pure-complement brackets agree with the derived brackets even when
     # the morphism is nonzero
-    V, d, M, comp, stable = end_lie_splitting(1, 3)
+    V, d, M, comp, stable = end_splitting(1, 3)
     sp = Splitting(M, comp)
     sub, _, inc = end_preserving_sub_dgla(V, d, stable)
     F = decalage_dgla_morphism(inc, max_weight=4,

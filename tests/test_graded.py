@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions, koszul_sign,
-    lin_single, map_kernel_basis, map_right_inverse, map_solve, pair_space,
-    sym_normalize, sym_words, unshuffles,
+    lin_single, linear_part, map_kernel_basis, map_right_inverse, map_solve,
+    multilinear_from_graded_map, nested, pair_space, sym_normalize, sym_words,
+    unshuffles,
 )
 
 
@@ -213,6 +214,31 @@ def test_every_exported_name_resolves():
             assert hasattr(mod, name), (info.name, name)
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("flavor", (TENSOR, SYMMETRIC))
+def test_linear_part_reads_back_an_arity_one_map(flavor):
+    V = GradedSpace([("x", 0), ("y", 1), ("z", 1)])
+    W = GradedSpace([("u", 1), ("w", 2)])
+    gm = GradedMap(V, W, 1, {"x": {"u": Fraction(2)}, "z": {"w": Fraction(-1, 3)}})
+    assert linear_part(multilinear_from_graded_map(gm, flavor), V, W, 1) == gm
+    zero = linear_part(None, V, W, 1)
+    assert zero == GradedMap.zero(V, W, 1) and zero.is_zero()
+
+
+def test_nested_stops_at_the_first_vanishing_step():
+    calls = []
+
+    def op(vec, single):
+        calls.append(single)
+        (name,) = single
+        return {} if name == "z" else {n + name: c for n, c in vec.items()}
+
+    assert nested(op, {"a": Fraction(2)}, "xy") == {"axy": Fraction(2)}
+    del calls[:]
+    assert nested(op, {"a": Fraction(2)}, "xzy") == {}
+    assert len(calls) == 2
+    assert nested(op, {"a": Fraction(1)}, ()) == {"a": Fraction(1)}
 
 
 def test_multilinear_symmetric_koszul_read():

@@ -264,6 +264,30 @@ def test_psi_double_sum_agrees_with_composed_series(seed):
         psi_double_sum(pkg, cartan, xi, eta)
 
 
+def test_psi_builds_l_only_for_xi_and_eta(monkeypatch):
+    # i_{xi - eta} needs no l; xi has two names and eta one, so three l calls
+    # (the difference used to cost a fourth)
+    pkg, cartan, fpd = synthetic_package(0)
+    R = ArtinRing(1, 3)
+    xi = one_section(cartan, R, [("x1", (1,), Fraction(1)),
+                                 ("x2", (1,), Fraction(1, 2))])
+    eta = one_section(cartan, R, [("x1", (1,), Fraction(1))])
+    calls = []
+    l = CartanHomotopy.l
+
+    def counted_l(self, x):
+        calls.append(x)
+        return l(self, x)
+
+    monkeypatch.setattr(CartanHomotopy, "l", counted_l)
+    psi = psi_obstruction(pkg, cartan, xi, eta)
+    assert len(calls) <= 3, calls
+    del calls[:]
+    double = psi_double_sum(pkg, cartan, xi, eta)
+    assert len(calls) <= 3, calls
+    assert psi == double
+
+
 # --- split period map ----------------------------------------------------------------
 
 
