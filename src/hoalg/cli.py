@@ -108,17 +108,18 @@ def cmd_verify(args, out):
         return _emit(out, [check_hodge_package(pkg)], machine)
     doc = _load(args.file)
     if args.kind == "structure":
-        s = doc.structures[args.name]
+        s = doc.lookup("structure", args.name)
         return _emit(out, [check_structure(s, max_weight=mw)], machine)
     if args.kind == "morphism":
-        return _emit(out, [check_morphism(doc.morphisms[args.name],
+        return _emit(out, [check_morphism(doc.lookup("morphism", args.name),
                                           max_weight=mw)], machine)
     if args.kind == "contraction":
-        return _emit(out, [check_contraction(doc.contractions[args.name])], machine)
+        return _emit(out, [check_contraction(doc.lookup("contraction", args.name))],
+                     machine)
     if args.kind == "cartan":
-        return _emit(out, [check_cartan(doc.cartans[args.name])], machine)
+        return _emit(out, [check_cartan(doc.lookup("cartan", args.name))], machine)
     if args.kind == "hodge":
-        return _emit(out, [check_hodge_package(doc.hodges[args.name])], machine)
+        return _emit(out, [check_hodge_package(doc.lookup("hodge", args.name))], machine)
     raise MalformedInput("unknown verify kind %r" % args.kind)
 
 
@@ -132,8 +133,8 @@ def cmd_transfer(args, out):
                                  linear_part(big.taylor.get(1), big.space, big.space, 1))
     else:
         doc = _load(args.file)
-        big = doc.structures[args.structure]
-        c = doc.contractions[args.contraction]
+        big = doc.lookup("structure", args.structure)
+        c = doc.lookup("contraction", args.contraction)
     small, F = transfer_structure(big, c, max_weight=mw)
     reports = [check_structure(small, max_weight=mw),
                check_morphism(F, max_weight=mw)]
@@ -154,7 +155,7 @@ def cmd_cocone(args, out):
             seed = int(args.example.partition(":")[2] or args.seed)
             _, _, f = random_filtered_inclusion(seed, 2)
         else:
-            f = _load(args.file).dglamorphisms[args.name]
+            f = _load(args.file).lookup("dglamorphism", args.name)
         s = fm_cocone_lie(f, max_weight=mw)
         return _emit(out, [check_structure(s, max_weight=mw)], machine)
     if args.example:
@@ -163,7 +164,7 @@ def cmd_cocone(args, out):
         doc = None
     else:
         doc = _load(args.file)
-        f = doc.dgamorphisms[args.name] if args.kind != "derived" else None
+        f = doc.lookup("dgamorphism", args.name) if args.kind != "derived" else None
     if args.kind == "assoc":
         return _emit(out, [cocone_associative(f).check()], machine)
     if args.kind == "fm":
@@ -183,7 +184,7 @@ def cmd_cocone(args, out):
                 int(args.example.partition(":")[2] or args.seed), lie=False)
             split = Splitting(ambient, comp)
         else:
-            split = doc.splittings[args.name]
+            split = doc.lookup("splitting", args.name)
         dp = derived_products_model(split, max_weight=mw)
         reports = [check_contraction(dp.contraction),
                    check_structure(dp.structure, max_weight=mw),
@@ -217,7 +218,7 @@ def cmd_product(args, out):
             split = Splitting(M, comp)
         else:
             doc = _load(args.file)
-            split = doc.splittings[args.name]
+            split = doc.lookup("splitting", args.name)
             M = split.ambient
         phi, action = voronov_brackets(split, max_weight=mw)
         sd = semidirect_product(phi, decalage_dgla(M, max_weight=mw), action,
@@ -234,9 +235,9 @@ def cmd_product(args, out):
             L = sub
         else:
             doc = _load(args.file)
-            split = doc.splittings[args.name]
-            L = doc.dglas[args.dgla]
-            F = doc.morphisms[args.morphism]
+            split = doc.lookup("splitting", args.name)
+            L = doc.lookup("dgla", args.dgla)
+            F = doc.lookup("morphism", args.morphism)
         fp = fiber_product_model(L, split, F, max_weight=mw)
         return _emit(out, [check_structure(fp, max_weight=mw)], machine)
     raise MalformedInput("unknown product kind %r" % args.kind)
@@ -248,7 +249,7 @@ def cmd_mc(args, out):
     doc = _load(args.file, extra=args.element_file)
     extra = []
     if args.kind == "check":
-        s = doc.structures[args.structure]
+        s = doc.lookup("structure", args.structure)
         x = doc.element(args.element, ring)
         res = mc_check(s, x)
         rep = Report("maurer-cartan")
@@ -256,7 +257,7 @@ def cmd_mc(args, out):
                 lhs="0" if res.is_zero() else ";".join(res.lines()))
         return _emit(out, [rep], machine)
     if args.kind == "extend":
-        s = doc.structures[args.structure]
+        s = doc.lookup("structure", args.structure)
         x = doc.element(args.element, ring)
         rep, obstruction, lift = mc_extend(s, x, args.order)
         if not obstruction.is_zero():
@@ -267,7 +268,7 @@ def cmd_mc(args, out):
             extra.extend("  " + ln for ln in lift.lines())
         return _emit(out, [rep], machine, extra)
     if args.kind == "correspond":
-        f = doc.dglamorphisms[args.morphism]
+        f = doc.lookup("dglamorphism", args.morphism)
         x = doc.element(args.x, ring)
         m = doc.element(args.m, ring)
         rep = cocone_mc_correspondence(f, x, m, max_weight=args.max_weight)
@@ -430,7 +431,7 @@ def run(argv) -> int:
     out = []
     try:
         code = args.fn(args, out)
-    except (MalformedInput, RejectedInput, KeyError, OSError) as exc:
+    except (MalformedInput, RejectedInput, OSError) as exc:
         sys.stdout.write("error: %s\n" % exc)
         return 2
     sys.stdout.write("\n".join(out) + "\n")

@@ -18,8 +18,8 @@ from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, compositions, first_witness, format_vector,
     hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
-    linear_part, map_is_surjective, map_kernel_basis, map_right_inverse,
-    multilinear_from_graded_map, sym_words, unshuffles,
+    linear_part, map_right_inverse, multilinear_from_graded_map,
+    sign_pow, sym_words, unshuffles,
 )
 
 # A TupleCombo is a formal combination of basis tuples: dict[tuple[str,...], Fraction].
@@ -402,6 +402,27 @@ def symmetrize_morphism(F: OoMorphism, sym_source=None, sym_target=None) -> OoMo
 # DG-Lie and DG-associative sources
 
 
+def _dg_check(title: str, sp: GradedSpace, d: GradedMap, op: MultilinearMap,
+              before, after=()) -> Report:
+    """d^2 = 0, the (label, holds, arity) axioms `before`, the Leibniz rule
+    d(x.y) = dx.y + (-1)^|x| x.dy of op, then the axioms `after`; each
+    axiom runs over every basis word with its first failing word as witness."""
+    def leibniz(w):
+        x, y = w
+        rhs = op.apply_vectors([d.value(x), lin_single(y)])
+        lin_acc(rhs, op.apply_vectors([lin_single(x), d.value(y)]),
+                sign_pow(sp.degree[x]))
+        return lin_eq(d.apply(op.value((x, y))), rhs)
+
+    r = Report(title)
+    dd = d.compose(d)
+    r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
+    for label, holds, arity in (*before, ("leibniz", leibniz, 2), *after):
+        wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
+        r.add(label, wit is None, witness=wit)
+    return r
+
+
 class DgLieAlgebra:
     """DGLA with named basis: differential (degree +1) and bracket table."""
 
@@ -418,23 +439,13 @@ class DgLieAlgebra:
         return self.bracket.apply_vectors([u, v])
 
     def check(self) -> Report:
-        r = Report("dgla")
         sp = self.space
-        dd = self.d.compose(self.d)
-        r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
 
         def antisymmetric(w):
             x, y = w
             sign = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
             return lin_eq(self.bracket.value((x, y)),
                           lin_scale(self.bracket.value((y, x)), -sign))
-
-        def leibniz(w):
-            x, y = w
-            rhs = self.bracket.apply_vectors([self.d.value(x), lin_single(y)])
-            sgn = -1 if sp.degree[x] % 2 else 1
-            lin_acc(rhs, self.bracket.apply_vectors([lin_single(x), self.d.value(y)]), sgn)
-            return lin_eq(self.d.apply(self.bracket.value((x, y))), rhs)
 
         def jacobi(w):
             x, y, z = w
@@ -445,11 +456,8 @@ class DgLieAlgebra:
                 [lin_single(y), self.bracket.value((x, z))]), sgn)
             return lin_eq(lhs, rhs)
 
-        for label, holds, arity in (("antisymmetry", antisymmetric, 2),
-                                    ("leibniz", leibniz, 2), ("jacobi", jacobi, 3)):
-            wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
-            r.add(label, wit is None, witness=wit)
-        return r
+        return _dg_check("dgla", sp, self.d, self.bracket,
+                         [("antisymmetry", antisymmetric, 2)], [("jacobi", jacobi, 3)])
 
 
 class DgAlgebra:
@@ -468,27 +476,13 @@ class DgAlgebra:
         return self.product.apply_vectors([u, v])
 
     def check(self) -> Report:
-        r = Report("dg algebra")
-        sp = self.space
-        dd = self.d.compose(self.d)
-        r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
-
         def associative(w):
             x, y, z = w
             return lin_eq(self.mul(self.product.value((x, y)), lin_single(z)),
                           self.mul(lin_single(x), self.product.value((y, z))))
 
-        def leibniz(w):
-            x, y = w
-            rhs = self.mul(self.d.value(x), lin_single(y))
-            sgn = -1 if sp.degree[x] % 2 else 1
-            lin_acc(rhs, self.mul(lin_single(x), self.d.value(y)), sgn)
-            return lin_eq(self.d.apply(self.product.value((x, y))), rhs)
-
-        for label, holds, arity in (("associativity", associative, 3), ("leibniz", leibniz, 2)):
-            wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
-            r.add(label, wit is None, witness=wit)
-        return r
+        return _dg_check("dg algebra", self.space, self.d, self.product,
+                         [("associativity", associative, 3)])
 
     def commutator_dgla(self) -> DgLieAlgebra:
         br = MultilinearMap(self.space, self.space, 0, 2, TENSOR)
@@ -503,7 +497,7 @@ class DgAlgebra:
 
 
 class DglaMorphism:
-    """DGLA morphism; `is_injective`/`is_surjective` computed over Q."""
+    """DGLA morphism: a degree-0 chain map compatible with the brackets."""
 
     def __init__(self, source: DgLieAlgebra, target: DgLieAlgebra, gmap: GradedMap):
         if gmap.degree != 0 or gmap.source != source.space or gmap.target != target.space:
@@ -511,14 +505,6 @@ class DglaMorphism:
         self.source = source
         self.target = target
         self.map = gmap
-
-    @property
-    def is_injective(self) -> bool:
-        return not map_kernel_basis(self.map)
-
-    @property
-    def is_surjective(self) -> bool:
-        return map_is_surjective(self.map)
 
     def check(self) -> Report:
         r = Report("dgla morphism")

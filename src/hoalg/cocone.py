@@ -20,10 +20,10 @@ from .coalg import (
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli, compositions, first_witness,
-    koszul_sign, lin_acc, lin_scale, lin_single, linear_part, map_is_surjective,
-    map_right_inverse, multilinear_from_graded_map, nested, pair_space, prefix_vector,
-    sign_pow, sym_normalize, sym_words, unshuffles,
+    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli, compositions,
+    coordinate_projections, first_witness, koszul_sign, lin_acc, lin_scale, lin_single,
+    linear_part, map_right_inverse, multilinear_from_graded_map, nested, pair_space,
+    prefix_vector, sign_pow, sym_normalize, sym_words, unshuffles,
 )
 
 A_PRE = "a:"
@@ -219,10 +219,7 @@ class Splitting:
             raise MalformedInput("complement names must be distinct basis names")
         self.complement_names = tuple(comp)
         self.sub_names = tuple(n for n in space.names if n not in set(comp))
-        self.P = GradedMap(space, space, 0)
-        for n in comp:
-            self.P.set(n, lin_single(n))
-        self.Pperp = GradedMap.identity(space).add(self.P, -1)
+        self.P, self.Pperp = coordinate_projections(space, comp)
 
     @property
     def op(self) -> MultilinearMap:
@@ -542,9 +539,9 @@ def strictify_fibration(F: OoMorphism):
     if f1 is None:
         raise RejectedInput("fibration needs a surjective linear part")
     gm1 = linear_part(f1, F.source.space, F.target.space, 0)
-    if not map_is_surjective(gm1):
-        raise RejectedInput("linear part is not surjective")
     r = map_right_inverse(gm1)
+    if r is None:
+        raise RejectedInput("linear part is not surjective")
     g_taylor = {1: multilinear_from_graded_map(
         GradedMap.identity(F.source.space), F.flavor)}
     for k, fk in F.taylor.items():

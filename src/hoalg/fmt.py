@@ -75,10 +75,18 @@ class Document:
         self.hodges = {}
         self.cartans = {}
 
+    def lookup(self, kind: str, name):
+        """The stored object of a kind ("structure", "dgla", ...) by name; a
+        missing name is a MalformedInput that names it."""
+        table = getattr(self, kind + "s")
+        if name not in table:
+            raise MalformedInput("no %s named %r" % (kind, name))
+        return table[name]
+
     def element(self, name, ring):
         """Materialize a stored element over the given Artin ring."""
-        space_name, rows = self.elements[name]
-        out = ArtinElement(ring, self.spaces[space_name])
+        space_name, rows = self.lookup("element", name)
+        out = ArtinElement(ring, self.lookup("space", space_name))
         for basis, mono_text, coeff in rows:
             out.add(basis, ring.parse_mono(mono_text), coeff)
         return out

@@ -444,6 +444,13 @@ class GradedMap:
         return "GradedMap(degree %d, %d entries)" % (self.degree, len(self.entries))
 
 
+def coordinate_projections(space: GradedSpace, names):
+    """(P, id - P) for P the projection onto the span of the basis `names`
+    with kernel the span of the other basis elements."""
+    P = GradedMap(space, space, 0, {n: lin_single(n) for n in names})
+    return P, GradedMap.identity(space).add(P, -1)
+
+
 def elementary_to_graded_map(vec: dict, hom: GradedSpace, source: GradedSpace,
                              target: GradedSpace, degree=None) -> GradedMap:
     """Realize a combination of elementary `t<-s` symbols as an actual GradedMap."""
@@ -862,23 +869,16 @@ def map_kernel_basis(gm: GradedMap):
     return out
 
 
-def map_is_surjective(gm: GradedMap) -> bool:
-    for t in gm.target.names:
-        if map_solve(gm, lin_single(t)) is None:
-            return False
-    return True
-
-
 __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
     "koszul_sign", "unshuffles", "compositions", "sym_words", "bernoulli",
     "factorial", "sign_pow",
     "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "nested", "format_vector",
     "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
-    "sym_normalize", "GradedMap", "elementary_to_graded_map", "graded_map_to_elementary",
+    "sym_normalize", "GradedMap", "coordinate_projections", "elementary_to_graded_map",
+    "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
     "linear_part", "add_prefixed",
     "Report", "first_witness", "check_map_identity", "Contraction", "check_contraction",
     "rref", "solve_matrix", "map_solve", "map_right_inverse", "map_kernel_basis",
-    "map_is_surjective",
 ]

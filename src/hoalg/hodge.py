@@ -24,9 +24,10 @@ from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
-    elementary_to_graded_map, first_witness, format_vector, graded_map_to_elementary,
-    add_prefixed, hom_space, koszul_sign, lin_acc, lin_scale, lin_single, linear_part,
-    map_kernel_basis, pair_space, prefix_vector, sign_pow, unshuffles,
+    coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
+    graded_map_to_elementary, add_prefixed, hom_space, koszul_sign, lin_acc, lin_scale,
+    lin_single, linear_part, map_kernel_basis, pair_space, prefix_vector, sign_pow,
+    unshuffles,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -254,10 +255,7 @@ class FormalPeriodData:
             raise MalformedInput("W must be spanned by basis names")
         self.w_names = tuple(n for n in V.names if n in wset)
         self.a_names = tuple(n for n in V.names if n not in wset)
-        self.P = GradedMap(V, V, 0)
-        for n in self.a_names:
-            self.P.set(n, lin_single(n))
-        self.Pperp = GradedMap.identity(V).add(self.P, -1)
+        self.P, self.Pperp = coordinate_projections(V, self.a_names)
 
     def check(self) -> Report:
         r = Report("formal period data")
@@ -388,9 +386,7 @@ def _artin_op(V: GradedSpace, maps: dict, xi: ArtinElement) -> ArtinMap:
     """The B-linear operator sum c t^m maps[x] over the terms c t^m x of xi."""
     op = ArtinMap(xi.ring, V, V)
     for (x, mono), coeff in xi.terms.items():
-        for n, vec in maps[x].entries.items():
-            for t, cv in vec.items():
-                op.add(n, t, mono, coeff * cv)
+        op.add(mono, maps[x], coeff)
     return op
 
 
@@ -453,20 +449,13 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     want = iota_xi.compose(pi_xi).plus(ArtinMap.identity(ring, pkg.A), -1)
     r.add("homotopy identity", homot == want)
     # chain isomorphism (Id - h l) on ker del: unipotent, so bijective; check
-    # the chain-map property on a kernel basis
+    # the chain-map property dbar corr = corr (dbar + l) on a kernel basis
     corr = ArtinMap.identity(ring, pkg.A).plus(hl, -1)
-    dbar = ArtinMap.from_graded(ring, pkg.delbar)
-    ok = True
-    for v in map_kernel_basis(pkg.dell):
-        x = ArtinElement(ring, pkg.A, allow_constant=True)
-        for n, cv in v.items():
-            x.add(n, ring.one, cv)
-        lhs = dbar.apply(corr.apply(x))
-        rhs = corr.apply(dbar_l.apply(x))
-        if lhs != rhs:
-            ok = False
-            break
-    r.add("(id-hl) chain iso on ker del", ok)
+    diff = ArtinMap.from_graded(ring, pkg.delbar).compose(corr).plus(
+        corr.compose(dbar_l), -1)
+    r.add("(id-hl) chain iso on ker del",
+          not any(gm.apply(v) for v in map_kernel_basis(pkg.dell)
+                  for gm in diff.coeffs.values()))
     return iota_xi, pi_xi, h_xi, delta_xi, r
 
 
@@ -530,8 +519,10 @@ def psi_double_sum(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
 def _restrict_to_top_block(pkg: HodgePackage, op: ArtinMap) -> ArtinMap:
     """The operator H (x) B -> H (x) B restricted to the (n, 0) harmonic block."""
     keep = set(pkg.harmonic_names(p=pkg.n, q=0))
-    return ArtinMap(op.ring, pkg.H, pkg.H,
-                    {nm: table for nm, table in op.entries.items() if nm in keep})
+    return ArtinMap(op.ring, pkg.H, pkg.H, {
+        mono: GradedMap(pkg.H, pkg.H, gm.degree,
+                        {nm: vec for nm, vec in gm.entries.items() if nm in keep})
+        for mono, gm in op.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
-"""Maurer-Cartan theory over local Artin rings Q[t_1..t_g]/m^N.
+"""Maurer-Cartan theory over local Artin rings B = Q[t_1..t_g]/m^N.
 
 Exact truncated polynomial coefficients; Maurer-Cartan residuals, the DGLA
 gauge action, the two-sided Maurer-Cartan sets of a DGLA morphism and the
 mapping-cocone correspondence, plus order-by-order obstruction lifting.
+
+An element of V (x) B is a table (name, monomial) -> coeff; a B-linear
+operator is an element of Hom(V, W) (x) B, stored as {monomial: GradedMap}.
+Both reuse the sparse kernels of `graded` monomial by monomial: operators
+compose by the Cauchy product of GradedMap.compose truncated at m^N, and
+Taylor coefficients are evaluated with MultilinearMap.apply_vectors on the
+monomial tuples whose product survives in B.
 """
 
 from __future__ import annotations
@@ -155,6 +162,13 @@ class ArtinElement:
                 out.add(n, m, c)
         return out
 
+    def by_mono(self) -> dict:
+        """{monomial: {name: coeff}}, the element as sum_m t^m v_m."""
+        out = {}
+        for (n, mono), c in self.terms.items():
+            out.setdefault(mono, {})[n] = c
+        return out
+
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda kv: (sum(kv[0][1]), kv[0][1],
@@ -173,104 +187,77 @@ class ArtinElement:
 
 
 class ArtinMap:
-    """B-linear map V (x) B -> W (x) B, stored on basis elements of V.
+    """B-linear map V (x) B -> W (x) B as an element of Hom(V, W) (x) B.
 
-    Unlike ArtinElement, constant-monomial coefficients are allowed (the
-    identity is an ArtinMap).  Operator composition carries no Koszul signs
-    because the ring sits in even degree.
+    Stored as {monomial: GradedMap}, i.e. sum_m t^m A_m with every A_m
+    nonzero and every monomial below the nilpotency order.  Unlike
+    ArtinElement, the constant monomial is allowed (the identity is an
+    ArtinMap).  Composition carries no Koszul signs because the ring sits in
+    even degree.  The stored GradedMaps are never mutated.
     """
 
-    def __init__(self, ring: ArtinRing, source, target, entries=None):
+    def __init__(self, ring: ArtinRing, source, target, coeffs=None):
         self.ring = ring
         self.source = source
         self.target = target
-        self.entries = {}
-        if entries:
-            for name, table in entries.items():
-                for (out, mono), c in table.items():
-                    self.add(name, out, mono, c)
+        self.coeffs = {}
+        for mono, gm in (coeffs or {}).items():
+            self.add(mono, gm)
 
-    def add(self, name, out, mono, coeff):
-        if isinstance(coeff, float):
-            raise MalformedInput("float coefficient rejected (exact arithmetic only)")
+    def add(self, mono, gm: GradedMap, coeff=1):
+        """self += coeff t^mono gm, in place (nothing beyond m^N)."""
         mono = tuple(mono)
-        if sum(mono) >= self.ring.order or not coeff:
+        if sum(mono) >= self.ring.order:
             return
-        table = self.entries.setdefault(name, {})
-        lin_add(table, (out, mono), Fraction(coeff))
-        if not table:
-            del self.entries[name]
+        if (gm.source, gm.target) != (self.source, self.target):
+            raise MalformedInput("operator shape mismatch")
+        cur = self.coeffs.get(mono)
+        if cur is not None:
+            gm = cur.add(gm, coeff)
+        elif coeff != 1:
+            gm = gm.scale(coeff)
+        if gm.is_zero():
+            self.coeffs.pop(mono, None)
+        else:
+            self.coeffs[mono] = gm
 
     @staticmethod
     def from_graded(ring: ArtinRing, gm: GradedMap) -> "ArtinMap":
-        out = ArtinMap(ring, gm.source, gm.target)
-        for n, vec in gm.entries.items():
-            for t, c in vec.items():
-                out.add(n, t, ring.one, c)
-        return out
+        return ArtinMap(ring, gm.source, gm.target, {ring.one: gm})
 
     @staticmethod
     def identity(ring: ArtinRing, space) -> "ArtinMap":
         return ArtinMap.from_graded(ring, GradedMap.identity(space))
 
-    def value(self, name, mono) -> dict:
-        """Image of (name (x) mono) as a dict (out, mono) -> coeff."""
-        out = {}
-        for (t, m), c in self.entries.get(name, {}).items():
-            mm = self.ring.mul(mono, m)
-            if mm is not None:
-                lin_add(out, (t, mm), c)
-        return out
-
-    def apply(self, x: ArtinElement) -> ArtinElement:
-        res = ArtinElement(x.ring, self.target, allow_constant=True)
-        for (n, mono), c in x.terms.items():
-            for (t, m), cv in self.value(n, mono).items():
-                res.add(t, m, c * cv)
-        return res
-
     def compose(self, other: "ArtinMap") -> "ArtinMap":
+        """self o other: the Cauchy product truncated at m^N."""
         out = ArtinMap(self.ring, other.source, self.target)
-        for n, table in other.entries.items():
-            for (mid, mono), c in table.items():
-                for (t, m), cv in self.value(mid, mono).items():
-                    out.add(n, t, m, c * cv)
+        for m1, a in self.coeffs.items():
+            for m2, b in other.coeffs.items():
+                mono = self.ring.mul(m1, m2)
+                if mono is not None:
+                    out.add(mono, a.compose(b))
         return out
 
     def plus(self, other: "ArtinMap", coeff=1) -> "ArtinMap":
-        out = ArtinMap(self.ring, self.source, self.target, dict(
-            (n, dict(t)) for n, t in self.entries.items()))
-        for n, table in other.entries.items():
-            for (t, m), c in table.items():
-                out.add(n, t, m, c * coeff)
+        out = ArtinMap(self.ring, self.source, self.target, self.coeffs)
+        for mono, gm in other.coeffs.items():
+            out.add(mono, gm, coeff)
         return out
 
     def scaled(self, coeff) -> "ArtinMap":
-        out = ArtinMap(self.ring, self.source, self.target)
-        for n, table in self.entries.items():
-            for (t, m), c in table.items():
-                out.add(n, t, m, c * coeff)
-        return out
+        return ArtinMap(self.ring, self.source, self.target).plus(self, coeff)
 
     def is_zero(self) -> bool:
-        return not self.entries
-
-    def min_ideal_order(self) -> int:
-        """Smallest total monomial degree present (ring order if zero)."""
-        best = self.ring.order
-        for table in self.entries.values():
-            for (t, m), c in table.items():
-                if c:
-                    best = min(best, sum(m))
-        return best
+        return not self.coeffs
 
     def _power_series(self, what: str, coeff) -> "ArtinMap":
         """sum_{k>=0} coeff(k) self^k, with coeff(0) = 1; the powers vanish
         after finitely many steps because the coefficients lie in m_B."""
-        if self.min_ideal_order() < 1:
+        if self.ring.one in self.coeffs:
             raise MalformedInput("%s needs coefficients in m_B" % what)
         total = ArtinMap.identity(self.ring, self.source)
-        cur = ArtinMap.identity(self.ring, self.source)
+        cur = total
         k = 0
         while True:
             cur = self.compose(cur)
@@ -290,18 +277,18 @@ class ArtinMap:
     def __eq__(self, other):
         if not isinstance(other, ArtinMap):
             return NotImplemented
-        return all(lin_eq(self.entries.get(n, {}), other.entries.get(n, {}))
-                   for n in set(self.entries) | set(other.entries))
+        return self.coeffs.keys() == other.coeffs.keys() and \
+            all(gm == other.coeffs[m] for m, gm in self.coeffs.items())
 
     def __repr__(self):
-        return "ArtinMap(%d basis entries)" % len(self.entries)
+        return "ArtinMap(%d monomials)" % len(self.coeffs)
 
 
 def artin_apply(gm: GradedMap, x: ArtinElement) -> ArtinElement:
     out = ArtinElement(x.ring, gm.target, allow_constant=True)
-    for (n, m), c in x.terms.items():
-        for t, cv in gm.value(n).items():
-            out.add(t, m, c * cv)
+    for mono, vec in x.by_mono().items():
+        for t, c in gm.apply(vec).items():
+            out.add(t, mono, c)
     return out
 
 
@@ -310,24 +297,23 @@ def artin_bracket(L: DgLieAlgebra, x: ArtinElement, y: ArtinElement) -> ArtinEle
 
 
 def eval_taylor(q, args) -> ArtinElement:
-    """Multilinear evaluation of a Taylor coefficient on Artin elements."""
+    """Multilinear evaluation of a Taylor coefficient on Artin elements.
+
+    Each argument is grouped by monomial, and the monomial tuples are built
+    one argument at a time: a partial tuple is dropped as soon as its product
+    leaves B.  q is expanded on the name vectors of every surviving tuple.
+    """
     ring = args[0].ring
     out = ArtinElement(ring, q.target, allow_constant=True)
-    for combo in itertools.product(*[list(a.terms.items()) for a in args]):
-        coeff = Fraction(1)
-        names = []
-        mono = ring.one
-        for (n, m), c in combo:
-            coeff *= c
-            names.append(n)
-            mono = ring.mul(mono, m)
-            if mono is None:
-                break
-        if mono is None or not coeff:
-            continue
-        val = q.value(tuple(names))
-        for t, cv in val.items():
-            out.add(t, mono, coeff * cv)
+    tuples = [(ring.one, [])]
+    for a in args:
+        grouped = a.by_mono()
+        tuples = [(prod, vecs + [vec]) for mono, vecs in tuples
+                  for m, vec in grouped.items()
+                  if (prod := ring.mul(mono, m)) is not None]
+    for mono, vecs in tuples:
+        for t, c in q.apply_vectors(vecs).items():
+            out.add(t, mono, c)
     return out
 
 
@@ -466,9 +452,7 @@ def mc_extend(s: OoStructure, x: ArtinElement, order: int):
         return r, obstruction, x
     gm = linear_part(s.taylor.get(1), s.space, s.space, 1)
     lift = x
-    by_mono = {}
-    for (n, mono), c in obstruction.terms.items():
-        by_mono.setdefault(mono, {})[n] = c
+    by_mono = obstruction.by_mono()
     for mono in sorted(by_mono, key=lambda m: (sum(m), m)):
         rhs = {n: -c for n, c in by_mono[mono].items()}
         sol = map_solve(gm, rhs)

@@ -294,9 +294,10 @@ def test_acceptance_8_yukawa_consistency():
     res = yukawa_mc_fiber_residual(y1, xi)
     psi = psi_obstruction(pkg, cartan, xi, ArtinElement(ring, cartan.L.space))
     translated = {}
-    for s, table in psi.entries.items():
-        for (t, m), c in table.items():
-            translated[(B_PRE + "%s<-%s" % (t, s), m)] = c / factorial(pkg.n)
+    for m, gm in psi.coeffs.items():
+        for s, img in gm.entries.items():
+            for t, c in img.items():
+                translated[(B_PRE + "%s<-%s" % (t, s), m)] = c / factorial(pkg.n)
     assert translated == res.terms and not res.is_zero()
     compared = 0
     for fixture in (torus_package(2), synthetic_package(0)):

@@ -128,6 +128,23 @@ def test_cli_parse_error_is_exit_2(tmp_path):
     assert code == 2
 
 
+def test_cli_missing_name_is_exit_2_and_named(sample_file):
+    code, out = run_cli(["verify", "structure", sample_file, "--name", "Nope"])
+    assert (code, out) == (2, "error: no structure named 'Nope'\n")
+    code, out = run_cli(["--artin", "1,3", "mc", "check", sample_file,
+                         "--structure", "S", "--element", "nope"])
+    assert (code, out) == (2, "error: no element named 'nope'\n")
+
+
+def test_cli_internal_key_error_propagates(sample_file, monkeypatch):
+    # a KeyError inside a command is a bug, not a parse error: no exit 2
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+    monkeypatch.setattr("hoalg.cli.check_structure", broken)
+    with pytest.raises(KeyError):
+        run_cli(["verify", "structure", sample_file, "--name", "S"])
+
+
 def test_cli_mathematical_failure_is_exit_1(tmp_path):
     text = SAMPLE + """
 map bad W W 0
@@ -196,7 +213,17 @@ def test_cli_max_weight_env_override(monkeypatch):
     assert args.max_weight == 2
 
 
-def test_cli_determinism_across_processes():
+DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "docs", "demo.alg")
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["--max-weight", "3", "--artin", "1,3", "yukawa", "v1", "--example", "torus:2", "mc"],
+    # the lift depends on the order in which eval_taylor accumulates terms
+    ["--artin", "1,4", "mc", "extend", DEMO, "--structure", "S", "--element", "xi",
+     "--order", "3"],
+], ids=["yukawa", "mc-extend"])
+def test_cli_determinism_across_processes(cli_args):
     import subprocess
     import hoalg
     # Run the CLI module with this interpreter rather than the `hoalg`
@@ -205,8 +232,7 @@ def test_cli_determinism_across_processes():
     root = os.path.dirname(os.path.dirname(hoalg.__file__))
     path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH"))
                            if p)
-    argv = [sys.executable, "-m", "hoalg.cli", "--max-weight", "3",
-            "--artin", "1,3", "yukawa", "v1", "--example", "torus:2", "mc"]
+    argv = [sys.executable, "-m", "hoalg.cli"] + cli_args
     outs = []
     errs = []
     # Different hash seeds, so set iteration order differs between the runs.

@@ -25,7 +25,7 @@ from hoalg.hodge import (
     strict_period_morphism, synthetic_package, torus_package, yukawa_mc_fiber_residual,
     yukawa_model, yukawa_model_v2,
 )
-from hoalg.mc import ArtinElement, ArtinRing, mc_check
+from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
 from hoalg.transfer import transfer_structure
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -165,7 +165,6 @@ def test_perturbation_maps_zero_section_recovers_package():
     zero = ArtinElement(R, cartan.L.space)
     iota_xi, pi_xi, h_xi, delta_xi, rep = perturbation_maps(pkg, cartan, zero)
     assert rep.ok
-    from hoalg.mc import ArtinMap
     assert iota_xi == ArtinMap.from_graded(R, pkg.iota)
     assert pi_xi == ArtinMap.from_graded(R, pkg.pi)
     assert h_xi == ArtinMap.from_graded(R, pkg.h)
@@ -178,7 +177,6 @@ def test_perturbation_maps_flat_package():
     xi = one_section(cartan, R, [("t1b1", (1,), Fraction(1))])
     iota_xi, pi_xi, h_xi, delta_xi, rep = perturbation_maps(pkg, cartan, xi)
     assert rep.ok
-    from hoalg.mc import ArtinMap
     assert iota_xi == ArtinMap.from_graded(R, pkg.iota)  # h = 0 kills the series
 
 
@@ -191,7 +189,6 @@ def test_perturbation_maps_nonflat(seed):
     iota_xi, pi_xi, h_xi, delta_xi, rep = perturbation_maps(pkg, cartan, xi)
     assert rep.ok
     # the correction series genuinely moves some map unless l_xi = 0
-    from hoalg.mc import ArtinMap
     l_xi = cartan.l_vec({"x1": Fraction(1), "x2": Fraction(-1)})
     unmoved = (iota_xi == ArtinMap.from_graded(R, pkg.iota)
                and pi_xi == ArtinMap.from_graded(R, pkg.pi)
@@ -200,7 +197,6 @@ def test_perturbation_maps_nonflat(seed):
 
 
 def test_perturbation_maps_build_each_series_and_l_once(monkeypatch):
-    from hoalg.mc import ArtinMap
     pkg, cartan, fpd = synthetic_package(0)
     R = ArtinRing(1, 3)
     xi = one_section(cartan, R, [("x1", (1,), Fraction(1)), ("x1", (2,), Fraction(2)),
@@ -241,7 +237,8 @@ def test_psi_single_contraction_on_torus_n1():
     R = ArtinRing(1, 3)
     xi = one_section(cartan, R, [("t1b1", (1,), Fraction(1))])
     psi = psi_obstruction(pkg, cartan, xi, ArtinElement(R, cartan.L.space))
-    assert psi.entries == {"dz1": {("dzb1", (1,)): Fraction(1)}}
+    assert psi == ArtinMap(R, pkg.H, pkg.H, {
+        (1,): GradedMap(pkg.H, pkg.H, 0, {"dz1": {"dzb1": 1}})})
 
 
 def test_psi_torus_n2_quadratic_golden():
@@ -250,7 +247,8 @@ def test_psi_torus_n2_quadratic_golden():
     xi = one_section(cartan, R, [("t1b1", (1,), Fraction(1)),
                                  ("t2b2", (1,), Fraction(1))])
     psi = psi_obstruction(pkg, cartan, xi, ArtinElement(R, cartan.L.space))
-    assert psi.entries == {"dz1^dz2": {("dzb1^dzb2", (2,)): Fraction(2)}}
+    assert psi == ArtinMap(R, pkg.H, pkg.H, {
+        (2,): GradedMap(pkg.H, pkg.H, 0, {"dz1^dz2": {"dzb1^dzb2": 2}})})
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -471,9 +469,10 @@ def test_yukawa_mc_residual_equals_psi_over_factorial():
     res = yukawa_mc_fiber_residual(y1, xi)
     psi = psi_obstruction(pkg, cartan, xi, ArtinElement(R, cartan.L.space))
     translated = {}
-    for s, table in psi.entries.items():
-        for (t, m), c in table.items():
-            translated[(B_PRE + "%s<-%s" % (t, s), m)] = c / factorial(pkg.n)
+    for m, gm in psi.coeffs.items():
+        for s, img in gm.entries.items():
+            for t, c in img.items():
+                translated[(B_PRE + "%s<-%s" % (t, s), m)] = c / factorial(pkg.n)
     assert translated == res.terms
 
 
@@ -488,9 +487,10 @@ def test_psi_vanishes_iff_yukawa_fiber_residual_vanishes(seed):
     psi = psi_obstruction(pkg, cartan, xi, ArtinElement(R, cartan.L.space))
     assert res.is_zero() == psi.is_zero()
     translated = {}
-    for s, table in psi.entries.items():
-        for (t, m), c in table.items():
-            translated[(B_PRE + "%s<-%s" % (t, s), m)] = c / factorial(pkg.n)
+    for m, gm in psi.coeffs.items():
+        for s, img in gm.entries.items():
+            for t, c in img.items():
+                translated[(B_PRE + "%s<-%s" % (t, s), m)] = c / factorial(pkg.n)
     assert translated == res.terms
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ from hoalg.graded import (
     lin_single,
 )
 from hoalg.mc import (
-    ArtinElement, ArtinRing, artin_apply, artin_bracket, cocone_mc_correspondence,
-    dgla_mc_residual, gauge_act, mc_check, mc_extend, mc_f_check, mc_pushforward,
+    ArtinElement, ArtinMap, ArtinRing, artin_apply, artin_bracket,
+    cocone_mc_correspondence, dgla_mc_residual, eval_taylor, gauge_act, mc_check,
+    mc_extend, mc_f_check, mc_pushforward,
 )
 
 
@@ -304,3 +307,123 @@ def test_nonstrict_pushforward_of_mc_is_mc():
     push = mc_pushforward(Es, pair)
     lifted = ArtinElement(R, Es.target.space, dict(push.terms))
     assert mc_check(Es.target, lifted).is_zero()
+
+
+# --- independent oracles for the Artin kernels ------------------------------------
+
+def _eval_taylor_reference(q, args):
+    """Term-by-term expansion over every tuple of terms (brute force)."""
+    ring = args[0].ring
+    out = ArtinElement(ring, q.target, allow_constant=True)
+    for combo in itertools.product(*[list(a.terms.items()) for a in args]):
+        coeff = Fraction(1)
+        names = []
+        mono = ring.one
+        for (n, m), c in combo:
+            coeff *= c
+            names.append(n)
+            mono = ring.mul(mono, m)
+            if mono is None:
+                break
+        if mono is None or not coeff:
+            continue
+        for t, cv in q.value(tuple(names)).items():
+            out.add(t, mono, coeff * cv)
+    return out
+
+
+def _rand_fraction(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+
+
+def _random_multilinear(rng, space, arity, flavor):
+    """Arity-k map into one target line per total degree, random on every
+    (canonical) word."""
+    top = max(space.degree.values()) * arity
+    target = GradedSpace([("y%d" % d, d) for d in range(top + 1)])
+    q = MultilinearMap(space, target, 0, arity, flavor)
+    words = itertools.product(space.names, repeat=arity) if flavor == TENSOR else \
+        itertools.combinations_with_replacement(space.names, arity)
+    for word in words:
+        if q.normalize(word)[0] is not None and rng.random() < 0.7:
+            deg = sum(space.degree[n] for n in word)
+            q.set_entry(word, {"y%d" % deg: _rand_fraction(rng)})
+    return q
+
+
+def _random_element(rng, ring, space):
+    """Two terms on linear monomials (so long products survive) and two on
+    any monomial of m_B."""
+    cells = [(n, m) for n in space.names for m in ring.monomials(min_total=1)]
+    linear = [c for c in cells if sum(c[1]) == 1]
+    picked = rng.sample(linear, 2)
+    picked += rng.sample([c for c in cells if c not in picked], 2)
+    return ArtinElement(ring, space, {cell: _rand_fraction(rng) for cell in picked})
+
+
+@pytest.mark.parametrize("gens,order", [(1, 6), (2, 5), (3, 4)])
+@pytest.mark.parametrize("flavor", [TENSOR, SYMMETRIC])
+def test_eval_taylor_matches_brute_force_expansion(gens, order, flavor):
+    rng = random.Random("eval_taylor:%d:%d:%s" % (gens, order, flavor))
+    R = ArtinRing(gens, order)
+    V = GradedSpace([("a", 0), ("b", 0), ("c", 1)])
+    nonzero = 0
+    for arity in range(1, order + 1):
+        q = _random_multilinear(rng, V, arity, flavor)
+        args = [_random_element(rng, R, V) for _ in range(arity)]
+        got = eval_taylor(q, args)
+        assert got.terms == _eval_taylor_reference(q, args).terms
+        if arity >= order:
+            assert got.is_zero()  # a product of `order` elements of m_B
+        nonzero += not got.is_zero()
+    assert nonzero >= 2  # the comparison is not between zeros only
+
+
+def _random_artin_map(rng, ring, V, min_total):
+    op = ArtinMap(ring, V, V)
+    for mono in ring.monomials(min_total=min_total):
+        gm = GradedMap(V, V, 0)
+        for n in V.names:
+            gm.set(n, {t: _rand_fraction(rng) for t in V.names if rng.random() < 0.5})
+        op.add(mono, gm)
+    return op
+
+
+def _sympy_matrix(sympy, op):
+    """op as a square Q-matrix on V (x) B, basis (name, monomial)."""
+    ring = op.ring
+    basis = [(n, m) for m in ring.monomials() for n in op.source.names]
+    index = {b: i for i, b in enumerate(basis)}
+    M = sympy.zeros(len(basis), len(basis))
+    for (n, m), j in index.items():
+        for mu, gm in op.coeffs.items():
+            prod = ring.mul(m, mu)
+            if prod is not None:
+                for t, c in gm.value(n).items():
+                    M[index[(t, prod)], j] += sympy.Rational(c.numerator, c.denominator)
+    return M
+
+
+@pytest.mark.parametrize("gens,order", [(1, 4), (2, 3)])
+def test_artin_map_kernels_match_sympy_matrices(gens, order):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("artin_map:%d:%d" % (gens, order))
+    R = ArtinRing(gens, order)
+    V = GradedSpace([("a", 0), ("b", 0), ("c", 0)])
+    A = _random_artin_map(rng, R, V, 0)
+    B = _random_artin_map(rng, R, V, 0)
+    assert _sympy_matrix(sympy, A.compose(B)) == \
+        _sympy_matrix(sympy, A) * _sympy_matrix(sympy, B)
+    N = _random_artin_map(rng, R, V, 1)
+    M = _sympy_matrix(sympy, N)
+    eye = sympy.eye(M.rows)
+    assert _sympy_matrix(sympy, N.geometric_series()) == (eye - M).inv()
+    exp, power, k = eye, eye, 0
+    while not power.is_zero_matrix:
+        k += 1
+        power = power * M
+        exp += power / sympy.factorial(k)
+    assert k <= order  # M is nilpotent: M^order = 0
+    assert _sympy_matrix(sympy, N.exp()) == exp
+    with pytest.raises(MalformedInput):
+        A.geometric_series()  # constant coefficient: not in m_B
