@@ -68,19 +68,33 @@ def _load(path, extra=None) -> fmt.Document:
         raise MalformedInput(str(exc))
 
 
+def _integer(text: str, flag: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput("%s: %r is not an integer" % (flag, text)) from None
+
+
 def _artin(flag: str) -> ArtinRing:
-    g, n = flag.split(",")
-    return ArtinRing(int(g), int(n))
+    g, _, n = flag.partition(",")
+    return ArtinRing(_integer(g, "--artin"), _integer(n, "--artin"))
+
+
+def _example_seed(args) -> int:
+    """N of `--example kind:N`, or --seed when no N is given."""
+    arg = (args.example or "").partition(":")[2]
+    return _integer(arg, "--example") if arg else args.seed
 
 
 def _example_period_data(ref: str, p=None):
     kind, _, arg = ref.partition(":")
+    n = _integer(arg or ("2" if kind == "torus" else "0"), "--example")
     if kind == "torus":
-        return torus_package(int(arg or 2), p=p)
+        return torus_package(n, p=p)
     if kind == "synthetic":
-        return synthetic_package(int(arg or 0))
+        return synthetic_package(n)
     if kind == "lambda":
-        cartan, fpd, _ = lambda_cartan_fixture(int(arg or 0), 2, 1, p=p)
+        cartan, fpd, _ = lambda_cartan_fixture(n, 2, 1, p=p)
         return None, cartan, fpd
     raise MalformedInput("unknown example %r" % ref)
 
@@ -127,7 +141,7 @@ def cmd_transfer(args, out):
     mw = args.max_weight
     machine = args.format == "machine"
     if args.example:
-        seed = int(args.example.partition(":")[2] or args.seed)
+        seed = _example_seed(args)
         big = decalage_dga(random_end_dga(seed, 2), max_weight=mw)
         c = harmonic_contraction(big.space,
                                  linear_part(big.taylor.get(1), big.space, big.space, 1))
@@ -152,14 +166,14 @@ def cmd_cocone(args, out):
     machine = args.format == "machine"
     if args.kind == "lie":
         if args.example:
-            seed = int(args.example.partition(":")[2] or args.seed)
+            seed = _example_seed(args)
             _, _, f = random_filtered_inclusion(seed, 2)
         else:
             f = _load(args.file).lookup("dglamorphism", args.name)
         s = fm_cocone_lie(f, max_weight=mw)
         return _emit(out, [check_structure(s, max_weight=mw)], machine)
     if args.example:
-        seed = int(args.example.partition(":")[2] or args.seed)
+        seed = _example_seed(args)
         f = random_dga_morphism(seed, 2)
         doc = None
     else:
@@ -180,8 +194,7 @@ def cmd_cocone(args, out):
         return _emit(out, reports, machine)
     if args.kind == "derived":
         if args.example:
-            _, _, ambient, comp, _ = end_splitting(
-                int(args.example.partition(":")[2] or args.seed), lie=False)
+            _, _, ambient, comp, _ = end_splitting(_example_seed(args), lie=False)
             split = Splitting(ambient, comp)
         else:
             split = doc.lookup("splitting", args.name)
@@ -210,8 +223,7 @@ def cmd_cocone(args, out):
 def cmd_product(args, out):
     mw = args.max_weight
     machine = args.format == "machine"
-    seed = int(args.example.partition(":")[2] or args.seed) if args.example \
-        else args.seed
+    seed = _example_seed(args)
     if args.kind == "semidirect":
         if args.example or not args.file:
             V, d, M, comp, stable = end_splitting(seed)

@@ -3,6 +3,8 @@
 Strong homotopy structures are held as weight-indexed families of Taylor
 coefficients; the coderivation/morphism components Q^j_k and F^j_k are
 evaluated on demand (the coalgebras T(V), S(V) are never materialized).
+Q^j_k inserts one q into the word; F^j_k splits off the block holding the
+first position: f_i of that block times F^{j-1} of the rest.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream.
 """
@@ -11,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from functools import partial
 from types import SimpleNamespace
 
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, compositions, first_witness, format_vector,
+    Report, SYMMETRIC, TENSOR, first_witness, format_vector,
     hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map,
     sign_pow, sym_words, unshuffles,
@@ -182,52 +184,53 @@ def coderivation_component_value(struct: OoStructure, j: int, k: int,
 
 
 def morphism_component_value(morph: OoMorphism, j: int, k: int, names: tuple) -> dict:
-    """F^j_k on a basis word: the ordered-partition sum (with 1/j! unshuffle
-    form in the symmetric flavor)."""
+    """F^j_k on a basis word, by recursion on the first block.
+
+    F^1_k(w) = f_k(w).  In the tensor flavor the first block is a prefix:
+    F^j_k(w) = sum_i f_i(w[:i]) (x) F^{j-1}_{k-i}(w[i:]).  In the symmetric
+    flavor it is any block B holding the first position:
+    F^j_k(w) = sum_B eps(B, rest) f_|B|(B) . F^{j-1}(rest), eps the Koszul sign
+    of moving B to the front, so each set partition is visited once.
+
+    F^{j-1} with j - 1 >= 2 is read through morph.morph_component, so the
+    rests (subwords) are shared through the memo.  F^j_k with j >= 2 never
+    reads f_k: only f_i with i < k and memo entries of weight < k.  That is
+    what lets transfer_structure grow morph.taylor weight by weight while the
+    memo is live.
+    """
     if len(names) != k:
         raise MalformedInput("word length mismatch")
     out: dict = {}
     if j < 1 or j > k:
         return out
-    taylor = morph.taylor
+    if j == 1:
+        return {(n,): c for n, c in morph.f_value(names).items()}
     if morph.flavor == TENSOR:
-        for part in compositions(k, j):
-            fs = [taylor.get(size) for size in part]
-            if all(fs):
-                _add_block_product(fs, names, out, 1)
-        return out
-    degs = [morph.source.space.degree[n] for n in names]
-    inv_jfac = Fraction(1, factorial(j))
-    for part in compositions(k, j):
-        fs = [taylor.get(size) for size in part]
-        if not all(fs):
+        cuts = [(names[:i], names[i:], 1) for i in range(1, k - j + 2)]
+    else:
+        cuts = _first_blocks(names, k - j + 1, morph.source.space.degree)
+    # F^1 is f itself, so it is read from morph.taylor and kept out of the memo
+    tail = morph.morph_component if j > 2 else partial(morphism_component_value, morph)
+    for block, rest, sign in cuts:
+        head = morph.f_value(block)
+        if not head:
             continue
-        for sigma in unshuffles(*part):
-            _add_block_product(fs, tuple(names[s - 1] for s in sigma), out,
-                               koszul_sign(sigma, degs) * inv_jfac)
+        for tup, c in tail(j - 1, len(rest), rest).items():
+            _expand_at((), head, tup, out, c if sign == 1 else -c)
     return out
 
 
-def _add_block_product(fs, word: tuple, out: dict, coeff):
-    """out += coeff * f_1(w_1) (x) ... (x) f_j(w_j), where word = w_1 .. w_j is
-    cut into blocks of the arities of the maps fs; expanded to pure basis tuples."""
-    pieces = []
-    pos = 0
-    for f in fs:
-        val = f.value(word[pos:pos + f.arity])
-        if not val:
-            return
-        pieces.append(val)
-        pos += f.arity
-    acc = {(): coeff}
-    for val in pieces:
-        nxt: dict = {}
-        for tup, c in acc.items():
-            for n, cv in val.items():
-                lin_add(nxt, tup + (n,), c * cv)
-        acc = nxt
-    for tup, c in acc.items():
-        lin_add(out, tup, c)
+def _first_blocks(names: tuple, top: int, degree: dict):
+    """(B, rest, eps) for every subword B of at most `top` letters holding the
+    first letter, with eps the Koszul sign of moving B in front of the rest."""
+    k = len(names)
+    odd = [degree[n] % 2 for n in names]
+    for size in range(top):
+        for extra in itertools.combinations(range(1, k), size):
+            rest = [p for p in range(1, k) if p not in extra]
+            sign = sign_pow(sum(odd[r] for b in extra if odd[b] for r in rest if r < b))
+            yield ((names[0],) + tuple(names[p] for p in extra),
+                   tuple(names[p] for p in rest), sign)
 
 
 class TensorComponent:

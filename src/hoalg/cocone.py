@@ -20,7 +20,7 @@ from .coalg import (
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli, compositions,
+    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
     coordinate_projections, first_witness, koszul_sign, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map, nested, pair_space,
     prefix_vector, sign_pow, sym_normalize, sym_words, unshuffles,
@@ -314,65 +314,35 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
     F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
 
-    def block_product(word, part):
-        """g^{i_1,..,i_j} on an all-b word (names without prefix)."""
-        acc = None
-        pos = len(word)
-        for size in reversed(part):
-            block = word[pos - size:pos]
-            pos -= size
-            vec = nested(amb.mul, lin_single(block[0]), block[1:])
-            if not vec:
-                return {}
-            if acc is not None:
-                vec = amb.mul(vec, acc)
-                if not vec:
-                    return {}
-            acc = split.P.apply(vec)
-            if not acc:
-                return {}
-        return acc
-
-    def g_taylor(coeff_fn):
+    def g_taylor(c):
+        """g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term
+        without the product: recursion on the first block, reading the lower
+        weights already built."""
         taylor = {1: multilinear_from_graded_map(contraction.project, TENSOR)}
         for k in range(2, max_weight + 1):
             gk = MultilinearMap(cinf.space, Csp, 0, k, TENSOR)
             for word in itertools.product(amb.space.names, repeat=k):
+                bword = tuple(B_PRE + b for b in word)
                 acc: dict = {}
-                for j in range(1, k + 1):
-                    for part in compositions(k, j):
-                        val = block_product(word, part)
-                        if val:
-                            lin_acc(acc, val, coeff_fn(k, j, part))
+                for m in range(1, k + 1):
+                    vec = nested(amb.mul, lin_single(word[0]), word[1:m])
+                    if not vec:
+                        break
+                    if m < k:
+                        tail = taylor.get(k - m)
+                        vec = amb.mul(vec, tail.value(bword[m:])) if tail else {}
+                    lin_acc(acc, split.P.apply(vec), c(m))
                 if acc:
-                    gk.set_entry(tuple(B_PRE + b for b in word), acc)
+                    gk.set_entry(bword, acc)
             if not gk.is_zero():
                 taylor[k] = gk
         return taylor
 
-    G_as = OoMorphism(cas, structure,
-                      g_taylor(lambda k, j, part: Fraction((-1) ** (k + j))))
+    G_as = OoMorphism(cas, structure, g_taylor(lambda m: sign_pow(m + 1)))
     G_inf = OoMorphism(cinf, structure,
-                       g_taylor(lambda k, j, part: Fraction((-1) ** (k + j)) /
-                                _prod_factorials(part)))
+                       g_taylor(lambda m: Fraction(sign_pow(m + 1), factorial(m))))
     return DerivedProducts(structure, F_as, G_as, F_inf, G_inf,
                            cas, cinf, inclusion, contraction)
-
-
-def _prod_factorials(part):
-    out = 1
-    for p in part:
-        out *= factorial(p)
-    return out
-
-
-def partition_coefficient_identity(i: int) -> bool:
-    """sum over compositions (h_1..h_p) of i of (-1)^{p+i}/(h_1!..h_p!) == 1/i!."""
-    total = Fraction(0)
-    for p in range(1, i + 1):
-        for part in compositions(i, p):
-            total += Fraction((-1) ** (p + i)) / _prod_factorials(part)
-    return total == Fraction(1, factorial(i))
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +589,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
 __all__ = [
     "A_PRE", "B_PRE", "fm_cocone_lie", "cocone_associative", "fm_cocone_assoc",
     "exp_log_isos", "Splitting", "cocone_contraction", "DerivedProducts",
-    "derived_products_model", "partition_coefficient_identity", "CoderAction",
+    "derived_products_model", "CoderAction",
     "voronov_brackets", "semidirect_product", "strictify_fibration",
     "fiber_product_model",
 ]

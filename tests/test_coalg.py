@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from hoalg.fixtures import (
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    koszul_sign, lin_acc, lin_single, lin_scale, unshuffles,
+    koszul_sign, lin_acc, lin_single, lin_scale, sym_normalize, sym_words, unshuffles,
 )
 
 
@@ -78,8 +79,9 @@ def test_tensor_F22_is_f1_tensor_f1():
     assert comp.value(("x", "y")) == {("x", "z"): Fraction(2)}
 
 
-def brute_force_symmetric_F_jk(taylor, space, j, k, names):
-    """Independent oracle: (1/j!) sum over ordered partitions and unshuffles."""
+def brute_force_F_jk(taylor, space, j, k, names, flavor=SYMMETRIC):
+    """Independent oracle: the sum over ordered partitions (compositions) of
+    the word, and in the symmetric flavor over their unshuffles, times 1/j!."""
     from math import factorial
 
     def compositions(total, parts):
@@ -93,7 +95,8 @@ def brute_force_symmetric_F_jk(taylor, space, j, k, names):
     degs = [space.degree[n] for n in names]
     acc = {}
     for part in compositions(k, j):
-        for sigma in unshuffles(*part):
+        sigmas = unshuffles(*part) if flavor == SYMMETRIC else [tuple(range(1, k + 1))]
+        for sigma in sigmas:
             eps = koszul_sign(sigma, degs)
             pieces = [{(): Fraction(1)}]
             pos = 0
@@ -122,7 +125,8 @@ def brute_force_symmetric_F_jk(taylor, space, j, k, names):
                 cur = nxt
             for tup, c in cur.items():
                 acc[tup] = acc.get(tup, 0) + c * eps
-    return {t: Fraction(c, 1) / factorial(j) for t, c in acc.items() if c}
+    scale = factorial(j) if flavor == SYMMETRIC else 1
+    return {t: Fraction(c, 1) / scale for t, c in acc.items() if c}
 
 
 def test_symmetric_F23_matches_brute_force():
@@ -137,19 +141,74 @@ def test_symmetric_F23_matches_brute_force():
     comp = prolong_morphism(V, V, taylor, SYMMETRIC, 2, 3)
     for names in [("a", "a", "b"), ("a", "b", "a"), ("a", "a", "a")]:
         got = comp.value(names)
-        want = brute_force_symmetric_F_jk(taylor, V, 2, 3, names)
-        # compare as symmetric words: normalize both sides to sorted tuples
-        def norm(combo):
-            from hoalg.graded import sym_normalize
-            out = {}
-            for tup, c in combo.items():
-                res = sym_normalize(tup, V.index, V.degree)
-                if res is None:
-                    continue
-                key, sign = res
-                out[key] = out.get(key, 0) + sign * c
-            return {k: v for k, v in out.items() if v}
-        assert norm(got) == norm(want), names
+        want = brute_force_F_jk(taylor, V, 2, 3, names)
+        assert sym_combination(got, V) == sym_combination(want, V), names
+
+
+def sym_combination(combo, space):
+    """A combination of tuples read in S(V): every tuple normalized to its
+    sorted form with its Koszul sign, zero words and zero sums dropped."""
+    out = {}
+    for tup, c in combo.items():
+        res = sym_normalize(tup, space.index, space.degree)
+        if res is None:
+            continue
+        key, sign = res
+        out[key] = out.get(key, 0) + sign * c
+    return {k: v for k, v in out.items() if v}
+
+
+ORACLE_SPACE = GradedSpace([("a", 0), ("b", 1), ("c", 0), ("e", 1), ("g", 2), ("h", -1)])
+
+
+def random_taylor_family(seed, flavor):
+    """Seeded degree-0 coefficients f_1..f_4 on ORACLE_SPACE: about half the
+    words get one or two targets of the right degree, small rational weights."""
+    V = ORACLE_SPACE
+    rng = random.Random("oracle:%s:%d" % (flavor, seed))
+    taylor = {}
+    for i in range(1, 5):
+        f = MultilinearMap(V, V, 0, i, flavor)
+        words = itertools.product(V.names, repeat=i) if flavor == TENSOR \
+            else sym_words(V.names, V.degree, i)
+        for word in words:
+            targets = [n for n in V.names if V.degree[n] == sum(V.degree[x] for x in word)]
+            if not targets or rng.random() < 0.5:
+                continue
+            vec = {}
+            for n in rng.sample(targets, min(len(targets), rng.randint(1, 2))):
+                vec[n] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            f.set_entry(word, vec)
+        taylor[i] = f
+    return taylor
+
+
+@pytest.mark.parametrize("flavor", [TENSOR, SYMMETRIC])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_F_jk_recursion_matches_partition_oracle(flavor, seed):
+    # the first-block recursion against the compositions x unshuffles x 1/j!
+    # sum on random families f_1..f_4, every j <= k <= 5; symmetric words are
+    # also read in reversed order, which moves odd symbols past each other
+    V = ORACLE_SPACE
+    taylor = random_taylor_family(seed, flavor)
+    rng = random.Random("oracle-words:%s:%d" % (flavor, seed))
+    for k in range(1, 6):
+        if flavor == TENSOR:
+            words = list(itertools.product(V.names, repeat=k))
+        else:
+            words = list(sym_words(V.names, V.degree, k))
+            words += [w[::-1] for w in words]
+        if len(words) > 80:
+            words = rng.sample(words, 80)
+        for j in range(1, k + 1):
+            comp = prolong_morphism(V, V, taylor, flavor, j, k)
+            for word in words:
+                got = comp.value(word)
+                want = brute_force_F_jk(taylor, V, j, k, word, flavor)
+                if flavor == TENSOR:
+                    assert got == want, (j, word)
+                else:
+                    assert sym_combination(got, V) == sym_combination(want, V), (j, word)
 
 
 # --- structure / morphism checks ---------------------------------------------

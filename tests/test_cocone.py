@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,10 +13,9 @@ from hoalg.coalg import (
     symmetrize_morphism, symmetrize_structure,
 )
 from hoalg.cocone import (
-    CoderAction, Splitting, cocone_associative, derived_products_model,
+    B_PRE, CoderAction, Splitting, cocone_associative, derived_products_model,
     exp_log_isos, fiber_product_model, fm_cocone_assoc, fm_cocone_lie,
-    partition_coefficient_identity, semidirect_product, strictify_fibration,
-    voronov_brackets,
+    semidirect_product, strictify_fibration, voronov_brackets,
 )
 from hoalg.fixtures import (
     abelian_dgla, end_dga, end_dgla, end_splitting, random_complex,
@@ -24,8 +24,9 @@ from hoalg.fixtures import (
 from hoalg.coalg import end_preserving_sub_dgla
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    check_contraction, lin_single, map_kernel_basis,
+    check_contraction, lin_acc, lin_single, map_kernel_basis,
 )
+from hoalg.hodge import split_period_coefficient
 from powerseries import phi_compose_coefficients
 
 
@@ -307,8 +308,39 @@ def nested_projection(amb, P, names, part):
 
 
 def test_partition_identity_exact():
+    # sum over compositions of i of (-1)^{p+i}/prod h! is 1/i!
     for i in range(1, 9):
-        assert partition_coefficient_identity(i)
+        assert split_period_coefficient(i, 0) == 1
+
+
+def reference_g(split, word, coeff):
+    """g_k on an unprefixed word as the sum over all compositions of k of
+    coeff(part) * P(block_1 . P(block_2 . ... P(block_j))): the oracle for
+    the first-block recursion of derived_products_model."""
+    acc = {}
+    for part in _compositions(len(word)):
+        lin_acc(acc, nested_projection(split.ambient, split.P, word, part), coeff(part))
+    return acc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_derived_g_recursion_matches_composition_sum(seed):
+    V, d, ambient, comp, _ = end_splitting(seed, lie=False)
+    split = Splitting(ambient, comp)
+    dp = derived_products_model(split, max_weight=4)
+    k_sign = lambda part: (-1) ** (sum(part) + len(part))
+    coeffs = ((dp.G_as, k_sign),
+              (dp.G_inf, lambda part: Fraction(k_sign(part),
+                                               math.prod(map(math.factorial, part)))))
+    nonzero = 0
+    for k in range(1, 5):
+        for word in itertools.product(ambient.space.names, repeat=k):
+            bword = tuple(B_PRE + n for n in word)
+            for G, coeff in coeffs:
+                got = G.taylor[k].value(bword) if k in G.taylor else {}
+                assert got == reference_g(split, word, coeff), (k, word)
+                nonzero += bool(got)
+    assert nonzero
 
 
 @pytest.mark.parametrize("seed", [0, 1])

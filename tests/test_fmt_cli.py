@@ -136,6 +136,19 @@ def test_cli_missing_name_is_exit_2_and_named(sample_file):
     assert (code, out) == (2, "error: no element named 'nope'\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["--artin", "1x3", "mc", "check", "{file}", "--structure", "S", "--element", "xi"],
+    ["--artin", "a,3", "mc", "check", "{file}", "--structure", "S", "--element", "xi"],
+    ["period", "split", "--example", "torus:two"],
+    ["cocone", "fm", "--example", "r:x"],
+])
+def test_cli_malformed_integer_flag_is_exit_2(sample_file, argv):
+    # run_cli would raise on a traceback; a malformed number is a usage error
+    code, out = run_cli([a.replace("{file}", sample_file) for a in argv])
+    assert code == 2
+    assert out.startswith("error: ") and "not an integer" in out
+
+
 def test_cli_internal_key_error_propagates(sample_file, monkeypatch):
     # a KeyError inside a command is a bug, not a parse error: no exit 2
     def broken(*args, **kwargs):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hoalg.coalg import (
-    check_morphism, check_structure, compose_morphisms, decalage_dga,
-    symmetrize_morphism, symmetrize_structure,
+    DgAlgebra, OoMorphism, check_morphism, check_structure, compose_morphisms,
+    decalage_dga, morphism_component_value, symmetrize_morphism, symmetrize_structure,
 )
 from hoalg.fixtures import end_dga, harmonic_contraction, random_complex, random_end_dga
 from hoalg.graded import (
@@ -112,6 +112,43 @@ def test_transfer_commutes_with_symmetrization(seed):
     sym_F = symmetrize_morphism(F_a, sym_source=small_l, sym_target=big_l)
     for k in set(F_l.taylor) | set(sym_F.taylor):
         assert F_l.taylor.get(k) == sym_F.taylor.get(k), k
+
+
+def massey_dga():
+    """Closed a, b, c of degree 1 with ab = dx and bc = dy, so that xc + ay
+    represents the Massey product <a, b, c>; z bounds it.  The transfer onto
+    cohomology then has f_2(a, b) ~ K(ab) and f_3(a, b, c) ~ K(xc + ay)."""
+    sp = GradedSpace([("a", 1), ("b", 1), ("c", 1), ("x", 1), ("y", 1), ("z", 1),
+                      ("ab", 2), ("bc", 2), ("xc", 2), ("ay", 2), ("abc", 3)])
+    d = GradedMap(sp, sp, 1)
+    d.set("x", lin_single("ab"))
+    d.set("y", lin_single("bc"))
+    d.set("xc", lin_single("abc"))
+    d.set("ay", lin_single("abc", -1))
+    d.set("z", {"xc": Fraction(1), "ay": Fraction(1)})
+    prod = MultilinearMap(sp, sp, 0, 2, TENSOR)
+    for left, right in [("a", "b"), ("b", "c"), ("x", "c"), ("a", "y"),
+                        ("ab", "c"), ("a", "bc")]:
+        prod.set_entry((left, right), lin_single(left + right))
+    A = DgAlgebra(sp, d, prod)
+    assert A.check().ok
+    return A
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_transfer_memo_matches_fresh_morphism(symmetric):
+    # transfer_structure grows F.taylor weight by weight while F's F^j_k memo
+    # is live; no memo entry may have read a coefficient before it was final
+    big = decalage_dga(massey_dga(), max_weight=5)
+    c = harmonic_contraction(big.space, q1_as_map(big))
+    if symmetric:
+        big = symmetrize_structure(big)
+    _, F = transfer_structure(big, c)
+    assert F.max_weight == 5 and max(F.taylor) >= 3
+    fresh = OoMorphism(F.source, F.target, F.taylor)
+    assert F._morph_memo
+    for (j, k, word), got in F._morph_memo.items():
+        assert got == morphism_component_value(fresh, j, k, word), (j, k, word)
 
 
 def test_quasi_inverse_rejects_symmetric_flavor():
