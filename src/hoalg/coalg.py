@@ -19,9 +19,9 @@ from types import SimpleNamespace
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
-    hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
+    hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map,
-    sign_pow, sym_words, unshuffles,
+    sign_pow, signed_orderings, sym_words,
 )
 
 # A TupleCombo is a formal combination of basis tuples: dict[tuple[str,...], Fraction].
@@ -172,14 +172,10 @@ def coderivation_component_value(struct: OoStructure, j: int, k: int,
                     sign = -1
             _expand_at(names[:i], val, names[i + m:], out, sign)
     else:
-        degs = [deg[n] for n in names]
-        for sigma in unshuffles(m, j - 1):
-            eps = koszul_sign(sigma, degs)
-            head = tuple(names[s - 1] for s in sigma[:m])
-            tail = tuple(names[s - 1] for s in sigma[m:])
-            val = q.value(head)
+        for perm, eps in signed_orderings(names, deg, (m, j - 1)):
+            val = q.value(perm[:m])
             if val:
-                _expand_at((), val, tail, out, eps)
+                _expand_at((), val, perm[m:], out, eps)
     return out
 
 
@@ -222,15 +218,12 @@ def morphism_component_value(morph: OoMorphism, j: int, k: int, names: tuple) ->
 
 def _first_blocks(names: tuple, top: int, degree: dict):
     """(B, rest, eps) for every subword B of at most `top` letters holding the
-    first letter, with eps the Koszul sign of moving B in front of the rest."""
-    k = len(names)
-    odd = [degree[n] % 2 for n in names]
+    first letter, with eps the Koszul sign of moving B in front of the rest:
+    the first letter is in front already, so eps is the sign of the
+    (|B| - 1, |rest|)-unshuffle of the other letters."""
     for size in range(top):
-        for extra in itertools.combinations(range(1, k), size):
-            rest = [p for p in range(1, k) if p not in extra]
-            sign = sign_pow(sum(odd[r] for b in extra if odd[b] for r in rest if r < b))
-            yield ((names[0],) + tuple(names[p] for p in extra),
-                   tuple(names[p] for p in rest), sign)
+        for perm, eps in signed_orderings(names[1:], degree, (size, len(names) - 1 - size)):
+            yield (names[0],) + perm[:size], perm[size:], eps
 
 
 class TensorComponent:

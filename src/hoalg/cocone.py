@@ -21,9 +21,9 @@ from .coalg import (
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
-    coordinate_projections, first_witness, koszul_sign, lin_acc, lin_scale, lin_single,
+    coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map, nested, pair_space,
-    prefix_vector, sign_pow, sym_normalize, sym_words, unshuffles,
+    prefix_vector, sign_pow, signed_orderings, sym_normalize, sym_words,
 )
 
 A_PRE = "a:"
@@ -58,12 +58,11 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
             if not fx:
                 continue
             for ms in sym_words(M.space.names, mdeg, k):
-                degs = [mdeg[m] for m in ms]
                 acc: dict = {}
-                for sigma in unshuffles(*([1] * k)):
-                    cur = nested(M.bracket_vec, fx, [ms[s - 1] for s in sigma])
+                for perm, eps in signed_orderings(ms, mdeg, (1,) * k):
+                    cur = nested(M.bracket_vec, fx, perm)
                     if cur:
-                        lin_acc(acc, cur, koszul_sign(sigma, degs))
+                        lin_acc(acc, cur, eps)
                 if acc:
                     qk.add_entry((A_PRE + x,) + tuple(B_PRE + m for m in ms),
                                  prefix_vector(acc, B_PRE), coeff)

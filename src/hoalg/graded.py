@@ -2,9 +2,11 @@
 
 Sparse vectors and maps indexed by named basis elements, Koszul sign
 bookkeeping, unshuffles, Bernoulli numbers, contractions of complexes and
-deterministic rational row reduction.  All arithmetic is exact
-(`fractions.Fraction`); no floats anywhere.  Objects are treated as
-immutable once built, so sharing between threads is safe.
+deterministic rational row reduction.  Every Koszul-signed sum over the
+orderings of a word in the package runs through `signed_orderings`, which
+reads its signs from one table per (block sizes, letter parities) pattern.
+All arithmetic is exact (`fractions.Fraction`); no floats anywhere.  Objects
+are treated as immutable once built, so sharing between threads is safe.
 """
 
 from __future__ import annotations
@@ -86,6 +88,26 @@ def _unshuffles(sizes) -> tuple:
                 yield combo + tail
 
     return tuple(rec(tuple(range(1, sum(sizes) + 1)), sizes))
+
+
+def signed_orderings(word, degree: dict, sizes):
+    """(word permuted by sigma, Koszul sign of sigma) for every `sizes`-unshuffle
+    sigma, in `unshuffles(*sizes)` order; the first block of the permuted word
+    is its first sizes[0] letters, and so on.
+
+    The sign depends only on the sizes and the letters' parities, so it is
+    read from a table that `koszul_sign` fills once per parity pattern.
+    """
+    sizes = tuple(sizes)
+    signs = _sign_table(sizes, tuple(degree[x] % 2 for x in word))
+    for sigma, eps in zip(_unshuffles(sizes), signs):
+        yield tuple(word[s - 1] for s in sigma), eps
+
+
+@lru_cache(maxsize=4096)
+def _sign_table(sizes, parities) -> tuple:
+    """Koszul signs of the `sizes`-unshuffles for letters of the given parities."""
+    return tuple(koszul_sign(sigma, parities) for sigma in unshuffles(*sizes))
 
 
 def compositions(k: int, j: int):
@@ -572,18 +594,12 @@ class MultilinearMap:
             raise MalformedInput("can only symmetrize a tensor-flavor map")
         out = MultilinearMap(self.source, self.target, self.degree, self.arity, SYMMETRIC)
         deg = self.source.degree
-        for key in itertools.combinations_with_replacement(self.source.names, self.arity):
-            canon = sym_normalize(key, self.source.index, deg)
-            if canon is None:
-                continue
-            tup = canon[0]
-            degs = [deg[n] for n in tup]
+        for word in sym_words(self.source.names, deg, self.arity):
             acc: dict = {}
-            for perm in itertools.permutations(range(1, self.arity + 1)):
-                sign = koszul_sign(perm, degs)
-                lin_acc(acc, self.entries.get(tuple(tup[p - 1] for p in perm), {}), sign)
+            for perm, sign in signed_orderings(word, deg, (1,) * self.arity):
+                lin_acc(acc, self.entries.get(perm, {}), sign)
             if acc:
-                out.set_entry(tup, acc)
+                out.set_entry(word, acc)
         return out
 
     def is_zero(self) -> bool:
@@ -871,8 +887,8 @@ def map_kernel_basis(gm: GradedMap):
 
 __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
-    "koszul_sign", "unshuffles", "compositions", "sym_words", "bernoulli",
-    "factorial", "sign_pow",
+    "koszul_sign", "unshuffles", "signed_orderings", "compositions", "sym_words",
+    "bernoulli", "factorial", "sign_pow",
     "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "nested", "format_vector",
     "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
     "sym_normalize", "GradedMap", "coordinate_projections", "elementary_to_graded_map",

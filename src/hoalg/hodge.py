@@ -25,9 +25,9 @@ from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
-    graded_map_to_elementary, add_prefixed, hom_space, koszul_sign, lin_acc, lin_scale,
+    graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale,
     lin_single, linear_part, map_kernel_basis, pair_space, prefix_vector, sign_pow,
-    unshuffles,
+    signed_orderings, sym_normalize,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -44,6 +44,9 @@ class ExteriorModel:
         if any(p + q != 1 for _, (p, q) in self.gens):
             raise MalformedInput("exterior generators must have total degree 1")
         self.gen_index = {name: i for i, (name, _) in enumerate(self.gens)}
+        # monomials are sorted tuples of generator positions, all of them odd
+        self._gen_order = {i: i for i in range(len(self.gens))}
+        self._gen_odd = dict.fromkeys(range(len(self.gens)), 1)
         basis = []
         self._subset_name = {}
         for r in range(len(self.gens) + 1):
@@ -63,19 +66,7 @@ class ExteriorModel:
 
     def wedge_monomials(self, c1, c2):
         """(combo, sign) for the product of two monomials, or None."""
-        if set(c1) & set(c2):
-            return None
-        merged = c1 + c2
-        # sort by insertion counting transpositions (all generators odd)
-        arr = list(merged)
-        sign = 1
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1] > arr[j]:
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                sign = -sign
-                j -= 1
-        return tuple(arr), sign
+        return sym_normalize(c1 + c2, self._gen_order, self._gen_odd)
 
     def wedge(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -571,27 +562,52 @@ def _propagator_words(left: GradedMap, head_ops: dict, tail_ops: dict,
     return word
 
 
+def _chain_sum(word, degree: dict, heads, chain) -> dict:
+    """sum_{j in heads} sum over the (j, 1, .., 1)-unshuffles sigma of `word` of
+    eps(sigma) chain(head, tail), where the reordered word is split into its
+    first j letters (head) and the rest (tail)."""
+    acc: dict = {}
+    for j in heads:
+        for perm, eps in signed_orderings(word, degree, (j,) + (1,) * (len(word) - j)):
+            lin_acc(acc, chain(perm[:j], perm[j:]), eps)
+    return acc
+
+
+def _chain_taylor(source: OoStructure, target: GradedSpace, max_weight: int,
+                  heads, chain) -> dict:
+    """The symmetric degree-0 Taylor family source -> target whose arity-k
+    coefficient is _chain_sum(word, .., heads(k), chain) on every word."""
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        fk = MultilinearMap(source.space, target, 0, k, SYMMETRIC)
+        for word in source.basis_words(k):
+            acc = _chain_sum(word, source.space.degree, heads(k), chain)
+            if acc:
+                fk.add_entry(word, acc)
+        if not fk.is_zero():
+            taylor[k] = fk
+    return taylor
+
+
 def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
                           max_weight: int = 6) -> OoStructure:
     """A-infinity[1] structure on Hom*(W, A) for the splitting
     End(V) = End(V; W) (+) Hom(W, A): q1 = the projected commutator with d,
     q2 the derived product P([d, f1] f2), zero above arity two."""
     hom = hom_space(a_names, w_names, V)
+    aset = set(a_names)
     q1 = MultilinearMap(hom, hom, 1, 1, TENSOR)
-    realized = {}
-    for name in hom.names:
-        gm = elementary_to_graded_map(lin_single(name), hom, V, V, hom.degree[name])
-        realized[name] = gm
-        comm = d.commutator(gm)
-        vec = _restrict_to_hom(comm, w_names, a_names)
-        if vec:
-            q1.set_entry((name,), vec)
     q2 = MultilinearMap(hom, hom, 1, 2, TENSOR)
     for n1 in hom.names:
-        g1 = realized[n1]
-        comm = d.commutator(g1)
+        comm = d.commutator(
+            elementary_to_graded_map(lin_single(n1), hom, V, V, hom.degree[n1]))
+        vec = _restrict_to_hom(comm, w_names, a_names)
+        if vec:
+            q1.set_entry((n1,), vec)
+        # [d, f1] o (t<-s) sends s to [d, f1](t) and the rest of V to zero
         for n2 in hom.names:
-            vec = _restrict_to_hom(comm.compose(realized[n2]), w_names, a_names)
+            t, s = n2.split("<-")
+            vec = {"%s<-%s" % (a, s): c for a, c in comm.value(t).items() if a in aset}
             if vec:
                 q2.set_entry((n1, n2), vec)
     taylor = {}
@@ -618,7 +634,8 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
         R(s)  = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]).
 
     R is memoized on its name tuple for the whole call, so suffixes are shared
-    across permutations, words and weights.
+    across permutations, words and weights.  The sum over permutations is
+    _chain_sum with heads (1,) on (-1)^k R(head + tail).
 
     Returns (morphism L[1] -> Hom*(W, A), target structure): the target is the
     symmetrized derived-product structure of the splitting
@@ -631,7 +648,6 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     target = symmetrize_structure(
         derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
     source = decalage_dgla(c.L, max_weight)
-    Lsh = source.space
     memo = {(): fpd.Pperp}
 
     def chain(s):
@@ -649,20 +665,13 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
             memo[t] = fpd.P.compose(inner).scale(-1)
         return memo[s]
 
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        pk = MultilinearMap(Lsh, target.space, 0, k, SYMMETRIC)
-        for word in source.basis_words(k):
-            degs = [Lsh.degree[w] for w in word]
-            acc: dict = {}
-            for sigma in unshuffles(*([1] * k)):
-                cur = chain(tuple(word[t - 1] for t in sigma))
-                vec = _restrict_to_hom(cur, fpd.w_names, fpd.a_names)
-                lin_acc(acc, vec, koszul_sign(sigma, degs) * sign_pow(k))
-            if acc:
-                pk.add_entry(word, acc)
-        if not pk.is_zero():
-            taylor[k] = pk
+    def signed_word(head, tail):
+        """(-1)^k R(s) on Hom(W, A) for the ordering s = head + tail."""
+        s = head + tail
+        return lin_scale(_restrict_to_hom(chain(s), fpd.w_names, fpd.a_names),
+                         sign_pow(len(s)))
+
+    taylor = _chain_taylor(source, target.space, max_weight, lambda k: (1,), signed_word)
     return OoMorphism(source, target, taylor), target
 
 
@@ -739,7 +748,8 @@ def _harmonic_hom(pkg: HodgePackage, p: int):
 def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
                            max_weight: int = 4) -> OoMorphism:
     """Closed-form symmetric quasi-inverse onto harmonic hom classes:
-    g_k(f_1 . ... . f_k) = sum_sigma eps(sigma) pi f h(del) f ... h(del) f iota."""
+    g_k(f_1 . ... . f_k) = sum_sigma eps(sigma) pi f h(del) f ... h(del) f iota,
+    summed by _chain_sum with heads (1,) over the shared propagator words."""
     hw_top, hw_low, small = _harmonic_hom(pkg, p)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     bigsp = source.space
@@ -750,20 +760,8 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
     chain = _propagator_words(pkg.pi, realized,
                               {x: hdel.compose(f) for x, f in realized.items()},
                               pkg.iota, hw_top, hw_low)
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        gk = MultilinearMap(bigsp, small, 0, k, SYMMETRIC)
-        for word in source.basis_words(k):
-            degs = [bigsp.degree[w] for w in word]
-            acc: dict = {}
-            for sigma in unshuffles(*([1] * k)):
-                perm = tuple(word[t - 1] for t in sigma)
-                lin_acc(acc, chain(perm[:1], perm[1:]), koszul_sign(sigma, degs))
-            if acc:
-                gk.add_entry(word, acc)
-        if not gk.is_zero():
-            taylor[k] = gk
-    return OoMorphism(source, target, taylor)
+    return OoMorphism(source, target,
+                      _chain_taylor(source, small, max_weight, lambda k: (1,), chain))
 
 
 # ---------------------------------------------------------------------------
@@ -781,27 +779,13 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
                        max_weight: int = 3) -> OoMorphism:
     """p_k = sum_{j=1}^{k} sum over S(j,1,..,1) unshuffles of the signed words
     pi i..i (h l) .. (h l) iota, into Hom*(H^{n,*}, H^{<n,*}) with the trivial
-    structure."""
+    structure: _chain_sum with heads 1..k over the contraction words."""
     hw_top, hw_low, small = _harmonic_hom(pkg, pkg.n)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     source = decalage_dgla(c.L, max_weight)
-    Lsh = source.space
     chain = _contraction_words(pkg, c, hw_top, hw_low)
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        pk = MultilinearMap(Lsh, small, 0, k, SYMMETRIC)
-        for word in source.basis_words(k):
-            degs = [Lsh.degree[w] for w in word]
-            acc: dict = {}
-            for j in range(1, k + 1):
-                for sigma in unshuffles(*([j] + [1] * (k - j))):
-                    perm = tuple(word[t - 1] for t in sigma)
-                    lin_acc(acc, chain(perm[:j], perm[j:]), koszul_sign(sigma, degs))
-            if acc:
-                pk.add_entry(word, acc)
-        if not pk.is_zero():
-            taylor[k] = pk
-    return OoMorphism(source, target, taylor)
+    return OoMorphism(source, target, _chain_taylor(
+        source, small, max_weight, lambda k: range(1, k + 1), chain))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +795,9 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
 def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
                  max_weight: int = 4) -> OoStructure:
     """Homotopy-fiber-product model on L[1] x Hom*(H^{n,*}, H^{0,*})[-1]:
-    minimal fiber, brackets through the propagator words."""
+    minimal fiber, brackets through the propagator words.  The fiber part of
+    q_k is _chain_sum with heads (n,): the S(n,1,..,1) unshuffles of the
+    signed words pi i..i (h l) .. (h l) iota with n contractions in front."""
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
@@ -827,11 +813,7 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
         qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
         add_prefixed(qk, base.taylor.get(k), A_PRE)
         for word in (base.basis_words(k) if k >= n else ()):
-            degs = [base.space.degree[w] for w in word]
-            fib: dict = {}
-            for sigma in unshuffles(*([n] + [1] * (k - n))):
-                perm = tuple(word[t - 1] for t in sigma)
-                lin_acc(fib, chain(perm[:n], perm[n:]), koszul_sign(sigma, degs))
+            fib = _chain_sum(word, base.space.degree, (n,), chain)
             if fib:
                 qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
         if not qk.is_zero():

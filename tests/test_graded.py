@@ -4,6 +4,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions, koszul_sign,
     lin_single, linear_part, map_kernel_basis, map_right_inverse, map_solve,
-    multilinear_from_graded_map, nested, pair_space, sym_normalize, sym_words,
-    unshuffles,
+    multilinear_from_graded_map, nested, pair_space, signed_orderings, sym_normalize,
+    sym_words, unshuffles,
 )
 
 
@@ -96,6 +97,36 @@ def test_unshuffle_count_is_multinomial(sizes):
             block = perm[pos:pos + s]
             assert list(block) == sorted(block)
             pos += s
+
+
+def _sizes_up_to(top):
+    """Every composition of k <= top, also with a zero-size block in front and
+    at the back, such as (m, 0) and (0, k - 1)."""
+    for k in range(top + 1):
+        for j in range(1, max(k, 1) + 1):
+            for sizes in compositions(k, j):
+                yield from (sizes, (0,) + sizes, sizes + (0,))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_signed_orderings_match_unshuffles_and_koszul_sign(k):
+    rng = random.Random(k)
+    for sizes in dict.fromkeys(s for s in _sizes_up_to(6) if sum(s) == k):
+        for _ in range(4):
+            degree = {x: rng.randint(-3, 3) for x in "abcd"}
+            word = tuple(rng.choice("abcd") for _ in range(k))
+            degs = [degree[x] for x in word]
+            want = [(tuple(word[s - 1] for s in sigma), koszul_sign(sigma, degs))
+                    for sigma in unshuffles(*sizes)]
+            assert list(signed_orderings(word, degree, sizes)) == want
+
+
+def test_signed_orderings_reject_bad_sizes():
+    degree = {"a": 1, "b": 2}
+    with pytest.raises(MalformedInput):
+        list(signed_orderings(("a", "b"), degree, (3, -1)))
+    with pytest.raises(MalformedInput):
+        list(signed_orderings(("a", "b"), degree, (1,)))
 
 
 # --- compositions and symmetric words ---------------------------------------

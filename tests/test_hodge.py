@@ -696,6 +696,24 @@ def _reference_yukawa_fiber(pkg, cartan, max_weight):
     return out
 
 
+def _reference_derived_q2(V, d, w_names, a_names):
+    """q2 entries of derived_hom_structure as P([d, f1] o f2), with one
+    GradedMap.compose per pair of elementary hom maps."""
+    from hoalg.graded import elementary_to_graded_map
+    from hoalg.hodge import _restrict_to_hom
+    hom = hom_space(a_names, w_names, V)
+    realized = {n: elementary_to_graded_map(lin_single(n), hom, V, V, hom.degree[n])
+                for n in hom.names}
+    out = {}
+    for n1 in hom.names:
+        comm = d.commutator(realized[n1])
+        for n2 in hom.names:
+            vec = _restrict_to_hom(comm.compose(realized[n2]), w_names, a_names)
+            if vec:
+                out[n1, n2] = vec
+    return out
+
+
 def _oracle_fixture(name):
     if name == "torus2":
         return torus_package(2)
@@ -737,6 +755,17 @@ def test_minimal_period_map_and_yukawa_match_reference_loops(fixture, weight):
     assert fib == _reference_yukawa_fiber(pkg, cartan, weight)
 
 
+@pytest.mark.parametrize("fixture", [
+    "torus2", "synthetic0", "synthetic1", "synthetic2", "lambda021", "lambda331"])
+def test_derived_hom_q2_matches_composed_reference(fixture):
+    _, cartan, fpd = _oracle_fixture(fixture)
+    args = (cartan.V, cartan.d_V, fpd.w_names, fpd.a_names)
+    q2 = derived_hom_structure(*args).taylor.get(2)
+    ref = _reference_derived_q2(*args)
+    assert (q2.entries if q2 is not None else {}) == ref
+    assert bool(ref) == (fixture not in ("torus2", "lambda021"))
+
+
 def test_graded_space_equality_is_by_value():
     basis = [("a", 1, (1, 0)), ("b", 2, (1, 1)), ("c", 0)]
     U, V = GradedSpace(basis), GradedSpace(list(basis))
@@ -749,10 +778,11 @@ def test_graded_space_equality_is_by_value():
 
 
 # GradedMap.compose calls per builder: (fixture, weight, bound); the comments
-# give the count of the chain-per-term loops and of the suffix-memo builders.
+# give the count of the chain-per-term loops, of the suffix-memo builders and,
+# for split, of the builder whose target q2 reads [d, f1] without composing.
 COMPOSE_BOUNDS = {
-    "split synthetic0": (4, 600),      # 7,056 -> 418
-    "split torus2": (3, 5000),         # 13,537 -> 4,405 (2,496 build the target)
+    "split synthetic0": (4, 250),      # 7,056 -> 418 -> 163
+    "split torus2": (3, 2500),         # 13,537 -> 4,405 -> 2,005
     "minimal torus2": (3, 2000),       # 5,225 -> 1,773
     "yukawa torus2": (4, 4500),        # 17,561 -> 4,131
 }

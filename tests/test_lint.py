@@ -1,6 +1,7 @@
 """Import hygiene of the library modules, checked with `ast` only: every
-module-level import is used or re-exported through `__all__`, and no import
-is tucked inside a function."""
+module-level import is used or re-exported through `__all__`, no import is
+tucked inside a function, and every Koszul-signed ordering sum goes through
+`graded.signed_orderings`."""
 
 from __future__ import annotations
 
@@ -49,3 +50,30 @@ def test_no_function_local_imports(path):
     local = [node.lineno for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
     assert local == []
+
+
+SIGN_PRIMITIVES = {"koszul_sign", "unshuffles", "permutations"}
+
+
+def _names(node) -> set:
+    """Every identifier a syntax tree mentions: names, attributes and imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name.split(".")[-1])
+    return out
+
+
+def test_signed_orderings_are_the_only_sign_path():
+    outside = {p.name: sorted(_names(_tree(p)) & SIGN_PRIMITIVES)
+               for p in MODULES if p.name != "graded.py"}
+    assert {name: found for name, found in outside.items() if found} == {}
+    graded = _tree(SRC / "graded.py")
+    callers = {f.name for f in ast.walk(graded) if isinstance(f, ast.FunctionDef)
+               and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                       and c.func.id == "koszul_sign" for c in ast.walk(f))}
+    assert callers == {"_sign_table"}
