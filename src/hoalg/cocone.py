@@ -39,7 +39,16 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
 
     q1(x, m) = (-dx, dm - f(x)); q2 the shifted L-bracket; the mixed weights
     carry Bernoulli coefficients: q_{k+1}(x (x) m_1 ... m_k) =
-    -(B_k/k!) sum_sigma eps(sigma) [...[f(x), m_s1], ..., m_sk].
+    -(B_k/k!) S(f(x), m_1..m_k).  The signed sum over orderings
+    S(v, T) = sum_sigma eps(sigma) [...[v, t_s1], ..., t_sk] is grouped by
+    the position i that comes last:
+
+        S(v, T) = sum_i eps_i [S(v, T - t_i), t_i],    S(v, ()) = v,
+
+    eps_i the Koszul sign of moving t_i to the end.  T - t_i is again a
+    sorted symmetric word, so S is memoized on sub-words, one memo per x
+    shared by every word and weight of the call.  Summing over positions
+    counts a repeated (even) letter with its multiplicity.
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
@@ -47,25 +56,32 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
     add_prefixed(q2, decalage_dgla(L, max_weight, validate=False).taylor.get(2), A_PRE)
     mdeg = M.space.degree
+    memos = {x: {(): f.map.value(x)} for x in L.space.names if f.map.value(x)}
+
+    def chain(memo: dict, word: tuple) -> dict:
+        """S(f(x), word), read from or written to the memo of x."""
+        out = memo.get(word)
+        if out is None:
+            out = {}
+            for perm, eps in signed_orderings(word, mdeg, (len(word) - 1, 1)):
+                head = chain(memo, perm[:-1])
+                if head:
+                    lin_acc(out, M.bracket_vec(head, lin_single(perm[-1])), eps)
+            memo[word] = out
+        return out
+
     for k in range(1, max_weight):
         if k >= 2 and bernoulli(k) == 0:
             continue
         coeff = -bernoulli(k) / factorial(k)
         qk = taylor.setdefault(k + 1, q2 if k == 1 else
                                MultilinearMap(space, space, 1, k + 1, SYMMETRIC))
-        for x in L.space.names:
-            fx = f.map.value(x)
-            if not fx:
-                continue
+        for x, memo in memos.items():
             for ms in sym_words(M.space.names, mdeg, k):
-                acc: dict = {}
-                for perm, eps in signed_orderings(ms, mdeg, (1,) * k):
-                    cur = nested(M.bracket_vec, fx, perm)
-                    if cur:
-                        lin_acc(acc, cur, eps)
+                acc = chain(memo, ms)
                 if acc:
-                    qk.add_entry((A_PRE + x,) + tuple(B_PRE + m for m in ms),
-                                 prefix_vector(acc, B_PRE), coeff)
+                    qk.set_entry((A_PRE + x,) + tuple(B_PRE + m for m in ms),
+                                 prefix_vector(lin_scale(acc, coeff), B_PRE))
     taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 

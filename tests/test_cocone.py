@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hoalg.coalg import (
-    DgAlgebra, DgaMorphism, DglaMorphism, OoMorphism, check_morphism,
+    DgAlgebra, DgaMorphism, DgLieAlgebra, DglaMorphism, OoMorphism, check_morphism,
     check_structure, compose_morphisms, decalage_dgla, decalage_dgla_morphism,
     symmetrize_morphism, symmetrize_structure,
 )
@@ -24,7 +24,8 @@ from hoalg.fixtures import (
 from hoalg.coalg import end_preserving_sub_dgla
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    check_contraction, lin_acc, lin_single, map_kernel_basis,
+    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, nested,
+    signed_orderings, sym_words,
 )
 from hoalg.hodge import split_period_coefficient
 from powerseries import phi_compose_coefficients
@@ -93,6 +94,68 @@ def test_cocone_lie_first_mixed_bracket_is_half_bracket():
     want = {"b:" + n: c / 2 for n, c in
             amb.bracket_vec(inc.map.value(x), lin_single(m)).items()}
     assert s.taylor[2].value(("a:" + x, "b:" + m)) == want
+
+
+def _reference_cocone_lie_brackets(f, max_weight):
+    """The mixed brackets q_{k+1}(x, m_1..m_k) summed one ordering at a time,
+    -(B_k/k!) sum_sigma eps(sigma) [..[f(x), m_s1].., m_sk]: the oracle for
+    the sub-word recursion in fm_cocone_lie.  Returns {key: vector}."""
+    M = f.target
+    mdeg = M.space.degree
+    out = {}
+    for k in range(1, max_weight):
+        if k >= 2 and bernoulli(k) == 0:
+            continue
+        coeff = -bernoulli(k) / math.factorial(k)
+        for x in f.source.space.names:
+            fx = f.map.value(x)
+            if not fx:
+                continue
+            for ms in sym_words(M.space.names, mdeg, k):
+                acc: dict = {}
+                for perm, eps in signed_orderings(ms, mdeg, (1,) * k):
+                    lin_acc(acc, nested(M.bracket_vec, fx, perm), eps)
+                if acc:
+                    out[("a:" + x,) + tuple("b:" + m for m in ms)] = \
+                        {"b:" + n: coeff * c for n, c in acc.items()}
+    return out
+
+
+def _mixed_entries(s):
+    """The Taylor entries q_{k+1}(a:x, b:m_1..b:m_k), k >= 1, of a Lie cocone."""
+    return {key: vec for q in s.taylor.values() for key, vec in q.entries.items()
+            if key[0].startswith("a:") and key[-1].startswith("b:")}
+
+
+# seeds 2, 3 and 5 give M odd letters; every seed repeats an even letter
+@pytest.mark.parametrize("seed,weight,has_odd", [
+    (0, 6, False), (1, 6, False), (2, 6, True), (3, 6, True), (4, 6, False),
+    (5, 6, True), (3, 7, True),
+])
+def test_cocone_lie_recursion_matches_ordering_sum(seed, weight, has_odd):
+    sub, amb, inc = random_filtered_inclusion(seed, 2)
+    mixed = _mixed_entries(fm_cocone_lie(inc, max_weight=weight))
+    assert mixed == _reference_cocone_lie_brackets(inc, weight)
+    # the top arity with a nonzero Bernoulli coefficient is reached
+    assert max(len(key) for key in mixed) == weight - (weight % 2 == 0)
+    # the fixture covers the letters the recursion must sign and count
+    deg = amb.space.degree
+    assert any(deg[n[2:]] % 2 for key in mixed for n in key[1:]) == has_odd
+    assert any(a == b for key in mixed for a, b in zip(key[1:], key[2:]))
+
+
+def test_cocone_lie_brackets_once_per_last_letter(monkeypatch):
+    sub, amb, inc = random_filtered_inclusion(0, 2)
+    calls = []
+    bracket_vec = DgLieAlgebra.bracket_vec
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return bracket_vec(self, u, v)
+
+    monkeypatch.setattr(DgLieAlgebra, "bracket_vec", counted)
+    fm_cocone_lie(inc, max_weight=6)
+    assert len(calls) <= 600      # one ordering at a time makes 5,721
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
