@@ -337,8 +337,9 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     inv1 = map_right_inverse(linear_part(f1, F.source.space, F.target.space, 0))
     if inv1 is None or F.source.space.dim != F.target.space.dim:
         raise RejectedInput("f_1 is not invertible")
-    taylor = {1: multilinear_from_graded_map(inv1, F.flavor)}
-    H = OoMorphism(F.target, F.source, dict(taylor))
+    # one H grows weight by weight, as in transfer_structure: H^j_k with
+    # j >= 2 reads only h_i with i < k, so its memo never goes stale
+    H = OoMorphism(F.target, F.source, {1: multilinear_from_graded_map(inv1, F.flavor)})
     for k in range(2, top + 1):
         hk = MultilinearMap(F.target.space, F.source.space, 0, k, F.flavor)
         for word in H.source.basis_words(k):
@@ -347,8 +348,7 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
                 img = inv1.apply(acc)
                 hk.add_entry(word, img, -1)
         if not hk.is_zero():
-            taylor[k] = hk
-        H = OoMorphism(F.target, F.source, dict(taylor))
+            H.taylor[k] = hk
     return H
 
 

@@ -392,7 +392,7 @@ class CoderAction:
                 raise MalformedInput("zero word in the symmetric algebra")
             return
         mkey, ikey, sign = norm
-        vec = lin_scale({n: Fraction(c) for n, c in vec.items() if c}, sign)
+        vec = lin_scale({n: c for n, c in vec.items() if c}, sign)
         comp = self.comps.setdefault((len(mkey), len(ikey)), {})
         if vec:
             comp[(mkey, ikey)] = vec

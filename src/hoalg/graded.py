@@ -5,8 +5,10 @@ bookkeeping, unshuffles, Bernoulli numbers, contractions of complexes and
 deterministic rational row reduction.  Every Koszul-signed sum over the
 orderings of a word in the package runs through `signed_orderings`, which
 reads its signs from one table per (block sizes, letter parities) pattern.
-All arithmetic is exact (`fractions.Fraction`); no floats anywhere.  Objects
-are treated as immutable once built, so sharing between threads is safe.
+All arithmetic is exact: every stored coefficient is an `int` when it is
+integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
+Objects are treated as immutable once built, so sharing between threads is
+safe.
 """
 
 from __future__ import annotations
@@ -143,7 +145,22 @@ def bernoulli(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sparse linear combinations: plain dicts name -> Fraction, zero-free
+# sparse linear combinations: plain dicts name -> coefficient, zero-free, each
+# coefficient an int when integral and a Fraction otherwise, never a float
+
+
+def exact(c):
+    """The canonical form of an exact coefficient: an int when c is integral,
+    else a Fraction.  Floats are rejected; other rationals (bool, numeric
+    strings) go through Fraction.  Fraction(2) == 2 with the same hash and
+    str, so canonical values compare, hash and print like the Fractions."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        if isinstance(c, float):
+            raise MalformedInput("float coefficient rejected (exact arithmetic only)")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def lin_acc(acc: dict, vec: dict, coeff=1) -> dict:
@@ -153,7 +170,7 @@ def lin_acc(acc: dict, vec: dict, coeff=1) -> dict:
     for n, v in vec.items():
         nv = acc.get(n, 0) + coeff * v
         if nv:
-            acc[n] = nv
+            acc[n] = exact(nv)
         else:
             del acc[n]
     return acc
@@ -165,7 +182,7 @@ def lin_add(acc: dict, key, coeff) -> dict:
         return acc
     cur = acc.get(key, 0) + coeff
     if cur:
-        acc[key] = cur
+        acc[key] = exact(cur)
     else:
         del acc[key]
     return acc
@@ -174,11 +191,11 @@ def lin_add(acc: dict, key, coeff) -> dict:
 def lin_scale(vec: dict, coeff) -> dict:
     if not coeff:
         return {}
-    return {n: coeff * v for n, v in vec.items()}
+    return {n: exact(coeff * v) for n, v in vec.items()}
 
 
 def lin_single(name, coeff=1) -> dict:
-    return {name: Fraction(coeff)} if coeff else {}
+    return {name: exact(coeff)} if coeff else {}
 
 
 def lin_eq(a: dict, b: dict) -> bool:
@@ -377,7 +394,7 @@ class GradedMap:
             raise MalformedInput("unknown source basis element %r" % name)
         if any(isinstance(c, float) for c in vec.values()):
             raise MalformedInput("float coefficient rejected (exact arithmetic only)")
-        vec = {n: Fraction(c) for n, c in vec.items() if c}
+        vec = {n: exact(c) for n, c in vec.items() if c}
         want = self.source.degree[name] + self.degree
         for out, c in vec.items():
             if out not in self.target.degree:
@@ -539,7 +556,7 @@ class MultilinearMap:
         key, sign = self.normalize(names)
         if any(isinstance(c, float) for c in vec.values()):
             raise MalformedInput("float coefficient rejected (exact arithmetic only)")
-        vec = {n: Fraction(c) for n, c in vec.items() if c}
+        vec = {n: exact(c) for n, c in vec.items() if c}
         if key is None:
             if vec:
                 raise MalformedInput("word %r is zero in the symmetric algebra" % (names,))
@@ -785,7 +802,8 @@ def rref(rows, ncols):
     """In-place reduced row echelon form; returns the pivot column list.
 
     Pivots are chosen in declared column order, first nonzero row wins; this
-    makes every solve in the repo reproducible.
+    makes every solve in the repo reproducible.  Entries may be ints or
+    Fractions; the reduced rows hold canonical (`exact`) values.
     """
     pivots = []
     prow = 0
@@ -799,11 +817,11 @@ def rref(rows, ncols):
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
         pv = rows[prow][col]
-        rows[prow] = [x / pv for x in rows[prow]]
+        rows[prow] = [exact(Fraction(x) / pv) for x in rows[prow]]
         for r in range(len(rows)):
             if r != prow and rows[r][col]:
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[prow])]
+                rows[r] = [exact(x - f * y) for x, y in zip(rows[r], rows[prow])]
         pivots.append(col)
         prow += 1
         if prow == len(rows):
@@ -814,24 +832,25 @@ def rref(rows, ncols):
 def solve_matrix(columns, rhs):
     """Solve sum_j x_j columns[j] = rhs exactly; minimal-pivot particular solution.
 
-    columns: list of dicts (row_name -> coeff); rhs: dict.  Returns list of
-    Fractions or None when inconsistent.  Free variables are set to zero.
+    columns: list of dicts (row_name -> coeff); rhs: dict.  Returns a list of
+    canonical (`exact`) values or None when inconsistent.  Free variables are
+    set to zero.
     """
     row_names = sorted({r for col in columns for r in col} | set(rhs))
     ridx = {r: i for i, r in enumerate(row_names)}
     n = len(columns)
-    rows = [[Fraction(0)] * (n + 1) for _ in row_names]
+    rows = [[0] * (n + 1) for _ in row_names]
     for j, col in enumerate(columns):
         for r, c in col.items():
-            rows[ridx[r]][j] = Fraction(c)
+            rows[ridx[r]][j] = exact(c)
     for r, c in rhs.items():
-        rows[ridx[r]][n] = Fraction(c)
+        rows[ridx[r]][n] = exact(c)
     pivots = rref(rows, n)
     rank = len(pivots)
     for row in rows[rank:]:
         if row[n]:
             return None
-    sol = [Fraction(0)] * n
+    sol = [0] * n
     for i, col in enumerate(pivots):
         sol[col] = rows[i][n]
     return sol
@@ -868,16 +887,16 @@ def map_kernel_basis(gm: GradedMap):
         src_names = [n for n in gm.source.names if gm.source.degree[n] == deg]
         row_names = sorted({r for n in src_names for r in gm.value(n)})
         ridx = {r: i for i, r in enumerate(row_names)}
-        rows = [[Fraction(0)] * len(src_names) for _ in row_names]
+        rows = [[0] * len(src_names) for _ in row_names]
         for j, n in enumerate(src_names):
             for r, c in gm.value(n).items():
-                rows[ridx[r]][j] = Fraction(c)
+                rows[ridx[r]][j] = c
         pivots = rref(rows, len(src_names))
         pivset = set(pivots)
         for free in range(len(src_names)):
             if free in pivset:
                 continue
-            vec = {src_names[free]: Fraction(1)}
+            vec = {src_names[free]: 1}
             for i, col in enumerate(pivots):
                 if rows[i][free]:
                     vec[src_names[col]] = -rows[i][free]
@@ -889,7 +908,7 @@ __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
     "koszul_sign", "unshuffles", "signed_orderings", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
-    "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "nested", "format_vector",
+    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "nested", "format_vector",
     "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
     "sym_normalize", "GradedMap", "coordinate_projections", "elementary_to_graded_map",
     "graded_map_to_elementary",

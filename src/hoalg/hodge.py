@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .coalg import (
     DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla, end_preserving_sub_dgla,
@@ -683,10 +683,7 @@ def split_period_coefficient(k: int, j: int) -> Fraction:
         for part in compositions(k, h):
             if part[-1] <= j:
                 continue
-            coeff = Fraction((-1) ** (h + k))
-            for size in part:
-                coeff /= factorial(size)
-            total += coeff
+            total += Fraction(sign_pow(h + k), prod(map(factorial, part)))
     return total * factorial(k)
 
 

@@ -21,8 +21,8 @@ from math import factorial
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
-    GradedMap, MalformedInput, Report, format_coeff, lin_add, lin_eq, linear_part,
-    map_solve,
+    GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
+    linear_part, map_solve,
 )
 
 
@@ -120,7 +120,7 @@ class ArtinElement:
             return
         if sum(mono) == 0 and not self.allow_constant:
             raise MalformedInput("element must lie in V (x) m_B")
-        lin_add(self.terms, (name, mono), Fraction(coeff))
+        lin_add(self.terms, (name, mono), exact(coeff))
 
     def scaled(self, coeff) -> "ArtinElement":
         out = ArtinElement(self.ring, self.space, allow_constant=self.allow_constant)

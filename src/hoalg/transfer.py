@@ -15,7 +15,7 @@ import itertools
 
 from .coalg import OoMorphism, OoStructure, taylor_after
 from .graded import (
-    Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
+    Contraction, GradedMap, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
     UnsupportedOperation, check_contraction, lin_acc, lin_add, lin_single,
     multilinear_from_graded_map,
 )
@@ -69,14 +69,14 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     return small, F
 
 
-def _homotopy_word_expansion(c: Contraction, word, degrees) -> dict:
-    """K_k(word): sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)} with Koszul sign.
+def _homotopy_word_expansion(c: Contraction, fg: GradedMap, word, degrees) -> dict:
+    """K_k(word): sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)} with Koszul sign,
+    fg being f1 g1 = c.inject o c.project.
 
     K is odd, so passing it over the first i inputs contributes
     (-1)^{deg(word_0)+...+deg(word_{i-1})}.
     """
     k = len(word)
-    fg = c.inject.compose(c.project)
     out: dict = {}
     for i in range(k):
         kv = c.homotopy.value(word[i])
@@ -115,11 +115,12 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     small = F.source
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
     degs = big.space.degree
+    fg = c.inject.compose(c.project)
     for k in range(2, mw + 1):
         gk = MultilinearMap(big.space, small.space, 0, k, TENSOR)
         for word in big.basis_words(k):
             word_degs = [degs[n] for n in word]
-            kk = _homotopy_word_expansion(c, word, word_degs)
+            kk = _homotopy_word_expansion(c, fg, word, word_degs)
             if not kk:
                 continue
             acc: dict = {}

@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from hoalg import coalg
 from hoalg.coalg import (
     DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, decalage_dgla, decalage_dgla_morphism, end_preserving_sub,
     identity_morphism, invert_morphism, OoMorphism, OoStructure, prolong_coderivation,
-    prolong_morphism, sub_algebra, symmetrize_morphism, symmetrize_structure,
+    prolong_morphism, sub_algebra, symmetrize_morphism, symmetrize_structure, taylor_after,
 )
+from hoalg.cocone import exp_log_isos
 from hoalg.fixtures import (
-    abelian_dgla, end_splitting, heisenberg_dgla, random_end_dga, random_end_dgla,
-    sl2_dgla,
+    abelian_dgla, end_splitting, heisenberg_dgla, random_dga_morphism, random_end_dga,
+    random_end_dgla, sl2_dgla,
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
@@ -362,6 +364,29 @@ def test_invert_morphism_roundtrip():
     assert comp.taylor[1] == f1
     for k in range(2, 4):
         assert comp.taylor.get(k) is None or comp.taylor[k].is_zero()
+
+
+def test_invert_morphism_grows_one_live_inverse(monkeypatch):
+    # H grows in place, so the H^j_k memo filled while solving for h_2..h_4 is
+    # the one the returned inverse holds: reading it back costs no evaluation
+    E, L = exp_log_isos(random_dga_morphism(3, 2), max_weight=4)
+    H = invert_morphism(E, 4)
+    assert all(H.taylor.get(k) == L.taylor.get(k) for k in range(1, 5))
+    assert {k for _, k, _ in H._morph_memo} == {2, 3, 4}
+    # every stored coefficient, memo included, is an int or a non-integral Fraction
+    stored = [c for m in (E, L, H) for q in m.taylor.values()
+              for vec in q.entries.values() for c in vec.values()]
+    stored += [c for combo in H._morph_memo.values() for c in combo.values()]
+    assert stored and all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                          for c in stored)
+    calls = []
+    real = coalg.morphism_component_value
+    monkeypatch.setattr(coalg, "morphism_component_value",
+                        lambda *args: calls.append(args) or real(*args))
+    for k in (2, 3, 4):
+        for word in H.source.basis_words(k):
+            taylor_after(E.taylor, H.morph_component, word, 2)
+    assert calls == []
 
 
 def test_decalage_roundtrip_degree_shifted_jacobi():

@@ -1,0 +1,288 @@
+"""Canonical coefficients: every stored coefficient is an int when integral
+and a Fraction (denominator > 1) otherwise, never a float; the sparse kernels
+agree with plain Fraction arithmetic, and the rational solvers agree with
+sympy on matrices that mix ints and Fractions."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hoalg.coalg import (
+    DgLieAlgebra, check_structure, decalage_dga, decalage_dgla,
+)
+from hoalg.cocone import fm_cocone_assoc, fm_cocone_lie
+from hoalg.fixtures import (
+    harmonic_contraction, random_artin_element, random_dga_morphism,
+    random_end_dga, random_end_dgla, random_filtered_inclusion,
+)
+from hoalg.graded import (
+    Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, SYMMETRIC,
+    TENSOR, exact, lin_acc, lin_add, lin_scale, lin_single, map_kernel_basis, map_right_inverse,
+    map_solve, rref, solve_matrix, sym_normalize,
+)
+from hoalg.hodge import split_period_map, torus_package
+from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, gauge_act, mc_check
+from hoalg.transfer import transfer_quasi_inverse, transfer_structure
+
+COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
+NAMES = st.sampled_from("abcd")
+VECS = st.dictionaries(NAMES, COEFFS, max_size=4)
+
+
+def canonical(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def as_fractions(vec: dict) -> dict:
+    return {n: Fraction(c) for n, c in vec.items() if c}
+
+
+def as_exact(vec: dict) -> dict:
+    return {n: exact(c) for n, c in vec.items() if c}
+
+
+def assert_canonical(vec: dict):
+    bad = {n: c for n, c in vec.items() if not c or not canonical(c)}
+    assert bad == {}
+
+
+# --- the kernels against plain Fraction arithmetic --------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(COEFFS)
+def test_exact_is_the_canonical_form(c):
+    got = exact(c)
+    assert canonical(got) and got == Fraction(c) and hash(got) == hash(Fraction(c))
+    assert str(got) == str(Fraction(c))
+    assert exact(got) is got
+
+
+def test_exact_rejects_floats_and_reads_other_rationals():
+    with pytest.raises(MalformedInput):
+        exact(0.5)
+    with pytest.raises(MalformedInput):
+        lin_acc({"a": 1}, {"a": 0.5})
+    assert exact(True) == 1 and type(exact(True)) is int
+    assert exact("6/4") == Fraction(3, 2)
+    assert type(exact(Fraction(4, 2))) is int
+
+
+@settings(max_examples=150, deadline=None)
+@given(VECS, VECS, COEFFS)
+def test_lin_acc_matches_fraction_arithmetic(acc, vec, coeff):
+    want = {n: Fraction(acc.get(n, 0)) + Fraction(coeff) * Fraction(vec.get(n, 0))
+            for n in set(acc) | set(vec)}
+    got = lin_acc(as_exact(acc), as_fractions(vec), coeff)
+    assert got == {n: c for n, c in want.items() if c}
+    assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(VECS, NAMES, COEFFS)
+def test_lin_add_scale_single_match_fraction_arithmetic(vec, key, coeff):
+    base = as_fractions(vec)
+    got = lin_add(as_exact(vec), key, coeff)
+    want = dict(base)
+    want[key] = want.get(key, Fraction(0)) + Fraction(coeff)
+    assert got == {n: c for n, c in want.items() if c}
+    assert_canonical(got)
+    scaled = lin_scale(base, coeff)
+    assert scaled == {n: Fraction(coeff) * c for n, c in base.items() if coeff}
+    assert_canonical(scaled)
+    single = lin_single(key, coeff)
+    assert single == ({key: Fraction(coeff)} if coeff else {})
+    assert_canonical(single)
+
+
+SPACE = GradedSpace([("a", 0), ("b", 0), ("c", 1), ("d", 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from("ab"), COEFFS, max_size=2), st.data())
+def test_set_and_set_entry_store_canonical_values(vec, data):
+    gm = GradedMap(SPACE, SPACE, 0)
+    gm.set("a", vec)
+    assert gm.value("a") == as_fractions(vec)
+    assert_canonical(gm.value("a"))
+    # a symmetric word of two odd letters lands in degree 2: read into "a" and
+    # "b" of a target shifted to match, so the stored sign is exercised
+    target = SPACE.shifted(-2)
+    q = MultilinearMap(SPACE, target, 0, 2, SYMMETRIC)
+    word = data.draw(st.sampled_from([("c", "d"), ("d", "c")]))
+    q.set_entry(word, vec)
+    key, sign = sym_normalize(word, SPACE.index, SPACE.degree)
+    assert q.entries.get(key, {}) == {n: sign * c for n, c in as_fractions(vec).items()}
+    assert_canonical(q.entries.get(key, {}))
+    with pytest.raises(MalformedInput):
+        gm.set("b", {"a": 1.0})
+    with pytest.raises(MalformedInput):
+        q.set_entry(word, {"a": 0.0})
+
+
+# --- rational solvers against sympy ---------------------------------------------
+
+def _matrices(max_rows=5, max_cols=5):
+    return st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(st.one_of(st.just(0), COEFFS), min_size=c, max_size=c),
+                           min_size=r, max_size=r)))
+
+
+def _to_sympy(sympy, rows):
+    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                          for x in row] for row in rows])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matrices())
+def test_rref_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    want, want_pivots = _to_sympy(sympy, rows).rref()
+    got = [list(r) for r in rows]
+    pivots = rref(got, len(rows[0]))
+    assert tuple(pivots) == want_pivots
+    assert _to_sympy(sympy, got) == want
+    # rows rewritten from canonical input stay canonical
+    canon = [[exact(x) for x in r] for r in rows]
+    assert rref(canon, len(rows[0])) == pivots and canon == got
+    assert all(canonical(x) for row in canon for x in row)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_matrix_matches_sympy(rows, data):
+    sympy = pytest.importorskip("sympy")
+    ncols = len(rows[0])
+    rhs = data.draw(st.lists(st.one_of(st.just(0), COEFFS),
+                             min_size=len(rows), max_size=len(rows)))
+    columns = [{i: rows[i][j] for i in range(len(rows)) if rows[i][j]} for j in range(ncols)]
+    sol = solve_matrix(columns, {i: c for i, c in enumerate(rhs) if c})
+    A = _to_sympy(sympy, rows)
+    b = _to_sympy(sympy, [[c] for c in rhs])
+    if A.rank() != A.row_join(b).rank():
+        assert sol is None
+        return
+    assert all(canonical(x) for x in sol)
+    assert A * _to_sympy(sympy, [[x] for x in sol]) == b
+    _, pivots = A.rref()
+    assert all(sol[j] == 0 for j in range(ncols) if j not in pivots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_and_solves_of_int_graded_maps_match_sympy(data):
+    # GradedMap entries are ints wherever integral, so an int / int in the
+    # solvers would show here as a float or as a wrong (truncated) value
+    sympy = pytest.importorskip("sympy")
+    sp = GradedSpace([("x%d" % i, i % 2) for i in range(5)])
+    gm = GradedMap(sp, sp, 0)
+    for n in sp.names:
+        same = [t for t in sp.names if sp.degree[t] == sp.degree[n]]
+        gm.set(n, {t: data.draw(st.one_of(st.integers(-4, 4), COEFFS)) for t in same})
+    kernel = map_kernel_basis(gm)
+    for deg in (0, 1):
+        names = [n for n in sp.names if sp.degree[n] == deg]
+        M = _to_sympy(sympy, [[gm.value(s).get(t, 0) for s in names] for t in names])
+        got = [[v.get(n, 0) for n in names] for v in kernel
+               if sp.vector_degree(v) == deg]
+        assert [_to_sympy(sympy, [row]).T for row in got] == M.nullspace()
+    for v in kernel:
+        assert gm.apply(v) == {}
+        assert_canonical(v)
+    inv = map_right_inverse(gm)
+    if inv is None:
+        assert kernel
+        return
+    assert not kernel
+    for n in sp.names:
+        assert gm.apply(inv.value(n)) == lin_single(n)
+        assert_canonical(inv.value(n))
+        assert map_solve(gm, gm.value(n)) == lin_single(n)
+
+
+# --- every stored coefficient of built objects ----------------------------------
+
+def _coefficients(obj):
+    """Every coefficient a built object stores, memos included."""
+    if isinstance(obj, GradedMap):
+        for vec in obj.entries.values():
+            yield from vec.values()
+    elif isinstance(obj, MultilinearMap):
+        for vec in obj.entries.values():
+            yield from vec.values()
+    elif isinstance(obj, Contraction):
+        for gm in (obj.d_small, obj.d_big, obj.inject, obj.project, obj.homotopy):
+            yield from _coefficients(gm)
+    elif isinstance(obj, ArtinElement):
+        yield from obj.terms.values()
+    elif isinstance(obj, ArtinMap):
+        for gm in obj.coeffs.values():
+            yield from _coefficients(gm)
+    else:  # OoStructure / OoMorphism
+        for q in obj.taylor.values():
+            yield from _coefficients(q)
+        for memo in (getattr(obj, "_coder_memo", {}), getattr(obj, "_morph_memo", {})):
+            for combo in memo.values():
+                yield from combo.values()
+
+
+def assert_all_canonical(*objs):
+    seen = 0
+    for obj in objs:
+        for c in _coefficients(obj):
+            assert canonical(c), (obj, c)
+            seen += 1
+    assert seen  # the walk is not over empty objects
+
+
+def test_fm_cocones_store_canonical_coefficients():
+    for seed in range(3):
+        _, _, inc = random_filtered_inclusion(seed, 2)
+        lie = fm_cocone_lie(inc, max_weight=4)
+        assoc = fm_cocone_assoc(random_dga_morphism(seed, 2), max_weight=3)
+        assert check_structure(lie).ok and check_structure(assoc).ok
+        assert_all_canonical(lie, assoc)
+
+
+def test_transfer_and_quasi_inverse_store_canonical_coefficients():
+    for seed in range(3):
+        big = decalage_dga(random_end_dga(seed, 2), max_weight=4)
+        d = GradedMap(big.space, big.space, 1)
+        if 1 in big.taylor:
+            for (n,), vec in big.taylor[1].entries.items():
+                d.set(n, vec)
+        c = harmonic_contraction(big.space, d)
+        small, F = transfer_structure(big, c, max_weight=4)
+        G = transfer_quasi_inverse(big, c, F, max_weight=4)
+        assert_all_canonical(c, big, small, F, G)
+
+
+def test_split_period_map_stores_canonical_coefficients():
+    _, _, fpd = torus_package(2)
+    Pi, target = split_period_map(fpd, max_weight=3)
+    assert_all_canonical(Pi, target)
+
+
+def test_artin_terms_are_canonical():
+    # residual of xi = c t x on [x, x] = y, dx = y: -(c t + c^2 t^2 / 2) y
+    sp = GradedSpace([("x", 1), ("y", 2)])
+    d = GradedMap(sp, sp, 1, {"x": lin_single("y")})
+    br = MultilinearMap(sp, sp, 0, 2, TENSOR)
+    br.set_entry(("x", "x"), lin_single("y"))
+    s = decalage_dgla(DgLieAlgebra(sp, d, br), max_weight=3)
+    R1 = ArtinRing(1, 3)
+    for c in (Fraction(2), Fraction(3, 2)):
+        xi = ArtinElement(R1, s.space, {("x", (1,)): c})
+        res = mc_check(s, xi)
+        assert res.terms == {("y", (1,)): -c, ("y", (2,)): -c * c / 2}
+        assert_all_canonical(xi, res)
+    R = ArtinRing(2, 3)
+    L = random_end_dgla(2, 2)
+    a = random_artin_element(2, R, L.space, 0)
+    y = random_artin_element(3, R, L.space, 1)
+    assert_all_canonical(a, y, gauge_act(L, a, y))
+    op = ArtinMap(R, L.space, L.space, {(0, 1): GradedMap.identity(L.space).scale(Fraction(6, 3))})
+    assert_all_canonical(op, op.compose(op).plus(op, Fraction(1, 2)))

@@ -1,7 +1,7 @@
 """Import hygiene of the library modules, checked with `ast` only: every
 module-level import is used or re-exported through `__all__`, no import is
-tucked inside a function, and every Koszul-signed ordering sum goes through
-`graded.signed_orderings`."""
+tucked inside a function, every Koszul-signed ordering sum goes through
+`graded.signed_orderings`, and every true division sits on a reviewed site."""
 
 from __future__ import annotations
 
@@ -77,3 +77,38 @@ def test_signed_orderings_are_the_only_sign_path():
                and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
                        and c.func.id == "koszul_sign" for c in ast.walk(f))}
     assert callers == {"_sign_table"}
+
+
+# Coefficients are ints when integral, and int / int is a float, so every `/`
+# in the library is a reviewed site whose left operand is known to be a
+# Fraction (or is made one).  A new site must be checked and added here.
+DIVISION_SITES = {
+    ("graded", "bernoulli"),
+    ("graded", "rref"),
+    ("fixtures", "_degree_split"),
+    ("cocone", "fm_cocone_lie"),
+    ("cocone", "fm_cocone_assoc"),
+}
+
+
+def _division_sites(path) -> set:
+    """(module, innermost enclosing function) of every `/` and `/=`."""
+    out = set()
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else func
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                out.add((path.stem, inner))
+            visit(child, inner)
+
+    visit(_tree(path), None)
+    return out
+
+
+def test_true_division_only_on_reviewed_sites():
+    found = set().union(*(_division_sites(p) for p in MODULES))
+    assert found - DIVISION_SITES == set()
+    # a site that no longer divides is dropped from the list, so it stays exact
+    assert DIVISION_SITES - found == set()
