@@ -1,10 +1,18 @@
 """Tensor and symmetric coalgebra calculus.
 
 Strong homotopy structures are held as weight-indexed families of Taylor
-coefficients; the coderivation/morphism components Q^j_k and F^j_k are
-evaluated on demand (the coalgebras T(V), S(V) are never materialized).
-Q^j_k inserts one q into the word; F^j_k splits off the block holding the
-first position: f_i of that block times F^{j-1} of the rest.
+coefficients; the coalgebras T(V), S(V) are never materialized.  Checking,
+composing, inverting and transferring them are sums over the coderivation
+and morphism components: Q^j_k inserts one q into the word, and F^j_k splits
+the word into j blocks, each sent through one f.
+
+In the tensor flavor these sums are pushed from the Taylor supports: every
+stored entry of the outer family is carried back through an inverse index of
+the inner one (push_insertion, push_product), so only words with a nonzero
+term are visited, as in Gustavson's sparse product.  The symmetric flavor
+still pulls: it evaluates Q^j_k and F^j_k word by word through the memoized
+coder_component / morph_component, which stay the reference evaluators for
+both flavors.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream.
 """
@@ -191,8 +199,10 @@ def morphism_component_value(morph: OoMorphism, j: int, k: int, names: tuple) ->
     F^{j-1} with j - 1 >= 2 is read through morph.morph_component, so the
     rests (subwords) are shared through the memo.  F^j_k with j >= 2 never
     reads f_k: only f_i with i < k and memo entries of weight < k.  That is
-    what lets transfer_structure grow morph.taylor weight by weight while the
-    memo is live.
+    what lets the symmetric-flavor transfer_structure and invert_morphism
+    grow morph.taylor weight by weight while the memo is live.  In the tensor
+    flavor they push from the supports instead (push_product) and leave the
+    memo empty.
     """
     if len(names) != k:
         raise MalformedInput("word length mismatch")
@@ -265,29 +275,139 @@ def prolong_morphism(source_space: GradedSpace, target_space: GradedSpace,
 
 
 # ---------------------------------------------------------------------------
+# tensor-flavor sums pushed from the Taylor supports
+
+
+def preimages(entries: dict) -> dict:
+    """{y: [(u, c), ...]} over the keys u of a map's entries, with c the
+    coefficient of the basis name y in the image of u."""
+    inv: dict = {}
+    for u, vec in entries.items():
+        for y, c in vec.items():
+            inv.setdefault(y, []).append((u, c))
+    return inv
+
+
+def inverse_index(taylor: dict, top: int) -> dict:
+    """inv[n] = preimages(t_n) for every arity n <= top of a tensor-flavor
+    Taylor family t."""
+    return {n: preimages(t.entries) for n, t in taylor.items() if n <= top}
+
+
+def push_insertion(outer: dict, inner: dict, k: int, degree: dict) -> dict:
+    """sum_j t_j(Q^j_k w) on every weight-k word w at once, as {w: vector},
+    for t = outer and Q the degree +1 coderivation with Taylor family inner
+    (tensor flavor).  Each key K of t_j, position i and preimage (u, c) of
+    K[i] under q_{k-j+1} add (-1)^{|K[:i]|} c t_j(K) at K[:i] + u + K[i+1:];
+    every other word gets no term, so it is zero."""
+    inv = inverse_index(inner, k)
+    out: dict = {}
+    for j, t in outer.items():
+        pre = inv.get(k - j + 1)
+        if not pre:
+            continue
+        for key, vec in t.entries.items():
+            odd = 0
+            for i, y in enumerate(key):
+                for u, c in pre.get(y, ()):
+                    lin_acc(out.setdefault(key[:i] + u + key[i + 1:], {}), vec,
+                            -c if odd else c)
+                odd ^= degree[y] & 1
+    return out
+
+
+def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
+    """sum_{j>=lo} t_j(F^j_k w) on every weight-k word w at once, as
+    {w: vector}, for t = outer and F the morphism with Taylor family inner
+    (tensor flavor).  Each key K of t_j and each choice of preimages
+    (u_i, c_i) of K[i] under f, of total length k, adds prod c_i . t_j(K) at
+    u_1 + .. + u_j; f has degree 0, so there is no sign."""
+    inv = inverse_index(inner, k)
+    out: dict = {}
+    for j, t in outer.items():
+        if lo <= j <= k:
+            for key, vec in t.entries.items():
+                for w, c in _preimage_words(key, inv, k).items():
+                    lin_acc(out.setdefault(w, {}), vec, c)
+    return out
+
+
+def _preimage_words(key: tuple, inv: dict, k: int) -> dict:
+    """{u_1 + .. + u_j: prod c_i} over the preimages (u_i, c_i) of key[i] in
+    the inverse index inv, for words of total length k."""
+    top = max(inv, default=0)
+    words = {(): 1}
+    for i, y in enumerate(key):
+        left = len(key) - i - 1     # letters still to place, 1..top each
+        nxt: dict = {}
+        for w, c in words.items():
+            room = k - len(w)
+            for n in range(max(1, room - left * top), room - left + 1):
+                for u, cu in inv.get(n, {}).get(y, ()):
+                    lin_add(nxt, w + u, c * cu)
+        if not nxt:
+            return {}
+        words = nxt
+    return words
+
+
+def in_basis_order(space: GradedSpace, pushed: dict) -> list:
+    """The (word, vector) pairs of a pushed map with a nonzero vector, in
+    basis_words order (index-lexicographic)."""
+    index = space.index
+    return sorted(((w, v) for w, v in pushed.items() if v),
+                  key=lambda item: [index[n] for n in item[0]])
+
+
+def _pulled(words, value):
+    """(word, value(word)) for every word with a nonzero value, in order."""
+    for word in words:
+        vec = value(word)
+        if vec:
+            yield word, vec
+
+
+def product_terms(outer: dict, F: OoMorphism, k: int, lo: int = 1):
+    """(w, sum_{j>=lo} t_j(F^j_k w)) for the weight-k words w of F.source
+    where it is nonzero, in basis order: pushed from the supports in the
+    tensor flavor, pulled word by word in the symmetric flavor."""
+    if F.flavor == TENSOR:
+        return in_basis_order(F.source.space, push_product(outer, F.taylor, k, lo))
+    return _pulled(F.source.basis_words(k),
+                   lambda w: taylor_after(outer, F.morph_component, w, lo))
+
+
+# ---------------------------------------------------------------------------
 # structure / morphism verification
 
 
-def _check_words(r: Report, label: str, words_of, residual, top: int, space):
-    """One check per weight k <= top: residual(word) == 0 on every word of
-    words_of(k), witnessed by the first word where it is not."""
+def _check_weights(r: Report, label: str, top: int, s: OoStructure, space,
+                   pushed, residual):
+    """One check per weight k <= top over the words of s: pushed(k) gives
+    the residual of every word at once (tensor flavor), residual(word) that
+    of one word (symmetric flavor).  The first failing word in basis order
+    is the witness, and its residual, read in `space`, the lhs."""
     for k in range(1, top + 1):
-        for word in words_of(k):
-            res = residual(word)
-            if res:
-                r.add(label, False, weight=k, witness=word,
-                      lhs=format_vector(res, space), rhs="0")
-                break
+        if s.flavor == TENSOR:
+            failing = in_basis_order(s.space, pushed(k))
         else:
+            failing = _pulled(s.basis_words(k), residual)
+        first = next(iter(failing), None)
+        if first is None:
             r.add(label, True, weight=k)
+        else:
+            r.add(label, False, weight=k, witness=first[0],
+                  lhs=format_vector(first[1], space), rhs="0")
     return r
 
 
 def check_structure(s: OoStructure, max_weight=None) -> Report:
     """Verify [Q,Q] = 0 up to the requested weight; first failing word wins."""
     top = s.max_weight if max_weight is None else min(max_weight, s.max_weight)
-    return _check_words(Report("structure equation"), "QQ=0", s.basis_words,
-                        s.square_residual, top, s.space)
+    return _check_weights(
+        Report("structure equation"), "QQ=0", top, s, s.space,
+        lambda k: push_insertion(s.taylor, s.taylor, k, s.space.degree),
+        s.square_residual)
 
 
 def check_morphism(F: OoMorphism, max_weight=None) -> Report:
@@ -295,12 +415,18 @@ def check_morphism(F: OoMorphism, max_weight=None) -> Report:
     s, t = F.source, F.target
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
 
+    def pushed(k):
+        res = push_insertion(F.taylor, s.taylor, k, s.space.degree)
+        for w, vec in push_product(t.taylor, F.taylor, k).items():
+            lin_acc(res.setdefault(w, {}), vec, -1)
+        return res
+
     def residual(word):
         lhs = taylor_after(F.taylor, s.coder_component, word, 1)
         return lin_acc(lhs, taylor_after(t.taylor, F.morph_component, word, 1), -1)
 
-    return _check_words(Report("morphism equation"), "FQ=RF", s.basis_words,
-                        residual, top, t.space)
+    return _check_weights(Report("morphism equation"), "FQ=RF", top, s, t.space,
+                          pushed, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +446,8 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
     taylor = {}
     for k in range(1, top + 1):
         hk = MultilinearMap(F.source.space, G.target.space, 0, k, F.flavor)
-        for word in F.source.basis_words(k):
-            acc = taylor_after(G.taylor, F.morph_component, word, 1)
-            if acc:
-                hk.add_entry(word, acc)
+        for word, acc in product_terms(G.taylor, F, k):
+            hk.add_entry(word, acc)
         taylor[k] = hk
     return OoMorphism(F.source, G.target, taylor)
 
@@ -338,15 +462,13 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     if inv1 is None or F.source.space.dim != F.target.space.dim:
         raise RejectedInput("f_1 is not invertible")
     # one H grows weight by weight, as in transfer_structure: H^j_k with
-    # j >= 2 reads only h_i with i < k, so its memo never goes stale
+    # j >= 2 reads only h_i with i < k, so neither the pulled memo nor the
+    # pushed sum reads a coefficient before it is final
     H = OoMorphism(F.target, F.source, {1: multilinear_from_graded_map(inv1, F.flavor)})
     for k in range(2, top + 1):
         hk = MultilinearMap(F.target.space, F.source.space, 0, k, F.flavor)
-        for word in H.source.basis_words(k):
-            acc = taylor_after(F.taylor, H.morph_component, word, 2)
-            if acc:
-                img = inv1.apply(acc)
-                hk.add_entry(word, img, -1)
+        for word, acc in product_terms(F.taylor, H, k, 2):
+            hk.add_entry(word, inv1.apply(acc), -1)
         if not hk.is_zero():
             H.taylor[k] = hk
     return H
@@ -707,6 +829,8 @@ __all__ = [
     "OoStructure", "OoMorphism", "TensorComponent", "taylor_after",
     "coderivation_component_value", "morphism_component_value",
     "prolong_coderivation", "prolong_morphism",
+    "preimages", "inverse_index", "push_insertion", "push_product", "product_terms",
+    "in_basis_order",
     "check_structure", "check_morphism",
     "identity_morphism", "compose_morphisms", "invert_morphism", "transport_structure",
     "symmetrize_structure", "symmetrize_morphism",

@@ -172,7 +172,7 @@ def lin_acc(acc: dict, vec: dict, coeff=1) -> dict:
         if nv:
             acc[n] = exact(nv)
         else:
-            del acc[n]
+            acc.pop(n, None)
     return acc
 
 

@@ -2,7 +2,9 @@
 
 Transferred structure and quasi-isomorphism into the big side via the
 recursions f_k = sum_{j>=2} K q_j F^j_k, r_k = sum_{j>=2} g_1 q_j F^j_k;
-recursive quasi-inverse G with G F = Id in the tensor flavor.
+recursive quasi-inverse G with G F = Id in the tensor flavor.  Each weight
+is filled from the lower ones; in the tensor flavor the sums are pushed from
+the Taylor supports (coalg.product_terms, coalg.push_insertion).
 
 The homotopy word operator is the arity-consistent
 K_k = sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)}; the test suite pins this
@@ -13,10 +15,12 @@ from __future__ import annotations
 
 import itertools
 
-from .coalg import OoMorphism, OoStructure, taylor_after
+from .coalg import (
+    OoMorphism, OoStructure, in_basis_order, preimages, product_terms, push_insertion,
+)
 from .graded import (
-    Contraction, GradedMap, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
-    UnsupportedOperation, check_contraction, lin_acc, lin_add, lin_single,
+    Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
+    UnsupportedOperation, check_contraction, lin_acc,
     multilinear_from_graded_map,
 )
 
@@ -52,10 +56,7 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     for k in range(2, mw + 1):
         fk = MultilinearMap(c.small, c.big, 0, k, flavor)
         rk = MultilinearMap(c.small, c.small, 1, k, flavor)
-        for word in small.basis_words(k):
-            acc = taylor_after(big.taylor, F.morph_component, word, 2)
-            if not acc:
-                continue
+        for word, acc in product_terms(big.taylor, F, k, 2):
             kv = c.homotopy.apply(acc)
             gv = c.project.apply(acc)
             if kv:
@@ -69,32 +70,24 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     return small, F
 
 
-def _homotopy_word_expansion(c: Contraction, fg: GradedMap, word, degrees) -> dict:
-    """K_k(word): sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)} with Koszul sign,
-    fg being f1 g1 = c.inject o c.project.
-
-    K is odd, so passing it over the first i inputs contributes
-    (-1)^{deg(word_0)+...+deg(word_{i-1})}.
-    """
-    k = len(word)
-    out: dict = {}
-    for i in range(k):
-        kv = c.homotopy.value(word[i])
-        if not kv:
-            continue
-        sign = -1 if sum(degrees[h] for h in range(i)) % 2 else 1
-        slots = [lin_single(word[t]) for t in range(i)] + [kv] + \
-                [fg.value(word[t]) for t in range(i + 1, k)]
-        if any(not s for s in slots):
-            continue
-        for combo in itertools.product(*[list(s.items()) for s in slots]):
-            coeff = sign
-            tup = []
-            for n, cf in combo:
-                coeff *= cf
-                tup.append(n)
-            lin_add(out, tuple(tup), coeff)
-    return out
+def _homotopy_transpose(word: tuple, inv_k: dict, inv_fg: dict, degree: dict):
+    """(w, c) with c a term of the coefficient of `word` in K_k(w), read one
+    letter at a time: w agrees with word before i, w[i] is a preimage of
+    word[i] under K and every later letter one under f1 g1 (inv_k and inv_fg
+    map a name to its [(preimage, coefficient)]).  K is odd, so the term at i
+    carries (-1)^{deg(word_0)+...+deg(word_{i-1})}."""
+    odd = 0
+    for i, y in enumerate(word):
+        slots = [inv_k.get(y)] + [inv_fg.get(z) for z in word[i + 1:]]
+        if all(slots):
+            for combo in itertools.product(*slots):
+                coeff = -1 if odd else 1
+                tup = list(word[:i])
+                for n, cf in combo:
+                    coeff *= cf
+                    tup.append(n)
+                yield tuple(tup), coeff
+        odd ^= degree[y] & 1
 
 
 def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
@@ -115,19 +108,19 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     small = F.source
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
     degs = big.space.degree
-    fg = c.inject.compose(c.project)
+    inv_k = preimages(c.homotopy.entries)
+    inv_fg = preimages(c.inject.compose(c.project).entries)
     for k in range(2, mw + 1):
+        # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),
+        # then pulled back along K_k through its transpose
+        pushed: dict = {}
+        for tup, vec in push_insertion(G.taylor, big.taylor, k, degs).items():
+            if vec:
+                for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, degs):
+                    lin_acc(pushed.setdefault(word, {}), vec, cf)
         gk = MultilinearMap(big.space, small.space, 0, k, TENSOR)
-        for word in big.basis_words(k):
-            word_degs = [degs[n] for n in word]
-            kk = _homotopy_word_expansion(c, fg, word, word_degs)
-            if not kk:
-                continue
-            acc: dict = {}
-            for tup, cf in kk.items():
-                lin_acc(acc, taylor_after(G.taylor, big.coder_component, tup, 1, k - 1), cf)
-            if acc:
-                gk.add_entry(word, acc)
+        for word, acc in in_basis_order(big.space, pushed):
+            gk.add_entry(word, acc)
         if not gk.is_zero():
             G.taylor[k] = gk
     return G

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from hoalg import coalg
 from hoalg.coalg import (
     DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, decalage_dgla, decalage_dgla_morphism, end_preserving_sub,
     identity_morphism, invert_morphism, OoMorphism, OoStructure, prolong_coderivation,
-    prolong_morphism, sub_algebra, symmetrize_morphism, symmetrize_structure, taylor_after,
+    prolong_morphism, push_insertion, push_product, sub_algebra, symmetrize_morphism,
+    symmetrize_structure,
 )
 from hoalg.cocone import exp_log_isos
 from hoalg.fixtures import (
@@ -22,6 +22,7 @@ from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
     koszul_sign, lin_acc, lin_single, lin_scale, sym_normalize, sym_words, unshuffles,
 )
+from pull_oracles import pull_invert
 
 
 def simple_space():
@@ -213,6 +214,142 @@ def test_F_jk_recursion_matches_partition_oracle(flavor, seed):
                     assert sym_combination(got, V) == sym_combination(want, V), (j, word)
 
 
+# --- pushed sums against brute-force tensor-coalgebra matrices ---------------
+
+BRUTE_SPACE = GradedSpace([("a", 0), ("b", 1), ("h", -1)])
+BRUTE_TOP = 4
+
+
+def brute_family(degree, seed):
+    """Seeded tensor-flavor maps t_1..t_4 of the given degree on BRUTE_SPACE."""
+    V = BRUTE_SPACE
+    rng = random.Random("brute:%d:%d" % (degree, seed))
+    family = {}
+    for n in range(1, BRUTE_TOP + 1):
+        t = MultilinearMap(V, V, degree, n, TENSOR)
+        for word in itertools.product(V.names, repeat=n):
+            want = sum(V.degree[x] for x in word) + degree
+            targets = [y for y in V.names if V.degree[y] == want]
+            if targets and rng.random() < 0.8:
+                t.set_entry(word, {y: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+                                   for y in targets})
+        family[n] = t
+    return family
+
+
+def matrix_of(t):
+    """A Taylor coefficient as a sparse matrix {(row word, column word): c}."""
+    return {((y,), word): c for word, vec in t.entries.items() for y, c in vec.items()}
+
+
+def identity_matrix(n):
+    return {(w, w): 1 for w in itertools.product(BRUTE_SPACE.names, repeat=n)}
+
+
+def kron(A, B, degree_b):
+    """A (x) B with the Koszul rule (A (x) B)(x (x) y) = (-1)^{|B||x|} Ax (x) By."""
+    deg = BRUTE_SPACE.degree
+    out = {}
+    for (r1, c1), a in A.items():
+        sign = -1 if degree_b % 2 and sum(deg[x] for x in c1) % 2 else 1
+        for (r2, c2), b in B.items():
+            key = (r1 + r2, c1 + c2)
+            out[key] = out.get(key, 0) + sign * a * b
+    return out
+
+
+def matmul(A, B):
+    out = {}
+    for (r, m), a in A.items():
+        for (m2, c), b in B.items():
+            if m == m2:
+                out[r, c] = out.get((r, c), 0) + a * b
+    return out
+
+
+def coder_matrix(q, j, k):
+    """Q^j_k = sum over a + 1 + b = j of id^{(x)a} (x) q_{k-j+1} (x) id^{(x)b}."""
+    out = {}
+    m = k - j + 1
+    if m < 1:
+        return out
+    for a in range(j):
+        term = kron(kron(identity_matrix(a), matrix_of(q[m]), 1), identity_matrix(j - 1 - a), 0)
+        for key, c in term.items():
+            out[key] = out.get(key, 0) + c
+    return out
+
+
+def morph_matrix(f, j, k):
+    """F^j_k = sum over compositions i_1 + .. + i_j = k of f_{i_1} (x) .. (x) f_{i_j}."""
+    out = {}
+    for parts in itertools.product(range(1, k + 1), repeat=j):
+        if sum(parts) == k:
+            term = {((), ()): 1}
+            for i in parts:
+                term = kron(term, matrix_of(f[i]), 0)
+            for key, c in term.items():
+                out[key] = out.get(key, 0) + c
+    return out
+
+
+def as_pushed(matrix):
+    """A matrix from words to letters read as {column word: vector}."""
+    out = {}
+    for ((y,), word), c in matrix.items():
+        if c:
+            out.setdefault(word, {})[y] = c
+    return out
+
+
+def nonzero(pushed):
+    return {w: vec for w, vec in pushed.items() if vec}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pushed_sums_match_brute_force_matrices(seed):
+    # sum_j t_j Q^j_k and sum_j t_j F^j_k as products of explicit matrices on
+    # T^{<=4}V, dim V = 3 with the odd letters b (degree 1) and h (degree -1)
+    q = brute_family(1, seed)
+    f = brute_family(0, seed + 10)
+    for k in range(1, BRUTE_TOP + 1):
+        for outer in (q, f):
+            want = {}
+            for j in range(1, k + 1):
+                for key, c in matmul(matrix_of(outer[j]), coder_matrix(q, j, k)).items():
+                    want[key] = want.get(key, 0) + c
+            got = push_insertion(outer, q, k, BRUTE_SPACE.degree)
+            assert nonzero(got) == as_pushed(want), (k, outer is q)
+        want = {}
+        for j in range(1, k + 1):
+            for key, c in matmul(matrix_of(q[j]), morph_matrix(f, j, k)).items():
+                want[key] = want.get(key, 0) + c
+        assert nonzero(push_product(q, f, k)) == as_pushed(want), k
+        # lo drops the j < lo terms, as the builders that grow F need
+        want = {}
+        for j in range(2, k + 1):
+            for key, c in matmul(matrix_of(q[j]), morph_matrix(f, j, k)).items():
+                want[key] = want.get(key, 0) + c
+        assert nonzero(push_product(q, f, k, 2)) == as_pushed(want), k
+
+
+def test_brute_force_matrices_match_the_pull_evaluators():
+    # the matrices themselves against Q^j_k and F^j_k evaluated word by word
+    q = brute_family(1, 0)
+    f = brute_family(0, 10)
+    for k in range(1, BRUTE_TOP + 1):
+        for j in range(1, k + 1):
+            Q = prolong_coderivation(BRUTE_SPACE, q, TENSOR, j, k)
+            F = prolong_morphism(BRUTE_SPACE, BRUTE_SPACE, f, TENSOR, j, k)
+            for mat, comp in ((coder_matrix(q, j, k), Q), (morph_matrix(f, j, k), F)):
+                cols = {}
+                for (row, col), c in mat.items():
+                    if c:
+                        cols.setdefault(col, {})[row] = c
+                for word in itertools.product(BRUTE_SPACE.names, repeat=k):
+                    assert comp.value(word) == cols.get(word, {}), (j, k, word)
+
+
 # --- structure / morphism checks ---------------------------------------------
 
 def test_decalage_of_dgla_passes_structure_check():
@@ -366,27 +503,25 @@ def test_invert_morphism_roundtrip():
         assert comp.taylor.get(k) is None or comp.taylor[k].is_zero()
 
 
-def test_invert_morphism_grows_one_live_inverse(monkeypatch):
-    # H grows in place, so the H^j_k memo filled while solving for h_2..h_4 is
-    # the one the returned inverse holds: reading it back costs no evaluation
+def test_invert_morphism_grows_one_live_inverse():
+    # the tensor-flavor inverse is pushed from the supports while H grows
+    # weight by weight: it equals the word-by-word pull build coefficient for
+    # coefficient, written in basis order, and leaves no F^j_k memo behind
     E, L = exp_log_isos(random_dga_morphism(3, 2), max_weight=4)
     H = invert_morphism(E, 4)
     assert all(H.taylor.get(k) == L.taylor.get(k) for k in range(1, 5))
-    assert {k for _, k, _ in H._morph_memo} == {2, 3, 4}
-    # every stored coefficient, memo included, is an int or a non-integral Fraction
+    oracle = pull_invert(E, 4)
+    assert set(H.taylor) == set(oracle.taylor) == {1, 2, 3, 4}
+    index = H.source.space.index
+    for k, hk in H.taylor.items():
+        assert hk.entries == oracle.taylor[k].entries, k
+        assert list(hk.entries) == sorted(hk.entries, key=lambda w: [index[n] for n in w])
+    assert not H._morph_memo
+    # every stored coefficient is an int or a non-integral Fraction
     stored = [c for m in (E, L, H) for q in m.taylor.values()
               for vec in q.entries.values() for c in vec.values()]
-    stored += [c for combo in H._morph_memo.values() for c in combo.values()]
     assert stored and all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
                           for c in stored)
-    calls = []
-    real = coalg.morphism_component_value
-    monkeypatch.setattr(coalg, "morphism_component_value",
-                        lambda *args: calls.append(args) or real(*args))
-    for k in (2, 3, 4):
-        for word in H.source.basis_words(k):
-            taylor_after(E.taylor, H.morph_component, word, 2)
-    assert calls == []
 
 
 def test_decalage_roundtrip_degree_shifted_jacobi():

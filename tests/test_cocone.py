@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from hoalg.coalg import (
-    DgAlgebra, DgaMorphism, DgLieAlgebra, DglaMorphism, OoMorphism, check_morphism,
+    DgAlgebra, DgaMorphism, DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure,
+    check_morphism,
     check_structure, compose_morphisms, decalage_dgla, decalage_dgla_morphism,
     symmetrize_morphism, symmetrize_structure,
 )
@@ -29,6 +30,7 @@ from hoalg.graded import (
 )
 from hoalg.hodge import split_period_coefficient
 from powerseries import phi_compose_coefficients
+from pull_oracles import pull_check_morphism, pull_check_structure, pull_compose
 
 
 def _reference_end_splitting(seed, lie, dim):
@@ -265,6 +267,43 @@ def test_exp_log_mutually_inverse_and_morphisms(seed):
     assert check_morphism(L).ok
     assert is_identity_morphism(compose_morphisms(E, L, max_weight=5))
     assert is_identity_morphism(compose_morphisms(L, E, max_weight=5))
+
+
+def _bumped(family, k, rng):
+    """A copy of a Taylor family with one stored coefficient of arity k raised
+    by 1 (a planted fault)."""
+    out = dict(family)
+    src = family[k]
+    t = MultilinearMap(src.source, src.target, src.degree, src.arity, src.flavor)
+    for word, vec in src.entries.items():
+        t.set_entry(word, vec)
+    word = rng.choice(sorted(src.entries))
+    name = rng.choice(sorted(src.entries[word]))
+    t.add_entry(word, {name: 1})
+    out[k] = t
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planted_faults_pushed_reports_equal_pulled(seed):
+    # one bumped coefficient of L_k and one of the FM cocone's q_3: the pushed
+    # checks report every weight exactly as the word-by-word pull does,
+    # witness and lhs included, and the pushed E.L equals the pulled one
+    rng = random.Random("planted:%d" % seed)
+    E, L = exp_log_isos(random_dga_morphism(seed, 2), max_weight=4)
+    for k in range(1, 5):
+        bad = OoMorphism(L.source, L.target, _bumped(L.taylor, k, rng))
+        pushed = check_morphism(bad)
+        assert not pushed.ok
+        assert pushed.lines() == pull_check_morphism(bad).lines(), k
+        EL, EL_pull = compose_morphisms(E, bad), pull_compose(E, bad)
+        assert {n: q.entries for n, q in EL.taylor.items()} == \
+            {n: q.entries for n, q in EL_pull.taylor.items()}, k
+    cinf = fm_cocone_assoc(random_dga_morphism(seed, 2), max_weight=4)
+    bad = OoStructure(cinf.space, TENSOR, _bumped(cinf.taylor, 3, rng), 4)
+    pushed = check_structure(bad)
+    assert not pushed.ok
+    assert pushed.lines() == pull_check_structure(bad).lines()
 
 
 def test_exp_log_series_coefficients_closed_form():

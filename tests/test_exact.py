@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoalg.coalg import (
@@ -31,6 +31,7 @@ from hoalg.transfer import transfer_quasi_inverse, transfer_structure
 COEFFS = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=4))
 NAMES = st.sampled_from("abcd")
 VECS = st.dictionaries(NAMES, COEFFS, max_size=4)
+VECS_WITH_ZEROS = st.dictionaries(NAMES, st.one_of(st.just(0), COEFFS), max_size=4)
 
 
 def canonical(c) -> bool:
@@ -72,11 +73,13 @@ def test_exact_rejects_floats_and_reads_other_rationals():
 
 
 @settings(max_examples=150, deadline=None)
-@given(VECS, VECS, COEFFS)
+@given(VECS, VECS_WITH_ZEROS, COEFFS)
+@example({}, {"a": 0}, 1)
 def test_lin_acc_matches_fraction_arithmetic(acc, vec, coeff):
+    # vec may hold explicit zeros, also on names the accumulator lacks
     want = {n: Fraction(acc.get(n, 0)) + Fraction(coeff) * Fraction(vec.get(n, 0))
             for n in set(acc) | set(vec)}
-    got = lin_acc(as_exact(acc), as_fractions(vec), coeff)
+    got = lin_acc(as_exact(acc), {n: Fraction(c) for n, c in vec.items()}, coeff)
     assert got == {n: c for n, c in want.items() if c}
     assert_canonical(got)
 

@@ -235,7 +235,10 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     # the lift depends on the order in which eval_taylor accumulates terms
     ["--artin", "1,4", "mc", "extend", DEMO, "--structure", "S", "--element", "xi",
      "--order", "3"],
-], ids=["yukawa", "mc-extend"])
+    # pushed tensor-flavor sums accumulate into dicts before the witness sort
+    ["cocone", "explog", "--example", "r:1"],
+    ["--max-weight", "4", "cocone", "derived", "--example", "r:1"],
+], ids=["yukawa", "mc-extend", "cocone-explog", "cocone-derived"])
 def test_cli_determinism_across_processes(cli_args):
     import subprocess
     import hoalg

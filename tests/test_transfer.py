@@ -8,12 +8,16 @@ from hoalg.coalg import (
     DgAlgebra, OoMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, morphism_component_value, symmetrize_morphism, symmetrize_structure,
 )
-from hoalg.fixtures import end_dga, harmonic_contraction, random_complex, random_end_dga
+from hoalg.cocone import Splitting, derived_products_model
+from hoalg.fixtures import (
+    end_dga, end_splitting, harmonic_contraction, random_complex, random_end_dga,
+)
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, TENSOR,
     UnsupportedOperation, lin_single,
 )
 from hoalg.transfer import transfer_quasi_inverse, transfer_structure
+from pull_oracles import pull_transfer_quasi_inverse, pull_transfer_structure
 
 
 def q1_as_map(big):
@@ -135,6 +139,17 @@ def massey_dga():
     return A
 
 
+def entries_of(obj):
+    return {k: t.entries for k, t in obj.taylor.items()}
+
+
+def canonical_coefficients(*objs):
+    stored = [c for obj in objs for t in obj.taylor.values()
+              for vec in t.entries.values() for c in vec.values()]
+    return stored and all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                          for c in stored)
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_transfer_memo_matches_fresh_morphism(symmetric):
     # transfer_structure grows F.taylor weight by weight while F's F^j_k memo
@@ -143,12 +158,40 @@ def test_transfer_memo_matches_fresh_morphism(symmetric):
     c = harmonic_contraction(big.space, q1_as_map(big))
     if symmetric:
         big = symmetrize_structure(big)
-    _, F = transfer_structure(big, c)
+    small, F = transfer_structure(big, c)
     assert F.max_weight == 5 and max(F.taylor) >= 3
+    if not symmetric:
+        # the tensor flavor pushes from the supports and keeps no memo: the
+        # structure and F equal the word-by-word pull build coefficient for
+        # coefficient, with canonical coefficients only
+        small_o, F_o = pull_transfer_structure(big, c)
+        assert entries_of(small) == entries_of(small_o)
+        assert entries_of(F) == entries_of(F_o)
+        assert canonical_coefficients(small, F)
+        assert not F._morph_memo
+        return
     fresh = OoMorphism(F.source, F.target, F.taylor)
     assert F._morph_memo
     for (j, k, word), got in F._morph_memo.items():
         assert got == morphism_component_value(fresh, j, k, word), (j, k, word)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_pushed_transfer_matches_pull_build(seed):
+    # transfer_structure and transfer_quasi_inverse against the word-by-word
+    # pull builds (K_k expanded word by word) on derived-product cocones,
+    # where the quasi-inverse has a coefficient in every arity up to 4
+    _, _, ambient, comp, _ = end_splitting(seed, lie=False)
+    dp = derived_products_model(Splitting(ambient, comp), max_weight=4)
+    big, c = dp.cocone_as, dp.contraction
+    small, F = transfer_structure(big, c)
+    small_o, F_o = pull_transfer_structure(big, c)
+    assert entries_of(small) == entries_of(small_o)
+    assert entries_of(F) == entries_of(F_o)
+    G = transfer_quasi_inverse(big, c, F)
+    assert set(G.taylor) == {1, 2, 3, 4}
+    assert entries_of(G) == entries_of(pull_transfer_quasi_inverse(big, c, F))
+    assert canonical_coefficients(small, F, G)
 
 
 def test_quasi_inverse_rejects_symmetric_flavor():
