@@ -2,17 +2,16 @@
 
 Strong homotopy structures are held as weight-indexed families of Taylor
 coefficients; the coalgebras T(V), S(V) are never materialized.  Checking,
-composing, inverting and transferring them are sums over the coderivation
-and morphism components: Q^j_k inserts one q into the word, and F^j_k splits
-the word into j blocks, each sent through one f.
+composing, inverting, transferring and transporting them are sums over the
+coderivation and morphism components: Q^j_k inserts one q into the word, and
+F^j_k splits the word into j blocks, each sent through one f.
 
-In the tensor flavor these sums are pushed from the Taylor supports: every
-stored entry of the outer family is carried back through an inverse index of
-the inner one (push_insertion, push_product), so only words with a nonzero
-term are visited, as in Gustavson's sparse product.  The symmetric flavor
-still pulls: it evaluates Q^j_k and F^j_k word by word through the memoized
-coder_component / morph_component, which stay the reference evaluators for
-both flavors.
+These sums are pushed from the Taylor supports in both flavors: every stored
+entry of the outer family is carried back through an inverse index of the
+inner one (push_insertion, push_product), so only words with a nonzero term
+are visited, as in Gustavson's sparse product.  The flavor matters at one
+point only, where a word of blocks becomes a basis word: concatenation in
+T(V), the sorted word with its Koszul sign and multiplicity weight in S(V).
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream.
 """
@@ -21,24 +20,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
-from types import SimpleNamespace
 
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
     hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map,
-    sign_pow, signed_orderings, sym_words,
+    sign_pow, sym_normalize, sym_words,
 )
-
-# A TupleCombo is a formal combination of basis tuples: dict[tuple[str,...], Fraction].
-
-
-def _expand_at(pre: tuple, vec: dict, post: tuple, acc: dict, coeff):
-    """acc += coeff * (pre (x) vec (x) post), expanded to pure basis tuples."""
-    for n, c in vec.items():
-        lin_add(acc, pre + (n,) + post, coeff * c)
 
 
 class OoStructure:
@@ -67,20 +56,6 @@ class OoStructure:
             if q.arity != k or q.flavor != flavor or q.source != space or q.target != space:
                 raise MalformedInput("taylor coefficient q_%d has wrong shape" % k)
             self.taylor[k] = q
-        self._coder_memo = {}
-
-    def coder_component(self, j: int, k: int, names: tuple) -> dict:
-        """Q^j_k on a basis tuple, as a combination of j-tuples (memoized)."""
-        key = (j, k, names)
-        got = self._coder_memo.get(key)
-        if got is None:
-            got = coderivation_component_value(self, j, k, names)
-            self._coder_memo[key] = got
-        return got
-
-    def square_residual(self, names: tuple) -> dict:
-        """(p o Q o Q) evaluated on a basis word: sum_j q_j(Q^j_k(word))."""
-        return taylor_after(self.taylor, self.coder_component, names, 1)
 
     def basis_words(self, k: int):
         if self.flavor == TENSOR:
@@ -111,7 +86,6 @@ class OoMorphism:
             if f.source != source.space or f.target != target.space:
                 raise MalformedInput("morphism coefficient f_%d has wrong spaces" % k)
             self.taylor[k] = f
-        self._morph_memo = {}
 
     def f_value(self, names) -> dict:
         f = self.taylor.get(len(names))
@@ -121,161 +95,12 @@ class OoMorphism:
     def is_strict(self) -> bool:
         return all(k == 1 for k in self.taylor)
 
-    def morph_component(self, j: int, k: int, names: tuple) -> dict:
-        key = (j, k, names)
-        got = self._morph_memo.get(key)
-        if got is None:
-            got = morphism_component_value(self, j, k, names)
-            self._morph_memo[key] = got
-        return got
-
     def __repr__(self):
         return "OoMorphism(%s, arities %s)" % (self.flavor, sorted(self.taylor))
 
 
 # ---------------------------------------------------------------------------
-# prolongation components
-
-
-def taylor_after(taylor: dict, component, word: tuple, lo: int, hi: int = None) -> dict:
-    """sum_{j=lo}^{hi} t_j(C^j_k(word)) for a Taylor family t and prolonged
-    components C(j, k, word), with k = len(word) and hi defaulting to k."""
-    k = len(word)
-    out: dict = {}
-    for j in range(lo, (k if hi is None else hi) + 1):
-        tj = taylor.get(j)
-        if tj is not None:
-            for tup, c in component(j, k, word).items():
-                lin_acc(out, tj.value(tup), c)
-    return out
-
-
-def coderivation_component_value(struct: OoStructure, j: int, k: int,
-                                 names: tuple, coder_degree: int = 1) -> dict:
-    """Q^j_k on a basis word, from the Taylor family of `struct`.
-
-    Tensor flavor inserts q_{k-j+1} at every position with the sign
-    (-1)^{|Q| * (deg of the symbols jumped over)}; symmetric flavor sums over
-    the S(k-j+1, j-1) unshuffles with Koszul signs.
-    """
-    if len(names) != k:
-        raise MalformedInput("word length %d != k=%d" % (len(names), k))
-    out: dict = {}
-    if j > k + 1 or j < 1 or k == 0:
-        return out
-    m = k - j + 1  # arity of the inserted coefficient; q_0 = 0 kills j = k+1
-    q = struct.taylor.get(m)
-    if q is None:
-        return out
-    deg = struct.space.degree
-    if struct.flavor == TENSOR:
-        for i in range(j):
-            val = q.value(names[i:i + m])
-            if not val:
-                continue
-            sign = 1
-            if coder_degree % 2:
-                jumped = sum(deg[n] for n in names[:i])
-                if jumped % 2:
-                    sign = -1
-            _expand_at(names[:i], val, names[i + m:], out, sign)
-    else:
-        for perm, eps in signed_orderings(names, deg, (m, j - 1)):
-            val = q.value(perm[:m])
-            if val:
-                _expand_at((), val, perm[m:], out, eps)
-    return out
-
-
-def morphism_component_value(morph: OoMorphism, j: int, k: int, names: tuple) -> dict:
-    """F^j_k on a basis word, by recursion on the first block.
-
-    F^1_k(w) = f_k(w).  In the tensor flavor the first block is a prefix:
-    F^j_k(w) = sum_i f_i(w[:i]) (x) F^{j-1}_{k-i}(w[i:]).  In the symmetric
-    flavor it is any block B holding the first position:
-    F^j_k(w) = sum_B eps(B, rest) f_|B|(B) . F^{j-1}(rest), eps the Koszul sign
-    of moving B to the front, so each set partition is visited once.
-
-    F^{j-1} with j - 1 >= 2 is read through morph.morph_component, so the
-    rests (subwords) are shared through the memo.  F^j_k with j >= 2 never
-    reads f_k: only f_i with i < k and memo entries of weight < k.  That is
-    what lets the symmetric-flavor transfer_structure and invert_morphism
-    grow morph.taylor weight by weight while the memo is live.  In the tensor
-    flavor they push from the supports instead (push_product) and leave the
-    memo empty.
-    """
-    if len(names) != k:
-        raise MalformedInput("word length mismatch")
-    out: dict = {}
-    if j < 1 or j > k:
-        return out
-    if j == 1:
-        return {(n,): c for n, c in morph.f_value(names).items()}
-    if morph.flavor == TENSOR:
-        cuts = [(names[:i], names[i:], 1) for i in range(1, k - j + 2)]
-    else:
-        cuts = _first_blocks(names, k - j + 1, morph.source.space.degree)
-    # F^1 is f itself, so it is read from morph.taylor and kept out of the memo
-    tail = morph.morph_component if j > 2 else partial(morphism_component_value, morph)
-    for block, rest, sign in cuts:
-        head = morph.f_value(block)
-        if not head:
-            continue
-        for tup, c in tail(j - 1, len(rest), rest).items():
-            _expand_at((), head, tup, out, c if sign == 1 else -c)
-    return out
-
-
-def _first_blocks(names: tuple, top: int, degree: dict):
-    """(B, rest, eps) for every subword B of at most `top` letters holding the
-    first letter, with eps the Koszul sign of moving B in front of the rest:
-    the first letter is in front already, so eps is the sign of the
-    (|B| - 1, |rest|)-unshuffle of the other letters."""
-    for size in range(top):
-        for perm, eps in signed_orderings(names[1:], degree, (size, len(names) - 1 - size)):
-            yield (names[0],) + perm[:size], perm[size:], eps
-
-
-class TensorComponent:
-    """Materialized prolongation component V^{ox k} -> V^{ox j} for inspection."""
-
-    def __init__(self, space, k, j, evaluator):
-        self.space = space
-        self.arity_in = k
-        self.arity_out = j
-        self._eval = evaluator
-
-    def value(self, names) -> dict:
-        return self._eval(tuple(names))
-
-
-def prolong_coderivation(space: GradedSpace, taylor: dict, flavor: str,
-                         j: int, k: int, coder_degree: int = 1) -> TensorComponent:
-    """Public wrapper: the component Q^j_k of the coderivation with the given
-    Taylor coefficients (zero map whenever j > k+1).
-
-    The coefficients may have any degree, so they are not validated as an
-    OoStructure (which fixes degree +1); only space, flavor and taylor are read.
-    """
-    struct = SimpleNamespace(space=space, flavor=flavor, taylor=dict(taylor))
-    return TensorComponent(
-        space, k, j,
-        lambda names: coderivation_component_value(struct, j, k, names, coder_degree))
-
-
-def prolong_morphism(source_space: GradedSpace, target_space: GradedSpace,
-                     taylor: dict, flavor: str, j: int, k: int) -> TensorComponent:
-    """Public wrapper: the component F^j_k of the coalgebra morphism with the
-    given Taylor coefficients (zero for j > k)."""
-    dummy_src = OoStructure(source_space, flavor, {}, max_weight=max(k, 1))
-    dummy_tgt = OoStructure(target_space, flavor, {}, max_weight=max(k, 1))
-    morph = OoMorphism(dummy_src, dummy_tgt, taylor)
-    return TensorComponent(source_space, k, j,
-                           lambda names: morphism_component_value(morph, j, k, names))
-
-
-# ---------------------------------------------------------------------------
-# tensor-flavor sums pushed from the Taylor supports
+# sums pushed from the Taylor supports
 
 
 def preimages(entries: dict) -> dict:
@@ -289,18 +114,55 @@ def preimages(entries: dict) -> dict:
 
 
 def inverse_index(taylor: dict, top: int) -> dict:
-    """inv[n] = preimages(t_n) for every arity n <= top of a tensor-flavor
-    Taylor family t."""
+    """inv[n] = preimages(t_n) for every arity n <= top of a Taylor family t."""
     return {n: preimages(t.entries) for n, t in taylor.items() if n <= top}
 
 
-def push_insertion(outer: dict, inner: dict, k: int, degree: dict) -> dict:
+def _words_of(family: dict):
+    """(source space, whether it is read in S(V)) of a nonempty Taylor family."""
+    t = next(iter(family.values()))
+    return t.source, t.flavor == SYMMETRIC
+
+
+def _stabilizer(word: tuple) -> int:
+    """prod_x mult(x)! over the letters x of a sorted word: the number of
+    orderings of its letters that leave it unchanged."""
+    out = run = 1
+    for a, b in zip(word, word[1:]):
+        run = run + 1 if a == b else 1
+        out *= run
+    return out
+
+
+def _symmetric_word(word: tuple, space: GradedSpace, parts: int):
+    """(w, weight) for the basis word w of S(V) that a word of sorted blocks
+    becomes: w is the sorted word, and weight is the Koszul sign of the sort
+    times stab(w) // parts, where parts is the product of the blocks'
+    stabilizers, so the weight counts the ways to cut w into the blocks.
+    None when w repeats an odd letter."""
+    got = sym_normalize(word, space.index, space.degree)
+    if got is None:
+        return None
+    w, eps = got
+    return w, eps * (_stabilizer(w) // parts)
+
+
+def push_insertion(outer: dict, inner: dict, k: int) -> dict:
     """sum_j t_j(Q^j_k w) on every weight-k word w at once, as {w: vector},
-    for t = outer and Q the degree +1 coderivation with Taylor family inner
-    (tensor flavor).  Each key K of t_j, position i and preimage (u, c) of
-    K[i] under q_{k-j+1} add (-1)^{|K[:i]|} c t_j(K) at K[:i] + u + K[i+1:];
-    every other word gets no term, so it is zero."""
+    for t = outer and Q the degree +1 coderivation with Taylor family inner.
+
+    Each key K of t_j, letter y = K[i] and preimage (u, c) of y under
+    q_{k-j+1} add (-1)^{|K[:i]|} c t_j(K) at the word K[:i] + u + K[i+1:].
+    In T(V) that word is the basis word and every position counts.  In S(V)
+    each distinct letter of K counts once, and the word is read sorted, with
+    its Koszul sign and the weight prod_x C(mult_w(x), mult_u(x)) of the
+    ways to pick u out of w.  Every other word gets no term, so it is zero.
+    """
     inv = inverse_index(inner, k)
+    if not inv:
+        return {}
+    space, symmetric = _words_of(inner)
+    degree = space.degree
     out: dict = {}
     for j, t in outer.items():
         pre = inv.get(k - j + 1)
@@ -309,32 +171,51 @@ def push_insertion(outer: dict, inner: dict, k: int, degree: dict) -> dict:
         for key, vec in t.entries.items():
             odd = 0
             for i, y in enumerate(key):
-                for u, c in pre.get(y, ()):
-                    lin_acc(out.setdefault(key[:i] + u + key[i + 1:], {}), vec,
-                            -c if odd else c)
+                if y in pre and not (symmetric and i and key[i - 1] == y):
+                    rest = _stabilizer(key[:i] + key[i + 1:]) if symmetric else 1
+                    for u, c in pre[y]:
+                        w = key[:i] + u + key[i + 1:]
+                        if symmetric:
+                            got = _symmetric_word(w, space, rest * _stabilizer(u))
+                            if got is None:
+                                continue
+                            w, weight = got
+                            c *= weight
+                        lin_acc(out.setdefault(w, {}), vec, -c if odd else c)
                 odd ^= degree[y] & 1
     return out
 
 
 def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
     """sum_{j>=lo} t_j(F^j_k w) on every weight-k word w at once, as
-    {w: vector}, for t = outer and F the morphism with Taylor family inner
-    (tensor flavor).  Each key K of t_j and each choice of preimages
-    (u_i, c_i) of K[i] under f, of total length k, adds prod c_i . t_j(K) at
-    u_1 + .. + u_j; f has degree 0, so there is no sign."""
+    {w: vector}, for t = outer and F the morphism with Taylor family inner.
+
+    Each key K of t_j and each choice of preimages (u_i, c_i) of K[i] under
+    f, of total length k, adds prod c_i . t_j(K) at the word u_1 + .. + u_j;
+    f has degree 0, so there is no insertion sign.  In S(V) that word is read
+    sorted, with its Koszul sign and the weight of the ways to cut it into
+    the blocks u_i, and the ordered choices count every term stab(K) times,
+    once per ordering of K's repeated letters, so the sum is divided by it.
+    """
     inv = inverse_index(inner, k)
+    if not inv:
+        return {}
+    space, symmetric = _words_of(inner)
     out: dict = {}
     for j, t in outer.items():
         if lo <= j <= k:
             for key, vec in t.entries.items():
-                for w, c in _preimage_words(key, inv, k).items():
-                    lin_acc(out.setdefault(w, {}), vec, c)
+                over = _stabilizer(key) if symmetric else 1
+                for w, c in _preimage_words(key, inv, k, space, symmetric).items():
+                    lin_acc(out.setdefault(w, {}), vec, c if over == 1 else Fraction(c, over))
     return out
 
 
-def _preimage_words(key: tuple, inv: dict, k: int) -> dict:
-    """{u_1 + .. + u_j: prod c_i} over the preimages (u_i, c_i) of key[i] in
-    the inverse index inv, for words of total length k."""
+def _preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
+                    symmetric: bool) -> dict:
+    """{w: weighted prod c_i} over the preimages (u_i, c_i) of key[i] in the
+    inverse index inv, for words w of total length k built from u_1 .. u_j
+    one block at a time (push_product)."""
     top = max(inv, default=0)
     words = {(): 1}
     for i, y in enumerate(key):
@@ -342,9 +223,15 @@ def _preimage_words(key: tuple, inv: dict, k: int) -> dict:
         nxt: dict = {}
         for w, c in words.items():
             room = k - len(w)
+            stab = _stabilizer(w) if symmetric else 1
             for n in range(max(1, room - left * top), room - left + 1):
                 for u, cu in inv.get(n, {}).get(y, ()):
-                    lin_add(nxt, w + u, c * cu)
+                    if not symmetric:
+                        lin_add(nxt, w + u, c * cu)
+                    else:
+                        got = _symmetric_word(w + u, space, stab * _stabilizer(u))
+                        if got is not None:
+                            lin_add(nxt, got[0], c * cu * got[1])
         if not nxt:
             return {}
         words = nxt
@@ -359,55 +246,46 @@ def in_basis_order(space: GradedSpace, pushed: dict) -> list:
                   key=lambda item: [index[n] for n in item[0]])
 
 
-def _pulled(words, value):
-    """(word, value(word)) for every word with a nonzero value, in order."""
-    for word in words:
-        vec = value(word)
-        if vec:
-            yield word, vec
-
-
-def product_terms(outer: dict, F: OoMorphism, k: int, lo: int = 1):
+def product_terms(outer: dict, F: OoMorphism, k: int, lo: int = 1) -> list:
     """(w, sum_{j>=lo} t_j(F^j_k w)) for the weight-k words w of F.source
-    where it is nonzero, in basis order: pushed from the supports in the
-    tensor flavor, pulled word by word in the symmetric flavor."""
-    if F.flavor == TENSOR:
-        return in_basis_order(F.source.space, push_product(outer, F.taylor, k, lo))
-    return _pulled(F.source.basis_words(k),
-                   lambda w: taylor_after(outer, F.morph_component, w, lo))
+    where it is nonzero, in basis order."""
+    return in_basis_order(F.source.space, push_product(outer, F.taylor, k, lo))
+
+
+def pushed_map(source: GradedSpace, target: GradedSpace, degree: int, k: int,
+               flavor: str, terms) -> MultilinearMap:
+    """The arity-k map with the given (word, vector) entries, written in order."""
+    out = MultilinearMap(source, target, degree, k, flavor)
+    for word, vec in terms:
+        out.add_entry(word, vec)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # structure / morphism verification
 
 
-def _check_weights(r: Report, label: str, top: int, s: OoStructure, space,
-                   pushed, residual):
-    """One check per weight k <= top over the words of s: pushed(k) gives
-    the residual of every word at once (tensor flavor), residual(word) that
-    of one word (symmetric flavor).  The first failing word in basis order
-    is the witness, and its residual, read in `space`, the lhs."""
+def _check_weights(r: Report, label: str, top: int, word_space: GradedSpace,
+                   lhs_space: GradedSpace, pushed):
+    """One check per weight k <= top: pushed(k) gives the residual of every
+    word of word_space at once.  The first failing word in basis order is
+    the witness, and its residual, read in lhs_space, the lhs."""
     for k in range(1, top + 1):
-        if s.flavor == TENSOR:
-            failing = in_basis_order(s.space, pushed(k))
-        else:
-            failing = _pulled(s.basis_words(k), residual)
-        first = next(iter(failing), None)
-        if first is None:
+        failing = in_basis_order(word_space, pushed(k))
+        if not failing:
             r.add(label, True, weight=k)
         else:
-            r.add(label, False, weight=k, witness=first[0],
-                  lhs=format_vector(first[1], space), rhs="0")
+            word, vec = failing[0]
+            r.add(label, False, weight=k, witness=word,
+                  lhs=format_vector(vec, lhs_space), rhs="0")
     return r
 
 
 def check_structure(s: OoStructure, max_weight=None) -> Report:
     """Verify [Q,Q] = 0 up to the requested weight; first failing word wins."""
     top = s.max_weight if max_weight is None else min(max_weight, s.max_weight)
-    return _check_weights(
-        Report("structure equation"), "QQ=0", top, s, s.space,
-        lambda k: push_insertion(s.taylor, s.taylor, k, s.space.degree),
-        s.square_residual)
+    return _check_weights(Report("structure equation"), "QQ=0", top, s.space, s.space,
+                          lambda k: push_insertion(s.taylor, s.taylor, k))
 
 
 def check_morphism(F: OoMorphism, max_weight=None) -> Report:
@@ -416,17 +294,13 @@ def check_morphism(F: OoMorphism, max_weight=None) -> Report:
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
 
     def pushed(k):
-        res = push_insertion(F.taylor, s.taylor, k, s.space.degree)
+        res = push_insertion(F.taylor, s.taylor, k)
         for w, vec in push_product(t.taylor, F.taylor, k).items():
             lin_acc(res.setdefault(w, {}), vec, -1)
         return res
 
-    def residual(word):
-        lhs = taylor_after(F.taylor, s.coder_component, word, 1)
-        return lin_acc(lhs, taylor_after(t.taylor, F.morph_component, word, 1), -1)
-
-    return _check_weights(Report("morphism equation"), "FQ=RF", top, s, t.space,
-                          pushed, residual)
+    return _check_weights(Report("morphism equation"), "FQ=RF", top, s.space, t.space,
+                          pushed)
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +317,9 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
     if F.target is not G.source and F.target.space != G.source.space:
         raise MalformedInput("composition shape mismatch")
     top = max_weight or min(F.max_weight, G.max_weight)
-    taylor = {}
-    for k in range(1, top + 1):
-        hk = MultilinearMap(F.source.space, G.target.space, 0, k, F.flavor)
-        for word, acc in product_terms(G.taylor, F, k):
-            hk.add_entry(word, acc)
-        taylor[k] = hk
+    taylor = {k: pushed_map(F.source.space, G.target.space, 0, k, F.flavor,
+                            product_terms(G.taylor, F, k))
+              for k in range(1, top + 1)}
     return OoMorphism(F.source, G.target, taylor)
 
 
@@ -462,8 +333,8 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     if inv1 is None or F.source.space.dim != F.target.space.dim:
         raise RejectedInput("f_1 is not invertible")
     # one H grows weight by weight, as in transfer_structure: H^j_k with
-    # j >= 2 reads only h_i with i < k, so neither the pulled memo nor the
-    # pushed sum reads a coefficient before it is final
+    # j >= 2 reads only h_i with i < k, so the pushed sum never reads a
+    # coefficient before it is final
     H = OoMorphism(F.target, F.source, {1: multilinear_from_graded_map(inv1, F.flavor)})
     for k in range(2, top + 1):
         hk = MultilinearMap(F.target.space, F.source.space, 0, k, F.flavor)
@@ -476,23 +347,19 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
 
 def transport_structure(G: OoMorphism, max_weight=None) -> OoStructure:
     """The unique structure on the target space making G an isomorphism from
-    G.source: Q~ = G Q G^{-1} (target structure of G is ignored)."""
+    G.source: Q~ = G Q G^{-1} (target structure of G is ignored).
+
+    Two pushes: P_b = sum_j g_j Q^j_b on the b-words of G.source, then
+    q~_k = sum_b P_b H^b_k with H = G^{-1}."""
     top = max_weight or G.max_weight
     H = invert_morphism(G, top)
     s = G.source
     space = G.target.space
-    taylor = {}
-    for k in range(1, top + 1):
-        qk = MultilinearMap(space, space, 1, k, G.flavor)
-        for word in G.target.basis_words(k):
-            acc: dict = {}
-            for b in range(1, k + 1):
-                for tup, c in H.morph_component(b, k, word).items():
-                    lin_acc(acc, taylor_after(G.taylor, s.coder_component, tup, 1, b + 1), c)
-            if acc:
-                qk.add_entry(word, acc)
-        if not qk.is_zero():
-            taylor[k] = qk
+    P = {b: pushed_map(s.space, space, 1, b, G.flavor,
+                       push_insertion(G.taylor, s.taylor, b).items())
+         for b in range(1, top + 1)}
+    taylor = {k: pushed_map(space, space, 1, k, G.flavor, product_terms(P, H, k))
+              for k in range(1, top + 1)}
     return OoStructure(space, G.flavor, taylor, top)
 
 
@@ -826,11 +693,9 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
 
 
 __all__ = [
-    "OoStructure", "OoMorphism", "TensorComponent", "taylor_after",
-    "coderivation_component_value", "morphism_component_value",
-    "prolong_coderivation", "prolong_morphism",
+    "OoStructure", "OoMorphism",
     "preimages", "inverse_index", "push_insertion", "push_product", "product_terms",
-    "in_basis_order",
+    "in_basis_order", "pushed_map",
     "check_structure", "check_morphism",
     "identity_morphism", "compose_morphisms", "invert_morphism", "transport_structure",
     "symmetrize_structure", "symmetrize_morphism",

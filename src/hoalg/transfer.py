@@ -3,7 +3,7 @@
 Transferred structure and quasi-isomorphism into the big side via the
 recursions f_k = sum_{j>=2} K q_j F^j_k, r_k = sum_{j>=2} g_1 q_j F^j_k;
 recursive quasi-inverse G with G F = Id in the tensor flavor.  Each weight
-is filled from the lower ones; in the tensor flavor the sums are pushed from
+is filled from the lower ones, and in both flavors the sums are pushed from
 the Taylor supports (coalg.product_terms, coalg.push_insertion).
 
 The homotopy word operator is the arity-consistent
@@ -17,6 +17,7 @@ import itertools
 
 from .coalg import (
     OoMorphism, OoStructure, in_basis_order, preimages, product_terms, push_insertion,
+    pushed_map,
 )
 from .graded import (
     Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
@@ -107,20 +108,17 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     mw = big.max_weight if max_weight is None else max_weight
     small = F.source
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
-    degs = big.space.degree
     inv_k = preimages(c.homotopy.entries)
     inv_fg = preimages(c.inject.compose(c.project).entries)
     for k in range(2, mw + 1):
         # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),
         # then pulled back along K_k through its transpose
         pushed: dict = {}
-        for tup, vec in push_insertion(G.taylor, big.taylor, k, degs).items():
+        for tup, vec in push_insertion(G.taylor, big.taylor, k).items():
             if vec:
-                for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, degs):
+                for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, big.space.degree):
                     lin_acc(pushed.setdefault(word, {}), vec, cf)
-        gk = MultilinearMap(big.space, small.space, 0, k, TENSOR)
-        for word, acc in in_basis_order(big.space, pushed):
-            gk.add_entry(word, acc)
+        gk = pushed_map(big.space, small.space, 0, k, TENSOR, in_basis_order(big.space, pushed))
         if not gk.is_zero():
             G.taylor[k] = gk
     return G

@@ -1,20 +1,191 @@
-"""Word-by-word reference loops for the tensor-flavor sums (test oracle only).
+"""Word-by-word reference loops for the coalgebra sums (test oracle only).
 
-Each loop visits every basis word of every weight and evaluates Q^j_k and
-F^j_k on it through the memoized per-word evaluators of hoalg.coalg, the way
-the library computed these sums before it pushed them from the Taylor
-supports.  They are slow, so tests run them at low weights only.
+hoalg.coalg pushes every sum from the Taylor supports.  This module keeps the
+way the library computed them before: Q^j_k and F^j_k evaluated on one basis
+word at a time, memoized per object on (j, k, word), and every check,
+composite, inverse, transfer and transport looping over every basis word of
+every weight.  They are slow, so tests run them at low weights only.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
+from functools import partial
+from types import SimpleNamespace
 
-from hoalg.coalg import OoMorphism, OoStructure, taylor_after
+from hoalg.coalg import OoMorphism, OoStructure
 from hoalg.graded import (
-    MultilinearMap, Report, TENSOR, format_vector, lin_acc, lin_add, lin_single,
-    linear_part, map_right_inverse, multilinear_from_graded_map,
+    GradedSpace, MalformedInput, MultilinearMap, Report, TENSOR, format_vector,
+    lin_acc, lin_add, lin_single, linear_part, map_right_inverse,
+    multilinear_from_graded_map, signed_orderings,
 )
+
+# (j, k, word) -> component value, per structure or morphism
+_MEMOS = weakref.WeakKeyDictionary()
+
+
+def _expand_at(pre: tuple, vec: dict, post: tuple, acc: dict, coeff):
+    """acc += coeff * (pre (x) vec (x) post), expanded to pure basis tuples."""
+    for n, c in vec.items():
+        lin_add(acc, pre + (n,) + post, coeff * c)
+
+
+def taylor_after(taylor: dict, component, word: tuple, lo: int, hi: int = None) -> dict:
+    """sum_{j=lo}^{hi} t_j(C^j_k(word)) for a Taylor family t and prolonged
+    components C(j, k, word), with k = len(word) and hi defaulting to k."""
+    k = len(word)
+    out: dict = {}
+    for j in range(lo, (k if hi is None else hi) + 1):
+        tj = taylor.get(j)
+        if tj is not None:
+            for tup, c in component(j, k, word).items():
+                lin_acc(out, tj.value(tup), c)
+    return out
+
+
+def coderivation_component_value(struct, j: int, k: int, names: tuple,
+                                 coder_degree: int = 1) -> dict:
+    """Q^j_k on a basis word, from the Taylor family of `struct`.
+
+    Tensor flavor inserts q_{k-j+1} at every position with the sign
+    (-1)^{|Q| * (deg of the symbols jumped over)}; symmetric flavor sums over
+    the S(k-j+1, j-1) unshuffles with Koszul signs.
+    """
+    if len(names) != k:
+        raise MalformedInput("word length %d != k=%d" % (len(names), k))
+    out: dict = {}
+    if j > k + 1 or j < 1 or k == 0:
+        return out
+    m = k - j + 1  # arity of the inserted coefficient; q_0 = 0 kills j = k+1
+    q = struct.taylor.get(m)
+    if q is None:
+        return out
+    deg = struct.space.degree
+    if struct.flavor == TENSOR:
+        for i in range(j):
+            val = q.value(names[i:i + m])
+            if not val:
+                continue
+            sign = 1
+            if coder_degree % 2:
+                jumped = sum(deg[n] for n in names[:i])
+                if jumped % 2:
+                    sign = -1
+            _expand_at(names[:i], val, names[i + m:], out, sign)
+    else:
+        for perm, eps in signed_orderings(names, deg, (m, j - 1)):
+            val = q.value(perm[:m])
+            if val:
+                _expand_at((), val, perm[m:], out, eps)
+    return out
+
+
+def morphism_component_value(morph, j: int, k: int, names: tuple) -> dict:
+    """F^j_k on a basis word, by recursion on the first block.
+
+    F^1_k(w) = f_k(w).  In the tensor flavor the first block is a prefix:
+    F^j_k(w) = sum_i f_i(w[:i]) (x) F^{j-1}_{k-i}(w[i:]).  In the symmetric
+    flavor it is any block B holding the first position:
+    F^j_k(w) = sum_B eps(B, rest) f_|B|(B) . F^{j-1}(rest), eps the Koszul sign
+    of moving B to the front, so each set partition is visited once.
+
+    F^{j-1} with j - 1 >= 2 is read through morph_component, so the rests
+    (subwords) are shared through the memo.  F^j_k with j >= 2 never reads
+    f_k: only f_i with i < k and memo entries of weight < k.  That is what
+    lets the pull builds grow morph.taylor weight by weight while the memo is
+    live.
+    """
+    if len(names) != k:
+        raise MalformedInput("word length mismatch")
+    out: dict = {}
+    if j < 1 or j > k:
+        return out
+    if j == 1:
+        return {(n,): c for n, c in morph.f_value(names).items()}
+    if morph.flavor == TENSOR:
+        cuts = [(names[:i], names[i:], 1) for i in range(1, k - j + 2)]
+    else:
+        cuts = _first_blocks(names, k - j + 1, morph.source.space.degree)
+    for block, rest, sign in cuts:
+        head = morph.f_value(block)
+        if not head:
+            continue
+        tail = morph_component(morph, j - 1, len(rest), rest) if j > 2 else \
+            morphism_component_value(morph, 1, len(rest), rest)
+        for tup, c in tail.items():
+            _expand_at((), head, tup, out, c if sign == 1 else -c)
+    return out
+
+
+def _first_blocks(names: tuple, top: int, degree: dict):
+    """(B, rest, eps) for every subword B of at most `top` letters holding the
+    first letter, with eps the Koszul sign of moving B in front of the rest:
+    the first letter is in front already, so eps is the sign of the
+    (|B| - 1, |rest|)-unshuffle of the other letters."""
+    for size in range(top):
+        for perm, eps in signed_orderings(names[1:], degree, (size, len(names) - 1 - size)):
+            yield (names[0],) + perm[:size], perm[size:], eps
+
+
+def _memoized(obj, key, evaluate):
+    memo = _MEMOS.setdefault(obj, {})
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = evaluate()
+    return got
+
+
+def coder_component(s: OoStructure, j: int, k: int, names: tuple) -> dict:
+    """Q^j_k of s on a basis tuple, as a combination of j-tuples (memoized)."""
+    return _memoized(s, (j, k, names),
+                     lambda: coderivation_component_value(s, j, k, names))
+
+
+def morph_component(F: OoMorphism, j: int, k: int, names: tuple) -> dict:
+    """F^j_k of F on a basis tuple, as a combination of j-tuples (memoized)."""
+    return _memoized(F, (j, k, names),
+                     lambda: morphism_component_value(F, j, k, names))
+
+
+def square_residual(s: OoStructure, names: tuple) -> dict:
+    """(p o Q o Q) evaluated on a basis word: sum_j q_j(Q^j_k(word))."""
+    return taylor_after(s.taylor, partial(coder_component, s), names, 1)
+
+
+class TensorComponent:
+    """Materialized prolongation component V^{ox k} -> V^{ox j} for inspection."""
+
+    def __init__(self, space, k, j, evaluator):
+        self.space = space
+        self.arity_in = k
+        self.arity_out = j
+        self._eval = evaluator
+
+    def value(self, names) -> dict:
+        return self._eval(tuple(names))
+
+
+def prolong_coderivation(space: GradedSpace, taylor: dict, flavor: str,
+                         j: int, k: int, coder_degree: int = 1) -> TensorComponent:
+    """The component Q^j_k of the coderivation with the given Taylor
+    coefficients (zero map whenever j > k+1).  The coefficients may have any
+    degree, so they are not validated as an OoStructure."""
+    struct = SimpleNamespace(space=space, flavor=flavor, taylor=dict(taylor))
+    return TensorComponent(
+        space, k, j,
+        lambda names: coderivation_component_value(struct, j, k, names, coder_degree))
+
+
+def prolong_morphism(source_space: GradedSpace, target_space: GradedSpace,
+                     taylor: dict, flavor: str, j: int, k: int) -> TensorComponent:
+    """The component F^j_k of the coalgebra morphism with the given Taylor
+    coefficients (zero for j > k)."""
+    dummy_src = OoStructure(source_space, flavor, {}, max_weight=max(k, 1))
+    dummy_tgt = OoStructure(target_space, flavor, {}, max_weight=max(k, 1))
+    morph = OoMorphism(dummy_src, dummy_tgt, taylor)
+    return TensorComponent(source_space, k, j,
+                           lambda names: morphism_component_value(morph, j, k, names))
 
 
 def _check_words(r, label, words_of, residual, top, space):
@@ -33,7 +204,7 @@ def _check_words(r, label, words_of, residual, top, space):
 def pull_check_structure(s: OoStructure, max_weight=None) -> Report:
     top = s.max_weight if max_weight is None else min(max_weight, s.max_weight)
     return _check_words(Report("structure equation"), "QQ=0", s.basis_words,
-                        s.square_residual, top, s.space)
+                        lambda w: square_residual(s, w), top, s.space)
 
 
 def pull_check_morphism(F: OoMorphism, max_weight=None) -> Report:
@@ -41,8 +212,8 @@ def pull_check_morphism(F: OoMorphism, max_weight=None) -> Report:
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
 
     def residual(word):
-        lhs = taylor_after(F.taylor, s.coder_component, word, 1)
-        return lin_acc(lhs, taylor_after(t.taylor, F.morph_component, word, 1), -1)
+        lhs = taylor_after(F.taylor, partial(coder_component, s), word, 1)
+        return lin_acc(lhs, taylor_after(t.taylor, partial(morph_component, F), word, 1), -1)
 
     return _check_words(Report("morphism equation"), "FQ=RF", s.basis_words,
                         residual, top, t.space)
@@ -54,7 +225,7 @@ def pull_compose(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphism:
     for k in range(1, top + 1):
         hk = MultilinearMap(F.source.space, G.target.space, 0, k, F.flavor)
         for word in F.source.basis_words(k):
-            acc = taylor_after(G.taylor, F.morph_component, word, 1)
+            acc = taylor_after(G.taylor, partial(morph_component, F), word, 1)
             if acc:
                 hk.add_entry(word, acc)
         taylor[k] = hk
@@ -68,7 +239,7 @@ def pull_invert(F: OoMorphism, max_weight=None) -> OoMorphism:
     for k in range(2, top + 1):
         hk = MultilinearMap(F.target.space, F.source.space, 0, k, F.flavor)
         for word in H.source.basis_words(k):
-            acc = taylor_after(F.taylor, H.morph_component, word, 2)
+            acc = taylor_after(F.taylor, partial(morph_component, H), word, 2)
             if acc:
                 hk.add_entry(word, inv1.apply(acc), -1)
         if not hk.is_zero():
@@ -86,7 +257,7 @@ def pull_transfer_structure(big: OoStructure, c, max_weight=None):
         fk = MultilinearMap(c.small, c.big, 0, k, big.flavor)
         rk = MultilinearMap(c.small, c.small, 1, k, big.flavor)
         for word in small.basis_words(k):
-            acc = taylor_after(big.taylor, F.morph_component, word, 2)
+            acc = taylor_after(big.taylor, partial(morph_component, F), word, 2)
             if acc:
                 fk.add_entry(word, c.homotopy.apply(acc))
                 rk.add_entry(word, c.project.apply(acc))
@@ -95,6 +266,28 @@ def pull_transfer_structure(big: OoStructure, c, max_weight=None):
         if not rk.is_zero():
             small.taylor[k] = rk
     return small, F
+
+
+def pull_transport(G: OoMorphism, max_weight=None) -> OoStructure:
+    """Q~ = G Q G^{-1} word by word: q~_k(w) = sum_b sum_j g_j Q^j_b H^b_k w."""
+    top = max_weight or G.max_weight
+    H = pull_invert(G, top)
+    s = G.source
+    space = G.target.space
+    coder = partial(coder_component, s)
+    taylor = {}
+    for k in range(1, top + 1):
+        qk = MultilinearMap(space, space, 1, k, G.flavor)
+        for word in G.target.basis_words(k):
+            acc: dict = {}
+            for b in range(1, k + 1):
+                for tup, c in morph_component(H, b, k, word).items():
+                    lin_acc(acc, taylor_after(G.taylor, coder, tup, 1, b + 1), c)
+            if acc:
+                qk.add_entry(word, acc)
+        if not qk.is_zero():
+            taylor[k] = qk
+    return OoStructure(space, G.flavor, taylor, top)
 
 
 def homotopy_word_expansion(c, fg, word, degrees) -> dict:
@@ -122,13 +315,14 @@ def pull_transfer_quasi_inverse(big: OoStructure, c, F: OoMorphism, max_weight=N
     mw = big.max_weight if max_weight is None else max_weight
     G = OoMorphism(big, F.source, {1: multilinear_from_graded_map(c.project, TENSOR)})
     fg = c.inject.compose(c.project)
+    coder = partial(coder_component, big)
     for k in range(2, mw + 1):
         gk = MultilinearMap(big.space, F.source.space, 0, k, TENSOR)
         for word in big.basis_words(k):
             kk = homotopy_word_expansion(c, fg, word, [big.space.degree[n] for n in word])
             acc: dict = {}
             for tup, cf in kk.items():
-                lin_acc(acc, taylor_after(G.taylor, big.coder_component, tup, 1, k - 1), cf)
+                lin_acc(acc, taylor_after(G.taylor, coder, tup, 1, k - 1), cf)
             if acc:
                 gk.add_entry(word, acc)
         if not gk.is_zero():

@@ -9,8 +9,8 @@ import pytest
 
 from hoalg.coalg import (
     DgAlgebra, DgaMorphism, DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure,
-    check_morphism,
-    check_structure, compose_morphisms, decalage_dgla, decalage_dgla_morphism,
+    check_morphism, check_structure, compose_morphisms, decalage_dgla,
+    decalage_dgla_morphism, in_basis_order, invert_morphism, push_insertion,
     symmetrize_morphism, symmetrize_structure,
 )
 from hoalg.cocone import (
@@ -19,7 +19,7 @@ from hoalg.cocone import (
     semidirect_product, strictify_fibration, voronov_brackets,
 )
 from hoalg.fixtures import (
-    abelian_dgla, end_dga, end_dgla, end_splitting, random_complex,
+    abelian_dgla, end_dga, end_dgla, end_splitting, lambda_cartan_fixture, random_complex,
     random_dga_morphism, random_filtered_inclusion, zero_dgla,
 )
 from hoalg.coalg import end_preserving_sub_dgla
@@ -28,9 +28,12 @@ from hoalg.graded import (
     bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, nested,
     signed_orderings, sym_words,
 )
-from hoalg.hodge import split_period_coefficient
+from hoalg.hodge import split_period_coefficient, split_period_map, torus_package
 from powerseries import phi_compose_coefficients
-from pull_oracles import pull_check_morphism, pull_check_structure, pull_compose
+from pull_oracles import (
+    morph_component, pull_check_morphism, pull_check_structure, pull_compose, pull_invert,
+    square_residual,
+)
 
 
 def _reference_end_splitting(seed, lie, dim):
@@ -272,38 +275,82 @@ def test_exp_log_mutually_inverse_and_morphisms(seed):
 def _bumped(family, k, rng):
     """A copy of a Taylor family with one stored coefficient of arity k raised
     by 1 (a planted fault)."""
+    word = rng.choice(sorted(family[k].entries))
+    return _bumped_at(family, k, word, rng.choice(sorted(family[k].entries[word])))
+
+
+def _bumped_at(family, k, word, name):
+    """A copy of a Taylor family with the coefficient of `name` in t_k(word)
+    raised by 1."""
     out = dict(family)
     src = family[k]
     t = MultilinearMap(src.source, src.target, src.degree, src.arity, src.flavor)
-    for word, vec in src.entries.items():
-        t.set_entry(word, vec)
-    word = rng.choice(sorted(src.entries))
-    name = rng.choice(sorted(src.entries[word]))
+    for w, vec in src.entries.items():
+        t.set_entry(w, vec)
     t.add_entry(word, {name: 1})
     out[k] = t
     return out
 
 
+def _entries(F):
+    return {n: q.entries for n, q in F.taylor.items()}
+
+
+def _assert_reports_equal(pushed, pulled, where):
+    assert not pushed.ok, where
+    assert pushed.lines() == pulled.lines(), where
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_planted_faults_pushed_reports_equal_pulled(seed):
-    # one bumped coefficient of L_k and one of the FM cocone's q_3: the pushed
-    # checks report every weight exactly as the word-by-word pull does,
-    # witness and lhs included, and the pushed E.L equals the pulled one
+    # one bumped coefficient at a time: the pushed checks report every weight
+    # exactly as the word-by-word pull does, witness and lhs included, and the
+    # pushed composites and inverses equal the pulled ones, in both flavors
     rng = random.Random("planted:%d" % seed)
     E, L = exp_log_isos(random_dga_morphism(seed, 2), max_weight=4)
+    sE = symmetrize_morphism(E)
+    assert _entries(invert_morphism(sE)) == _entries(pull_invert(sE))
     for k in range(1, 5):
         bad = OoMorphism(L.source, L.target, _bumped(L.taylor, k, rng))
-        pushed = check_morphism(bad)
-        assert not pushed.ok
-        assert pushed.lines() == pull_check_morphism(bad).lines(), k
-        EL, EL_pull = compose_morphisms(E, bad), pull_compose(E, bad)
-        assert {n: q.entries for n, q in EL.taylor.items()} == \
-            {n: q.entries for n, q in EL_pull.taylor.items()}, k
+        _assert_reports_equal(check_morphism(bad), pull_check_morphism(bad), k)
+        assert _entries(compose_morphisms(E, bad)) == _entries(pull_compose(E, bad)), k
+        sbad = symmetrize_morphism(bad, sE.target, sE.source)
+        assert check_morphism(sbad).lines() == pull_check_morphism(sbad).lines(), k
+        assert _entries(compose_morphisms(sE, sbad)) == _entries(pull_compose(sE, sbad)), k
+        if k > 1:
+            assert _entries(invert_morphism(sbad)) == _entries(pull_invert(sbad)), k
     cinf = fm_cocone_assoc(random_dga_morphism(seed, 2), max_weight=4)
     bad = OoStructure(cinf.space, TENSOR, _bumped(cinf.taylor, 3, rng), 4)
-    pushed = check_structure(bad)
-    assert not pushed.ok
-    assert pushed.lines() == pull_check_structure(bad).lines()
+    _assert_reports_equal(check_structure(bad), pull_check_structure(bad), "assoc")
+    # the FM Lie cocone has odd letters and keys that repeat an even letter,
+    # so the symmetric push meets Koszul signs and multiplicity weights; its
+    # pushed residuals equal the pulled ones on every word, not only the witness
+    _, _, inc = random_filtered_inclusion(seed, 2)
+    lie = fm_cocone_lie(inc, max_weight=5)
+    deg = lie.space.degree
+    assert any(deg[n] % 2 for n in lie.space.names)
+    assert any(len(set(K)) < len(K) for q in lie.taylor.values() for K in q.entries)
+    for k in sorted(lie.taylor):
+        bad = OoStructure(lie.space, SYMMETRIC, _bumped(lie.taylor, k, rng), 5)
+        _assert_reports_equal(check_structure(bad), pull_check_structure(bad), ("lie", k))
+        for n in range(1, 6):
+            pulled = {w: square_residual(bad, w) for w in bad.basis_words(n)}
+            assert in_basis_order(bad.space, push_insertion(bad.taylor, bad.taylor, n)) == \
+                [(w, v) for w, v in pulled.items() if v], ("lie", k, n)
+    # every single bumped f_k of the split period map, on the torus and a
+    # lambda fixture: on the torus L and Hom*(W, A) carry zero structures, so
+    # no bump shows in either check; on the lambda fixtures some f_1 bumps do
+    fpd = torus_package(2)[2] if seed % 2 else lambda_cartan_fixture(seed // 2, 2, 1)[1]
+    Pi, _ = split_period_map(fpd, max_weight=3)
+    caught = 0
+    for k, fk in Pi.taylor.items():
+        for word, vec in fk.entries.items():
+            for name in vec:
+                bad = OoMorphism(Pi.source, Pi.target, _bumped_at(Pi.taylor, k, word, name))
+                pushed = check_morphism(bad)
+                assert pushed.lines() == pull_check_morphism(bad).lines(), (k, word, name)
+                caught += not pushed.ok
+    assert (caught == 0) == (seed % 2 == 1)
 
 
 def test_exp_log_series_coefficients_closed_form():
@@ -339,7 +386,7 @@ def test_exp_log_relation_coefficient_matches_series_on_polynomial_fixture():
             q = cinf.taylor.get(arity)
             if q is None:
                 continue
-            for tup, c in L.morph_component(arity, k, word).items():
+            for tup, c in morph_component(L, arity, k, word).items():
                 lin_acc(acc, q.value(tup), c)
         # all b-degrees are 0, so acc = C_{i,j} * b:(u1^i f(u1) u1^j) = C_{i,j} b:u_k
         want = C.get((i, j), Fraction(0))

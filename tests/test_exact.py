@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hoalg.coalg import (
-    DgLieAlgebra, check_structure, decalage_dga, decalage_dgla,
+    DgLieAlgebra, OoStructure, check_structure, decalage_dga, decalage_dgla,
+    push_insertion, push_product,
 )
 from hoalg.cocone import fm_cocone_assoc, fm_cocone_lie
 from hoalg.fixtures import (
@@ -209,7 +210,8 @@ def test_kernel_and_solves_of_int_graded_maps_match_sympy(data):
 # --- every stored coefficient of built objects ----------------------------------
 
 def _coefficients(obj):
-    """Every coefficient a built object stores, memos included."""
+    """Every coefficient a built object stores, and for a structure or
+    morphism every coefficient its pushed sums hold at each weight."""
     if isinstance(obj, GradedMap):
         for vec in obj.entries.values():
             yield from vec.values()
@@ -227,9 +229,15 @@ def _coefficients(obj):
     else:  # OoStructure / OoMorphism
         for q in obj.taylor.values():
             yield from _coefficients(q)
-        for memo in (getattr(obj, "_coder_memo", {}), getattr(obj, "_morph_memo", {})):
-            for combo in memo.values():
-                yield from combo.values()
+        for k in range(1, obj.max_weight + 1):
+            if isinstance(obj, OoStructure):
+                sums = [push_insertion(obj.taylor, obj.taylor, k)]
+            else:
+                sums = [push_insertion(obj.taylor, obj.source.taylor, k),
+                        push_product(obj.target.taylor, obj.taylor, k)]
+            for pushed in sums:
+                for vec in pushed.values():
+                    yield from vec.values()
 
 
 def assert_all_canonical(*objs):

@@ -235,10 +235,13 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     # the lift depends on the order in which eval_taylor accumulates terms
     ["--artin", "1,4", "mc", "extend", DEMO, "--structure", "S", "--element", "xi",
      "--order", "3"],
-    # pushed tensor-flavor sums accumulate into dicts before the witness sort
+    # pushed sums, in both flavors, accumulate into dicts before the witness sort
     ["cocone", "explog", "--example", "r:1"],
     ["--max-weight", "4", "cocone", "derived", "--example", "r:1"],
-], ids=["yukawa", "mc-extend", "cocone-explog", "cocone-derived"])
+    ["cocone", "lie", "--example", "r:1"],
+    ["--max-weight", "4", "period", "split", "--example", "torus:2"],
+], ids=["yukawa", "mc-extend", "cocone-explog", "cocone-derived", "cocone-lie",
+        "period-split"])
 def test_cli_determinism_across_processes(cli_args):
     import subprocess
     import hoalg

@@ -1,7 +1,8 @@
 """Import hygiene of the library modules, checked with `ast` only: every
 module-level import is used or re-exported through `__all__`, no import is
 tucked inside a function, every Koszul-signed ordering sum goes through
-`graded.signed_orderings`, and every true division sits on a reviewed site."""
+`graded.signed_orderings`, every true division sits on a reviewed site, and
+the word-by-word pull path and its memos stay out of the library."""
 
 from __future__ import annotations
 
@@ -112,3 +113,28 @@ def test_true_division_only_on_reviewed_sites():
     assert found - DIVISION_SITES == set()
     # a site that no longer divides is dropped from the list, so it stays exact
     assert DIVISION_SITES - found == set()
+
+
+# The coalgebra sums are pushed from the Taylor supports; the word-by-word
+# evaluators and their (j, k, word) memos live in tests/pull_oracles.py only.
+PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
+              "morph_component"}
+
+
+def _defined(node) -> set:
+    """Every function, class and argument name a syntax tree defines."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.arg):
+            out.add(n.arg)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_pull_path_in_library(path):
+    tree = _tree(path)
+    strings = {n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    assert (_names(tree) | _defined(tree) | strings) & PULL_NAMES == set()
