@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .coalg import (
-    DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla, end_preserving_sub_dgla,
-    symmetrize_structure,
+    DgLieAlgebra, OoMorphism, OoStructure, _stabilizer, _symmetric_word, decalage_dgla,
+    end_preserving_sub_dgla, in_basis_order, pushed_map, symmetrize_structure,
 )
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
@@ -27,7 +27,7 @@ from .graded import (
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
     graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale,
     lin_single, linear_part, map_kernel_basis, pair_space, prefix_vector, sign_pow,
-    signed_orderings, sym_normalize,
+    sym_normalize,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -533,59 +533,69 @@ def _restrict_to_hom(gm: GradedMap, w_names, a_names) -> dict:
     return vec
 
 
-def _propagator_words(left: GradedMap, head_ops: dict, tail_ops: dict,
-                      right: GradedMap, w_names, a_names):
-    """word(head, tail): the Hom(W, A) entries of
-    left o head_ops[head[0]] o .. o tail_ops[tail[0]] o .. o right.
-
-    Every suffix product is memoized on its (head, tail) name tuples, and the
-    memo lives as long as the returned function: one builder call.  (No
-    recursive closure: a self-referencing one would keep the memo alive in a
-    reference cycle until the next garbage collection.)
-    """
-    products = {((), ()): right}
-    words = {}
-
-    def word(head, tail):
-        got = words.get((head, tail))
-        if got is None:
-            keys = [(head[p:], tail) for p in range(len(head))] + \
-                   [((), tail[p:]) for p in range(len(tail) + 1)]
-            ops = [head_ops[x] for x in head] + [tail_ops[x] for x in tail]
-            p = next(p for p, key in enumerate(keys) if key in products)
-            cur = products[keys[p]]
-            for q in range(p - 1, -1, -1):
-                cur = products[keys[q]] = ops[q].compose(cur)
-            got = words[head, tail] = _restrict_to_hom(left.compose(cur), w_names, a_names)
-        return got
-
-    return word
-
-
-def _chain_sum(word, degree: dict, heads, chain) -> dict:
-    """sum_{j in heads} sum over the (j, 1, .., 1)-unshuffles sigma of `word` of
-    eps(sigma) chain(head, tail), where the reordered word is split into its
-    first j letters (head) and the rest (tail)."""
+def _cut_sums(space: GradedSpace, pairs) -> dict:
+    """{T: sum of w(B, T) . heads[B] o tails[S]} over the (heads, tails) memo
+    pairs and their keys B, S, for T the sorted word of B + S, zero sums
+    dropped.  w(B, T) is the Koszul sign of that sort times the number of
+    ways to pick B out of T (coalg._symmetric_word), so if heads[B] and
+    tails[S] sum the signed orderings of B and S, the sum at T is the signed
+    sum over the orderings of T, grouped by the content of the first |B|
+    letters.  Only nonzero memo entries are visited."""
     acc: dict = {}
-    for j in heads:
-        for perm, eps in signed_orderings(word, degree, (j,) + (1,) * (len(word) - j)):
-            lin_acc(acc, chain(perm[:j], perm[j:]), eps)
-    return acc
+    for heads, tails in pairs:
+        for B, h in heads.items():
+            for S, t in tails.items():
+                got = _symmetric_word(B + S, space, _stabilizer(B) * _stabilizer(S))
+                if got is not None:
+                    T, w = got
+                    term = h.compose(t)
+                    acc[T] = acc[T].add(term, w) if T in acc else term.scale(w)
+    return {T: gm for T, gm in acc.items() if not gm.is_zero()}
 
 
-def _chain_taylor(source: OoStructure, target: GradedSpace, max_weight: int,
-                  heads, chain) -> dict:
-    """The symmetric degree-0 Taylor family source -> target whose arity-k
-    coefficient is _chain_sum(word, .., heads(k), chain) on every word."""
+def _hom_map(source: GradedSpace, target: GradedSpace, k: int, maps: dict, w_names,
+             a_names, coeff=1) -> MultilinearMap:
+    """The symmetric arity-k map source -> target with coeff times the
+    Hom(W, A) entries of maps[word] on each word, written in basis order."""
+    return pushed_map(source, target, 0, k, SYMMETRIC, in_basis_order(source, {
+        T: lin_scale(_restrict_to_hom(gm, w_names, a_names), coeff) for T, gm in maps.items()}))
+
+
+def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int, heads,
+                      left: GradedMap, head_ops: dict, tail_ops: dict, right: GradedMap,
+                      w_names, a_names) -> dict:
+    """The Taylor family source -> target whose arity-k map holds the Hom(W, A)
+    entries of the sums over the (j, 1, .., 1)-unshuffles of each word T, j in
+    heads, of the signed chains left o head_ops[head] .. tail_ops[tail] .. right.
+    The head is a sorted sub-word B and the tail any ordering of the rest:
+
+        sum_{|B| in heads} w(B, T) . H(B) o Tail(T - B)     (_cut_sums),
+        H(B) = left o head_ops[B[0]] o .. o head_ops[B[-1]],
+        Tail(S) = sum_{distinct b in S} w(b, S) . tail_ops[b] o Tail(S - b),
+        Tail(()) = right on the sources in W.
+
+    H and Tail are memoized by length where nonzero, for this call only, and
+    filled shortest words first (no self-referencing closure, which would
+    keep the memos alive in a reference cycle until the next collection).
+    """
+    space = source.space
+    index = space.index
+    wset = set(w_names)
+    lefts = [{(): left}]
+    tails = [{(): GradedMap(right.source, right.target, right.degree,
+                            {s: v for s, v in right.entries.items() if s in wset})}]
+    singles = {(x,): tail_ops[x] for x in space.names}
     taylor = {}
     for k in range(1, max_weight + 1):
-        fk = MultilinearMap(source.space, target, 0, k, SYMMETRIC)
-        for word in source.basis_words(k):
-            acc = _chain_sum(word, source.space.degree, heads(k), chain)
-            if acc:
-                fk.add_entry(word, acc)
-        if not fk.is_zero():
-            taylor[k] = fk
+        if k <= max(heads):
+            grown = ((B + (x,), h.compose(head_ops[x])) for B, h in lefts[k - 1].items()
+                     for x in space.names[index[B[-1]] if B else 0:]
+                     if not (B and x == B[-1] and space.degree[x] % 2))
+            lefts.append({B: gm for B, gm in grown if not gm.is_zero()})
+        if k <= max_weight - min(heads):
+            tails.append(_cut_sums(space, [(singles, tails[k - 1])]))
+        total = _cut_sums(space, [(lefts[j], tails[k - j]) for j in heads if j <= k])
+        taylor[k] = _hom_map(space, target, k, total, w_names, a_names)
     return taylor
 
 
@@ -626,16 +636,18 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     """Taylor coefficients pi_k = sum over permutations and ordered partitions
     of the signed nested projection words P i..i P ... P i..i P-perp.
 
-    The partition of k into j blocks carries (-1)^{k+j} / prod(size!), that is
-    (-1)^k prod(-1/size!), so the sum over all partitions of one permuted
-    word s is (-1)^k R(s) with the recursion in the first block's length m
+    The partition of k into j blocks carries (-1)^{k+j} / prod(size!), so
+    the sum over the partitions of one ordering s is (-1)^k R(s), with
+    R(()) = P-perp and R(s) = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]).
+    Over the signed orderings of a sorted word T, with the first block
+    grouped by its content B (_cut_sums and its weight w), pi_k(T) is
+    (-1)^k SymR(T) on Hom(W, A), where
 
-        R(()) = P-perp,
-        R(s)  = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]).
+        SymR(T) = sum_{nonempty B} -(1/|B|!) w(B, T) . P I(B) SymR(T - B),
+        I(B) = sum_{distinct b in B} w(b, B) . i_b I(B - b),
+        SymR(()) = P-perp, I(()) = id,
 
-    R is memoized on its name tuple for the whole call, so suffixes are shared
-    across permutations, words and weights.  The sum over permutations is
-    _chain_sum with heads (1,) on (-1)^k R(head + tail).
+    memoized by length where nonzero, for this call only, shortest first.
 
     Returns (morphism L[1] -> Hom*(W, A), target structure): the target is the
     symmetrized derived-product structure of the splitting
@@ -648,30 +660,19 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     target = symmetrize_structure(
         derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
     source = decalage_dgla(c.L, max_weight)
-    memo = {(): fpd.Pperp}
-
-    def chain(s):
-        """R(s), filling in the missing suffixes shortest first."""
-        for start in range(len(s) - 1, -1, -1):
-            t = s[start:]
-            if t in memo:
-                continue
-            # Horner in m: i_{t[0]} (R(t[1:]) + 1/2 i_{t[1]} (R(t[2:]) + ...))
-            inner = fpd.Pperp
-            for r in range(len(t) - 1, -1, -1):
-                inner = c.i[t[r]].compose(inner)
-                if r:
-                    inner = memo[t[r:]].add(inner, Fraction(1, r + 1))
-            memo[t] = fpd.P.compose(inner).scale(-1)
-        return memo[s]
-
-    def signed_word(head, tail):
-        """(-1)^k R(s) on Hom(W, A) for the ordering s = head + tail."""
-        s = head + tail
-        return lin_scale(_restrict_to_hom(chain(s), fpd.w_names, fpd.a_names),
-                         sign_pow(len(s)))
-
-    taylor = _chain_taylor(source, target.space, max_weight, lambda k: (1,), signed_word)
+    space = source.space
+    letters = {(x,): c.i[x] for x in space.names}
+    contractions = [{(): GradedMap.identity(c.V)}]
+    blocks = [{}]
+    chains = [{(): fpd.Pperp}]
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        contractions.append(_cut_sums(space, [(letters, contractions[k - 1])]))
+        scale = Fraction(-1, factorial(k))
+        blocks.append({B: fpd.P.compose(I).scale(scale) for B, I in contractions[k].items()})
+        chains.append(_cut_sums(space, [(blocks[j], chains[k - j]) for j in range(1, k + 1)]))
+        taylor[k] = _hom_map(space, target.space, k, chains[k], fpd.w_names, fpd.a_names,
+                             sign_pow(k))
     return OoMorphism(source, target, taylor), target
 
 
@@ -746,7 +747,7 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
                            max_weight: int = 4) -> OoMorphism:
     """Closed-form symmetric quasi-inverse onto harmonic hom classes:
     g_k(f_1 . ... . f_k) = sum_sigma eps(sigma) pi f h(del) f ... h(del) f iota,
-    summed by _chain_sum with heads (1,) over the shared propagator words."""
+    by sub-word recursion: _propagator_words with heads (1,)."""
     hw_top, hw_low, small = _harmonic_hom(pkg, p)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     bigsp = source.space
@@ -754,20 +755,20 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
     realized = {name: elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
                                                bigsp.degree[name])
                 for name in bigsp.names}
-    chain = _propagator_words(pkg.pi, realized,
-                              {x: hdel.compose(f) for x, f in realized.items()},
-                              pkg.iota, hw_top, hw_low)
-    return OoMorphism(source, target,
-                      _chain_taylor(source, small, max_weight, lambda k: (1,), chain))
+    return OoMorphism(source, target, _propagator_words(
+        source, small, max_weight, (1,), pkg.pi, realized,
+        {x: hdel.compose(f) for x, f in realized.items()}, pkg.iota, hw_top, hw_low))
 
 
 # ---------------------------------------------------------------------------
 # minimal period map (harmonic target, trivial structure)
 
 
-def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, w_names, a_names):
-    """word(head, tail) = pi i_head (h l)_tail iota, restricted to Hom(W, A)."""
-    return _propagator_words(pkg.pi, c.i,
+def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, source: OoStructure,
+                       target: GradedSpace, max_weight: int, heads, w_names,
+                       a_names) -> dict:
+    """_propagator_words for the chains pi i_head (h l)_tail iota."""
+    return _propagator_words(source, target, max_weight, heads, pkg.pi, c.i,
                              {x: pkg.h.compose(c.l(x)) for x in c.L.space.names},
                              pkg.iota, w_names, a_names)
 
@@ -776,13 +777,12 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
                        max_weight: int = 3) -> OoMorphism:
     """p_k = sum_{j=1}^{k} sum over S(j,1,..,1) unshuffles of the signed words
     pi i..i (h l) .. (h l) iota, into Hom*(H^{n,*}, H^{<n,*}) with the trivial
-    structure: _chain_sum with heads 1..k over the contraction words."""
+    structure, by sub-word recursion: _propagator_words with heads 1..k."""
     hw_top, hw_low, small = _harmonic_hom(pkg, pkg.n)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     source = decalage_dgla(c.L, max_weight)
-    chain = _contraction_words(pkg, c, hw_top, hw_low)
-    return OoMorphism(source, target, _chain_taylor(
-        source, small, max_weight, lambda k: range(1, k + 1), chain))
+    return OoMorphism(source, target, _contraction_words(
+        pkg, c, source, small, max_weight, range(1, max_weight + 1), hw_top, hw_low))
 
 
 # ---------------------------------------------------------------------------
@@ -793,26 +793,25 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
                  max_weight: int = 4) -> OoStructure:
     """Homotopy-fiber-product model on L[1] x Hom*(H^{n,*}, H^{0,*})[-1]:
     minimal fiber, brackets through the propagator words.  The fiber part of
-    q_k is _chain_sum with heads (n,): the S(n,1,..,1) unshuffles of the
-    signed words pi i..i (h l) .. (h l) iota with n contractions in front."""
+    q_k sums the S(n,1,..,1) unshuffles of the signed words
+    pi i..i (h l) .. (h l) iota with n contractions in front, by sub-word
+    recursion: _propagator_words with heads (n,)."""
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
     hw = pkg.harmonic_names()
     top = [x for x in hw if pkg.H.bidegree[x][0] == n]
     bottom = [x for x in hw if pkg.H.bidegree[x][0] == 0]
-    fiber = hom_space(bottom, top, pkg.H).shifted(-1)
+    hom = hom_space(bottom, top, pkg.H)
     base = decalage_dgla(c.L, max_weight)
-    space = pair_space(base.space, fiber)
-    chain = _contraction_words(pkg, c, top, bottom)
+    space = pair_space(base.space, hom.shifted(-1))
+    fibers = _contraction_words(pkg, c, base, hom, max_weight, (n,), top, bottom)
     taylor = {}
     for k in range(1, max_weight + 1):
         qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
         add_prefixed(qk, base.taylor.get(k), A_PRE)
-        for word in (base.basis_words(k) if k >= n else ()):
-            fib = _chain_sum(word, base.space.degree, (n,), chain)
-            if fib:
-                qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
+        for word, fib in fibers[k].entries.items():
+            qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
         if not qk.is_zero():
             taylor[k] = qk
     return OoStructure(space, SYMMETRIC, taylor, max_weight)

@@ -4,22 +4,30 @@ hoalg.coalg pushes every sum from the Taylor supports.  This module keeps the
 way the library computed them before: Q^j_k and F^j_k evaluated on one basis
 word at a time, memoized per object on (j, k, word), and every check,
 composite, inverse, transfer and transport looping over every basis word of
-every weight.  They are slow, so tests run them at low weights only.
+every weight.  It also keeps the DG axiom loop over every basis word, and the
+hodge builders that sum every symmetric word over its k! orderings with
+ordered-suffix memos.  They are slow, so tests run them at low weights only.
 """
 
 from __future__ import annotations
 
 import itertools
 import weakref
+from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
 
-from hoalg.coalg import OoMorphism, OoStructure
-from hoalg.graded import (
-    GradedSpace, MalformedInput, MultilinearMap, Report, TENSOR, format_vector,
-    lin_acc, lin_add, lin_single, linear_part, map_right_inverse,
-    multilinear_from_graded_map, signed_orderings,
+from hoalg.coalg import (
+    OoMorphism, OoStructure, _first_nonzero, decalage_dgla, symmetrize_structure,
 )
+from hoalg.cocone import A_PRE, B_PRE
+from hoalg.graded import (
+    GradedSpace, MalformedInput, MultilinearMap, Report, SYMMETRIC, TENSOR,
+    add_prefixed, elementary_to_graded_map, first_witness, format_vector, hom_space,
+    lin_acc, lin_add, lin_eq, lin_scale, lin_single, linear_part, map_right_inverse,
+    multilinear_from_graded_map, pair_space, prefix_vector, sign_pow, signed_orderings,
+)
+from hoalg.hodge import _harmonic_hom, _restrict_to_hom, derived_hom_structure
 
 # (j, k, word) -> component value, per structure or morphism
 _MEMOS = weakref.WeakKeyDictionary()
@@ -328,3 +336,163 @@ def pull_transfer_quasi_inverse(big: OoStructure, c, F: OoMorphism, max_weight=N
         if not gk.is_zero():
             G.taylor[k] = gk
     return G
+
+
+# ---------------------------------------------------------------------------
+# DG axioms on every basis word
+
+
+def pull_dg_check(title, sp, d, op, before, after=()) -> Report:
+    """coalg._dg_check with every axiom run over every basis word of its
+    arity (itertools.product), the first failing word as witness."""
+    def leibniz(w):
+        x, y = w
+        rhs = op.apply_vectors([d.value(x), lin_single(y)])
+        lin_acc(rhs, op.apply_vectors([lin_single(x), d.value(y)]),
+                sign_pow(sp.degree[x]))
+        return lin_eq(d.apply(op.value((x, y))), rhs)
+
+    r = Report(title)
+    dd = d.compose(d)
+    r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
+    for label, holds, arity in (*before, ("leibniz", leibniz, 2), *after):
+        wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
+        r.add(label, wit is None, witness=wit)
+    return r
+
+
+# ---------------------------------------------------------------------------
+# hodge builders summed over the k! orderings of every word
+
+
+def pull_propagator_words(left, head_ops: dict, tail_ops: dict, right, w_names, a_names):
+    """word(head, tail): the Hom(W, A) entries of
+    left o head_ops[head[0]] o .. o tail_ops[tail[0]] o .. o right, with
+    every suffix product memoized on its (head, tail) name tuples."""
+    products = {((), ()): right}
+    words = {}
+
+    def word(head, tail):
+        got = words.get((head, tail))
+        if got is None:
+            keys = [(head[p:], tail) for p in range(len(head))] + \
+                   [((), tail[p:]) for p in range(len(tail) + 1)]
+            ops = [head_ops[x] for x in head] + [tail_ops[x] for x in tail]
+            p = next(p for p, key in enumerate(keys) if key in products)
+            cur = products[keys[p]]
+            for q in range(p - 1, -1, -1):
+                cur = products[keys[q]] = ops[q].compose(cur)
+            got = words[head, tail] = _restrict_to_hom(left.compose(cur), w_names, a_names)
+        return got
+
+    return word
+
+
+def pull_chain_sum(word, degree: dict, heads, chain) -> dict:
+    """sum_{j in heads} sum over the (j, 1, .., 1)-unshuffles sigma of `word` of
+    eps(sigma) chain(head, tail), where the reordered word is split into its
+    first j letters (head) and the rest (tail)."""
+    acc: dict = {}
+    for j in heads:
+        for perm, eps in signed_orderings(word, degree, (j,) + (1,) * (len(word) - j)):
+            lin_acc(acc, chain(perm[:j], perm[j:]), eps)
+    return acc
+
+
+def pull_chain_taylor(source, target, max_weight, heads, chain) -> dict:
+    """The symmetric degree-0 Taylor family source -> target whose arity-k
+    coefficient is pull_chain_sum(word, .., heads(k), chain) on every word."""
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        fk = MultilinearMap(source.space, target, 0, k, SYMMETRIC)
+        for word in source.basis_words(k):
+            acc = pull_chain_sum(word, source.space.degree, heads(k), chain)
+            if acc:
+                fk.add_entry(word, acc)
+        if not fk.is_zero():
+            taylor[k] = fk
+    return taylor
+
+
+def pull_split_period_map(fpd, max_weight=4):
+    """hodge.split_period_map as the sum over the k! orderings s of every
+    word of (-1)^k R(s), R(()) = P-perp and
+    R(s) = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]) memoized on suffixes."""
+    c = fpd.cartan
+    target = symmetrize_structure(
+        derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
+    source = decalage_dgla(c.L, max_weight)
+    memo = {(): fpd.Pperp}
+
+    def chain(s):
+        for start in range(len(s) - 1, -1, -1):
+            t = s[start:]
+            if t in memo:
+                continue
+            inner = fpd.Pperp
+            for r in range(len(t) - 1, -1, -1):
+                inner = c.i[t[r]].compose(inner)
+                if r:
+                    inner = memo[t[r:]].add(inner, Fraction(1, r + 1))
+            memo[t] = fpd.P.compose(inner).scale(-1)
+        return memo[s]
+
+    def signed_word(head, tail):
+        s = head + tail
+        return lin_scale(_restrict_to_hom(chain(s), fpd.w_names, fpd.a_names),
+                         sign_pow(len(s)))
+
+    taylor = pull_chain_taylor(source, target.space, max_weight, lambda k: (1,), signed_word)
+    return OoMorphism(source, target, taylor), target
+
+
+def _pull_contraction_words(pkg, c, w_names, a_names):
+    return pull_propagator_words(pkg.pi, c.i,
+                                 {x: pkg.h.compose(c.l(x)) for x in c.L.space.names},
+                                 pkg.iota, w_names, a_names)
+
+
+def pull_minimal_period_map(pkg, c, max_weight=3):
+    hw_top, hw_low, small = _harmonic_hom(pkg, pkg.n)
+    target = OoStructure(small, SYMMETRIC, {}, max_weight)
+    source = decalage_dgla(c.L, max_weight)
+    chain = _pull_contraction_words(pkg, c, hw_top, hw_low)
+    return OoMorphism(source, target, pull_chain_taylor(
+        source, small, max_weight, lambda k: range(1, k + 1), chain))
+
+
+def pull_harmonic_quasi_inverse(pkg, p, source, max_weight=4):
+    hw_top, hw_low, small = _harmonic_hom(pkg, p)
+    target = OoStructure(small, SYMMETRIC, {}, max_weight)
+    bigsp = source.space
+    hdel = pkg.h.compose(pkg.dell)
+    realized = {name: elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
+                                               bigsp.degree[name])
+                for name in bigsp.names}
+    chain = pull_propagator_words(pkg.pi, realized,
+                                  {x: hdel.compose(f) for x, f in realized.items()},
+                                  pkg.iota, hw_top, hw_low)
+    return OoMorphism(source, target,
+                      pull_chain_taylor(source, small, max_weight, lambda k: (1,), chain))
+
+
+def pull_yukawa_model(pkg, c, max_weight=4):
+    n = pkg.n
+    hw = pkg.harmonic_names()
+    top = [x for x in hw if pkg.H.bidegree[x][0] == n]
+    bottom = [x for x in hw if pkg.H.bidegree[x][0] == 0]
+    fiber = hom_space(bottom, top, pkg.H).shifted(-1)
+    base = decalage_dgla(c.L, max_weight)
+    space = pair_space(base.space, fiber)
+    chain = _pull_contraction_words(pkg, c, top, bottom)
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
+        add_prefixed(qk, base.taylor.get(k), A_PRE)
+        for word in (base.basis_words(k) if k >= n else ()):
+            fib = pull_chain_sum(word, base.space.degree, (n,), chain)
+            if fib:
+                qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
+        if not qk.is_zero():
+            taylor[k] = qk
+    return OoStructure(space, SYMMETRIC, taylor, max_weight)

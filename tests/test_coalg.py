@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from hoalg import coalg
 from hoalg.coalg import (
-    DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
+    DgAlgebra, DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, decalage_dgla, decalage_dgla_morphism, end_preserving_sub,
     identity_morphism, invert_morphism, OoMorphism, OoStructure, push_insertion,
     push_product, sub_algebra, symmetrize_morphism, symmetrize_structure,
@@ -15,8 +16,8 @@ from hoalg.coalg import (
 )
 from hoalg.cocone import exp_log_isos
 from hoalg.fixtures import (
-    abelian_dgla, end_splitting, heisenberg_dgla, random_dga_morphism, random_end_dga,
-    random_end_dgla, sl2_dgla,
+    abelian_dgla, end_splitting, heisenberg_dgla, lambda_cartan_fixture,
+    random_dga_morphism, random_end_dga, random_end_dgla, sl2_dgla,
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
@@ -24,8 +25,8 @@ from hoalg.graded import (
     unshuffles,
 )
 from pull_oracles import (
-    morph_component, prolong_coderivation, prolong_morphism, pull_compose, pull_invert,
-    pull_transport,
+    morph_component, prolong_coderivation, prolong_morphism, pull_compose, pull_dg_check,
+    pull_invert, pull_transport,
 )
 
 
@@ -613,6 +614,86 @@ def test_dgla_morphism_bracket_failure_names_first_pair():
     assert fail["weight"] is None
     assert rep.lines()[1] == ("RELATION bracket_compatible weight=- tuple=(e,h) "
                               "lhs=- rhs=- status=FAIL")
+
+
+# --- DG axioms from the supports ---------------------------------------------
+
+
+def _dg_fixtures(seed):
+    """DGLAs and DGAs with and without differential, bracket or product: an
+    abelian one (empty bracket), a non-abelian lambda draw, and the
+    Heisenberg Lie and associative (x.y = z only) algebras with an extra
+    degree -1 letter u, first or last, where a planted d(u) meets the
+    operation's support, on either side, at words outside it."""
+    V = random_end_dgla(seed, 2).space
+    L331 = lambda_cartan_fixture(3, 3, 1, p=2)[0].L
+    H = heisenberg_dgla()
+    with_u = []
+    for basis in ([("u", -1)] + list(H.space.data()), list(H.space.data()) + [("u", -1)]):
+        sp = GradedSpace(basis)
+        for algebra, table in ((DgLieAlgebra, H.bracket.entries),
+                               (DgAlgebra, {("x", "y"): {"z": 1}})):
+            op = MultilinearMap(sp, sp, 0, 2, TENSOR)
+            for w, vec in table.items():
+                op.set_entry(w, vec)
+            with_u.append(algebra(sp, GradedMap(sp, sp, 1), op))
+    return [random_end_dgla(seed, 2), random_end_dga(seed, 2), sl2_dgla(),
+            heisenberg_dgla((0, 1, 1)), abelian_dgla(V, GradedMap(V, V, 1)),
+            random_end_dga(seed + 10, 3), L331] + with_u
+
+
+def _planted(alg, rng, kind, count=3):
+    """Copies of a DGLA or DGA, each with one coefficient of its operation
+    (kind "op") or of its differential (kind "d") raised by 1, at up to
+    `count` cells drawn by rng."""
+    sp = alg.space
+    lie = isinstance(alg, DgLieAlgebra)
+    table = alg.bracket if lie else alg.product
+    if kind == "op":
+        cells = [(x, y, z) for x, y, z in itertools.product(sp.names, repeat=3)
+                 if sp.degree[z] == sp.degree[x] + sp.degree[y]]
+    else:
+        cells = [(x, z) for x, z in itertools.product(sp.names, repeat=2)
+                 if sp.degree[z] == sp.degree[x] + 1]
+    out = []
+    for cell in rng.sample(cells, min(count, len(cells))):
+        op = MultilinearMap(sp, sp, 0, 2, TENSOR)
+        for w, vec in table.entries.items():
+            op.set_entry(w, vec)
+        d = GradedMap(sp, sp, 1, alg.d.entries)
+        if kind == "op":
+            op.add_entry(cell[:2], {cell[2]: 1})
+        else:
+            d.set(cell[0], lin_acc(dict(d.value(cell[0])), {cell[1]: 1}))
+        out.append((DgLieAlgebra if lie else DgAlgebra)(sp, d, op))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_dg_faults_pushed_reports_equal_pulled(seed, monkeypatch):
+    # one bumped bracket, product or d entry at a time: the DG checks over the
+    # words that touch the supports report exactly what the loop over every
+    # basis word reports, witness included
+    rng = random.Random("dg-faults:%d" % seed)
+    fixtures = _dg_fixtures(seed)
+    planted = [b for alg in fixtures for kind in ("op", "d") for b in _planted(alg, rng, kind)]
+    pushed = [alg.check() for alg in fixtures + planted]
+    monkeypatch.setattr(coalg, "_dg_check", pull_dg_check)
+    pulled = [alg.check() for alg in fixtures + planted]
+    assert [r.lines() for r in pushed] == [r.lines() for r in pulled]
+    assert all(r.ok for r in pushed[:len(fixtures)])
+    failing = sum(not r.ok for r in pushed[len(fixtures):])
+    assert failing >= len(planted) * 2 // 3, (failing, len(planted))
+
+
+def test_dg_check_of_an_empty_bracket_reads_no_word(monkeypatch):
+    # every axiom of an abelian DGLA has all terms zero on every word
+    V = random_end_dgla(0, 3).space
+    L = abelian_dgla(V, GradedMap(V, V, 1))
+    seen = []
+    monkeypatch.setattr(coalg, "first_witness",
+                        lambda words, holds: seen.extend(words) or None)
+    assert L.check().ok and seen == []
 
 
 # --- sub-algebras -----------------------------------------------------------

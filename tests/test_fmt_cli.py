@@ -240,8 +240,11 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     ["--max-weight", "4", "cocone", "derived", "--example", "r:1"],
     ["cocone", "lie", "--example", "r:1"],
     ["--max-weight", "4", "period", "split", "--example", "torus:2"],
+    # sub-word memos are dicts filled from dicts, then written in basis order
+    ["period", "split", "--example", "torus:2"],
+    ["period", "minimal", "--example", "torus:2"],
 ], ids=["yukawa", "mc-extend", "cocone-explog", "cocone-derived", "cocone-lie",
-        "period-split"])
+        "period-split", "period-split-readme", "period-minimal-readme"])
 def test_cli_determinism_across_processes(cli_args):
     import subprocess
     import hoalg

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import os
 from fractions import Fraction
 from math import factorial
@@ -14,7 +15,7 @@ from hoalg.cocone import A_PRE, B_PRE, Splitting, fiber_product_model
 from hoalg.fixtures import lambda_cartan_fixture
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, RejectedInput, SYMMETRIC,
-    check_contraction, hom_space, lin_single,
+    check_contraction, hom_space, lin_single, sign_pow,
 )
 from hoalg.hodge import (
     CartanHomotopy, FormalPeriodData, check_cartan, check_hodge_package,
@@ -27,6 +28,10 @@ from hoalg.hodge import (
 )
 from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
 from hoalg.transfer import transfer_structure
+from pull_oracles import (
+    pull_harmonic_quasi_inverse, pull_minimal_period_map, pull_split_period_map,
+    pull_yukawa_model,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -322,14 +327,29 @@ def test_split_period_map_is_morphism(fixture):
 
 
 def test_split_period_component_collapses_on_torus():
-    # on the flat torus with W = A^{>=1}: the A^{1+j} -> A^{1+j-k} component
-    # carries the coefficient sum_{h<=j} (-1)^h binom(k, h) against i i ... i
+    """On the flat torus with W = A^{>=1}, the A^{1+j} -> A^{1+j-k} component
+    of pi_k is split_period_coefficient_closed(k, j) times the chain
+    i_{w[0]} o .. o i_{w[k-1]} in word order, with no sign left over.
+
+    The sign: pi_k(w) sums the orderings s of w with their Koszul signs
+    eps(s), and on the torus every i_x has degree |x| in L[1] and the i's
+    graded-commute ([i, i] = 0).  Each i_x lowers the holomorphic degree by
+    one, so the projections between the contractions act alike on every
+    ordering.  Reordering the chain of s back into word order passes i_x
+    over i_y with the sign (-1)^{|x||y|}, the same sign eps(s) carries, so
+    every ordering contributes the chain in word order with sign +1, and
+    the partition sum leaves the closed coefficient.
+    Every arity >= 3 vanishes: three contractions kill A^{<=2, *}.
+    """
     pkg, cartan, fpd = torus_package(2, p=1)
-    Pi, target = split_period_map(fpd, max_weight=2)
+    Pi, target = split_period_map(fpd, max_weight=5)
+    assert set(Pi.taylor) == {1, 2}
     from hoalg.graded import elementary_to_graded_map
     k = 2
-    for (x, y) in [("t1b1", "t2b2")]:
-        got = Pi.taylor[2].value((x, y))
+    nonzero = 0
+    for x, y in Pi.source.basis_words(k):
+        got = Pi.taylor[k].value((x, y))
+        nonzero += bool(got)
         gm = elementary_to_graded_map(got, target.space, pkg.A, pkg.A) \
             if got else None
         chain = cartan.i[x].compose(cartan.i[y])
@@ -341,8 +361,35 @@ def test_split_period_component_collapses_on_torus():
             coeff = split_period_coefficient_closed(k, j) if p - k < 1 else 0
             want = {t: c * coeff for t, c in chain.value(src).items() if coeff}
             have = gm.value(src) if gm is not None else {}
-            # koszul: both orders of the symmetric word agree up to sign epsilon
-            assert have == want or have == {t: -c for t, c in want.items()}, src
+            assert have == want, (x, y, src)
+    assert nonzero == 9
+
+
+def test_yukawa_cubic_of_the_three_torus():
+    """For torus:3 the H^{3,0} -> H^{0,3} block of the weight-3 minimal period
+    map on (t_a b_alpha, t_b b_beta, t_c b_gamma) is eps_{abc} eps_{alpha beta
+    gamma}: the polarization of xi -> 6 det xi (Bryant-Griffiths 1983).
+    yukawa_model's fiber bracket carries the same block."""
+    pkg, cartan, fpd = torus_package(3)
+    P = minimal_period_map(pkg, cartan, max_weight=3)
+    Y = yukawa_model(pkg, cartan, max_weight=3)
+    block = "dzb1^dzb2^dzb3<-dz1^dz2^dz3"
+    names = sorted(("t%db%d" % (a, al) for a in (1, 2, 3) for al in (1, 2, 3)),
+                   key=P.source.space.index.get)
+
+    def eps(p):
+        if len(set(p)) < 3:
+            return 0
+        return sign_pow(sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)))
+
+    words = list(itertools.combinations_with_replacement(names, 3))
+    assert len(words) == 165
+    for word in words:
+        want = eps([int(n[1]) for n in word]) * eps([int(n[3]) for n in word])
+        assert P.taylor[3].value(word).get(block, 0) == want, word
+        fiber = Y.taylor[3].value(tuple(A_PRE + n for n in word))
+        assert fiber.get(B_PRE + block, 0) == want, word
+    assert sum(1 for word in words if P.taylor[3].value(word).get(block)) == 6
 
 
 # --- minimal period map ---------------------------------------------------------------
@@ -721,6 +768,8 @@ def _oracle_fixture(name):
         return synthetic_package(int(name[-1]))
     if name == "lambda021":
         cartan, fpd, _ = lambda_cartan_fixture(0, 2, 1)
+    elif name == "lambda732":
+        cartan, fpd, _ = lambda_cartan_fixture(7, 3, 2)
     else:
         cartan, fpd, _ = lambda_cartan_fixture(3, 3, 1, p=2)
     return None, cartan, fpd
@@ -777,21 +826,71 @@ def test_graded_space_equality_is_by_value():
     assert U != U.data()
 
 
-# GradedMap.compose calls per builder: (fixture, weight, bound); the comments
-# give the count of the chain-per-term loops, of the suffix-memo builders and,
-# for split, of the builder whose target q2 reads [d, f1] without composing.
+# The sub-word builders against the k!-ordering pull builders they replaced:
+# (fixture, weight, the letters its nonzero words exercise).  The torus and
+# lambda draws have odd letters in L[1], and the synthetic ones words that
+# repeat an even letter, so both the Koszul sign and the multiplicity weight
+# of a cut are covered.
+PULL_FIXTURES = [
+    ("torus2", 4, "odd"), ("lambda331", 3, "odd"), ("lambda732", 3, "odd"),
+    ("synthetic0", 4, "repeated even"), ("synthetic1", 4, "repeated even"),
+    ("synthetic2", 4, "repeated even"),
+]
+
+
+@pytest.mark.parametrize("fixture,weight,letters", PULL_FIXTURES,
+                         ids=["%s-%d" % case[:2] for case in PULL_FIXTURES])
+def test_builders_match_pull_oracles(fixture, weight, letters):
+    pkg, cartan, fpd = _oracle_fixture(fixture)
+    Pi, target = split_period_map(fpd, max_weight=weight)
+    ref, _ = pull_split_period_map(fpd, max_weight=weight)
+    assert Pi.taylor and _entries(Pi.taylor) == _entries(ref.taylor)
+    words = {w for f in Pi.taylor.values() for w in f.entries}
+    if pkg is not None:
+        P = minimal_period_map(pkg, cartan, max_weight=weight)
+        assert _entries(P.taylor) == _entries(pull_minimal_period_map(pkg, cartan, weight).taylor)
+        Y = yukawa_model(pkg, cartan, max_weight=weight)
+        assert _entries(Y.taylor) == _entries(pull_yukawa_model(pkg, cartan, weight).taylor)
+        words |= {w for f in P.taylor.values() for w in f.entries}
+    deg = Pi.source.space.degree
+    if letters == "odd":
+        assert any(deg[x] % 2 for w in words for x in w)
+    else:
+        assert any(x == y and deg[x] % 2 == 0 for w in words for x, y in zip(w, w[1:]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_harmonic_quasi_inverse_matches_pull_oracle(seed):
+    # the symmetrized hom structure has odd letters and repeated even ones
+    pkg, cartan, fpd = synthetic_package(seed)
+    big, contr = hom_transfer_contraction(pkg, pkg.n, max_weight=3)
+    source = symmetrize_structure(big)
+    G = harmonic_quasi_inverse(pkg, pkg.n, source, max_weight=3)
+    ref = pull_harmonic_quasi_inverse(pkg, pkg.n, source, max_weight=3)
+    assert len(G.taylor) == 3 and _entries(G.taylor) == _entries(ref.taylor)
+    deg = source.space.degree
+    assert any(deg[x] % 2 for f in G.taylor.values() for w in f.entries for x in w)
+
+
+# GradedMap.compose calls per builder: case -> (fixture, weight, bound); the
+# comments give the count of the chain-per-term loops, of the suffix-memo
+# builders, of the builder whose target q2 reads [d, f1] without composing,
+# and of the sub-word builders pushed from their nonzero memo entries.  A
+# return to work per ordering fails "split torus2 at 5" by two orders of
+# magnitude.
 COMPOSE_BOUNDS = {
-    "split synthetic0": (4, 250),      # 7,056 -> 418 -> 163
-    "split torus2": (3, 2500),         # 13,537 -> 4,405 -> 2,005
-    "minimal torus2": (3, 2000),       # 5,225 -> 1,773
-    "yukawa torus2": (4, 4500),        # 17,561 -> 4,131
+    "split synthetic0": ("synthetic0", 4, 100),   # 7,056 -> 418 -> 163 -> 82
+    "split torus2": ("torus2", 3, 550),           # 13,537 -> 4,405 -> 2,005 -> 461
+    "split torus2 at 5": ("torus2", 5, 600),      # 125,069 -> 511
+    "minimal torus2": ("torus2", 3, 140),         # 5,225 -> 1,773 -> 112
+    "yukawa torus2": ("torus2", 4, 100),          # 17,561 -> 4,131 -> 82
 }
 
 
 @pytest.mark.parametrize("case", sorted(COMPOSE_BOUNDS))
 def test_chain_builders_share_suffixes(case, monkeypatch):
-    builder, fixture = case.split()
-    weight, bound = COMPOSE_BOUNDS[case]
+    builder = case.split()[0]
+    fixture, weight, bound = COMPOSE_BOUNDS[case]
     pkg, cartan, fpd = _oracle_fixture(fixture)
     calls = [0]
     compose = GradedMap.compose

@@ -117,8 +117,11 @@ def test_true_division_only_on_reviewed_sites():
 
 # The coalgebra sums are pushed from the Taylor supports; the word-by-word
 # evaluators and their (j, k, word) memos live in tests/pull_oracles.py only.
+# The hodge builders recurse over sorted sub-words, so they name neither the
+# k!-ordering sum nor the ordering enumerator it ran on.
 PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
               "morph_component"}
+MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum", "signed_orderings"}}
 
 
 def _defined(node) -> set:
@@ -137,4 +140,5 @@ def test_no_pull_path_in_library(path):
     tree = _tree(path)
     strings = {n.value for n in ast.walk(tree)
                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    assert (_names(tree) | _defined(tree) | strings) & PULL_NAMES == set()
+    forbidden = PULL_NAMES | MODULE_PULL_NAMES.get(path.name, set())
+    assert (_names(tree) | _defined(tree) | strings) & forbidden == set()
