@@ -26,7 +26,7 @@ from .graded import (
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
     hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map,
-    sign_pow, sym_normalize, sym_words,
+    sign_pow, stabilizer, sym_words, symmetric_word,
 )
 
 
@@ -124,29 +124,6 @@ def _words_of(family: dict):
     return t.source, t.flavor == SYMMETRIC
 
 
-def _stabilizer(word: tuple) -> int:
-    """prod_x mult(x)! over the letters x of a sorted word: the number of
-    orderings of its letters that leave it unchanged."""
-    out = run = 1
-    for a, b in zip(word, word[1:]):
-        run = run + 1 if a == b else 1
-        out *= run
-    return out
-
-
-def _symmetric_word(word: tuple, space: GradedSpace, parts: int):
-    """(w, weight) for the basis word w of S(V) that a word of sorted blocks
-    becomes: w is the sorted word, and weight is the Koszul sign of the sort
-    times stab(w) // parts, where parts is the product of the blocks'
-    stabilizers, so the weight counts the ways to cut w into the blocks.
-    None when w repeats an odd letter."""
-    got = sym_normalize(word, space.index, space.degree)
-    if got is None:
-        return None
-    w, eps = got
-    return w, eps * (_stabilizer(w) // parts)
-
-
 def push_insertion(outer: dict, inner: dict, k: int) -> dict:
     """sum_j t_j(Q^j_k w) on every weight-k word w at once, as {w: vector},
     for t = outer and Q the degree +1 coderivation with Taylor family inner.
@@ -172,11 +149,11 @@ def push_insertion(outer: dict, inner: dict, k: int) -> dict:
             odd = 0
             for i, y in enumerate(key):
                 if y in pre and not (symmetric and i and key[i - 1] == y):
-                    rest = _stabilizer(key[:i] + key[i + 1:]) if symmetric else 1
+                    rest = stabilizer(key[:i] + key[i + 1:]) if symmetric else 1
                     for u, c in pre[y]:
                         w = key[:i] + u + key[i + 1:]
                         if symmetric:
-                            got = _symmetric_word(w, space, rest * _stabilizer(u))
+                            got = symmetric_word(w, space, rest * stabilizer(u))
                             if got is None:
                                 continue
                             w, weight = got
@@ -205,7 +182,7 @@ def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
     for j, t in outer.items():
         if lo <= j <= k:
             for key, vec in t.entries.items():
-                over = _stabilizer(key) if symmetric else 1
+                over = stabilizer(key) if symmetric else 1
                 for w, c in _preimage_words(key, inv, k, space, symmetric).items():
                     lin_acc(out.setdefault(w, {}), vec, c if over == 1 else Fraction(c, over))
     return out
@@ -223,13 +200,13 @@ def _preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
         nxt: dict = {}
         for w, c in words.items():
             room = k - len(w)
-            stab = _stabilizer(w) if symmetric else 1
+            stab = stabilizer(w) if symmetric else 1
             for n in range(max(1, room - left * top), room - left + 1):
                 for u, cu in inv.get(n, {}).get(y, ()):
                     if not symmetric:
                         lin_add(nxt, w + u, c * cu)
                     else:
-                        got = _symmetric_word(w + u, space, stab * _stabilizer(u))
+                        got = symmetric_word(w + u, space, stab * stabilizer(u))
                         if got is not None:
                             lin_add(nxt, got[0], c * cu * got[1])
         if not nxt:

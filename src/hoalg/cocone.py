@@ -15,15 +15,15 @@ from math import factorial
 
 from .coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism,
-    OoStructure, check_structure, decalage_dga, decalage_dgla, sub_algebra,
+    OoStructure, check_structure, decalage_dga, decalage_dgla, pushed_map, sub_algebra,
     transport_structure,
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
     coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
-    linear_part, map_right_inverse, multilinear_from_graded_map, nested, pair_space,
-    prefix_vector, sign_pow, signed_orderings, sym_normalize, sym_words,
+    linear_part, map_right_inverse, multilinear_from_graded_map, pair_space,
+    prefix_products, prefix_vector, sign_pow, stabilizer, sym_normalize, symmetric_word,
 )
 
 A_PRE = "a:"
@@ -40,48 +40,41 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     q1(x, m) = (-dx, dm - f(x)); q2 the shifted L-bracket; the mixed weights
     carry Bernoulli coefficients: q_{k+1}(x (x) m_1 ... m_k) =
     -(B_k/k!) S(f(x), m_1..m_k).  The signed sum over orderings
-    S(v, T) = sum_sigma eps(sigma) [...[v, t_s1], ..., t_sk] is grouped by
-    the position i that comes last:
+    S(v, T) = sum_sigma eps(sigma) [...[v, t_s1], ..., t_sk] is grown one
+    letter at a time from S(v, ()) = v: each sorted word S and letter b add
 
-        S(v, T) = sum_i eps_i [S(v, T - t_i), t_i],    S(v, ()) = v,
+        w [S(v, S), b]  at  T = sort(S + b),
 
-    eps_i the Koszul sign of moving t_i to the end.  T - t_i is again a
-    sorted symmetric word, so S is memoized on sub-words, one memo per x
-    shared by every word and weight of the call.  Summing over positions
-    counts a repeated (even) letter with its multiplicity.
+    with (T, w) = symmetric_word(S + (b,), M.space, stab(S)): the Koszul
+    sign of moving b into place times mult_T(b), the positions of T that b
+    can fill last, so a repeated (even) letter counts with its multiplicity.
+    Only the nonzero S(f(x), S) are grown, and only up to the last weight
+    whose Bernoulli number is nonzero.
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
     taylor = {1: _cocone_q1(f, space, SYMMETRIC)}
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
     add_prefixed(q2, decalage_dgla(L, max_weight, validate=False).taylor.get(2), A_PRE)
-    mdeg = M.space.degree
-    memos = {x: {(): f.map.value(x)} for x in L.space.names if f.map.value(x)}
-
-    def chain(memo: dict, word: tuple) -> dict:
-        """S(f(x), word), read from or written to the memo of x."""
-        out = memo.get(word)
-        if out is None:
-            out = {}
-            for perm, eps in signed_orderings(word, mdeg, (len(word) - 1, 1)):
-                head = chain(memo, perm[:-1])
-                if head:
-                    lin_acc(out, M.bracket_vec(head, lin_single(perm[-1])), eps)
-            memo[word] = out
-        return out
-
-    for k in range(1, max_weight):
-        if k >= 2 and bernoulli(k) == 0:
-            continue
-        coeff = -bernoulli(k) / factorial(k)
-        qk = taylor.setdefault(k + 1, q2 if k == 1 else
-                               MultilinearMap(space, space, 1, k + 1, SYMMETRIC))
-        for x, memo in memos.items():
-            for ms in sym_words(M.space.names, mdeg, k):
-                acc = chain(memo, ms)
-                if acc:
-                    qk.set_entry((A_PRE + x,) + tuple(B_PRE + m for m in ms),
-                                 prefix_vector(lin_scale(acc, coeff), B_PRE))
+    coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
+    for k in coeffs:
+        taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
+    for x in L.space.names:
+        level = {(): f.map.value(x)} if f.map.value(x) else {}
+        for k in range(1, max(coeffs, default=0) + 1):
+            grown: dict = {}
+            for S, v in level.items():
+                stab = stabilizer(S)
+                for b in M.space.names:
+                    got = symmetric_word(S + (b,), M.space, stab)
+                    if got is not None:
+                        lin_acc(grown.setdefault(got[0], {}), M.bracket_vec(v, lin_single(b)),
+                                got[1])
+            level = {T: v for T, v in grown.items() if v}
+            if k in coeffs:
+                for T, v in level.items():
+                    taylor[k + 1].set_entry((A_PRE + x,) + tuple(B_PRE + m for m in T),
+                                            prefix_vector(lin_scale(v, coeffs[k]), B_PRE))
     taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
@@ -139,6 +132,11 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
 
     q_{i+j+1}(b_1..b_i (x) a (x) b_{i+1}..b_{i+j}) =
     (B_{i+j}/(i! j!)) (-1)^{i+1+|b_1|+..+|b_i|} b_1..b_i f(a) b_{i+1}..b_{i+j}.
+
+    The products grow prefix by prefix from the nonzero ones: one table of
+    front products b_1..b_i, the mids b_1..b_i f(a), and the backs grown
+    from the mids, up to the last weight i + j whose Bernoulli number is
+    nonzero.
     """
     A, B = f.source, f.target
     space = pair_space(A.space.shifted(1), B.space)
@@ -146,33 +144,31 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
               2: MultilinearMap(space, space, 1, 2, TENSOR)}
     add_prefixed(taylor[2], decalage_dga(A, max_weight, validate=False).taylor.get(2), A_PRE)
     bdeg = B.space.degree
-    for w in range(1, max_weight):          # w = i + j, arity w + 1
-        if w >= 2 and bernoulli(w) == 0:
-            continue
-        arity = w + 1
-        if arity > max_weight:
-            break
-        qk = taylor.setdefault(arity, MultilinearMap(space, space, 1, arity, TENSOR))
-        for i in range(w + 1):
-            j = w - i
-            base = bernoulli(w) / (factorial(i) * factorial(j))
-            for x in A.space.names:
-                fx = f.map.value(x)
-                if not fx:
-                    continue
-                for front in itertools.product(B.space.names, repeat=i):
-                    sgn = sign_pow(i + 1 + sum(bdeg[b] for b in front))
-                    mid = B.mul(nested(B.mul, lin_single(front[0]), front[1:]), fx) \
-                        if front else fx
-                    if not mid:
-                        continue
-                    for back in itertools.product(B.space.names, repeat=j):
-                        out = nested(B.mul, mid, back)
-                        if not out:
-                            continue
-                        key = tuple(B_PRE + b for b in front) + (A_PRE + x,) + \
-                            tuple(B_PRE + b for b in back)
-                        qk.add_entry(key, prefix_vector(out, B_PRE), base * sgn)
+    weights = [w for w in range(1, max_weight) if bernoulli(w)]     # w = i + j
+    for w in weights:
+        taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR))
+    top = max(weights, default=0)
+    fronts = [{(): None}] + prefix_products(
+        B.mul, {(b,): lin_single(b) for b in B.space.names}, B.space.names, top - 1)
+    fxs = {x: f.map.value(x) for x in A.space.names if f.map.value(x)}
+    for i in range(top + 1):
+        # mids keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
+        mids = {}
+        for x, fx in fxs.items():
+            for front, u in fronts[i].items():
+                mid = B.mul(u, fx) if front else fx
+                if mid:
+                    mids[front + (x,)] = mid
+        backs = prefix_products(B.mul, mids, B.space.names, top - i)
+        for w in weights:
+            if w < i:
+                continue
+            base = bernoulli(w) / (factorial(i) * factorial(w - i))
+            for word, out in backs[w - i].items():
+                sgn = sign_pow(i + 1 + sum(bdeg[b] for b in word[:i]))
+                key = tuple(B_PRE + b for b in word[:i]) + (A_PRE + word[i],) + \
+                    tuple(B_PRE + b for b in word[i + 1:])
+                taylor[w + 1].add_entry(key, prefix_vector(out, B_PRE), base * sgn)
     taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, TENSOR, taylor, max_weight)
 
@@ -182,7 +178,8 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6):
     Bernoulli-bracket and the associative cocone models.
 
     e_k and l_k vanish off the all-b words and multiply the b-components with
-    coefficients 1/k! and (-1)^{k+1}/k respectively.
+    coefficients 1/k! and (-1)^{k+1}/k respectively; both read one table of
+    the nonzero products b_1..b_k.
     """
     B = f.target
     cinf = fm_cocone_assoc(f, max_weight)
@@ -190,6 +187,8 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6):
     if cinf.space != cas.space:
         raise MalformedInput("cocone spaces disagree")
     space = cinf.space
+    products = prefix_products(B.mul, {(b,): lin_single(b) for b in B.space.names},
+                               B.space.names, max_weight - 1)
 
     def word_maps(coeff_fn, source, target):
         taylor = {}
@@ -200,11 +199,9 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6):
         for k in range(2, max_weight + 1):
             ek = MultilinearMap(space, space, 0, k, TENSOR)
             coeff = coeff_fn(k)
-            for word in itertools.product(B.space.names, repeat=k):
-                vec = nested(B.mul, lin_single(word[0]), word[1:])
-                if vec:
-                    ek.set_entry(tuple(B_PRE + b for b in word),
-                                 lin_scale(prefix_vector(vec, B_PRE), coeff))
+            for word, vec in products[k - 1].items():
+                ek.set_entry(tuple(B_PRE + b for b in word),
+                             lin_scale(prefix_vector(vec, B_PRE), coeff))
             if not ek.is_zero():
                 taylor[k] = ek
         return OoMorphism(source, target, taylor)
@@ -328,27 +325,27 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
     F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
     F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
+    prefixes = prefix_products(amb.mul, {(a,): lin_single(a) for a in amb.space.names},
+                               amb.space.names, max_weight - 1)
 
     def g_taylor(c):
         """g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term
-        without the product: recursion on the first block, reading the lower
+        without the product: recursion on the first block, pushed from the
+        nonzero prefix products w_1..w_m and the stored entries of the lower
         weights already built."""
         taylor = {1: multilinear_from_graded_map(contraction.project, TENSOR)}
         for k in range(2, max_weight + 1):
-            gk = MultilinearMap(cinf.space, Csp, 0, k, TENSOR)
-            for word in itertools.product(amb.space.names, repeat=k):
-                bword = tuple(B_PRE + b for b in word)
-                acc: dict = {}
-                for m in range(1, k + 1):
-                    vec = nested(amb.mul, lin_single(word[0]), word[1:m])
-                    if not vec:
-                        break
-                    if m < k:
-                        tail = taylor.get(k - m)
-                        vec = amb.mul(vec, tail.value(bword[m:])) if tail else {}
-                    lin_acc(acc, split.P.apply(vec), c(m))
-                if acc:
-                    gk.set_entry(bword, acc)
+            acc: dict = {}
+            for m in range(1, k + 1):
+                tails = {(): None} if m == k else \
+                    (taylor[k - m].entries if k - m in taylor else {})
+                for word, vec in prefixes[m - 1].items():
+                    bword = tuple(B_PRE + b for b in word)
+                    for tword, tail in tails.items():
+                        pv = split.P.apply(vec if tail is None else amb.mul(vec, tail))
+                        if pv:
+                            lin_acc(acc.setdefault(bword + tword, {}), pv, c(m))
+            gk = pushed_map(cinf.space, Csp, 0, k, TENSOR, acc.items())
             if not gk.is_zero():
                 taylor[k] = gk
         return taylor
@@ -426,32 +423,29 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
         raise RejectedInput("splitting invalid: %s" % rep.first_failure())
     M = split.ambient
     Asp = split.complement_space()
-    structure = OoStructure(Asp, SYMMETRIC, {k: _derived_brackets(split, k)
-                                             for k in range(1, max_weight + 1)}, max_weight)
+    structure = OoStructure(Asp, SYMMETRIC, _derived_brackets(split, max_weight), max_weight)
     action = CoderAction(M.space.shifted(1), Asp)
     for m in M.space.names:
-        val = split.P.value(m)
-        if val:
-            action.set((m,), (), val)
-        for k in range(1, max_weight + 1):
-            for word in sym_words(split.complement_names, Asp.degree, k):
-                pv = split.P.apply(nested(M.bracket_vec, lin_single(m), word))
+        for level in prefix_products(M.bracket_vec, {(): lin_single(m)},
+                                     split.complement_names, max_weight, Asp.degree):
+            for word, vec in level.items():
+                pv = split.P.apply(vec)
                 if pv:
                     action.set((m,), word, pv)
     return structure, action
 
 
-def _derived_brackets(split: Splitting, k: int) -> MultilinearMap:
-    """phi_k(a_1 .. a_k) = P[...[d a_1, a_2]..., a_k] on the complement A
-    (k = 1 gives P d a)."""
+def _derived_brackets(split: Splitting, max_weight: int) -> dict:
+    """{k: phi_k} for k <= max_weight, phi_k(a_1 .. a_k) = P[...[d a_1, a_2]...,
+    a_k] on the complement A (k = 1 gives P d a), from one sorted walk."""
     M = split.ambient
     Asp = split.complement_space()
-    qk = MultilinearMap(Asp, Asp, 1, k, SYMMETRIC)
-    for word in sym_words(split.complement_names, Asp.degree, k):
-        val = split.P.apply(nested(M.bracket_vec, M.d.value(word[0]), word[1:]))
-        if val:
-            qk.set_entry(word, val)
-    return qk
+    first = {(a,): M.d.value(a) for a in split.complement_names if M.d.value(a)}
+    levels = prefix_products(M.bracket_vec, first, split.complement_names, max_weight - 1,
+                             Asp.degree)
+    return {k: pushed_map(Asp, Asp, 1, k, SYMMETRIC,
+                          ((word, split.P.apply(vec)) for word, vec in level.items()))
+            for k, level in enumerate(levels[:max_weight], 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -466,40 +460,29 @@ def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
     get (action 0-component, M structure), mixed words the action components.
     The action's morphism property is certified indirectly: the result must
     pass the structure check (the two are equivalent), raised when `validate`.
+    The mixed words are read off the action's stored components.
     """
     if I.flavor != SYMMETRIC or M.flavor != SYMMETRIC:
         raise MalformedInput("semidirect products are symmetric-flavor only")
+    if action.i_space != I.space or action.m_space != M.space:
+        raise MalformedInput("the action must act on I's space by M's space")
     space = pair_space(I.space, M.space)
     ideg = I.space.degree
     mdeg = M.space.degree
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
+    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC)
+              for k in range(1, max_weight + 1)}
+    for k, qk in taylor.items():
         add_prefixed(qk, I.taylor.get(k), A_PRE)
-        for j in range(0, k + 1):
-            # canonical word: j i-names then (k - j) m-names
-            for iword in sym_words(I.space.names, ideg, j):
-                for mword in sym_words(M.space.names, mdeg, k - j):
-                    if not mword:
-                        continue
-                    vec: dict = {}
-                    act = action.value(mword, iword)
-                    if act:
-                        # formula order is (m-block, i-block); our canonical word
-                        # is (i-block, m-block): block swap Koszul sign
-                        sw = sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)
-                        lin_acc(vec, prefix_vector(act, A_PRE),
-                                -1 if sw % 2 else 1)
-                    if j == 0:
-                        rm = M.taylor.get(k)
-                        if rm is not None:
-                            lin_acc(vec, prefix_vector(rm.value(mword), B_PRE))
-                    if vec:
-                        key = tuple(A_PRE + n for n in iword) + \
-                            tuple(B_PRE + n for n in mword)
-                        qk.add_entry(key, vec)
-        if not qk.is_zero():
-            taylor[k] = qk
+        add_prefixed(qk, M.taylor.get(k), B_PRE)
+    for (lm, li), comp in action.comps.items():
+        if lm and lm + li <= max_weight:
+            for (mword, iword), act in comp.items():
+                # formula order is (m-block, i-block); the canonical word is
+                # (i-block, m-block): block swap Koszul sign
+                sw = sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)
+                key = tuple(A_PRE + n for n in iword) + tuple(B_PRE + n for n in mword)
+                taylor[lm + li].add_entry(key, prefix_vector(act, A_PRE), sign_pow(sw))
+    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     out = OoStructure(space, SYMMETRIC, taylor, max_weight)
     if validate:
         rep = check_structure(out)
@@ -563,41 +546,37 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     M = split.ambient
     if F.source.space != L.space.shifted(1) or F.target.space != M.space.shifted(1):
         raise MalformedInput("morphism must run L[1] -> M[1]")
+    if F.flavor != SYMMETRIC:
+        raise MalformedInput("fiber products need a symmetric-flavor morphism")
     Asp = split.complement_space()
     base = decalage_dgla(L, max_weight, validate=False)
     space = pair_space(Asp, base.space)
     adeg = Asp.degree
     xdeg = base.space.degree
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
-        # pure-A words: the derived brackets; pure-x words: (P s f_k, base q_k)
-        add_prefixed(qk, _derived_brackets(split, k), A_PRE)
+    phi = _derived_brackets(split, max_weight)
+    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC)
+              for k in range(1, max_weight + 1)}
+    for k, qk in taylor.items():
+        # pure-A words: the derived brackets; pure-x words: base q_k here,
+        # P s f_k at level 0 of the walks below
+        add_prefixed(qk, phi[k], A_PRE)
         add_prefixed(qk, base.taylor.get(k), B_PRE)
-        for word in sym_words(L.space.names, xdeg, k):
-            vec = prefix_vector(split.P.apply(F.f_value(word)), A_PRE)
-            if vec:
-                qk.add_entry(tuple(B_PRE + x for x in word), vec)
-        # mixed words: P[...[s f_j(x's), a_1]..., a_cnt]
-        for j in range(1, k):
-            fj = F.taylor.get(j)
-            if fj is None:
-                continue
-            for xword in sym_words(L.space.names, xdeg, j):
-                sf = fj.value(xword)
-                if not sf:
-                    continue
-                for aword in sym_words(split.complement_names, adeg, k - j):
-                    val = split.P.apply(nested(M.bracket_vec, sf, aword))
-                    if not val:
-                        continue
-                    # formula order (x-block, a-block); canonical is (a, x)
-                    sw = sum(adeg[a] for a in aword) * sum(xdeg[x] for x in xword)
-                    key = tuple(A_PRE + a for a in aword) + \
-                        tuple(B_PRE + x for x in xword)
-                    qk.add_entry(key, prefix_vector(val, A_PRE), sign_pow(sw))
-        if not qk.is_zero():
-            taylor[k] = qk
+    for j, fj in F.taylor.items():
+        for xword, sf in fj.entries.items() if j <= max_weight else ():
+            xkey = tuple(B_PRE + x for x in xword)
+            xsum = sum(xdeg[x] for x in xword)
+            # mixed words P[...[s f_j(x's), a_1]..., a_n]: one walk per entry
+            levels = prefix_products(M.bracket_vec, {(): sf}, split.complement_names,
+                                     max_weight - j, adeg)
+            for n, level in enumerate(levels):
+                for aword, vec in level.items():
+                    val = split.P.apply(vec)
+                    if val:
+                        # formula order (x-block, a-block); canonical is (a, x)
+                        sw = sum(adeg[a] for a in aword) * xsum
+                        taylor[j + n].add_entry(tuple(A_PRE + a for a in aword) + xkey,
+                                                prefix_vector(val, A_PRE), sign_pow(sw))
+    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 

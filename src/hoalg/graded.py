@@ -3,8 +3,10 @@
 Sparse vectors and maps indexed by named basis elements, Koszul sign
 bookkeeping, unshuffles, Bernoulli numbers, contractions of complexes and
 deterministic rational row reduction.  Every Koszul-signed sum over the
-orderings of a word in the package runs through `signed_orderings`, which
-reads its signs from one table per (block sizes, letter parities) pattern.
+orderings of a word in the package is pushed to the sorted word through one
+sort rule, `symmetric_word` (the Koszul sign of the sort times the number of
+ways to cut the word into its sorted blocks), and every left-nested product
+of basis letters is grown prefix by prefix by `prefix_products`.
 All arithmetic is exact: every stored coefficient is an `int` when it is
 integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
 Objects are treated as immutable once built, so sharing between threads is
@@ -90,26 +92,6 @@ def _unshuffles(sizes) -> tuple:
                 yield combo + tail
 
     return tuple(rec(tuple(range(1, sum(sizes) + 1)), sizes))
-
-
-def signed_orderings(word, degree: dict, sizes):
-    """(word permuted by sigma, Koszul sign of sigma) for every `sizes`-unshuffle
-    sigma, in `unshuffles(*sizes)` order; the first block of the permuted word
-    is its first sizes[0] letters, and so on.
-
-    The sign depends only on the sizes and the letters' parities, so it is
-    read from a table that `koszul_sign` fills once per parity pattern.
-    """
-    sizes = tuple(sizes)
-    signs = _sign_table(sizes, tuple(degree[x] % 2 for x in word))
-    for sigma, eps in zip(_unshuffles(sizes), signs):
-        yield tuple(word[s - 1] for s in sigma), eps
-
-
-@lru_cache(maxsize=4096)
-def _sign_table(sizes, parities) -> tuple:
-    """Koszul signs of the `sizes`-unshuffles for letters of the given parities."""
-    return tuple(koszul_sign(sigma, parities) for sigma in unshuffles(*sizes))
 
 
 def compositions(k: int, j: int):
@@ -202,14 +184,32 @@ def lin_eq(a: dict, b: dict) -> bool:
     return {n: v for n, v in a.items() if v} == {n: v for n, v in b.items() if v}
 
 
-def nested(op, vec: dict, names) -> dict:
-    """op(..op(op(vec, a_1), a_2).., a_k) for basis names a_i; {} as soon as a
-    step vanishes."""
-    for a in names:
-        vec = op(vec, lin_single(a))
-        if not vec:
-            return {}
-    return vec
+def prefix_products(op, first: dict, letters, top: int, degree=None) -> list:
+    """levels[0..top] of the left-nested products op(..op(v, a_1).., a_n).
+
+    levels[0] = first, a {word: vector} table, and levels[n] holds
+    w + (a,): op(u, lin_single(a)) for every entry (w, u) of levels[n - 1]
+    and letter a, zero products dropped, so a vanishing prefix cuts its whole
+    subtree.  With `degree` given the words grow as sorted symmetric words:
+    a letter comes at or after the word's last letter in `letters` order, and
+    no odd letter repeats.  Each level keeps the order of its parents, then
+    of the letters.
+    """
+    letters = tuple(letters)
+    place = {a: i for i, a in enumerate(letters)}
+    levels = [first]
+    for _ in range(top):
+        nxt = {}
+        for w, u in levels[-1].items():
+            start = place[w[-1]] if degree is not None and w else 0
+            for a in letters[start:]:
+                if degree is not None and w and a == w[-1] and degree[a] % 2:
+                    continue
+                v = op(u, lin_single(a))
+                if v:
+                    nxt[w + (a,)] = v
+        levels.append(nxt)
+    return levels
 
 
 def format_coeff(c) -> str:
@@ -369,6 +369,29 @@ def sym_normalize(names, index: dict, degree: dict):
         if a == b and degree[a] % 2:
             return None
     return tuple(names), sign
+
+
+def stabilizer(word: tuple) -> int:
+    """prod_x mult(x)! over the letters x of a sorted word: the number of
+    orderings of its letters that leave it unchanged."""
+    out = run = 1
+    for a, b in zip(word, word[1:]):
+        run = run + 1 if a == b else 1
+        out *= run
+    return out
+
+
+def symmetric_word(word: tuple, space: GradedSpace, parts: int):
+    """(w, weight) for the basis word w of S(V) that a word of sorted blocks
+    becomes: w is the sorted word, and weight is the Koszul sign of the sort
+    times stab(w) // parts, where parts is the product of the blocks'
+    stabilizers, so the weight counts the ways to cut w into the blocks.
+    None when w repeats an odd letter."""
+    got = sym_normalize(word, space.index, space.degree)
+    if got is None:
+        return None
+    w, eps = got
+    return w, eps * (stabilizer(w) // parts)
 
 
 # ---------------------------------------------------------------------------
@@ -606,17 +629,22 @@ class MultilinearMap:
         return out
 
     def symmetrized(self) -> "MultilinearMap":
-        """Sum over all permutations with Koszul signs (tensor -> symmetric)."""
+        """Sum over all permutations with Koszul signs (tensor -> symmetric).
+
+        The sum at a sorted word w reads every ordering of w, so each stored
+        key K is pushed to its sorted word w instead, with the Koszul sign of
+        the sort times stab(w), the number of orderings of w that give K."""
         if self.flavor != TENSOR:
             raise MalformedInput("can only symmetrize a tensor-flavor map")
         out = MultilinearMap(self.source, self.target, self.degree, self.arity, SYMMETRIC)
-        deg = self.source.degree
-        for word in sym_words(self.source.names, deg, self.arity):
-            acc: dict = {}
-            for perm, sign in signed_orderings(word, deg, (1,) * self.arity):
-                lin_acc(acc, self.entries.get(perm, {}), sign)
-            if acc:
-                out.set_entry(word, acc)
+        acc: dict = {}
+        for key, vec in self.entries.items():
+            got = symmetric_word(key, self.source, 1)
+            if got is not None:
+                lin_acc(acc.setdefault(got[0], {}), vec, got[1])
+        for word, vec in acc.items():
+            if vec:
+                out.set_entry(word, vec)
         return out
 
     def is_zero(self) -> bool:
@@ -906,12 +934,12 @@ def map_kernel_basis(gm: GradedMap):
 
 __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
-    "koszul_sign", "unshuffles", "signed_orderings", "compositions", "sym_words",
+    "koszul_sign", "unshuffles", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
-    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "nested", "format_vector",
-    "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
-    "sym_normalize", "GradedMap", "coordinate_projections", "elementary_to_graded_map",
-    "graded_map_to_elementary",
+    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "prefix_products",
+    "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
+    "sym_normalize", "stabilizer", "symmetric_word", "GradedMap", "coordinate_projections",
+    "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
     "linear_part", "add_prefixed",
     "Report", "first_witness", "check_map_identity", "Contraction", "check_contraction",

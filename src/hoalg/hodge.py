@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .coalg import (
-    DgLieAlgebra, OoMorphism, OoStructure, _stabilizer, _symmetric_word, decalage_dgla,
+    DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla,
     end_preserving_sub_dgla, in_basis_order, pushed_map, symmetrize_structure,
 )
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
@@ -27,7 +27,7 @@ from .graded import (
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
     graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale,
     lin_single, linear_part, map_kernel_basis, pair_space, prefix_vector, sign_pow,
-    sym_normalize,
+    stabilizer, sym_normalize, symmetric_word,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -537,7 +537,7 @@ def _cut_sums(space: GradedSpace, pairs) -> dict:
     """{T: sum of w(B, T) . heads[B] o tails[S]} over the (heads, tails) memo
     pairs and their keys B, S, for T the sorted word of B + S, zero sums
     dropped.  w(B, T) is the Koszul sign of that sort times the number of
-    ways to pick B out of T (coalg._symmetric_word), so if heads[B] and
+    ways to pick B out of T (graded.symmetric_word), so if heads[B] and
     tails[S] sum the signed orderings of B and S, the sum at T is the signed
     sum over the orderings of T, grouped by the content of the first |B|
     letters.  Only nonzero memo entries are visited."""
@@ -545,7 +545,7 @@ def _cut_sums(space: GradedSpace, pairs) -> dict:
     for heads, tails in pairs:
         for B, h in heads.items():
             for S, t in tails.items():
-                got = _symmetric_word(B + S, space, _stabilizer(B) * _stabilizer(S))
+                got = symmetric_word(B + S, space, stabilizer(B) * stabilizer(S))
                 if got is not None:
                     T, w = got
                     term = h.compose(t)

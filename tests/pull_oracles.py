@@ -4,9 +4,12 @@ hoalg.coalg pushes every sum from the Taylor supports.  This module keeps the
 way the library computed them before: Q^j_k and F^j_k evaluated on one basis
 word at a time, memoized per object on (j, k, word), and every check,
 composite, inverse, transfer and transport looping over every basis word of
-every weight.  It also keeps the DG axiom loop over every basis word, and the
+every weight.  It also keeps the DG axiom loop over every basis word, the
 hodge builders that sum every symmetric word over its k! orderings with
-ordered-suffix memos.  They are slow, so tests run them at low weights only.
+ordered-suffix memos, and the cocone builders that run a left-nested product
+on every word of `itertools.product` or of `sym_words`.  The Koszul signs of
+the ordering sums come from `koszul_sign` and `unshuffles`.  They are slow,
+so tests run them at low weights only.
 """
 
 from __future__ import annotations
@@ -14,23 +17,53 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from math import factorial
 from types import SimpleNamespace
 
 from hoalg.coalg import (
-    OoMorphism, OoStructure, _first_nonzero, decalage_dgla, symmetrize_structure,
+    OoMorphism, OoStructure, _first_nonzero, decalage_dga, decalage_dgla,
+    symmetrize_structure,
 )
-from hoalg.cocone import A_PRE, B_PRE
+from hoalg.cocone import A_PRE, B_PRE, CoderAction, _cocone_q1, cocone_associative
 from hoalg.graded import (
     GradedSpace, MalformedInput, MultilinearMap, Report, SYMMETRIC, TENSOR,
-    add_prefixed, elementary_to_graded_map, first_witness, format_vector, hom_space,
-    lin_acc, lin_add, lin_eq, lin_scale, lin_single, linear_part, map_right_inverse,
-    multilinear_from_graded_map, pair_space, prefix_vector, sign_pow, signed_orderings,
+    add_prefixed, bernoulli, elementary_to_graded_map, first_witness, format_vector,
+    hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single, linear_part,
+    map_right_inverse, multilinear_from_graded_map, pair_space, prefix_vector, sign_pow,
+    sym_words, unshuffles,
 )
 from hoalg.hodge import _harmonic_hom, _restrict_to_hom, derived_hom_structure
 
 # (j, k, word) -> component value, per structure or morphism
 _MEMOS = weakref.WeakKeyDictionary()
+
+
+def nested(op, vec: dict, names) -> dict:
+    """op(..op(op(vec, a_1), a_2).., a_k) for basis names a_i; {} as soon as a
+    step vanishes."""
+    for a in names:
+        vec = op(vec, lin_single(a))
+        if not vec:
+            return {}
+    return vec
+
+
+def signed_orderings(word, degree: dict, sizes):
+    """(word permuted by sigma, Koszul sign of sigma) for every `sizes`-unshuffle
+    sigma, in `unshuffles(*sizes)` order; the first block of the permuted word
+    is its first sizes[0] letters, and so on."""
+    sizes = tuple(sizes)
+    signs = _signs(sizes, tuple(degree[x] % 2 for x in word))
+    for sigma, eps in zip(unshuffles(*sizes), signs):
+        yield tuple(word[s - 1] for s in sigma), eps
+
+
+@lru_cache(maxsize=4096)
+def _signs(sizes, parities) -> tuple:
+    """koszul_sign of every `sizes`-unshuffle for letters of the given
+    parities, kept per pattern so that the oracles stay fast enough."""
+    return tuple(koszul_sign(sigma, parities) for sigma in unshuffles(*sizes))
 
 
 def _expand_at(pre: tuple, vec: dict, post: tuple, acc: dict, coeff):
@@ -493,6 +526,210 @@ def pull_yukawa_model(pkg, c, max_weight=4):
             fib = pull_chain_sum(word, base.space.degree, (n,), chain)
             if fib:
                 qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
+        if not qk.is_zero():
+            taylor[k] = qk
+    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+
+
+# ---------------------------------------------------------------------------
+# cocone builders, one left-nested product per word
+
+
+def pull_symmetrized(q: MultilinearMap) -> MultilinearMap:
+    """MultilinearMap.symmetrized as the signed sum over the k! orderings of
+    every sorted word."""
+    out = MultilinearMap(q.source, q.target, q.degree, q.arity, SYMMETRIC)
+    deg = q.source.degree
+    for word in sym_words(q.source.names, deg, q.arity):
+        acc: dict = {}
+        for perm, sign in signed_orderings(word, deg, (1,) * q.arity):
+            lin_acc(acc, q.entries.get(perm, {}), sign)
+        if acc:
+            out.set_entry(word, acc)
+    return out
+
+
+def pull_fm_cocone_assoc(f, max_weight=6) -> OoStructure:
+    """cocone.fm_cocone_assoc over every front and back of itertools.product."""
+    A, B = f.source, f.target
+    space = pair_space(A.space.shifted(1), B.space)
+    taylor = {1: _cocone_q1(f, space, TENSOR),
+              2: MultilinearMap(space, space, 1, 2, TENSOR)}
+    add_prefixed(taylor[2], decalage_dga(A, max_weight, validate=False).taylor.get(2), A_PRE)
+    bdeg = B.space.degree
+    for w in range(1, max_weight):
+        if w >= 2 and bernoulli(w) == 0:
+            continue
+        qk = taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR))
+        for i in range(w + 1):
+            j = w - i
+            base = bernoulli(w) / (factorial(i) * factorial(j))
+            for x in A.space.names:
+                fx = f.map.value(x)
+                if not fx:
+                    continue
+                for front in itertools.product(B.space.names, repeat=i):
+                    sgn = sign_pow(i + 1 + sum(bdeg[b] for b in front))
+                    mid = B.mul(nested(B.mul, lin_single(front[0]), front[1:]), fx) \
+                        if front else fx
+                    if not mid:
+                        continue
+                    for back in itertools.product(B.space.names, repeat=j):
+                        out = nested(B.mul, mid, back)
+                        if out:
+                            key = tuple(B_PRE + b for b in front) + (A_PRE + x,) + \
+                                tuple(B_PRE + b for b in back)
+                            qk.add_entry(key, prefix_vector(out, B_PRE), base * sgn)
+    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
+    return OoStructure(space, TENSOR, taylor, max_weight)
+
+
+def pull_exp_log_isos(f, max_weight=6):
+    """cocone.exp_log_isos with e_k and l_k built word by word, each word's
+    product computed once per map."""
+    B = f.target
+    cinf = pull_fm_cocone_assoc(f, max_weight)
+    cas = decalage_dga(cocone_associative(f), max_weight, validate=False)
+    space = cinf.space
+
+    def word_maps(coeff_fn, source, target):
+        one = MultilinearMap(space, space, 0, 1, TENSOR)
+        for n in space.names:
+            one.set_entry((n,), lin_single(n))
+        taylor = {1: one}
+        for k in range(2, max_weight + 1):
+            ek = MultilinearMap(space, space, 0, k, TENSOR)
+            for word in itertools.product(B.space.names, repeat=k):
+                vec = nested(B.mul, lin_single(word[0]), word[1:])
+                if vec:
+                    ek.set_entry(tuple(B_PRE + b for b in word),
+                                 lin_scale(prefix_vector(vec, B_PRE), coeff_fn(k)))
+            if not ek.is_zero():
+                taylor[k] = ek
+        return OoMorphism(source, target, taylor)
+
+    return (word_maps(lambda k: Fraction(1, factorial(k)), cinf, cas),
+            word_maps(lambda k: Fraction((-1) ** (k + 1), k), cas, cinf))
+
+
+def pull_g_taylor(split, contraction, cinf_space, max_weight, c) -> dict:
+    """derived_products_model's g_k on every word of itertools.product:
+    g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term without
+    the product, stopping at the first vanishing prefix."""
+    amb = split.ambient
+    taylor = {1: multilinear_from_graded_map(contraction.project, TENSOR)}
+    for k in range(2, max_weight + 1):
+        gk = MultilinearMap(cinf_space, contraction.small, 0, k, TENSOR)
+        for word in itertools.product(amb.space.names, repeat=k):
+            bword = tuple(B_PRE + b for b in word)
+            acc: dict = {}
+            for m in range(1, k + 1):
+                vec = nested(amb.mul, lin_single(word[0]), word[1:m])
+                if not vec:
+                    break
+                if m < k:
+                    tail = taylor.get(k - m)
+                    vec = amb.mul(vec, tail.value(bword[m:])) if tail else {}
+                lin_acc(acc, split.P.apply(vec), c(m))
+            if acc:
+                gk.set_entry(bword, acc)
+        if not gk.is_zero():
+            taylor[k] = gk
+    return taylor
+
+
+def pull_derived_brackets(split, k: int) -> MultilinearMap:
+    """phi_k(a_1 .. a_k) = P[...[d a_1, a_2]..., a_k] on every sorted word."""
+    M = split.ambient
+    Asp = split.complement_space()
+    qk = MultilinearMap(Asp, Asp, 1, k, SYMMETRIC)
+    for word in sym_words(split.complement_names, Asp.degree, k):
+        val = split.P.apply(nested(M.bracket_vec, M.d.value(word[0]), word[1:]))
+        if val:
+            qk.set_entry(word, val)
+    return qk
+
+
+def pull_voronov_action(split, max_weight=6) -> CoderAction:
+    """voronov_brackets' action (m; a_1..a_k) -> P[...[m, a_1]..., a_k] on
+    every basis letter m and sorted word of the complement."""
+    M = split.ambient
+    Asp = split.complement_space()
+    action = CoderAction(M.space.shifted(1), Asp)
+    for m in M.space.names:
+        val = split.P.value(m)
+        if val:
+            action.set((m,), (), val)
+        for k in range(1, max_weight + 1):
+            for word in sym_words(split.complement_names, Asp.degree, k):
+                pv = split.P.apply(nested(M.bracket_vec, lin_single(m), word))
+                if pv:
+                    action.set((m,), word, pv)
+    return action
+
+
+def pull_semidirect_product(I, M, action, max_weight=6) -> OoStructure:
+    """semidirect_product (unvalidated) over every pair of sorted i- and m-words."""
+    space = pair_space(I.space, M.space)
+    ideg = I.space.degree
+    mdeg = M.space.degree
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
+        add_prefixed(qk, I.taylor.get(k), A_PRE)
+        for j in range(0, k + 1):
+            for iword in sym_words(I.space.names, ideg, j):
+                for mword in sym_words(M.space.names, mdeg, k - j):
+                    if not mword:
+                        continue
+                    vec: dict = {}
+                    act = action.value(mword, iword)
+                    if act:
+                        sw = sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)
+                        lin_acc(vec, prefix_vector(act, A_PRE), sign_pow(sw))
+                    rm = M.taylor.get(k)
+                    if j == 0 and rm is not None:
+                        lin_acc(vec, prefix_vector(rm.value(mword), B_PRE))
+                    if vec:
+                        qk.add_entry(tuple(A_PRE + n for n in iword) +
+                                     tuple(B_PRE + n for n in mword), vec)
+        if not qk.is_zero():
+            taylor[k] = qk
+    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+
+
+def pull_fiber_product_model(L, split, F, max_weight=6) -> OoStructure:
+    """fiber_product_model over every sorted x-word and a-word."""
+    M = split.ambient
+    Asp = split.complement_space()
+    base = decalage_dgla(L, max_weight, validate=False)
+    space = pair_space(Asp, base.space)
+    adeg = Asp.degree
+    xdeg = base.space.degree
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
+        add_prefixed(qk, pull_derived_brackets(split, k), A_PRE)
+        add_prefixed(qk, base.taylor.get(k), B_PRE)
+        for word in sym_words(L.space.names, xdeg, k):
+            vec = prefix_vector(split.P.apply(F.f_value(word)), A_PRE)
+            if vec:
+                qk.add_entry(tuple(B_PRE + x for x in word), vec)
+        for j in range(1, k):
+            fj = F.taylor.get(j)
+            if fj is None:
+                continue
+            for xword in sym_words(L.space.names, xdeg, j):
+                sf = fj.value(xword)
+                if not sf:
+                    continue
+                for aword in sym_words(split.complement_names, adeg, k - j):
+                    val = split.P.apply(nested(M.bracket_vec, sf, aword))
+                    if val:
+                        sw = sum(adeg[a] for a in aword) * sum(xdeg[x] for x in xword)
+                        qk.add_entry(tuple(A_PRE + a for a in aword) +
+                                     tuple(B_PRE + x for x in xword),
+                                     prefix_vector(val, A_PRE), sign_pow(sw))
         if not qk.is_zero():
             taylor[k] = qk
     return OoStructure(space, SYMMETRIC, taylor, max_weight)

@@ -24,15 +24,17 @@ from hoalg.fixtures import (
 )
 from hoalg.coalg import end_preserving_sub_dgla
 from hoalg.graded import (
-    GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, nested,
-    signed_orderings, sym_words,
+    GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
+    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, sign_pow,
+    sym_words,
 )
 from hoalg.hodge import split_period_coefficient, split_period_map, torus_package
 from powerseries import phi_compose_coefficients
 from pull_oracles import (
-    morph_component, pull_check_morphism, pull_check_structure, pull_compose, pull_invert,
-    square_residual,
+    morph_component, nested, pull_check_morphism, pull_check_structure, pull_compose,
+    pull_derived_brackets, pull_exp_log_isos, pull_fiber_product_model, pull_fm_cocone_assoc,
+    pull_g_taylor, pull_invert, pull_semidirect_product, pull_symmetrized,
+    pull_voronov_action, signed_orderings, square_residual,
 )
 
 
@@ -662,6 +664,22 @@ def test_semidirect_rejects_bad_action():
         semidirect_product(I, M, action, max_weight=3)
 
 
+def test_semidirect_and_fiber_reject_what_they_cannot_read_off():
+    # the mixed words are read off the stored keys, so the action must live
+    # on I's and M's spaces, and f_j on sorted words
+    V, d, M, comp, stable = end_splitting(1, 3)
+    sp = Splitting(M, comp)
+    phi, action = voronov_brackets(sp, max_weight=3)
+    Mdec = decalage_dgla(M, max_weight=3)
+    with pytest.raises(MalformedInput):
+        semidirect_product(phi, Mdec, CoderAction(phi.space, Mdec.space), max_weight=3)
+    sub, _, _ = end_preserving_sub_dgla(V, d, stable)
+    tensor_F = OoMorphism(OoStructure(sub.space.shifted(1), TENSOR, {}, 3),
+                          OoStructure(Mdec.space, TENSOR, {}, 3), {})
+    with pytest.raises(MalformedInput):
+        fiber_product_model(sub, sp, tensor_F, max_weight=3)
+
+
 # --- strictification ---------------------------------------------------------------
 
 
@@ -843,6 +861,84 @@ def test_fiber_product_a_restriction_is_voronov_for_any_morphism():
                    (qq.value(tuple("a:" + w for w in word)) if qq else {}).items()
                    if True}
             assert got == want, (k, word)
+
+
+# --- every builder against its word-by-word loop ------------------------------------
+
+
+def _taylor_entries(taylor: dict) -> dict:
+    return {k: dict(q.entries) for k, q in taylor.items() if not q.is_zero()}
+
+
+def _with_arbitrary_f2(F, seed):
+    """F with an f_2 that sends each sorted pair of letters, where the degrees
+    allow, to a seeded vector: not a morphism, but the j = 2 words of
+    fiber_product_model then read a nonzero f_2."""
+    src, tgt = F.source.space, F.target.space
+    rng = random.Random("f2:%d" % seed)
+    f2 = MultilinearMap(src, tgt, 0, 2, SYMMETRIC)
+    for word in sym_words(src.names, src.degree, 2):
+        outs = [n for n in tgt.names if tgt.degree[n] == src.degree[word[0]] + src.degree[word[1]]]
+        if outs:
+            f2.set_entry(word, {n: rng.choice((-2, -1, 1, 2))
+                                for n in rng.sample(outs, min(2, len(outs)))})
+    return OoMorphism(F.source, F.target, {1: F.taylor[1], 2: f2})
+
+
+def _letters(structure) -> tuple:
+    """(some key has an odd letter, some key repeats a letter) over the
+    stored keys of a symmetric structure; a repeated letter is even."""
+    degree = structure.space.degree
+    keys = [key for q in structure.taylor.values() for key in q.entries]
+    return (any(degree[n] % 2 for key in keys for n in key),
+            any(a == b for key in keys for a, b in zip(key, key[1:])))
+
+
+# (seed, dim) with a degree-0 f_2 possible; odd: some stored key of the
+# semidirect or fiber product has an odd letter; repeat: some key repeats a
+# (necessarily even) letter
+@pytest.mark.parametrize("seed,dim,odd,repeat", [
+    (1, 3, True, True), (2, 2, True, False), (2, 3, True, True), (3, 2, True, False),
+    (3, 3, True, True), (5, 2, True, False), (7, 3, True, True), (10, 2, True, False),
+])
+def test_cocone_builders_match_pull_oracles(seed, dim, odd, repeat):
+    weight = 5 if dim == 2 else 4
+    # the tensor cocone, exp/log and (on dim 2, where the k! loop is quick)
+    # their symmetrizations
+    f = random_dga_morphism(seed, dim)
+    assert _taylor_entries(fm_cocone_assoc(f, weight).taylor) == \
+        _taylor_entries(pull_fm_cocone_assoc(f, weight).taylor)
+    for got, want in zip(exp_log_isos(f, weight), pull_exp_log_isos(f, weight)):
+        assert _taylor_entries(got.taylor) == _taylor_entries(want.taylor)
+        for q in got.taylor.values() if dim == 2 else ():
+            assert q.symmetrized() == pull_symmetrized(q)
+    V, d, ambient, comp, _ = end_splitting(seed, dim, lie=False)
+    split = Splitting(ambient, comp)
+    dp = derived_products_model(split, weight - 1)
+    for G, c in ((dp.G_as, lambda m: sign_pow(m + 1)),
+                 (dp.G_inf, lambda m: Fraction(sign_pow(m + 1), math.factorial(m)))):
+        assert _taylor_entries(G.taylor) == _taylor_entries(pull_g_taylor(
+            split, dp.contraction, dp.cocone_inf.space, weight - 1, c))
+    # the symmetric builders on one abelian splitting of End(V)
+    V, d, M, comp, stable = end_splitting(seed, dim)
+    split = Splitting(M, comp)
+    phi, action = voronov_brackets(split, weight)
+    assert _taylor_entries(phi.taylor) == _taylor_entries(
+        {k: pull_derived_brackets(split, k) for k in range(1, weight + 1)})
+    assert {jk: c for jk, c in action.comps.items() if c} == \
+        {jk: c for jk, c in pull_voronov_action(split, weight).comps.items() if c}
+    Mdec = decalage_dgla(M, max_weight=weight)
+    sd = semidirect_product(phi, Mdec, action, weight, validate=False)
+    assert _taylor_entries(sd.taylor) == \
+        _taylor_entries(pull_semidirect_product(phi, Mdec, action, weight).taylor)
+    sub, _, inc = end_preserving_sub_dgla(V, d, stable)
+    F = _with_arbitrary_f2(decalage_dgla_morphism(inc, max_weight=weight, target=Mdec), seed)
+    assert 2 in F.taylor
+    fp = fiber_product_model(sub, split, F, weight)
+    assert _taylor_entries(fp.taylor) == \
+        _taylor_entries(pull_fiber_product_model(sub, split, F, weight).taylor)
+    flags = [_letters(s) for s in (sd, fp)]
+    assert (any(o for o, _ in flags), any(r for _, r in flags)) == (odd, repeat)
 
 
 def test_transfer_double_run_bit_identical():

@@ -243,8 +243,13 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     # sub-word memos are dicts filled from dicts, then written in basis order
     ["period", "split", "--example", "torus:2"],
     ["period", "minimal", "--example", "torus:2"],
+    # prefix walks grow dicts of words from dicts, at README weight
+    ["cocone", "derived", "--example", "r:1"],
+    ["product", "semidirect", "--example", "end:0"],
+    ["product", "fiber", "--example", "end:0"],
 ], ids=["yukawa", "mc-extend", "cocone-explog", "cocone-derived", "cocone-lie",
-        "period-split", "period-split-readme", "period-minimal-readme"])
+        "period-split", "period-split-readme", "period-minimal-readme",
+        "cocone-derived-readme", "product-semidirect", "product-fiber"])
 def test_cli_determinism_across_processes(cli_args):
     import subprocess
     import hoalg

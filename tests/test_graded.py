@@ -15,9 +15,10 @@ from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions, koszul_sign,
     lin_single, linear_part, map_kernel_basis, map_right_inverse, map_solve,
-    multilinear_from_graded_map, nested, pair_space, signed_orderings, sym_normalize,
-    sym_words, unshuffles,
+    multilinear_from_graded_map, pair_space, prefix_products, stabilizer, sym_normalize,
+    sym_words, symmetric_word, unshuffles,
 )
+from pull_oracles import nested
 
 
 # --- koszul signs -----------------------------------------------------------
@@ -99,34 +100,33 @@ def test_unshuffle_count_is_multinomial(sizes):
             pos += s
 
 
-def _sizes_up_to(top):
-    """Every composition of k <= top, also with a zero-size block in front and
-    at the back, such as (m, 0) and (0, k - 1)."""
-    for k in range(top + 1):
-        for j in range(1, max(k, 1) + 1):
-            for sizes in compositions(k, j):
-                yield from (sizes, (0,) + sizes, sizes + (0,))
-
-
 @pytest.mark.parametrize("k", range(7))
 def test_signed_orderings_match_unshuffles_and_koszul_sign(k):
+    """The one sort rule counts signed orderings: for a sorted word T cut into
+    sorted blocks B and S, symmetric_word(B + S, V, stab(B) stab(S)) is
+    (T, the sum of koszul_sign over the (|B|, |S|)-unshuffles of T whose
+    blocks read B and S), and None when T repeats an odd letter."""
     rng = random.Random(k)
-    for sizes in dict.fromkeys(s for s in _sizes_up_to(6) if sum(s) == k):
-        for _ in range(4):
-            degree = {x: rng.randint(-3, 3) for x in "abcd"}
-            word = tuple(rng.choice("abcd") for _ in range(k))
-            degs = [degree[x] for x in word]
-            want = [(tuple(word[s - 1] for s in sigma), koszul_sign(sigma, degs))
-                    for sigma in unshuffles(*sizes)]
-            assert list(signed_orderings(word, degree, sizes)) == want
+    for _ in range(6):
+        V = GradedSpace([(x, rng.randint(-3, 3)) for x in "abcdefg"])
+        word = tuple(sorted(rng.choice("abcdefg") for _ in range(k)))
+        degs = [V.degree[x] for x in word]
+        zero = sym_normalize(word, V.index, V.degree) is None
+        for p in range(k + 1):
+            for pick in dict.fromkeys(itertools.combinations(range(k), p)):
+                B = tuple(word[i] for i in pick)
+                S = tuple(word[i] for i in range(k) if i not in pick)
+                count = sum(koszul_sign(sigma, degs) for sigma in unshuffles(p, k - p)
+                            if tuple(word[i - 1] for i in sigma) == B + S)
+                got = symmetric_word(B + S, V, stabilizer(B) * stabilizer(S))
+                assert got == (None if zero else (word, count))
 
 
-def test_signed_orderings_reject_bad_sizes():
-    degree = {"a": 1, "b": 2}
-    with pytest.raises(MalformedInput):
-        list(signed_orderings(("a", "b"), degree, (3, -1)))
-    with pytest.raises(MalformedInput):
-        list(signed_orderings(("a", "b"), degree, (1,)))
+def test_stabilizer_counts_the_orderings_that_fix_a_word():
+    for word in ((), ("a",), ("a", "a"), ("a", "a", "b", "c", "c", "c")):
+        want = sum(1 for perm in itertools.permutations(range(len(word)))
+                   if tuple(word[i] for i in perm) == word)
+        assert stabilizer(word) == want
 
 
 # --- compositions and symmetric words ---------------------------------------
@@ -257,19 +257,59 @@ def test_linear_part_reads_back_an_arity_one_map(flavor):
     assert zero == GradedMap.zero(V, W, 1) and zero.is_zero()
 
 
-def test_nested_stops_at_the_first_vanishing_step():
+def _word_op(vec, single):
+    """A nilpotent test product on words: v.a appends a to every word of v,
+    scaled by a letter-pair weight that is zero for the pairs xz and zy."""
+    (a,) = single
+    out = {}
+    for n, c in vec.items():
+        w = {"xz": 0, "zy": 0}.get(n[-1:] + a, 1 + "xyz".index(a))
+        if w:
+            out[n + a] = c * w
+    return out
+
+
+@pytest.mark.parametrize("top", range(5))
+def test_prefix_products_match_nested_products(top):
+    letters = ("x", "y", "z")
+    first = {(a,): {a: 2} for a in letters}
+    levels = prefix_products(_word_op, first, letters, top)
+    assert len(levels) == top + 1 and levels[0] is first
+    for n, level in enumerate(levels):
+        want = {}
+        for word in itertools.product(letters, repeat=n + 1):
+            vec = nested(_word_op, first[word[:1]], word[1:])
+            if vec:
+                want[word] = vec
+        assert list(level.items()) == list(want.items())
+    # sorted mode: the sym_words of each length, also from the empty word
+    V = GradedSpace([("x", 0), ("y", 1), ("z", 2)])
+    levels = prefix_products(_word_op, {(): {"": 1}}, V.names, top, V.degree)
+    for n, level in enumerate(levels):
+        want = {}
+        for word in sym_words(V.names, V.degree, n):
+            vec = nested(_word_op, {"": 1}, word)
+            if vec:
+                want[word] = vec
+        assert list(level.items()) == list(want.items())
+        assert all(level.values())
+
+
+def test_prefix_products_stop_at_a_vanishing_prefix():
     calls = []
 
     def op(vec, single):
-        calls.append(single)
+        calls.append(next(iter(vec)))
         (name,) = single
         return {} if name == "z" else {n + name: c for n, c in vec.items()}
 
-    assert nested(op, {"a": Fraction(2)}, "xy") == {"axy": Fraction(2)}
-    del calls[:]
-    assert nested(op, {"a": Fraction(2)}, "xzy") == {}
-    assert len(calls) == 2
-    assert nested(op, {"a": Fraction(1)}, ()) == {"a": Fraction(1)}
+    levels = prefix_products(op, {("a",): {"a": 2}}, "xyz", 3)
+    assert levels[1] == {("a", "x"): {"ax": 2}, ("a", "y"): {"ay": 2}}
+    assert all("z" not in w for level in levels for w in level)
+    # 3 letters tried on 1, 2 and 4 surviving prefixes; no call extends a z
+    assert len(calls) == 3 * (1 + 2 + 4)
+    assert all("z" not in name for name in calls)
+    assert prefix_products(op, {}, "xyz", 2) == [{}, {}, {}]
 
 
 def test_multilinear_symmetric_koszul_read():

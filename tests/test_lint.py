@@ -1,8 +1,9 @@
 """Import hygiene of the library modules, checked with `ast` only: every
 module-level import is used or re-exported through `__all__`, no import is
-tucked inside a function, every Koszul-signed ordering sum goes through
-`graded.signed_orderings`, every true division sits on a reviewed site, and
-the word-by-word pull path and its memos stay out of the library."""
+tucked inside a function, no library function enumerates the orderings of a
+word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
+every true division sits on a reviewed site, and the word-by-word pull path,
+its memos and the per-word nested products stay out of the library."""
 
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ def test_no_function_local_imports(path):
     assert local == []
 
 
-SIGN_PRIMITIVES = {"koszul_sign", "unshuffles", "permutations"}
+SIGN_PRIMITIVES = {"koszul_sign", "unshuffles", "permutations", "signed_orderings"}
 
 
 def _names(node) -> set:
@@ -69,15 +70,17 @@ def _names(node) -> set:
     return out
 
 
-def test_signed_orderings_are_the_only_sign_path():
+def test_no_ordering_enumeration_in_library():
+    # ordering sums are pushed to the sorted word (graded.symmetric_word), so
+    # no function calls an ordering enumerator or a per-ordering sign
     outside = {p.name: sorted(_names(_tree(p)) & SIGN_PRIMITIVES)
                for p in MODULES if p.name != "graded.py"}
     assert {name: found for name, found in outside.items() if found} == {}
-    graded = _tree(SRC / "graded.py")
-    callers = {f.name for f in ast.walk(graded) if isinstance(f, ast.FunctionDef)
-               and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
-                       and c.func.id == "koszul_sign" for c in ast.walk(f))}
-    assert callers == {"_sign_table"}
+    callers = {(p.name, f.name) for p in MODULES for f in ast.walk(_tree(p))
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(c, ast.Call) and _names(c.func) & SIGN_PRIMITIVES
+                       for c in ast.walk(f))}
+    assert callers == set()
 
 
 # Coefficients are ints when integral, and int / int is a float, so every `/`
@@ -116,12 +119,15 @@ def test_true_division_only_on_reviewed_sites():
 
 
 # The coalgebra sums are pushed from the Taylor supports; the word-by-word
-# evaluators and their (j, k, word) memos live in tests/pull_oracles.py only.
-# The hodge builders recurse over sorted sub-words, so they name neither the
-# k!-ordering sum nor the ordering enumerator it ran on.
+# evaluators and their (j, k, word) memos live in tests/pull_oracles.py only,
+# with the per-word nested product and the ordering enumerator and its sign
+# table.  The hodge builders recurse over sorted sub-words, so they do not
+# name the k!-ordering sum; the cocone builders grow their words prefix by
+# prefix, so they do not enumerate the sorted words either.
 PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
-              "morph_component"}
-MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum", "signed_orderings"}}
+              "morph_component", "nested", "signed_orderings", "_sign_table"}
+MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum"},
+                     "cocone.py": {"nested", "signed_orderings", "sym_words"}}
 
 
 def _defined(node) -> set:
