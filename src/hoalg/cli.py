@@ -205,7 +205,8 @@ def cmd_cocone(args, out):
                    check_morphism(dp.G_as, max_weight=mw),
                    check_morphism(dp.F_inf, max_weight=mw),
                    check_morphism(dp.G_inf, max_weight=mw)]
-        E, L = exp_log_isos(dp.inclusion, max_weight=mw)
+        E, L = exp_log_isos(dp.inclusion, max_weight=mw,
+                            cocones=(dp.cocone_inf, dp.cocone_as))
         tri = Report("commuting triangles")
         lhs = compose_morphisms(L, dp.F_as, max_weight=mw)
         tri.add("F_inf = L.F_as", all(

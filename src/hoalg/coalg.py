@@ -12,6 +12,11 @@ inner one (push_insertion, push_product), so only words with a nonzero term
 are visited, as in Gustavson's sparse product.  The flavor matters at one
 point only, where a word of blocks becomes a basis word: concatenation in
 T(V), the sorted word with its Koszul sign and multiplicity weight in S(V).
+The terms are summed as ints: each family is multiplied by the lcm D of its
+denominators (Scaled), every term is brought to one scale per weight
+(D_outer D_inner for an insertion, D_outer D_inner^k k! for a product), and
+each output coefficient is divided once at the end; a check divides only
+its witness's residual.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream.
 """
@@ -20,13 +25,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial, lcm
 
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
     hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
-    linear_part, map_right_inverse, multilinear_from_graded_map,
-    sign_pow, stabilizer, sym_words, symmetric_word,
+    linear_part, map_right_inverse, multilinear_from_graded_map, scaled_ints,
+    sign_pow, stabilizer, sym_words, symmetric_word, unscaled,
 )
 
 
@@ -113,20 +119,32 @@ def preimages(entries: dict) -> dict:
     return inv
 
 
-def inverse_index(taylor: dict, top: int) -> dict:
-    """inv[n] = preimages(t_n) for every arity n <= top of a Taylor family t."""
-    return {n: preimages(t.entries) for n, t in taylor.items() if n <= top}
+class Scaled:
+    """The arities n <= top of a Taylor family t at one integer scale D:
+    entries[n] = D t_n (graded.scaled_ints) and inv[n] = preimages(entries[n]),
+    with the source space of t and whether its words are read in S(V)."""
+
+    def __init__(self, taylor: dict, top: int):
+        self.scale, self.entries = scaled_ints(taylor, top)
+        self.inv = {n: preimages(e) for n, e in self.entries.items()}
+        t = next(iter(taylor.values()), None)
+        self.space = t.source if t is not None else None
+        self.symmetric = t is not None and t.flavor == SYMMETRIC
 
 
-def _words_of(family: dict):
-    """(source space, whether it is read in S(V)) of a nonempty Taylor family."""
-    t = next(iter(family.values()))
-    return t.source, t.flavor == SYMMETRIC
+def _unscaled_words(pushed: dict, scale: int) -> dict:
+    """A pushed {word: int vector} at the given scale, divided back."""
+    return {w: unscaled(vec, scale) for w, vec in pushed.items()}
 
 
 def push_insertion(outer: dict, inner: dict, k: int) -> dict:
     """sum_j t_j(Q^j_k w) on every weight-k word w at once, as {w: vector},
-    for t = outer and Q the degree +1 coderivation with Taylor family inner.
+    for t = outer and Q the degree +1 coderivation with Taylor family inner."""
+    return _unscaled_words(*_insertion(Scaled(outer, k), Scaled(inner, k), k))
+
+
+def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
+    """push_insertion on scaled families, as ({w: int vector}, scale).
 
     Each key K of t_j, letter y = K[i] and preimage (u, c) of y under
     q_{k-j+1} add (-1)^{|K[:i]|} c t_j(K) at the word K[:i] + u + K[i+1:].
@@ -134,18 +152,21 @@ def push_insertion(outer: dict, inner: dict, k: int) -> dict:
     each distinct letter of K counts once, and the word is read sorted, with
     its Koszul sign and the weight prod_x C(mult_w(x), mult_u(x)) of the
     ways to pick u out of w.  Every other word gets no term, so it is zero.
+    Every term is one outer and one inner coefficient times an int, so the
+    sum has the scale D_outer D_inner.
     """
-    inv = inverse_index(inner, k)
-    if not inv:
-        return {}
-    space, symmetric = _words_of(inner)
+    scale = outer.scale * inner.scale
+    inv = inner.inv
+    if not any(inv.values()):
+        return {}, scale
+    space, symmetric = inner.space, inner.symmetric
     degree = space.degree
     out: dict = {}
-    for j, t in outer.items():
+    for j, entries in outer.entries.items():
         pre = inv.get(k - j + 1)
         if not pre:
             continue
-        for key, vec in t.entries.items():
+        for key, vec in entries.items():
             odd = 0
             for i, y in enumerate(key):
                 if y in pre and not (symmetric and i and key[i - 1] == y):
@@ -160,12 +181,17 @@ def push_insertion(outer: dict, inner: dict, k: int) -> dict:
                             c *= weight
                         lin_acc(out.setdefault(w, {}), vec, -c if odd else c)
                 odd ^= degree[y] & 1
-    return out
+    return out, scale
 
 
 def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
     """sum_{j>=lo} t_j(F^j_k w) on every weight-k word w at once, as
-    {w: vector}, for t = outer and F the morphism with Taylor family inner.
+    {w: vector}, for t = outer and F the morphism with Taylor family inner."""
+    return _unscaled_words(*_product(Scaled(outer, k), Scaled(inner, k), k, lo))
+
+
+def _product(outer: Scaled, inner: Scaled, k: int, lo: int = 1) -> tuple:
+    """push_product on scaled families, as ({w: int vector}, scale).
 
     Each key K of t_j and each choice of preimages (u_i, c_i) of K[i] under
     f, of total length k, adds prod c_i . t_j(K) at the word u_1 + .. + u_j;
@@ -173,19 +199,25 @@ def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
     sorted, with its Koszul sign and the weight of the ways to cut it into
     the blocks u_i, and the ordered choices count every term stab(K) times,
     once per ordering of K's repeated letters, so the sum is divided by it.
+    A term with j inner coefficients has the scale D_outer D_inner^j stab(K),
+    so it is lifted to the common scale D_outer D_inner^k k! by the int
+    D_inner^(k-j) k!/stab(K): stab(K) divides j!, which divides k!.  In T(V)
+    there is no stab(K), and the k! is left out.
     """
-    inv = inverse_index(inner, k)
-    if not inv:
-        return {}
-    space, symmetric = _words_of(inner)
+    symmetric = inner.symmetric
+    fact = factorial(k) if symmetric else 1
+    scale = outer.scale * inner.scale ** k * fact
+    if not any(inner.inv.values()):
+        return {}, scale
     out: dict = {}
-    for j, t in outer.items():
+    for j, entries in outer.entries.items():
         if lo <= j <= k:
-            for key, vec in t.entries.items():
-                over = stabilizer(key) if symmetric else 1
-                for w, c in _preimage_words(key, inv, k, space, symmetric).items():
-                    lin_acc(out.setdefault(w, {}), vec, c if over == 1 else Fraction(c, over))
-    return out
+            lift = inner.scale ** (k - j) * fact
+            for key, vec in entries.items():
+                m = lift // stabilizer(key) if symmetric else lift
+                for w, c in _preimage_words(key, inner.inv, k, inner.space, symmetric).items():
+                    lin_acc(out.setdefault(w, {}), vec, c * m)
+    return out, scale
 
 
 def _preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
@@ -244,37 +276,46 @@ def pushed_map(source: GradedSpace, target: GradedSpace, degree: int, k: int,
 
 def _check_weights(r: Report, label: str, top: int, word_space: GradedSpace,
                    lhs_space: GradedSpace, pushed):
-    """One check per weight k <= top: pushed(k) gives the residual of every
-    word of word_space at once.  The first failing word in basis order is
-    the witness, and its residual, read in lhs_space, the lhs."""
+    """One check per weight k <= top: pushed(k) gives the scaled residual of
+    every word of word_space at once, as ({word: int vector}, scale).  The
+    first failing word in basis order is the witness, and its residual,
+    divided back and read in lhs_space, the lhs."""
     for k in range(1, top + 1):
-        failing = in_basis_order(word_space, pushed(k))
+        residual, scale = pushed(k)
+        failing = in_basis_order(word_space, residual)
         if not failing:
             r.add(label, True, weight=k)
         else:
             word, vec = failing[0]
             r.add(label, False, weight=k, witness=word,
-                  lhs=format_vector(vec, lhs_space), rhs="0")
+                  lhs=format_vector(unscaled(vec, scale), lhs_space), rhs="0")
     return r
 
 
 def check_structure(s: OoStructure, max_weight=None) -> Report:
     """Verify [Q,Q] = 0 up to the requested weight; first failing word wins."""
     top = s.max_weight if max_weight is None else min(max_weight, s.max_weight)
+    q = Scaled(s.taylor, top)
     return _check_weights(Report("structure equation"), "QQ=0", top, s.space, s.space,
-                          lambda k: push_insertion(s.taylor, s.taylor, k))
+                          lambda k: _insertion(q, q, k))
 
 
 def check_morphism(F: OoMorphism, max_weight=None) -> Report:
     """Verify p(F Q) = p(R F) componentwise up to the requested weight."""
     s, t = F.source, F.target
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
+    f, q, r = Scaled(F.taylor, top), Scaled(s.taylor, top), Scaled(t.taylor, top)
 
     def pushed(k):
-        res = push_insertion(F.taylor, s.taylor, k)
-        for w, vec in push_product(t.taylor, F.taylor, k).items():
-            lin_acc(res.setdefault(w, {}), vec, -1)
-        return res
+        # both sides brought to the lcm of their scales, still ints
+        res, left = _insertion(f, q, k)
+        prod, right = _product(r, f, k)
+        scale = lcm(left, right)
+        if scale != left:
+            res = {w: lin_scale(vec, scale // left) for w, vec in res.items()}
+        for w, vec in prod.items():
+            lin_acc(res.setdefault(w, {}), vec, -(scale // right))
+        return res, scale
 
     return _check_weights(Report("morphism equation"), "FQ=RF", top, s.space, t.space,
                           pushed)
@@ -294,8 +335,10 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
     if F.target is not G.source and F.target.space != G.source.space:
         raise MalformedInput("composition shape mismatch")
     top = max_weight or min(F.max_weight, G.max_weight)
+    g, f = Scaled(G.taylor, top), Scaled(F.taylor, top)
     taylor = {k: pushed_map(F.source.space, G.target.space, 0, k, F.flavor,
-                            product_terms(G.taylor, F, k))
+                            in_basis_order(F.source.space,
+                                           _unscaled_words(*_product(g, f, k))))
               for k in range(1, top + 1)}
     return OoMorphism(F.source, G.target, taylor)
 
@@ -332,10 +375,13 @@ def transport_structure(G: OoMorphism, max_weight=None) -> OoStructure:
     H = invert_morphism(G, top)
     s = G.source
     space = G.target.space
+    g, q = Scaled(G.taylor, top), Scaled(s.taylor, top)
     P = {b: pushed_map(s.space, space, 1, b, G.flavor,
-                       push_insertion(G.taylor, s.taylor, b).items())
+                       _unscaled_words(*_insertion(g, q, b)).items())
          for b in range(1, top + 1)}
-    taylor = {k: pushed_map(space, space, 1, k, G.flavor, product_terms(P, H, k))
+    p, h = Scaled(P, top), Scaled(H.taylor, top)
+    taylor = {k: pushed_map(space, space, 1, k, G.flavor,
+                            in_basis_order(space, _unscaled_words(*_product(p, h, k))))
               for k in range(1, top + 1)}
     return OoStructure(space, G.flavor, taylor, top)
 
@@ -697,7 +743,7 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
 
 __all__ = [
     "OoStructure", "OoMorphism",
-    "preimages", "inverse_index", "push_insertion", "push_product", "product_terms",
+    "preimages", "Scaled", "push_insertion", "push_product", "product_terms",
     "in_basis_order", "pushed_map",
     "check_structure", "check_morphism",
     "identity_morphism", "compose_morphisms", "invert_morphism", "transport_structure",

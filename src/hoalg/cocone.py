@@ -173,17 +173,21 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     return OoStructure(space, TENSOR, taylor, max_weight)
 
 
-def exp_log_isos(f: DgaMorphism, max_weight: int = 6):
+def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     """The mutually inverse exponential/logarithm isomorphisms between the
     Bernoulli-bracket and the associative cocone models.
 
     e_k and l_k vanish off the all-b words and multiply the b-components with
     coefficients 1/k! and (-1)^{k+1}/k respectively; both read one table of
-    the nonzero products b_1..b_k.
+    the nonzero products b_1..b_k.  `cocones` is the pair (fm_cocone_assoc,
+    decalage of cocone_associative) of f at max_weight when the caller holds
+    it already, as derived_products_model returns it; else it is built.
     """
     B = f.target
-    cinf = fm_cocone_assoc(f, max_weight)
-    cas = decalage_dga(cocone_associative(f), max_weight, validate=False)
+    if cocones is None:
+        cocones = (fm_cocone_assoc(f, max_weight),
+                   decalage_dga(cocone_associative(f), max_weight, validate=False))
+    cinf, cas = cocones
     if cinf.space != cas.space:
         raise MalformedInput("cocone spaces disagree")
     space = cinf.space

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 
 class MalformedInput(ValueError):
@@ -182,6 +182,26 @@ def lin_single(name, coeff=1) -> dict:
 
 def lin_eq(a: dict, b: dict) -> bool:
     return {n: v for n, v in a.items() if v} == {n: v for n, v in b.items() if v}
+
+
+def scaled_ints(family: dict, top: int) -> tuple:
+    """(D, {n: {key: D * vector}}) over the maps family[n] with n <= top,
+    where D is the lcm of the denominators of their coefficients, so every
+    scaled coefficient is an int.  Sums of products of scaled coefficients
+    then need no Fraction arithmetic, and `unscaled` divides once at the end."""
+    maps = {n: t.entries for n, t in family.items() if n <= top}
+    scale = lcm(*(c.denominator for entries in maps.values()
+                  for vec in entries.values() for c in vec.values()))
+    return scale, {n: {key: {y: c.numerator * (scale // c.denominator) for y, c in vec.items()}
+                       for key, vec in entries.items()}
+                   for n, entries in maps.items()}
+
+
+def unscaled(vec: dict, scale: int) -> dict:
+    """vec / scale for a vector of ints, one exact division per coefficient."""
+    if scale == 1:
+        return vec
+    return {n: exact(Fraction(v, scale)) for n, v in vec.items()}
 
 
 def prefix_products(op, first: dict, letters, top: int, degree=None) -> list:
@@ -936,7 +956,8 @@ __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
     "koszul_sign", "unshuffles", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
-    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "prefix_products",
+    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
+    "unscaled", "prefix_products",
     "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
     "sym_normalize", "stabilizer", "symmetric_word", "GradedMap", "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,12 +23,13 @@ from hoalg.fixtures import (
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    koszul_sign, lin_acc, lin_add, lin_single, lin_scale, sym_normalize, sym_words,
-    unshuffles,
+    koszul_sign, lin_acc, lin_add, lin_single, lin_scale, scaled_ints, sym_normalize,
+    sym_words, unshuffles,
 )
 from pull_oracles import (
-    morph_component, prolong_coderivation, prolong_morphism, pull_compose, pull_dg_check,
-    pull_invert, pull_transport,
+    coder_component, morph_component, prolong_coderivation, prolong_morphism,
+    pull_check_morphism, pull_check_structure, pull_compose, pull_dg_check, pull_invert,
+    pull_transport, taylor_after,
 )
 
 
@@ -336,6 +339,129 @@ def test_pushed_sums_match_brute_force_matrices(seed):
             for key, c in matmul(matrix_of(q[j]), morph_matrix(f, j, k)).items():
                 want[key] = want.get(key, 0) + c
         assert nonzero(push_product(q, f, k, 2)) == as_pushed(want), k
+
+
+# --- scaled push kernels on unfriendly denominators -------------------------
+
+SCALE_SPACE = GradedSpace([("x", 0), ("y", 0), ("b", 1), ("h", -1)])
+SCALE_TOP = 4
+# the coprime denominators 7, 11, 13 and B_6/6! = 1/30240, or ints only (D = 1)
+UNFRIENDLY = (Fraction(1, 7), Fraction(-1, 11), Fraction(3, 13), Fraction(1, 30240), 2, -1)
+INTS = (1, -1, 2, -3)
+
+
+def scale_family(flavor, degree, pool, seed):
+    """Seeded maps t_1..t_4 of the given flavor and degree on SCALE_SPACE,
+    each coefficient drawn from pool.  In S(V) the keys repeat the even
+    letters x and y."""
+    V = SCALE_SPACE
+    rng = random.Random("scale:%s:%d:%d:%d" % (flavor, degree, seed, len(pool)))
+    family = {}
+    for n in range(1, SCALE_TOP + 1):
+        t = MultilinearMap(V, V, degree, n, flavor)
+        words = itertools.product(V.names, repeat=n) if flavor == TENSOR else \
+            sym_words(V.names, V.degree, n)
+        for word in words:
+            want = sum(V.degree[x] for x in word) + degree
+            targets = [y for y in V.names if V.degree[y] == want]
+            if targets and rng.random() < 0.6:
+                t.set_entry(word, {y: rng.choice(pool) for y in targets})
+        family[n] = t
+    return family
+
+
+def _rescaled(family, lam):
+    """t_k -> lam^(k-1) t_k, which keeps [Q,Q] = 0 and FQ = RF: every term of
+    weight k carries lam^(k-1)."""
+    out = {}
+    for k, t in family.items():
+        r = MultilinearMap(t.source, t.target, t.degree, k, t.flavor)
+        for w, vec in t.entries.items():
+            r.set_entry(w, lin_scale(vec, lam ** (k - 1)))
+        out[k] = r
+    return out
+
+
+def _bump(family, k, coeff):
+    """A copy of a Taylor family with its first stored coefficient of arity k
+    raised by coeff (a planted fault)."""
+    out = _rescaled(family, 1)     # a copy
+    word = min(out[k].entries)
+    out[k].add_entry(word, {min(out[k].entries[word]): coeff})
+    return out
+
+
+def _taylor_entries(F):
+    return {k: t.entries for k, t in F.taylor.items() if not t.is_zero()}
+
+
+def _pulled(words, total):
+    return {w: vec for w in words for vec in [total(w)] if vec}
+
+
+@pytest.mark.parametrize("pool", (UNFRIENDLY, INTS), ids=("unfriendly", "ints"))
+@pytest.mark.parametrize("flavor", (TENSOR, SYMMETRIC))
+def test_scaled_kernels_match_the_pull_oracles(flavor, pool):
+    # the kernels sum ints scaled by the lcm D of each family's denominators
+    # (times D_inner^(k-j) k!/stab(K) for a product term with j < k inner
+    # factors) and divide once per output coefficient; every sum, report and
+    # composite equals the word-by-word one, coefficient for coefficient
+    V = SCALE_SPACE
+    s = OoStructure(V, flavor, scale_family(flavor, 1, pool, 0), SCALE_TOP)
+    t = OoStructure(V, flavor, scale_family(flavor, 1, pool, 1), SCALE_TOP)
+    F = OoMorphism(s, t, scale_family(flavor, 0, pool, 2))
+    G = OoMorphism(t, s, scale_family(flavor, 0, pool, 3))
+    for family in (s.taylor, F.taylor, G.taylor):
+        scale = scaled_ints(family, SCALE_TOP)[0]
+        assert scale == (1 if pool is INTS else math.lcm(7, 11, 13, 30240)), scale
+    if flavor == SYMMETRIC:
+        assert any(len(set(K)) < len(K) for f in F.taylor.values() for K in f.entries)
+    coder = partial(coder_component, s)
+    for k in range(1, SCALE_TOP + 1):
+        for outer in (t.taylor, F.taylor):
+            want = _pulled(s.basis_words(k), lambda w: taylor_after(outer, coder, w, 1))
+            assert nonzero(push_insertion(outer, s.taylor, k)) == want, k
+        for lo in (1, 2):
+            want = _pulled(s.basis_words(k),
+                           lambda w: taylor_after(t.taylor, partial(morph_component, F), w, lo))
+            got = nonzero(push_product(t.taylor, F.taylor, k, lo))
+            assert got == want, (k, lo)
+            assert all(type(c) is int or c.denominator > 1
+                       for vec in got.values() for c in vec.values())
+    # the random families fail the equations; reports match weight by weight
+    assert check_structure(s).lines() == pull_check_structure(s).lines()
+    assert check_morphism(F).lines() == pull_check_morphism(F).lines()
+    assert _taylor_entries(compose_morphisms(G, F)) == _taylor_entries(pull_compose(G, F))
+    assert _taylor_entries(compose_morphisms(F, G)) == _taylor_entries(pull_compose(F, G))
+
+
+@pytest.mark.parametrize("symmetric", (False, True))
+def test_scaled_checks_report_planted_faults_like_the_pull(symmetric):
+    # E, L and their cocones rescaled by lam = 1/11 still pass and stay
+    # inverse, with denominators 11^(k-1) k! and the Bernoulli ones; one
+    # coefficient bumped by 1/13 or by 1 fails at the weight the pull finds,
+    # with the same witness and lhs
+    E, L = exp_log_isos(random_dga_morphism(1, 2), max_weight=4)
+    if symmetric:
+        E = symmetrize_morphism(E)
+        L = symmetrize_morphism(L, E.target, E.source)
+    lam = Fraction(1, 11)
+    s = OoStructure(E.source.space, E.flavor, _rescaled(E.source.taylor, lam), 4)
+    t = OoStructure(E.target.space, E.flavor, _rescaled(E.target.taylor, lam), 4)
+    F = OoMorphism(s, t, _rescaled(E.taylor, lam))
+    G = OoMorphism(t, s, _rescaled(L.taylor, lam))
+    assert check_structure(s).ok and check_morphism(F).ok and check_morphism(G).ok
+    assert _taylor_entries(compose_morphisms(G, F)) == \
+        _taylor_entries(identity_morphism(s))
+    for k, coeff in ((2, Fraction(1, 13)), (3, 1)):
+        bad = OoMorphism(s, t, _bump(F.taylor, k, coeff))
+        assert not check_morphism(bad).ok
+        assert check_morphism(bad).lines() == pull_check_morphism(bad).lines(), k
+        assert _taylor_entries(compose_morphisms(G, bad)) == \
+            _taylor_entries(pull_compose(G, bad)), k
+    bad = OoStructure(s.space, s.flavor, _bump(s.taylor, 3, Fraction(1, 13)), 4)
+    assert not check_structure(bad).ok
+    assert check_structure(bad).lines() == pull_check_structure(bad).lines()
 
 
 def test_brute_force_matrices_match_the_pull_evaluators():

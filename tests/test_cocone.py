@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from hoalg import cocone
+from hoalg.cli import run
 from hoalg.coalg import (
     DgAlgebra, DgaMorphism, DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure,
     check_morphism, check_structure, compose_morphisms, decalage_dgla,
@@ -509,6 +513,31 @@ def test_derived_products_full_suite(seed):
     rhs = compose_morphisms(dp.G_as, E)
     for k in set(rhs.taylor) | set(dp.G_inf.taylor):
         assert rhs.taylor.get(k) == dp.G_inf.taylor.get(k)
+
+
+def test_exp_log_isos_reuses_the_cocones_it_is_given():
+    dp = derived_products_model(end_dga_splitting(0, 3), max_weight=4)
+    shared = exp_log_isos(dp.inclusion, 4, cocones=(dp.cocone_inf, dp.cocone_as))
+    assert shared[0].source is dp.cocone_inf and shared[0].target is dp.cocone_as
+    for got, want in zip(shared, exp_log_isos(dp.inclusion, 4)):
+        assert _entries(got) == _entries(want)
+        assert _entries(got.source) == _entries(want.source)
+
+
+def test_cocone_derived_builds_the_fm_cocone_once(monkeypatch):
+    # exp_log_isos reads the cocones derived_products_model returned
+    calls = []
+    build = cocone.fm_cocone_assoc
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cocone, "fm_cocone_assoc", counting)
+    with redirect_stdout(io.StringIO()) as out:
+        code = run(["--max-weight", "4", "cocone", "derived", "--example", "r:1"])
+    assert code == 0 and out.getvalue().endswith("result: PASS\n")
+    assert len(calls) == 1
 
 
 def test_derived_products_rejects_bad_complement():

@@ -258,6 +258,26 @@ def test_fm_cocones_store_canonical_coefficients():
         assert_all_canonical(lie, assoc)
 
 
+def test_passing_checks_do_no_per_term_fraction_arithmetic(monkeypatch):
+    # the push kernels sum ints scaled by the lcm of the denominators and
+    # divide once per output coefficient; a passing check has a zero residual
+    # on every word, so it divides nothing and builds no Fraction per term
+    lie = fm_cocone_lie(random_filtered_inclusion(0, 2)[2], max_weight=6)
+    assoc = fm_cocone_assoc(random_dga_morphism(0, 2), max_weight=4)
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for s in (lie, assoc):
+        built.clear()
+        assert check_structure(s).ok
+        assert len(built) <= 8, len(built)
+
+
 def test_transfer_and_quasi_inverse_store_canonical_coefficients():
     for seed in range(3):
         big = decalage_dga(random_end_dga(seed, 2), max_weight=4)

@@ -219,6 +219,18 @@ def test_cli_example_torus_matches_golden():
     assert tail == golden
 
 
+@pytest.mark.parametrize("kind", ("explog", "lie"))
+def test_cli_cocone_at_weight_8_matches_golden(kind):
+    # weight 8 reaches the largest denominators the cocones carry (q_7 of the
+    # FM cocone that explog checks holds B_6/6! = 1/30240, and e_8 holds
+    # 1/8!); the files were recorded before the push kernels summed scaled ints
+    code, out = run_cli(["--max-weight", "8", "cocone", kind, "--example", "r:1"])
+    assert code == 0
+    path = os.path.join(os.path.dirname(__file__), "golden", "cocone_%s_w8_r1.txt" % kind)
+    with open(path, "rb") as fh:
+        assert out.encode() == fh.read()
+
+
 def test_cli_max_weight_env_override(monkeypatch):
     monkeypatch.setenv("HOALG_MAX_WEIGHT", "2")
     from hoalg.cli import build_parser
