@@ -431,14 +431,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     """Parse argv, run the subcommand, print the report; return the exit code."""
     ap = build_parser()
-    argv = list(argv)
-    # accept the action word in trailing position, e.g. `yukawa v1 ... mc`
-    if "yukawa" in argv and argv and argv[-1] == "mc":
-        pos = argv.index("yukawa")
-        if len(argv) > pos + 1 and argv[-1] != argv[pos + 2:pos + 3]:
-            argv.insert(pos + 2, argv.pop())
     try:
-        args = ap.parse_args(argv)
+        args, rest = ap.parse_known_args(argv)
+        # argparse fills the optional `action` positional of `yukawa v1 --example
+        # torus:2 mc` with nothing before the option, and leaves the trailing
+        # word over, so the action is read from the subcommand's leftovers
+        if args.command == "yukawa" and args.action is None and rest == ["mc"]:
+            args.action, rest = "mc", []
+        if rest:
+            ap.error("unrecognized arguments: %s" % " ".join(rest))
     except SystemExit as exc:
         return 2 if exc.code else 0
     out = []

@@ -21,9 +21,9 @@ from .coalg import (
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
-    coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
+    coordinate_projections, first_witness, insert_letter, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, multilinear_from_graded_map, pair_space,
-    prefix_products, prefix_vector, sign_pow, stabilizer, sym_normalize, symmetric_word,
+    prefix_products, prefix_vector, sign_pow, sym_normalize,
 )
 
 A_PRE = "a:"
@@ -41,15 +41,18 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     carry Bernoulli coefficients: q_{k+1}(x (x) m_1 ... m_k) =
     -(B_k/k!) S(f(x), m_1..m_k).  The signed sum over orderings
     S(v, T) = sum_sigma eps(sigma) [...[v, t_s1], ..., t_sk] is grown one
-    letter at a time from S(v, ()) = v: each sorted word S and letter b add
+    letter at a time from S(v, ()) = v: each sorted word S and letter b with
+    [S(v, S), b] != 0 add
 
-        w [S(v, S), b]  at  T = sort(S + b),
+        sign * mult [S(v, S), b]  at  T = sort(S + b),
 
-    with (T, w) = symmetric_word(S + (b,), M.space, stab(S)): the Koszul
-    sign of moving b into place times mult_T(b), the positions of T that b
-    can fill last, so a repeated (even) letter counts with its multiplicity.
-    Only the nonzero S(f(x), S) are grown, and only up to the last weight
-    whose Bernoulli number is nonzero.
+    with (T, sign, mult) = insert_letter(S, b, M.space): the Koszul sign of
+    moving b past the larger odd letters of S, and mult_T(b), the positions
+    of T that b can fill last, so a repeated (even) letter counts with its
+    multiplicity.  The brackets [u, b] are read from one table of right
+    brackets, built once from the stored entries of M's bracket.  Only the
+    nonzero S(f(x), S) are grown, and only up to the last weight whose
+    Bernoulli number is nonzero.
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
@@ -59,17 +62,24 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
     for k in coeffs:
         taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
+    right: dict = {}                    # b -> {u: [u, b]}
+    for (u, b), vec in M.bracket.entries.items():
+        right.setdefault(b, {})[u] = vec
+    right = {b: right[b] for b in M.space.names if b in right}
     for x in L.space.names:
         level = {(): f.map.value(x)} if f.map.value(x) else {}
         for k in range(1, max(coeffs, default=0) + 1):
             grown: dict = {}
             for S, v in level.items():
-                stab = stabilizer(S)
-                for b in M.space.names:
-                    got = symmetric_word(S + (b,), M.space, stab)
-                    if got is not None:
-                        lin_acc(grown.setdefault(got[0], {}), M.bracket_vec(v, lin_single(b)),
-                                got[1])
+                for b, column in right.items():
+                    vb: dict = {}
+                    for u, c in v.items():
+                        if u in column:
+                            lin_acc(vb, column[u], c)
+                    got = vb and insert_letter(S, b, M.space)
+                    if got:
+                        T, sign, mult = got
+                        lin_acc(grown.setdefault(T, {}), vb, sign * mult)
             level = {T: v for T, v in grown.items() if v}
             if k in coeffs:
                 for T, v in level.items():

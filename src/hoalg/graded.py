@@ -5,7 +5,9 @@ bookkeeping, unshuffles, Bernoulli numbers, contractions of complexes and
 deterministic rational row reduction.  Every Koszul-signed sum over the
 orderings of a word in the package is pushed to the sorted word through one
 sort rule, `symmetric_word` (the Koszul sign of the sort times the number of
-ways to cut the word into its sorted blocks), and every left-nested product
+ways to cut the word into its sorted blocks), or, when the word is a sorted
+word and one more letter, through `insert_letter`, which gives the same
+weight without a sort; and every left-nested product
 of basis letters is grown prefix by prefix by `prefix_products`.
 All arithmetic is exact: every stored coefficient is an `int` when it is
 integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
@@ -412,6 +414,29 @@ def symmetric_word(word: tuple, space: GradedSpace, parts: int):
         return None
     w, eps = got
     return w, eps * (stabilizer(w) // parts)
+
+
+def insert_letter(word: tuple, letter, space: GradedSpace):
+    """(T, sign, mult) for the sorted word T of S(V) that a sorted word and
+    one more letter become: sign is the Koszul sign of moving the letter past
+    the larger odd letters of word, and mult = mult_T(letter), so that
+    sign * mult is what `symmetric_word(word + (letter,), space,
+    stabilizer(word))` gives.  The merge of a sorted word with a one-letter
+    word, with no sort.  None when the letter is odd and already in word."""
+    index, degree = space.index, space.degree
+    at, odd = index[letter], degree[letter] % 2
+    i = len(word)
+    sign = 1
+    while i and index[word[i - 1]] > at:
+        i -= 1
+        if odd and degree[word[i]] % 2:
+            sign = -sign
+    mult = 1
+    while mult <= i and word[i - mult] == letter:
+        mult += 1
+    if odd and mult > 1:
+        return None
+    return word[:i] + (letter,) + word[i:], sign, mult
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +984,8 @@ __all__ = [
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
     "unscaled", "prefix_products",
     "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
-    "sym_normalize", "stabilizer", "symmetric_word", "GradedMap", "coordinate_projections",
+    "sym_normalize", "stabilizer", "symmetric_word", "insert_letter", "GradedMap",
+    "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
     "linear_part", "add_prefixed",

@@ -7,22 +7,26 @@ mapping-cocone correspondence, plus order-by-order obstruction lifting.
 An element of V (x) B is a table (name, monomial) -> coeff; a B-linear
 operator is an element of Hom(V, W) (x) B, stored as {monomial: GradedMap}.
 Both reuse the sparse kernels of `graded` monomial by monomial: operators
-compose by the Cauchy product of GradedMap.compose truncated at m^N, and
-Taylor coefficients are evaluated with MultilinearMap.apply_vectors on the
-monomial tuples whose product survives in B.
+compose by the Cauchy product of GradedMap.compose truncated at m^N.  The
+exponential series sum_n (1/n!) t_n(x, .., x) of a Maurer-Cartan residual
+or a pushforward is pushed from the stored keys of each t_n, with the
+products of the keys' B-coefficients grown along their shared prefixes.
+`eval_taylor`, which the bracket and the gauge action use, applies
+MultilinearMap.apply_vectors on the monomial tuples whose product survives
+in B.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
-from .cocone import A_PRE, B_PRE, fm_cocone_lie
+from .cocone import A_PRE, B_PRE, _cocone_q1, fm_cocone_lie
 from .graded import (
-    GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
-    linear_part, map_solve,
+    SYMMETRIC, GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
+    linear_part, map_solve, pair_space, stabilizer,
 )
 
 
@@ -345,14 +349,72 @@ def mc_pushforward(F: OoMorphism, x: ArtinElement) -> ArtinElement:
 
 
 def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
-    """sum_{n>=1} (1/n!) t_n(x^{(.)n}) for a Taylor family t; the terms with
-    n >= ring order vanish because x lies in V (x) m_B."""
-    out = ArtinElement(x.ring, target, allow_constant=True)
-    for n in range(1, x.ring.order):
+    """sum_{n>=1} (1/n!) t_n(x^{(.)n}) for a Taylor family t, pushed from the
+    stored keys of t.  B sits in even degree, so with x_a in B the
+    coefficient of the letter a in x,
+
+        (1/n!) t_n(x, .., x) = sum_K c(K) t_n(K) prod_i x_{K_i}
+
+    over the stored keys K whose letters all carry a term of x.  In T(V)
+    c(K) = 1/n!.  In S(V) the n!/stab(K) orderings of K read t_n(K) with
+    their Koszul signs, so c(K) = 1/stab(K) when K has at most one odd
+    letter, and c(K) = 0 otherwise, as the orderings that swap two odd
+    letters cancel in pairs.  The products grow along the keys' shared
+    prefixes, truncated at m^N, and an empty one cuts every key that extends
+    it.  The terms with n >= ring order vanish because x lies in V (x) m_B.
+    Every term is summed as an int at one scale, and each output coefficient
+    is divided once."""
+    ring = x.ring
+    top = ring.order - 1
+    degree = x.space.degree
+    dx = lcm(*(c.denominator for c in x.terms.values()))
+    letters: dict = {}                  # a -> {monomial: dx * coefficient}
+    for (a, mono), c in x.terms.items():
+        letters.setdefault(a, {})[mono] = c.numerator * (dx // c.denominator)
+    products = {(): {ring.one: 1}}      # word -> dx^len(word) prod_i x_{word_i}
+    live = []
+    for n in range(1, top + 1):
         t = taylor.get(n)
-        if t is not None:
-            out = out.plus(eval_taylor(t, [x] * n).scaled(Fraction(1, factorial(n))))
+        if t is None:
+            continue
+        sym = t.flavor == SYMMETRIC
+        for key, vec in t.entries.items():
+            p = _word_product(products, key, letters, ring)
+            if not p or sym and sum(degree[a] % 2 for a in key) > 1:
+                continue
+            # n! c(K), lifted from dx^n to dx^top and from n! to top!
+            lift = (factorial(n) // stabilizer(key) if sym else 1) * \
+                (factorial(top) // factorial(n)) * dx ** (top - n)
+            live.append((lift, vec, p))
+    dq = lcm(*(c.denominator for _, vec, _ in live for c in vec.values()))
+    acc: dict = {}
+    for lift, vec, p in live:
+        for y, c in vec.items():
+            cy = lift * c.numerator * (dq // c.denominator)
+            for mono, v in p.items():
+                acc[y, mono] = acc.get((y, mono), 0) + cy * v
+    scale = factorial(top) * dq * dx ** top
+    out = ArtinElement(ring, target, allow_constant=True)
+    for (y, mono), v in acc.items():
+        if v:
+            out.add(y, mono, Fraction(v, scale))
     return out
+
+
+def _word_product(products: dict, word: tuple, letters: dict, ring: ArtinRing) -> dict:
+    """products[word], the product of the letters' B-coefficients over word,
+    truncated at m^N and filled in for every prefix of word on the way."""
+    p = products.get(word)
+    if p is None:
+        p = {}
+        for m1, c1 in _word_product(products, word[:-1], letters, ring).items():
+            for m2, c2 in letters.get(word[-1], {}).items():
+                mono = ring.mul(m1, m2)
+                if mono is not None:
+                    p[mono] = p.get(mono, 0) + c1 * c2
+        p = {mono: c for mono, c in p.items() if c}
+        products[word] = p
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +473,24 @@ def cocone_element(cocone_space, x: ArtinElement, m: ArtinElement) -> ArtinEleme
 
 
 def cocone_mc_correspondence(f: DglaMorphism, x: ArtinElement, m: ArtinElement,
-                             max_weight=None) -> Report:
+                             max_weight=None, cocone=None) -> Report:
     """(x, m) Maurer-Cartan in the mapping cocone iff (x, e^m) is in the
-    two-equation set; both residuals computed independently and compared."""
-    mw = max_weight or max(x.ring.order - 1, 2)
-    s = fm_cocone_lie(f, max_weight=mw)
+    two-equation set; both residuals computed independently and compared.
+
+    `cocone` is fm_cocone_lie of f when the caller holds it already; its
+    space and q1 must be those of f's cocone, and its weight must reach
+    ring order - 1 (mc_check), else MalformedInput.  Without it the cocone is
+    built at max_weight, by default at max(ring order - 1, 2).
+    """
+    if cocone is None:
+        s = fm_cocone_lie(f, max_weight=max_weight or max(x.ring.order - 1, 2))
+    else:
+        s = cocone
+        space = pair_space(f.source.space.shifted(1), f.target.space)
+        q1 = _cocone_q1(f, space, SYMMETRIC)
+        if s.space != space or s.flavor != SYMMETRIC or \
+                s.taylor.get(1) != (None if q1.is_zero() else q1):
+            raise MalformedInput("the given cocone is not the mapping cocone of f")
     pair = cocone_element(s.space, x, m)
     res_cocone = mc_check(s, pair)
     direct = mc_f_check(f, x, m)

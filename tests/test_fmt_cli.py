@@ -149,6 +149,44 @@ def test_cli_malformed_integer_flag_is_exit_2(sample_file, argv):
     assert out.startswith("error: ") and "not an integer" in out
 
 
+YUKAWA_MC = """structure equation: PASS
+RELATION QQ=0 weight=1 tuple=- lhs=- rhs=- status=PASS
+RELATION QQ=0 weight=2 tuple=- lhs=- rhs=- status=PASS
+RELATION QQ=0 weight=3 tuple=- lhs=- rhs=- status=PASS
+quadratic maurer-cartan residual table:
+  xi=t1b1 -> 0
+  xi=t1b2 -> 0
+  xi=t2b1 -> 0
+  xi=t2b2 -> 0
+  xi=t1b1+t1b2 -> 0
+  xi=t1b1+t2b1 -> 0
+  xi=t1b1+t2b2 -> b:dzb1^dzb2<-dz1^dz2 t1^2 -> 1
+  xi=t1b2+t2b1 -> b:dzb1^dzb2<-dz1^dz2 t1^2 -> -1
+  xi=t1b2+t2b2 -> 0
+  xi=t2b1+t2b2 -> 0
+result: PASS
+"""
+
+
+@pytest.mark.parametrize("tail", [["--example", "torus:2", "mc"], ["mc", "--example", "torus:2"]],
+                         ids=["action-last", "action-first"])
+def test_cli_yukawa_action_before_or_after_the_options(tail):
+    # the action word may follow the options; both orders print these bytes
+    code, out = run_cli(["--max-weight", "3", "--artin", "1,3", "yukawa", "v1"] + tail)
+    assert (code, out) == (0, YUKAWA_MC)
+
+
+@pytest.mark.parametrize("argv", [
+    ["yukawa", "v1", "--example", "torus:2", "foo"],
+    ["yukawa", "v1", "--example", "torus:2", "mc", "mc"],
+    ["yukawa", "v1", "mc", "--example", "torus:2", "mc"],
+    ["cocone", "lie", "--example", "r:1", "mc"],
+])
+def test_cli_stray_trailing_word_is_exit_2(argv):
+    code, out = run_cli(["--max-weight", "3"] + argv)
+    assert (code, out) == (2, "")
+
+
 def test_cli_internal_key_error_propagates(sample_file, monkeypatch):
     # a KeyError inside a command is a bug, not a parse error: no exit 2
     def broken(*args, **kwargs):

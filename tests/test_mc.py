@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import hoalg.mc as mc_module
 from hoalg.coalg import (
-    DgLieAlgebra, DglaMorphism, OoStructure, decalage_dgla, decalage_dgla_morphism,
+    DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure, decalage_dgla,
+    decalage_dgla_morphism,
 )
+from hoalg.cocone import fm_cocone_lie
 from hoalg.fixtures import (
     abelian_dgla, random_artin_element, random_end_dgla,
     random_filtered_inclusion, sl2_dgla, zero_dgla,
@@ -18,10 +24,11 @@ from hoalg.graded import (
     lin_single,
 )
 from hoalg.mc import (
-    ArtinElement, ArtinMap, ArtinRing, artin_apply, artin_bracket,
+    ArtinElement, ArtinMap, ArtinRing, artin_apply, artin_bracket, cocone_element,
     cocone_mc_correspondence, dgla_mc_residual, eval_taylor, gauge_act, mc_check,
     mc_extend, mc_f_check, mc_pushforward,
 )
+from pull_oracles import pull_exp_series
 
 
 def t_ring(order=3):
@@ -377,6 +384,132 @@ def test_eval_taylor_matches_brute_force_expansion(gens, order, flavor):
             assert got.is_zero()  # a product of `order` elements of m_B
         nonzero += not got.is_zero()
     assert nonzero >= 2  # the comparison is not between zeros only
+
+
+# --- the exponential series, pushed from the stored keys --------------------------
+
+def _series_reference(taylor, x, target):
+    """sum_{n < ring order} (1/n!) q_n(x, .., x), each q_n expanded over every
+    tuple of terms of x."""
+    out = ArtinElement(x.ring, target, allow_constant=True)
+    for n, q in sorted(taylor.items()):
+        if n < x.ring.order:
+            out = out.plus(_eval_taylor_reference(q, [x] * n).scaled(Fraction(1, factorial(n))))
+    return out
+
+
+def _random_family(rng, source, target, degree, top, flavor):
+    """{n: arity-n map of the given degree} for n <= top, random on the
+    (canonical) words whose image degree occurs in target."""
+    family = {}
+    for n in range(1, top + 1):
+        q = MultilinearMap(source, target, degree, n, flavor)
+        words = itertools.product(source.names, repeat=n) if flavor == TENSOR else \
+            itertools.combinations_with_replacement(source.names, n)
+        for word in words:
+            want = sum(source.degree[a] for a in word) + degree
+            if q.normalize(word)[0] is not None and rng.random() < 0.7:
+                q.set_entry(word, {y: _rand_fraction(rng) for y in target.names
+                                   if target.degree[y] == want and rng.random() < 0.7})
+        family[n] = q
+    return family
+
+
+@pytest.mark.parametrize("gens,order", [(1, 6), (2, 5), (3, 4)])
+@pytest.mark.parametrize("flavor", [TENSOR, SYMMETRIC])
+def test_exp_series_matches_brute_force_expansion(gens, order, flavor):
+    # mc_check sums c(K) q_n(K) prod_i x_{K_i} over the stored keys K, and
+    # mc_pushforward does the same for f, also when x carries odd letters
+    rng = random.Random("exp_series:%d:%d:%s" % (gens, order, flavor))
+    R = ArtinRing(gens, order)
+    V = GradedSpace([("a", 0), ("b", 0), ("c", 0), ("u", 1), ("v", 1)])
+    even = V.subspace(["a", "b", "c"])
+    s = OoStructure(V, flavor, _random_family(rng, V, V, 1, order - 1, flavor), order - 1)
+    W = GradedSpace([("y0", 0), ("y1", 1), ("y2", 2)])
+    F = OoMorphism(OoStructure(V, flavor, {}, order - 1), OoStructure(W, flavor, {}, order - 1),
+                   _random_family(rng, V, W, 0, order - 1, flavor))
+    t = (1,) + (0,) * (gens - 1)
+    odd = ArtinElement(R, V, {("u", t): Fraction(1, 2), ("v", t): -3})
+    nonzero = 0
+    for _ in range(3):
+        x = ArtinElement(R, V, _random_element(rng, R, even).terms)
+        got = mc_check(s, x)
+        assert got.terms == _series_reference(s.taylor, x, V).terms
+        assert got.terms == pull_exp_series(s.taylor, x, V).terms
+        for y in (x, x.plus(odd)):
+            got = mc_pushforward(F, y)
+            assert got.terms == _series_reference(F.taylor, y, W).terms
+            assert got.terms == pull_exp_series(F.taylor, y, W).terms
+            nonzero += not got.is_zero()
+    assert nonzero >= 4  # the comparison is not between zeros only
+
+
+@pytest.mark.parametrize("flavor,c_ab", [(SYMMETRIC, 1), (TENSOR, Fraction(1, 2))])
+def test_exp_series_weight_of_a_key_in_closed_form(flavor, c_ab):
+    """c(K) = 1/stab(K) in S(V) and 1/n! in T(V): q_2(a, a) = y at x = t a
+    gives (1/2) t^2 y in both flavors, and q_2(a, b) = y at x = t a + t b
+    gives t^2 y in S(V), where (a, b) stands for both orderings, but
+    (1/2) t^2 y in T(V).  In a copy of mc._exp_series that weighs symmetric
+    keys by 1/n! instead of 1/stab(K), the (a, b) case of S(V) fails."""
+    V = GradedSpace([("a", 0), ("b", 0), ("y", 1)])
+    R = t_ring(3)
+    for word, x, want in ((("a", "a"), {("a", (1,)): 1}, Fraction(1, 2)),
+                          (("a", "b"), {("a", (1,)): 1, ("b", (1,)): 1}, c_ab)):
+        q2 = MultilinearMap(V, V, 1, 2, flavor)
+        q2.set_entry(word, lin_single("y"))
+        s = OoStructure(V, flavor, {2: q2}, 2)
+        assert mc_check(s, ArtinElement(R, V, x)).terms == {("y", (2,)): want}
+
+
+@pytest.mark.parametrize("key", ["2", "17", "81"])
+def test_exp_series_matches_pull_oracle_on_benchmark_inputs(key):
+    # the mc-artin inputs of perfbench: random elements of the cocone, and an
+    # engineered Maurer-Cartan pair, over the rings (1,6), (2,5) and (3,4);
+    # these keys draw random elements with a nonzero residual (most keys do not)
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    sub, amb, inc, rings = wl.mc_artin_inputs(key)
+    nonzero = 0
+    for ring, randoms, a in rings:
+        s = fm_cocone_lie(inc, ring.order - 1)
+        x = gauge_act(sub, a, ArtinElement(ring, sub.space))
+        pair = cocone_element(s.space, x, ArtinElement(ring, amb.space, dict(a.terms)).scaled(-1))
+        for el in randoms + [pair]:
+            got = mc_check(s, el)
+            assert got.terms == pull_exp_series(s.taylor, el, s.space).terms
+            nonzero += not got.is_zero()
+    assert nonzero >= 3
+
+
+def test_cocone_correspondence_reads_the_cocone_it_is_given(monkeypatch):
+    sub, amb, inc = random_filtered_inclusion(0, 2)
+    R = t_ring(4)
+    a = random_artin_element(300, R, sub.space, 0, density=0.5)
+    x = gauge_act(sub, a, ArtinElement(R, sub.space))
+    m = ArtinElement(R, amb.space, dict(a.terms)).scaled(-1)
+    built = fm_cocone_lie(inc, 3)
+    want = cocone_mc_correspondence(inc, x, m).lines()
+    calls = []
+    build = mc_module.fm_cocone_lie
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mc_module, "fm_cocone_lie", counting)
+    assert cocone_mc_correspondence(inc, x, m, cocone=built).lines() == want
+    assert calls == []
+    assert cocone_mc_correspondence(inc, x, m).lines() == want
+    assert len(calls) == 1
+    # a cocone of a morphism between other spaces, of another map between the
+    # same spaces, or truncated below the ring's arity
+    other = random_filtered_inclusion(1, 2)[2]
+    doubled = DglaMorphism(inc.source, inc.target, inc.map.scale(2))
+    for bad in (fm_cocone_lie(other, 3), fm_cocone_lie(doubled, 3), fm_cocone_lie(inc, 2)):
+        with pytest.raises(MalformedInput):
+            cocone_mc_correspondence(inc, x, m, cocone=bad)
 
 
 def _random_artin_map(rng, ring, V, min_total):
