@@ -11,9 +11,9 @@ compose by the Cauchy product of GradedMap.compose truncated at m^N.  The
 exponential series sum_n (1/n!) t_n(x, .., x) of a Maurer-Cartan residual
 or a pushforward is pushed from the stored keys of each t_n, with the
 products of the keys' B-coefficients grown along their shared prefixes.
-`eval_taylor`, which the bracket and the gauge action use, applies
-MultilinearMap.apply_vectors on the monomial tuples whose product survives
-in B.
+The bracket [x, y], which the gauge action and the DGLA residual use,
+applies MultilinearMap.apply_vectors to every pair of monomial groups of x
+and y whose product survives in B.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
-from .cocone import A_PRE, B_PRE, _cocone_q1, fm_cocone_lie
+from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
     SYMMETRIC, GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
-    linear_part, map_solve, pair_space, stabilizer,
+    linear_part, map_solve, stabilizer,
 )
 
 
@@ -297,27 +297,17 @@ def artin_apply(gm: GradedMap, x: ArtinElement) -> ArtinElement:
 
 
 def artin_bracket(L: DgLieAlgebra, x: ArtinElement, y: ArtinElement) -> ArtinElement:
-    return eval_taylor(L.bracket, [x, y])
-
-
-def eval_taylor(q, args) -> ArtinElement:
-    """Multilinear evaluation of a Taylor coefficient on Artin elements.
-
-    Each argument is grouped by monomial, and the monomial tuples are built
-    one argument at a time: a partial tuple is dropped as soon as its product
-    leaves B.  q is expanded on the name vectors of every surviving tuple.
-    """
-    ring = args[0].ring
-    out = ArtinElement(ring, q.target, allow_constant=True)
-    tuples = [(ring.one, [])]
-    for a in args:
-        grouped = a.by_mono()
-        tuples = [(prod, vecs + [vec]) for mono, vecs in tuples
-                  for m, vec in grouped.items()
-                  if (prod := ring.mul(mono, m)) is not None]
-    for mono, vecs in tuples:
-        for t, c in q.apply_vectors(vecs).items():
-            out.add(t, mono, c)
+    """[x, y] on L (x) B: the bracket of the name vectors of every pair of
+    monomials of x and y whose product survives in B."""
+    ring = x.ring
+    out = ArtinElement(ring, L.bracket.target, allow_constant=True)
+    ys = y.by_mono()
+    for m1, v1 in x.by_mono().items():
+        for m2, v2 in ys.items():
+            mono = ring.mul(m1, m2)
+            if mono is not None:
+                for t, c in L.bracket.apply_vectors([v1, v2]).items():
+                    out.add(t, mono, c)
     return out
 
 
@@ -473,24 +463,11 @@ def cocone_element(cocone_space, x: ArtinElement, m: ArtinElement) -> ArtinEleme
 
 
 def cocone_mc_correspondence(f: DglaMorphism, x: ArtinElement, m: ArtinElement,
-                             max_weight=None, cocone=None) -> Report:
+                             max_weight=None) -> Report:
     """(x, m) Maurer-Cartan in the mapping cocone iff (x, e^m) is in the
-    two-equation set; both residuals computed independently and compared.
-
-    `cocone` is fm_cocone_lie of f when the caller holds it already; its
-    space and q1 must be those of f's cocone, and its weight must reach
-    ring order - 1 (mc_check), else MalformedInput.  Without it the cocone is
-    built at max_weight, by default at max(ring order - 1, 2).
-    """
-    if cocone is None:
-        s = fm_cocone_lie(f, max_weight=max_weight or max(x.ring.order - 1, 2))
-    else:
-        s = cocone
-        space = pair_space(f.source.space.shifted(1), f.target.space)
-        q1 = _cocone_q1(f, space, SYMMETRIC)
-        if s.space != space or s.flavor != SYMMETRIC or \
-                s.taylor.get(1) != (None if q1.is_zero() else q1):
-            raise MalformedInput("the given cocone is not the mapping cocone of f")
+    two-equation set; both residuals computed independently and compared."""
+    mw = max_weight or max(x.ring.order - 1, 2)
+    s = fm_cocone_lie(f, max_weight=mw)
     pair = cocone_element(s.space, x, m)
     res_cocone = mc_check(s, pair)
     direct = mc_f_check(f, x, m)
@@ -545,7 +522,7 @@ def mc_extend(s: OoStructure, x: ArtinElement, order: int):
 
 __all__ = [
     "ArtinRing", "ArtinElement", "ArtinMap", "artin_apply", "artin_bracket",
-    "eval_taylor", "mc_check", "mc_pushforward", "gauge_act",
+    "mc_check", "mc_pushforward", "gauge_act",
     "dgla_mc_residual", "mc_f_check", "cocone_element",
     "cocone_mc_correspondence", "mc_extend",
 ]

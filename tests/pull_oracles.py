@@ -7,10 +7,11 @@ composite, inverse, transfer and transport looping over every basis word of
 every weight.  It also keeps the DG axiom loop over every basis word, the
 hodge builders that sum every symmetric word over its k! orderings with
 ordered-suffix memos, and the cocone builders that run a left-nested product
-on every word of `itertools.product` or of `sym_words`, and the exponential
-series of hoalg.mc evaluated on every ordered tuple of monomials.  The Koszul
-signs of the ordering sums come from `koszul_sign` and `unshuffles`.  They
-are slow, so tests run them at low weights only.
+on every word of `itertools.product` or of `sym_words`, and the n-ary
+evaluation of a Taylor coefficient on Artin elements with the exponential
+series of hoalg.mc built on it, both over every ordered tuple of monomials.
+The Koszul signs of the ordering sums come from `koszul_sign` and
+`unshuffles`.  They are slow, so tests run them at low weights only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from hoalg.graded import (
     sym_words, unshuffles,
 )
 from hoalg.hodge import _harmonic_hom, _restrict_to_hom, derived_hom_structure
-from hoalg.mc import ArtinElement, eval_taylor
+from hoalg.mc import ArtinElement
 
 # (j, k, word) -> component value, per structure or morphism
 _MEMOS = weakref.WeakKeyDictionary()
@@ -737,13 +738,34 @@ def pull_fiber_product_model(L, split, F, max_weight=6) -> OoStructure:
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 
+def pull_eval_taylor(q, args) -> ArtinElement:
+    """Multilinear evaluation of a Taylor coefficient on Artin elements.
+
+    Each argument is grouped by monomial, and the monomial tuples are built
+    one argument at a time: a partial tuple is dropped as soon as its product
+    leaves B.  q is expanded on the name vectors of every surviving tuple.
+    """
+    ring = args[0].ring
+    out = ArtinElement(ring, q.target, allow_constant=True)
+    tuples = [(ring.one, [])]
+    for a in args:
+        grouped = a.by_mono()
+        tuples = [(prod, vecs + [vec]) for mono, vecs in tuples
+                  for m, vec in grouped.items()
+                  if (prod := ring.mul(mono, m)) is not None]
+    for mono, vecs in tuples:
+        for t, c in q.apply_vectors(vecs).items():
+            out.add(t, mono, c)
+    return out
+
+
 def pull_exp_series(taylor: dict, x, target) -> ArtinElement:
     """sum_{n>=1} (1/n!) t_n(x^{(.)n}), with every t_n evaluated by
-    eval_taylor on n copies of x: every ordered tuple of x's monomials whose
-    product survives in B, expanded by MultilinearMap.apply_vectors."""
+    pull_eval_taylor on n copies of x: every ordered tuple of x's monomials
+    whose product survives in B, expanded by MultilinearMap.apply_vectors."""
     out = ArtinElement(x.ring, target, allow_constant=True)
     for n in range(1, x.ring.order):
         t = taylor.get(n)
         if t is not None:
-            out = out.plus(eval_taylor(t, [x] * n).scaled(Fraction(1, factorial(n))))
+            out = out.plus(pull_eval_taylor(t, [x] * n).scaled(Fraction(1, factorial(n))))
     return out

@@ -282,7 +282,7 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 @pytest.mark.parametrize("cli_args", [
     ["--max-weight", "3", "--artin", "1,3", "yukawa", "v1", "--example", "torus:2", "mc"],
-    # the lift depends on the order in which eval_taylor accumulates terms
+    # the lift depends on the order in which the exponential series accumulates terms
     ["--artin", "1,4", "mc", "extend", DEMO, "--structure", "S", "--element", "xi",
      "--order", "3"],
     # pushed sums, in both flavors, accumulate into dicts before the witness sort

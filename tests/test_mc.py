@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import hoalg.mc as mc_module
 from hoalg.coalg import (
     DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure, decalage_dgla,
     decalage_dgla_morphism,
@@ -25,10 +24,10 @@ from hoalg.graded import (
 )
 from hoalg.mc import (
     ArtinElement, ArtinMap, ArtinRing, artin_apply, artin_bracket, cocone_element,
-    cocone_mc_correspondence, dgla_mc_residual, eval_taylor, gauge_act, mc_check,
+    cocone_mc_correspondence, dgla_mc_residual, gauge_act, mc_check,
     mc_extend, mc_f_check, mc_pushforward,
 )
-from pull_oracles import pull_exp_series
+from pull_oracles import pull_eval_taylor, pull_exp_series
 
 
 def t_ring(order=3):
@@ -378,12 +377,27 @@ def test_eval_taylor_matches_brute_force_expansion(gens, order, flavor):
     for arity in range(1, order + 1):
         q = _random_multilinear(rng, V, arity, flavor)
         args = [_random_element(rng, R, V) for _ in range(arity)]
-        got = eval_taylor(q, args)
+        got = pull_eval_taylor(q, args)
         assert got.terms == _eval_taylor_reference(q, args).terms
         if arity >= order:
             assert got.is_zero()  # a product of `order` elements of m_B
         nonzero += not got.is_zero()
     assert nonzero >= 2  # the comparison is not between zeros only
+
+
+@pytest.mark.parametrize("gens,order", [(1, 6), (2, 5), (3, 4)])
+def test_artin_bracket_matches_brute_force_expansion(gens, order):
+    rng = random.Random("artin_bracket:%d:%d" % (gens, order))
+    R = ArtinRing(gens, order)
+    nonzero = 0
+    for L in (sl2_dgla(), random_end_dgla(gens, 2)):
+        for _ in range(3):
+            x, y = _random_element(rng, R, L.space), _random_element(rng, R, L.space)
+            got = artin_bracket(L, x, y)
+            assert got.terms == _eval_taylor_reference(L.bracket, [x, y]).terms
+            assert got.terms == pull_eval_taylor(L.bracket, [x, y]).terms
+            nonzero += not got.is_zero()
+    assert nonzero >= 3
 
 
 # --- the exponential series, pushed from the stored keys --------------------------
@@ -481,35 +495,6 @@ def test_exp_series_matches_pull_oracle_on_benchmark_inputs(key):
             assert got.terms == pull_exp_series(s.taylor, el, s.space).terms
             nonzero += not got.is_zero()
     assert nonzero >= 3
-
-
-def test_cocone_correspondence_reads_the_cocone_it_is_given(monkeypatch):
-    sub, amb, inc = random_filtered_inclusion(0, 2)
-    R = t_ring(4)
-    a = random_artin_element(300, R, sub.space, 0, density=0.5)
-    x = gauge_act(sub, a, ArtinElement(R, sub.space))
-    m = ArtinElement(R, amb.space, dict(a.terms)).scaled(-1)
-    built = fm_cocone_lie(inc, 3)
-    want = cocone_mc_correspondence(inc, x, m).lines()
-    calls = []
-    build = mc_module.fm_cocone_lie
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(mc_module, "fm_cocone_lie", counting)
-    assert cocone_mc_correspondence(inc, x, m, cocone=built).lines() == want
-    assert calls == []
-    assert cocone_mc_correspondence(inc, x, m).lines() == want
-    assert len(calls) == 1
-    # a cocone of a morphism between other spaces, of another map between the
-    # same spaces, or truncated below the ring's arity
-    other = random_filtered_inclusion(1, 2)[2]
-    doubled = DglaMorphism(inc.source, inc.target, inc.map.scale(2))
-    for bad in (fm_cocone_lie(other, 3), fm_cocone_lie(doubled, 3), fm_cocone_lie(inc, 2)):
-        with pytest.raises(MalformedInput):
-            cocone_mc_correspondence(inc, x, m, cocone=bad)
 
 
 def _random_artin_map(rng, ring, V, min_total):
