@@ -31,8 +31,8 @@ from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
     hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
-    linear_part, map_right_inverse, multilinear_from_graded_map, scaled_ints,
-    sign_pow, stabilizer, sym_words, symmetric_word, unscaled,
+    linear_part, map_right_inverse, merge_words, multilinear_from_graded_map,
+    scaled_ints, sign_pow, stabilizer, sym_words, unscaled,
 )
 
 
@@ -93,10 +93,6 @@ class OoMorphism:
                 raise MalformedInput("morphism coefficient f_%d has wrong spaces" % k)
             self.taylor[k] = f
 
-    def f_value(self, names) -> dict:
-        f = self.taylor.get(len(names))
-        return f.value(names) if f is not None else {}
-
     @property
     def is_strict(self) -> bool:
         return all(k == 1 for k in self.taylor)
@@ -149,9 +145,10 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
     Each key K of t_j, letter y = K[i] and preimage (u, c) of y under
     q_{k-j+1} add (-1)^{|K[:i]|} c t_j(K) at the word K[:i] + u + K[i+1:].
     In T(V) that word is the basis word and every position counts.  In S(V)
-    each distinct letter of K counts once, and the word is read sorted, with
-    its Koszul sign and the weight prod_x C(mult_w(x), mult_u(x)) of the
-    ways to pick u out of w.  Every other word gets no term, so it is zero.
+    each distinct letter of K counts once, and the word is read sorted: it
+    is the merge of K without K[i] and u (graded.merge_words), with one more
+    sign (-1)^{(|y|+1)|K[i+1:]|} for moving u, of degree |y| - 1, past
+    K[i+1:] first.  Every other word gets no term, so it is zero.
     Every term is one outer and one inner coefficient times an int, so the
     sum has the scale D_outer D_inner.
     """
@@ -159,28 +156,32 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
     inv = inner.inv
     if not any(inv.values()):
         return {}, scale
-    space, symmetric = inner.space, inner.symmetric
-    degree = space.degree
+    symmetric, index, degree = inner.symmetric, inner.space.index, inner.space.degree
     out: dict = {}
     for j, entries in outer.entries.items():
         pre = inv.get(k - j + 1)
         if not pre:
             continue
         for key, vec in entries.items():
-            odd = 0
+            odd, after = 0, sum(degree[x] for x in key) & 1 if symmetric else 0
             for i, y in enumerate(key):
+                dy = degree[y] & 1
+                after ^= dy                 # odd, after: |K[:i]|, |K[i+1:]| mod 2 (S(V))
                 if y in pre and not (symmetric and i and key[i - 1] == y):
-                    rest = stabilizer(key[:i] + key[i + 1:]) if symmetric else 1
+                    if symmetric:
+                        rest, flip = key[:i] + key[i + 1:], odd ^ (after & (dy ^ 1))
+                    else:
+                        flip = odd
                     for u, c in pre[y]:
-                        w = key[:i] + u + key[i + 1:]
                         if symmetric:
-                            got = symmetric_word(w, space, rest * stabilizer(u))
+                            got = merge_words(rest, u, index, degree)
                             if got is None:
                                 continue
-                            w, weight = got
-                            c *= weight
-                        lin_acc(out.setdefault(w, {}), vec, -c if odd else c)
-                odd ^= degree[y] & 1
+                            w, c = got[0], c * got[1]
+                        else:
+                            w = key[:i] + u + key[i + 1:]
+                        lin_acc(out.setdefault(w, {}), vec, -c if flip else c)
+                odd ^= dy
     return out, scale
 
 
@@ -226,19 +227,19 @@ def _preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
     inverse index inv, for words w of total length k built from u_1 .. u_j
     one block at a time (push_product)."""
     top = max(inv, default=0)
+    index, degree = space.index, space.degree
     words = {(): 1}
     for i, y in enumerate(key):
         left = len(key) - i - 1     # letters still to place, 1..top each
         nxt: dict = {}
         for w, c in words.items():
             room = k - len(w)
-            stab = stabilizer(w) if symmetric else 1
             for n in range(max(1, room - left * top), room - left + 1):
                 for u, cu in inv.get(n, {}).get(y, ()):
                     if not symmetric:
                         lin_add(nxt, w + u, c * cu)
                     else:
-                        got = symmetric_word(w + u, space, stab * stabilizer(u))
+                        got = merge_words(w, u, index, degree)
                         if got is not None:
                             lin_add(nxt, got[0], c * cu * got[1])
         if not nxt:

@@ -21,8 +21,8 @@ from .coalg import (
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
-    coordinate_projections, first_witness, insert_letter, lin_acc, lin_scale, lin_single,
-    linear_part, map_right_inverse, multilinear_from_graded_map, pair_space,
+    coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
+    linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
     prefix_products, prefix_vector, sign_pow, sym_normalize,
 )
 
@@ -44,11 +44,11 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     letter at a time from S(v, ()) = v: each sorted word S and letter b with
     [S(v, S), b] != 0 add
 
-        sign * mult [S(v, S), b]  at  T = sort(S + b),
+        weight [S(v, S), b]  at  T = sort(S + b),
 
-    with (T, sign, mult) = insert_letter(S, b, M.space): the Koszul sign of
-    moving b past the larger odd letters of S, and mult_T(b), the positions
-    of T that b can fill last, so a repeated (even) letter counts with its
+    with (T, weight) = merge_words(S, (b,), ..): the Koszul sign of moving b
+    past the larger odd letters of S times mult_T(b), the positions of T
+    that b can fill last, so a repeated (even) letter counts with its
     multiplicity.  The brackets [u, b] are read from one table of right
     brackets, built once from the stored entries of M's bracket.  Only the
     nonzero S(f(x), S) are grown, and only up to the last weight whose
@@ -66,6 +66,7 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     for (u, b), vec in M.bracket.entries.items():
         right.setdefault(b, {})[u] = vec
     right = {b: right[b] for b in M.space.names if b in right}
+    index, degree = M.space.index, M.space.degree
     for x in L.space.names:
         level = {(): f.map.value(x)} if f.map.value(x) else {}
         for k in range(1, max(coeffs, default=0) + 1):
@@ -76,10 +77,9 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
                     for u, c in v.items():
                         if u in column:
                             lin_acc(vb, column[u], c)
-                    got = vb and insert_letter(S, b, M.space)
+                    got = vb and merge_words(S, (b,), index, degree)
                     if got:
-                        T, sign, mult = got
-                        lin_acc(grown.setdefault(T, {}), vb, sign * mult)
+                        lin_acc(grown.setdefault(got[0], {}), vb, got[1])
             level = {T: v for T, v in grown.items() if v}
             if k in coeffs:
                 for T, v in level.items():

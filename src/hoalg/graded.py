@@ -3,12 +3,11 @@
 Sparse vectors and maps indexed by named basis elements, Koszul sign
 bookkeeping, unshuffles, Bernoulli numbers, contractions of complexes and
 deterministic rational row reduction.  Every Koszul-signed sum over the
-orderings of a word in the package is pushed to the sorted word through one
-sort rule, `symmetric_word` (the Koszul sign of the sort times the number of
-ways to cut the word into its sorted blocks), or, when the word is a sorted
-word and one more letter, through `insert_letter`, which gives the same
-weight without a sort; and every left-nested product
-of basis letters is grown prefix by prefix by `prefix_products`.
+orderings of a word in the package is pushed to the sorted word, and that
+word is always the merge of two sorted words: `merge_words` gives it with
+its weight, the Koszul sign of the merge times the number of ways to pick
+the second word out of it.  Every left-nested product of basis letters is
+grown prefix by prefix by `prefix_products`.
 All arithmetic is exact: every stored coefficient is an `int` when it is
 integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
 Objects are treated as immutable once built, so sharing between threads is
@@ -403,40 +402,38 @@ def stabilizer(word: tuple) -> int:
     return out
 
 
-def symmetric_word(word: tuple, space: GradedSpace, parts: int):
-    """(w, weight) for the basis word w of S(V) that a word of sorted blocks
-    becomes: w is the sorted word, and weight is the Koszul sign of the sort
-    times stab(w) // parts, where parts is the product of the blocks'
-    stabilizers, so the weight counts the ways to cut w into the blocks.
-    None when w repeats an odd letter."""
-    got = sym_normalize(word, space.index, space.degree)
-    if got is None:
-        return None
-    w, eps = got
-    return w, eps * (stabilizer(w) // parts)
-
-
-def insert_letter(word: tuple, letter, space: GradedSpace):
-    """(T, sign, mult) for the sorted word T of S(V) that a sorted word and
-    one more letter become: sign is the Koszul sign of moving the letter past
-    the larger odd letters of word, and mult = mult_T(letter), so that
-    sign * mult is what `symmetric_word(word + (letter,), space,
-    stabilizer(word))` gives.  The merge of a sorted word with a one-letter
-    word, with no sort.  None when the letter is odd and already in word."""
-    index, degree = space.index, space.degree
-    at, odd = index[letter], degree[letter] % 2
-    i = len(word)
-    sign = 1
-    while i and index[word[i - 1]] > at:
-        i -= 1
-        if odd and degree[word[i]] % 2:
-            sign = -sign
-    mult = 1
-    while mult <= i and word[i - mult] == letter:
-        mult += 1
-    if odd and mult > 1:
-        return None
-    return word[:i] + (letter,) + word[i:], sign, mult
+def merge_words(a: tuple, b: tuple, index: dict, degree: dict):
+    """(w, weight) for the sorted word w of a + b, where a and b are sorted
+    words of S(V) with no repeated odd letter: weight is the Koszul sign of
+    moving b's odd letters past the larger odd letters of a, times
+    prod_x C(mult_w(x), mult_b(x)), the number of ways to pick b out of w.
+    None when w repeats an odd letter.  b is walked from its end and pops
+    the larger letters of a, so a short b costs a walk over those only."""
+    j = i = len(a)
+    w = ()                      # the merged word after a[:j]
+    weight, odd = 1, 0          # odd: parity of the odd letters of a[i:]
+    prev = None                 # run, same: copies of y read from b so far, and in a
+    for y in reversed(b):
+        at = index[y]
+        while i and index[a[i - 1]] > at:
+            i -= 1
+            odd ^= degree[a[i]] & 1
+        if y != prev:
+            prev, run, same = y, 1, 0
+            while same < i and a[i - 1 - same] == y:
+                same += 1
+        else:
+            run += 1
+        if degree[y] & 1:
+            if run + same > 1:
+                return None
+            if odd:
+                weight = -weight
+        elif same or run > 1:
+            weight = weight * (same + run) // run
+        w = (y,) + a[i:j] + w
+        j = i
+    return a[:j] + w, weight
 
 
 # ---------------------------------------------------------------------------
@@ -684,9 +681,9 @@ class MultilinearMap:
         out = MultilinearMap(self.source, self.target, self.degree, self.arity, SYMMETRIC)
         acc: dict = {}
         for key, vec in self.entries.items():
-            got = symmetric_word(key, self.source, 1)
+            got = sym_normalize(key, self.source.index, self.source.degree)
             if got is not None:
-                lin_acc(acc.setdefault(got[0], {}), vec, got[1])
+                lin_acc(acc.setdefault(got[0], {}), vec, got[1] * stabilizer(got[0]))
         for word, vec in acc.items():
             if vec:
                 out.set_entry(word, vec)
@@ -984,7 +981,7 @@ __all__ = [
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
     "unscaled", "prefix_products",
     "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
-    "sym_normalize", "stabilizer", "symmetric_word", "insert_letter", "GradedMap",
+    "sym_normalize", "stabilizer", "merge_words", "GradedMap",
     "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",

@@ -25,9 +25,8 @@ from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
-    graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale,
-    lin_single, linear_part, map_kernel_basis, pair_space, prefix_vector, sign_pow,
-    stabilizer, sym_normalize, symmetric_word,
+    graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale, lin_single,
+    linear_part, map_kernel_basis, merge_words, pair_space, prefix_vector, sign_pow,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -65,8 +64,8 @@ class ExteriorModel:
         return "^".join(self.gens[i][0] for i in combo)
 
     def wedge_monomials(self, c1, c2):
-        """(combo, sign) for the product of two monomials, or None."""
-        return sym_normalize(c1 + c2, self._gen_order, self._gen_odd)
+        """(combo, sign) for the product of two monomials (odd letters), or None."""
+        return merge_words(c1, c2, self._gen_order, self._gen_odd)
 
     def wedge(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -536,16 +535,18 @@ def _restrict_to_hom(gm: GradedMap, w_names, a_names) -> dict:
 def _cut_sums(space: GradedSpace, pairs) -> dict:
     """{T: sum of w(B, T) . heads[B] o tails[S]} over the (heads, tails) memo
     pairs and their keys B, S, for T the sorted word of B + S, zero sums
-    dropped.  w(B, T) is the Koszul sign of that sort times the number of
-    ways to pick B out of T (graded.symmetric_word), so if heads[B] and
-    tails[S] sum the signed orderings of B and S, the sum at T is the signed
-    sum over the orderings of T, grouped by the content of the first |B|
-    letters.  Only nonzero memo entries are visited."""
+    dropped.  T and w(B, T) are the merge of B and S (graded.merge_words):
+    w(B, T) is the Koszul sign of the merge times the number of ways to
+    pick B out of T, so if heads[B] and tails[S] sum the signed orderings of
+    B and S, the sum at T is the signed sum over the orderings of T, grouped
+    by the content of the first |B| letters.  Only nonzero memo entries are
+    visited."""
     acc: dict = {}
+    index, degree = space.index, space.degree
     for heads, tails in pairs:
         for B, h in heads.items():
             for S, t in tails.items():
-                got = symmetric_word(B + S, space, stabilizer(B) * stabilizer(S))
+                got = merge_words(B, S, index, degree)
                 if got is not None:
                     T, w = got
                     term = h.compose(t)

@@ -146,13 +146,13 @@ def morphism_component_value(morph, j: int, k: int, names: tuple) -> dict:
     if j < 1 or j > k:
         return out
     if j == 1:
-        return {(n,): c for n, c in morph.f_value(names).items()}
+        return {(n,): c for n, c in _f_value(morph, names).items()}
     if morph.flavor == TENSOR:
         cuts = [(names[:i], names[i:], 1) for i in range(1, k - j + 2)]
     else:
         cuts = _first_blocks(names, k - j + 1, morph.source.space.degree)
     for block, rest, sign in cuts:
-        head = morph.f_value(block)
+        head = _f_value(morph, block)
         if not head:
             continue
         tail = morph_component(morph, j - 1, len(rest), rest) if j > 2 else \
@@ -160,6 +160,12 @@ def morphism_component_value(morph, j: int, k: int, names: tuple) -> dict:
         for tup, c in tail.items():
             _expand_at((), head, tup, out, c if sign == 1 else -c)
     return out
+
+
+def _f_value(morph, names) -> dict:
+    """f_k(names) for k = len(names), or {} when the morphism has no f_k."""
+    f = morph.taylor.get(len(names))
+    return f.value(names) if f is not None else {}
 
 
 def _first_blocks(names: tuple, top: int, degree: dict):
@@ -715,7 +721,7 @@ def pull_fiber_product_model(L, split, F, max_weight=6) -> OoStructure:
         add_prefixed(qk, pull_derived_brackets(split, k), A_PRE)
         add_prefixed(qk, base.taylor.get(k), B_PRE)
         for word in sym_words(L.space.names, xdeg, k):
-            vec = prefix_vector(split.P.apply(F.f_value(word)), A_PRE)
+            vec = prefix_vector(split.P.apply(_f_value(F, word)), A_PRE)
             if vec:
                 qk.add_entry(tuple(B_PRE + x for x in word), vec)
         for j in range(1, k):

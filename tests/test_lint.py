@@ -2,8 +2,9 @@
 module-level import is used or re-exported through `__all__`, no import is
 tucked inside a function, no library function enumerates the orderings of a
 word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
-every true division sits on a reviewed site, and the word-by-word pull path,
-its memos and the per-word nested products stay out of the library."""
+every true division sits on a reviewed site, the word-by-word pull path,
+its memos and the per-word nested products stay out of the library, and
+sorted words are merged, not re-sorted."""
 
 from __future__ import annotations
 
@@ -71,8 +72,9 @@ def _names(node) -> set:
 
 
 def test_no_ordering_enumeration_in_library():
-    # ordering sums are pushed to the sorted word (graded.symmetric_word), so
-    # no function calls an ordering enumerator or a per-ordering sign
+    # ordering sums are pushed to the sorted word, the merge of two sorted
+    # words (graded.merge_words), so no function calls an ordering
+    # enumerator or a per-ordering sign
     outside = {p.name: sorted(_names(_tree(p)) & SIGN_PRIMITIVES)
                for p in MODULES if p.name != "graded.py"}
     assert {name: found for name, found in outside.items() if found} == {}
@@ -148,3 +150,36 @@ def test_no_pull_path_in_library(path):
                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     forbidden = PULL_NAMES | MODULE_PULL_NAMES.get(path.name, set())
     assert (_names(tree) | _defined(tree) | strings) & forbidden == set()
+
+
+# Every pushed word of S(V) is the merge of two sorted words and is read
+# through graded.merge_words.  The retired sort helpers stay gone, and
+# sym_normalize sorts only input that arrives unsorted.
+RETIRED_SORT_NAMES = {"symmetric_word", "insert_letter"}
+SORT_SITES = {("graded", "MultilinearMap.normalize"), ("graded", "MultilinearMap.symmetrized"),
+              ("cocone", "CoderAction._norm")}
+
+
+def _call_sites(path, name) -> set:
+    """(module, enclosing Class.function) of every call to `name`."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            if isinstance(child, ast.Call) and name in _names(child.func):
+                out.add((path.stem, ".".join(scope)))
+            visit(child, inner)
+
+    visit(_tree(path), ())
+    return out
+
+
+def test_sorted_words_are_merged_not_sorted():
+    named = {p.name: sorted((_names(_tree(p)) | _defined(_tree(p))) & RETIRED_SORT_NAMES)
+             for p in MODULES}
+    assert {name: found for name, found in named.items() if found} == {}
+    found = set().union(*(_call_sites(p, "sym_normalize") for p in MODULES))
+    assert found == SORT_SITES
