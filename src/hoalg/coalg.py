@@ -216,12 +216,12 @@ def _product(outer: Scaled, inner: Scaled, k: int, lo: int = 1) -> tuple:
             lift = inner.scale ** (k - j) * fact
             for key, vec in entries.items():
                 m = lift // stabilizer(key) if symmetric else lift
-                for w, c in _preimage_words(key, inner.inv, k, inner.space, symmetric).items():
+                for w, c in preimage_words(key, inner.inv, k, inner.space, symmetric).items():
                     lin_acc(out.setdefault(w, {}), vec, c * m)
     return out, scale
 
 
-def _preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
+def preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
                     symmetric: bool) -> dict:
     """{w: weighted prod c_i} over the preimages (u_i, c_i) of key[i] in the
     inverse index inv, for words w of total length k built from u_1 .. u_j
@@ -744,8 +744,8 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
 
 __all__ = [
     "OoStructure", "OoMorphism",
-    "preimages", "Scaled", "push_insertion", "push_product", "product_terms",
-    "in_basis_order", "pushed_map",
+    "preimages", "preimage_words", "Scaled", "push_insertion", "push_product",
+    "product_terms", "in_basis_order", "pushed_map",
     "check_structure", "check_morphism",
     "identity_morphism", "compose_morphisms", "invert_morphism", "transport_structure",
     "symmetrize_structure", "symmetrize_morphism",

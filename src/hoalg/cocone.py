@@ -23,7 +23,7 @@ from .graded import (
     Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
     coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
-    prefix_products, prefix_vector, sign_pow, sym_normalize,
+    prefix_products, prefix_vector, right_products, sign_pow, sym_normalize,
 )
 
 A_PRE = "a:"
@@ -49,10 +49,10 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     with (T, weight) = merge_words(S, (b,), ..): the Koszul sign of moving b
     past the larger odd letters of S times mult_T(b), the positions of T
     that b can fill last, so a repeated (even) letter counts with its
-    multiplicity.  The brackets [u, b] are read from one table of right
-    brackets, built once from the stored entries of M's bracket.  Only the
-    nonzero S(f(x), S) are grown, and only up to the last weight whose
-    Bernoulli number is nonzero.
+    multiplicity.  The brackets [u, b] are the steps of
+    graded.right_products(M.bracket), one table of right brackets read from
+    the stored entries of M's bracket.  Only the nonzero S(f(x), S) are
+    grown, and only up to the last weight whose Bernoulli number is nonzero.
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
@@ -62,21 +62,15 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
     for k in coeffs:
         taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
-    right: dict = {}                    # b -> {u: [u, b]}
-    for (u, b), vec in M.bracket.entries.items():
-        right.setdefault(b, {})[u] = vec
-    right = {b: right[b] for b in M.space.names if b in right}
+    bracket = right_products(M.bracket)
     index, degree = M.space.index, M.space.degree
     for x in L.space.names:
         level = {(): f.map.value(x)} if f.map.value(x) else {}
         for k in range(1, max(coeffs, default=0) + 1):
             grown: dict = {}
             for S, v in level.items():
-                for b, column in right.items():
-                    vb: dict = {}
-                    for u, c in v.items():
-                        if u in column:
-                            lin_acc(vb, column[u], c)
+                for b in M.space.names:
+                    vb = bracket(v, b)
                     got = vb and merge_words(S, (b,), index, degree)
                     if got:
                         lin_acc(grown.setdefault(got[0], {}), vb, got[1])
@@ -85,7 +79,6 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
                 for T, v in level.items():
                     taylor[k + 1].set_entry((A_PRE + x,) + tuple(B_PRE + m for m in T),
                                             prefix_vector(lin_scale(v, coeffs[k]), B_PRE))
-    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 
@@ -158,8 +151,9 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     for w in weights:
         taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR))
     top = max(weights, default=0)
+    mul = right_products(B.product)
     fronts = [{(): None}] + prefix_products(
-        B.mul, {(b,): lin_single(b) for b in B.space.names}, B.space.names, top - 1)
+        mul, {(b,): lin_single(b) for b in B.space.names}, B.space.names, top - 1)
     fxs = {x: f.map.value(x) for x in A.space.names if f.map.value(x)}
     for i in range(top + 1):
         # mids keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
@@ -169,7 +163,7 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
                 mid = B.mul(u, fx) if front else fx
                 if mid:
                     mids[front + (x,)] = mid
-        backs = prefix_products(B.mul, mids, B.space.names, top - i)
+        backs = prefix_products(mul, mids, B.space.names, top - i)
         for w in weights:
             if w < i:
                 continue
@@ -179,7 +173,6 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
                 key = tuple(B_PRE + b for b in word[:i]) + (A_PRE + word[i],) + \
                     tuple(B_PRE + b for b in word[i + 1:])
                 taylor[w + 1].add_entry(key, prefix_vector(out, B_PRE), base * sgn)
-    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, TENSOR, taylor, max_weight)
 
 
@@ -201,7 +194,8 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     if cinf.space != cas.space:
         raise MalformedInput("cocone spaces disagree")
     space = cinf.space
-    products = prefix_products(B.mul, {(b,): lin_single(b) for b in B.space.names},
+    products = prefix_products(right_products(B.product),
+                               {(b,): lin_single(b) for b in B.space.names},
                                B.space.names, max_weight - 1)
 
     def word_maps(coeff_fn, source, target):
@@ -216,8 +210,7 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
             for word, vec in products[k - 1].items():
                 ek.set_entry(tuple(B_PRE + b for b in word),
                              lin_scale(prefix_vector(vec, B_PRE), coeff))
-            if not ek.is_zero():
-                taylor[k] = ek
+            taylor[k] = ek
         return OoMorphism(source, target, taylor)
 
     E = word_maps(lambda k: Fraction(1, factorial(k)), cinf, cas)
@@ -330,8 +323,9 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     Csp = contraction.small
     q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR)
     f2 = MultilinearMap(Csp, cinf.space, 0, 2, TENSOR)
+    mul = right_products(amb.product)
     for c1, c2 in itertools.product(split.complement_names, repeat=2):
-        prod = amb.mul(amb.d.value(c1), lin_single(c2))
+        prod = mul(amb.d.value(c1), c2)
         q2.set_entry((c1, c2), split.P.apply(prod))
         f2.set_entry((c1, c2), prefix_vector(split.Pperp.apply(prod), A_PRE))
     q1 = multilinear_from_graded_map(contraction.d_small, TENSOR)
@@ -339,7 +333,7 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
     F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
     F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
-    prefixes = prefix_products(amb.mul, {(a,): lin_single(a) for a in amb.space.names},
+    prefixes = prefix_products(mul, {(a,): lin_single(a) for a in amb.space.names},
                                amb.space.names, max_weight - 1)
 
     def g_taylor(c):
@@ -359,9 +353,7 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
                         pv = split.P.apply(vec if tail is None else amb.mul(vec, tail))
                         if pv:
                             lin_acc(acc.setdefault(bword + tword, {}), pv, c(m))
-            gk = pushed_map(cinf.space, Csp, 0, k, TENSOR, acc.items())
-            if not gk.is_zero():
-                taylor[k] = gk
+            taylor[k] = pushed_map(cinf.space, Csp, 0, k, TENSOR, acc.items())
         return taylor
 
     G_as = OoMorphism(cas, structure, g_taylor(lambda m: sign_pow(m + 1)))
@@ -439,8 +431,9 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
     Asp = split.complement_space()
     structure = OoStructure(Asp, SYMMETRIC, _derived_brackets(split, max_weight), max_weight)
     action = CoderAction(M.space.shifted(1), Asp)
+    bracket = right_products(M.bracket)
     for m in M.space.names:
-        for level in prefix_products(M.bracket_vec, {(): lin_single(m)},
+        for level in prefix_products(bracket, {(): lin_single(m)},
                                      split.complement_names, max_weight, Asp.degree):
             for word, vec in level.items():
                 pv = split.P.apply(vec)
@@ -455,8 +448,8 @@ def _derived_brackets(split: Splitting, max_weight: int) -> dict:
     M = split.ambient
     Asp = split.complement_space()
     first = {(a,): M.d.value(a) for a in split.complement_names if M.d.value(a)}
-    levels = prefix_products(M.bracket_vec, first, split.complement_names, max_weight - 1,
-                             Asp.degree)
+    levels = prefix_products(right_products(M.bracket), first, split.complement_names,
+                             max_weight - 1, Asp.degree)
     return {k: pushed_map(Asp, Asp, 1, k, SYMMETRIC,
                           ((word, split.P.apply(vec)) for word, vec in level.items()))
             for k, level in enumerate(levels[:max_weight], 1)}
@@ -496,7 +489,6 @@ def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
                 sw = sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)
                 key = tuple(A_PRE + n for n in iword) + tuple(B_PRE + n for n in mword)
                 taylor[lm + li].add_entry(key, prefix_vector(act, A_PRE), sign_pow(sw))
-    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     out = OoStructure(space, SYMMETRIC, taylor, max_weight)
     if validate:
         rep = check_structure(out)
@@ -534,8 +526,7 @@ def strictify_fibration(F: OoMorphism):
             back = r.apply(vec)
             if back:
                 gk.set_entry(word, back)
-        if not gk.is_zero():
-            g_taylor[k] = gk
+        g_taylor[k] = gk
     dummy_target = OoStructure(F.source.space, F.flavor, {}, F.max_weight)
     G_raw = OoMorphism(F.source, dummy_target, g_taylor)
     tilde = transport_structure(G_raw, F.max_weight)
@@ -568,6 +559,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     adeg = Asp.degree
     xdeg = base.space.degree
     phi = _derived_brackets(split, max_weight)
+    bracket = right_products(M.bracket)
     taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC)
               for k in range(1, max_weight + 1)}
     for k, qk in taylor.items():
@@ -580,7 +572,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
             xkey = tuple(B_PRE + x for x in xword)
             xsum = sum(xdeg[x] for x in xword)
             # mixed words P[...[s f_j(x's), a_1]..., a_n]: one walk per entry
-            levels = prefix_products(M.bracket_vec, {(): sf}, split.complement_names,
+            levels = prefix_products(bracket, {(): sf}, split.complement_names,
                                      max_weight - j, adeg)
             for n, level in enumerate(levels):
                 for aword, vec in level.items():
@@ -590,7 +582,6 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
                         sw = sum(adeg[a] for a in aword) * xsum
                         taylor[j + n].add_entry(tuple(A_PRE + a for a in aword) + xkey,
                                                 prefix_vector(val, A_PRE), sign_pow(sw))
-    taylor = {k: q for k, q in taylor.items() if not q.is_zero()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 

@@ -6,8 +6,9 @@ deterministic rational row reduction.  Every Koszul-signed sum over the
 orderings of a word in the package is pushed to the sorted word, and that
 word is always the merge of two sorted words: `merge_words` gives it with
 its weight, the Koszul sign of the merge times the number of ways to pick
-the second word out of it.  Every left-nested product of basis letters is
-grown prefix by prefix by `prefix_products`.
+the second word out of it.  Every left-nested product of basis letters, of
+vectors (`right_products`) or of GradedMaps, is grown letter by letter by
+`prefix_products`.
 All arithmetic is exact: every stored coefficient is an `int` when it is
 integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
 Objects are treated as immutable once built, so sharing between threads is
@@ -205,16 +206,17 @@ def unscaled(vec: dict, scale: int) -> dict:
     return {n: exact(Fraction(v, scale)) for n, v in vec.items()}
 
 
-def prefix_products(op, first: dict, letters, top: int, degree=None) -> list:
-    """levels[0..top] of the left-nested products op(..op(v, a_1).., a_n).
+def prefix_products(step, first: dict, letters, top: int, degree=None) -> list:
+    """levels[0..top] of the left-nested products step(..step(v, a_1).., a_n).
 
-    levels[0] = first, a {word: vector} table, and levels[n] holds
-    w + (a,): op(u, lin_single(a)) for every entry (w, u) of levels[n - 1]
-    and letter a, zero products dropped, so a vanishing prefix cuts its whole
-    subtree.  With `degree` given the words grow as sorted symmetric words:
-    a letter comes at or after the word's last letter in `letters` order, and
-    no odd letter repeats.  Each level keeps the order of its parents, then
-    of the letters.
+    levels[0] = first, a {word: value} table, and levels[n] holds
+    w + (a,): step(u, a) for every entry (w, u) of levels[n - 1] and letter a,
+    zero products dropped, so a vanishing prefix cuts its whole subtree.  The
+    step gets the letter itself; its values are vectors or GradedMaps, both
+    false when zero.  With `degree` given the words grow as sorted symmetric
+    words: a letter comes at or after the word's last letter in `letters`
+    order, and no odd letter repeats.  Each level keeps the order of its
+    parents, then of the letters.
     """
     letters = tuple(letters)
     place = {a: i for i, a in enumerate(letters)}
@@ -226,11 +228,32 @@ def prefix_products(op, first: dict, letters, top: int, degree=None) -> list:
             for a in letters[start:]:
                 if degree is not None and w and a == w[-1] and degree[a] % 2:
                     continue
-                v = op(u, lin_single(a))
+                v = step(u, a)
                 if v:
                     nxt[w + (a,)] = v
         levels.append(nxt)
     return levels
+
+
+def right_products(op):
+    """The step (u, b) -> op(u, b) of prefix_products for an arity-2
+    tensor-flavor MultilinearMap op, read from one table
+    {b: {name: op(name, b)}} of its stored entries."""
+    if op.arity != 2 or op.flavor != TENSOR:
+        raise MalformedInput("right products need an arity-2 tensor-flavor map")
+    table: dict = {}
+    for (u, b), vec in op.entries.items():
+        table.setdefault(b, {})[u] = vec
+
+    def step(vec: dict, b) -> dict:
+        out: dict = {}
+        column = table.get(b, {})
+        for n, c in vec.items():
+            if n in column:
+                lin_acc(out, column[n], c)
+        return out
+
+    return step
 
 
 def format_coeff(c) -> str:
@@ -524,6 +547,9 @@ class GradedMap:
 
     def is_zero(self) -> bool:
         return all(not any(vec.values()) for vec in self.entries.values())
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -979,7 +1005,7 @@ __all__ = [
     "koszul_sign", "unshuffles", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
-    "unscaled", "prefix_products",
+    "unscaled", "prefix_products", "right_products",
     "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
     "sym_normalize", "stabilizer", "merge_words", "GradedMap",
     "coordinate_projections",

@@ -26,7 +26,8 @@ from .graded import (
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
     graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale, lin_single,
-    linear_part, map_kernel_basis, merge_words, pair_space, prefix_vector, sign_pow,
+    linear_part, map_kernel_basis, merge_words, pair_space, prefix_products, prefix_vector,
+    sign_pow,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -313,11 +314,12 @@ def torus_package(n: int, p: int = None):
 # synthetic non-flat packages
 
 
-def synthetic_package(seed: int, harmonic_pad: int = 1):
+def synthetic_package(seed: int):
     """Seeded non-flat package family with a Cartan homotopy (n = 2).
 
-    Core: harmonic omega(2,0), v(1,1), eta(0,2); delbar-pairs (c,cb) at (1,0)
-    and (e,f) at (2,0) joined by the del-ladder del c = s e, del cb = -s f.
+    Core: harmonic omega(2,0), v(1,1), eta(0,2), u0(0,1); delbar-pairs (c,cb)
+    at (1,0) and (e,f) at (2,0) joined by the del-ladder del c = s e,
+    del cb = -s f.
     The contraction table i_x (omega -> a v + g cb, v -> m a eta, e -> k cb)
     satisfies the Cartan identities for every parameter choice; all structure
     constants are seeded rationals.  Returns (package, cartan, period data
@@ -330,9 +332,7 @@ def synthetic_package(seed: int, harmonic_pad: int = 1):
 
     basis = [("omega", 2, (2, 0)), ("v", 2, (1, 1)), ("eta", 2, (0, 2)),
              ("c", 1, (1, 0)), ("cb", 2, (1, 1)),
-             ("e", 2, (2, 0)), ("f", 3, (2, 1))]
-    for t in range(harmonic_pad):
-        basis.append(("u%d" % t, 1, (0, 1)))
+             ("e", 2, (2, 0)), ("f", 3, (2, 1)), ("u0", 1, (0, 1))]
     A = GradedSpace(basis)
     sig = coeff()
     dell = GradedMap(A, A, 1, bidegree=(1, 0))
@@ -575,24 +575,19 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
         Tail(S) = sum_{distinct b in S} w(b, S) . tail_ops[b] o Tail(S - b),
         Tail(()) = right on the sources in W.
 
-    H and Tail are memoized by length where nonzero, for this call only, and
-    filled shortest words first (no self-referencing closure, which would
-    keep the memos alive in a reference cycle until the next collection).
+    H grows over the sorted words by graded.prefix_products.  Tail is memoized
+    by length where nonzero, for this call only, shortest words first (no
+    self-referencing closure: it would keep the memo in a reference cycle).
     """
     space = source.space
-    index = space.index
     wset = set(w_names)
-    lefts = [{(): left}]
+    lefts = prefix_products(lambda h, x: h.compose(head_ops[x]), {(): left}, space.names,
+                            min(max(heads), max_weight), space.degree)
     tails = [{(): GradedMap(right.source, right.target, right.degree,
                             {s: v for s, v in right.entries.items() if s in wset})}]
     singles = {(x,): tail_ops[x] for x in space.names}
     taylor = {}
     for k in range(1, max_weight + 1):
-        if k <= max(heads):
-            grown = ((B + (x,), h.compose(head_ops[x])) for B, h in lefts[k - 1].items()
-                     for x in space.names[index[B[-1]] if B else 0:]
-                     if not (B and x == B[-1] and space.degree[x] % 2))
-            lefts.append({B: gm for B, gm in grown if not gm.is_zero()})
         if k <= max_weight - min(heads):
             tails.append(_cut_sums(space, [(singles, tails[k - 1])]))
         total = _cut_sums(space, [(lefts[j], tails[k - j]) for j in heads if j <= k])
@@ -621,12 +616,7 @@ def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
             vec = {"%s<-%s" % (a, s): c for a, c in comm.value(t).items() if a in aset}
             if vec:
                 q2.set_entry((n1, n2), vec)
-    taylor = {}
-    if not q1.is_zero():
-        taylor[1] = q1
-    if not q2.is_zero():
-        taylor[2] = q2
-    return OoStructure(hom, TENSOR, taylor, max_weight)
+    return OoStructure(hom, TENSOR, {1: q1, 2: q2}, max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +780,24 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
 # Yukawa models
 
 
+def _fiber_model(base: OoStructure, space: GradedSpace, max_weight: int, chains: dict,
+                 mixed: dict) -> OoStructure:
+    """A Yukawa model on space = L[1] x fiber: q_k is base q_k on the a:
+    block, plus the fiber vectors chains[k][word] on the a: words, plus the
+    (key, fiber vector) pairs of mixed[k], for every arity k <= max_weight."""
+    taylor = {}
+    for k in range(1, max_weight + 1):
+        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
+        add_prefixed(qk, base.taylor.get(k), A_PRE)
+        terms = [(tuple(A_PRE + x for x in word), vec)
+                 for word, vec in chains.get(k, {}).items()]
+        for key, vec in terms + mixed.get(k, []):
+            if vec:
+                qk.add_entry(key, prefix_vector(vec, B_PRE))
+        taylor[k] = qk
+    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+
+
 def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
                  max_weight: int = 4) -> OoStructure:
     """Homotopy-fiber-product model on L[1] x Hom*(H^{n,*}, H^{0,*})[-1]:
@@ -805,83 +813,42 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
     bottom = [x for x in hw if pkg.H.bidegree[x][0] == 0]
     hom = hom_space(bottom, top, pkg.H)
     base = decalage_dgla(c.L, max_weight)
-    space = pair_space(base.space, hom.shifted(-1))
     fibers = _contraction_words(pkg, c, base, hom, max_weight, (n,), top, bottom)
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
-        add_prefixed(qk, base.taylor.get(k), A_PRE)
-        for word, fib in fibers[k].entries.items():
-            qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
-        if not qk.is_zero():
-            taylor[k] = qk
-    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+    return _fiber_model(base, pair_space(base.space, hom.shifted(-1)), max_weight,
+                        {k: f.entries for k, f in fibers.items()}, {})
 
 
 def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
                     max_weight: int = 4) -> OoStructure:
     """Second model on L[1] x Hom*(A^{n,*}, A^{0,*})[-1]: no propagator in the
-    brackets (fiber differential -[delbar, -], mixed bracket through l)."""
+    brackets (fiber differential -[delbar, -], mixed bracket through l).  The
+    fiber part of q_n is the chain i_{x_1} .. i_{x_n} on each sorted word,
+    grown letter by letter (graded.prefix_products)."""
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
     top = pkg.a_names(lambda bp, bq: bp == n)
     bottom = pkg.a_names(lambda bp, bq: bp == 0)
     hom = hom_space(bottom, top, pkg.A)
-    fiber = hom.shifted(-1)
     base = decalage_dgla(c.L, max_weight)
-    space = pair_space(base.space, fiber)
+    space = pair_space(base.space, hom.shifted(-1))
+    chains = prefix_products(lambda h, x: h.compose(c.i[x]), {(): GradedMap.identity(pkg.A)},
+                             base.space.names, n, base.space.degree)[n]
     lmaps = {x: c.l(x) for x in c.L.space.names}
-    realized = {name: elementary_to_graded_map(lin_single(name), hom, pkg.A, pkg.A,
-                                               hom.degree[name])
-                for name in hom.names}
-    taylor = {}
-    q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
-    add_prefixed(q1, base.taylor.get(1), A_PRE)
+    mixed = {1: [], 2: []}
     for name in hom.names:
-        gm = realized[name]
-        comm = pkg.delbar.commutator(gm)
-        vec = _restrict_to_hom(comm, top, bottom)
-        if vec:
-            q1.set_entry((B_PRE + name,),
-                         prefix_vector(lin_scale(vec, -1), B_PRE))
-    if not q1.is_zero():
-        taylor[1] = q1
-    q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
-    add_prefixed(q2, base.taylor.get(2), A_PRE)
-    for x, y in (base.basis_words(2) if n == 2 else ()):
-        vec = _restrict_to_hom(c.i[x].compose(c.i[y]), top, bottom)
-        if vec:
-            q2.add_entry((A_PRE + x, A_PRE + y), prefix_vector(vec, B_PRE))
-    # mixed family: q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), stored on the
-    # canonical word (a:x, b:f) with the block-swap Koszul sign
-    for name in hom.names:
-        fdeg = hom.degree[name] - 1          # the unsuspended |f|
+        gm = elementary_to_graded_map(lin_single(name), hom, pkg.A, pkg.A, hom.degree[name])
+        vec = _restrict_to_hom(pkg.delbar.commutator(gm), top, bottom)
+        mixed[1].append(((B_PRE + name,), lin_scale(vec, -1)))
+        # q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), |f| = |name| - 1, stored
+        # on the canonical word (a:x, b:f) with the block-swap Koszul sign
         for x in c.L.space.names:
-            vec = _restrict_to_hom(realized[name].compose(lmaps[x]), top, bottom)
-            if not vec:
-                continue
-            coeff = Fraction(sign_pow(fdeg))
             swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
-            if swap % 2:
-                coeff = -coeff
-            q2.add_entry((A_PRE + x, B_PRE + name),
-                         prefix_vector(vec, B_PRE), coeff)
-    if not q2.is_zero():
-        taylor[2] = q2
-    if n > 2 and n <= max_weight:
-        qn = MultilinearMap(space, space, 1, n, SYMMETRIC)
-        for word in base.basis_words(n):
-            cur = GradedMap.identity(pkg.A)
-            for x in reversed(word):
-                cur = c.i[x].compose(cur)
-            vec = _restrict_to_hom(cur, top, bottom)
-            if vec:
-                qn.add_entry(tuple(A_PRE + w for w in word),
-                             prefix_vector(vec, B_PRE))
-        if not qn.is_zero():
-            taylor[n] = qn
-    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+            vec = _restrict_to_hom(gm.compose(lmaps[x]), top, bottom)
+            mixed[2].append(((A_PRE + x, B_PRE + name),
+                             lin_scale(vec, sign_pow(hom.degree[name] - 1 + swap))))
+    return _fiber_model(base, space, max_weight, {n: {
+        word: _restrict_to_hom(gm, top, bottom) for word, gm in chains.items()}}, mixed)
 
 
 def yukawa_mc_fiber_residual(model: OoStructure, xi: ArtinElement) -> ArtinElement:

@@ -13,11 +13,9 @@ choice through G F = Id and the closed-form nested-projection inverse.
 
 from __future__ import annotations
 
-import itertools
-
 from .coalg import (
-    OoMorphism, OoStructure, in_basis_order, preimages, product_terms, push_insertion,
-    pushed_map,
+    OoMorphism, OoStructure, in_basis_order, preimage_words, preimages, product_terms,
+    push_insertion, pushed_map,
 )
 from .graded import (
     Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
@@ -34,9 +32,8 @@ def _validate(big: OoStructure, c: Contraction):
         raise RejectedInput("contraction identities fail: %s" % rep.first_failure())
     q1 = big.taylor.get(1)
     d_as_multi = multilinear_from_graded_map(c.d_big, big.flavor)
-    if (q1 or d_as_multi.is_zero() != (q1 is None)) and (q1 != d_as_multi):
-        if not (q1 is None and d_as_multi.is_zero()):
-            raise RejectedInput("q_1 of the structure differs from the contraction differential")
+    if q1 != d_as_multi and not (q1 is None and d_as_multi.is_zero()):
+        raise RejectedInput("q_1 of the structure differs from the contraction differential")
 
 
 def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
@@ -71,24 +68,21 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     return small, F
 
 
-def _homotopy_transpose(word: tuple, inv_k: dict, inv_fg: dict, degree: dict):
-    """(w, c) with c a term of the coefficient of `word` in K_k(w), read one
-    letter at a time: w agrees with word before i, w[i] is a preimage of
-    word[i] under K and every later letter one under f1 g1 (inv_k and inv_fg
-    map a name to its [(preimage, coefficient)]).  K is odd, so the term at i
-    carries (-1)^{deg(word_0)+...+deg(word_{i-1})}."""
+def _homotopy_transpose(word: tuple, inv_k: dict, inv_fg: dict, space):
+    """(w, c) with c a term of the coefficient of `word` in K_k(w): w agrees
+    with word before i, w[i] is a preimage of word[i] under K (inv_k maps a
+    name to its [(preimage, coefficient)]), and w[i+1:] one of word[i+1:] under
+    (f1 g1)^{(x)(k-i-1)}, from coalg.preimage_words on the arity-1 index inv_fg.
+    K is odd, so the term at i carries (-1)^{deg(word_0)+...+deg(word_{i-1})}."""
     odd = 0
     for i, y in enumerate(word):
-        slots = [inv_k.get(y)] + [inv_fg.get(z) for z in word[i + 1:]]
-        if all(slots):
-            for combo in itertools.product(*slots):
-                coeff = -1 if odd else 1
-                tup = list(word[:i])
-                for n, cf in combo:
-                    coeff *= cf
-                    tup.append(n)
-                yield tuple(tup), coeff
-        odd ^= degree[y] & 1
+        if y in inv_k:
+            suffix = word[i + 1:]
+            tails = preimage_words(suffix, inv_fg, len(suffix), space, False)
+            for u, cu in inv_k[y]:
+                for w, cw in tails.items():
+                    yield word[:i] + (u,) + w, (-cu if odd else cu) * cw
+        odd ^= space.degree[y] & 1
 
 
 def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
@@ -109,14 +103,15 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     small = F.source
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
     inv_k = preimages(c.homotopy.entries)
-    inv_fg = preimages(c.inject.compose(c.project).entries)
+    fg = multilinear_from_graded_map(c.inject.compose(c.project), TENSOR)
+    inv_fg = {1: preimages(fg.entries)}
     for k in range(2, mw + 1):
         # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),
         # then pulled back along K_k through its transpose
         pushed: dict = {}
         for tup, vec in push_insertion(G.taylor, big.taylor, k).items():
             if vec:
-                for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, big.space.degree):
+                for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, big.space):
                     lin_acc(pushed.setdefault(word, {}), vec, cf)
         gk = pushed_map(big.space, small.space, 0, k, TENSOR, in_basis_order(big.space, pushed))
         if not gk.is_zero():

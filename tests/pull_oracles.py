@@ -29,7 +29,7 @@ from hoalg.coalg import (
 )
 from hoalg.cocone import A_PRE, B_PRE, CoderAction, _cocone_q1, cocone_associative
 from hoalg.graded import (
-    GradedSpace, MalformedInput, MultilinearMap, Report, SYMMETRIC, TENSOR,
+    GradedMap, GradedSpace, MalformedInput, MultilinearMap, Report, SYMMETRIC, TENSOR,
     add_prefixed, bernoulli, elementary_to_graded_map, first_witness, format_vector,
     hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single, linear_part,
     map_right_inverse, multilinear_from_graded_map, pair_space, prefix_vector, sign_pow,
@@ -537,6 +537,51 @@ def pull_yukawa_model(pkg, c, max_weight=4):
                 qk.add_entry(tuple(A_PRE + w for w in word), prefix_vector(fib, B_PRE))
         if not qk.is_zero():
             taylor[k] = qk
+    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+
+
+def pull_yukawa_model_v2(pkg, c, max_weight=4):
+    """yukawa_model_v2 with its i-chains composed on every basis word: q2 over
+    basis_words(2) when n == 2, q_n over basis_words(n) for n > 2."""
+    n = pkg.n
+    top = pkg.a_names(lambda bp, bq: bp == n)
+    bottom = pkg.a_names(lambda bp, bq: bp == 0)
+    hom = hom_space(bottom, top, pkg.A)
+    base = decalage_dgla(c.L, max_weight)
+    space = pair_space(base.space, hom.shifted(-1))
+    realized = {name: elementary_to_graded_map(lin_single(name), hom, pkg.A, pkg.A,
+                                               hom.degree[name])
+                for name in hom.names}
+    q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
+    add_prefixed(q1, base.taylor.get(1), A_PRE)
+    for name in hom.names:
+        vec = _restrict_to_hom(pkg.delbar.commutator(realized[name]), top, bottom)
+        if vec:
+            q1.set_entry((B_PRE + name,), prefix_vector(lin_scale(vec, -1), B_PRE))
+    q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
+    add_prefixed(q2, base.taylor.get(2), A_PRE)
+    for x, y in (base.basis_words(2) if n == 2 else ()):
+        vec = _restrict_to_hom(c.i[x].compose(c.i[y]), top, bottom)
+        if vec:
+            q2.add_entry((A_PRE + x, A_PRE + y), prefix_vector(vec, B_PRE))
+    for name in hom.names:
+        for x in c.L.space.names:
+            vec = _restrict_to_hom(realized[name].compose(c.l(x)), top, bottom)
+            if vec:
+                swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
+                q2.add_entry((A_PRE + x, B_PRE + name), prefix_vector(vec, B_PRE),
+                             Fraction(sign_pow(hom.degree[name] - 1 + swap)))
+    taylor = {1: q1, 2: q2}
+    if n > 2 and n <= max_weight:
+        qn = MultilinearMap(space, space, 1, n, SYMMETRIC)
+        for word in base.basis_words(n):
+            cur = GradedMap.identity(pkg.A)
+            for x in reversed(word):
+                cur = c.i[x].compose(cur)
+            vec = _restrict_to_hom(cur, top, bottom)
+            if vec:
+                qn.add_entry(tuple(A_PRE + w for w in word), prefix_vector(vec, B_PRE))
+        taylor[n] = qn
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 

@@ -15,9 +15,10 @@ from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions,
     koszul_sign, lin_single, linear_part, map_kernel_basis, map_right_inverse, map_solve,
-    merge_words, multilinear_from_graded_map, pair_space, prefix_products, stabilizer,
-    sym_normalize, sym_words, unshuffles,
+    merge_words, multilinear_from_graded_map, pair_space, prefix_products, right_products,
+    stabilizer, sym_normalize, sym_words, unshuffles,
 )
+from hoalg.fixtures import heisenberg_dgla, random_end_dga, sl2_dgla
 from pull_oracles import nested
 
 
@@ -260,16 +261,23 @@ def test_linear_part_reads_back_an_arity_one_map(flavor):
     assert zero == GradedMap.zero(V, W, 1) and zero.is_zero()
 
 
-def _word_op(vec, single):
-    """A nilpotent test product on words: v.a appends a to every word of v,
-    scaled by a letter-pair weight that is zero for the pairs xz and zy."""
-    (a,) = single
+def _word_op(vec, a):
+    """A nilpotent test product on words: v.a appends the letter a to every
+    word of v, scaled by a letter-pair weight that is zero for the pairs xz
+    and zy."""
     out = {}
     for n, c in vec.items():
         w = {"xz": 0, "zy": 0}.get(n[-1:] + a, 1 + "xyz".index(a))
         if w:
             out[n + a] = c * w
     return out
+
+
+def _letter_op(vec, single):
+    """_word_op on the letter of a one-letter vector, as the nested oracle
+    passes it."""
+    (a,) = single
+    return _word_op(vec, a)
 
 
 @pytest.mark.parametrize("top", range(5))
@@ -281,7 +289,7 @@ def test_prefix_products_match_nested_products(top):
     for n, level in enumerate(levels):
         want = {}
         for word in itertools.product(letters, repeat=n + 1):
-            vec = nested(_word_op, first[word[:1]], word[1:])
+            vec = nested(_letter_op, first[word[:1]], word[1:])
             if vec:
                 want[word] = vec
         assert list(level.items()) == list(want.items())
@@ -291,7 +299,7 @@ def test_prefix_products_match_nested_products(top):
     for n, level in enumerate(levels):
         want = {}
         for word in sym_words(V.names, V.degree, n):
-            vec = nested(_word_op, {"": 1}, word)
+            vec = nested(_letter_op, {"": 1}, word)
             if vec:
                 want[word] = vec
         assert list(level.items()) == list(want.items())
@@ -301,9 +309,8 @@ def test_prefix_products_match_nested_products(top):
 def test_prefix_products_stop_at_a_vanishing_prefix():
     calls = []
 
-    def op(vec, single):
+    def op(vec, name):
         calls.append(next(iter(vec)))
-        (name,) = single
         return {} if name == "z" else {n + name: c for n, c in vec.items()}
 
     levels = prefix_products(op, {("a",): {"a": 2}}, "xyz", 3)
@@ -313,6 +320,54 @@ def test_prefix_products_stop_at_a_vanishing_prefix():
     assert len(calls) == 3 * (1 + 2 + 4)
     assert all("z" not in name for name in calls)
     assert prefix_products(op, {}, "xyz", 2) == [{}, {}, {}]
+
+
+def test_prefix_products_of_graded_maps_drop_zero_composites():
+    # s and t raise the index by 1 and 2 on a 4-step ladder, z is zero: a
+    # composite is zero once the raises pass 3, and a zero map is false
+    V = GradedSpace([("p%d" % i, 0) for i in range(4)])
+    ops = {"s": GradedMap(V, V, 0, {"p%d" % i: {"p%d" % (i + 1): 1} for i in range(3)}),
+           "t": GradedMap(V, V, 0, {"p%d" % i: {"p%d" % (i + 2): 2} for i in range(2)}),
+           "z": GradedMap.zero(V, V, 0)}
+    assert ops["s"] and not ops["z"] and not ops["t"].compose(ops["t"])
+    levels = prefix_products(lambda h, a: h.compose(ops[a]), {(): GradedMap.identity(V)},
+                             "stz", 4)
+    for n, level in enumerate(levels):
+        want = {}
+        for word in itertools.product("stz", repeat=n):
+            gm = GradedMap.identity(V)
+            for a in word:
+                gm = gm.compose(ops[a])
+            if not gm.is_zero():
+                want[word] = gm
+        assert list(level) == list(want)
+        assert all(level[w] == want[w] for w in want)
+    assert list(levels[2]) == [("s", "s"), ("s", "t"), ("t", "s")]
+    assert list(levels[3]) == [("s", "s", "s")] and levels[4] == {}
+    assert levels[2][("t", "s")].value("p0") == {"p3": 2}
+
+
+@pytest.mark.parametrize("case", ["sl2", "heisenberg", "heisenberg-odd",
+                                  "end0", "end1", "end2"])
+def test_right_products_match_apply_vectors(case):
+    op = {"sl2": lambda: sl2_dgla().bracket,
+          "heisenberg": lambda: heisenberg_dgla().bracket,
+          "heisenberg-odd": lambda: heisenberg_dgla((1, 1, 2)).bracket,
+          "end0": lambda: random_end_dga(0, 2).product,
+          "end1": lambda: random_end_dga(1, 2).product,
+          "end2": lambda: random_end_dga(2, 3).product}[case]()
+    step = right_products(op)
+    rng = random.Random(case)
+    names = op.source.names
+    for _ in range(12):
+        u = {n: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+             for n in rng.sample(names, rng.randint(1, len(names)))}
+        for b in names:
+            want = op.apply_vectors([u, lin_single(b)])
+            assert list(step(u, b).items()) == list(want.items())
+    assert step({}, names[0]) == {}
+    with pytest.raises(MalformedInput):
+        right_products(MultilinearMap(op.source, op.target, 0, 2, SYMMETRIC))
 
 
 def test_multilinear_symmetric_koszul_read():

@@ -30,7 +30,7 @@ from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
 from hoalg.transfer import transfer_structure
 from pull_oracles import (
     pull_harmonic_quasi_inverse, pull_minimal_period_map, pull_split_period_map,
-    pull_yukawa_model,
+    pull_yukawa_model, pull_yukawa_model_v2,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -857,6 +857,30 @@ def test_builders_match_pull_oracles(fixture, weight, letters):
         assert any(deg[x] % 2 for w in words for x in w)
     else:
         assert any(x == y and deg[x] % 2 == 0 for w in words for x, y in zip(w, w[1:]))
+
+
+@pytest.mark.parametrize("weight", [2, 3, 4])
+@pytest.mark.parametrize("fixture", ["torus2", "torus3", "synthetic0", "synthetic1",
+                                     "synthetic2"])
+def test_yukawa_v2_matches_pull_oracle(fixture, weight):
+    # torus:3 (n = 3) is the one fixture whose i-chain lands in q_n, n > 2
+    pkg, cartan, fpd = torus_package(3) if fixture == "torus3" else _oracle_fixture(fixture)
+    Y = yukawa_model_v2(pkg, cartan, max_weight=weight)
+    ref = pull_yukawa_model_v2(pkg, cartan, weight)
+    assert _entries(Y.taylor) == _entries(ref.taylor)
+    chains = {w for q in Y.taylor.values() for w in q.entries
+              if len(w) == pkg.n and all(x.startswith(A_PRE) for x in w)}
+    assert bool(chains) == (pkg.n <= weight), (fixture, weight)
+
+
+@pytest.mark.parametrize("fixture", ["torus2", "synthetic0", "synthetic1"])
+def test_yukawa_v2_stores_no_arity_above_max_weight(fixture):
+    # both models truncate at max_weight, as OoStructure says; the i-chain
+    # of v2 lands in q2 from max_weight 2 on
+    pkg, cartan, fpd = _oracle_fixture(fixture)
+    assert set(yukawa_model_v2(pkg, cartan, max_weight=1).taylor) <= {1}
+    assert set(yukawa_model(pkg, cartan, max_weight=1).taylor) <= {1}
+    assert 2 in yukawa_model_v2(pkg, cartan, max_weight=2).taylor
 
 
 @pytest.mark.parametrize("seed", range(3))

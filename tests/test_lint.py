@@ -3,8 +3,9 @@ module-level import is used or re-exported through `__all__`, no import is
 tucked inside a function, no library function enumerates the orderings of a
 word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
 every true division sits on a reviewed site, the word-by-word pull path,
-its memos and the per-word nested products stay out of the library, and
-sorted words are merged, not re-sorted."""
+its memos and the per-word nested products stay out of the library,
+sorted words are merged, not re-sorted, and no library function enumerates
+basis words."""
 
 from __future__ import annotations
 
@@ -183,3 +184,15 @@ def test_sorted_words_are_merged_not_sorted():
     assert {name: found for name, found in named.items() if found} == {}
     found = set().union(*(_call_sites(p, "sym_normalize") for p in MODULES))
     assert found == SORT_SITES
+
+
+# Letter-by-letter products grow through the two shared walks,
+# graded.prefix_products and coalg.preimage_words, so no library function
+# enumerates basis words: sym_words serves OoStructure.basis_words only, which
+# stays for callers outside the library, and transfer.py has no
+# itertools.product expansion.
+def test_no_basis_word_enumeration_in_library():
+    assert set().union(*(_call_sites(p, "basis_words") for p in MODULES)) == set()
+    found = set().union(*(_call_sites(p, "sym_words") for p in MODULES))
+    assert found == {("coalg", "OoStructure.basis_words")}
+    assert "itertools" not in _names(_tree(SRC / "transfer.py"))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hoalg.coalg import (
-    DgAlgebra, OoMorphism, check_morphism, check_structure, compose_morphisms,
+    DgAlgebra, OoMorphism, OoStructure, check_morphism, check_structure, compose_morphisms,
     decalage_dga, symmetrize_morphism, symmetrize_structure,
 )
 from hoalg.cocone import Splitting, derived_products_model
@@ -13,8 +13,8 @@ from hoalg.fixtures import (
     end_dga, end_splitting, harmonic_contraction, random_complex, random_end_dga,
 )
 from hoalg.graded import (
-    Contraction, GradedMap, GradedSpace, MultilinearMap, TENSOR,
-    UnsupportedOperation, lin_single,
+    Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
+    UnsupportedOperation, lin_single, multilinear_from_graded_map,
 )
 from hoalg.transfer import transfer_quasi_inverse, transfer_structure
 from pull_oracles import pull_transfer_quasi_inverse, pull_transfer_structure
@@ -30,13 +30,15 @@ def q1_as_map(big):
     return d
 
 
+def _identity_contraction(big, d_big):
+    sp = big.space
+    return Contraction(sp, d_big, sp, d_big, GradedMap.identity(sp), GradedMap.identity(sp),
+                       GradedMap.zero(sp, sp, -1), side_conditions=True)
+
+
 def test_trivial_contraction_transfers_identically():
     big = decalage_dga(random_end_dga(0, 2), max_weight=4)
-    sp = big.space
-    d_big = q1_as_map(big)
-    c = Contraction(sp, d_big, sp, d_big, GradedMap.identity(sp),
-                    GradedMap.identity(sp), GradedMap.zero(sp, sp, -1),
-                    side_conditions=True)
+    c = _identity_contraction(big, q1_as_map(big))
     small, F = transfer_structure(big, c)
     for k, q in big.taylor.items():
         assert small.taylor.get(k) == q
@@ -46,6 +48,28 @@ def test_trivial_contraction_transfers_identically():
     comp = compose_morphisms(G, F)
     for k in range(2, 5):
         assert comp.taylor.get(k) is None or comp.taylor[k].is_zero()
+
+
+@pytest.mark.parametrize("case", ["q1 differs", "no q1, d nonzero", "no q1, d zero"])
+def test_transfer_checks_q1_against_the_contraction_differential(case):
+    # random_end_dga(2, 2) has a nonzero differential, random_end_dga(0, 2) none
+    big = decalage_dga(random_end_dga(0 if case == "no q1, d zero" else 2, 2), max_weight=3)
+    d_big = q1_as_map(big)
+    taylor = dict(big.taylor)
+    if case == "q1 differs":
+        taylor[1] = multilinear_from_graded_map(d_big.scale(2), TENSOR)
+    else:
+        taylor.pop(1, None)
+    structure = OoStructure(big.space, TENSOR, taylor, 3)
+    c = _identity_contraction(big, d_big)
+    if case == "no q1, d zero":
+        small, F = transfer_structure(structure, c)
+        assert 1 not in small.taylor and small.taylor[2] == big.taylor[2]
+    else:
+        with pytest.raises(RejectedInput, match="differs from the contraction differential"):
+            transfer_structure(structure, c)
+        with pytest.raises(RejectedInput, match="differs from the contraction differential"):
+            transfer_quasi_inverse(structure, c, transfer_structure(big, c)[1])
 
 
 def test_single_term_recursion_hand_expandable():
