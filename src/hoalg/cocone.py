@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism,
@@ -20,10 +20,11 @@ from .coalg import (
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli,
+    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli, exact,
     coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
-    prefix_products, prefix_vector, right_products, sign_pow, sym_normalize,
+    prefix_products, prefix_vector, right_products, scaled_ints, sign_pow, sym_normalize,
+    unscaled,
 )
 
 A_PRE = "a:"
@@ -53,6 +54,9 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     graded.right_products(M.bracket), one table of right brackets read from
     the stored entries of M's bracket.  Only the nonzero S(f(x), S) are
     grown, and only up to the last weight whose Bernoulli number is nonzero.
+    The walk runs in ints, level k at E D^k S(f(x), T) for the lcms E, D of
+    the denominators of f and the bracket; arity k + 1 is stored once, with
+    the factor -(B_k/k!) / (E D^k).
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
@@ -60,12 +64,12 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
     add_prefixed(q2, decalage_dgla(L, max_weight, validate=False).taylor.get(2), A_PRE)
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
-    for k in coeffs:
-        taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
-    bracket = right_products(M.bracket)
+    scale, bracket = right_products(M.bracket)
+    fscale, fx = scaled_ints({1: f.map}, 1)
     index, degree = M.space.index, M.space.degree
+    words = {k: {} for k in coeffs}
     for x in L.space.names:
-        level = {(): f.map.value(x)} if f.map.value(x) else {}
+        level, ax = ({(): fx[1][x]} if x in fx[1] else {}), (A_PRE + x,)
         for k in range(1, max(coeffs, default=0) + 1):
             grown: dict = {}
             for S, v in level.items():
@@ -75,10 +79,11 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
                     if got:
                         lin_acc(grown.setdefault(got[0], {}), vb, got[1])
             level = {T: v for T, v in grown.items() if v}
-            if k in coeffs:
-                for T, v in level.items():
-                    taylor[k + 1].set_entry((A_PRE + x,) + tuple(B_PRE + m for m in T),
-                                            prefix_vector(lin_scale(v, coeffs[k]), B_PRE))
+            for T, v in level.items() if k in coeffs else ():
+                words[k][ax + tuple(B_PRE + m for m in T)] = prefix_vector(v, B_PRE)
+    for k, c in coeffs.items():
+        taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
+        taylor[k + 1].store(words[k], c / (fscale * scale ** k))
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 
@@ -139,40 +144,44 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     The products grow prefix by prefix from the nonzero ones: one table of
     front products b_1..b_i, the mids b_1..b_i f(a), and the backs grown
     from the mids, up to the last weight i + j whose Bernoulli number is
-    nonzero.
+    nonzero.  They are ints, E D^w times the true products of w letters and
+    f(a) for the lcms E, D of the denominators of f and B's product; weight
+    w is stored once, with C(w, i) (-1)^{..} on each word and the factor
+    (B_w/w!) / (E D^w).
     """
     A, B = f.source, f.target
     space = pair_space(A.space.shifted(1), B.space)
     taylor = {1: _cocone_q1(f, space, TENSOR),
               2: MultilinearMap(space, space, 1, 2, TENSOR)}
     add_prefixed(taylor[2], decalage_dga(A, max_weight, validate=False).taylor.get(2), A_PRE)
-    bdeg = B.space.degree
     weights = [w for w in range(1, max_weight) if bernoulli(w)]     # w = i + j
-    for w in weights:
-        taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR))
+    words = {w: {} for w in weights}
     top = max(weights, default=0)
-    mul = right_products(B.product)
+    scale, mul = right_products(B.product)
     fronts = [{(): None}] + prefix_products(
-        mul, {(b,): lin_single(b) for b in B.space.names}, B.space.names, top - 1)
-    fxs = {x: f.map.value(x) for x in A.space.names if f.map.value(x)}
+        mul, {(b,): {b: 1} for b in B.space.names}, B.space.names, top - 1)
+    fscale, fmaps = scaled_ints({1: f.map}, 1)
+    fxs = {x: fmaps[1][x] for x in A.space.names if x in fmaps[1]}
     for i in range(top + 1):
         # mids keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
         mids = {}
         for x, fx in fxs.items():
             for front, u in fronts[i].items():
-                mid = B.mul(u, fx) if front else fx
+                mid = {} if front else fx
+                for b, c in fx.items() if front else ():
+                    lin_acc(mid, mul(u, b), c)          # u f(a), one letter of f(a) at a time
                 if mid:
                     mids[front + (x,)] = mid
         backs = prefix_products(mul, mids, B.space.names, top - i)
-        for w in weights:
-            if w < i:
-                continue
-            base = bernoulli(w) / (factorial(i) * factorial(w - i))
+        for w in [w for w in weights if w >= i]:
             for word, out in backs[w - i].items():
-                sgn = sign_pow(i + 1 + sum(bdeg[b] for b in word[:i]))
+                sgn = comb(w, i) * sign_pow(i + 1 + sum(B.space.degree[b] for b in word[:i]))
                 key = tuple(B_PRE + b for b in word[:i]) + (A_PRE + word[i],) + \
                     tuple(B_PRE + b for b in word[i + 1:])
-                taylor[w + 1].add_entry(key, prefix_vector(out, B_PRE), base * sgn)
+                words[w][key] = {B_PRE + y: sgn * c for y, c in out.items()}
+    for w in weights:
+        taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR)).store(
+            words[w], bernoulli(w) / (factorial(w) * fscale * scale ** w))
     return OoStructure(space, TENSOR, taylor, max_weight)
 
 
@@ -182,9 +191,13 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
 
     e_k and l_k vanish off the all-b words and multiply the b-components with
     coefficients 1/k! and (-1)^{k+1}/k respectively; both read one table of
-    the nonzero products b_1..b_k.  `cocones` is the pair (fm_cocone_assoc,
-    decalage of cocone_associative) of f at max_weight when the caller holds
-    it already, as derived_products_model returns it; else it is built.
+    the nonzero products b_1..b_k, grown in ints at D^{k-1} times the true
+    products (D the lcm of the denominators of B's product), and store each
+    arity once with the factor 1/(k! D^{k-1}) or (-1)^{k+1}/(k D^{k-1}); for
+    k = 1 both are the identity.
+    `cocones` is the pair (fm_cocone_assoc, decalage of cocone_associative)
+    of f at max_weight when the caller holds it already, as
+    derived_products_model returns it; else it is built.
     """
     B = f.target
     if cocones is None:
@@ -194,23 +207,17 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     if cinf.space != cas.space:
         raise MalformedInput("cocone spaces disagree")
     space = cinf.space
-    products = prefix_products(right_products(B.product),
-                               {(b,): lin_single(b) for b in B.space.names},
+    scale, mul = right_products(B.product)
+    products = prefix_products(mul, {(b,): {b: 1} for b in B.space.names},
                                B.space.names, max_weight - 1)
+    words = [{(n,): {n: 1} for n in space.names}] + [
+        {tuple(B_PRE + b for b in word): prefix_vector(vec, B_PRE) for word, vec in level.items()}
+        for level in products[1:]]
 
     def word_maps(coeff_fn, source, target):
-        taylor = {}
-        one = MultilinearMap(space, space, 0, 1, TENSOR)
-        for n in space.names:
-            one.set_entry((n,), lin_single(n))
-        taylor[1] = one
-        for k in range(2, max_weight + 1):
-            ek = MultilinearMap(space, space, 0, k, TENSOR)
-            coeff = coeff_fn(k)
-            for word, vec in products[k - 1].items():
-                ek.set_entry(tuple(B_PRE + b for b in word),
-                             lin_scale(prefix_vector(vec, B_PRE), coeff))
-            taylor[k] = ek
+        taylor = {k: MultilinearMap(space, space, 0, k, TENSOR) for k in range(1, max_weight + 1)}
+        for k, level in enumerate(words, 1):
+            taylor[k].store(level, Fraction(coeff_fn(k), scale ** (k - 1)))
         return OoMorphism(source, target, taylor)
 
     E = word_maps(lambda k: Fraction(1, factorial(k)), cinf, cas)
@@ -323,9 +330,9 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     Csp = contraction.small
     q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR)
     f2 = MultilinearMap(Csp, cinf.space, 0, 2, TENSOR)
-    mul = right_products(amb.product)
+    scale, mul = right_products(amb.product)
     for c1, c2 in itertools.product(split.complement_names, repeat=2):
-        prod = mul(amb.d.value(c1), c2)
+        prod = unscaled(mul(amb.d.value(c1), c2), scale)
         q2.set_entry((c1, c2), split.P.apply(prod))
         f2.set_entry((c1, c2), prefix_vector(split.Pperp.apply(prod), A_PRE))
     q1 = multilinear_from_graded_map(contraction.d_small, TENSOR)
@@ -339,20 +346,21 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     def g_taylor(c):
         """g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term
         without the product: recursion on the first block, pushed from the
-        nonzero prefix products w_1..w_m and the stored entries of the lower
-        weights already built."""
+        nonzero prefix products w_1..w_m (at D^{m-1} times their value) and
+        the stored entries of the lower weights already built."""
         taylor = {1: multilinear_from_graded_map(contraction.project, TENSOR)}
         for k in range(2, max_weight + 1):
             acc: dict = {}
             for m in range(1, k + 1):
                 tails = {(): None} if m == k else \
                     (taylor[k - m].entries if k - m in taylor else {})
+                cm = exact(Fraction(c(m), scale ** (m - 1)))
                 for word, vec in prefixes[m - 1].items():
                     bword = tuple(B_PRE + b for b in word)
                     for tword, tail in tails.items():
                         pv = split.P.apply(vec if tail is None else amb.mul(vec, tail))
                         if pv:
-                            lin_acc(acc.setdefault(bword + tword, {}), pv, c(m))
+                            lin_acc(acc.setdefault(bword + tword, {}), pv, cm)
             taylor[k] = pushed_map(cinf.space, Csp, 0, k, TENSOR, acc.items())
         return taylor
 
@@ -431,12 +439,12 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
     Asp = split.complement_space()
     structure = OoStructure(Asp, SYMMETRIC, _derived_brackets(split, max_weight), max_weight)
     action = CoderAction(M.space.shifted(1), Asp)
-    bracket = right_products(M.bracket)
+    scale, bracket = right_products(M.bracket)
     for m in M.space.names:
-        for level in prefix_products(bracket, {(): lin_single(m)},
-                                     split.complement_names, max_weight, Asp.degree):
+        for n, level in enumerate(prefix_products(bracket, {(): lin_single(m)},
+                                                  split.complement_names, max_weight, Asp.degree)):
             for word, vec in level.items():
-                pv = split.P.apply(vec)
+                pv = unscaled(split.P.apply(vec), scale ** n)
                 if pv:
                     action.set((m,), word, pv)
     return structure, action
@@ -448,10 +456,11 @@ def _derived_brackets(split: Splitting, max_weight: int) -> dict:
     M = split.ambient
     Asp = split.complement_space()
     first = {(a,): M.d.value(a) for a in split.complement_names if M.d.value(a)}
-    levels = prefix_products(right_products(M.bracket), first, split.complement_names,
-                             max_weight - 1, Asp.degree)
+    scale, bracket = right_products(M.bracket)
+    levels = prefix_products(bracket, first, split.complement_names, max_weight - 1, Asp.degree)
     return {k: pushed_map(Asp, Asp, 1, k, SYMMETRIC,
-                          ((word, split.P.apply(vec)) for word, vec in level.items()))
+                          ((word, unscaled(split.P.apply(vec), scale ** (k - 1)))
+                           for word, vec in level.items()))
             for k, level in enumerate(levels[:max_weight], 1)}
 
 
@@ -559,7 +568,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     adeg = Asp.degree
     xdeg = base.space.degree
     phi = _derived_brackets(split, max_weight)
-    bracket = right_products(M.bracket)
+    scale, bracket = right_products(M.bracket)
     taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC)
               for k in range(1, max_weight + 1)}
     for k, qk in taylor.items():
@@ -576,7 +585,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
                                      max_weight - j, adeg)
             for n, level in enumerate(levels):
                 for aword, vec in level.items():
-                    val = split.P.apply(vec)
+                    val = unscaled(split.P.apply(vec), scale ** n)
                     if val:
                         # formula order (x-block, a-block); canonical is (a, x)
                         sw = sum(adeg[a] for a in aword) * xsum

@@ -236,44 +236,36 @@ def prefix_products(step, first: dict, letters, top: int, degree=None) -> list:
 
 
 def right_products(op):
-    """The step (u, b) -> op(u, b) of prefix_products for an arity-2
-    tensor-flavor MultilinearMap op, read from one table
-    {b: {name: op(name, b)}} of its stored entries."""
+    """(D, step) for an arity-2 tensor-flavor MultilinearMap op: step(u, b) =
+    D op(u, b) is the step of prefix_products, read from one table
+    {b: {name: D op(name, b)}} of ints (`scaled_ints`, D the lcm of op's
+    denominators) and summed with plain products.  So a walk from int
+    vectors stays in ints, and its level n is D^n times the true products."""
     if op.arity != 2 or op.flavor != TENSOR:
         raise MalformedInput("right products need an arity-2 tensor-flavor map")
+    scale, maps = scaled_ints({2: op}, 2)
     table: dict = {}
-    for (u, b), vec in op.entries.items():
+    for (u, b), vec in maps[2].items():
         table.setdefault(b, {})[u] = vec
 
     def step(vec: dict, b) -> dict:
         out: dict = {}
         column = table.get(b, {})
         for n, c in vec.items():
-            if n in column:
-                lin_acc(out, column[n], c)
-        return out
+            for y, v in column.get(n, {}).items():
+                out[y] = out.get(y, 0) + c * v
+        return {y: v for y, v in out.items() if v}
 
-    return step
+    return scale, step
 
 
 def format_coeff(c) -> str:
-    c = Fraction(c)
-    return str(c)
+    return str(Fraction(c))
 
 
 def format_vector(vec: dict, space=None) -> str:
-    if not vec:
-        return "0"
-    if space is not None:
-        names = sorted(vec, key=lambda n: space.index[n])
-    else:
-        names = sorted(vec)
-    parts = []
-    for n in names:
-        c = vec[n]
-        if not c:
-            continue
-        parts.append("%s*%s" % (format_coeff(c), n))
+    names = sorted(vec, key=lambda n: space.index[n]) if space is not None else sorted(vec)
+    parts = ["%s*%s" % (format_coeff(vec[n]), n) for n in names if vec[n]]
     return " + ".join(parts) if parts else "0"
 
 
@@ -473,9 +465,8 @@ class GradedMap:
         self.degree = int(degree)
         self.bidegree = tuple(bidegree) if bidegree is not None else None
         self.entries = {}
-        if entries:
-            for name, vec in entries.items():
-                self.set(name, vec)
+        for name, vec in (entries or {}).items():
+            self.set(name, vec)
 
     def set(self, name, vec: dict):
         if name not in self.source.degree:
@@ -514,14 +505,15 @@ class GradedMap:
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
-        """self o other."""
+        """self o other.  The images of two checked maps are exact, zero-free
+        and of the right degree, so they are stored without `set`'s checks."""
         if other.target != self.source:
             raise MalformedInput("composition shape mismatch")
         out = GradedMap(other.source, self.target, self.degree + other.degree)
         for name, vec in other.entries.items():
             img = self.apply(vec)
             if img:
-                out.set(name, img)
+                out.entries[name] = img
         return out
 
     def add(self, other: "GradedMap", coeff=1) -> "GradedMap":
@@ -533,10 +525,8 @@ class GradedMap:
         return GradedMap(self.source, self.target, self.degree, out)
 
     def scale(self, coeff) -> "GradedMap":
-        out = GradedMap(self.source, self.target, self.degree)
-        for name, vec in self.entries.items():
-            out.set(name, lin_scale(vec, coeff))
-        return out
+        return GradedMap(self.source, self.target, self.degree,
+                         {name: lin_scale(vec, coeff) for name, vec in self.entries.items()})
 
     def commutator(self, other: "GradedMap") -> "GradedMap":
         """Graded commutator self o other - (-1)^{|self||other|} other o self."""
@@ -561,10 +551,7 @@ class GradedMap:
 
     @staticmethod
     def identity(space: GradedSpace) -> "GradedMap":
-        out = GradedMap(space, space, 0)
-        for n in space.names:
-            out.set(n, lin_single(n))
-        return out
+        return GradedMap(space, space, 0, {n: lin_single(n) for n in space.names})
 
     @staticmethod
     def zero(source: GradedSpace, target: GradedSpace, degree: int) -> "GradedMap":
@@ -644,33 +631,57 @@ class MultilinearMap:
         return sym_normalize(names, self.source.index, self.source.degree) or (None, 0)
 
     def set_entry(self, names, vec: dict):
+        self._write(names, *self.normalize(names), vec)
+
+    def add_entry(self, names, vec: dict, coeff=1):
         key, sign = self.normalize(names)
+        if key is not None:
+            self._write(names, key, 1, lin_acc(dict(self.entries.get(key, {})), vec, coeff * sign))
+
+    def _write(self, names, key, sign, vec: dict):
+        """set_entry's checked write, on the key and sign normalize gave."""
         if any(isinstance(c, float) for c in vec.values()):
             raise MalformedInput("float coefficient rejected (exact arithmetic only)")
-        vec = {n: exact(c) for n, c in vec.items() if c}
+        vec = {n: exact(c) if sign == 1 else -exact(c) for n, c in vec.items() if c}
         if key is None:
             if vec:
                 raise MalformedInput("word %r is zero in the symmetric algebra" % (names,))
             return
-        vec = lin_scale(vec, sign)
         want = sum(self.source.degree[n] for n in key) + self.degree
         for out, c in vec.items():
             if self.target.degree[out] != want:
-                raise MalformedInput(
-                    "arity-%d map of degree %d sends %r to %r: degree mismatch"
-                    % (self.arity, self.degree, names, out))
+                raise MalformedInput("arity-%d map of degree %d sends %r to %r: degree mismatch"
+                                     % (self.arity, self.degree, names, out))
         if vec:
             self.entries[key] = vec
         else:
             self.entries.pop(key, None)
 
-    def add_entry(self, names, vec: dict, coeff=1):
-        key, sign = self.normalize(names)
-        if key is None:
-            return
-        cur = dict(self.entries.get(key, {}))
-        lin_acc(cur, vec, coeff * sign)
-        self.set_entry(key, cur)
+    def store(self, words: dict, factor):
+        """The builders' bulk write: entries[w] = factor * words[w] for int
+        vectors at one scale D and factor = p/q the arity's coefficient over
+        D, one exact division Fraction(v p, q) per coefficient (`unscaled`).
+        One pass checks what set_entry checks on each write (arity, source
+        names, canonical word of S(V), target degree) before anything is
+        stored, and raises MalformedInput."""
+        p, q = factor.numerator, factor.denominator
+        sdeg, tdeg, index = self.source.degree, self.target.degree, self.source.index
+        sym, out = self.flavor == SYMMETRIC, {}
+        for key, vec in words.items():
+            ok, want, last = len(key) == self.arity, self.degree, -1
+            for n in key:
+                at = index.get(n, -1)
+                ok = ok and at >= 0 and not (sym and (at < last or at == last and sdeg[n] % 2))
+                want, last = want + sdeg.get(n, 0), at
+            for y in vec:
+                ok = ok and tdeg.get(y) == want
+            if not ok:
+                raise MalformedInput("arity-%d map: %r -> %r is not a canonical word or has "
+                                     "a degree mismatch" % (self.arity, key, vec))
+            if vec:
+                out[key] = {y: c * p for y, c in vec.items()} if q == 1 else \
+                    {y: exact(Fraction(c * p, q)) for y, c in vec.items()}
+        self.entries.update(out)
 
     def value(self, names) -> dict:
         key, sign = self.normalize(names)

@@ -12,7 +12,7 @@ import pytest
 from hoalg import cocone
 from hoalg.cli import run
 from hoalg.coalg import (
-    DgAlgebra, DgaMorphism, DglaMorphism, OoMorphism, OoStructure,
+    DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism, OoStructure,
     check_morphism, check_structure, compose_morphisms, decalage_dgla,
     decalage_dgla_morphism, in_basis_order, invert_morphism, push_insertion,
     symmetrize_morphism, symmetrize_structure,
@@ -26,11 +26,11 @@ from hoalg.fixtures import (
     abelian_dgla, end_dga, end_dgla, end_splitting, lambda_cartan_fixture, random_complex,
     random_dga_morphism, random_filtered_inclusion, zero_dgla,
 )
-from hoalg.coalg import end_preserving_sub_dgla
+from hoalg.coalg import end_preserving_sub_dgla, sub_algebra
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, sign_pow,
-    sym_words,
+    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, scaled_ints,
+    sign_pow, sym_words,
 )
 from hoalg.hodge import split_period_coefficient, split_period_map, torus_package
 from powerseries import phi_compose_coefficients
@@ -162,13 +162,13 @@ def test_cocone_lie_brackets_once_per_last_letter(monkeypatch):
     right_products = cocone.right_products
 
     def counted(op):
-        step = right_products(op)
+        scale, step = right_products(op)
 
         def counted_step(u, b):
             calls.append((u, b))
             return step(u, b)
 
-        return counted_step
+        return scale, counted_step
 
     monkeypatch.setattr(cocone, "right_products", counted)
     fm_cocone_lie(inc, max_weight=6)
@@ -974,6 +974,97 @@ def test_cocone_builders_match_pull_oracles(seed, dim, odd, repeat):
         _taylor_entries(pull_fiber_product_model(sub, split, F, weight).taylor)
     flags = [_letters(s) for s in (sd, fp)]
     assert (any(o for o, _ in flags), any(r for _, r in flags)) == (odd, repeat)
+
+
+def _rescaling(space, shift):
+    """x -> lam[x] x, cycling lam through 1/2, 3, 2/3 along the basis from shift."""
+    cycle = (Fraction(1, 2), Fraction(3), Fraction(2, 3))
+    return {x: cycle[(i + shift) % 3] for i, x in enumerate(space.names)}
+
+
+def _rescaled(alg, lam):
+    """alg in the basis x' = lam[x] x: the isomorphic DG (Lie) algebra on the
+    same names, whose d and product or bracket carry lam's denominators."""
+    sp = alg.space
+    op = alg.bracket if isinstance(alg, DgLieAlgebra) else alg.product
+    d = GradedMap(sp, sp, 1, {x: {z: lam[x] * c / lam[z] for z, c in vec.items()}
+                              for x, vec in alg.d.entries.items()})
+    new = MultilinearMap(sp, sp, 0, 2, TENSOR)
+    for (x, y), vec in op.entries.items():
+        new.set_entry((x, y), {z: lam[x] * lam[y] * c / lam[z] for z, c in vec.items()})
+    out = type(alg)(sp, d, new)
+    assert out.check().ok
+    return out
+
+
+def _rescaled_morphism(f):
+    """f conjugated by diagonal rescalings of its source and target bases
+    (v -> v/2, w -> 3w, ..): an isomorphic morphism with denominators in
+    the product or bracket and in f."""
+    lam, mu = _rescaling(f.source.space, 0), _rescaling(f.target.space, 1)
+    gmap = GradedMap(f.map.source, f.map.target, 0,
+                     {x: {z: lam[x] * c / mu[z] for z, c in vec.items()}
+                      for x, vec in f.map.entries.items()})
+    out = type(f)(_rescaled(f.source, lam), _rescaled(f.target, mu), gmap)
+    assert out.check().ok
+    return out
+
+
+def _scales(*maps):
+    """The lcm of the denominators of each map (graded.scaled_ints)."""
+    return [scaled_ints({1: m}, 1)[0] for m in maps]
+
+
+# Every random_filtered_inclusion and random_dga_morphism key has integral
+# brackets, products and f, so the builders' scale D is 1 on all of them;
+# rescaled, the walks run at D > 1 and the stored factors divide by it.
+@pytest.mark.parametrize("seed", [0, 2, 3, 5])
+def test_cocone_builders_at_scale_above_one_match_the_oracles(seed):
+    f = _rescaled_morphism(random_filtered_inclusion(seed, 2)[2])
+    assert min(_scales(f.target.bracket, f.map)) > 1
+    assert _mixed_entries(fm_cocone_lie(f, max_weight=6)) == \
+        _reference_cocone_lie_brackets(f, 6)
+    assert check_structure(fm_cocone_lie(f, max_weight=4)).ok
+    m = _rescaled_morphism(random_dga_morphism(seed, 2))
+    assert min(_scales(m.target.product, m.map)) > 1
+    assert _taylor_entries(fm_cocone_assoc(m, 5).taylor) == \
+        _taylor_entries(pull_fm_cocone_assoc(m, 5).taylor)
+    for got, want in zip(exp_log_isos(m, 5), pull_exp_log_isos(m, 5)):
+        assert _taylor_entries(got.taylor) == _taylor_entries(want.taylor)
+
+
+# the other readers of graded.right_products divide their walks by D^n
+@pytest.mark.parametrize("seed,dim", [(2, 2), (3, 3), (29, 3)])
+def test_walk_builders_at_scale_above_one_match_the_oracles(seed, dim):
+    weight = 5 if dim == 2 else 4
+    V, d, ambient, comp, _ = end_splitting(seed, dim, lie=False)
+    amb = _rescaled(ambient, _rescaling(ambient.space, 0))
+    assert _scales(amb.product) > [1]
+    split = Splitting(amb, comp)
+    dp = derived_products_model(split, weight - 1)
+    q2 = dp.structure.taylor.get(2)
+    for c1, c2 in itertools.product(comp, repeat=2):
+        prod = amb.mul(amb.d.value(c1), lin_single(c2))
+        assert (q2.value((c1, c2)) if q2 else {}) == split.P.apply(prod)
+    for G, c in ((dp.G_as, lambda m: sign_pow(m + 1)),
+                 (dp.G_inf, lambda m: Fraction(sign_pow(m + 1), math.factorial(m)))):
+        assert _taylor_entries(G.taylor) == _taylor_entries(pull_g_taylor(
+            split, dp.contraction, dp.cocone_inf.space, weight - 1, c))
+    V, d, M, comp, _ = end_splitting(seed, dim)
+    M = _rescaled(M, _rescaling(M.space, 0))
+    assert _scales(M.bracket) > [1]
+    split = Splitting(M, comp)
+    phi, action = voronov_brackets(split, weight)
+    assert _taylor_entries(phi.taylor) == _taylor_entries(
+        {k: pull_derived_brackets(split, k) for k in range(1, weight + 1)})
+    assert {jk: c for jk, c in action.comps.items() if c} == \
+        {jk: c for jk, c in pull_voronov_action(split, weight).comps.items() if c}
+    sub, inc = sub_algebra(M, [n for n in M.space.names if n not in comp])
+    F = _with_arbitrary_f2(decalage_dgla_morphism(
+        inc, max_weight=weight, target=decalage_dgla(M, max_weight=weight)), seed)
+    fp = fiber_product_model(sub, split, F, weight)
+    assert _taylor_entries(fp.taylor) == \
+        _taylor_entries(pull_fiber_product_model(sub, split, F, weight).taylor)
 
 
 def test_transfer_double_run_bit_identical():

@@ -347,16 +347,33 @@ def test_prefix_products_of_graded_maps_drop_zero_composites():
     assert levels[2][("t", "s")].value("p0") == {"p3": 2}
 
 
-@pytest.mark.parametrize("case", ["sl2", "heisenberg", "heisenberg-odd",
-                                  "end0", "end1", "end2"])
+def _scaled_op(op, coeff):
+    """coeff times the arity-2 map op, so its entries carry coeff's denominator."""
+    out = MultilinearMap(op.source, op.target, op.degree, 2, op.flavor)
+    for key, vec in op.entries.items():
+        out.set_entry(key, {n: coeff * c for n, c in vec.items()})
+    return out
+
+
+# the ops, each with the lcm D of its denominators, by which every step is
+# multiplied
+RIGHT_PRODUCT_OPS = {
+    "sl2": (lambda: sl2_dgla().bracket, 1),
+    "heisenberg": (lambda: heisenberg_dgla().bracket, 1),
+    "heisenberg-odd": (lambda: heisenberg_dgla((1, 1, 2)).bracket, 1),
+    "end0": (lambda: random_end_dga(0, 2).product, 1),
+    "end1": (lambda: random_end_dga(1, 2).product, 1),
+    "end2": (lambda: random_end_dga(2, 3).product, 1),
+    "sl2*2/3": (lambda: _scaled_op(sl2_dgla().bracket, Fraction(2, 3)), 3),
+    "end2*5/6": (lambda: _scaled_op(random_end_dga(2, 3).product, Fraction(5, 6)), 6),
+}
+
+
+@pytest.mark.parametrize("case", list(RIGHT_PRODUCT_OPS))
 def test_right_products_match_apply_vectors(case):
-    op = {"sl2": lambda: sl2_dgla().bracket,
-          "heisenberg": lambda: heisenberg_dgla().bracket,
-          "heisenberg-odd": lambda: heisenberg_dgla((1, 1, 2)).bracket,
-          "end0": lambda: random_end_dga(0, 2).product,
-          "end1": lambda: random_end_dga(1, 2).product,
-          "end2": lambda: random_end_dga(2, 3).product}[case]()
-    step = right_products(op)
+    op, scale = RIGHT_PRODUCT_OPS[case][0](), RIGHT_PRODUCT_OPS[case][1]
+    D, step = right_products(op)
+    assert D == scale
     rng = random.Random(case)
     names = op.source.names
     for _ in range(12):
@@ -364,7 +381,10 @@ def test_right_products_match_apply_vectors(case):
              for n in rng.sample(names, rng.randint(1, len(names)))}
         for b in names:
             want = op.apply_vectors([u, lin_single(b)])
-            assert list(step(u, b).items()) == list(want.items())
+            assert list(step(u, b).items()) == [(n, D * c) for n, c in want.items()]
+            # an int vector stays in ints
+            ints = {n: int(c * 6) for n, c in u.items()}
+            assert all(c.__class__ is int for c in step(ints, b).values())
     assert step({}, names[0]) == {}
     with pytest.raises(MalformedInput):
         right_products(MultilinearMap(op.source, op.target, 0, 2, SYMMETRIC))
@@ -385,6 +405,74 @@ def test_multilinear_symmetrized_of_product():
     q.set_entry(("x", "x"), lin_single("z"))
     s = q.symmetrized()
     assert s.value(("x", "x")) == {"z": Fraction(2)}
+
+
+def test_compose_stores_zero_free_exact_images():
+    V = GradedSpace([("a", 0), ("b", 0), ("c", 0)])
+    f = GradedMap(V, V, 0, {"a": {"b": Fraction(1, 2), "c": 1}, "b": {"c": 2}})
+    g = GradedMap(V, V, 0, {"b": {"a": 2}, "c": {"a": -1}})
+    gf = g.compose(f)
+    # a -> b/2 + c -> a - a = 0 is no entry; b -> 2c -> -2a, an int
+    assert gf.entries == {"b": {"a": -2}}
+    assert [c.__class__ for c in gf.entries["b"].values()] == [int]
+    assert gf == GradedMap(V, V, 0, {n: g.apply(f.value(n)) for n in V.names})
+
+
+def test_set_and_add_entry_normalize_once_and_sign_odd_swaps():
+    V = GradedSpace([("x", 1), ("y", 1), ("z", 2), ("w", 0)])
+    q = MultilinearMap(V, V, 0, 2, SYMMETRIC)
+    q.set_entry(("y", "x"), {"z": Fraction(3, 2)})
+    assert q.entries == {("x", "y"): {"z": Fraction(-3, 2)}}
+    q.add_entry(("y", "x"), {"z": Fraction(3, 2)}, 2)
+    assert q.entries == {("x", "y"): {"z": Fraction(-9, 2)}}
+    q.add_entry(("x", "y"), {"z": Fraction(9, 2)})
+    assert q.entries == {}
+    q.set_entry(("w", "z"), {"z": 4})           # even letters: no sign
+    assert q.entries == {("z", "w"): {"z": 4}}
+    with pytest.raises(MalformedInput):
+        q.add_entry(("x", "w"), {"z": 1})           # degree 1 word to a degree 2 letter
+    with pytest.raises(MalformedInput):
+        q.set_entry(("x", "x"), {"z": 1})           # zero in S(V)
+    with pytest.raises(MalformedInput):
+        q.set_entry(("x", "y"), {"z": 0.0})
+
+
+def _store_maps():
+    V = GradedSpace([("x", 1), ("y", 1), ("z", 2), ("w", 0)])
+    return (MultilinearMap(V, V, 0, 2, SYMMETRIC), MultilinearMap(V, V, 0, 2, TENSOR),
+            MultilinearMap(V, V, 0, 3, SYMMETRIC))
+
+
+def test_store_divides_once_per_coefficient():
+    sym, ten, sym3 = _store_maps()
+    sym.store({("x", "y"): {"z": 6}, ("w", "w"): {"w": -4}}, Fraction(-1, 4))
+    assert sym.entries == {("x", "y"): {"z": Fraction(-3, 2)}, ("w", "w"): {"w": 1}}
+    assert [c.__class__ for v in sym.entries.values() for c in v.values()] == [Fraction, int]
+    ten.store({("y", "x"): {"z": 5}, ("w", "z"): {"z": 2}}, 3)       # any order in T(V)
+    assert ten.entries == {("y", "x"): {"z": 15}, ("w", "z"): {"z": 6}}
+    sym3.store({("x", "w", "w"): {"x": 2}, ("y", "z", "w"): {}}, Fraction(1, 2))
+    assert sym3.entries == {("x", "w", "w"): {"x": 1}}              # an empty vector is no entry
+    # a store writes next to what is there, as set_entry does per word
+    ten.store({("w", "z"): {"z": 1}}, 1)
+    assert ten.entries == {("y", "x"): {"z": 15}, ("w", "z"): {"z": 1}}
+
+
+# set_entry sorts its words and reads an odd repeat as zero; the bulk write
+# takes canonical words only
+@pytest.mark.parametrize("case", ["unsorted", "odd-repeat", "arity", "degree", "unknown"])
+def test_store_refuses_non_canonical_words_and_degree_mismatches(case):
+    sym, ten, sym3 = _store_maps()
+    target, word, vec = {
+        "unsorted": (sym, ("y", "x"), {"z": 1}),          # x comes before y
+        "odd-repeat": (sym, ("x", "x"), {"z": 1}),        # zero in S(V)
+        "arity": (sym3, ("x", "y"), {"z": 1}),
+        "degree": (ten, ("x", "y"), {"w": 1}),            # degree 2 word, degree 0 letter
+        "unknown": (ten, ("x", "v"), {"z": 1}),
+    }[case]
+    good = {("x", "y"): {"z": 1}} if target.arity == 2 else {("x", "w", "w"): {"x": 1}}
+    with pytest.raises(MalformedInput):
+        target.store({**good, word: vec}, Fraction(1, 2))
+    assert target.entries == {}                 # nothing is stored before the check
 
 
 # --- contractions -----------------------------------------------------------

@@ -4,8 +4,9 @@ tucked inside a function, no library function enumerates the orderings of a
 word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
 every true division sits on a reviewed site, the word-by-word pull path,
 its memos and the per-word nested products stay out of the library,
-sorted words are merged, not re-sorted, and no library function enumerates
-basis words."""
+sorted words are merged, not re-sorted, no library function enumerates
+basis words, and the cocone builders store each arity through one bulk
+write."""
 
 from __future__ import annotations
 
@@ -196,3 +197,21 @@ def test_no_basis_word_enumeration_in_library():
     found = set().union(*(_call_sites(p, "sym_words") for p in MODULES))
     assert found == {("coalg", "OoStructure.basis_words")}
     assert "itertools" not in _names(_tree(SRC / "transfer.py"))
+
+
+# The three cocone builders grow their products as ints at one scale and
+# store each arity once, through the one checked bulk write
+# MultilinearMap.store; they make no per-entry write and no per-entry
+# Fraction product.
+COCONE_BUILDERS = {"fm_cocone_lie", "fm_cocone_assoc", "exp_log_isos"}
+BULK_STORE_SITES = {("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
+                    ("cocone", "exp_log_isos.word_maps")}
+
+
+@pytest.mark.parametrize("name", ["set_entry", "add_entry", "lin_scale"])
+def test_cocone_builders_write_in_bulk(name):
+    found = set().union(*(_call_sites(p, "store") for p in MODULES))
+    assert found == BULK_STORE_SITES
+    builders = {(module, scope) for module, scope in _call_sites(SRC / "cocone.py", name)
+                if scope.split(".")[0] in COCONE_BUILDERS}
+    assert builders == set()
