@@ -16,9 +16,13 @@ The terms are summed as ints: each family is multiplied by the lcm D of its
 denominators (Scaled), every term is brought to one scale per weight
 (D_outer D_inner for an insertion, D_outer D_inner^k k! for a product), and
 each output coefficient is divided once at the end; a check divides only
-its witness's residual.
+its witness's residual, and a builder hands the kernel's (ints, scale)
+output to pushed_map, which stores it at 1/scale through
+MultilinearMap.store.
 Also home to the DG-Lie / DG-associative source types and the decalage
-constructors feeding everything downstream.
+constructors feeding everything downstream; both flavors of decalage share
+one body, with q2 read from the operation's stored entries
+(shifted_products), which the FM cocones read too.
 """
 
 from __future__ import annotations
@@ -128,15 +132,11 @@ class Scaled:
         self.symmetric = t is not None and t.flavor == SYMMETRIC
 
 
-def _unscaled_words(pushed: dict, scale: int) -> dict:
-    """A pushed {word: int vector} at the given scale, divided back."""
-    return {w: unscaled(vec, scale) for w, vec in pushed.items()}
-
-
 def push_insertion(outer: dict, inner: dict, k: int) -> dict:
     """sum_j t_j(Q^j_k w) on every weight-k word w at once, as {w: vector},
     for t = outer and Q the degree +1 coderivation with Taylor family inner."""
-    return _unscaled_words(*_insertion(Scaled(outer, k), Scaled(inner, k), k))
+    words, scale = _insertion(Scaled(outer, k), Scaled(inner, k), k)
+    return {w: unscaled(vec, scale) for w, vec in words.items()}
 
 
 def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
@@ -188,7 +188,8 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
 def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
     """sum_{j>=lo} t_j(F^j_k w) on every weight-k word w at once, as
     {w: vector}, for t = outer and F the morphism with Taylor family inner."""
-    return _unscaled_words(*_product(Scaled(outer, k), Scaled(inner, k), k, lo))
+    words, scale = _product(Scaled(outer, k), Scaled(inner, k), k, lo)
+    return {w: unscaled(vec, scale) for w, vec in words.items()}
 
 
 def _product(outer: Scaled, inner: Scaled, k: int, lo: int = 1) -> tuple:
@@ -256,19 +257,15 @@ def in_basis_order(space: GradedSpace, pushed: dict) -> list:
                   key=lambda item: [index[n] for n in item[0]])
 
 
-def product_terms(outer: dict, F: OoMorphism, k: int, lo: int = 1) -> list:
-    """(w, sum_{j>=lo} t_j(F^j_k w)) for the weight-k words w of F.source
-    where it is nonzero, in basis order."""
-    return in_basis_order(F.source.space, push_product(outer, F.taylor, k, lo))
-
-
 def pushed_map(source: GradedSpace, target: GradedSpace, degree: int, k: int,
-               flavor: str, terms) -> MultilinearMap:
-    """The arity-k map with the given (word, vector) entries, written in order."""
-    out = MultilinearMap(source, target, degree, k, flavor)
-    for word, vec in terms:
-        out.add_entry(word, vec)
-    return out
+               flavor: str, pushed: tuple, apply=None) -> MultilinearMap:
+    """The arity-k map of a kernel's output pushed = ({w: int vector}, D),
+    stored at 1/D, each vector first sent through the linear map `apply`
+    when one is given (a GradedMap's apply commutes with the scale)."""
+    words, scale = pushed
+    if apply is not None:
+        words = {w: apply(vec) for w, vec in words.items()}
+    return MultilinearMap(source, target, degree, k, flavor).store(words, Fraction(1, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +334,7 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
         raise MalformedInput("composition shape mismatch")
     top = max_weight or min(F.max_weight, G.max_weight)
     g, f = Scaled(G.taylor, top), Scaled(F.taylor, top)
-    taylor = {k: pushed_map(F.source.space, G.target.space, 0, k, F.flavor,
-                            in_basis_order(F.source.space,
-                                           _unscaled_words(*_product(g, f, k))))
+    taylor = {k: pushed_map(F.source.space, G.target.space, 0, k, F.flavor, _product(g, f, k))
               for k in range(1, top + 1)}
     return OoMorphism(F.source, G.target, taylor)
 
@@ -355,12 +350,13 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
         raise RejectedInput("f_1 is not invertible")
     # one H grows weight by weight, as in transfer_structure: H^j_k with
     # j >= 2 reads only h_i with i < k, so the pushed sum never reads a
-    # coefficient before it is final
+    # coefficient before it is final; h_k = -inv1(sum), the sign on the scale
     H = OoMorphism(F.target, F.source, {1: multilinear_from_graded_map(inv1, F.flavor)})
+    f = Scaled(F.taylor, top)
     for k in range(2, top + 1):
-        hk = MultilinearMap(F.target.space, F.source.space, 0, k, F.flavor)
-        for word, acc in product_terms(F.taylor, H, k, 2):
-            hk.add_entry(word, inv1.apply(acc), -1)
+        words, scale = _product(f, Scaled(H.taylor, k), k, 2)
+        hk = pushed_map(F.target.space, F.source.space, 0, k, F.flavor, (words, -scale),
+                        inv1.apply)
         if not hk.is_zero():
             H.taylor[k] = hk
     return H
@@ -377,12 +373,10 @@ def transport_structure(G: OoMorphism, max_weight=None) -> OoStructure:
     s = G.source
     space = G.target.space
     g, q = Scaled(G.taylor, top), Scaled(s.taylor, top)
-    P = {b: pushed_map(s.space, space, 1, b, G.flavor,
-                       _unscaled_words(*_insertion(g, q, b)).items())
+    P = {b: pushed_map(s.space, space, 1, b, G.flavor, _insertion(g, q, b))
          for b in range(1, top + 1)}
     p, h = Scaled(P, top), Scaled(H.taylor, top)
-    taylor = {k: pushed_map(space, space, 1, k, G.flavor,
-                            in_basis_order(space, _unscaled_words(*_product(p, h, k))))
+    taylor = {k: pushed_map(space, space, 1, k, G.flavor, _product(p, h, k))
               for k in range(1, top + 1)}
     return OoStructure(space, G.flavor, taylor, top)
 
@@ -594,67 +588,51 @@ def _first_nonzero(gm: GradedMap):
 # decalage
 
 
+def shifted_products(op: MultilinearMap, flavor: str) -> dict:
+    """q2(x (.) y) = (-1)^{|x|} op(x, y) of the decalage, read through the
+    degree shift (names are kept), as {word: vector} on the stored entries of
+    an arity-2 tensor-flavor op.  In S(V) (op a bracket) only the canonical
+    words: x before y, or x = y of odd degree, which is even on L[1]."""
+    index, degree = op.source.index, op.source.degree
+    return {(x, y): lin_scale(vec, sign_pow(degree[x])) for (x, y), vec in op.entries.items()
+            if flavor == TENSOR or index[x] < index[y] or x == y and degree[x] % 2}
+
+
+def _decalage(alg, op: MultilinearMap, flavor: str, what: str, max_weight: int,
+              validate: bool) -> OoStructure:
+    """The structure on alg[1]: q1 = -s^{-1} d s and q2 = shifted_products(op)."""
+    if validate:
+        rep = alg.check()
+        if not rep.ok:
+            raise RejectedInput("input is not a %s: %s" % (what, rep.first_failure()))
+    sh = alg.space.shifted(1)
+    taylor = {1: MultilinearMap(sh, sh, 1, 1, flavor).store(
+                  {(n,): vec for n, vec in alg.d.entries.items()}, -1),
+              2: MultilinearMap(sh, sh, 1, 2, flavor).store(shifted_products(op, flavor))}
+    return OoStructure(sh, flavor, taylor, max_weight)
+
+
 def decalage_dgla(L: DgLieAlgebra, max_weight: int = 6, validate: bool = True) -> OoStructure:
     """L-infinity[1] structure on L[1]: q1 = -s^{-1} d s, q2 the shifted bracket.
 
     q1(x) = -dx and q2(x (.) y) = (-1)^{|x|} [x, y] read through the degree
     shift (names are preserved; only degrees move).
     """
-    if validate:
-        rep = L.check()
-        if not rep.ok:
-            raise RejectedInput("input is not a DGLA: %s" % rep.first_failure())
-    sh = L.space.shifted(1)
-    q1 = MultilinearMap(sh, sh, 1, 1, SYMMETRIC)
-    for n in L.space.names:
-        val = L.d.value(n)
-        if val:
-            q1.set_entry((n,), lin_scale(val, -1))
-    q2 = MultilinearMap(sh, sh, 1, 2, SYMMETRIC)
-    for i, x in enumerate(L.space.names):
-        for y in L.space.names[i:]:
-            if x == y and sh.degree[x] % 2:
-                continue
-            val = L.bracket.value((x, y))
-            if val:
-                sgn = -1 if L.space.degree[x] % 2 else 1
-                q2.add_entry((x, y), val, sgn)
-    taylor = {1: q1, 2: q2}
-    return OoStructure(sh, SYMMETRIC, taylor, max_weight)
+    return _decalage(L, L.bracket, SYMMETRIC, "DGLA", max_weight, validate)
 
 
 def decalage_dgla_morphism(f: DglaMorphism, source: OoStructure = None,
                            target: OoStructure = None, max_weight: int = 6) -> OoMorphism:
     src = source or decalage_dgla(f.source, max_weight)
     tgt = target or decalage_dgla(f.target, max_weight)
-    f1 = MultilinearMap(src.space, tgt.space, 0, 1, SYMMETRIC)
-    for n in f.source.space.names:
-        val = f.map.value(n)
-        if val:
-            f1.set_entry((n,), val)
+    f1 = MultilinearMap(src.space, tgt.space, 0, 1, SYMMETRIC).store(
+        {(n,): vec for n, vec in f.map.entries.items()})
     return OoMorphism(src, tgt, {1: f1})
 
 
 def decalage_dga(A: DgAlgebra, max_weight: int = 6, validate: bool = True) -> OoStructure:
     """A-infinity[1] structure on A[1] induced by a DG associative algebra."""
-    if validate:
-        rep = A.check()
-        if not rep.ok:
-            raise RejectedInput("input is not a DG algebra: %s" % rep.first_failure())
-    sh = A.space.shifted(1)
-    q1 = MultilinearMap(sh, sh, 1, 1, TENSOR)
-    for n in A.space.names:
-        val = A.d.value(n)
-        if val:
-            q1.set_entry((n,), lin_scale(val, -1))
-    q2 = MultilinearMap(sh, sh, 1, 2, TENSOR)
-    for x in A.space.names:
-        for y in A.space.names:
-            val = A.product.value((x, y))
-            if val:
-                sgn = -1 if A.space.degree[x] % 2 else 1
-                q2.set_entry((x, y), lin_scale(val, sgn))
-    return OoStructure(sh, TENSOR, {1: q1, 2: q2}, max_weight)
+    return _decalage(A, A.product, TENSOR, "DG algebra", max_weight, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -703,11 +681,8 @@ def sub_algebra(amb, names):
     d = GradedMap(sub_space, sub_space, 1, {n: amb.d.value(n) for n in names})
     lie = isinstance(amb, DgLieAlgebra)
     table = amb.bracket if lie else amb.product
-    op = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR)
-    for w in itertools.product(names, repeat=2):
-        val = table.value(w)
-        if val:
-            op.set_entry(w, val)
+    op = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR).store(
+        {w: table.value(w) for w in itertools.product(names, repeat=2)})
     algebra, morphism = (DgLieAlgebra, DglaMorphism) if lie else (DgAlgebra, DgaMorphism)
     sub = algebra(sub_space, d, op)
     inc = GradedMap(sub_space, amb.space, 0, {n: lin_single(n) for n in names})
@@ -745,11 +720,11 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
 __all__ = [
     "OoStructure", "OoMorphism",
     "preimages", "preimage_words", "Scaled", "push_insertion", "push_product",
-    "product_terms", "in_basis_order", "pushed_map",
+    "in_basis_order", "pushed_map",
     "check_structure", "check_morphism",
     "identity_morphism", "compose_morphisms", "invert_morphism", "transport_structure",
     "symmetrize_structure", "symmetrize_morphism",
     "DgLieAlgebra", "DgAlgebra", "DglaMorphism", "DgaMorphism",
-    "decalage_dgla", "decalage_dgla_morphism", "decalage_dga",
+    "shifted_products", "decalage_dgla", "decalage_dgla_morphism", "decalage_dga",
     "end_dgla", "sub_algebra", "end_preserving_sub", "end_preserving_sub_dgla",
 ]

@@ -15,16 +15,16 @@ from math import comb, factorial
 
 from .coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism,
-    OoStructure, check_structure, decalage_dga, decalage_dgla, pushed_map, sub_algebra,
+    OoStructure, check_structure, decalage_dga, decalage_dgla, shifted_products, sub_algebra,
     transport_structure,
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, add_prefixed, bernoulli, exact,
+    Report, SYMMETRIC, TENSOR, bernoulli, exact,
     coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
-    prefix_products, prefix_vector, right_products, scaled_ints, sign_pow, sym_normalize,
-    unscaled,
+    prefix_products, prefix_vector, prefixed, right_products, scaled_ints, sign_pow,
+    sym_normalize, unscaled,
 )
 
 A_PRE = "a:"
@@ -61,8 +61,8 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
     taylor = {1: _cocone_q1(f, space, SYMMETRIC)}
-    q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
-    add_prefixed(q2, decalage_dgla(L, max_weight, validate=False).taylor.get(2), A_PRE)
+    q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC).store(
+        prefixed(shifted_products(L.bracket, SYMMETRIC), A_PRE))
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
     scale, bracket = right_products(M.bracket)
     fscale, fx = scaled_ints({1: f.map}, 1)
@@ -90,17 +90,11 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
 def _cocone_q1(f, space: GradedSpace, flavor: str) -> MultilinearMap:
     """q1(x, m) = (-dx, dm - f(x)) on the cocone space L[1] x M of f: L -> M."""
     L, M = f.source, f.target
-    q1 = MultilinearMap(space, space, 1, 1, flavor)
-    for x in L.space.names:
-        vec = prefix_vector(lin_scale(L.d.value(x), -1), A_PRE)
-        lin_acc(vec, prefix_vector(f.map.value(x), B_PRE), -1)
-        if vec:
-            q1.set_entry((A_PRE + x,), vec)
-    for m in M.space.names:
-        vec = prefix_vector(M.d.value(m), B_PRE)
-        if vec:
-            q1.set_entry((B_PRE + m,), vec)
-    return q1
+    minus = {(A_PRE + x,): lin_acc(prefix_vector(L.d.value(x), A_PRE),
+                                    prefix_vector(f.map.value(x), B_PRE))
+             for x in L.space.names}
+    return MultilinearMap(space, space, 1, 1, flavor).store(minus, -1).store(
+        prefixed({(m,): vec for m, vec in M.d.entries.items()}, B_PRE))
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +115,10 @@ def cocone_associative(f: DgaMorphism) -> DgAlgebra:
         vec = prefix_vector(lin_scale(B.d.value(y), -1), B_PRE)
         if vec:
             d.set(B_PRE + y, vec)
-    prod = MultilinearMap(space, space, 0, 2, TENSOR)
-    for x in A.space.names:
-        for y in A.space.names:
-            val = A.product.value((x, y))
-            if val:
-                prod.set_entry((A_PRE + x, A_PRE + y), prefix_vector(val, A_PRE))
-    for y in B.space.names:
-        for x in A.space.names:
-            val = B.mul(lin_single(y), f.map.value(x))
-            if val:
-                prod.set_entry((B_PRE + y, A_PRE + x), prefix_vector(val, B_PRE))
-    return DgAlgebra(space, d, prod)
+    table = prefixed(A.product.entries, A_PRE)
+    for y, x in itertools.product(B.space.names, A.space.names):
+        table[(B_PRE + y, A_PRE + x)] = prefix_vector(B.mul(lin_single(y), f.map.value(x)), B_PRE)
+    return DgAlgebra(space, d, MultilinearMap(space, space, 0, 2, TENSOR).store(table))
 
 
 def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
@@ -152,8 +138,8 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     A, B = f.source, f.target
     space = pair_space(A.space.shifted(1), B.space)
     taylor = {1: _cocone_q1(f, space, TENSOR),
-              2: MultilinearMap(space, space, 1, 2, TENSOR)}
-    add_prefixed(taylor[2], decalage_dga(A, max_weight, validate=False).taylor.get(2), A_PRE)
+              2: MultilinearMap(space, space, 1, 2, TENSOR).store(
+                  prefixed(shifted_products(A.product, TENSOR), A_PRE))}
     weights = [w for w in range(1, max_weight) if bernoulli(w)]     # w = i + j
     words = {w: {} for w in weights}
     top = max(weights, default=0)
@@ -328,13 +314,14 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     # q1 = Pd, f1 and g1 are the linear maps of the cocone contraction
     contraction = cocone_contraction(split, inclusion, cinf.space)
     Csp = contraction.small
-    q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR)
-    f2 = MultilinearMap(Csp, cinf.space, 0, 2, TENSOR)
     scale, mul = right_products(amb.product)
-    for c1, c2 in itertools.product(split.complement_names, repeat=2):
-        prod = unscaled(mul(amb.d.value(c1), c2), scale)
-        q2.set_entry((c1, c2), split.P.apply(prod))
-        f2.set_entry((c1, c2), prefix_vector(split.Pperp.apply(prod), A_PRE))
+    prods = {w: mul(amb.d.value(w[0]), w[1])
+             for w in itertools.product(split.complement_names, repeat=2)}
+    q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR).store(
+        {w: split.P.apply(u) for w, u in prods.items()}, Fraction(1, scale))
+    f2 = MultilinearMap(Csp, cinf.space, 0, 2, TENSOR).store(
+        {w: prefix_vector(split.Pperp.apply(u), A_PRE) for w, u in prods.items()},
+        Fraction(1, scale))
     q1 = multilinear_from_graded_map(contraction.d_small, TENSOR)
     structure = OoStructure(Csp, TENSOR, {1: q1, 2: q2}, max_weight)
     f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
@@ -361,7 +348,7 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
                         pv = split.P.apply(vec if tail is None else amb.mul(vec, tail))
                         if pv:
                             lin_acc(acc.setdefault(bword + tword, {}), pv, cm)
-            taylor[k] = pushed_map(cinf.space, Csp, 0, k, TENSOR, acc.items())
+            taylor[k] = MultilinearMap(cinf.space, Csp, 0, k, TENSOR).store(acc)
         return taylor
 
     G_as = OoMorphism(cas, structure, g_taylor(lambda m: sign_pow(m + 1)))
@@ -458,14 +445,26 @@ def _derived_brackets(split: Splitting, max_weight: int) -> dict:
     first = {(a,): M.d.value(a) for a in split.complement_names if M.d.value(a)}
     scale, bracket = right_products(M.bracket)
     levels = prefix_products(bracket, first, split.complement_names, max_weight - 1, Asp.degree)
-    return {k: pushed_map(Asp, Asp, 1, k, SYMMETRIC,
-                          ((word, unscaled(split.P.apply(vec), scale ** (k - 1)))
-                           for word, vec in level.items()))
+    return {k: MultilinearMap(Asp, Asp, 1, k, SYMMETRIC).store(
+                {word: split.P.apply(vec) for word, vec in level.items()},
+                Fraction(1, scale ** (k - 1)))
             for k, level in enumerate(levels[:max_weight], 1)}
 
 
 # ---------------------------------------------------------------------------
 # semidirect products
+
+
+def _pure_words(first: dict, second: dict, max_weight: int) -> dict:
+    """{k: table} for k <= max_weight on a two-block space: the Taylor family
+    first on the a: words and second on the b: words, the tables to which
+    the semidirect and fiber products add their mixed words."""
+    words = {k: {} for k in range(1, max_weight + 1)}
+    for family, prefix in ((first, A_PRE), (second, B_PRE)):
+        for k, q in family.items():
+            if k <= max_weight:
+                words[k].update(prefixed(q.entries, prefix))
+    return words
 
 
 def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
@@ -485,19 +484,19 @@ def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
     space = pair_space(I.space, M.space)
     ideg = I.space.degree
     mdeg = M.space.degree
-    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC)
-              for k in range(1, max_weight + 1)}
-    for k, qk in taylor.items():
-        add_prefixed(qk, I.taylor.get(k), A_PRE)
-        add_prefixed(qk, M.taylor.get(k), B_PRE)
+    words = _pure_words(I.taylor, M.taylor, max_weight)
     for (lm, li), comp in action.comps.items():
         if lm and lm + li <= max_weight:
             for (mword, iword), act in comp.items():
                 # formula order is (m-block, i-block); the canonical word is
-                # (i-block, m-block): block swap Koszul sign
+                # (i-block, m-block): block swap Koszul sign.  With li = 0
+                # the word is pure-M, next to M's own entry
                 sw = sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)
                 key = tuple(A_PRE + n for n in iword) + tuple(B_PRE + n for n in mword)
-                taylor[lm + li].add_entry(key, prefix_vector(act, A_PRE), sign_pow(sw))
+                lin_acc(words[lm + li].setdefault(key, {}), prefix_vector(act, A_PRE),
+                        sign_pow(sw))
+    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
+              for k, table in words.items()}
     out = OoStructure(space, SYMMETRIC, taylor, max_weight)
     if validate:
         rep = check_structure(out)
@@ -528,14 +527,9 @@ def strictify_fibration(F: OoMorphism):
     g_taylor = {1: multilinear_from_graded_map(
         GradedMap.identity(F.source.space), F.flavor)}
     for k, fk in F.taylor.items():
-        if k == 1:
-            continue
-        gk = MultilinearMap(F.source.space, F.source.space, 0, k, F.flavor)
-        for word, vec in fk.entries.items():
-            back = r.apply(vec)
-            if back:
-                gk.set_entry(word, back)
-        g_taylor[k] = gk
+        if k > 1:
+            g_taylor[k] = MultilinearMap(F.source.space, F.source.space, 0, k, F.flavor).store(
+                {word: r.apply(vec) for word, vec in fk.entries.items()})
     dummy_target = OoStructure(F.source.space, F.flavor, {}, F.max_weight)
     G_raw = OoMorphism(F.source, dummy_target, g_taylor)
     tilde = transport_structure(G_raw, F.max_weight)
@@ -567,15 +561,10 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     space = pair_space(Asp, base.space)
     adeg = Asp.degree
     xdeg = base.space.degree
-    phi = _derived_brackets(split, max_weight)
     scale, bracket = right_products(M.bracket)
-    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC)
-              for k in range(1, max_weight + 1)}
-    for k, qk in taylor.items():
-        # pure-A words: the derived brackets; pure-x words: base q_k here,
-        # P s f_k at level 0 of the walks below
-        add_prefixed(qk, phi[k], A_PRE)
-        add_prefixed(qk, base.taylor.get(k), B_PRE)
+    # pure-A words: the derived brackets; pure-x words: base q_k here,
+    # P s f_k at level 0 of the walks below
+    words = _pure_words(_derived_brackets(split, max_weight), base.taylor, max_weight)
     for j, fj in F.taylor.items():
         for xword, sf in fj.entries.items() if j <= max_weight else ():
             xkey = tuple(B_PRE + x for x in xword)
@@ -586,12 +575,14 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
             for n, level in enumerate(levels):
                 for aword, vec in level.items():
                     val = unscaled(split.P.apply(vec), scale ** n)
-                    if val:
-                        # formula order (x-block, a-block); canonical is (a, x)
-                        sw = sum(adeg[a] for a in aword) * xsum
-                        taylor[j + n].add_entry(tuple(A_PRE + a for a in aword) + xkey,
-                                                prefix_vector(val, A_PRE), sign_pow(sw))
+                    # formula order (x-block, a-block); canonical is (a, x)
+                    sw = sum(adeg[a] for a in aword) * xsum
+                    lin_acc(words[j + n].setdefault(tuple(A_PRE + a for a in aword) + xkey, {}),
+                            prefix_vector(val, A_PRE), sign_pow(sw))
+    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
+              for k, table in words.items()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
+
 
 
 __all__ = [

@@ -11,6 +11,9 @@ vectors (`right_products`) or of GradedMaps, is grown letter by letter by
 `prefix_products`.
 All arithmetic is exact: every stored coefficient is an `int` when it is
 integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
+Every built multilinear map is written through one checked write,
+`MultilinearMap.store`, which takes a finished {canonical word: vector}
+table and a factor; `set_entry` is one normalized word of it.
 Objects are treated as immutable once built, so sharing between threads is
 safe.
 """
@@ -628,42 +631,35 @@ class MultilinearMap:
             raise MalformedInput("expected %d arguments, got %d" % (self.arity, len(names)))
         if self.flavor == TENSOR:
             return tuple(names), 1
-        return sym_normalize(names, self.source.index, self.source.degree) or (None, 0)
+        try:
+            return sym_normalize(names, self.source.index, self.source.degree) or (None, 0)
+        except KeyError as err:
+            raise MalformedInput("unknown source basis element %r" % err.args[0]) from None
 
     def set_entry(self, names, vec: dict):
-        self._write(names, *self.normalize(names), vec)
-
-    def add_entry(self, names, vec: dict, coeff=1):
-        key, sign = self.normalize(names)
-        if key is not None:
-            self._write(names, key, 1, lin_acc(dict(self.entries.get(key, {})), vec, coeff * sign))
-
-    def _write(self, names, key, sign, vec: dict):
-        """set_entry's checked write, on the key and sign normalize gave."""
+        """entries[names] = vec, on the canonical word with its Koszul sign."""
         if any(isinstance(c, float) for c in vec.values()):
             raise MalformedInput("float coefficient rejected (exact arithmetic only)")
-        vec = {n: exact(c) if sign == 1 else -exact(c) for n, c in vec.items() if c}
-        if key is None:
-            if vec:
-                raise MalformedInput("word %r is zero in the symmetric algebra" % (names,))
-            return
-        want = sum(self.source.degree[n] for n in key) + self.degree
-        for out, c in vec.items():
-            if self.target.degree[out] != want:
-                raise MalformedInput("arity-%d map of degree %d sends %r to %r: degree mismatch"
-                                     % (self.arity, self.degree, names, out))
-        if vec:
-            self.entries[key] = vec
-        else:
-            self.entries.pop(key, None)
+        key, sign = self.normalize(names)
+        if key is not None:
+            self.store({key: vec}, sign)
+        elif any(vec.values()):
+            raise MalformedInput("word %r is zero in the symmetric algebra" % (names,))
 
-    def store(self, words: dict, factor):
-        """The builders' bulk write: entries[w] = factor * words[w] for int
-        vectors at one scale D and factor = p/q the arity's coefficient over
-        D, one exact division Fraction(v p, q) per coefficient (`unscaled`).
-        One pass checks what set_entry checks on each write (arity, source
-        names, canonical word of S(V), target degree) before anything is
-        stored, and raises MalformedInput."""
+    def add_entry(self, names, vec: dict, coeff=1):
+        """entries[names] += coeff * vec, for input read word by word (fmt)."""
+        key, sign = self.normalize(names)
+        if key is not None:
+            self.store({key: lin_acc(dict(self.entries.get(key, {})), vec, coeff * sign)})
+
+    def store(self, words: dict, factor=1) -> "MultilinearMap":
+        """The one checked write: entries[w] = factor * words[w] for a table
+        {canonical word: int or Fraction vector}, one exact division
+        Fraction(v p, q) per coefficient for factor = p/q, zero coefficients
+        dropped and a word whose vector is zero removed.  A builder passes
+        ints at one scale D with the factor over D.  One pass checks arity,
+        source names, canonical words of S(V) and target degrees before
+        anything is stored, and raises MalformedInput.  Returns the map."""
         p, q = factor.numerator, factor.denominator
         sdeg, tdeg, index = self.source.degree, self.target.degree, self.source.index
         sym, out = self.flavor == SYMMETRIC, {}
@@ -678,10 +674,12 @@ class MultilinearMap:
             if not ok:
                 raise MalformedInput("arity-%d map: %r -> %r is not a canonical word or has "
                                      "a degree mismatch" % (self.arity, key, vec))
-            if vec:
-                out[key] = {y: c * p for y, c in vec.items()} if q == 1 else \
-                    {y: exact(Fraction(c * p, q)) for y, c in vec.items()}
+            out[key] = {y: exact(c * p) for y, c in vec.items() if c} if q == 1 else \
+                {y: exact(Fraction(c * p, q)) for y, c in vec.items() if c}
         self.entries.update(out)
+        for key in [key for key, vec in out.items() if not vec]:
+            del self.entries[key]
+        return self
 
     def value(self, names) -> dict:
         key, sign = self.normalize(names)
@@ -715,16 +713,13 @@ class MultilinearMap:
         the sort times stab(w), the number of orderings of w that give K."""
         if self.flavor != TENSOR:
             raise MalformedInput("can only symmetrize a tensor-flavor map")
-        out = MultilinearMap(self.source, self.target, self.degree, self.arity, SYMMETRIC)
         acc: dict = {}
         for key, vec in self.entries.items():
             got = sym_normalize(key, self.source.index, self.source.degree)
             if got is not None:
                 lin_acc(acc.setdefault(got[0], {}), vec, got[1] * stabilizer(got[0]))
-        for word, vec in acc.items():
-            if vec:
-                out.set_entry(word, vec)
-        return out
+        return MultilinearMap(self.source, self.target, self.degree, self.arity,
+                              SYMMETRIC).store(acc)
 
     def is_zero(self) -> bool:
         return all(not any(v.values()) for v in self.entries.values())
@@ -744,10 +739,8 @@ class MultilinearMap:
 
 
 def multilinear_from_graded_map(gm: GradedMap, flavor: str) -> MultilinearMap:
-    out = MultilinearMap(gm.source, gm.target, gm.degree, 1, flavor)
-    for name, vec in gm.entries.items():
-        out.set_entry((name,), vec)
-    return out
+    return MultilinearMap(gm.source, gm.target, gm.degree, 1, flavor).store(
+        {(name,): vec for name, vec in gm.entries.items()})
 
 
 def linear_part(f, source: GradedSpace, target: GradedSpace, degree: int) -> GradedMap:
@@ -759,12 +752,11 @@ def linear_part(f, source: GradedSpace, target: GradedSpace, degree: int) -> Gra
     return out
 
 
-def add_prefixed(dst: MultilinearMap, src, prefix: str):
-    """dst += src on the block of a pair space whose names carry `prefix`
-    (a None src adds nothing)."""
-    if src is not None:
-        for word, vec in src.entries.items():
-            dst.add_entry(tuple(prefix + n for n in word), prefix_vector(vec, prefix))
+def prefixed(entries: dict, prefix: str) -> dict:
+    """A map's {word: vector} entries on the block of a pair space whose
+    names carry `prefix`, as a table for MultilinearMap.store."""
+    return {tuple(prefix + n for n in word): prefix_vector(vec, prefix)
+            for word, vec in entries.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1014,7 @@ __all__ = [
     "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
-    "linear_part", "add_prefixed",
+    "linear_part", "prefixed",
     "Report", "first_witness", "check_map_identity", "Contraction", "check_contraction",
     "rref", "solve_matrix", "map_solve", "map_right_inverse", "map_kernel_basis",
 ]

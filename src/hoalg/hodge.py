@@ -18,16 +18,16 @@ from math import comb, factorial, prod
 
 from .coalg import (
     DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla,
-    end_preserving_sub_dgla, in_basis_order, pushed_map, symmetrize_structure,
+    end_preserving_sub_dgla, symmetrize_structure,
 )
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
-    graded_map_to_elementary, add_prefixed, hom_space, lin_acc, lin_scale, lin_single,
+    graded_map_to_elementary, hom_space, lin_acc, lin_scale, lin_single,
     linear_part, map_kernel_basis, merge_words, pair_space, prefix_products, prefix_vector,
-    sign_pow,
+    prefixed, sign_pow,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -557,9 +557,9 @@ def _cut_sums(space: GradedSpace, pairs) -> dict:
 def _hom_map(source: GradedSpace, target: GradedSpace, k: int, maps: dict, w_names,
              a_names, coeff=1) -> MultilinearMap:
     """The symmetric arity-k map source -> target with coeff times the
-    Hom(W, A) entries of maps[word] on each word, written in basis order."""
-    return pushed_map(source, target, 0, k, SYMMETRIC, in_basis_order(source, {
-        T: lin_scale(_restrict_to_hom(gm, w_names, a_names), coeff) for T, gm in maps.items()}))
+    Hom(W, A) entries of maps[word] on each (sorted) word."""
+    return MultilinearMap(source, target, 0, k, SYMMETRIC).store(
+        {T: _restrict_to_hom(gm, w_names, a_names) for T, gm in maps.items()}, coeff)
 
 
 def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int, heads,
@@ -787,14 +787,13 @@ def _fiber_model(base: OoStructure, space: GradedSpace, max_weight: int, chains:
     (key, fiber vector) pairs of mixed[k], for every arity k <= max_weight."""
     taylor = {}
     for k in range(1, max_weight + 1):
-        qk = MultilinearMap(space, space, 1, k, SYMMETRIC)
-        add_prefixed(qk, base.taylor.get(k), A_PRE)
+        # a chain's a: word may also carry base q_k, so the two are summed
+        table = prefixed(base.taylor[k].entries if k in base.taylor else {}, A_PRE)
         terms = [(tuple(A_PRE + x for x in word), vec)
                  for word, vec in chains.get(k, {}).items()]
         for key, vec in terms + mixed.get(k, []):
-            if vec:
-                qk.add_entry(key, prefix_vector(vec, B_PRE))
-        taylor[k] = qk
+            lin_acc(table.setdefault(key, {}), prefix_vector(vec, B_PRE))
+        taylor[k] = MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 

@@ -4,7 +4,8 @@ Transferred structure and quasi-isomorphism into the big side via the
 recursions f_k = sum_{j>=2} K q_j F^j_k, r_k = sum_{j>=2} g_1 q_j F^j_k;
 recursive quasi-inverse G with G F = Id in the tensor flavor.  Each weight
 is filled from the lower ones, and in both flavors the sums are pushed from
-the Taylor supports (coalg.product_terms, coalg.push_insertion).
+the Taylor supports by the kernels coalg._product and coalg._insertion, whose
+int output is stored at its scale through coalg.pushed_map.
 
 The homotopy word operator is the arity-consistent
 K_k = sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)}; the test suite pins this
@@ -14,13 +15,12 @@ choice through G F = Id and the closed-form nested-projection inverse.
 from __future__ import annotations
 
 from .coalg import (
-    OoMorphism, OoStructure, in_basis_order, preimage_words, preimages, product_terms,
-    push_insertion, pushed_map,
+    OoMorphism, OoStructure, Scaled, _insertion, _product, preimage_words, preimages,
+    pushed_map,
 )
 from .graded import (
-    Contraction, MalformedInput, MultilinearMap, RejectedInput, TENSOR,
-    UnsupportedOperation, check_contraction, lin_acc,
-    multilinear_from_graded_map,
+    Contraction, MalformedInput, RejectedInput, TENSOR, UnsupportedOperation,
+    check_contraction, lin_acc, multilinear_from_graded_map,
 )
 
 
@@ -51,16 +51,11 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     if not c.d_small.is_zero():
         small.taylor[1] = multilinear_from_graded_map(c.d_small, flavor)
     F = OoMorphism(small, big, {1: multilinear_from_graded_map(c.inject, flavor)})
+    q = Scaled(big.taylor, mw)
     for k in range(2, mw + 1):
-        fk = MultilinearMap(c.small, c.big, 0, k, flavor)
-        rk = MultilinearMap(c.small, c.small, 1, k, flavor)
-        for word, acc in product_terms(big.taylor, F, k, 2):
-            kv = c.homotopy.apply(acc)
-            gv = c.project.apply(acc)
-            if kv:
-                fk.add_entry(word, kv)
-            if gv:
-                rk.add_entry(word, gv)
+        pushed = _product(q, Scaled(F.taylor, k), k, 2)
+        fk = pushed_map(c.small, c.big, 0, k, flavor, pushed, c.homotopy.apply)
+        rk = pushed_map(c.small, c.small, 1, k, flavor, pushed, c.project.apply)
         if not fk.is_zero():
             F.taylor[k] = fk
         if not rk.is_zero():
@@ -105,15 +100,17 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     inv_k = preimages(c.homotopy.entries)
     fg = multilinear_from_graded_map(c.inject.compose(c.project), TENSOR)
     inv_fg = {1: preimages(fg.entries)}
+    q = Scaled(big.taylor, mw)
     for k in range(2, mw + 1):
         # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),
-        # then pulled back along K_k through its transpose
+        # then pulled back along K_k through its transpose, at the same scale
+        inserted, scale = _insertion(Scaled(G.taylor, k), q, k)
         pushed: dict = {}
-        for tup, vec in push_insertion(G.taylor, big.taylor, k).items():
+        for tup, vec in inserted.items():
             if vec:
                 for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, big.space):
                     lin_acc(pushed.setdefault(word, {}), vec, cf)
-        gk = pushed_map(big.space, small.space, 0, k, TENSOR, in_basis_order(big.space, pushed))
+        gk = pushed_map(big.space, small.space, 0, k, TENSOR, (pushed, scale))
         if not gk.is_zero():
             G.taylor[k] = gk
     return G

@@ -30,7 +30,7 @@ from hoalg.coalg import (
 from hoalg.cocone import A_PRE, B_PRE, CoderAction, _cocone_q1, cocone_associative
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, Report, SYMMETRIC, TENSOR,
-    add_prefixed, bernoulli, elementary_to_graded_map, first_witness, format_vector,
+    bernoulli, elementary_to_graded_map, first_witness, format_vector,
     hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single, linear_part,
     map_right_inverse, multilinear_from_graded_map, pair_space, prefix_vector, sign_pow,
     sym_words, unshuffles,
@@ -40,6 +40,14 @@ from hoalg.mc import ArtinElement
 
 # (j, k, word) -> component value, per structure or morphism
 _MEMOS = weakref.WeakKeyDictionary()
+
+
+def add_prefixed(dst: MultilinearMap, src, prefix: str):
+    """dst += src on the block of a pair space whose names carry `prefix`,
+    word by word (a None src adds nothing)."""
+    if src is not None:
+        for word, vec in src.entries.items():
+            dst.add_entry(tuple(prefix + n for n in word), prefix_vector(vec, prefix))
 
 
 def nested(op, vec: dict, names) -> dict:

@@ -637,7 +637,7 @@ def test_invert_morphism_roundtrip():
 def test_invert_morphism_grows_one_live_inverse():
     # the inverse is pushed from the supports while H grows weight by weight:
     # in both flavors it equals the word-by-word pull build coefficient for
-    # coefficient, written in basis order
+    # coefficient
     E, L = exp_log_isos(random_dga_morphism(3, 2), max_weight=4)
     H = invert_morphism(E, 4)
     assert all(H.taylor.get(k) == L.taylor.get(k) for k in range(1, 5))
@@ -646,10 +646,8 @@ def test_invert_morphism_grows_one_live_inverse():
     for F, G in ((E, H), (sE, sH)):
         oracle = pull_invert(F, 4)
         assert set(G.taylor) == set(oracle.taylor) == {1, 2, 3, 4}
-        index = G.source.space.index
         for k, gk in G.taylor.items():
             assert gk.entries == oracle.taylor[k].entries, (F.flavor, k)
-            assert list(gk.entries) == sorted(gk.entries, key=lambda w: [index[n] for n in w])
     assert all(sH.taylor.get(k) == L.taylor[k].symmetrized() for k in range(1, 5))
     # every stored coefficient is an int or a non-integral Fraction
     stored = [c for m in (E, L, H, sH) for q in m.taylor.values()

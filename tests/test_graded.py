@@ -435,6 +435,14 @@ def test_set_and_add_entry_normalize_once_and_sign_odd_swaps():
         q.set_entry(("x", "x"), {"z": 1})           # zero in S(V)
     with pytest.raises(MalformedInput):
         q.set_entry(("x", "y"), {"z": 0.0})
+    # an unknown source or target name is malformed input in both flavors
+    for m in (q, MultilinearMap(V, V, 0, 2, TENSOR)):
+        for write in (m.set_entry, m.add_entry):
+            with pytest.raises(MalformedInput):
+                write(("x", "nope"), {"z": 1})                  # unknown source
+            with pytest.raises(MalformedInput):
+                write(("x", "y"), {"nope": 1})                  # unknown target
+    assert q.entries == {("z", "w"): {"z": 4}}
 
 
 def _store_maps():
@@ -455,6 +463,13 @@ def test_store_divides_once_per_coefficient():
     # a store writes next to what is there, as set_entry does per word
     ten.store({("w", "z"): {"z": 1}}, 1)
     assert ten.entries == {("y", "x"): {"z": 15}, ("w", "z"): {"z": 1}}
+    # at an integral factor it takes Fraction vectors and stores canonical
+    # values, and it returns the map
+    assert ten.store({("x", "y"): {"z": Fraction(1, 2)}}, 2) is ten
+    assert ten.store({("y", "x"): {"z": Fraction(1, 3)}}) is ten
+    assert ten.entries == {("y", "x"): {"z": Fraction(1, 3)}, ("w", "z"): {"z": 1},
+                           ("x", "y"): {"z": 1}}
+    assert type(ten.entries[("x", "y")]["z"]) is int
 
 
 # set_entry sorts its words and reads an odd repeat as zero; the bulk write

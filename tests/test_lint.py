@@ -5,8 +5,8 @@ word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
 every true division sits on a reviewed site, the word-by-word pull path,
 its memos and the per-word nested products stay out of the library,
 sorted words are merged, not re-sorted, no library function enumerates
-basis words, and the cocone builders store each arity through one bulk
-write."""
+basis words, and every Taylor-map builder stores each arity through the one
+checked write, MultilinearMap.store."""
 
 from __future__ import annotations
 
@@ -199,19 +199,56 @@ def test_no_basis_word_enumeration_in_library():
     assert "itertools" not in _names(_tree(SRC / "transfer.py"))
 
 
-# The three cocone builders grow their products as ints at one scale and
-# store each arity once, through the one checked bulk write
-# MultilinearMap.store; they make no per-entry write and no per-entry
-# Fraction product.
-COCONE_BUILDERS = {"fm_cocone_lie", "fm_cocone_assoc", "exp_log_isos"}
-BULK_STORE_SITES = {("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
-                    ("cocone", "exp_log_isos.word_maps")}
+# Every library builder of a Taylor map hands MultilinearMap.store, the one
+# checked write, a finished {canonical word: vector} table per arity, either
+# itself or through coalg.pushed_map, which stores a push kernel's int output
+# at its scale.  The builders make no per-entry write (set_entry, add_entry)
+# and no per-entry Fraction product (lin_scale).  add_entry serves the
+# parser only, and the retired per-word writers stay gone.
+STORE_BUILDERS = {
+    ("coalg", "compose_morphisms"), ("coalg", "invert_morphism"),
+    ("coalg", "transport_structure"), ("coalg", "_decalage"),
+    ("coalg", "decalage_dgla_morphism"), ("coalg", "sub_algebra"),
+    ("transfer", "transfer_structure"), ("transfer", "transfer_quasi_inverse"),
+    ("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"), ("cocone", "exp_log_isos"),
+    ("cocone", "_cocone_q1"), ("cocone", "derived_products_model"),
+    ("cocone", "_derived_brackets"), ("cocone", "semidirect_product"),
+    ("cocone", "fiber_product_model"), ("cocone", "strictify_fibration"),
+    ("hodge", "_hom_map"), ("hodge", "_fiber_model"),
+    ("graded", "multilinear_from_graded_map"),
+}
+BULK_STORE_SITES = {
+    ("graded", "MultilinearMap.set_entry"), ("graded", "MultilinearMap.add_entry"),
+    ("graded", "MultilinearMap.symmetrized"), ("graded", "multilinear_from_graded_map"),
+    ("coalg", "pushed_map"), ("coalg", "_decalage"), ("coalg", "decalage_dgla_morphism"),
+    ("coalg", "sub_algebra"),
+    ("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
+    ("cocone", "exp_log_isos.word_maps"), ("cocone", "_cocone_q1"),
+    ("cocone", "cocone_associative"), ("cocone", "derived_products_model"),
+    ("cocone", "derived_products_model.g_taylor"), ("cocone", "_derived_brackets"),
+    ("cocone", "semidirect_product"), ("cocone", "fiber_product_model"),
+    ("cocone", "strictify_fibration"),
+    ("hodge", "_hom_map"), ("hodge", "_fiber_model"),
+}
+PUSHED_MAP_SITES = {
+    ("coalg", "compose_morphisms"), ("coalg", "invert_morphism"),
+    ("coalg", "transport_structure"),
+    ("transfer", "transfer_structure"), ("transfer", "transfer_quasi_inverse"),
+}
+RETIRED_WRITERS = {"_write", "add_prefixed", "product_terms"}
 
 
 @pytest.mark.parametrize("name", ["set_entry", "add_entry", "lin_scale"])
 def test_cocone_builders_write_in_bulk(name):
     found = set().union(*(_call_sites(p, "store") for p in MODULES))
     assert found == BULK_STORE_SITES
-    builders = {(module, scope) for module, scope in _call_sites(SRC / "cocone.py", name)
-                if scope.split(".")[0] in COCONE_BUILDERS}
-    assert builders == set()
+    found = set().union(*(_call_sites(p, "pushed_map") for p in MODULES))
+    assert found == PUSHED_MAP_SITES
+    calls = set().union(*(_call_sites(p, name) for p in MODULES))
+    assert {(module, scope) for module, scope in calls
+            if (module, scope.split(".")[0]) in STORE_BUILDERS} == set()
+    if name == "add_entry":
+        assert {site for site in calls if site[0] != "graded"} == {("fmt", "_parse_multilinear")}
+    named = {p.name: sorted((_names(_tree(p)) | _defined(_tree(p))) & RETIRED_WRITERS)
+             for p in MODULES}
+    assert {module: hits for module, hits in named.items() if hits} == {}
