@@ -38,11 +38,6 @@ from .mc import ArtinElement, ArtinRing, mc_check, mc_extend, cocone_mc_correspo
 from .transfer import transfer_quasi_inverse, transfer_structure
 
 
-class _Exit(Exception):
-    def __init__(self, code):
-        self.code = code
-
-
 def _emit(out, reports, machine: bool, extra_lines=()):
     ok = all(r.ok for r in reports)
     for r in reports:

@@ -683,12 +683,16 @@ class MultilinearMap:
 
     def value(self, names) -> dict:
         key, sign = self.normalize(names)
-        if key is None:
-            return {}
         vec = self.entries.get(key)
-        if not vec:
-            return {}
-        return vec if sign == 1 else lin_scale(vec, sign)
+        if vec:
+            return vec if sign == 1 else lin_scale(vec, sign)
+        # a stored word has known names, and normalize has read every name of
+        # a symmetric word, so only a tensor miss is checked
+        if self.flavor == TENSOR:
+            for n in key:
+                if n not in self.source.degree:
+                    raise MalformedInput("unknown source basis element %r" % n)
+        return {}
 
     def apply_vectors(self, vectors) -> dict:
         """Full multilinear expansion on a list of combinations."""

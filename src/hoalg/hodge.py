@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .coalg import (
     DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla,
@@ -23,9 +23,9 @@ from .coalg import (
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity, compositions,
+    Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
-    graded_map_to_elementary, hom_space, lin_acc, lin_scale, lin_single,
+    graded_map_to_elementary, hom_space, lin_acc, lin_add, lin_scale, lin_single,
     linear_part, map_kernel_basis, merge_words, pair_space, prefix_products, prefix_vector,
     prefixed, sign_pow,
 )
@@ -474,38 +474,6 @@ def psi_obstruction(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     return _restrict_to_top_block(pkg, pi_eta.compose(power).compose(iota_xi))
 
 
-def psi_double_sum(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
-                   eta: ArtinElement):
-    """Independent evaluation of psi as the explicit finite double sum."""
-    ring = xi.ring
-    _, l_xi = cartan_artin_maps(c, xi)
-    _, l_eta = cartan_artin_maps(c, eta)
-    i_diff = _artin_op(c.V, c.i, xi.plus(eta.scaled(-1)))
-    h = ArtinMap.from_graded(ring, pkg.h)
-    iota = ArtinMap.from_graded(ring, pkg.iota)
-    pi = ArtinMap.from_graded(ring, pkg.pi)
-    total = ArtinMap(ring, pkg.H, pkg.H)
-    lh = l_eta.compose(h)
-    hl = h.compose(l_xi)
-    power = ArtinMap.identity(ring, pkg.A)
-    for _ in range(pkg.n):
-        power = i_diff.compose(power)
-    left_terms = []
-    cur = pi
-    while not cur.is_zero():
-        left_terms.append(cur)
-        cur = cur.compose(lh)
-    right_terms = []
-    cur = iota
-    while not cur.is_zero():
-        right_terms.append(cur)
-        cur = hl.compose(cur)
-    for lt in left_terms:
-        for rt in right_terms:
-            total = total.plus(lt.compose(power).compose(rt))
-    return _restrict_to_top_block(pkg, total)
-
-
 def _restrict_to_top_block(pkg: HodgePackage, op: ArtinMap) -> ArtinMap:
     """The operator H (x) B -> H (x) B restricted to the (n, 0) harmonic block."""
     keep = set(pkg.harmonic_names(p=pkg.n, q=0))
@@ -533,25 +501,50 @@ def _restrict_to_hom(gm: GradedMap, w_names, a_names) -> dict:
 
 
 def _cut_sums(space: GradedSpace, pairs) -> dict:
-    """{T: sum of w(B, T) . heads[B] o tails[S]} over the (heads, tails) memo
-    pairs and their keys B, S, for T the sorted word of B + S, zero sums
-    dropped.  T and w(B, T) are the merge of B and S (graded.merge_words):
-    w(B, T) is the Koszul sign of the merge times the number of ways to
-    pick B out of T, so if heads[B] and tails[S] sum the signed orderings of
-    B and S, the sum at T is the signed sum over the orderings of T, grouped
-    by the content of the first |B| letters.  Only nonzero memo entries are
-    visited."""
+    """{T: sum of coeff w(B, T) . heads[B] o tails[S]} over the memo pairs
+    (heads, tails, coeff) and their keys B, S, for T the sorted word of
+    B + S, zero sums dropped.  T and w(B, T) are the merge of B and S
+    (graded.merge_words): w(B, T) is the Koszul sign of the merge times the
+    number of ways to pick B out of T, so if heads[B] and tails[S] sum the
+    signed orderings of B and S, the sum at T is the signed sum over the
+    orderings of T, grouped by the content of the first |B| letters.  Only
+    nonzero memo entries are visited.
+
+    Each sum is one entries dict per T, summed in place: the term of (h, t)
+    adds coeff w t(s)[y] . h(y) to row s for every nonzero t(s)[y] (lin_acc).
+    Each nonzero sum is wrapped in a GradedMap once, with the source, target
+    and degree of its first term, since the degree depends on T's letters.
+    As in GradedMap.compose, sums of composites of checked maps are exact,
+    zero-free and of the right degree, so the rows are stored unchecked."""
     acc: dict = {}
+    shapes: dict = {}
     index, degree = space.index, space.degree
-    for heads, tails in pairs:
+    for heads, tails, coeff in pairs:
         for B, h in heads.items():
+            images = h.entries
             for S, t in tails.items():
                 got = merge_words(B, S, index, degree)
-                if got is not None:
-                    T, w = got
-                    term = h.compose(t)
-                    acc[T] = acc[T].add(term, w) if T in acc else term.scale(w)
-    return {T: gm for T, gm in acc.items() if not gm.is_zero()}
+                if got is None:
+                    continue
+                T, w = got
+                w *= coeff
+                rows = acc.get(T)
+                if rows is None:
+                    rows = acc[T] = {}
+                    shapes[T] = (t.source, h.target, h.degree + t.degree)
+                for s, vec in t.entries.items():
+                    row = rows.setdefault(s, {})
+                    for y, c in vec.items():
+                        img = images.get(y)
+                        if img:
+                            lin_acc(row, img, w * c)
+    sums = {}
+    for T, rows in acc.items():
+        rows = {s: row for s, row in rows.items() if row}
+        if rows:
+            sums[T] = GradedMap(*shapes[T])
+            sums[T].entries = rows
+    return sums
 
 
 def _hom_map(source: GradedSpace, target: GradedSpace, k: int, maps: dict, w_names,
@@ -589,8 +582,8 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
     taylor = {}
     for k in range(1, max_weight + 1):
         if k <= max_weight - min(heads):
-            tails.append(_cut_sums(space, [(singles, tails[k - 1])]))
-        total = _cut_sums(space, [(lefts[j], tails[k - j]) for j in heads if j <= k])
+            tails.append(_cut_sums(space, [(singles, tails[k - 1], 1)]))
+        total = _cut_sums(space, [(lefts[j], tails[k - j], 1) for j in heads if j <= k])
         taylor[k] = _hom_map(space, target, k, total, w_names, a_names)
     return taylor
 
@@ -598,25 +591,40 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
 def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
                           max_weight: int = 6) -> OoStructure:
     """A-infinity[1] structure on Hom*(W, A) for the splitting
-    End(V) = End(V; W) (+) Hom(W, A): q1 = the projected commutator with d,
-    q2 the derived product P([d, f1] f2), zero above arity two."""
+    End(V) = End(V; W) (+) Hom(W, A): q1 = the projected commutator P[d, -],
+    q2 the derived product P([d, f1] f2), zero above arity two.
+
+    Both arities are pushed from the nonzero entries d(u)[y] of d.  For the
+    elementary map E = t<-s (s in W, t in A) of degree e = |t| - |s|,
+
+        q1(t<-s) = sum_{a in A} d(t)[a] . a<-s - (-1)^e sum_{u in W} d(u)[s] . t<-u,
+        q2(t<-s, t2<-s2) = -(-1)^e d(t2)[s] . t<-s2,
+
+    so the A -> A and W -> W entries of d feed q1, and only its A -> W
+    entries reach q2: the d o E part of [d, E](t2) vanishes, because t2 is in
+    A and E reads s in W only.  Each arity is one table and one store."""
     hom = hom_space(a_names, w_names, V)
-    aset = set(a_names)
-    q1 = MultilinearMap(hom, hom, 1, 1, TENSOR)
-    q2 = MultilinearMap(hom, hom, 1, 2, TENSOR)
-    for n1 in hom.names:
-        comm = d.commutator(
-            elementary_to_graded_map(lin_single(n1), hom, V, V, hom.degree[n1]))
-        vec = _restrict_to_hom(comm, w_names, a_names)
-        if vec:
-            q1.set_entry((n1,), vec)
-        # [d, f1] o (t<-s) sends s to [d, f1](t) and the rest of V to zero
-        for n2 in hom.names:
-            t, s = n2.split("<-")
-            vec = {"%s<-%s" % (a, s): c for a, c in comm.value(t).items() if a in aset}
-            if vec:
-                q2.set_entry((n1, n2), vec)
-    return OoStructure(hom, TENSOR, {1: q1, 2: q2}, max_weight)
+    wset, aset = set(w_names), set(a_names)
+    deg = V.degree
+    q1: dict = {}
+    q2: dict = {}
+    for u, img in d.entries.items():
+        for y, c in img.items():
+            if u in aset and y in aset:      # d o E on E = u<-s
+                for s in w_names:
+                    lin_add(q1.setdefault(("%s<-%s" % (u, s),), {}), "%s<-%s" % (y, s), c)
+            elif u in wset and y in wset:    # E o d on E = t<-y
+                for t in a_names:
+                    lin_add(q1.setdefault(("%s<-%s" % (t, y),), {}), "%s<-%s" % (t, u),
+                            -sign_pow(deg[t] - deg[y]) * c)
+            elif u in aset and y in wset:    # [d, t<-y] o (u<-s2)
+                for t in a_names:
+                    coeff = -sign_pow(deg[t] - deg[y]) * c
+                    for s2 in w_names:
+                        q2[("%s<-%s" % (t, y), "%s<-%s" % (u, s2))] = {"%s<-%s" % (t, s2): coeff}
+    return OoStructure(hom, TENSOR, {1: MultilinearMap(hom, hom, 1, 1, TENSOR).store(q1),
+                                     2: MultilinearMap(hom, hom, 1, 2, TENSOR).store(q2)},
+                       max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +647,8 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
         SymR(()) = P-perp, I(()) = id,
 
     memoized by length where nonzero, for this call only, shortest first.
+    The chains hold |T|! SymR(T), so their weights are the ints -C(|T|, |B|),
+    and (-1)^k / k! is applied once, when pi_k is stored.
 
     Returns (morphism L[1] -> Hom*(W, A), target structure): the target is the
     symmetrized derived-product structure of the splitting
@@ -658,25 +668,13 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     chains = [{(): fpd.Pperp}]
     taylor = {}
     for k in range(1, max_weight + 1):
-        contractions.append(_cut_sums(space, [(letters, contractions[k - 1])]))
-        scale = Fraction(-1, factorial(k))
-        blocks.append({B: fpd.P.compose(I).scale(scale) for B, I in contractions[k].items()})
-        chains.append(_cut_sums(space, [(blocks[j], chains[k - j]) for j in range(1, k + 1)]))
+        contractions.append(_cut_sums(space, [(letters, contractions[k - 1], 1)]))
+        blocks.append({B: fpd.P.compose(I) for B, I in contractions[k].items()})
+        chains.append(_cut_sums(space, [(blocks[j], chains[k - j], -comb(k, j))
+                                        for j in range(1, k + 1)]))
         taylor[k] = _hom_map(space, target.space, k, chains[k], fpd.w_names, fpd.a_names,
-                             sign_pow(k))
+                             Fraction(sign_pow(k), factorial(k)))
     return OoMorphism(source, target, taylor), target
-
-
-def split_period_coefficient(k: int, j: int) -> Fraction:
-    """The Hodge-splitting component coefficient via the partition sum
-    k! * sum over compositions with last block > j of (-1)^{h+k}/prod(i!)."""
-    total = Fraction(0)
-    for h in range(1, k + 1):
-        for part in compositions(k, h):
-            if part[-1] <= j:
-                continue
-            total += Fraction(sign_pow(h + k), prod(map(factorial, part)))
-    return total * factorial(k)
 
 
 def split_period_coefficient_closed(k: int, j: int) -> Fraction:
@@ -905,8 +903,7 @@ __all__ = [
     "ExteriorModel", "HodgePackage", "check_hodge_package", "CartanHomotopy",
     "check_cartan", "FormalPeriodData", "torus_package", "synthetic_package",
     "cartan_artin_maps", "integrability_identity", "perturbation_maps",
-    "psi_obstruction", "psi_double_sum", "derived_hom_structure",
-    "split_period_map", "split_period_coefficient",
+    "psi_obstruction", "derived_hom_structure", "split_period_map",
     "split_period_coefficient_closed", "hom_transfer_contraction",
     "harmonic_quasi_inverse", "minimal_period_map", "yukawa_model",
     "yukawa_model_v2", "yukawa_mc_fiber_residual", "strict_period_morphism",

@@ -10,6 +10,9 @@ ordered-suffix memos, and the cocone builders that run a left-nested product
 on every word of `itertools.product` or of `sym_words`, and the n-ary
 evaluation of a Taylor coefficient on Artin elements with the exponential
 series of hoalg.mc built on it, both over every ordered tuple of monomials.
+It keeps the derived structure on Hom*(W, A) as one GradedMap commutator per
+elementary map, the obstruction map psi as its finite double sum, and the
+Hodge-splitting coefficient as its partition sum.
 The Koszul signs of the ordering sums come from `koszul_sign` and
 `unshuffles`.  They are slow, so tests run them at low weights only.
 """
@@ -20,7 +23,7 @@ import itertools
 import weakref
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, prod
 from types import SimpleNamespace
 
 from hoalg.coalg import (
@@ -30,13 +33,15 @@ from hoalg.coalg import (
 from hoalg.cocone import A_PRE, B_PRE, CoderAction, _cocone_q1, cocone_associative
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, Report, SYMMETRIC, TENSOR,
-    bernoulli, elementary_to_graded_map, first_witness, format_vector,
+    bernoulli, compositions, elementary_to_graded_map, first_witness, format_vector,
     hom_space, koszul_sign, lin_acc, lin_add, lin_eq, lin_scale, lin_single, linear_part,
     map_right_inverse, multilinear_from_graded_map, pair_space, prefix_vector, sign_pow,
     sym_words, unshuffles,
 )
-from hoalg.hodge import _harmonic_hom, _restrict_to_hom, derived_hom_structure
-from hoalg.mc import ArtinElement
+from hoalg.hodge import (
+    _artin_op, _harmonic_hom, _restrict_to_hom, _restrict_to_top_block, cartan_artin_maps,
+)
+from hoalg.mc import ArtinElement, ArtinMap
 
 # (j, k, word) -> component value, per structure or morphism
 _MEMOS = weakref.WeakKeyDictionary()
@@ -464,13 +469,36 @@ def pull_chain_taylor(source, target, max_weight, heads, chain) -> dict:
     return taylor
 
 
+def pull_derived_hom_structure(V, d, w_names, a_names, max_weight=6) -> OoStructure:
+    """hodge.derived_hom_structure as the projected commutators: for every
+    elementary map E1 = t<-s of Hom(W, A), q1(E1) = P[d, E1] and
+    q2(E1, t2<-s2) = P([d, E1](t2)) on s2, one GradedMap commutator per E1."""
+    hom = hom_space(a_names, w_names, V)
+    aset = set(a_names)
+    q1 = MultilinearMap(hom, hom, 1, 1, TENSOR)
+    q2 = MultilinearMap(hom, hom, 1, 2, TENSOR)
+    for n1 in hom.names:
+        comm = d.commutator(
+            elementary_to_graded_map(lin_single(n1), hom, V, V, hom.degree[n1]))
+        vec = _restrict_to_hom(comm, w_names, a_names)
+        if vec:
+            q1.set_entry((n1,), vec)
+        # [d, f1] o (t<-s) sends s to [d, f1](t) and the rest of V to zero
+        for n2 in hom.names:
+            t, s = n2.split("<-")
+            vec = {"%s<-%s" % (a, s): c for a, c in comm.value(t).items() if a in aset}
+            if vec:
+                q2.set_entry((n1, n2), vec)
+    return OoStructure(hom, TENSOR, {1: q1, 2: q2}, max_weight)
+
+
 def pull_split_period_map(fpd, max_weight=4):
     """hodge.split_period_map as the sum over the k! orderings s of every
     word of (-1)^k R(s), R(()) = P-perp and
     R(s) = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]) memoized on suffixes."""
     c = fpd.cartan
     target = symmetrize_structure(
-        derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
+        pull_derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
     source = decalage_dgla(c.L, max_weight)
     memo = {(): fpd.Pperp}
 
@@ -494,6 +522,51 @@ def pull_split_period_map(fpd, max_weight=4):
 
     taylor = pull_chain_taylor(source, target.space, max_weight, lambda k: (1,), signed_word)
     return OoMorphism(source, target, taylor), target
+
+
+def split_period_coefficient(k: int, j: int) -> Fraction:
+    """The Hodge-splitting component coefficient via the partition sum
+    k! * sum over compositions with last block > j of (-1)^{h+k}/prod(i!),
+    against hodge.split_period_coefficient_closed."""
+    total = Fraction(0)
+    for h in range(1, k + 1):
+        for part in compositions(k, h):
+            if part[-1] <= j:
+                continue
+            total += Fraction(sign_pow(h + k), prod(map(factorial, part)))
+    return total * factorial(k)
+
+
+def psi_double_sum(pkg, c, xi, eta):
+    """hodge.psi_obstruction as the explicit finite double sum over the
+    nonzero terms pi (l_eta h)^a and (h l_xi)^b iota of the two series."""
+    ring = xi.ring
+    _, l_xi = cartan_artin_maps(c, xi)
+    _, l_eta = cartan_artin_maps(c, eta)
+    i_diff = _artin_op(c.V, c.i, xi.plus(eta.scaled(-1)))
+    h = ArtinMap.from_graded(ring, pkg.h)
+    iota = ArtinMap.from_graded(ring, pkg.iota)
+    pi = ArtinMap.from_graded(ring, pkg.pi)
+    total = ArtinMap(ring, pkg.H, pkg.H)
+    lh = l_eta.compose(h)
+    hl = h.compose(l_xi)
+    power = ArtinMap.identity(ring, pkg.A)
+    for _ in range(pkg.n):
+        power = i_diff.compose(power)
+    left_terms = []
+    cur = pi
+    while not cur.is_zero():
+        left_terms.append(cur)
+        cur = cur.compose(lh)
+    right_terms = []
+    cur = iota
+    while not cur.is_zero():
+        right_terms.append(cur)
+        cur = hl.compose(cur)
+    for lt in left_terms:
+        for rt in right_terms:
+            total = total.plus(lt.compose(power).compose(rt))
+    return _restrict_to_top_block(pkg, total)
 
 
 def _pull_contraction_words(pkg, c, w_names, a_names):

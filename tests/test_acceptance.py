@@ -32,7 +32,7 @@ from hoalg.graded import GradedMap, check_contraction, lin_single
 from hoalg.hodge import (
     harmonic_quasi_inverse, hom_transfer_contraction, integrability_identity,
     minimal_period_map, perturbation_maps, psi_obstruction,
-    split_period_coefficient, split_period_coefficient_closed, split_period_map,
+    split_period_coefficient_closed, split_period_map,
     strict_period_morphism, synthetic_package, torus_package,
     yukawa_mc_fiber_residual, yukawa_model, yukawa_model_v2,
 )
@@ -43,6 +43,7 @@ from hoalg.mc import (
 from hoalg.transfer import transfer_quasi_inverse, transfer_structure
 
 from powerseries import phi_compose_coefficients
+from pull_oracles import split_period_coefficient
 
 
 def _announce(n, text):

@@ -32,13 +32,13 @@ from hoalg.graded import (
     bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, scaled_ints,
     sign_pow, sym_words,
 )
-from hoalg.hodge import split_period_coefficient, split_period_map, torus_package
+from hoalg.hodge import split_period_map, torus_package
 from powerseries import phi_compose_coefficients
 from pull_oracles import (
     morph_component, nested, pull_check_morphism, pull_check_structure, pull_compose,
     pull_derived_brackets, pull_exp_log_isos, pull_fiber_product_model, pull_fm_cocone_assoc,
     pull_g_taylor, pull_invert, pull_semidirect_product, pull_symmetrized,
-    pull_voronov_action, signed_orderings, square_residual,
+    pull_voronov_action, signed_orderings, split_period_coefficient, square_residual,
 )
 
 

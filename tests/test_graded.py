@@ -435,13 +435,17 @@ def test_set_and_add_entry_normalize_once_and_sign_odd_swaps():
         q.set_entry(("x", "x"), {"z": 1})           # zero in S(V)
     with pytest.raises(MalformedInput):
         q.set_entry(("x", "y"), {"z": 0.0})
-    # an unknown source or target name is malformed input in both flavors
+    # an unknown source or target name is malformed input in both flavors,
+    # on a write and on a read
     for m in (q, MultilinearMap(V, V, 0, 2, TENSOR)):
         for write in (m.set_entry, m.add_entry):
             with pytest.raises(MalformedInput):
                 write(("x", "nope"), {"z": 1})                  # unknown source
             with pytest.raises(MalformedInput):
                 write(("x", "y"), {"nope": 1})                  # unknown target
+        for word in (("x", "nope"), ("nope", "w")):
+            with pytest.raises(MalformedInput):
+                m.value(word)
     assert q.entries == {("z", "w"): {"z": 4}}
 
 

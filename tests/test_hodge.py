@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from hoalg.cli import _example_period_data
 from hoalg.coalg import (
     OoMorphism, OoStructure, check_morphism, check_structure,
     compose_morphisms, decalage_dgla, symmetrize_structure,
@@ -21,16 +22,17 @@ from hoalg.hodge import (
     CartanHomotopy, FormalPeriodData, check_cartan, check_hodge_package,
     cartan_artin_maps, contraction_table_lines, derived_hom_structure,
     harmonic_quasi_inverse, hom_transfer_contraction, integrability_identity,
-    minimal_period_map, perturbation_maps, psi_double_sum, psi_obstruction,
-    split_period_coefficient, split_period_coefficient_closed, split_period_map,
+    minimal_period_map, perturbation_maps, psi_obstruction,
+    split_period_coefficient_closed, split_period_map,
     strict_period_morphism, synthetic_package, torus_package, yukawa_mc_fiber_residual,
     yukawa_model, yukawa_model_v2,
 )
 from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
 from hoalg.transfer import transfer_structure
 from pull_oracles import (
-    pull_harmonic_quasi_inverse, pull_minimal_period_map, pull_split_period_map,
-    pull_yukawa_model, pull_yukawa_model_v2,
+    psi_double_sum, pull_derived_hom_structure, pull_harmonic_quasi_inverse,
+    pull_minimal_period_map, pull_split_period_map, pull_yukawa_model, pull_yukawa_model_v2,
+    split_period_coefficient,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -813,6 +815,31 @@ def test_derived_hom_q2_matches_composed_reference(fixture):
     ref = _reference_derived_q2(*args)
     assert (q2.entries if q2 is not None else {}) == ref
     assert bool(ref) == (fixture not in ("torus2", "lambda021"))
+
+
+HOM_EXAMPLES = ["torus:%d" % n for n in (1, 2, 3)] + \
+    ["synthetic:%d" % n for n in range(6)] + ["lambda:%d" % n for n in range(3)]
+
+
+@pytest.mark.parametrize("ref", HOM_EXAMPLES)
+def test_derived_hom_structure_matches_commutator_oracle(ref):
+    # the pushed structure against one GradedMap commutator per elementary
+    # map, both on the period splitting and on hom_transfer_contraction's
+    # input (the package complex split at A^{>=n})
+    pkg, cartan, fpd = _example_period_data(ref)
+    inputs = [(cartan.V, cartan.d_V, fpd.w_names, fpd.a_names)]
+    if pkg is not None:
+        inputs.append((pkg.A, pkg.d, pkg.a_names(lambda bp, bq: bp >= pkg.n),
+                       pkg.a_names(lambda bp, bq: bp < pkg.n)))
+    sizes = []
+    for args in inputs:
+        got = _entries(derived_hom_structure(*args, max_weight=3).taylor)
+        assert got == _entries(pull_derived_hom_structure(*args, max_weight=3).taylor)
+        sizes.append(tuple(len(got.get(k, {})) for k in (1, 2)))
+    if ref == "synthetic:0":
+        assert sizes[0] == (7, 30)
+    if ref.startswith("torus"):
+        assert sizes[0] == (0, 0)
 
 
 def test_graded_space_equality_is_by_value():

@@ -5,8 +5,9 @@ word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
 every true division sits on a reviewed site, the word-by-word pull path,
 its memos and the per-word nested products stay out of the library,
 sorted words are merged, not re-sorted, no library function enumerates
-basis words, and every Taylor-map builder stores each arity through the one
-checked write, MultilinearMap.store."""
+basis words, every Taylor-map builder stores each arity through the one
+checked write, MultilinearMap.store, and the period-map sums are pushed in
+place, with no commutator, per-entry write or GradedMap copy."""
 
 from __future__ import annotations
 
@@ -127,10 +128,11 @@ def test_true_division_only_on_reviewed_sites():
 # with the per-word nested product and the ordering enumerator and its sign
 # table.  The hodge builders recurse over sorted sub-words, so they do not
 # name the k!-ordering sum; the cocone builders grow their words prefix by
-# prefix, so they do not enumerate the sorted words either.
+# prefix, so they do not enumerate the sorted words either.  The psi double
+# sum and the partition-sum splitting coefficient are test oracles too.
 PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
               "morph_component", "nested", "signed_orderings", "_sign_table"}
-MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum"},
+MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum", "psi_double_sum", "split_period_coefficient"},
                      "cocone.py": {"nested", "signed_orderings", "sym_words"}}
 
 
@@ -214,7 +216,7 @@ STORE_BUILDERS = {
     ("cocone", "_cocone_q1"), ("cocone", "derived_products_model"),
     ("cocone", "_derived_brackets"), ("cocone", "semidirect_product"),
     ("cocone", "fiber_product_model"), ("cocone", "strictify_fibration"),
-    ("hodge", "_hom_map"), ("hodge", "_fiber_model"),
+    ("hodge", "_hom_map"), ("hodge", "_fiber_model"), ("hodge", "derived_hom_structure"),
     ("graded", "multilinear_from_graded_map"),
 }
 BULK_STORE_SITES = {
@@ -228,7 +230,7 @@ BULK_STORE_SITES = {
     ("cocone", "derived_products_model.g_taylor"), ("cocone", "_derived_brackets"),
     ("cocone", "semidirect_product"), ("cocone", "fiber_product_model"),
     ("cocone", "strictify_fibration"),
-    ("hodge", "_hom_map"), ("hodge", "_fiber_model"),
+    ("hodge", "_hom_map"), ("hodge", "_fiber_model"), ("hodge", "derived_hom_structure"),
 }
 PUSHED_MAP_SITES = {
     ("coalg", "compose_morphisms"), ("coalg", "invert_morphism"),
@@ -252,3 +254,16 @@ def test_cocone_builders_write_in_bulk(name):
     named = {p.name: sorted((_names(_tree(p)) | _defined(_tree(p))) & RETIRED_WRITERS)
              for p in MODULES}
     assert {module: hits for module, hits in named.items() if hits} == {}
+
+
+# The period-map layer pushes from the nonzeros: derived_hom_structure reads
+# both arities straight from d's entries, and _cut_sums sums each operator
+# chain into one entries dict per word.  Neither builds a commutator, writes
+# entry by entry, or copies a running GradedMap through add or scale.
+IN_PLACE_SITES = {("hodge", "derived_hom_structure"), ("hodge", "_cut_sums")}
+
+
+@pytest.mark.parametrize("name", ["commutator", "set_entry", "add", "scale"])
+def test_period_sums_push_from_nonzeros_in_place(name):
+    assert {scope for _, scope in IN_PLACE_SITES} <= _defined(_tree(SRC / "hodge.py"))
+    assert _call_sites(SRC / "hodge.py", name) & IN_PLACE_SITES == set()
