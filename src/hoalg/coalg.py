@@ -22,7 +22,10 @@ MultilinearMap.store.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream; both flavors of decalage share
 one body, with q2 read from the operation's stored entries
-(shifted_products), which the FM cocones read too.
+(shifted_products), which the FM cocones read too.  End(V) is end_dga, with
+[d, -] from graded.hom_differential and the product stored from the n^3
+composable triples; end_dgla is its commutator DGLA, pushed from the
+product's entries, and End(V; W) filters the stored entries.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import factorial, lcm
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
-    hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
+    hom_differential, hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map,
     scaled_ints, sign_pow, stabilizer, sym_words, unscaled,
 )
@@ -514,15 +517,15 @@ class DgAlgebra:
                          [("associativity", associative, 3)])
 
     def commutator_dgla(self) -> DgLieAlgebra:
-        br = MultilinearMap(self.space, self.space, 0, 2, TENSOR)
-        for x in self.space.names:
-            for y in self.space.names:
-                val = dict(self.product.value((x, y)))
-                sgn = -1 if (self.space.degree[x] % 2 and self.space.degree[y] % 2) else 1
-                lin_acc(val, self.product.value((y, x)), -sgn)
-                if val:
-                    br.set_entry((x, y), val)
-        return DgLieAlgebra(self.space, self.d, br)
+        """[x, y] = xy - (-1)^{|x||y|} yx, pushed from the product's stored
+        entries: each xy = v adds v at (x, y) and -(-1)^{|x||y|} v at (y, x)."""
+        deg = self.space.degree
+        table: dict = {}
+        for (x, y), vec in self.product.entries.items():
+            lin_acc(table.setdefault((x, y), {}), vec)
+            lin_acc(table.setdefault((y, x), {}), vec, -sign_pow(deg[x] * deg[y]))
+        return DgLieAlgebra(self.space, self.d, MultilinearMap(
+            self.space, self.space, 0, 2, TENSOR).store(table))
 
 
 class DglaMorphism:
@@ -639,38 +642,21 @@ def decalage_dga(A: DgAlgebra, max_weight: int = 6, validate: bool = True) -> Oo
 # endomorphism DGLAs with named bases
 
 
+def end_dga(space: GradedSpace, d: GradedMap) -> DgAlgebra:
+    """End(V) as a DG associative algebra on the elementary maps `t<-s`: the
+    differential [d, -] is graded.hom_differential, and the composition
+    product (t<-u)(u<-s) = t<-s is one store of the n^3 triples."""
+    names = space.names
+    E = hom_space(names, names, space)
+    prod = MultilinearMap(E, E, 0, 2, TENSOR).store(
+        {("%s<-%s" % (t, u), "%s<-%s" % (u, s)): {"%s<-%s" % (t, s): 1}
+         for t in names for u in names for s in names})
+    return DgAlgebra(E, GradedMap(E, E, 1, hom_differential(d, names, names)), prod)
+
+
 def end_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
-    """End(V) as a DGLA on elementary matrices `t<-s`, differential [d, -]."""
-    E = hom_space(space.names, space.names, space)
-    dE = GradedMap(E, E, 1)
-    for s in space.names:
-        for t in space.names:
-            name = "%s<-%s" % (t, s)
-            val: dict = {}
-            for u, c in d.value(t).items():
-                lin_acc(val, lin_single("%s<-%s" % (u, s)), c)
-            edeg = space.degree[t] - space.degree[s]
-            sgn = -1 if edeg % 2 else 1
-            for v in space.names:
-                c = d.value(v).get(s)
-                if c:
-                    lin_acc(val, lin_single("%s<-%s" % (t, v)), -sgn * c)
-            if val:
-                dE.set(name, val)
-    br = MultilinearMap(E, E, 0, 2, TENSOR)
-    for n1 in E.names:
-        t1, s1 = n1.split("<-")
-        for n2 in E.names:
-            t2, s2 = n2.split("<-")
-            val: dict = {}
-            if s1 == t2:
-                val["%s<-%s" % (t1, s2)] = Fraction(1)
-            if s2 == t1:
-                sgn = -1 if (E.degree[n1] % 2 and E.degree[n2] % 2) else 1
-                lin_acc(val, lin_single("%s<-%s" % (t2, s1)), -sgn)
-            if val:
-                br.set_entry((n1, n2), val)
-    return DgLieAlgebra(E, dE, br)
+    """End(V) as a DGLA: the commutator DGLA of end_dga."""
+    return end_dga(space, d).commutator_dgla()
 
 
 def sub_algebra(amb, names):
@@ -682,22 +668,23 @@ def sub_algebra(amb, names):
     lie = isinstance(amb, DgLieAlgebra)
     table = amb.bracket if lie else amb.product
     op = MultilinearMap(sub_space, sub_space, 0, 2, TENSOR).store(
-        {w: table.value(w) for w in itertools.product(names, repeat=2)})
+        {w: vec for w, vec in table.entries.items() if all(n in sub_space.index for n in w)})
     algebra, morphism = (DgLieAlgebra, DglaMorphism) if lie else (DgAlgebra, DgaMorphism)
     sub = algebra(sub_space, d, op)
     inc = GradedMap(sub_space, amb.space, 0, {n: lin_single(n) for n in names})
     return sub, morphism(sub, amb, inc)
 
 
-def end_preserving_sub(End, W):
-    """End(V; W) inside End(V) (DGLA or DGA on `t<-s` names) for a
-    basis-aligned subspace W: (subalgebra, inclusion morphism)."""
+def end_preserving_sub(End, V: GradedSpace, W):
+    """End(V; W) inside End = end_dga(V, d) or end_dgla(V, d) for a basis-aligned
+    W in V, without Hom(W, V/W): (subalgebra, inclusion morphism)."""
     W = set(W)
-    keep = [n for n in End.space.names
-            if not (n.split("<-")[1] in W and n.split("<-")[0] not in W)]
-    kept = set(keep)
-    if any(t not in kept for n in keep for t in End.d.value(n)):
-        raise RejectedInput("End(V;W) is not closed under [d,-]")
+    if not W <= set(V.names):
+        raise MalformedInput("preserved names must be basis names")
+    out = set(hom_space([n for n in V.names if n not in W], W, V).names)
+    keep = [n for n in End.space.names if n not in out]
+    if any(t in out for n in keep for t in End.d.value(n)):
+        raise RejectedInput("d does not preserve W: End(V;W) is not closed under [d,-]")
     return sub_algebra(End, keep)
 
 
@@ -706,14 +693,8 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
 
     Returns (sub_dgla, ambient_dgla, inclusion DglaMorphism).
     """
-    preserved = set(preserved)
-    if not preserved <= set(space.names):
-        raise MalformedInput("preserved names must be basis names")
-    for w in preserved:
-        if any(t not in preserved for t in d.value(w)):
-            raise RejectedInput("differential does not preserve the subspace")
     amb = end_dgla(space, d)
-    sub, inc = end_preserving_sub(amb, preserved)
+    sub, inc = end_preserving_sub(amb, space, preserved)
     return sub, amb, inc
 
 
@@ -726,5 +707,5 @@ __all__ = [
     "symmetrize_structure", "symmetrize_morphism",
     "DgLieAlgebra", "DgAlgebra", "DglaMorphism", "DgaMorphism",
     "shifted_products", "decalage_dgla", "decalage_dgla_morphism", "decalage_dga",
-    "end_dgla", "sub_algebra", "end_preserving_sub", "end_preserving_sub_dgla",
+    "end_dga", "end_dgla", "sub_algebra", "end_preserving_sub", "end_preserving_sub_dgla",
 ]

@@ -1,9 +1,10 @@
-"""Seeded, deterministic fixture builders used by tests and the CLI.
+"""Seeded, deterministic fixture builders used by the CLI, perfbench and tests.
 
 Every builder takes an integer seed and returns data that provably satisfies
-its axioms (validated at construction): random complexes, endomorphism DG
-algebras, classical Lie algebras, mapping-cone contractions and (later in the
-file) the synthetic Hodge fixtures.
+its axioms (validated at construction): random complexes, their
+endomorphism DG algebras (coalg.end_dga, coalg.end_dgla) with d-stable
+splittings, mapping-cone contractions and (later in the file) the synthetic
+Hodge fixtures.  Fixtures that only the tests read live with the tests.
 """
 
 from __future__ import annotations
@@ -12,15 +13,14 @@ import random
 from fractions import Fraction
 
 from .coalg import (
-    DgAlgebra, DgLieAlgebra, DgaMorphism, end_dgla, end_preserving_sub,
+    DgAlgebra, DgLieAlgebra, DgaMorphism, end_dga, end_dgla, end_preserving_sub,
     end_preserving_sub_dgla,
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
-    lin_acc, lin_single, map_kernel_basis,
+    hom_space, lin_acc, lin_single, map_kernel_basis,
 )
 from .hodge import CartanHomotopy, ExteriorModel, FormalPeriodData, check_cartan
-from .mc import ArtinElement
 
 
 def _rand_coeff(rng, zero_bias=0.35):
@@ -56,54 +56,9 @@ def random_complex(seed: int, dim: int = 3, degree_span=(-1, 2)):
     return V, d
 
 
-def end_dga(space: GradedSpace, d: GradedMap) -> DgAlgebra:
-    """End(V) as a DG associative algebra (composition product, [d,-])."""
-    lie = end_dgla(space, d)
-    prod = MultilinearMap(lie.space, lie.space, 0, 2, TENSOR)
-    for n1 in lie.space.names:
-        t1, s1 = n1.split("<-")
-        for n2 in lie.space.names:
-            t2, s2 = n2.split("<-")
-            if s1 == t2:
-                prod.set_entry((n1, n2), lin_single("%s<-%s" % (t1, s2)))
-    return DgAlgebra(lie.space, lie.d, prod)
-
-
 def random_end_dga(seed: int, dim: int = 2) -> DgAlgebra:
     V, d = random_complex(seed, dim)
     return end_dga(V, d)
-
-
-def random_end_dgla(seed: int, dim: int = 2) -> DgLieAlgebra:
-    V, d = random_complex(seed, dim)
-    return end_dgla(V, d)
-
-
-def sl2_dgla() -> DgLieAlgebra:
-    """sl2 over Q in degree 0, zero differential: [h,e]=2e, [h,f]=-2f, [e,f]=h."""
-    sp = GradedSpace([("e", 0), ("h", 0), ("f", 0)])
-    d = GradedMap(sp, sp, 1)
-    br = MultilinearMap(sp, sp, 0, 2, TENSOR)
-    table = {("h", "e"): {"e": Fraction(2)}, ("e", "h"): {"e": Fraction(-2)},
-             ("h", "f"): {"f": Fraction(-2)}, ("f", "h"): {"f": Fraction(2)},
-             ("e", "f"): {"h": Fraction(1)}, ("f", "e"): {"h": Fraction(-1)}}
-    for k, v in table.items():
-        br.set_entry(k, v)
-    return DgLieAlgebra(sp, d, br)
-
-
-def heisenberg_dgla(degrees=(0, 0, 0)) -> DgLieAlgebra:
-    """Heisenberg algebra [x,y] = z, z central; graded version when degrees allow."""
-    dx, dy, dz = degrees
-    if dx + dy != dz:
-        raise ValueError("need deg x + deg y = deg z")
-    sp = GradedSpace([("x", dx), ("y", dy), ("z", dz)])
-    d = GradedMap(sp, sp, 1)
-    br = MultilinearMap(sp, sp, 0, 2, TENSOR)
-    br.set_entry(("x", "y"), lin_single("z"))
-    sgn = -1 if (dx % 2 and dy % 2) else 1
-    br.set_entry(("y", "x"), {"z": Fraction(-sgn)})
-    return DgLieAlgebra(sp, d, br)
 
 
 def _stable_names(rng, V: GradedSpace, d: GradedMap):
@@ -133,18 +88,8 @@ def end_splitting(seed: int, dim: int = 3, lie: bool = True):
     if len(stable) == len(V.names):
         stable = stable[:-1]
     ambient = end_dgla(V, d) if lie else end_dga(V, d)
-    comp = [n for n in ambient.space.names
-            if n.split("<-")[1] in stable and n.split("<-")[0] not in stable]
+    comp = list(hom_space([n for n in V.names if n not in stable], stable, V).names)
     return V, d, ambient, comp, stable
-
-
-def abelian_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
-    return DgLieAlgebra(space, d, MultilinearMap(space, space, 0, 2, TENSOR))
-
-
-def zero_dgla() -> DgLieAlgebra:
-    sp = GradedSpace([])
-    return abelian_dgla(sp, GradedMap(sp, sp, 1))
 
 
 def random_dga_morphism(seed: int, dim: int = 2) -> DgaMorphism:
@@ -154,7 +99,7 @@ def random_dga_morphism(seed: int, dim: int = 2) -> DgaMorphism:
         return DgaMorphism(A, A, GradedMap.identity(A.space))
     V, d = random_complex(seed, dim)
     stable = _stable_names(random.Random("filtered:%d" % seed), V, d)
-    return end_preserving_sub(end_dga(V, d), stable)[1]
+    return end_preserving_sub(end_dga(V, d), V, stable)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +339,7 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
     return cartan, FormalPeriodData(cartan, w_names), model
 
 
-def random_artin_element(seed: int, ring, space, degree: int, density=0.5):
-    """Random homogeneous element of the given degree in V (x) m_B."""
-    rng = random.Random("artin:%d" % seed)
-    out = ArtinElement(ring, space)
-    for name in space.names:
-        if space.degree[name] != degree:
-            continue
-        for mono in ring.monomials(min_total=1):
-            if rng.random() < density:
-                c = _rand_coeff(rng, zero_bias=0.0)
-                out.add(name, mono, c)
-    return out
-
-
 __all__ = [
-    "random_complex", "end_dga", "random_end_dga", "random_end_dgla",
-    "sl2_dgla", "heisenberg_dgla", "random_filtered_inclusion", "end_splitting",
-    "abelian_dgla",
-    "zero_dgla", "random_dga_morphism",
-    "harmonic_contraction", "random_artin_element", "lambda_cartan_fixture",
+    "random_complex", "random_end_dga", "random_filtered_inclusion", "end_splitting",
+    "random_dga_morphism", "harmonic_contraction", "lambda_cartan_fixture",
 ]

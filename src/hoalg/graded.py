@@ -387,6 +387,27 @@ def hom_space(target_names, source_names, big: GradedSpace) -> GradedSpace:
     return GradedSpace(basis)
 
 
+def hom_differential(d, targets, sources) -> dict:
+    """{`t<-s`: P[d, t<-s]} on hom_space(targets, sources, V), for d of degree
+    +1 on V and P the projection, pushed from the nonzeros c = d(u)[y]: in
+    [d, E] = d o E - (-1)^{|E|} E o d, d o (u<-s) has c at y<-s and
+    (t<-y) o d has c at t<-u.  The two branches are independent, so targets =
+    sources = V gives End(V).  Names are built from their parts, never parsed."""
+    deg = d.source.degree
+    tset, sset = set(targets), set(sources)
+    out: dict = {}
+    for u, img in d.entries.items():
+        for y, c in img.items():
+            if u in tset and y in tset:
+                for s in sources:
+                    lin_add(out.setdefault("%s<-%s" % (u, s), {}), "%s<-%s" % (y, s), c)
+            if u in sset and y in sset:
+                for t in targets:
+                    lin_add(out.setdefault("%s<-%s" % (t, y), {}), "%s<-%s" % (t, u),
+                            -sign_pow(deg[t] - deg[y]) * c)
+    return out
+
+
 def sym_normalize(names, index: dict, degree: dict):
     """Canonical (sorted by basis index) form of a symmetric-word tuple.
 
@@ -1014,6 +1035,7 @@ __all__ = [
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
     "unscaled", "prefix_products", "right_products",
     "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
+    "hom_differential",
     "sym_normalize", "stabilizer", "merge_words", "GradedMap",
     "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",

@@ -25,7 +25,7 @@ from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
-    graded_map_to_elementary, hom_space, lin_acc, lin_add, lin_scale, lin_single,
+    graded_map_to_elementary, hom_differential, hom_space, lin_acc, lin_scale, lin_single,
     linear_part, map_kernel_basis, merge_words, pair_space, prefix_products, prefix_vector,
     prefixed, sign_pow,
 )
@@ -592,32 +592,25 @@ def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
                           max_weight: int = 6) -> OoStructure:
     """A-infinity[1] structure on Hom*(W, A) for the splitting
     End(V) = End(V; W) (+) Hom(W, A): q1 = the projected commutator P[d, -],
-    q2 the derived product P([d, f1] f2), zero above arity two.
+    which is graded.hom_differential(d, A, W), and q2 the derived product
+    P([d, f1] f2), zero above arity two.
 
-    Both arities are pushed from the nonzero entries d(u)[y] of d.  For the
-    elementary map E = t<-s (s in W, t in A) of degree e = |t| - |s|,
+    q2 is pushed from the nonzero entries d(u)[y] of d.  For the elementary
+    map E = t<-s (s in W, t in A) of degree e = |t| - |s|,
 
-        q1(t<-s) = sum_{a in A} d(t)[a] . a<-s - (-1)^e sum_{u in W} d(u)[s] . t<-u,
         q2(t<-s, t2<-s2) = -(-1)^e d(t2)[s] . t<-s2,
 
-    so the A -> A and W -> W entries of d feed q1, and only its A -> W
-    entries reach q2: the d o E part of [d, E](t2) vanishes, because t2 is in
-    A and E reads s in W only.  Each arity is one table and one store."""
+    so only the A -> W entries of d reach q2: the d o E part of [d, E](t2)
+    vanishes, because t2 is in A and E reads s in W only.  Each arity is one
+    table and one store."""
     hom = hom_space(a_names, w_names, V)
     wset, aset = set(w_names), set(a_names)
     deg = V.degree
-    q1: dict = {}
+    q1 = {(n,): vec for n, vec in hom_differential(d, a_names, w_names).items()}
     q2: dict = {}
     for u, img in d.entries.items():
         for y, c in img.items():
-            if u in aset and y in aset:      # d o E on E = u<-s
-                for s in w_names:
-                    lin_add(q1.setdefault(("%s<-%s" % (u, s),), {}), "%s<-%s" % (y, s), c)
-            elif u in wset and y in wset:    # E o d on E = t<-y
-                for t in a_names:
-                    lin_add(q1.setdefault(("%s<-%s" % (t, y),), {}), "%s<-%s" % (t, u),
-                            -sign_pow(deg[t] - deg[y]) * c)
-            elif u in aset and y in wset:    # [d, t<-y] o (u<-s2)
+            if u in aset and y in wset:    # [d, t<-y] o (u<-s2)
                 for t in a_names:
                     coeff = -sign_pow(deg[t] - deg[y]) * c
                     for s2 in w_names:
@@ -818,9 +811,9 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
 def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
                     max_weight: int = 4) -> OoStructure:
     """Second model on L[1] x Hom*(A^{n,*}, A^{0,*})[-1]: no propagator in the
-    brackets (fiber differential -[delbar, -], mixed bracket through l).  The
-    fiber part of q_n is the chain i_{x_1} .. i_{x_n} on each sorted word,
-    grown letter by letter (graded.prefix_products)."""
+    brackets (fiber differential -P[delbar, -], graded.hom_differential; mixed
+    bracket through l).  The fiber part of q_n is the chain i_{x_1} .. i_{x_n}
+    on each sorted word, grown letter by letter (graded.prefix_products)."""
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
@@ -832,11 +825,10 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     chains = prefix_products(lambda h, x: h.compose(c.i[x]), {(): GradedMap.identity(pkg.A)},
                              base.space.names, n, base.space.degree)[n]
     lmaps = {x: c.l(x) for x in c.L.space.names}
-    mixed = {1: [], 2: []}
+    mixed = {1: [((B_PRE + name,), lin_scale(vec, -1))
+                 for name, vec in hom_differential(pkg.delbar, bottom, top).items()], 2: []}
     for name in hom.names:
         gm = elementary_to_graded_map(lin_single(name), hom, pkg.A, pkg.A, hom.degree[name])
-        vec = _restrict_to_hom(pkg.delbar.commutator(gm), top, bottom)
-        mixed[1].append(((B_PRE + name,), lin_scale(vec, -1)))
         # q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), |f| = |name| - 1, stored
         # on the canonical word (a:x, b:f) with the block-swap Koszul sign
         for x in c.L.space.names:

@@ -19,6 +19,7 @@ and y whose product survives in B.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -28,6 +29,9 @@ from .graded import (
     SYMMETRIC, GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
     linear_part, map_solve, stabilizer,
 )
+
+
+_FACTOR = re.compile(r"t([0-9]+)(?:\^([0-9]+))?")
 
 
 class ArtinRing:
@@ -74,22 +78,20 @@ class ArtinRing:
         return "*".join(parts)
 
     def parse_mono(self, text: str):
+        """The exponents of "1" or of a product of factors t<i> or t<i>^<k>
+        with 1 <= i <= g and k >= 0; any other text raises MalformedInput."""
         text = text.strip()
         if text == "1":
             return self.one
         expo = [0] * self.generators
         for part in text.split("*"):
-            part = part.strip()
-            if "^" in part:
-                var, pw = part.split("^")
-            else:
-                var, pw = part, "1"
-            if not var.startswith("t"):
+            factor = _FACTOR.fullmatch(part.strip())
+            if factor is None:
                 raise MalformedInput("bad monomial %r" % text)
-            idx = int(var[1:]) - 1
+            idx = int(factor[1]) - 1
             if idx < 0 or idx >= self.generators:
-                raise MalformedInput("generator %r out of range" % var)
-            expo[idx] += int(pw)
+                raise MalformedInput("generator %r out of range" % ("t" + factor[1]))
+            expo[idx] += int(factor[2] or 1)
         if sum(expo) >= self.order:
             raise MalformedInput("monomial %r is zero in the ring" % text)
         return tuple(expo)

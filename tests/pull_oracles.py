@@ -10,7 +10,8 @@ ordered-suffix memos, and the cocone builders that run a left-nested product
 on every word of `itertools.product` or of `sym_words`, and the n-ary
 evaluation of a Taylor coefficient on Artin elements with the exponential
 series of hoalg.mc built on it, both over every ordered tuple of monomials.
-It keeps the derived structure on Hom*(W, A) as one GradedMap commutator per
+It keeps End(V) as loops over every elementary map and every pair of them, the
+derived structure on Hom*(W, A) as one GradedMap commutator per
 elementary map, the obstruction map psi as its finite double sum, and the
 Hodge-splitting coefficient as its partition sum.
 The Koszul signs of the ordering sums come from `koszul_sign` and
@@ -27,8 +28,8 @@ from math import factorial, prod
 from types import SimpleNamespace
 
 from hoalg.coalg import (
-    OoMorphism, OoStructure, _first_nonzero, decalage_dga, decalage_dgla,
-    symmetrize_structure,
+    DgAlgebra, DgLieAlgebra, OoMorphism, OoStructure, _first_nonzero, decalage_dga,
+    decalage_dgla, symmetrize_structure,
 )
 from hoalg.cocone import A_PRE, B_PRE, CoderAction, _cocone_q1, cocone_associative
 from hoalg.graded import (
@@ -414,6 +415,60 @@ def pull_dg_check(title, sp, d, op, before, after=()) -> Report:
         wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
         r.add(label, wit is None, witness=wit)
     return r
+
+
+# ---------------------------------------------------------------------------
+# End(V) as loops over every elementary map and every pair of them
+
+
+def pull_end_dgla(space, d) -> DgLieAlgebra:
+    """coalg.end_dgla as one loop per elementary map for [d, -] and one loop
+    over every pair of elementary maps for the bracket, reading t and s back
+    out of each name `t<-s` (so V's names must not hold "<-")."""
+    E = hom_space(space.names, space.names, space)
+    dE = GradedMap(E, E, 1)
+    for s in space.names:
+        for t in space.names:
+            name = "%s<-%s" % (t, s)
+            val: dict = {}
+            for u, c in d.value(t).items():
+                lin_acc(val, lin_single("%s<-%s" % (u, s)), c)
+            edeg = space.degree[t] - space.degree[s]
+            sgn = -1 if edeg % 2 else 1
+            for v in space.names:
+                c = d.value(v).get(s)
+                if c:
+                    lin_acc(val, lin_single("%s<-%s" % (t, v)), -sgn * c)
+            if val:
+                dE.set(name, val)
+    br = MultilinearMap(E, E, 0, 2, TENSOR)
+    for n1 in E.names:
+        t1, s1 = n1.split("<-")
+        for n2 in E.names:
+            t2, s2 = n2.split("<-")
+            val: dict = {}
+            if s1 == t2:
+                val["%s<-%s" % (t1, s2)] = Fraction(1)
+            if s2 == t1:
+                sgn = -1 if (E.degree[n1] % 2 and E.degree[n2] % 2) else 1
+                lin_acc(val, lin_single("%s<-%s" % (t2, s1)), -sgn)
+            if val:
+                br.set_entry((n1, n2), val)
+    return DgLieAlgebra(E, dE, br)
+
+
+def pull_end_dga(space, d) -> DgAlgebra:
+    """coalg.end_dga as pull_end_dgla's differential and a loop over every
+    pair of elementary maps for the composition product."""
+    lie = pull_end_dgla(space, d)
+    prod = MultilinearMap(lie.space, lie.space, 0, 2, TENSOR)
+    for n1 in lie.space.names:
+        t1, s1 = n1.split("<-")
+        for n2 in lie.space.names:
+            t2, s2 = n2.split("<-")
+            if s1 == t2:
+                prod.set_entry((n1, n2), lin_single("%s<-%s" % (t1, s2)))
+    return DgAlgebra(lie.space, lie.d, prod)
 
 
 # ---------------------------------------------------------------------------

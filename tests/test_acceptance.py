@@ -25,9 +25,10 @@ from hoalg.cocone import (
     semidirect_product, voronov_brackets,
 )
 from hoalg.fixtures import (
-    end_splitting, harmonic_contraction, lambda_cartan_fixture, random_artin_element,
-    random_dga_morphism, random_end_dga, random_filtered_inclusion,
+    end_splitting, harmonic_contraction, lambda_cartan_fixture, random_dga_morphism,
+    random_end_dga, random_filtered_inclusion,
 )
+from fixture_helpers import random_artin_element
 from hoalg.graded import GradedMap, check_contraction, lin_single
 from hoalg.hodge import (
     harmonic_quasi_inverse, hom_transfer_contraction, integrability_identity,

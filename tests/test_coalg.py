@@ -12,17 +12,17 @@ from hoalg import coalg
 from hoalg.coalg import (
     DgAlgebra, DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, decalage_dgla, decalage_dgla_morphism, end_preserving_sub,
-    identity_morphism, invert_morphism, OoMorphism, OoStructure, push_insertion,
+    end_preserving_sub_dgla, identity_morphism, invert_morphism, OoMorphism, OoStructure, push_insertion,
     push_product, sub_algebra, symmetrize_morphism, symmetrize_structure,
     transport_structure,
 )
 from hoalg.cocone import exp_log_isos
 from hoalg.fixtures import (
-    abelian_dgla, end_splitting, heisenberg_dgla, lambda_cartan_fixture,
-    random_dga_morphism, random_end_dga, random_end_dgla, sl2_dgla,
+    end_splitting, lambda_cartan_fixture, random_complex, random_dga_morphism, random_end_dga,
 )
+from fixture_helpers import abelian_dgla, heisenberg_dgla, random_end_dgla, sl2_dgla
 from hoalg.graded import (
-    GradedMap, GradedSpace, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
+    GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
     koszul_sign, lin_acc, lin_add, lin_single, lin_scale, scaled_ints, sym_normalize,
     sym_words, unshuffles,
 )
@@ -834,5 +834,14 @@ def test_sub_algebra_is_a_checked_subalgebra(seed, lie):
     assert sub.check().ok and inc.check().ok
     assert inc.target is amb and inc.source is sub
     # End(V; W) is that subalgebra
-    sub2, inc2 = end_preserving_sub(amb, stable)
+    sub2, inc2 = end_preserving_sub(amb, V, stable)
     assert sub2.space == sub.space and inc2.map == inc.map
+
+
+def test_end_preserving_sub_needs_a_d_stable_subspace():
+    V, d = random_complex(2, 2)     # d(v1) = -v0
+    assert end_preserving_sub_dgla(V, d, ["v0"])[0].check().ok
+    with pytest.raises(RejectedInput):
+        end_preserving_sub_dgla(V, d, ["v1"])
+    with pytest.raises(MalformedInput):
+        end_preserving_sub_dgla(V, d, ["v9"])

@@ -17,9 +17,10 @@ from hoalg.coalg import (
 )
 from hoalg.cocone import fm_cocone_assoc, fm_cocone_lie
 from hoalg.fixtures import (
-    harmonic_contraction, random_artin_element, random_dga_morphism,
-    random_end_dga, random_end_dgla, random_filtered_inclusion,
+    harmonic_contraction, random_dga_morphism, random_end_dga,
+    random_filtered_inclusion,
 )
+from fixture_helpers import random_artin_element, random_end_dgla
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, SYMMETRIC,
     TENSOR, exact, lin_acc, lin_add, lin_scale, lin_single, map_kernel_basis, map_right_inverse,

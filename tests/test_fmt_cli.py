@@ -136,6 +136,18 @@ def test_cli_missing_name_is_exit_2_and_named(sample_file):
     assert (code, out) == (2, "error: no element named 'nope'\n")
 
 
+@pytest.mark.parametrize("mono", ["t1^-1", "t1^x", "tx", "t"])
+def test_cli_malformed_monomial_is_exit_2(tmp_path, mono):
+    # a negative power once parsed to a unit and passed; the others raised
+    # a bare ValueError with a traceback
+    demo = open(DEMO).read().replace("y t1 -> 1", "y %s -> 1" % mono)
+    path = tmp_path / "demo.alg"
+    path.write_text(demo)
+    code, out = run_cli(["--artin", "1,3", "mc", "check", str(path),
+                         "--structure", "S", "--element", "xi"])
+    assert (code, out) == (2, "error: bad monomial %r\n" % mono)
+
+
 @pytest.mark.parametrize("argv", [
     ["--artin", "1x3", "mc", "check", "{file}", "--structure", "S", "--element", "xi"],
     ["--artin", "a,3", "mc", "check", "{file}", "--structure", "S", "--element", "xi"],

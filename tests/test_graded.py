@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions,
-    koszul_sign, lin_single, linear_part, map_kernel_basis, map_right_inverse, map_solve,
+    elementary_to_graded_map, hom_differential, hom_space, koszul_sign, lin_single,
+    linear_part, map_kernel_basis, map_right_inverse, map_solve,
     merge_words, multilinear_from_graded_map, pair_space, prefix_products, right_products,
     stabilizer, sym_normalize, sym_words, unshuffles,
 )
-from hoalg.fixtures import heisenberg_dgla, random_end_dga, sl2_dgla
+from hoalg.fixtures import random_complex, random_end_dga
+from fixture_helpers import heisenberg_dgla, sl2_dgla
 from pull_oracles import nested
 
 
@@ -579,3 +581,23 @@ def test_symmetric_read_respects_koszul_signs(data):
     lhs = q.value(permuted)
     rhs = {target_name: eps * q.value(word)[target_name]}
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hom_differential_is_the_projected_commutator(seed):
+    # targets and sources overlap without being equal, so both branches of
+    # the push feed the same elementary maps
+    V, d = random_complex(seed, 4)
+    rng = random.Random("hom:%d" % seed)
+    targets = [n for n in V.names if rng.random() < 0.7] or list(V.names[:1])
+    sources = [n for n in V.names if rng.random() < 0.7] or list(V.names[-1:])
+    hom = hom_space(targets, sources, V)
+    want = {}
+    for name in hom.names:
+        comm = d.commutator(elementary_to_graded_map(lin_single(name), hom, V, V,
+                                                     hom.degree[name]))
+        vec = {"%s<-%s" % (t, s): c for s, img in comm.entries.items() if s in sources
+               for t, c in img.items() if t in targets}
+        if vec:
+            want[name] = vec
+    assert {n: v for n, v in hom_differential(d, targets, sources).items() if v} == want

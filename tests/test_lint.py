@@ -3,11 +3,13 @@ module-level import is used or re-exported through `__all__`, no import is
 tucked inside a function, no library function enumerates the orderings of a
 word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
 every true division sits on a reviewed site, the word-by-word pull path,
-its memos and the per-word nested products stay out of the library,
-sorted words are merged, not re-sorted, no library function enumerates
-basis words, every Taylor-map builder stores each arity through the one
-checked write, MultilinearMap.store, and the period-map sums are pushed in
-place, with no commutator, per-entry write or GradedMap copy."""
+its memos, the per-word nested products and the test-only fixtures stay
+out of the library, sorted words are merged, not re-sorted, no library
+function enumerates basis words, every Taylor-map builder stores each arity
+through the one checked write, MultilinearMap.store, the period-map sums
+are pushed in place, with no commutator, per-entry write or GradedMap copy,
+and hom-space names are built, never parsed, with [d, -] pushed by one
+function."""
 
 from __future__ import annotations
 
@@ -129,9 +131,12 @@ def test_true_division_only_on_reviewed_sites():
 # table.  The hodge builders recurse over sorted sub-words, so they do not
 # name the k!-ordering sum; the cocone builders grow their words prefix by
 # prefix, so they do not enumerate the sorted words either.  The psi double
-# sum and the partition-sum splitting coefficient are test oracles too.
+# sum and the partition-sum splitting coefficient are test oracles too, and
+# the fixtures that only the tests build live in tests/fixture_helpers.py.
 PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
               "morph_component", "nested", "signed_orderings", "_sign_table"}
+TEST_ONLY_FIXTURES = {"sl2_dgla", "heisenberg_dgla", "zero_dgla", "abelian_dgla",
+                      "random_end_dgla", "random_artin_element"}
 MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum", "psi_double_sum", "split_period_coefficient"},
                      "cocone.py": {"nested", "signed_orderings", "sym_words"}}
 
@@ -152,7 +157,7 @@ def test_no_pull_path_in_library(path):
     tree = _tree(path)
     strings = {n.value for n in ast.walk(tree)
                if isinstance(n, ast.Constant) and isinstance(n.value, str)}
-    forbidden = PULL_NAMES | MODULE_PULL_NAMES.get(path.name, set())
+    forbidden = PULL_NAMES | TEST_ONLY_FIXTURES | MODULE_PULL_NAMES.get(path.name, set())
     assert (_names(tree) | _defined(tree) | strings) & forbidden == set()
 
 
@@ -164,8 +169,8 @@ SORT_SITES = {("graded", "MultilinearMap.normalize"), ("graded", "MultilinearMap
               ("cocone", "CoderAction._norm")}
 
 
-def _call_sites(path, name) -> set:
-    """(module, enclosing Class.function) of every call to `name`."""
+def _calls_where(path, accept) -> set:
+    """(module, enclosing Class.function) of every call that `accept` takes."""
     out = set()
 
     def visit(node, scope):
@@ -173,12 +178,17 @@ def _call_sites(path, name) -> set:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            if isinstance(child, ast.Call) and name in _names(child.func):
+            if isinstance(child, ast.Call) and accept(child):
                 out.add((path.stem, ".".join(scope)))
             visit(child, inner)
 
     visit(_tree(path), ())
     return out
+
+
+def _call_sites(path, name) -> set:
+    """(module, enclosing Class.function) of every call to `name`."""
+    return _calls_where(path, lambda call: name in _names(call.func))
 
 
 def test_sorted_words_are_merged_not_sorted():
@@ -201,16 +211,17 @@ def test_no_basis_word_enumeration_in_library():
     assert "itertools" not in _names(_tree(SRC / "transfer.py"))
 
 
-# Every library builder of a Taylor map hands MultilinearMap.store, the one
-# checked write, a finished {canonical word: vector} table per arity, either
-# itself or through coalg.pushed_map, which stores a push kernel's int output
-# at its scale.  The builders make no per-entry write (set_entry, add_entry)
+# Every library builder of a Taylor map or of an End(V) operation hands
+# MultilinearMap.store, the one checked write, a finished {canonical word:
+# vector} table per arity, either itself or through coalg.pushed_map, which
+# stores a push kernel's int output at its scale.  The builders make no per-entry write (set_entry, add_entry)
 # and no per-entry Fraction product (lin_scale).  add_entry serves the
 # parser only, and the retired per-word writers stay gone.
 STORE_BUILDERS = {
     ("coalg", "compose_morphisms"), ("coalg", "invert_morphism"),
     ("coalg", "transport_structure"), ("coalg", "_decalage"),
     ("coalg", "decalage_dgla_morphism"), ("coalg", "sub_algebra"),
+    ("coalg", "end_dga"), ("coalg", "DgAlgebra.commutator_dgla"),
     ("transfer", "transfer_structure"), ("transfer", "transfer_quasi_inverse"),
     ("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"), ("cocone", "exp_log_isos"),
     ("cocone", "_cocone_q1"), ("cocone", "derived_products_model"),
@@ -223,7 +234,7 @@ BULK_STORE_SITES = {
     ("graded", "MultilinearMap.set_entry"), ("graded", "MultilinearMap.add_entry"),
     ("graded", "MultilinearMap.symmetrized"), ("graded", "multilinear_from_graded_map"),
     ("coalg", "pushed_map"), ("coalg", "_decalage"), ("coalg", "decalage_dgla_morphism"),
-    ("coalg", "sub_algebra"),
+    ("coalg", "sub_algebra"), ("coalg", "end_dga"), ("coalg", "DgAlgebra.commutator_dgla"),
     ("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
     ("cocone", "exp_log_isos.word_maps"), ("cocone", "_cocone_q1"),
     ("cocone", "cocone_associative"), ("cocone", "derived_products_model"),
@@ -248,7 +259,8 @@ def test_cocone_builders_write_in_bulk(name):
     assert found == PUSHED_MAP_SITES
     calls = set().union(*(_call_sites(p, name) for p in MODULES))
     assert {(module, scope) for module, scope in calls
-            if (module, scope.split(".")[0]) in STORE_BUILDERS} == set()
+            if {(module, scope.split(".")[0]), (module, ".".join(scope.split(".")[:2]))}
+            & STORE_BUILDERS} == set()
     if name == "add_entry":
         assert {site for site in calls if site[0] != "graded"} == {("fmt", "_parse_multilinear")}
     named = {p.name: sorted((_names(_tree(p)) | _defined(_tree(p))) & RETIRED_WRITERS)
@@ -267,3 +279,28 @@ IN_PLACE_SITES = {("hodge", "derived_hom_structure"), ("hodge", "_cut_sums")}
 def test_period_sums_push_from_nonzeros_in_place(name):
     assert {scope for _, scope in IN_PLACE_SITES} <= _defined(_tree(SRC / "hodge.py"))
     assert _call_sites(SRC / "hodge.py", name) & IN_PLACE_SITES == set()
+
+
+# A hom space's elementary maps `t<-s` are named from their parts and never
+# parsed, so spaces whose own names hold "<-", like End(End(V)), work too.
+# Only graded.elementary_to_graded_map, which reads a combination back as a
+# GradedMap, splits a name.  [d, -] on every hom space is the one push
+# graded.hom_differential, not a commutator per elementary map.
+NAME_SPLIT_SITES = {("graded", "elementary_to_graded_map")}
+HOM_DIFFERENTIAL_SITES = {("coalg", "end_dga"), ("hodge", "derived_hom_structure"),
+                          ("hodge", "yukawa_model_v2")}
+
+
+def _splits_hom_name(call) -> bool:
+    return isinstance(call.func, ast.Attribute) and \
+        call.func.attr in {"split", "rsplit", "partition", "rpartition"} and \
+        any(isinstance(a, ast.Constant) and a.value == "<-" for a in call.args)
+
+
+def test_hom_names_are_built_not_parsed():
+    found = set().union(*(_calls_where(p, _splits_hom_name) for p in MODULES))
+    assert found == NAME_SPLIT_SITES
+    found = set().union(*(_call_sites(p, "hom_differential") for p in MODULES))
+    assert found == HOM_DIFFERENTIAL_SITES
+    found = set().union(*(_call_sites(p, "commutator") for p in MODULES))
+    assert found & HOM_DIFFERENTIAL_SITES == set()

@@ -14,9 +14,9 @@ from hoalg.coalg import (
     decalage_dgla_morphism,
 )
 from hoalg.cocone import fm_cocone_lie
-from hoalg.fixtures import (
-    abelian_dgla, random_artin_element, random_end_dgla,
-    random_filtered_inclusion, sl2_dgla, zero_dgla,
+from hoalg.fixtures import random_filtered_inclusion
+from fixture_helpers import (
+    abelian_dgla, random_artin_element, random_end_dgla, sl2_dgla, zero_dgla,
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, SYMMETRIC, TENSOR,
@@ -47,6 +47,10 @@ def test_ring_monomials_and_multiplication():
     assert ArtinRing(2, 4).parse_mono("t1^2*t2") == (2, 1)
     with pytest.raises(MalformedInput):
         R.parse_mono("t1^2*t2")  # total degree 3 is zero in m^3 = 0
+    # a negative power, a non-numeric power or index, or an index out of range
+    for bad in ("t1^-1", "t1^x", "tx", "t", "t3", "t0", "t1^", "t1^2^3", "s1", "t1**2"):
+        with pytest.raises(MalformedInput):
+            R.parse_mono(bad)
 
 
 def test_element_must_be_in_max_ideal():

@@ -6,11 +6,11 @@ import pytest
 
 from hoalg.coalg import (
     DgAlgebra, OoMorphism, OoStructure, check_morphism, check_structure, compose_morphisms,
-    decalage_dga, symmetrize_morphism, symmetrize_structure,
+    decalage_dga, end_dga, symmetrize_morphism, symmetrize_structure,
 )
 from hoalg.cocone import Splitting, derived_products_model
 from hoalg.fixtures import (
-    end_dga, end_splitting, harmonic_contraction, random_complex, random_end_dga,
+    end_splitting, harmonic_contraction, random_complex, random_end_dga,
 )
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
