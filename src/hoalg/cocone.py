@@ -19,16 +19,13 @@ from .coalg import (
     transport_structure,
 )
 from .graded import (
-    Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, bernoulli, exact,
+    A_PRE, B_PRE, Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
+    RejectedInput, Report, SYMMETRIC, TENSOR, bernoulli, exact,
     coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
     prefix_products, prefix_vector, prefixed, right_products, scaled_ints, sign_pow,
     sym_normalize, unscaled,
 )
-
-A_PRE = "a:"
-B_PRE = "b:"
 
 
 # ---------------------------------------------------------------------------

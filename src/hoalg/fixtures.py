@@ -29,15 +29,14 @@ def _rand_coeff(rng, zero_bias=0.35):
     return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
 
 
-def random_complex(seed: int, dim: int = 3, degree_span=(-1, 2)):
-    """Random complex (V, d): tower pattern keeps d^2 = 0 exactly.
+def random_complex(seed: int, dim: int = 3):
+    """Random complex (V, d) with degrees in -1..2: tower pattern keeps d^2 = 0 exactly.
 
     Basis elements are ordered; d of each element only hits *earlier* elements
     that are themselves closed, so d^2 = 0 by construction.
     """
     rng = random.Random("complex:%d" % seed)
-    lo, hi = degree_span
-    basis = [("v%d" % i, rng.randint(lo, hi)) for i in range(dim)]
+    basis = [("v%d" % i, rng.randint(-1, 2)) for i in range(dim)]
     V = GradedSpace(basis)
     d = GradedMap(V, V, 1)
     closed = []

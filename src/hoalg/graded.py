@@ -357,10 +357,14 @@ class GradedSpace:
         return "GradedSpace(%d elements)" % self.dim
 
 
-def pair_space(a: GradedSpace, b: GradedSpace, prefix_a="a:", prefix_b="b:") -> GradedSpace:
-    """Direct sum with uniform name prefixes ('a:' first block, 'b:' second)."""
+A_PRE = "a:"
+B_PRE = "b:"
+
+
+def pair_space(a: GradedSpace, b: GradedSpace) -> GradedSpace:
+    """Direct sum with uniform name prefixes (A_PRE first block, B_PRE second)."""
     basis = []
-    for src, pre in ((a, prefix_a), (b, prefix_b)):
+    for src, pre in ((a, A_PRE), (b, B_PRE)):
         for n in src.names:
             bid = src.bidegree[n]
             if bid is None:
@@ -1034,8 +1038,8 @@ __all__ = [
     "bernoulli", "factorial", "sign_pow",
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
     "unscaled", "prefix_products", "right_products",
-    "format_vector", "format_coeff", "GradedSpace", "pair_space", "prefix_vector", "hom_space",
-    "hom_differential",
+    "format_vector", "format_coeff", "GradedSpace", "A_PRE", "B_PRE", "pair_space",
+    "prefix_vector", "hom_space", "hom_differential",
     "sym_normalize", "stabilizer", "merge_words", "GradedMap",
     "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",

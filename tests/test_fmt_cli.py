@@ -288,6 +288,35 @@ def test_cli_max_weight_env_override(monkeypatch):
     assert args.max_weight == 2
 
 
+@pytest.mark.parametrize("env, argv", [
+    (None, ["--max-weight", "0", "period", "split", "--example", "lambda:1"]),
+    (None, ["--max-weight", "0", "cocone", "explog", "--example", "r:1"]),
+    (None, ["--max-weight", "0", "cocone", "derived", "--example", "r:1"]),
+    (None, ["--max-weight", "-1", "verify", "cartan", "--example", "torus:1"]),
+    (None, ["--max-weight", "two", "verify", "cartan", "--example", "torus:1"]),
+    ("x", ["verify", "cartan", "--example", "torus:1"]),
+    ("0", ["verify", "cartan", "--example", "torus:1"]),
+], ids=["period-0", "explog-0", "derived-0", "negative", "word", "env-word", "env-0"])
+def test_cli_max_weight_below_one_is_a_usage_error(monkeypatch, env, argv):
+    # a weight below 1 checks nothing, so it is refused before any command
+    # runs, from the flag and from HOALG_MAX_WEIGHT alike
+    if env is None:
+        monkeypatch.delenv("HOALG_MAX_WEIGHT", raising=False)
+    else:
+        monkeypatch.setenv("HOALG_MAX_WEIGHT", env)
+    assert run_cli(argv) == (2, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "structure", "--name", "S"],
+    ["cocone", "fm", "--name", "f"],
+    ["transfer", "--structure", "S", "--contraction", "C"],
+], ids=lambda argv: argv[0])
+def test_cli_file_command_without_file_or_example_is_exit_2(argv):
+    # with no input to read, the command names what it needs
+    assert run_cli(argv) == (2, "error: %s needs FILE or --example\n" % argv[0])
+
+
 DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "docs", "demo.alg")
 

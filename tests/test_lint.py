@@ -8,8 +8,9 @@ out of the library, sorted words are merged, not re-sorted, no library
 function enumerates basis words, every Taylor-map builder stores each arity
 through the one checked write, MultilinearMap.store, the period-map sums
 are pushed in place, with no commutator, per-entry write or GradedMap copy,
-and hom-space names are built, never parsed, with [d, -] pushed by one
-function."""
+hom-space names are built, never parsed, with [d, -] pushed by one
+function, and the CLI prints from `run` alone, through one `_emit`, with its
+parser built from one table of `cmd_*` handlers."""
 
 from __future__ import annotations
 
@@ -169,8 +170,8 @@ SORT_SITES = {("graded", "MultilinearMap.normalize"), ("graded", "MultilinearMap
               ("cocone", "CoderAction._norm")}
 
 
-def _calls_where(path, accept) -> set:
-    """(module, enclosing Class.function) of every call that `accept` takes."""
+def _sites_where(path, accept) -> set:
+    """(module, enclosing Class.function) of every node that `accept` takes."""
     out = set()
 
     def visit(node, scope):
@@ -178,12 +179,17 @@ def _calls_where(path, accept) -> set:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            if isinstance(child, ast.Call) and accept(child):
+            if accept(child):
                 out.add((path.stem, ".".join(scope)))
             visit(child, inner)
 
     visit(_tree(path), ())
     return out
+
+
+def _calls_where(path, accept) -> set:
+    """(module, enclosing Class.function) of every call that `accept` takes."""
+    return _sites_where(path, lambda node: isinstance(node, ast.Call) and accept(node))
 
 
 def _call_sites(path, name) -> set:
@@ -304,3 +310,34 @@ def test_hom_names_are_built_not_parsed():
     assert found == HOM_DIFFERENTIAL_SITES
     found = set().union(*(_call_sites(p, "commutator") for p in MODULES))
     assert found & HOM_DIFFERENTIAL_SITES == set()
+
+
+# The CLI has one emit path: every cmd_* handler takes only `args` and returns
+# (stdout lines, exit code) built by _emit, the only reader of --format, and
+# run alone prints.  build_parser reads _COMMANDS, whose handlers are exactly
+# the module's cmd_* functions, and argparse's choices leave no "unknown kind".
+CLI = SRC / "cli.py"
+
+
+def _prints(call) -> bool:
+    return _names(call.func) == {"print"} or (
+        isinstance(call.func, ast.Attribute) and call.func.attr == "write"
+        and _names(call.func.value) == {"sys", "stdout"})
+
+
+def test_cli_has_one_emit_path():
+    tree = _tree(CLI)
+    assert _calls_where(CLI, _prints) == {("cli", "run")}
+    handlers = {f.name: [a.arg for a in f.args.args] for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")}
+    assert handlers and handlers == {name: ["args"] for name in handlers}
+    reads = _sites_where(CLI, lambda node: isinstance(node, ast.Attribute)
+                         and node.attr == "format" and _names(node.value) == {"args"})
+    assert reads == {("cli", "_emit")}
+    table = [node.value for node in tree.body if isinstance(node, ast.Assign)
+             and _names(node.targets[0]) == {"_COMMANDS"}]
+    assert len(table) == 1
+    assert {entry.elts[0].id for entry in table[0].values} == set(handlers)
+    strings = [n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert [text for text in strings if text.startswith("unknown") and "kind" in text] == []
