@@ -1,8 +1,8 @@
 """Batch front door: parse structure files, dispatch, emit deterministic reports.
 
 Exit codes: 0 all checks pass, 1 a mathematical verification failed,
-2 parse/shape error.  Identical inputs and flags produce byte-identical
-output.
+2 parse/shape error or an unsupported request.  Identical inputs and flags
+produce byte-identical output.
 
 One emit path: each `cmd_*` handler returns its stdout lines and exit code,
 and builds them through `_emit`, the only reader of --format; `run` alone
@@ -31,7 +31,8 @@ from .fixtures import (
     random_end_dga, random_filtered_inclusion,
 )
 from .graded import (
-    MalformedInput, RejectedInput, Report, check_contraction, linear_part,
+    MalformedInput, RejectedInput, Report, UnsupportedOperation, check_contraction,
+    linear_part,
 )
 from .hodge import (
     check_cartan, check_hodge_package, contraction_table_lines,
@@ -144,6 +145,9 @@ _CHECKS = {
 
 
 def cmd_verify(args):
+    if args.kind not in ("cartan", "hodge") and args.file is None and args.example:
+        raise MalformedInput("verify %s needs FILE: --example serves cartan and hodge only"
+                             % args.kind)
     if args.kind in ("cartan", "hodge") and args.example:
         pkg, cartan, _ = _example_period_data(args.example)
         if args.kind == "hodge" and pkg is None:
@@ -379,7 +383,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         lines, code = args.fn(args)
-    except (MalformedInput, RejectedInput, OSError) as exc:
+    except (MalformedInput, RejectedInput, UnsupportedOperation, OSError) as exc:
         sys.stdout.write("error: %s\n" % exc)
         return 2
     sys.stdout.write("\n".join(lines) + "\n")

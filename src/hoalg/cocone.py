@@ -37,10 +37,22 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
 
     q1(x, m) = (-dx, dm - f(x)); q2 the shifted L-bracket; the mixed weights
     carry Bernoulli coefficients: q_{k+1}(x (x) m_1 ... m_k) =
-    -(B_k/k!) S(f(x), m_1..m_k).  The signed sum over orderings
-    S(v, T) = sum_sigma eps(sigma) [...[v, t_s1], ..., t_sk] is grown one
-    letter at a time from S(v, ()) = v: each sorted word S and letter b with
-    [S(v, S), b] != 0 add
+    -(B_k/k!) S(f(x), m_1..m_k), where S(v, T) = sum_sigma eps(sigma)
+    [...[v, t_s1], ..., t_sk] is the signed sum over orderings.  The mixed
+    words are grown by _fm_cocone_lie over every letter.
+    """
+    return _fm_cocone_lie(f, max_weight, f.source.space.names, f.target.space.names)
+
+
+def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStructure:
+    """fm_cocone_lie's structure with the mixed words grown only from the
+    letters x in `sources` and over the letters of M in `targets`, both in
+    basis order: a key whose letters all lie there gets fm_cocone_lie's
+    entry, and every other mixed key none, so it is a cocone only when given
+    every name.
+
+    S(v, T) is grown one letter at a time from S(v, ()) = v: each sorted word
+    S and letter b with [S(v, S), b] != 0 add
 
         weight [S(v, S), b]  at  T = sort(S + b),
 
@@ -64,20 +76,21 @@ def fm_cocone_lie(f: DglaMorphism, max_weight: int = 6) -> OoStructure:
     scale, bracket = right_products(M.bracket)
     fscale, fx = scaled_ints({1: f.map}, 1)
     index, degree = M.space.index, M.space.degree
+    bkey = {m: B_PRE + m for m in targets}
     words = {k: {} for k in coeffs}
-    for x in L.space.names:
+    for x in sources:
         level, ax = ({(): fx[1][x]} if x in fx[1] else {}), (A_PRE + x,)
         for k in range(1, max(coeffs, default=0) + 1):
             grown: dict = {}
             for S, v in level.items():
-                for b in M.space.names:
+                for b in targets:
                     vb = bracket(v, b)
                     got = vb and merge_words(S, (b,), index, degree)
                     if got:
                         lin_acc(grown.setdefault(got[0], {}), vb, got[1])
             level = {T: v for T, v in grown.items() if v}
             for T, v in level.items() if k in coeffs else ():
-                words[k][ax + tuple(B_PRE + m for m in T)] = prefix_vector(v, B_PRE)
+                words[k][ax + tuple(bkey[m] for m in T)] = prefix_vector(v, B_PRE)
     for k, c in coeffs.items():
         taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
         taylor[k + 1].store(words[k], c / (fscale * scale ** k))

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
-from .cocone import A_PRE, B_PRE, fm_cocone_lie
+from .cocone import A_PRE, B_PRE, _fm_cocone_lie
 from .graded import (
     SYMMETRIC, GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
     linear_part, map_solve, stabilizer,
@@ -467,9 +467,16 @@ def cocone_element(cocone_space, x: ArtinElement, m: ArtinElement) -> ArtinEleme
 def cocone_mc_correspondence(f: DglaMorphism, x: ArtinElement, m: ArtinElement,
                              max_weight=None) -> Report:
     """(x, m) Maurer-Cartan in the mapping cocone iff (x, e^m) is in the
-    two-equation set; both residuals computed independently and compared."""
+    two-equation set; both residuals computed independently and compared.
+    The cocone series reads only the keys whose letters all carry a term of x
+    (a:) or of m (b:), so fm_cocone_lie(f) is grown over those letters only:
+    each key read has its full entry, and the cut-down structure, not a
+    cocone, never leaves this call."""
     mw = max_weight or max(x.ring.order - 1, 2)
-    s = fm_cocone_lie(f, max_weight=mw)
+    xs = {n for n, _ in x.terms}
+    ms = {n for n, _ in m.terms}
+    s = _fm_cocone_lie(f, mw, [n for n in f.source.space.names if n in xs],
+                       [n for n in f.target.space.names if n in ms])
     pair = cocone_element(s.space, x, m)
     res_cocone = mc_check(s, pair)
     direct = mc_f_check(f, x, m)

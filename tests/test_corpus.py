@@ -8,8 +8,9 @@ short SIGALRM budget is a timing race, not a byte check.
 PINS cover what the corpus does not: file-driven verify, transfer, cocone
 and product runs on the fixtures of test_fmt_cli.py and test_fmt_sections.py,
 --format machine, the error lines, and examples the README does not name.
-Their digests were recorded before the subcommand handlers were folded into
-one table-driven emit path, so they hold the CLI to its earlier bytes.
+Their digests, but for the last five, were recorded before the subcommand
+handlers were folded into one table-driven emit path, so they hold the CLI
+to its earlier bytes.
 """
 
 from __future__ import annotations
@@ -121,6 +122,18 @@ PINS = [
      '090181e22063847a855f8e019ad0ab8d7454058efd646418ba17c8db17850509'),
     ('example torus --n 1', 0,
      'cdb7ec9cc845f53282d3696695ba19591a80b4fe75ad2cf482911c62ee01adbb'),
+    # recorded when --example of these kinds stopped being ignored, and an
+    # unsupported request stopped ending in a traceback
+    ('verify structure --example torus:1', 2,
+     'a723f2f38ae9af0ccdea8cfb68c3f9a1bee88ca9919ef02f4edefa2b2e39db8a'),
+    ('verify morphism --example torus:1', 2,
+     'c594b63847281e92fb9122db5c5b9f3ac1036a6ff0aad7923d31978998a4c110'),
+    ('verify contraction --example torus:1', 2,
+     '21fabc1c6091965328b76a66ed6628e651283f7310957c3302b4e92f83681699'),
+    ('--max-weight 3 yukawa v1 --example torus:1', 2,
+     '38ec3e06f823d97457b3247013bb626c2920ec132da392bffc6381cdf0901129'),
+    ('--max-weight 3 transfer {transfer} --structure SV --contraction C --quasi-inverse', 2,
+     '4634e1d0915c8159d820607c245db8becb51905ea6b4cb1a86473d3668098e53'),
 ]
 
 

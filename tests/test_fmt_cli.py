@@ -317,6 +317,34 @@ def test_cli_file_command_without_file_or_example_is_exit_2(argv):
     assert run_cli(argv) == (2, "error: %s needs FILE or --example\n" % argv[0])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["yukawa", "v1", "--example", "torus:1"], "the fiber-product models need n >= 2"),
+    (["transfer", "{file}", "--structure", "SV", "--contraction", "C", "--quasi-inverse"],
+     "explicit quasi-inverse is implemented for the tensor flavor only"),
+], ids=["yukawa-torus1", "transfer-symmetric-quasi-inverse"])
+def test_cli_unsupported_request_is_exit_2(tmp_path, argv, message):
+    # a request the engine does not support is a usage error with an error
+    # line, not a traceback with exit 1, the "verification failed" code
+    path = tmp_path / "sv.alg"
+    path.write_text(SAMPLE + "\nstructure SV V symmetric 3\n  q 1 d\n")
+    argv = ["--max-weight", "3"] + [a.replace("{file}", str(path)) for a in argv]
+    assert run_cli(argv) == (2, "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("kind", ["structure", "morphism", "contraction"])
+def test_cli_verify_example_serves_cartan_and_hodge_only(kind):
+    # without FILE the error once said --example was missing although it was given
+    want = (2, "error: verify %s needs FILE: --example serves cartan and hodge only\n" % kind)
+    assert run_cli(["verify", kind, "--example", "torus:1"]) == want
+
+
+def test_cli_verify_structure_file_with_example_verifies_file(sample_file):
+    # given FILE, verify structure reads FILE and leaves --example unused
+    argv = ["verify", "structure", sample_file, "--name", "S"]
+    assert run_cli(argv + ["--example", "torus:1"]) == run_cli(argv)
+    assert run_cli(argv)[0] == 0
+
+
 DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "docs", "demo.alg")
 

@@ -98,7 +98,7 @@ DIVISION_SITES = {
     ("graded", "bernoulli"),
     ("graded", "rref"),
     ("fixtures", "_degree_split"),
-    ("cocone", "fm_cocone_lie"),
+    ("cocone", "_fm_cocone_lie"),
     ("cocone", "fm_cocone_assoc"),
 }
 
@@ -229,7 +229,7 @@ STORE_BUILDERS = {
     ("coalg", "decalage_dgla_morphism"), ("coalg", "sub_algebra"),
     ("coalg", "end_dga"), ("coalg", "DgAlgebra.commutator_dgla"),
     ("transfer", "transfer_structure"), ("transfer", "transfer_quasi_inverse"),
-    ("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"), ("cocone", "exp_log_isos"),
+    ("cocone", "_fm_cocone_lie"), ("cocone", "fm_cocone_assoc"), ("cocone", "exp_log_isos"),
     ("cocone", "_cocone_q1"), ("cocone", "derived_products_model"),
     ("cocone", "_derived_brackets"), ("cocone", "semidirect_product"),
     ("cocone", "fiber_product_model"), ("cocone", "strictify_fibration"),
@@ -241,7 +241,7 @@ BULK_STORE_SITES = {
     ("graded", "MultilinearMap.symmetrized"), ("graded", "multilinear_from_graded_map"),
     ("coalg", "pushed_map"), ("coalg", "_decalage"), ("coalg", "decalage_dgla_morphism"),
     ("coalg", "sub_algebra"), ("coalg", "end_dga"), ("coalg", "DgAlgebra.commutator_dgla"),
-    ("cocone", "fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
+    ("cocone", "_fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
     ("cocone", "exp_log_isos.word_maps"), ("cocone", "_cocone_q1"),
     ("cocone", "cocone_associative"), ("cocone", "derived_products_model"),
     ("cocone", "derived_products_model.g_taylor"), ("cocone", "_derived_brackets"),

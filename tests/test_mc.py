@@ -13,7 +13,7 @@ from hoalg.coalg import (
     DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure, decalage_dgla,
     decalage_dgla_morphism,
 )
-from hoalg.cocone import fm_cocone_lie
+from hoalg.cocone import _fm_cocone_lie, fm_cocone_lie
 from hoalg.fixtures import random_filtered_inclusion
 from fixture_helpers import (
     abelian_dgla, random_artin_element, random_end_dgla, sl2_dgla, zero_dgla,
@@ -235,6 +235,60 @@ def test_cocone_correspondence_on_true_mc_pairs():
         assert rep.ok
         rep2 = cocone_mc_correspondence(inc, x, a_amb.scaled(-1))
         assert rep2.ok
+
+
+# the cocone correspondence grows the cocone only over the letters of (x, m).
+# Seeds 2, 3 and 5 are those of 0-5 whose L has a degree-1 part, so that x
+# can be nonzero; random x and m of varied density, up to full support
+SUPPORT_RINGS = ((1, 6), (2, 4), (3, 3))
+SUPPORT_DENSITIES = ((0.4, 0.4), (0.4, 1.0), (1.0, 0.4), (0.7, 0.7), (1.0, 1.0))
+SUPPORT_CASES = [(seed, ring, dx, dm) for seed in (2, 3, 5) for ring in SUPPORT_RINGS
+                 for dx, dm in SUPPORT_DENSITIES]
+
+
+def _support_case(seed, ring, dx, dm):
+    sub, amb, inc = random_filtered_inclusion(seed, 2)
+    R = ArtinRing(*ring)
+    tag = 1000 * seed + 100 * R.generators + int(10 * dx) + int(dm)
+    x = random_artin_element(tag, R, sub.space, 1, density=dx)
+    m = random_artin_element(tag + 7, R, amb.space, 0, density=dm)
+    return inc, x, m
+
+
+def test_cocone_correspondence_residual_matches_the_full_cocone():
+    # the residual over the cut-down cocone is the one over fm_cocone_lie
+    nonzero = 0
+    for case in SUPPORT_CASES:
+        inc, x, m = _support_case(*case)
+        full = fm_cocone_lie(inc, max_weight=x.ring.order - 1)
+        want = mc_check(full, cocone_element(full.space, x, m))
+        got = cocone_mc_correspondence(inc, x, m).checks[0]
+        assert got["label"] == "cocone residual zero"
+        assert got["lhs"] == ("0" if want.is_zero() else ";".join(want.lines())), case
+        nonzero += not want.is_zero()
+    assert len(SUPPORT_CASES) >= 40 and nonzero >= 40
+
+
+def test_cocone_support_cut_drops_no_letter_the_series_reads():
+    # planted: growing the cocone without one letter of (x, m) changes a residual
+    changed = 0
+    for case in SUPPORT_CASES[::3]:
+        inc, x, m = _support_case(*case)
+        mw = x.ring.order - 1
+        full = fm_cocone_lie(inc, max_weight=mw)
+        pair = cocone_element(full.space, x, m)
+        want = mc_check(full, pair).terms
+        xs, ms = {n for n, _ in x.terms}, {n for n, _ in m.terms}
+        sources = [n for n in inc.source.space.names if n in xs]
+        targets = [n for n in inc.target.space.names if n in ms]
+        assert mc_check(_fm_cocone_lie(inc, mw, sources, targets), pair).terms == want
+        for i in range(len(sources)):
+            cut = _fm_cocone_lie(inc, mw, sources[:i] + sources[i + 1:], targets)
+            changed += mc_check(cut, pair).terms != want
+        for i in range(len(targets)):
+            cut = _fm_cocone_lie(inc, mw, sources, targets[:i] + targets[i + 1:])
+            changed += mc_check(cut, pair).terms != want
+    assert changed
 
 
 # --- pushforward ------------------------------------------------------------------
