@@ -207,18 +207,22 @@ def _product(outer: Scaled, inner: Scaled, k: int, lo: int = 1) -> tuple:
     A term with j inner coefficients has the scale D_outer D_inner^j stab(K),
     so it is lifted to the common scale D_outer D_inner^k k! by the int
     D_inner^(k-j) k!/stab(K): stab(K) divides j!, which divides k!.  In T(V)
-    there is no stab(K), and the k! is left out.
+    there is no stab(K), and the k! is left out.  A key with a letter that
+    no inner coefficient writes has no preimage, so it is skipped.
     """
     symmetric = inner.symmetric
     fact = factorial(k) if symmetric else 1
     scale = outer.scale * inner.scale ** k * fact
-    if not any(inner.inv.values()):
+    written = set().union(*inner.inv.values())
+    if not written:
         return {}, scale
     out: dict = {}
     for j, entries in outer.entries.items():
         if lo <= j <= k:
             lift = inner.scale ** (k - j) * fact
             for key, vec in entries.items():
+                if not written.issuperset(key):
+                    continue
                 m = lift // stabilizer(key) if symmetric else lift
                 for w, c in preimage_words(key, inner.inv, k, inner.space, symmetric).items():
                     lin_acc(out.setdefault(w, {}), vec, c * m)

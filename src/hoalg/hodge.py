@@ -508,7 +508,8 @@ def _cut_sums(space: GradedSpace, pairs) -> dict:
     number of ways to pick B out of T, so if heads[B] and tails[S] sum the
     signed orderings of B and S, the sum at T is the signed sum over the
     orderings of T, grouped by the content of the first |B| letters.  Only
-    nonzero memo entries are visited.
+    nonzero memo entries are visited, and a head only with the tails that
+    write a name it reads: every other pair composes to zero.
 
     Each sum is one entries dict per T, summed in place: the term of (h, t)
     adds coeff w t(s)[y] . h(y) to row s for every nonzero t(s)[y] (lin_acc).
@@ -520,9 +521,12 @@ def _cut_sums(space: GradedSpace, pairs) -> dict:
     shapes: dict = {}
     index, degree = space.index, space.degree
     for heads, tails, coeff in pairs:
+        writes = [(S, t, set().union(*t.entries.values())) for S, t in tails.items()]
         for B, h in heads.items():
             images = h.entries
-            for S, t in tails.items():
+            for S, t, written in writes:
+                if images.keys().isdisjoint(written):
+                    continue
                 got = merge_words(B, S, index, degree)
                 if got is None:
                     continue

@@ -26,8 +26,8 @@ from math import factorial, lcm
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
 from .cocone import A_PRE, B_PRE, _fm_cocone_lie
 from .graded import (
-    SYMMETRIC, GradedMap, MalformedInput, Report, exact, format_coeff, lin_add, lin_eq,
-    linear_part, map_solve, stabilizer,
+    SYMMETRIC, GradedMap, GradedSpace, MalformedInput, Report, exact, format_coeff, lin_add,
+    lin_eq, linear_part, map_solve, stabilizer,
 )
 
 
@@ -324,20 +324,28 @@ def mc_check(s: OoStructure, x: ArtinElement) -> ArtinElement:
     coefficients up to arity (ring order - 1) for the truncation to be exact,
     and a structure truncated below that arity is rejected.
     """
-    if x.space != s.space:
-        raise MalformedInput("element lives on the wrong space")
-    if s.max_weight < x.ring.order - 1:
-        raise MalformedInput(
-            "structure truncated at arity %d, but m^%d = 0 needs arities up to %d"
-            % (s.max_weight, x.ring.order, x.ring.order - 1))
+    _require_series("structure", s.space, s.max_weight, x)
     if not x.is_homogeneous(0):
         raise MalformedInput("Maurer-Cartan elements are degree-0 in the shifted grading")
     return _exp_series(s.taylor, x, s.space)
 
 
 def mc_pushforward(F: OoMorphism, x: ArtinElement) -> ArtinElement:
-    """sum_{n>=1} (1/n!) f_n(x^{(.)n}) in the target space."""
+    """sum_{n>=1} (1/n!) f_n(x^{(.)n}) in the target space, with mc_check's
+    guards on x's space and on F's truncation (x may carry odd letters)."""
+    _require_series("morphism", F.source.space, F.max_weight, x)
     return _exp_series(F.taylor, x, F.target.space)
+
+
+def _require_series(what: str, space: GradedSpace, max_weight: int, x: ArtinElement):
+    """Raise MalformedInput unless x lives on space and the Taylor family,
+    truncated at max_weight, has every arity below the ring order."""
+    if x.space != space:
+        raise MalformedInput("element lives on the wrong space")
+    if max_weight < x.ring.order - 1:
+        raise MalformedInput(
+            "%s truncated at arity %d, but m^%d = 0 needs arities up to %d"
+            % (what, max_weight, x.ring.order, x.ring.order - 1))
 
 
 def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
@@ -347,15 +355,15 @@ def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
 
         (1/n!) t_n(x, .., x) = sum_K c(K) t_n(K) prod_i x_{K_i}
 
-    over the stored keys K whose letters all carry a term of x.  In T(V)
-    c(K) = 1/n!.  In S(V) the n!/stab(K) orderings of K read t_n(K) with
-    their Koszul signs, so c(K) = 1/stab(K) when K has at most one odd
-    letter, and c(K) = 0 otherwise, as the orderings that swap two odd
-    letters cancel in pairs.  The products grow along the keys' shared
-    prefixes, truncated at m^N, and an empty one cuts every key that extends
-    it.  The terms with n >= ring order vanish because x lies in V (x) m_B.
-    Every term is summed as an int at one scale, and each output coefficient
-    is divided once."""
+    over the stored keys K whose letters all carry a term of x; every other
+    key is skipped before its product grows.  In T(V) c(K) = 1/n!.  In S(V)
+    the n!/stab(K) orderings of K read t_n(K) with their Koszul signs, so
+    c(K) = 1/stab(K) when K has at most one odd letter, and c(K) = 0
+    otherwise, as the orderings that swap two odd letters cancel in pairs.
+    The products grow along the keys' shared prefixes, truncated at m^N, and
+    an empty one cuts every key that extends it.  The terms with n >= ring
+    order vanish because x lies in V (x) m_B.  Every term is summed as an int
+    at one scale, and each output coefficient is divided once."""
     ring = x.ring
     top = ring.order - 1
     degree = x.space.degree
@@ -363,6 +371,7 @@ def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
     letters: dict = {}                  # a -> {monomial: dx * coefficient}
     for (a, mono), c in x.terms.items():
         letters.setdefault(a, {})[mono] = c.numerator * (dx // c.denominator)
+    carried = set(letters)
     products = {(): {ring.one: 1}}      # word -> dx^len(word) prod_i x_{word_i}
     live = []
     for n in range(1, top + 1):
@@ -371,7 +380,7 @@ def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
             continue
         sym = t.flavor == SYMMETRIC
         for key, vec in t.entries.items():
-            p = _word_product(products, key, letters, ring)
+            p = carried.issuperset(key) and _word_product(products, key, letters, ring)
             if not p or sym and sum(degree[a] % 2 for a in key) > 1:
                 continue
             # n! c(K), lifted from dx^n to dx^top and from n! to top!

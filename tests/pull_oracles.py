@@ -16,6 +16,12 @@ elementary map, the obstruction map psi as its finite double sum, and the
 Hodge-splitting coefficient as its partition sum.
 The Koszul signs of the ordering sums come from `koszul_sign` and
 `unshuffles`.  They are slow, so tests run them at low weights only.
+
+The (j, k, word) memos are keyed on the structure or morphism object and
+are never invalidated: once a pull function has read an object, changing
+its Taylor entries in place leaves the memo stale, and a later pull read
+returns the components of the old map.  A test that mutates a map (a planted
+bump, say) builds a fresh object for each mutation.
 """
 
 from __future__ import annotations

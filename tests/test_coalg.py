@@ -435,6 +435,26 @@ def test_scaled_kernels_match_the_pull_oracles(flavor, pool):
     assert _taylor_entries(compose_morphisms(F, G)) == _taylor_entries(pull_compose(F, G))
 
 
+@pytest.mark.parametrize("flavor", (TENSOR, SYMMETRIC))
+def test_product_skips_keys_on_names_the_inner_family_never_writes(flavor):
+    # F writes no b, so the product kernel skips every key of t and of G
+    # with a b in check_morphism and compose_morphisms; the pull oracles
+    # read every basis word
+    V = SCALE_SPACE
+    s = OoStructure(V, flavor, scale_family(flavor, 1, UNFRIENDLY, 0), SCALE_TOP)
+    t = OoStructure(V, flavor, scale_family(flavor, 1, UNFRIENDLY, 1), SCALE_TOP)
+    G = OoMorphism(t, s, scale_family(flavor, 0, UNFRIENDLY, 3))
+    F = OoMorphism(s, t, {k: MultilinearMap(V, V, 0, k, flavor).store(
+        {w: {y: c for y, c in vec.items() if y != "b"} for w, vec in f.entries.items()})
+        for k, f in scale_family(flavor, 0, UNFRIENDLY, 2).items()})
+    written = set().union(*(vec for f in F.taylor.values() for vec in f.entries.values()))
+    assert written < set(V.names)
+    assert any(not written.issuperset(key)
+               for q in (*t.taylor.values(), *G.taylor.values()) for key in q.entries)
+    assert check_morphism(F).lines() == pull_check_morphism(F).lines()
+    assert _taylor_entries(compose_morphisms(G, F)) == _taylor_entries(pull_compose(G, F))
+
+
 @pytest.mark.parametrize("symmetric", (False, True))
 def test_scaled_checks_report_planted_faults_like_the_pull(symmetric):
     # E, L and their cocones rescaled by lam = 1/11 still pass and stay

@@ -30,9 +30,9 @@ from hoalg.hodge import (
 from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
 from hoalg.transfer import transfer_structure
 from pull_oracles import (
-    psi_double_sum, pull_derived_hom_structure, pull_harmonic_quasi_inverse,
-    pull_minimal_period_map, pull_split_period_map, pull_yukawa_model, pull_yukawa_model_v2,
-    split_period_coefficient,
+    psi_double_sum, pull_check_morphism, pull_derived_hom_structure,
+    pull_harmonic_quasi_inverse, pull_minimal_period_map, pull_split_period_map,
+    pull_symmetrized, pull_yukawa_model, pull_yukawa_model_v2, split_period_coefficient,
 )
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -872,6 +872,12 @@ def test_builders_match_pull_oracles(fixture, weight, letters):
     Pi, target = split_period_map(fpd, max_weight=weight)
     ref, _ = pull_split_period_map(fpd, max_weight=weight)
     assert Pi.taylor and _entries(Pi.taylor) == _entries(ref.taylor)
+    # the target is the pulled derived-hom structure, symmetrized
+    c = fpd.cartan
+    pulled = pull_derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, weight)
+    sym = {k: pull_symmetrized(q).entries for k, q in pulled.taylor.items()}
+    assert target.flavor == SYMMETRIC and _entries(target.taylor) == \
+        {k: e for k, e in sym.items() if e}
     words = {w for f in Pi.taylor.values() for w in f.entries}
     if pkg is not None:
         P = minimal_period_map(pkg, cartan, max_weight=weight)
@@ -884,6 +890,43 @@ def test_builders_match_pull_oracles(fixture, weight, letters):
         assert any(deg[x] % 2 for w in words for x in w)
     else:
         assert any(x == y and deg[x] % 2 == 0 for w in words for x, y in zip(w, w[1:]))
+
+
+def _split_bumps(example, weight):
+    """(k, word, name, unwritten) for each planted bump of the split map:
+    f_k(word)[name] raised by 1, for the first name f_k(word) writes and for
+    every name of the target's degree there that no coefficient writes."""
+    F, target = split_period_map(_example_period_data(example)[2], max_weight=weight)
+    written = set().union(*(v for f in F.taylor.values() for v in f.entries.values()))
+    sdeg, tdeg = F.source.space.degree, target.space.degree
+    for k, f in sorted(F.taylor.items()):
+        for word, vec in sorted(f.entries.items()):
+            want = sum(sdeg[x] for x in word)
+            for y in [min(vec)] + [y for y in target.space.names
+                                   if y not in written and tdeg[y] == want]:
+                yield k, word, y, y not in written
+
+
+@pytest.mark.parametrize("example", ["lambda:1", "synthetic:0", "torus:2"])
+def test_split_map_bumps_check_like_pull_oracle(example):
+    # a bump to a name F never wrote makes the target's keys on that letter
+    # live in check_morphism, which skips every key with an unwritten letter.
+    # Each bump gets a fresh map, since the pull oracle memoizes F^j_k on it.
+    fails = unwritten = 0
+    for k, word, y, new in _split_bumps(example, 3):
+        F, _ = split_period_map(_example_period_data(example)[2], max_weight=3)
+        vec = dict(F.taylor[k].entries[word])
+        vec[y] = vec.get(y, 0) + 1
+        F.taylor[k].store({word: vec})
+        got = check_morphism(F)
+        assert got.lines() == pull_check_morphism(F).lines(), (k, word, y)
+        fails += not got.ok
+        unwritten += new
+    assert unwritten
+    if example == "lambda:1":
+        assert fails        # lambda:1 exercises FQ = RF
+    if example == "torus:2":
+        assert not fails    # both structures are zero, so FQ = RF is vacuous
 
 
 @pytest.mark.parametrize("weight", [2, 3, 4])

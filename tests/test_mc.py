@@ -13,8 +13,8 @@ from hoalg.coalg import (
     DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure, decalage_dgla,
     decalage_dgla_morphism,
 )
-from hoalg.cocone import _fm_cocone_lie, fm_cocone_lie
-from hoalg.fixtures import random_filtered_inclusion
+from hoalg.cocone import _fm_cocone_lie, exp_log_isos, fm_cocone_lie
+from hoalg.fixtures import random_dga_morphism, random_filtered_inclusion
 from fixture_helpers import (
     abelian_dgla, random_artin_element, random_end_dgla, sl2_dgla, zero_dgla,
 )
@@ -211,30 +211,50 @@ def test_cocone_correspondence_trivial_and_central():
     assert rep.ok
 
 
-@pytest.mark.parametrize("seed", list(range(10)))
-def test_cocone_correspondence_random(seed):
-    sub, amb, inc = random_filtered_inclusion(seed % 4, 2)
+def _random_pair(seed):
+    # seeds 2, 3 and 5 are those of 0-5 whose L has a degree-1 part, so that
+    # the degree-1 x can be nonzero
+    sub, amb, inc = random_filtered_inclusion((2, 3, 5)[seed % 3], 2)
     ring = ArtinRing(2, 3) if seed % 2 else ArtinRing(1, 4)
     x = random_artin_element(seed + 100, ring, sub.space, 1, density=0.4)
     m = random_artin_element(seed + 200, ring, amb.space, 0, density=0.4)
-    rep = cocone_mc_correspondence(inc, x, m)
+    return inc, x, m
+
+
+@pytest.mark.parametrize("seed", list(range(10)))
+def test_cocone_correspondence_random(seed):
+    rep = cocone_mc_correspondence(*_random_pair(seed))
     agree = [c for c in rep.checks if c["label"] == "memberships agree"]
     assert agree and agree[0]["ok"]
 
 
+def test_cocone_correspondence_random_draws_nonzero_x():
+    # the random cases above are not mostly x = 0
+    assert sum(not _random_pair(seed)[1].is_zero() for seed in range(10)) >= 8
+
+
 def test_cocone_correspondence_on_true_mc_pairs():
     # engineered members: x = e^a * 0 inside L, m = -a: (x, e^m) is in MC_f,
-    # hence (x, m) must satisfy the cocone Maurer-Cartan equation as well
-    sub, amb, inc = random_filtered_inclusion(0, 2)
+    # hence (x, m) must satisfy the cocone Maurer-Cartan equation as well.
+    # x = -da + O(a^2) is nonzero only when da is: of seeds 2, 3 and 5, only
+    # seed 2 has a degree-0 letter that d moves, so seeds 3 and 5 give x = 0
+    # and check the m half alone
     R = t_ring(3)
-    for seed in range(4):
-        a = random_artin_element(seed + 300, R, sub.space, 0, density=0.5)
-        x = gauge_act(sub, a, ArtinElement(R, sub.space))
-        a_amb = ArtinElement(R, amb.space, dict(a.terms))
-        rep = mc_f_check(inc, x, a_amb.scaled(-1))
-        assert rep.ok
-        rep2 = cocone_mc_correspondence(inc, x, a_amb.scaled(-1))
-        assert rep2.ok
+    nonzero = 0
+    for seed in (2, 3, 5):
+        sub, amb, inc = random_filtered_inclusion(seed, 2)
+        moved = any(sub.space.degree[n] == 0 and sub.d.entries.get(n) for n in sub.space.names)
+        for draw in range(4 if moved else 1):
+            a = random_artin_element(draw + 300, R, sub.space, 0, density=0.5)
+            assert artin_apply(sub.d, a).is_zero() != moved
+            x = gauge_act(sub, a, ArtinElement(R, sub.space))
+            nonzero += not x.is_zero()
+            a_amb = ArtinElement(R, amb.space, dict(a.terms))
+            rep = mc_f_check(inc, x, a_amb.scaled(-1))
+            assert rep.ok
+            rep2 = cocone_mc_correspondence(inc, x, a_amb.scaled(-1))
+            assert rep2.ok
+    assert nonzero == 4  # most of the 6 pairs
 
 
 # the cocone correspondence grows the cocone only over the letters of (x, m).
@@ -304,6 +324,22 @@ def test_strict_pushforward_of_mc_is_mc(seed):
     push = mc_pushforward(F, xs)
     amb_el = ArtinElement(R, F.target.space, dict(push.terms), allow_constant=True)
     assert mc_check(F.target, amb_el).is_zero()
+
+
+def test_pushforward_rejects_truncation_and_foreign_space():
+    # over Q[t]/t^5 the pushforward needs f_1..f_4; a weight-2 E would
+    # silently drop half the terms, and an element on another space
+    # would read no coefficient at all
+    R = ArtinRing(1, 5)
+    E2, E4 = (exp_log_isos(random_dga_morphism(0, 2), w)[0] for w in (2, 4))
+    sp = E4.source.space
+    x = ArtinElement(R, sp, {(a, (1,)): Fraction(1) for a in sp.names if sp.degree[a] == 0})
+    assert len(mc_pushforward(E4, x).terms) == 8
+    with pytest.raises(MalformedInput, match="morphism truncated at arity 2"):
+        mc_pushforward(E2, x)
+    z = GradedSpace([("z", 0)])
+    with pytest.raises(MalformedInput, match="wrong space"):
+        mc_pushforward(E4, ArtinElement(R, z, {("z", (1,)): Fraction(1)}))
 
 
 # --- extension --------------------------------------------------------------------
