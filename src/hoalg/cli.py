@@ -1,8 +1,8 @@
 """Batch front door: parse structure files, dispatch, emit deterministic reports.
 
 Exit codes: 0 all checks pass, 1 a mathematical verification failed,
-2 parse/shape error or an unsupported request.  Identical inputs and flags
-produce byte-identical output.
+2 parse/shape error or an unsupported request, 3 out of memory.  Identical
+inputs and flags produce byte-identical output.
 
 One emit path: each `cmd_*` handler returns its stdout lines and exit code,
 and builds them through `_emit`, the only reader of --format; `run` alone
@@ -386,6 +386,9 @@ def run(argv) -> int:
     except (MalformedInput, RejectedInput, UnsupportedOperation, OSError) as exc:
         sys.stdout.write("error: %s\n" % exc)
         return 2
+    except MemoryError:
+        sys.stdout.write("error: out of memory\n")
+        return 3
     sys.stdout.write("\n".join(lines) + "\n")
     return code
 

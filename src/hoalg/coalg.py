@@ -9,16 +9,17 @@ F^j_k splits the word into j blocks, each sent through one f.
 These sums are pushed from the Taylor supports in both flavors: every stored
 entry of the outer family is carried back through an inverse index of the
 inner one (push_insertion, push_product), so only words with a nonzero term
-are visited, as in Gustavson's sparse product.  The flavor matters at one
-point only, where a word of blocks becomes a basis word: concatenation in
-T(V), the sorted word with its Koszul sign and multiplicity weight in S(V).
-The terms are summed as ints: each family is multiplied by the lcm D of its
-denominators (Scaled), every term is brought to one scale per weight
+are visited, as in Gustavson's sparse product.  The product kernel fills a
+range of weights in one walk of the sorted keys over a stack of prefix
+tables, so keys that share a prefix share its expansion.  The flavor
+matters where a word of blocks becomes a basis word: concatenation in T(V),
+the sorted word with its Koszul sign and multiplicity weight in S(V).  The
+terms are summed as plain ints: each family is multiplied by the lcm D of
+its denominators (Scaled), every term is brought to one scale per weight
 (D_outer D_inner for an insertion, D_outer D_inner^k k! for a product), and
 each output coefficient is divided once at the end; a check divides only
 its witness's residual, and a builder hands the kernel's (ints, scale)
-output to pushed_map, which stores it at 1/scale through
-MultilinearMap.store.
+output to pushed_map, which stores it at 1/scale through MultilinearMap.store.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream; both flavors of decalage share
 one body, with q2 read from the operation's stored entries
@@ -37,7 +38,7 @@ from math import factorial, lcm
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, first_witness, format_vector,
-    hom_differential, hom_space, lin_acc, lin_add, lin_eq, lin_scale, lin_single,
+    hom_differential, hom_space, lin_acc, lin_eq, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map,
     scaled_ints, sign_pow, stabilizer, sym_words, unscaled,
 )
@@ -99,10 +100,6 @@ class OoMorphism:
             if f.source != source.space or f.target != target.space:
                 raise MalformedInput("morphism coefficient f_%d has wrong spaces" % k)
             self.taylor[k] = f
-
-    @property
-    def is_strict(self) -> bool:
-        return all(k == 1 for k in self.taylor)
 
     def __repr__(self):
         return "OoMorphism(%s, arities %s)" % (self.flavor, sorted(self.taylor))
@@ -191,69 +188,73 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
 def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
     """sum_{j>=lo} t_j(F^j_k w) on every weight-k word w at once, as
     {w: vector}, for t = outer and F the morphism with Taylor family inner."""
-    words, scale = _product(Scaled(outer, k), Scaled(inner, k), k, lo)
+    words, scale = _products(Scaled(outer, k), Scaled(inner, k), k, k, lo)[k]
     return {w: unscaled(vec, scale) for w, vec in words.items()}
 
 
-def _product(outer: Scaled, inner: Scaled, k: int, lo: int = 1) -> tuple:
-    """push_product on scaled families, as ({w: int vector}, scale).
+def _products(outer: Scaled, inner: Scaled, kmin: int, kmax: int, lo: int = 1) -> dict:
+    """push_product on scaled families at every weight k in kmin..kmax at
+    once, as {k: ({w: int vector}, scale_k)}.
 
     Each key K of t_j and each choice of preimages (u_i, c_i) of K[i] under
     f, of total length k, adds prod c_i . t_j(K) at the word u_1 + .. + u_j;
-    f has degree 0, so there is no insertion sign.  In S(V) that word is read
-    sorted, with its Koszul sign and the weight of the ways to cut it into
-    the blocks u_i, and the ordered choices count every term stab(K) times,
-    once per ordering of K's repeated letters, so the sum is divided by it.
-    A term with j inner coefficients has the scale D_outer D_inner^j stab(K),
-    so it is lifted to the common scale D_outer D_inner^k k! by the int
-    D_inner^(k-j) k!/stab(K): stab(K) divides j!, which divides k!.  In T(V)
-    there is no stab(K), and the k! is left out.  A key with a letter that
-    no inner coefficient writes has no preimage, so it is skipped.
+    f has degree 0, so there is no insertion sign.  In S(V) that word is
+    read sorted, with its Koszul sign and the weight of the ways to cut it
+    into the blocks u_i, and the ordered choices count every term stab(K)
+    times, so the sum is divided by it.  A term has the scale
+    D_outer D_inner^j stab(K) and is lifted to its weight's scale
+    D_outer D_inner^k k! by the int D_inner^(k-j) k!/stab(K) (stab(K)
+    divides j!, which divides k!); T(V) leaves out k! and stab(K).
+    The keys of t_j are walked sorted, over a stack of the partial tables
+    {u_1 + .. + u_i: prod c} of the current key's prefixes K[:i], popped
+    back to the prefix the next key shares, so each shared prefix is grown
+    once for every weight.  A finished word goes to the bucket of its length
+    with that weight's lift; terms are summed as ints, and zeros dropped at
+    the end.  A key with a letter that no inner coefficient writes is skipped.
     """
-    symmetric = inner.symmetric
-    fact = factorial(k) if symmetric else 1
-    scale = outer.scale * inner.scale ** k * fact
-    written = set().union(*inner.inv.values())
-    if not written:
-        return {}, scale
-    out: dict = {}
+    symmetric, inv, top = inner.symmetric, inner.inv, max(inner.inv, default=0)
+    fact = [factorial(k) if symmetric else 1 for k in range(kmax + 1)]
+    blocks: dict = {}               # y: [(n, preimages of y under f_n)], n ascending
+    for n in sorted(inv):
+        for y, pairs in inv[n].items():
+            blocks.setdefault(y, []).append((n, pairs))
+    index, degree = (inner.space.index, inner.space.degree) if blocks else ({}, {})
+    buckets = {k: {} for k in range(kmin, kmax + 1)}
     for j, entries in outer.entries.items():
-        if lo <= j <= k:
-            lift = inner.scale ** (k - j) * fact
-            for key, vec in entries.items():
-                if not written.issuperset(key):
-                    continue
-                m = lift // stabilizer(key) if symmetric else lift
-                for w, c in preimage_words(key, inner.inv, k, inner.space, symmetric).items():
-                    lin_acc(out.setdefault(w, {}), vec, c * m)
-    return out, scale
-
-
-def preimage_words(key: tuple, inv: dict, k: int, space: GradedSpace,
-                    symmetric: bool) -> dict:
-    """{w: weighted prod c_i} over the preimages (u_i, c_i) of key[i] in the
-    inverse index inv, for words w of total length k built from u_1 .. u_j
-    one block at a time (push_product)."""
-    top = max(inv, default=0)
-    index, degree = space.index, space.degree
-    words = {(): 1}
-    for i, y in enumerate(key):
-        left = len(key) - i - 1     # letters still to place, 1..top each
-        nxt: dict = {}
-        for w, c in words.items():
-            room = k - len(w)
-            for n in range(max(1, room - left * top), room - left + 1):
-                for u, cu in inv.get(n, {}).get(y, ()):
-                    if not symmetric:
-                        lin_add(nxt, w + u, c * cu)
-                    else:
-                        got = merge_words(w, u, index, degree)
-                        if got is not None:
-                            lin_add(nxt, got[0], c * cu * got[1])
-        if not nxt:
-            return {}
-        words = nxt
-    return words
+        if not (blocks and lo <= j <= kmax):
+            continue
+        lifts = {k: inner.scale ** (k - j) * fact[k] for k in range(max(j, kmin), kmax + 1)}
+        stack, prev = [{(): 1}], ()
+        for key in sorted(K for K in entries if blocks.keys() >= set(K)):
+            p = 0
+            while p < len(prev) and key[p] == prev[p]:
+                p += 1
+            del stack[p + 1:]
+            for i in range(p, j):
+                left, nxt = j - i - 1, {}
+                for w, c in stack[i].items():
+                    least, most = kmin - len(w) - left * top, kmax - len(w) - left
+                    for n, pairs in blocks[key[i]]:
+                        if n > most:
+                            break
+                        for u, cu in pairs if n >= least else ():
+                            if symmetric:
+                                got = merge_words(w, u, index, degree)
+                                if got is None:
+                                    continue
+                                v, cv = got[0], c * cu * got[1]
+                            else:
+                                v, cv = w + u, c * cu
+                            nxt[v] = nxt.get(v, 0) + cv
+                stack.append(nxt)
+            prev, stab = key, stabilizer(key) if symmetric else 1
+            for w, c in stack[j].items():
+                m, acc = c * (lifts[len(w)] // stab), buckets[len(w)].setdefault(w, {})
+                for y, v in entries[key].items():
+                    acc[y] = acc.get(y, 0) + v * m
+    return {k: ({w: nz for w, vec in words.items() for nz in [{y: c for y, c in vec.items() if c}]
+                 if nz}, outer.scale * inner.scale ** k * fact[k])
+            for k, words in buckets.items()}
 
 
 def in_basis_order(space: GradedSpace, pushed: dict) -> list:
@@ -310,11 +311,12 @@ def check_morphism(F: OoMorphism, max_weight=None) -> Report:
     s, t = F.source, F.target
     top = F.max_weight if max_weight is None else min(max_weight, F.max_weight)
     f, q, r = Scaled(F.taylor, top), Scaled(s.taylor, top), Scaled(t.taylor, top)
+    prods = _products(r, f, 1, top)
 
     def pushed(k):
         # both sides brought to the lcm of their scales, still ints
         res, left = _insertion(f, q, k)
-        prod, right = _product(r, f, k)
+        prod, right = prods.pop(k)
         scale = lcm(left, right)
         if scale != left:
             res = {w: lin_scale(vec, scale // left) for w, vec in res.items()}
@@ -341,8 +343,8 @@ def compose_morphisms(G: OoMorphism, F: OoMorphism, max_weight=None) -> OoMorphi
         raise MalformedInput("composition shape mismatch")
     top = max_weight or min(F.max_weight, G.max_weight)
     g, f = Scaled(G.taylor, top), Scaled(F.taylor, top)
-    taylor = {k: pushed_map(F.source.space, G.target.space, 0, k, F.flavor, _product(g, f, k))
-              for k in range(1, top + 1)}
+    taylor = {k: pushed_map(F.source.space, G.target.space, 0, k, F.flavor, pushed)
+              for k, pushed in _products(g, f, 1, top).items()}
     return OoMorphism(F.source, G.target, taylor)
 
 
@@ -361,7 +363,7 @@ def invert_morphism(F: OoMorphism, max_weight=None) -> OoMorphism:
     H = OoMorphism(F.target, F.source, {1: multilinear_from_graded_map(inv1, F.flavor)})
     f = Scaled(F.taylor, top)
     for k in range(2, top + 1):
-        words, scale = _product(f, Scaled(H.taylor, k), k, 2)
+        words, scale = _products(f, Scaled(H.taylor, k), k, k, 2)[k]
         hk = pushed_map(F.target.space, F.source.space, 0, k, F.flavor, (words, -scale),
                         inv1.apply)
         if not hk.is_zero():
@@ -383,8 +385,8 @@ def transport_structure(G: OoMorphism, max_weight=None) -> OoStructure:
     P = {b: pushed_map(s.space, space, 1, b, G.flavor, _insertion(g, q, b))
          for b in range(1, top + 1)}
     p, h = Scaled(P, top), Scaled(H.taylor, top)
-    taylor = {k: pushed_map(space, space, 1, k, G.flavor, _product(p, h, k))
-              for k in range(1, top + 1)}
+    taylor = {k: pushed_map(space, space, 1, k, G.flavor, pushed)
+              for k, pushed in _products(p, h, 1, top).items()}
     return OoStructure(space, G.flavor, taylor, top)
 
 
@@ -471,9 +473,6 @@ class DgLieAlgebra:
         self.d = d
         self.bracket = bracket
 
-    def bracket_vec(self, u: dict, v: dict) -> dict:
-        return self.bracket.apply_vectors([u, v])
-
     def check(self) -> Report:
         sp = self.space
 
@@ -532,56 +531,38 @@ class DgAlgebra:
             self.space, self.space, 0, 2, TENSOR).store(table))
 
 
-class DglaMorphism:
+class _DgMorphism:
+    """A degree-0 chain map between DG algebras of one kind that respects
+    their operation, the attribute named `op`: check reports chain_map, then
+    `label` with the first basis pair (x, y) where map(op(x, y)) and
+    op(map x, map y) differ as its witness."""
+    title = label = op = ""
+
+    def __init__(self, source, target, gmap: GradedMap):
+        if gmap.degree != 0 or gmap.source != source.space or gmap.target != target.space:
+            raise MalformedInput("morphism must be a degree-0 map with matching spaces")
+        self.source = source
+        self.target = target
+        self.map = gmap
+
+    def check(self) -> Report:
+        r = Report(self.title)
+        g, src, tgt = self.map, getattr(self.source, self.op), getattr(self.target, self.op)
+        r.add("chain_map", self.target.d.compose(g) == g.compose(self.source.d))
+        wit = first_witness(itertools.product(g.source.names, repeat=2), lambda w: lin_eq(
+            g.apply(src.value(w)), tgt.apply_vectors([g.value(w[0]), g.value(w[1])])))
+        r.add(self.label, wit is None, witness=wit)
+        return r
+
+
+class DglaMorphism(_DgMorphism):
     """DGLA morphism: a degree-0 chain map compatible with the brackets."""
-
-    def __init__(self, source: DgLieAlgebra, target: DgLieAlgebra, gmap: GradedMap):
-        if gmap.degree != 0 or gmap.source != source.space or gmap.target != target.space:
-            raise MalformedInput("morphism must be a degree-0 map with matching spaces")
-        self.source = source
-        self.target = target
-        self.map = gmap
-
-    def check(self) -> Report:
-        r = Report("dgla morphism")
-        chain = self.target.d.compose(self.map) == self.map.compose(self.source.d)
-        r.add("chain_map", chain)
-        wit = _multiplicative_witness(self.map, self.source.bracket, self.target.bracket)
-        r.add("bracket_compatible", wit is None, witness=wit)
-        return r
+    title, label, op = "dgla morphism", "bracket_compatible", "bracket"
 
 
-class DgaMorphism:
+class DgaMorphism(_DgMorphism):
     """Morphism of DG associative algebras."""
-
-    def __init__(self, source: DgAlgebra, target: DgAlgebra, gmap: GradedMap):
-        if gmap.degree != 0 or gmap.source != source.space or gmap.target != target.space:
-            raise MalformedInput("morphism must be a degree-0 map with matching spaces")
-        self.source = source
-        self.target = target
-        self.map = gmap
-
-    def check(self) -> Report:
-        r = Report("dga morphism")
-        r.add("chain_map",
-              self.target.d.compose(self.map) == self.map.compose(self.source.d))
-        wit = _multiplicative_witness(self.map, self.source.product, self.target.product)
-        r.add("multiplicative", wit is None, witness=wit)
-        return r
-
-    def commutator_dgla_morphism(self) -> DglaMorphism:
-        return DglaMorphism(self.source.commutator_dgla(),
-                            self.target.commutator_dgla(), self.map)
-
-
-def _multiplicative_witness(gmap: GradedMap, src: MultilinearMap,
-                            tgt: MultilinearMap):
-    """The first basis pair (x, y) with gmap(src(x, y)) != tgt(gmap(x), gmap(y)),
-    or None when gmap is multiplicative."""
-    return first_witness(
-        itertools.product(gmap.source.names, repeat=2),
-        lambda w: lin_eq(gmap.apply(src.value(w)),
-                         tgt.apply_vectors([gmap.value(w[0]), gmap.value(w[1])])))
+    title, label, op = "dga morphism", "multiplicative", "product"
 
 
 def _first_nonzero(gm: GradedMap):
@@ -704,7 +685,7 @@ def end_preserving_sub_dgla(space: GradedSpace, d: GradedMap, preserved):
 
 __all__ = [
     "OoStructure", "OoMorphism",
-    "preimages", "preimage_words", "Scaled", "push_insertion", "push_product",
+    "preimages", "Scaled", "push_insertion", "push_product",
     "in_basis_order", "pushed_map",
     "check_structure", "check_morphism",
     "identity_morphism", "compose_morphisms", "invert_morphism", "transport_structure",

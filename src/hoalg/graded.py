@@ -680,14 +680,15 @@ class MultilinearMap:
     def store(self, words: dict, factor=1) -> "MultilinearMap":
         """The one checked write: entries[w] = factor * words[w] for a table
         {canonical word: int or Fraction vector}, one exact division
-        Fraction(v p, q) per coefficient for factor = p/q, zero coefficients
-        dropped and a word whose vector is zero removed.  A builder passes
-        ints at one scale D with the factor over D.  One pass checks arity,
-        source names, canonical words of S(V) and target degrees before
-        anything is stored, and raises MalformedInput.  Returns the map."""
+        Fraction(v p, q) per distinct coefficient v for factor = p/q, zero
+        coefficients dropped and a word whose vector is zero removed.  A
+        builder passes ints at one scale D with the factor over D.  One pass
+        checks arity, source names, canonical words of S(V) and target
+        degrees before anything is stored, and raises MalformedInput.
+        Returns the map."""
         p, q = factor.numerator, factor.denominator
         sdeg, tdeg, index = self.source.degree, self.target.degree, self.source.index
-        sym, out = self.flavor == SYMMETRIC, {}
+        sym, out, seen = self.flavor == SYMMETRIC, {}, {}
         for key, vec in words.items():
             ok, want, last = len(key) == self.arity, self.degree, -1
             for n in key:
@@ -700,7 +701,8 @@ class MultilinearMap:
                 raise MalformedInput("arity-%d map: %r -> %r is not a canonical word or has "
                                      "a degree mismatch" % (self.arity, key, vec))
             out[key] = {y: exact(c * p) for y, c in vec.items() if c} if q == 1 else \
-                {y: exact(Fraction(c * p, q)) for y, c in vec.items() if c}
+                {y: seen[c] if c in seen else seen.setdefault(c, exact(Fraction(c * p, q)))
+                 for y, c in vec.items() if c}
         self.entries.update(out)
         for key in [key for key, vec in out.items() if not vec]:
             del self.entries[key]
@@ -998,14 +1000,21 @@ def map_solve(gm: GradedMap, rhs: dict):
 
 
 def map_right_inverse(gm: GradedMap):
-    """Deterministic right inverse (None when gm is not surjective)."""
-    inv = GradedMap(gm.target, gm.source, -gm.degree)
-    for t in gm.target.names:
-        sol = map_solve(gm, lin_single(t))
-        if sol is None:
+    """Deterministic right inverse, None when gm is not surjective.  One
+    Gauss-Jordan pass on [A | I] per target degree, A the block of gm into
+    that degree, pivots as map_solve does, so the reduced I holds
+    map_solve(gm, t) in column t, entry for entry."""
+    inv = {}
+    for deg in gm.target.degrees_present():
+        src = [n for n in gm.source.names if gm.source.degree[n] == deg - gm.degree]
+        tgt = [t for t in gm.target.names if gm.target.degree[t] == deg]
+        rows = [[gm.value(n).get(t, 0) for n in src] + [int(t == u) for u in tgt] for t in tgt]
+        pivots = rref(rows, len(src))
+        if len(pivots) < len(tgt):
             return None
-        inv.set(t, sol)
-    return inv
+        inv.update((t, {src[c]: rows[r][len(src) + i] for r, c in enumerate(pivots)})
+                   for i, t in enumerate(tgt))
+    return GradedMap(gm.target, gm.source, -gm.degree, {t: inv[t] for t in gm.target.names})
 
 
 def map_kernel_basis(gm: GradedMap):

@@ -4,7 +4,7 @@ Transferred structure and quasi-isomorphism into the big side via the
 recursions f_k = sum_{j>=2} K q_j F^j_k, r_k = sum_{j>=2} g_1 q_j F^j_k;
 recursive quasi-inverse G with G F = Id in the tensor flavor.  Each weight
 is filled from the lower ones, and in both flavors the sums are pushed from
-the Taylor supports by the kernels coalg._product and coalg._insertion, whose
+the Taylor supports by the kernels coalg._products and coalg._insertion, whose
 int output is stored at its scale through coalg.pushed_map.
 
 The homotopy word operator is the arity-consistent
@@ -15,7 +15,7 @@ choice through G F = Id and the closed-form nested-projection inverse.
 from __future__ import annotations
 
 from .coalg import (
-    OoMorphism, OoStructure, Scaled, _insertion, _product, preimage_words, preimages,
+    OoMorphism, OoStructure, Scaled, _insertion, _products, preimages,
     pushed_map,
 )
 from .graded import (
@@ -53,7 +53,7 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     F = OoMorphism(small, big, {1: multilinear_from_graded_map(c.inject, flavor)})
     q = Scaled(big.taylor, mw)
     for k in range(2, mw + 1):
-        pushed = _product(q, Scaled(F.taylor, k), k, 2)
+        pushed = _products(q, Scaled(F.taylor, k), k, k, 2)[k]
         fk = pushed_map(c.small, c.big, 0, k, flavor, pushed, c.homotopy.apply)
         rk = pushed_map(c.small, c.small, 1, k, flavor, pushed, c.project.apply)
         if not fk.is_zero():
@@ -67,13 +67,14 @@ def _homotopy_transpose(word: tuple, inv_k: dict, inv_fg: dict, space):
     """(w, c) with c a term of the coefficient of `word` in K_k(w): w agrees
     with word before i, w[i] is a preimage of word[i] under K (inv_k maps a
     name to its [(preimage, coefficient)]), and w[i+1:] one of word[i+1:] under
-    (f1 g1)^{(x)(k-i-1)}, from coalg.preimage_words on the arity-1 index inv_fg.
+    (f1 g1)^{(x)(k-i-1)}, grown one letter at a time from the index inv_fg of f1 g1.
     K is odd, so the term at i carries (-1)^{deg(word_0)+...+deg(word_{i-1})}."""
     odd = 0
     for i, y in enumerate(word):
         if y in inv_k:
-            suffix = word[i + 1:]
-            tails = preimage_words(suffix, inv_fg, len(suffix), space, False)
+            tails = {(): 1}
+            for z in word[i + 1:]:
+                tails = {w + (u,): c * cu for w, c in tails.items() for u, cu in inv_fg.get(z, ())}
             for u, cu in inv_k[y]:
                 for w, cw in tails.items():
                     yield word[:i] + (u,) + w, (-cu if odd else cu) * cw
@@ -99,7 +100,7 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
     inv_k = preimages(c.homotopy.entries)
     fg = multilinear_from_graded_map(c.inject.compose(c.project), TENSOR)
-    inv_fg = {1: preimages(fg.entries)}
+    inv_fg = preimages(fg.entries)
     q = Scaled(big.taylor, mw)
     for k in range(2, mw + 1):
         # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),

@@ -1,9 +1,12 @@
-"""Small fixed and seeded algebras that only the tests read.
+"""Small fixed and seeded algebras, and small readers of the library's
+objects, that only the tests use.
 
-No library module, CLI path or perfbench job builds these, so they live next
-to the tests: two classical Lie algebras, the abelian and zero DGLAs, the
-endomorphism DGLA of a seeded random complex, and a seeded random element
-over an Artin ring.
+No library module, CLI path or perfbench job builds or reads these, so they
+live next to the tests: two classical Lie algebras, the abelian and zero
+DGLAs, the endomorphism DGLA of a seeded random complex, a seeded random
+element over an Artin ring, whether a morphism is strict, the bracket of a
+DGLA as a function of two vectors, and the commutator DGLA morphism of a DGA
+morphism.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hoalg.coalg import DgLieAlgebra, end_dgla
+from hoalg.coalg import DgLieAlgebra, DglaMorphism, end_dgla
 from hoalg.fixtures import _rand_coeff, random_complex
 from hoalg.graded import GradedMap, GradedSpace, MultilinearMap, TENSOR, lin_single
 from hoalg.mc import ArtinElement
@@ -70,3 +73,18 @@ def random_artin_element(seed: int, ring, space, degree: int, density=0.5):
                 c = _rand_coeff(rng, zero_bias=0.0)
                 out.add(name, mono, c)
     return out
+
+
+def is_strict(F) -> bool:
+    """Whether an OoMorphism has no Taylor coefficient above arity 1."""
+    return all(k == 1 for k in F.taylor)
+
+
+def bracket_vec(L: DgLieAlgebra):
+    """The bracket of L as the function (u, v) -> [u, v] of two vectors."""
+    return lambda u, v: L.bracket.apply_vectors([u, v])
+
+
+def commutator_dgla_morphism(m) -> DglaMorphism:
+    """A DgaMorphism read as the morphism of the commutator DGLAs."""
+    return DglaMorphism(m.source.commutator_dgla(), m.target.commutator_dgla(), m.map)

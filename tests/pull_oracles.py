@@ -49,6 +49,7 @@ from hoalg.hodge import (
     _artin_op, _harmonic_hom, _restrict_to_hom, _restrict_to_top_block, cartan_artin_maps,
 )
 from hoalg.mc import ArtinElement, ArtinMap
+from fixture_helpers import bracket_vec
 
 # (j, k, word) -> component value, per structure or morphism
 _MEMOS = weakref.WeakKeyDictionary()
@@ -840,7 +841,7 @@ def pull_derived_brackets(split, k: int) -> MultilinearMap:
     Asp = split.complement_space()
     qk = MultilinearMap(Asp, Asp, 1, k, SYMMETRIC)
     for word in sym_words(split.complement_names, Asp.degree, k):
-        val = split.P.apply(nested(M.bracket_vec, M.d.value(word[0]), word[1:]))
+        val = split.P.apply(nested(bracket_vec(M), M.d.value(word[0]), word[1:]))
         if val:
             qk.set_entry(word, val)
     return qk
@@ -858,7 +859,7 @@ def pull_voronov_action(split, max_weight=6) -> CoderAction:
             action.set((m,), (), val)
         for k in range(1, max_weight + 1):
             for word in sym_words(split.complement_names, Asp.degree, k):
-                pv = split.P.apply(nested(M.bracket_vec, lin_single(m), word))
+                pv = split.P.apply(nested(bracket_vec(M), lin_single(m), word))
                 if pv:
                     action.set((m,), word, pv)
     return action
@@ -920,7 +921,7 @@ def pull_fiber_product_model(L, split, F, max_weight=6) -> OoStructure:
                 if not sf:
                     continue
                 for aword in sym_words(split.complement_names, adeg, k - j):
-                    val = split.P.apply(nested(M.bracket_vec, sf, aword))
+                    val = split.P.apply(nested(bracket_vec(M), sf, aword))
                     if val:
                         sw = sum(adeg[a] for a in aword) * sum(xdeg[x] for x in xword)
                         qk.add_entry(tuple(A_PRE + a for a in aword) +

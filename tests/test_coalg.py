@@ -13,18 +13,20 @@ from hoalg.coalg import (
     DgAlgebra, DgLieAlgebra, DglaMorphism, check_morphism, check_structure, compose_morphisms,
     decalage_dga, decalage_dgla, decalage_dgla_morphism, end_preserving_sub,
     end_preserving_sub_dgla, identity_morphism, invert_morphism, OoMorphism, OoStructure, push_insertion,
-    push_product, sub_algebra, symmetrize_morphism, symmetrize_structure,
+    push_product, Scaled, sub_algebra, symmetrize_morphism, symmetrize_structure,
     transport_structure,
 )
 from hoalg.cocone import exp_log_isos
 from hoalg.fixtures import (
     end_splitting, lambda_cartan_fixture, random_complex, random_dga_morphism, random_end_dga,
 )
-from fixture_helpers import abelian_dgla, heisenberg_dgla, random_end_dgla, sl2_dgla
+from fixture_helpers import (
+    abelian_dgla, heisenberg_dgla, is_strict, random_end_dgla, sl2_dgla,
+)
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    koszul_sign, lin_acc, lin_add, lin_single, lin_scale, scaled_ints, sym_normalize,
-    sym_words, unshuffles,
+    koszul_sign, lin_acc, lin_add, lin_single, lin_scale, merge_words, scaled_ints, stabilizer,
+    sym_normalize, sym_words, unshuffles,
 )
 from pull_oracles import (
     coder_component, morph_component, prolong_coderivation, prolong_morphism,
@@ -435,6 +437,78 @@ def test_scaled_kernels_match_the_pull_oracles(flavor, pool):
     assert _taylor_entries(compose_morphisms(F, G)) == _taylor_entries(pull_compose(F, G))
 
 
+def _per_key_product(outer, inner, k, lo):
+    """The product kernel at one weight, each key expanded on its own block
+    by block with no shared prefix, as ({w: int vector}, scale): the
+    reference that the prefix stack of coalg._products must reproduce."""
+    symmetric, inv, top = inner.symmetric, inner.inv, max(inner.inv, default=0)
+    fact = math.factorial(k) if symmetric else 1
+    out = {}
+    for j, entries in outer.entries.items():
+        for key, vec in entries.items() if lo <= j <= k else ():
+            words = {(): 1}
+            for i, y in enumerate(key):
+                left, nxt = len(key) - i - 1, {}
+                for w, c in words.items():
+                    room = k - len(w)
+                    for n in range(max(1, room - left * top), room - left + 1):
+                        for u, cu in inv.get(n, {}).get(y, ()):
+                            got = merge_words(w, u, inner.space.index, inner.space.degree) \
+                                if symmetric else (w + u, 1)
+                            if got is not None:
+                                lin_add(nxt, got[0], c * cu * got[1])
+                words = nxt
+            m = inner.scale ** (k - j) * fact // (stabilizer(key) if symmetric else 1)
+            for w, c in words.items():
+                lin_acc(out.setdefault(w, {}), vec, c * m)
+    return nonzero(out), outer.scale * inner.scale ** k * fact
+
+
+@pytest.mark.parametrize("lo", (1, 2))
+@pytest.mark.parametrize("flavor", (TENSOR, SYMMETRIC))
+def test_range_kernel_equals_the_per_weight_kernel(flavor, lo):
+    # one walk over the sorted keys of every arity, popping the prefix stack
+    # to the shared prefix, fills every weight of a range with the same raw
+    # ints and scales as one call per weight and as the per-key expansion;
+    # the keys repeat letters (odd ones in T(V), even ones in S(V)), so
+    # stab(K) > 1 in S(V), and sorted neighbours share prefixes of every length
+    V = SCALE_SPACE
+    for seed, pool in ((0, UNFRIENDLY), (1, INTS), (2, UNFRIENDLY)):
+        outer = Scaled(scale_family(flavor, 1, pool, seed), SCALE_TOP)
+        inner = Scaled(scale_family(flavor, 0, pool, seed + 10), SCALE_TOP)
+        keys = [K for entries in outer.entries.values() for K in entries]
+        repeated = [K for K in keys if len(set(K)) < len(K)]
+        assert any(V.degree[x] % 2 != (flavor == SYMMETRIC) for K in repeated
+                   for x, y in zip(K, K[1:]) if x == y)
+        whole = coalg._products(outer, inner, 1, SCALE_TOP, lo)
+        assert set(whole) == set(range(1, SCALE_TOP + 1))
+        for k in range(1, SCALE_TOP + 1):
+            words, scale = whole[k]
+            assert all(vec and all(vec.values()) and len(w) == k for w, vec in words.items())
+            assert whole[k] == coalg._products(outer, inner, k, k, lo)[k], (seed, k)
+            assert whole[k] == _per_key_product(outer, inner, k, lo), (seed, k)
+        assert coalg._products(outer, inner, 2, 3, lo) == {k: whole[k] for k in (2, 3)}
+
+
+@pytest.mark.parametrize("which", ("E", "L"))
+def test_product_callers_match_the_pull_oracles_on_explog(which):
+    # compose, invert, check and transport on the r:1 explog E and L agree
+    # entry for entry with the word-by-word oracles at weight 4, the highest
+    # these oracles afford in the suite (about 0.7 s per morphism; weight 5
+    # takes about 10 s); the checks also meet a fault planted at weight 4
+    mw = 4
+    E, L = exp_log_isos(random_dga_morphism(1, 2), max_weight=mw)
+    F, G = (E, L) if which == "E" else (L, E)
+    assert _taylor_entries(compose_morphisms(F, G, mw)) == \
+        _taylor_entries(pull_compose(F, G, mw))
+    assert _taylor_entries(invert_morphism(F, mw)) == _taylor_entries(pull_invert(F, mw))
+    assert _taylor_entries(transport_structure(F, mw)) == \
+        _taylor_entries(pull_transport(F, mw))
+    for H in (F, OoMorphism(F.source, F.target, _bump(F.taylor, mw, Fraction(1, 13)))):
+        assert check_morphism(H, mw).lines() == pull_check_morphism(H, mw).lines()
+    assert not check_morphism(H, mw).ok
+
+
 @pytest.mark.parametrize("flavor", (TENSOR, SYMMETRIC))
 def test_product_skips_keys_on_names_the_inner_family_never_writes(flavor):
     # F writes no b, so the product kernel skips every key of t and of G
@@ -579,7 +653,7 @@ def test_dgla_morphism_decalage_is_strict_and_checks():
     from hoalg.fixtures import random_filtered_inclusion
     sub, amb, inc = random_filtered_inclusion(5, 2)
     F = decalage_dgla_morphism(inc, max_weight=3)
-    assert F.is_strict
+    assert is_strict(F)
     assert check_morphism(F).ok
 
 
@@ -684,7 +758,7 @@ def test_transport_structure_matches_pull(seed):
     E, L = exp_log_isos(random_dga_morphism(seed, 2), max_weight=4)
     sE, sL = symmetrize_morphism(E), symmetrize_morphism(L)
     for G in (E, L, sE, sL):
-        assert not G.is_strict
+        assert not is_strict(G)
         got = transport_structure(G, 4)
         want = pull_transport(G, 4)
         assert {k: q.entries for k, q in got.taylor.items()} == \

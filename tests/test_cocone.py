@@ -29,7 +29,9 @@ from hoalg.fixtures import (
 from hoalg.coalg import (
     end_dga, end_dgla, end_preserving_sub, end_preserving_sub_dgla, sub_algebra,
 )
-from fixture_helpers import abelian_dgla, zero_dgla
+from fixture_helpers import (
+    abelian_dgla, bracket_vec, commutator_dgla_morphism, is_strict, zero_dgla,
+)
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
     bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, scaled_ints,
@@ -124,7 +126,7 @@ def test_cocone_lie_first_mixed_bracket_is_half_bracket():
     x = sub.space.names[0]
     m = amb.space.names[0]
     want = {"b:" + n: c / 2 for n, c in
-            amb.bracket_vec(inc.map.value(x), lin_single(m)).items()}
+            bracket_vec(amb)(inc.map.value(x), lin_single(m)).items()}
     assert s.taylor[2].value(("a:" + x, "b:" + m)) == want
 
 
@@ -146,7 +148,7 @@ def _reference_cocone_lie_brackets(f, max_weight):
             for ms in sym_words(M.space.names, mdeg, k):
                 acc: dict = {}
                 for perm, eps in signed_orderings(ms, mdeg, (1,) * k):
-                    lin_acc(acc, nested(M.bracket_vec, fx, perm), eps)
+                    lin_acc(acc, nested(bracket_vec(M), fx, perm), eps)
                 if acc:
                     out[("a:" + x,) + tuple("b:" + m for m in ms)] = \
                         {"b:" + n: coeff * c for n, c in acc.items()}
@@ -242,7 +244,7 @@ def test_cocone_assoc_low_coefficients():
 def test_cocone_assoc_symmetrizes_to_cocone_lie(seed):
     m = random_dga_morphism(seed, 2)
     sym = symmetrize_structure(fm_cocone_assoc(m, max_weight=4))
-    lie = fm_cocone_lie(m.commutator_dgla_morphism(), max_weight=4)
+    lie = fm_cocone_lie(commutator_dgla_morphism(m), max_weight=4)
     for k in set(sym.taylor) | set(lie.taylor):
         assert sym.taylor.get(k) == lie.taylor.get(k), k
 
@@ -887,7 +889,7 @@ def test_fiber_product_nonstrict_morphism():
     f2 = MultilinearMap(Ldec.space, Mdec.space, 0, 2, SYMMETRIC)
     f2.set_entry(("p", "q"), vee)
     F2 = OoMorphism(Ldec, Mdec, {2: f2})
-    assert not F2.is_strict
+    assert not is_strict(F2)
     assert check_morphism(F2).ok
     fp = fiber_product_model(Label, sp, F2, max_weight=4)
     assert check_structure(fp).ok

@@ -208,6 +208,16 @@ def test_cli_internal_key_error_propagates(sample_file, monkeypatch):
         run_cli(["verify", "structure", sample_file, "--name", "S"])
 
 
+def test_cli_out_of_memory_is_exit_3(sample_file, monkeypatch):
+    # running out of memory is neither a failed verification (1) nor a usage
+    # error (2): one error line and its own code, with nothing else printed
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("hoalg.cli.check_structure", exhausted)
+    code, out = run_cli(["verify", "structure", sample_file, "--name", "S"])
+    assert (code, out) == (3, "error: out of memory\n")
+
+
 def test_cli_mathematical_failure_is_exit_1(tmp_path):
     text = SAMPLE + """
 map bad W W 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions,
-    elementary_to_graded_map, hom_differential, hom_space, koszul_sign, lin_single,
+    elementary_to_graded_map, hom_differential, hom_space, koszul_sign, lin_scale, lin_single,
     linear_part, map_kernel_basis, map_right_inverse, map_solve,
     merge_words, multilinear_from_graded_map, pair_space, prefix_products, right_products,
     stabilizer, sym_normalize, sym_words, unshuffles,
@@ -476,6 +476,14 @@ def test_store_divides_once_per_coefficient():
     assert ten.entries == {("y", "x"): {"z": Fraction(1, 3)}, ("w", "z"): {"z": 1},
                            ("x", "y"): {"z": 1}}
     assert type(ten.entries[("x", "y")]["z"]) is int
+    # equal coefficients, int or Fraction, share one division within a call;
+    # the next call divides at its own factor
+    sym.store({("x", "y"): {"z": 6}, ("w", "w"): {"w": Fraction(6)}, ("z", "w"): {"z": -6}},
+              Fraction(1, 4))
+    assert sym.entries == {("x", "y"): {"z": Fraction(3, 2)}, ("w", "w"): {"w": Fraction(3, 2)},
+                           ("z", "w"): {"z": Fraction(-3, 2)}}
+    sym.store({("x", "y"): {"z": 6}}, Fraction(1, 3))
+    assert sym.entries[("x", "y")] == {"z": 2} and type(sym.entries[("x", "y")]["z"]) is int
 
 
 # set_entry sorts its words and reads an odd repeat as zero; the bulk write
@@ -545,6 +553,47 @@ def test_map_solve_and_right_inverse():
     ker = map_kernel_basis(f)
     assert len(ker) == 1
     assert f.apply(ker[0]) == {}
+
+
+def _seeded_map(seed: int, shape: str) -> GradedMap:
+    """A seeded degree-1 map whose block into each target degree is square
+    and invertible, wide and surjective, tall, or square of rank one short.
+    The target names are out of sorted order, so the rows of one
+    elimination per degree and of one solve per name come in other orders."""
+    rng = random.Random("right-inverse:%s:%d" % (shape, seed))
+    counts = {"square": (3, 3), "wide": (4, 2), "tall": (2, 3), "short": (3, 3)}[shape]
+    src = GradedSpace([("s%d%d" % (d, i), d) for d in (0, 1) for i in range(counts[0])])
+    tgt = GradedSpace([("t%d%d" % (d, i), d) for d in (2, 1) for i in reversed(range(counts[1]))])
+    gm = GradedMap(src, tgt, 1)
+    pool = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+    for d in (0, 1):
+        cols = [n for n in src.names if src.degree[n] == d]
+        rows = [t for t in tgt.names if tgt.degree[t] == d + 1]
+        rng.shuffle(cols)
+        for j, n in enumerate(cols):
+            # column j is zero below row j and nonzero on it: a permuted triangle
+            gm.set(n, {t: rng.choice(pool) if i < j else (rng.choice(pool) if i == j else 0)
+                       for i, t in enumerate(rows)})
+        if shape == "short":
+            gm.set(cols[-1], lin_scale(gm.value(cols[0]), 2))
+    return gm
+
+
+@pytest.mark.parametrize("shape", ("square", "wide", "tall", "short"))
+@pytest.mark.parametrize("seed", range(3))
+def test_right_inverse_equals_the_per_column_solves(seed, shape):
+    # one Gauss-Jordan pass on [A | I] per target degree reads every column
+    # of the right inverse: entry for entry map_solve's solution for each
+    # target name, and None exactly when some name has none
+    gm = _seeded_map(seed, shape)
+    solves = {t: map_solve(gm, lin_single(t)) for t in gm.target.names}
+    inv = map_right_inverse(gm)
+    if shape in ("tall", "short"):
+        assert inv is None and None in solves.values()
+        return
+    assert None not in solves.values()
+    assert inv.entries == solves
+    assert gm.compose(inv) == GradedMap.identity(gm.target)
 
 
 def test_pair_space_prefixes():

@@ -29,6 +29,7 @@ from hoalg.hodge import (
 )
 from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
 from hoalg.transfer import transfer_structure
+from fixture_helpers import is_strict
 from pull_oracles import (
     psi_double_sum, pull_check_morphism, pull_derived_hom_structure,
     pull_harmonic_quasi_inverse, pull_minimal_period_map, pull_split_period_map,
@@ -466,7 +467,7 @@ def test_strict_period_morphism_generic(fixture):
         cartan, fpd, model = lambda_cartan_fixture(0, 3, 0)
         assert not cartan.L.bracket.is_zero()  # genuinely non-abelian draw
     F, cocone = strict_period_morphism(fpd, max_weight=2 if "30" in fixture else 3)
-    assert F.is_strict
+    assert is_strict(F)
     assert check_morphism(F).ok
 
 

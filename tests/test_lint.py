@@ -133,11 +133,14 @@ def test_true_division_only_on_reviewed_sites():
 # name the k!-ordering sum; the cocone builders grow their words prefix by
 # prefix, so they do not enumerate the sorted words either.  The psi double
 # sum and the partition-sum splitting coefficient are test oracles too, and
-# the fixtures that only the tests build live in tests/fixture_helpers.py.
+# the fixtures that only the tests build, and the members that only the tests
+# read (a strictness flag, a bracket of vectors, a commutator DGLA morphism),
+# live in tests/fixture_helpers.py.
 PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
               "morph_component", "nested", "signed_orderings", "_sign_table"}
 TEST_ONLY_FIXTURES = {"sl2_dgla", "heisenberg_dgla", "zero_dgla", "abelian_dgla",
-                      "random_end_dgla", "random_artin_element"}
+                      "random_end_dgla", "random_artin_element",
+                      "is_strict", "bracket_vec", "commutator_dgla_morphism"}
 MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum", "psi_double_sum", "split_period_coefficient"},
                      "cocone.py": {"nested", "signed_orderings", "sym_words"}}
 
@@ -206,10 +209,10 @@ def test_sorted_words_are_merged_not_sorted():
 
 
 # Letter-by-letter products grow through the two shared walks,
-# graded.prefix_products and coalg.preimage_words, so no library function
-# enumerates basis words: sym_words serves OoStructure.basis_words only, which
-# stays for callers outside the library, and transfer.py has no
-# itertools.product expansion.
+# graded.prefix_products and the prefix stack of coalg._products, so no
+# library function enumerates basis words: sym_words serves
+# OoStructure.basis_words only, which stays for callers outside the library,
+# and transfer.py has no itertools.product expansion.
 def test_no_basis_word_enumeration_in_library():
     assert set().union(*(_call_sites(p, "basis_words") for p in MODULES)) == set()
     found = set().union(*(_call_sites(p, "sym_words") for p in MODULES))
