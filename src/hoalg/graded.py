@@ -853,13 +853,13 @@ class Contraction:
     """Deformation retract data between a small and a big complex.
 
     inject: small -> big and project: big -> small are chain maps with
-    project o inject = Id; homotopy K satisfies dK + Kd = inject o project - Id.
+    project o inject = Id; homotopy K satisfies dK + Kd = inject o project - Id
+    and the side conditions project o K = 0, K o inject = 0, K^2 = 0.
     """
 
     def __init__(self, small: GradedSpace, d_small: GradedMap,
                  big: GradedSpace, d_big: GradedMap,
-                 inject: GradedMap, project: GradedMap, homotopy: GradedMap,
-                 side_conditions: bool = True):
+                 inject: GradedMap, project: GradedMap, homotopy: GradedMap):
         self.small = small
         self.d_small = d_small
         self.big = big
@@ -867,7 +867,6 @@ class Contraction:
         self.inject = inject
         self.project = project
         self.homotopy = homotopy
-        self.side_conditions = side_conditions
 
 
 def first_witness(words, holds):
@@ -914,13 +913,12 @@ def check_contraction(c: Contraction) -> Report:
     homot = c.d_big.compose(c.homotopy).add(c.homotopy.compose(c.d_big))
     check_map_identity(r, "dK+Kd=fg-id", homot,
                        c.inject.compose(c.project).add(GradedMap.identity(c.big), -1))
-    if c.side_conditions:
-        check_map_identity(r, "project.K=0", c.project.compose(c.homotopy),
-                           GradedMap.zero(c.big, c.small, -1))
-        check_map_identity(r, "K.inject=0", c.homotopy.compose(c.inject),
-                           GradedMap.zero(c.small, c.big, -1))
-        check_map_identity(r, "K^2=0", c.homotopy.compose(c.homotopy),
-                           GradedMap.zero(c.big, c.big, -2))
+    check_map_identity(r, "project.K=0", c.project.compose(c.homotopy),
+                       GradedMap.zero(c.big, c.small, -1))
+    check_map_identity(r, "K.inject=0", c.homotopy.compose(c.inject),
+                       GradedMap.zero(c.small, c.big, -1))
+    check_map_identity(r, "K^2=0", c.homotopy.compose(c.homotopy),
+                       GradedMap.zero(c.big, c.big, -2))
     return r
 
 

@@ -6,7 +6,9 @@ differentials, a harmonic inclusion/projection pair, and a degree (0,-1)
 propagator satisfying the formal Kaehler identities.  Cartan homotopies
 supply the contraction operators; everything downstream (perturbation maps,
 the obstruction map, split/minimal period maps, both Yukawa models) is a
-finite exact computation over Artin coefficients.
+finite exact computation over Artin coefficients.  A Cartan homotopy builds
+its table l = {x: l_x} once, on construction, and every builder reads it;
+each combination of i's or l's is one in-place sum of the table's maps.
 """
 
 from __future__ import annotations
@@ -169,7 +171,8 @@ def check_hodge_package(pkg: HodgePackage) -> Report:
 class CartanHomotopy:
     """Degree -1 linear map i: L -> End(V) with the formal Cartan identities.
 
-    The boundary l_x = [d_V, i_x] + i_{d_L x} is derived, not stored.
+    The boundary l_x = [d_V, i_x] + i_{d_L x} is derived once, on
+    construction, into the table l = {x: l_x}, which every reader shares.
     """
 
     def __init__(self, L: DgLieAlgebra, V: GradedSpace, d_V: GradedMap, i: dict):
@@ -177,38 +180,41 @@ class CartanHomotopy:
         self.V = V
         self.d_V = d_V
         self.i = dict(i)
+        if (d_V.source, d_V.target) != (V, V):
+            raise MalformedInput("d_V must be a map on V")
         for x in L.space.names:
-            gm = self.i.get(x)
-            if gm is None:
-                gm = GradedMap.zero(V, V, L.space.degree[x] - 1)
-                self.i[x] = gm
+            gm = self.i.setdefault(x, GradedMap.zero(V, V, L.space.degree[x] - 1))
+            if (gm.source, gm.target) != (V, V):
+                raise MalformedInput("i_%s must be a map on V" % x)
             if gm.degree != L.space.degree[x] - 1:
                 raise MalformedInput("i_%s must have degree |%s| - 1" % (x, x))
+        self.l = {x: _combination(V, [(d_V.commutator(self.i[x]), 1)] +
+                                  [(self.i[y], c) for y, c in L.d.value(x).items()])
+                  for x in L.space.names}
 
     def i_vec(self, vec: dict) -> GradedMap:
-        degs = {self.L.space.degree[n] for n, c in vec.items() if c}
-        deg = (degs.pop() - 1) if len(degs) == 1 else 0
-        out = GradedMap.zero(self.V, self.V, deg)
-        for n, c in vec.items():
-            out = out.add(self.i[n], c) if c else out
-        return out
-
-    def l(self, x: str) -> GradedMap:
-        ix = self.i[x]
-        lx = self.d_V.commutator(ix)
-        dx = self.L.d.value(x)
-        if dx:
-            lx = lx.add(self.i_vec(dx))
-        return lx
+        return _combination(self.V, [(self.i[x], c) for x, c in vec.items()])
 
     def l_vec(self, vec: dict) -> GradedMap:
-        degs = {self.L.space.degree[n] for n, c in vec.items() if c}
-        deg = degs.pop() if len(degs) == 1 else 0
-        out = GradedMap.zero(self.V, self.V, deg)
-        for n, c in vec.items():
-            if c:
-                out = out.add(self.l(n), c)
-        return out
+        return _combination(self.V, [(self.l[x], c) for x, c in vec.items()])
+
+
+def _combination(V: GradedSpace, terms) -> GradedMap:
+    """sum c gm over the (gm, c) pairs of maps on V, summed in place row by
+    row (lin_acc) into one GradedMap of the maps' common degree (0 for no
+    terms; MalformedInput if the degrees differ).  Sums of checked maps are
+    exact, zero-free and of the right degree, so the rows are stored
+    unchecked."""
+    degrees = {gm.degree for gm, _ in terms}
+    if len(degrees) > 1:
+        raise MalformedInput("sum shape mismatch")
+    rows: dict = {}
+    for gm, c in terms:
+        for s, img in gm.entries.items():
+            lin_acc(rows.setdefault(s, {}), img, c)
+    out = GradedMap(V, V, degrees.pop() if degrees else 0)
+    out.entries = {s: row for s, row in rows.items() if row}
+    return out
 
 
 def check_cartan(c: CartanHomotopy) -> Report:
@@ -216,7 +222,6 @@ def check_cartan(c: CartanHomotopy) -> Report:
     is a morphism of graded Lie algebras compatible with differentials."""
     r = Report("cartan homotopy")
     names = c.L.space.names
-    lmaps = {x: c.l(x) for x in names}
     pairs = list(itertools.product(names, repeat=2))
 
     def same(lhs, rhs):
@@ -224,11 +229,11 @@ def check_cartan(c: CartanHomotopy) -> Report:
 
     for label, words, holds in (
             ("[i,i]=0", pairs, lambda w: c.i[w[0]].commutator(c.i[w[1]]).is_zero()),
-            ("[i,l]=i[.,.]", pairs, lambda w: same(c.i[w[0]].commutator(lmaps[w[1]]),
+            ("[i,l]=i[.,.]", pairs, lambda w: same(c.i[w[0]].commutator(c.l[w[1]]),
                                                    c.i_vec(c.L.bracket.value(w)))),
-            ("l[.,.]=[l,l]", pairs, lambda w: same(lmaps[w[0]].commutator(lmaps[w[1]]),
+            ("l[.,.]=[l,l]", pairs, lambda w: same(c.l[w[0]].commutator(c.l[w[1]]),
                                                    c.l_vec(c.L.bracket.value(w)))),
-            ("l.d=[d,l]", names, lambda x: same(c.d_V.commutator(lmaps[x]),
+            ("l.d=[d,l]", names, lambda x: same(c.d_V.commutator(c.l[x]),
                                                 c.l_vec(c.L.d.value(x))))):
         wit = first_witness(words, holds)
         r.add(label, wit is None, witness=wit)
@@ -255,9 +260,8 @@ class FormalPeriodData:
         wit = first_witness(self.w_names,
                             lambda n: all(t in wset for t in c.d_V.value(n)))
         r.add("d(W)<=W", wit is None, witness=wit)
-        lmaps = {x: c.l(x) for x in c.L.space.names}
         wit = first_witness(itertools.product(c.L.space.names, self.w_names),
-                            lambda w: all(t in wset for t in lmaps[w[0]].value(w[1])))
+                            lambda w: all(t in wset for t in c.l[w[0]].value(w[1])))
         r.add("l(W)<=W", wit is None, witness=wit)
         return r
 
@@ -373,17 +377,16 @@ def synthetic_package(seed: int):
 
 
 def _artin_op(V: GradedSpace, maps: dict, xi: ArtinElement) -> ArtinMap:
-    """The B-linear operator sum c t^m maps[x] over the terms c t^m x of xi."""
-    op = ArtinMap(xi.ring, V, V)
-    for (x, mono), coeff in xi.terms.items():
-        op.add(mono, maps[x], coeff)
-    return op
+    """The B-linear operator sum c t^m maps[x] over the terms c t^m x of xi,
+    one in-place combination of the maps per monomial."""
+    return ArtinMap(xi.ring, V, V, {
+        mono: _combination(V, [(maps[x], c) for x, c in vec.items()])
+        for mono, vec in xi.by_mono().items()})
 
 
 def cartan_artin_maps(c: CartanHomotopy, xi: ArtinElement):
     """(i_xi, l_xi) as B-linear operators on V (x) B."""
-    lmaps = {x: c.l(x) for x in dict.fromkeys(x for x, _ in xi.terms)}
-    return _artin_op(c.V, c.i, xi), _artin_op(c.V, lmaps, xi)
+    return _artin_op(c.V, c.i, xi), _artin_op(c.V, c.l, xi)
 
 
 def require_integrable(c: CartanHomotopy, xi: ArtinElement):
@@ -408,6 +411,17 @@ def integrability_identity(c: CartanHomotopy, xi: ArtinElement) -> Report:
     return r
 
 
+def _perturbed(pkg: HodgePackage, l_in: ArtinMap, l_out: ArtinMap):
+    """(iota_in, pi_out, h l_in, sum (l_out h)^n, h, iota) over the ring of
+    the operators: the perturbed inclusion iota_in = sum (h l_in)^n iota and
+    projection pi_out = pi sum (l_out h)^n, with one geometric series each."""
+    ring = l_in.ring
+    h, iota, pi = (ArtinMap.from_graded(ring, gm) for gm in (pkg.h, pkg.iota, pkg.pi))
+    hl = h.compose(l_in)
+    lh_series = l_out.compose(h).geometric_series()
+    return hl.geometric_series().compose(iota), pi.compose(lh_series), hl, lh_series, h, iota
+
+
 def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     """Perturbed inclusion/projection/propagator and the vanishing twist.
 
@@ -419,14 +433,8 @@ def perturbation_maps(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement):
     if c.V != pkg.A:
         raise MalformedInput("package and homotopy must share the space")
     ring = xi.ring
-    _, l_op = cartan_artin_maps(c, xi)
-    h = ArtinMap.from_graded(ring, pkg.h)
-    iota = ArtinMap.from_graded(ring, pkg.iota)
-    pi = ArtinMap.from_graded(ring, pkg.pi)
-    hl = h.compose(l_op)
-    lh_series = l_op.compose(h).geometric_series()
-    iota_xi = hl.geometric_series().compose(iota)
-    pi_xi = pi.compose(lh_series)
+    l_op = _artin_op(c.V, c.l, xi)
+    iota_xi, pi_xi, hl, lh_series, h, iota = _perturbed(pkg, l_op, l_op)
     h_xi = h.compose(lh_series)
     delta_xi = pi_xi.compose(l_op).compose(iota)
     r = Report("perturbation maps")
@@ -459,16 +467,9 @@ def psi_obstruction(pkg: HodgePackage, c: CartanHomotopy, xi: ArtinElement,
     """
     require_integrable(c, xi)
     require_integrable(c, eta)
-    ring = xi.ring
-    _, l_xi = cartan_artin_maps(c, xi)
-    _, l_eta = cartan_artin_maps(c, eta)
+    iota_xi, pi_eta, *_ = _perturbed(pkg, _artin_op(c.V, c.l, xi), _artin_op(c.V, c.l, eta))
     i_diff = _artin_op(c.V, c.i, xi.plus(eta.scaled(-1)))
-    h = ArtinMap.from_graded(ring, pkg.h)
-    iota = ArtinMap.from_graded(ring, pkg.iota)
-    pi = ArtinMap.from_graded(ring, pkg.pi)
-    iota_xi = h.compose(l_xi).geometric_series().compose(iota)
-    pi_eta = pi.compose(l_eta.compose(h).geometric_series())
-    power = ArtinMap.identity(ring, pkg.A)
+    power = ArtinMap.identity(xi.ring, pkg.A)
     for _ in range(pkg.n):
         power = i_diff.compose(power)
     return _restrict_to_top_block(pkg, pi_eta.compose(power).compose(iota_xi))
@@ -755,7 +756,7 @@ def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, source: OoStructure
                        a_names) -> dict:
     """_propagator_words for the chains pi i_head (h l)_tail iota."""
     return _propagator_words(source, target, max_weight, heads, pkg.pi, c.i,
-                             {x: pkg.h.compose(c.l(x)) for x in c.L.space.names},
+                             {x: pkg.h.compose(lx) for x, lx in c.l.items()},
                              pkg.iota, w_names, a_names)
 
 
@@ -826,9 +827,9 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     hom = hom_space(bottom, top, pkg.A)
     base = decalage_dgla(c.L, max_weight)
     space = pair_space(base.space, hom.shifted(-1))
-    chains = prefix_products(lambda h, x: h.compose(c.i[x]), {(): GradedMap.identity(pkg.A)},
+    chains = prefix_products(lambda h, x: h.compose(c.i[x]),
+                             {(): coordinate_projections(pkg.A, bottom)[0]},
                              base.space.names, n, base.space.degree)[n]
-    lmaps = {x: c.l(x) for x in c.L.space.names}
     mixed = {1: [((B_PRE + name,), lin_scale(vec, -1))
                  for name, vec in hom_differential(pkg.delbar, bottom, top).items()], 2: []}
     for name in hom.names:
@@ -837,7 +838,7 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
         # on the canonical word (a:x, b:f) with the block-swap Koszul sign
         for x in c.L.space.names:
             swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
-            vec = _restrict_to_hom(gm.compose(lmaps[x]), top, bottom)
+            vec = _restrict_to_hom(gm.compose(c.l[x]), top, bottom)
             mixed[2].append(((A_PRE + x, B_PRE + name),
                              lin_scale(vec, sign_pow(hom.degree[name] - 1 + swap))))
     return _fiber_model(base, space, max_weight, {n: {
@@ -873,8 +874,7 @@ def strict_period_morphism(fpd: FormalPeriodData, max_weight: int = 3):
     cocone = fm_cocone_lie(inc, max_weight)
     source = decalage_dgla(c.L, max_weight)
     f1 = MultilinearMap(source.space, cocone.space, 0, 1, SYMMETRIC)
-    for x in c.L.space.names:
-        lx = c.l(x)
+    for x, lx in c.l.items():
         vec = prefix_vector(graded_map_to_elementary(lx, sub.space), A_PRE)
         lin_acc(vec, prefix_vector(graded_map_to_elementary(c.i[x], amb.space),
                                    B_PRE))

@@ -13,7 +13,10 @@ or a pushforward is pushed from the stored keys of each t_n, with the
 products of the keys' B-coefficients grown along their shared prefixes.
 The bracket [x, y], which the gauge action and the DGLA residual use,
 applies MultilinearMap.apply_vectors to every pair of monomial groups of x
-and y whose product survives in B.
+and y whose product survives in B.  An element's sums, multiples and
+restrictions are one lin_acc, lin_scale or filter over its table, and every
+element computed here is wrapped once, unchecked; the constructor and
+`add`, which read outside input, check it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from math import factorial, lcm
 from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
 from .cocone import A_PRE, B_PRE, _fm_cocone_lie
 from .graded import (
-    SYMMETRIC, GradedMap, GradedSpace, MalformedInput, Report, exact, format_coeff, lin_add,
-    lin_eq, linear_part, map_solve, stabilizer,
+    SYMMETRIC, GradedMap, GradedSpace, MalformedInput, Report, exact, format_coeff, lin_acc,
+    lin_add, lin_eq, lin_scale, linear_part, map_solve, stabilizer,
 )
 
 
@@ -128,20 +131,22 @@ class ArtinElement:
             raise MalformedInput("element must lie in V (x) m_B")
         lin_add(self.terms, (name, mono), exact(coeff))
 
-    def scaled(self, coeff) -> "ArtinElement":
-        out = ArtinElement(self.ring, self.space, allow_constant=self.allow_constant)
-        for (n, m), c in self.terms.items():
-            out.add(n, m, c * coeff)
+    @classmethod
+    def _of(cls, ring: ArtinRing, space, terms: dict, allow_constant=True) -> "ArtinElement":
+        """The element over terms the program has just computed: exact,
+        zero-free, on names of space and below m^N, so stored unchecked."""
+        out = cls.__new__(cls)
+        out.ring, out.space, out.allow_constant, out.terms = ring, space, allow_constant, terms
         return out
 
+    def scaled(self, coeff) -> "ArtinElement":
+        return self._of(self.ring, self.space, lin_scale(self.terms, coeff), self.allow_constant)
+
     def plus(self, other: "ArtinElement") -> "ArtinElement":
-        out = ArtinElement(self.ring, self.space,
-                           allow_constant=self.allow_constant or other.allow_constant)
-        for (n, m), c in self.terms.items():
-            out.add(n, m, c)
-        for (n, m), c in other.terms.items():
-            out.add(n, m, c)
-        return out
+        if (self.ring, self.space) != (other.ring, other.space):
+            raise MalformedInput("sum of elements over different rings or spaces")
+        return self._of(self.ring, self.space, lin_acc(dict(self.terms), other.terms),
+                        self.allow_constant or other.allow_constant)
 
     def is_zero(self) -> bool:
         return not any(self.terms.values())
@@ -152,21 +157,16 @@ class ArtinElement:
 
     def component(self, total_degree: int) -> "ArtinElement":
         """Restrict to monomials of the given total degree."""
-        out = ArtinElement(self.ring, self.space, allow_constant=True)
-        for (n, m), c in self.terms.items():
-            if sum(m) == total_degree:
-                out.add(n, m, c)
-        return out
+        return self._of(self.ring, self.space, {
+            (n, m): c for (n, m), c in self.terms.items() if sum(m) == total_degree})
 
     def truncated(self, ring: ArtinRing) -> "ArtinElement":
         """Push forward along the surjection onto a smaller quotient."""
         if ring.generators != self.ring.generators or ring.order > self.ring.order:
             raise MalformedInput("not a quotient ring")
-        out = ArtinElement(ring, self.space, allow_constant=self.allow_constant)
-        for (n, m), c in self.terms.items():
-            if sum(m) < ring.order:
-                out.add(n, m, c)
-        return out
+        return self._of(ring, self.space, {
+            (n, m): c for (n, m), c in self.terms.items() if sum(m) < ring.order},
+            self.allow_constant)
 
     def by_mono(self) -> dict:
         """{monomial: {name: coeff}}, the element as sum_m t^m v_m."""
@@ -291,26 +291,23 @@ class ArtinMap:
 
 
 def artin_apply(gm: GradedMap, x: ArtinElement) -> ArtinElement:
-    out = ArtinElement(x.ring, gm.target, allow_constant=True)
-    for mono, vec in x.by_mono().items():
-        for t, c in gm.apply(vec).items():
-            out.add(t, mono, c)
-    return out
+    return ArtinElement._of(x.ring, gm.target, {
+        (t, mono): c for mono, vec in x.by_mono().items() for t, c in gm.apply(vec).items()})
 
 
 def artin_bracket(L: DgLieAlgebra, x: ArtinElement, y: ArtinElement) -> ArtinElement:
     """[x, y] on L (x) B: the bracket of the name vectors of every pair of
-    monomials of x and y whose product survives in B."""
+    monomials of x and y whose product survives in B, summed in place."""
     ring = x.ring
-    out = ArtinElement(ring, L.bracket.target, allow_constant=True)
+    terms: dict = {}
     ys = y.by_mono()
     for m1, v1 in x.by_mono().items():
         for m2, v2 in ys.items():
             mono = ring.mul(m1, m2)
             if mono is not None:
                 for t, c in L.bracket.apply_vectors([v1, v2]).items():
-                    out.add(t, mono, c)
-    return out
+                    lin_add(terms, (t, mono), c)
+    return ArtinElement._of(ring, L.bracket.target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +392,8 @@ def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
             for mono, v in p.items():
                 acc[y, mono] = acc.get((y, mono), 0) + cy * v
     scale = factorial(top) * dq * dx ** top
-    out = ArtinElement(ring, target, allow_constant=True)
-    for (y, mono), v in acc.items():
-        if v:
-            out.add(y, mono, Fraction(v, scale))
-    return out
+    return ArtinElement._of(ring, target, {
+        key: exact(Fraction(v, scale)) for key, v in acc.items() if v})
 
 
 def _word_product(products: dict, word: tuple, letters: dict, ring: ArtinRing) -> dict:

@@ -93,8 +93,6 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
             "explicit quasi-inverse is implemented for the tensor flavor only")
     if validate:
         _validate(big, c)
-        if not c.side_conditions:
-            raise RejectedInput("quasi-inverse recursion needs the side conditions")
     mw = big.max_weight if max_weight is None else max_weight
     small = F.source
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})

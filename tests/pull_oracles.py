@@ -633,7 +633,7 @@ def psi_double_sum(pkg, c, xi, eta):
 
 def _pull_contraction_words(pkg, c, w_names, a_names):
     return pull_propagator_words(pkg.pi, c.i,
-                                 {x: pkg.h.compose(c.l(x)) for x in c.L.space.names},
+                                 {x: pkg.h.compose(c.l[x]) for x in c.L.space.names},
                                  pkg.iota, w_names, a_names)
 
 
@@ -709,7 +709,7 @@ def pull_yukawa_model_v2(pkg, c, max_weight=4):
             q2.add_entry((A_PRE + x, A_PRE + y), prefix_vector(vec, B_PRE))
     for name in hom.names:
         for x in c.L.space.names:
-            vec = _restrict_to_hom(realized[name].compose(c.l(x)), top, bottom)
+            vec = _restrict_to_hom(realized[name].compose(c.l[x]), top, bottom)
             if vec:
                 swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
                 q2.add_entry((A_PRE + x, B_PRE + name), prefix_vector(vec, B_PRE),

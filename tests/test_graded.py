@@ -509,7 +509,7 @@ def test_store_refuses_non_canonical_words_and_degree_mismatches(case):
 def test_identity_contraction_passes():
     V, d = two_dim_acyclic()
     c = Contraction(V, d, V, d, GradedMap.identity(V), GradedMap.identity(V),
-                    GradedMap.zero(V, V, -1), side_conditions=False)
+                    GradedMap.zero(V, V, -1))
     assert check_contraction(c).ok
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -25,9 +26,9 @@ from hoalg.hodge import (
     minimal_period_map, perturbation_maps, psi_obstruction,
     split_period_coefficient_closed, split_period_map,
     strict_period_morphism, synthetic_package, torus_package, yukawa_mc_fiber_residual,
-    yukawa_model, yukawa_model_v2,
+    yukawa_model, yukawa_model_v2, _harmonic_hom, _restrict_to_hom,
 )
-from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check
+from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, mc_check, mc_pushforward
 from hoalg.transfer import transfer_structure
 from fixture_helpers import is_strict
 from pull_oracles import (
@@ -204,28 +205,51 @@ def test_perturbation_maps_nonflat(seed):
     assert l_xi.is_zero() or not unmoved
 
 
+class _CountedReads(dict):
+    """An l table that records every name read through []."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def __getitem__(self, x):
+        self.reads.append(x)
+        return super().__getitem__(x)
+
+
+def _count_commutators(monkeypatch) -> list:
+    """Every GradedMap.commutator call from now on appends to the returned list."""
+    calls = []
+    commutator = GradedMap.commutator
+
+    def counted(self, other):
+        calls.append(other)
+        return commutator(self, other)
+
+    monkeypatch.setattr(GradedMap, "commutator", counted)
+    return calls
+
+
 def test_perturbation_maps_build_each_series_and_l_once(monkeypatch):
     pkg, cartan, fpd = synthetic_package(0)
     R = ArtinRing(1, 3)
     xi = one_section(cartan, R, [("x1", (1,), Fraction(1)), ("x1", (2,), Fraction(2)),
                                  ("x2", (1,), Fraction(-1))])
-    calls = {"series": 0, "l": 0}
-    series, l = ArtinMap.geometric_series, CartanHomotopy.l
+    calls = {"series": 0}
+    series = ArtinMap.geometric_series
 
     def counted_series(self):
         calls["series"] += 1
         return series(self)
 
-    def counted_l(self, x):
-        calls["l"] += 1
-        return l(self, x)
-
     monkeypatch.setattr(ArtinMap, "geometric_series", counted_series)
-    monkeypatch.setattr(CartanHomotopy, "l", counted_l)
+    commutators = _count_commutators(monkeypatch)
     *_, rep = perturbation_maps(pkg, cartan, xi)
     assert rep.ok
-    # (h l)^n and (l h)^n once each; l_x once per name of xi
-    assert calls == {"series": 2, "l": 2}
+    # (h l)^n and (l h)^n once each; every l_x comes from the table that the
+    # homotopy built once, so no commutator is taken here
+    assert calls == {"series": 2}
+    assert commutators == []
 
 
 # --- psi obstruction -----------------------------------------------------------------
@@ -271,27 +295,36 @@ def test_psi_double_sum_agrees_with_composed_series(seed):
 
 
 def test_psi_builds_l_only_for_xi_and_eta(monkeypatch):
-    # i_{xi - eta} needs no l; xi has two names and eta one, so three l calls
-    # (the difference used to cost a fourth)
+    # i_{xi - eta} needs no l; xi has two terms and eta one, so l is read three
+    # times, from the table built with the homotopy, and no commutator is taken
     pkg, cartan, fpd = synthetic_package(0)
     R = ArtinRing(1, 3)
     xi = one_section(cartan, R, [("x1", (1,), Fraction(1)),
                                  ("x2", (1,), Fraction(1, 2))])
     eta = one_section(cartan, R, [("x1", (1,), Fraction(1))])
-    calls = []
-    l = CartanHomotopy.l
-
-    def counted_l(self, x):
-        calls.append(x)
-        return l(self, x)
-
-    monkeypatch.setattr(CartanHomotopy, "l", counted_l)
+    reads = []
+    cartan.l = _CountedReads(cartan.l, reads)
+    commutators = _count_commutators(monkeypatch)
     psi = psi_obstruction(pkg, cartan, xi, eta)
-    assert len(calls) <= 3, calls
-    del calls[:]
+    assert len(reads) <= 3, reads
+    del reads[:]
     double = psi_double_sum(pkg, cartan, xi, eta)
-    assert len(calls) <= 3, calls
+    assert len(reads) <= 3, reads
+    assert commutators == []
     assert psi == double
+
+
+def test_period_builders_take_no_commutator_after_construction(monkeypatch):
+    # l_x is built once per homotopy, so the four builders that read it take
+    # no commutator of their own
+    for pkg, cartan, fpd, w in ((*torus_package(2), 3), (*synthetic_package(0), 4)):
+        commutators = _count_commutators(monkeypatch)
+        split_period_map(fpd, max_weight=w)
+        minimal_period_map(pkg, cartan, max_weight=w)
+        yukawa_model(pkg, cartan, max_weight=w)
+        yukawa_model_v2(pkg, cartan, max_weight=w)
+        assert len(commutators) == 0
+        monkeypatch.undo()
 
 
 # --- split period map ----------------------------------------------------------------
@@ -437,6 +470,53 @@ def test_minimal_equals_quasi_inverse_composed_with_split(fixture):
     comp = compose_morphisms(G, Pi, max_weight=3)
     for k in set(comp.taylor) | set(P.taylor):
         assert comp.taylor.get(k) == P.taylor.get(k), k
+
+
+def _seeded_section(cartan, ring, tag):
+    """A seeded element of L^1 (x) m_B, about half of its (letter, monomial)
+    cells filled.  L is abelian with d = 0 in the torus and synthetic
+    packages, so every such element is Maurer-Cartan."""
+    rng = random.Random("period point:%s" % tag)
+    xi = ArtinElement(ring, cartan.L.space)
+    for x in cartan.L.space.names:
+        for mono in ring.monomials(min_total=1):
+            if cartan.L.space.degree[x] == 1 and rng.random() < 0.5:
+                xi.add(x, mono, Fraction(rng.choice((-2, -1, 1, 2, 3)), rng.choice((1, 2, 3))))
+    return xi
+
+
+def _period_point_block(pkg, cartan, xi) -> dict:
+    """The H^n -> H^{<n} block of pi e^{i_xi} iota_xi as {(t<-s, monomial): c},
+    from the operator series of cartan_artin_maps and perturbation_maps."""
+    i_xi, _ = cartan_artin_maps(cartan, xi)
+    iota_xi, *_, rep = perturbation_maps(pkg, cartan, xi)
+    assert rep.ok
+    top, low, _ = _harmonic_hom(pkg, pkg.n)
+    op = ArtinMap.from_graded(xi.ring, pkg.pi).compose(i_xi.exp()).compose(iota_xi)
+    return {(name, mono): c for mono, gm in op.coeffs.items()
+            for name, c in _restrict_to_hom(gm, top, low).items()}
+
+
+@pytest.mark.parametrize("fixture", ["torus:2", "torus:3", "synthetic:0", "synthetic:1",
+                                     "synthetic:2"])
+def test_minimal_period_map_pushes_sections_to_their_period_points(fixture):
+    """The paper's loop from a section to its period point: for
+    P = minimal_period_map(pkg, c, N - 1), the MC pushforward of xi equals the
+    H^n -> H^{<n} block of pi e^{i_xi} iota_xi, entry for entry.  The two
+    sides share no code: one is mc._exp_series over P's Taylor maps, the
+    other the Artin operator series of the Cartan homotopy.  The sections
+    are seeded elements of L^1 (x) m_B, so letters of L outside degree 1
+    are out of reach of this probe."""
+    pkg, cartan, _ = _example_period_data(fixture)
+    nonzero = 0
+    for ring in (ArtinRing(1, 3), ArtinRing(1, 4), ArtinRing(2, 3)):
+        P = minimal_period_map(pkg, cartan, ring.order - 1)
+        for seed in range(3):
+            xi = _seeded_section(cartan, ring, "%s:%r:%d" % (fixture, ring, seed))
+            got = mc_pushforward(P, ArtinElement(ring, P.source.space, xi.terms))
+            assert got.terms == _period_point_block(pkg, cartan, xi), (ring, seed)
+            nonzero += not got.is_zero()
+    assert nonzero >= 6  # the comparison is not between zeros only
 
 
 @pytest.mark.parametrize("fixture", ["torus", "synthetic1"])
@@ -703,7 +783,7 @@ def _reference_contraction_sum(pkg, cartan, word, head, w_names, a_names):
         perm = [word[s - 1] for s in sigma]
         cur = pkg.iota
         for x in reversed(perm[head:]):
-            cur = pkg.h.compose(cartan.l(x)).compose(cur)
+            cur = pkg.h.compose(cartan.l[x]).compose(cur)
         for x in reversed(perm[:head]):
             cur = cartan.i[x].compose(cur)
         cur = pkg.pi.compose(cur)

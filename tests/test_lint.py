@@ -9,8 +9,9 @@ function enumerates basis words, every Taylor-map builder stores each arity
 through the one checked write, MultilinearMap.store, the period-map sums
 are pushed in place, with no commutator, per-entry write or GradedMap copy,
 hom-space names are built, never parsed, with [d, -] pushed by one
-function, and the CLI prints from `run` alone, through one `_emit`, with its
-parser built from one table of `cmd_*` handlers."""
+function, a Cartan homotopy's l_x is built once, into the table that every
+reader indexes, and the CLI prints from `run` alone, through one `_emit`,
+with its parser built from one table of `cmd_*` handlers."""
 
 from __future__ import annotations
 
@@ -288,6 +289,30 @@ IN_PLACE_SITES = {("hodge", "derived_hom_structure"), ("hodge", "_cut_sums")}
 def test_period_sums_push_from_nonzeros_in_place(name):
     assert {scope for _, scope in IN_PLACE_SITES} <= _defined(_tree(SRC / "hodge.py"))
     assert _call_sites(SRC / "hodge.py", name) & IN_PLACE_SITES == set()
+
+
+# A Cartan homotopy derives l_x = [d_V, i_x] + i_{d_L x} once, on
+# construction, into its table `l`, and every reader indexes that table.  So
+# in hodge.py only the constructor and check_cartan take a commutator, nothing
+# calls an `l(..)` method, and no library function but the constructor
+# stores an `l` table.  The lambda fixture's commutators outside hodge.py
+# derive L's differential and bracket, before any homotopy exists.
+CARTAN_COMMUTATOR_SITES = {("hodge", "CartanHomotopy.__init__"), ("hodge", "check_cartan")}
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+
+def _is_l_table(node, ctx) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "l" and isinstance(node.ctx, ctx)
+
+
+def test_cartan_l_table_is_built_once():
+    assert _call_sites(SRC / "hodge.py", "commutator") == CARTAN_COMMUTATOR_SITES
+    calls = set().union(*(_calls_where(p, lambda call: _is_l_table(call.func, ast.Load))
+                          for p in MODULES + TESTS))
+    assert calls == set()
+    stores = set().union(*(_sites_where(p, lambda node: _is_l_table(node, ast.Store))
+                           for p in MODULES))
+    assert stores == {("hodge", "CartanHomotopy.__init__")}
 
 
 # A hom space's elementary maps `t<-s` are named from their parts and never

@@ -63,6 +63,27 @@ def test_element_must_be_in_max_ideal():
     assert x.lines() == ["x t1 -> 1"]
 
 
+def test_element_sums_stay_canonical_and_refuse_other_rings_or_spaces():
+    R = t_ring()
+    sp = GradedSpace([("x", 0), ("y", 0)])
+    x = ArtinElement(R, sp, {("x", (1,)): Fraction(1, 2), ("y", (2,)): 3})
+    y = ArtinElement(R, sp, {("x", (1,)): Fraction(1, 2), ("y", (1,)): -1})
+    total = x.plus(y)
+    assert total.terms == {("x", (1,)): 1, ("y", (2,)): 3, ("y", (1,)): -1}
+    assert type(total.terms["x", (1,)]) is int
+    assert x.plus(x.scaled(-1)).terms == {} and x.scaled(0).terms == {}
+    assert x.scaled(2).terms == {("x", (1,)): 1, ("y", (2,)): 6}
+    assert x.component(2).terms == {("y", (2,)): 3}
+    assert x.truncated(ArtinRing(1, 2)).terms == {("x", (1,)): Fraction(1, 2)}
+    with pytest.raises(MalformedInput):
+        x.scaled(0.5)
+    # a sum over another ring or space is refused, not truncated or filtered
+    with pytest.raises(MalformedInput):
+        x.plus(ArtinElement(ArtinRing(1, 4), sp, {("x", (3,)): 1}))
+    with pytest.raises(MalformedInput):
+        x.plus(ArtinElement(R, GradedSpace([("x", 0)]), {("x", (1,)): 1}))
+
+
 # --- mc_check --------------------------------------------------------------------
 
 def test_mc_zero_element_and_abelian():

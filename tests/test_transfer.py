@@ -33,7 +33,7 @@ def q1_as_map(big):
 def _identity_contraction(big, d_big):
     sp = big.space
     return Contraction(sp, d_big, sp, d_big, GradedMap.identity(sp), GradedMap.identity(sp),
-                       GradedMap.zero(sp, sp, -1), side_conditions=True)
+                       GradedMap.zero(sp, sp, -1))
 
 
 def test_trivial_contraction_transfers_identically():
