@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism,
@@ -20,7 +20,7 @@ from .coalg import (
 )
 from .graded import (
     A_PRE, B_PRE, Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
-    RejectedInput, Report, SYMMETRIC, TENSOR, bernoulli, exact,
+    RejectedInput, Report, SYMMETRIC, TENSOR, bernoulli,
     coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
     prefix_products, prefix_vector, prefixed, right_products, scaled_ints, sign_pow,
@@ -59,13 +59,13 @@ def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStru
     with (T, weight) = merge_words(S, (b,), ..): the Koszul sign of moving b
     past the larger odd letters of S times mult_T(b), the positions of T
     that b can fill last, so a repeated (even) letter counts with its
-    multiplicity.  The brackets [u, b] are the steps of
-    graded.right_products(M.bracket), one table of right brackets read from
-    the stored entries of M's bracket.  Only the nonzero S(f(x), S) are
-    grown, and only up to the last weight whose Bernoulli number is nonzero.
-    The walk runs in ints, level k at E D^k S(f(x), T) for the lcms E, D of
-    the denominators of f and the bracket; arity k + 1 is stored once, with
-    the factor -(B_k/k!) / (E D^k).
+    multiplicity.  Each word makes one push, the grow of
+    graded.right_products(M.bracket): every nonzero [S(v, S), b] at once, from
+    the names of S(v, S); each (S, b) is merged once for all the letters x.
+    Words are grown only up to the last weight whose Bernoulli number is
+    nonzero, in plain int sums, level k at E D^k S(f(x), T) for the lcms E,
+    D of the denominators of f and the bracket; arity k + 1 is stored once,
+    with the factor -(B_k/k!) / (E D^k), which drops the sums that cancel.
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
@@ -73,24 +73,28 @@ def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStru
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC).store(
         prefixed(shifted_products(L.bracket, SYMMETRIC), A_PRE))
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
-    scale, bracket = right_products(M.bracket)
+    scale, grow, _ = right_products(M.bracket)
     fscale, fx = scaled_ints({1: f.map}, 1)
-    index, degree = M.space.index, M.space.degree
-    bkey = {m: B_PRE + m for m in targets}
+    bkey = {m: B_PRE + m for m in M.space.names}
+    letters, merged = dict.fromkeys(targets), {}
     words = {k: {} for k in coeffs}
     for x in sources:
         level, ax = ({(): fx[1][x]} if x in fx[1] else {}), (A_PRE + x,)
         for k in range(1, max(coeffs, default=0) + 1):
             grown: dict = {}
             for S, v in level.items():
-                for b in targets:
-                    vb = bracket(v, b)
-                    got = vb and merge_words(S, (b,), index, degree)
-                    if got:
-                        lin_acc(grown.setdefault(got[0], {}), vb, got[1])
-            level = {T: v for T, v in grown.items() if v}
+                merges = merged.setdefault(S, {})
+                for b, vb in grow(v, letters):
+                    if b not in merges:
+                        merges[b] = merge_words(S, (bkey[b],), space.index, space.degree)
+                    if merges[b]:
+                        T, weight = merges[b]
+                        acc = grown.setdefault(T, {})
+                        for y, c in vb.items():
+                            acc[y] = acc.get(y, 0) + weight * c
+            level = grown
             for T, v in level.items() if k in coeffs else ():
-                words[k][ax + tuple(bkey[m] for m in T)] = prefix_vector(v, B_PRE)
+                words[k][ax + T] = {bkey[y]: c for y, c in v.items()}
     for k, c in coeffs.items():
         taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
         taylor[k + 1].store(words[k], c / (fscale * scale ** k))
@@ -153,22 +157,16 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     weights = [w for w in range(1, max_weight) if bernoulli(w)]     # w = i + j
     words = {w: {} for w in weights}
     top = max(weights, default=0)
-    scale, mul = right_products(B.product)
+    scale, grow, times = right_products(B.product)
     fronts = [{(): None}] + prefix_products(
-        mul, {(b,): {b: 1} for b in B.space.names}, B.space.names, top - 1)
+        grow, {(b,): {b: 1} for b in B.space.names}, B.space.names, top - 1)
     fscale, fmaps = scaled_ints({1: f.map}, 1)
     fxs = {x: fmaps[1][x] for x in A.space.names if x in fmaps[1]}
     for i in range(top + 1):
-        # mids keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
-        mids = {}
-        for x, fx in fxs.items():
-            for front, u in fronts[i].items():
-                mid = {} if front else fx
-                for b, c in fx.items() if front else ():
-                    lin_acc(mid, mul(u, b), c)          # u f(a), one letter of f(a) at a time
-                if mid:
-                    mids[front + (x,)] = mid
-        backs = prefix_products(mul, mids, B.space.names, top - i)
+        # mids u f(a) keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
+        mids = {front + (x,): mid for x, fx in fxs.items() for front, u in fronts[i].items()
+                if (mid := times(u, fx) if front else fx)}
+        backs = prefix_products(grow, mids, B.space.names, top - i)
         for w in [w for w in weights if w >= i]:
             for word, out in backs[w - i].items():
                 sgn = comb(w, i) * sign_pow(i + 1 + sum(B.space.degree[b] for b in word[:i]))
@@ -203,8 +201,8 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     if cinf.space != cas.space:
         raise MalformedInput("cocone spaces disagree")
     space = cinf.space
-    scale, mul = right_products(B.product)
-    products = prefix_products(mul, {(b,): {b: 1} for b in B.space.names},
+    scale, grow, _ = right_products(B.product)
+    products = prefix_products(grow, {(b,): {b: 1} for b in B.space.names},
                                B.space.names, max_weight - 1)
     words = [{(n,): {n: 1} for n in space.names}] + [
         {tuple(B_PRE + b for b in word): prefix_vector(vec, B_PRE) for word, vec in level.items()}
@@ -324,8 +322,8 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     # q1 = Pd, f1 and g1 are the linear maps of the cocone contraction
     contraction = cocone_contraction(split, inclusion, cinf.space)
     Csp = contraction.small
-    scale, mul = right_products(amb.product)
-    prods = {w: mul(amb.d.value(w[0]), w[1])
+    scale, grow, times = right_products(amb.product)
+    prods = {w: times(amb.d.value(w[0]), {w[1]: 1})
              for w in itertools.product(split.complement_names, repeat=2)}
     q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR).store(
         {w: split.P.apply(u) for w, u in prods.items()}, Fraction(1, scale))
@@ -337,28 +335,39 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
     F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
     F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
-    prefixes = prefix_products(mul, {(a,): lin_single(a) for a in amb.space.names},
+    prefixes = prefix_products(grow, {(a,): {a: 1} for a in amb.space.names},
                                amb.space.names, max_weight - 1)
+    bwords, comp = {w: tuple(B_PRE + b for b in w) for ws in prefixes for w in ws}, set(Csp.names)
 
     def g_taylor(c):
         """g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term
-        without the product: recursion on the first block, pushed from the
-        nonzero prefix products w_1..w_m (at D^{m-1} times their value) and
-        the stored entries of the lower weights already built."""
-        taylor = {1: multilinear_from_graded_map(contraction.project, TENSOR)}
-        for k in range(2, max_weight + 1):
+        without the product (so g_1 = P: c(1) = 1), pushed from the nonzero
+        prefix products u = w_1..w_m (at D^{m-1} times their value) and the
+        ints g_j at their own scales S_j, indexed by letter, tails[j] = {b:
+        [(word, g_j(word)_b)]}: u . g_j sums the pushes grow(u, tails[j]), at
+        D^m S_j times its term.  Arity k is lifted to one S_k, stored once."""
+        taylor, scales, tails = {}, {}, {0: {None: [((), 1)]}}      # tails[0]: m = k
+        for k in range(1, max_weight + 1):
+            terms = [(m, Fraction(c(m)), scale ** m * scales[k - m] if m < k else scale ** (k - 1))
+                     for m in range(1, k + 1)]
+            scales[k] = lcm(*(cm.denominator * s for _, cm, s in terms))
             acc: dict = {}
-            for m in range(1, k + 1):
-                tails = {(): None} if m == k else \
-                    (taylor[k - m].entries if k - m in taylor else {})
-                cm = exact(Fraction(c(m), scale ** (m - 1)))
+            for m, cm, s in terms:
+                lift, index = cm.numerator * (scales[k] // (cm.denominator * s)), tails[k - m]
                 for word, vec in prefixes[m - 1].items():
-                    bword = tuple(B_PRE + b for b in word)
-                    for tword, tail in tails.items():
-                        pv = split.P.apply(vec if tail is None else amb.mul(vec, tail))
-                        if pv:
-                            lin_acc(acc.setdefault(bword + tword, {}), pv, cm)
-            taylor[k] = MultilinearMap(cinf.space, Csp, 0, k, TENSOR).store(acc)
+                    for b, pv in grow(vec, index) if m < k else [(None, vec)]:
+                        pv = [(y, v) for y, v in pv.items() if y in comp]
+                        for tword, cb in index[b] if pv else ():
+                            row = acc.setdefault(bwords[word] + tword, {})
+                            for y, v in pv:
+                                row[y] = row.get(y, 0) + lift * cb * v
+            taylor[k] = MultilinearMap(cinf.space, Csp, 0, k, TENSOR).store(
+                acc, Fraction(1, scales[k]))
+            tails[k] = {}
+            for tword, row in acc.items():
+                for b, cb in row.items():
+                    if cb:
+                        tails[k].setdefault(b, []).append((tword, cb))
         return taylor
 
     G_as = OoMorphism(cas, structure, g_taylor(lambda m: sign_pow(m + 1)))
@@ -436,9 +445,9 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
     Asp = split.complement_space()
     structure = OoStructure(Asp, SYMMETRIC, _derived_brackets(split, max_weight), max_weight)
     action = CoderAction(M.space.shifted(1), Asp)
-    scale, bracket = right_products(M.bracket)
+    scale, grow, _ = right_products(M.bracket)
     for m in M.space.names:
-        for n, level in enumerate(prefix_products(bracket, {(): lin_single(m)},
+        for n, level in enumerate(prefix_products(grow, {(): lin_single(m)},
                                                   split.complement_names, max_weight, Asp.degree)):
             for word, vec in level.items():
                 pv = unscaled(split.P.apply(vec), scale ** n)
@@ -453,8 +462,8 @@ def _derived_brackets(split: Splitting, max_weight: int) -> dict:
     M = split.ambient
     Asp = split.complement_space()
     first = {(a,): M.d.value(a) for a in split.complement_names if M.d.value(a)}
-    scale, bracket = right_products(M.bracket)
-    levels = prefix_products(bracket, first, split.complement_names, max_weight - 1, Asp.degree)
+    scale, grow, _ = right_products(M.bracket)
+    levels = prefix_products(grow, first, split.complement_names, max_weight - 1, Asp.degree)
     return {k: MultilinearMap(Asp, Asp, 1, k, SYMMETRIC).store(
                 {word: split.P.apply(vec) for word, vec in level.items()},
                 Fraction(1, scale ** (k - 1)))
@@ -571,7 +580,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     space = pair_space(Asp, base.space)
     adeg = Asp.degree
     xdeg = base.space.degree
-    scale, bracket = right_products(M.bracket)
+    scale, grow, _ = right_products(M.bracket)
     # pure-A words: the derived brackets; pure-x words: base q_k here,
     # P s f_k at level 0 of the walks below
     words = _pure_words(_derived_brackets(split, max_weight), base.taylor, max_weight)
@@ -580,7 +589,7 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
             xkey = tuple(B_PRE + x for x in xword)
             xsum = sum(xdeg[x] for x in xword)
             # mixed words P[...[s f_j(x's), a_1]..., a_n]: one walk per entry
-            levels = prefix_products(bracket, {(): sf}, split.complement_names,
+            levels = prefix_products(grow, {(): sf}, split.complement_names,
                                      max_weight - j, adeg)
             for n, level in enumerate(levels):
                 for aword, vec in level.items():

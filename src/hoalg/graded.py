@@ -209,57 +209,64 @@ def unscaled(vec: dict, scale: int) -> dict:
     return {n: exact(Fraction(v, scale)) for n, v in vec.items()}
 
 
-def prefix_products(step, first: dict, letters, top: int, degree=None) -> list:
-    """levels[0..top] of the left-nested products step(..step(v, a_1).., a_n).
+def prefix_products(grow, first: dict, letters, top: int, degree=None) -> list:
+    """levels[0..top] of the left-nested products u a_1 .. a_n.
 
-    levels[0] = first, a {word: value} table, and levels[n] holds
-    w + (a,): step(u, a) for every entry (w, u) of levels[n - 1] and letter a,
-    zero products dropped, so a vanishing prefix cuts its whole subtree.  The
-    step gets the letter itself; its values are vectors or GradedMaps, both
-    false when zero.  With `degree` given the words grow as sorted symmetric
-    words: a letter comes at or after the word's last letter in `letters`
-    order, and no odd letter repeats.  Each level keeps the order of its
-    parents, then of the letters.
+    levels[0] = first, a {word: value} table, and levels[n] holds w + (a,): v
+    for every entry (w, u) of levels[n - 1] and pair (a, v) of grow(u,
+    allowed), the nonzero products v of u by the letters a of `allowed` (a
+    dict, in `letters` order) in that order, so a vanishing prefix cuts its
+    whole subtree.  The values are vectors (`right_products`) or GradedMaps
+    (a compose loop over the allowed letters).  With `degree` given the words
+    grow as sorted symmetric words: a letter comes at or after the word's
+    last letter in `letters` order, and no odd letter repeats.  Parents keep
+    their order.
     """
     letters = tuple(letters)
-    place = {a: i for i, a in enumerate(letters)}
-    levels = [first]
+    after = {a: dict.fromkeys(b for b in letters[i:] if b != a or not degree[a] % 2)
+             for i, a in enumerate(letters)} if degree is not None else {}
+    levels, every = [first], dict.fromkeys(letters)
     for _ in range(top):
-        nxt = {}
-        for w, u in levels[-1].items():
-            start = place[w[-1]] if degree is not None and w else 0
-            for a in letters[start:]:
-                if degree is not None and w and a == w[-1] and degree[a] % 2:
-                    continue
-                v = step(u, a)
-                if v:
-                    nxt[w + (a,)] = v
-        levels.append(nxt)
+        levels.append({w + (a,): v for w, u in levels[-1].items()
+                       for a, v in grow(u, after[w[-1]] if w and after else every)})
     return levels
 
 
 def right_products(op):
-    """(D, step) for an arity-2 tensor-flavor MultilinearMap op: step(u, b) =
-    D op(u, b) is the step of prefix_products, read from one table
-    {b: {name: D op(name, b)}} of ints (`scaled_ints`, D the lcm of op's
-    denominators) and summed with plain products.  So a walk from int
-    vectors stays in ints, and its level n is D^n times the true products."""
+    """(D, grow, times) for an arity-2 tensor-flavor MultilinearMap op, read
+    from one push table {name: {b: D op(name, b)}} of ints (D the lcm of op's
+    denominators): grow(u, letters), the grow of prefix_products, pushes from
+    u's names every nonzero D op(u, b), b in `letters`, and times(u, v) =
+    D op(u, v), both in plain products with zeros dropped.  So a walk from
+    int vectors stays in ints, its level n at D^n times the true products."""
     if op.arity != 2 or op.flavor != TENSOR:
         raise MalformedInput("right products need an arity-2 tensor-flavor map")
     scale, maps = scaled_ints({2: op}, 2)
     table: dict = {}
     for (u, b), vec in maps[2].items():
-        table.setdefault(b, {})[u] = vec
+        table.setdefault(u, {})[b] = vec
 
-    def step(vec: dict, b) -> dict:
+    def grow(vec: dict, letters) -> list:
         out: dict = {}
-        column = table.get(b, {})
         for n, c in vec.items():
-            for y, v in column.get(n, {}).items():
-                out[y] = out.get(y, 0) + c * v
-        return {y: v for y, v in out.items() if v}
+            for b, col in table.get(n, {}).items():
+                if b in letters:
+                    acc = out.setdefault(b, {})
+                    for y, v in col.items():
+                        acc[y] = acc.get(y, 0) + c * v
+        return [(b, row) for b in letters if b in out
+                and (row := {y: v for y, v in out[b].items() if v})]
 
-    return scale, step
+    def times(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for n, c in u.items():
+            row = table.get(n, {})
+            for b, cb in v.items():
+                for y, w in row.get(b, {}).items():
+                    out[y] = out.get(y, 0) + c * cb * w
+        return {y: w for y, w in out.items() if w}
+
+    return scale, grow, times
 
 
 def format_coeff(c) -> str:

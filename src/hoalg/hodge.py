@@ -182,6 +182,9 @@ class CartanHomotopy:
         self.i = dict(i)
         if (d_V.source, d_V.target) != (V, V):
             raise MalformedInput("d_V must be a map on V")
+        for x in self.i:
+            if x not in L.space.degree:
+                raise MalformedInput("i_%s: %r is not a basis element of L" % (x, x))
         for x in L.space.names:
             gm = self.i.setdefault(x, GradedMap.zero(V, V, L.space.degree[x] - 1))
             if (gm.source, gm.target) != (V, V):
@@ -579,8 +582,8 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
     """
     space = source.space
     wset = set(w_names)
-    lefts = prefix_products(lambda h, x: h.compose(head_ops[x]), {(): left}, space.names,
-                            min(max(heads), max_weight), space.degree)
+    lefts = prefix_products(lambda h, xs: [(x, g) for x in xs if (g := h.compose(head_ops[x]))],
+                            {(): left}, space.names, min(max(heads), max_weight), space.degree)
     tails = [{(): GradedMap(right.source, right.target, right.degree,
                             {s: v for s, v in right.entries.items() if s in wset})}]
     singles = {(x,): tail_ops[x] for x in space.names}
@@ -827,7 +830,7 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     hom = hom_space(bottom, top, pkg.A)
     base = decalage_dgla(c.L, max_weight)
     space = pair_space(base.space, hom.shifted(-1))
-    chains = prefix_products(lambda h, x: h.compose(c.i[x]),
+    chains = prefix_products(lambda h, xs: [(x, g) for x in xs if (g := h.compose(c.i[x]))],
                              {(): coordinate_projections(pkg.A, bottom)[0]},
                              base.space.names, n, base.space.degree)[n]
     mixed = {1: [((B_PRE + name,), lin_scale(vec, -1))

@@ -179,23 +179,26 @@ def test_cocone_lie_recursion_matches_ordering_sum(seed, weight, has_odd):
 
 
 def test_cocone_lie_brackets_once_per_last_letter(monkeypatch):
-    # the brackets are the steps of cocone.right_products(M.bracket): count them
+    # the brackets are the pushes of cocone.right_products(M.bracket): one per
+    # grown word, for all its last letters at once
     sub, amb, inc = random_filtered_inclusion(0, 2)
     calls = []
     right_products = cocone.right_products
 
     def counted(op):
-        scale, step = right_products(op)
+        scale, grow, times = right_products(op)
 
-        def counted_step(u, b):
-            calls.append((u, b))
-            return step(u, b)
+        def counted_grow(u, letters):
+            calls.append(u)
+            return grow(u, letters)
 
-        return scale, counted_step
+        return scale, counted_grow, times
 
     monkeypatch.setattr(cocone, "right_products", counted)
     fm_cocone_lie(inc, max_weight=6)
-    assert 0 < len(calls) <= 600      # one ordering at a time makes 5,721
+    # 53 grown words; one ordering at a time makes 5,721 brackets, and one
+    # pull per (word, letter) made 212
+    assert 0 < len(calls) <= 60
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -218,6 +218,26 @@ def test_cli_out_of_memory_is_exit_3(sample_file, monkeypatch):
     assert (code, out) == (3, "error: out of memory\n")
 
 
+@pytest.mark.parametrize("mib", [60, 100, 150])
+def test_cli_real_out_of_memory_is_exit_3(mib):
+    # a child whose address space is capped runs out inside the derived-products
+    # builders of weight-9 `cocone derived` (its peak is several hundred MB), and
+    # the MemoryError reaches `run` intact; the previous builders let it out as
+    # "SystemError: error return without exception set" at 60 and 150 MiB
+    import resource
+    import subprocess
+    import hoalg
+    root = os.path.dirname(os.path.dirname(hoalg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    cap = mib * 2 ** 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "hoalg.cli", "--max-weight", "9", "cocone", "derived",
+         "--example", "r:1"], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (proc.returncode, proc.stdout) == (3, "error: out of memory\n"), proc.stderr
+
+
 def test_cli_mathematical_failure_is_exit_1(tmp_path):
     text = SAMPLE + """
 map bad W W 0

@@ -282,11 +282,17 @@ def _letter_op(vec, single):
     return _word_op(vec, a)
 
 
+def _per_letter(step):
+    """The grow of prefix_products that calls step(u, a) on each allowed
+    letter a, as a loop over compositions does."""
+    return lambda u, allowed: [(a, v) for a in allowed if (v := step(u, a))]
+
+
 @pytest.mark.parametrize("top", range(5))
 def test_prefix_products_match_nested_products(top):
     letters = ("x", "y", "z")
     first = {(a,): {a: 2} for a in letters}
-    levels = prefix_products(_word_op, first, letters, top)
+    levels = prefix_products(_per_letter(_word_op), first, letters, top)
     assert len(levels) == top + 1 and levels[0] is first
     for n, level in enumerate(levels):
         want = {}
@@ -297,7 +303,7 @@ def test_prefix_products_match_nested_products(top):
         assert list(level.items()) == list(want.items())
     # sorted mode: the sym_words of each length, also from the empty word
     V = GradedSpace([("x", 0), ("y", 1), ("z", 2)])
-    levels = prefix_products(_word_op, {(): {"": 1}}, V.names, top, V.degree)
+    levels = prefix_products(_per_letter(_word_op), {(): {"": 1}}, V.names, top, V.degree)
     for n, level in enumerate(levels):
         want = {}
         for word in sym_words(V.names, V.degree, n):
@@ -315,13 +321,13 @@ def test_prefix_products_stop_at_a_vanishing_prefix():
         calls.append(next(iter(vec)))
         return {} if name == "z" else {n + name: c for n, c in vec.items()}
 
-    levels = prefix_products(op, {("a",): {"a": 2}}, "xyz", 3)
+    levels = prefix_products(_per_letter(op), {("a",): {"a": 2}}, "xyz", 3)
     assert levels[1] == {("a", "x"): {"ax": 2}, ("a", "y"): {"ay": 2}}
     assert all("z" not in w for level in levels for w in level)
     # 3 letters tried on 1, 2 and 4 surviving prefixes; no call extends a z
     assert len(calls) == 3 * (1 + 2 + 4)
     assert all("z" not in name for name in calls)
-    assert prefix_products(op, {}, "xyz", 2) == [{}, {}, {}]
+    assert prefix_products(_per_letter(op), {}, "xyz", 2) == [{}, {}, {}]
 
 
 def test_prefix_products_of_graded_maps_drop_zero_composites():
@@ -332,8 +338,8 @@ def test_prefix_products_of_graded_maps_drop_zero_composites():
            "t": GradedMap(V, V, 0, {"p%d" % i: {"p%d" % (i + 2): 2} for i in range(2)}),
            "z": GradedMap.zero(V, V, 0)}
     assert ops["s"] and not ops["z"] and not ops["t"].compose(ops["t"])
-    levels = prefix_products(lambda h, a: h.compose(ops[a]), {(): GradedMap.identity(V)},
-                             "stz", 4)
+    levels = prefix_products(_per_letter(lambda h, a: h.compose(ops[a])),
+                             {(): GradedMap.identity(V)}, "stz", 4)
     for n, level in enumerate(levels):
         want = {}
         for word in itertools.product("stz", repeat=n):
@@ -374,22 +380,48 @@ RIGHT_PRODUCT_OPS = {
 @pytest.mark.parametrize("case", list(RIGHT_PRODUCT_OPS))
 def test_right_products_match_apply_vectors(case):
     op, scale = RIGHT_PRODUCT_OPS[case][0](), RIGHT_PRODUCT_OPS[case][1]
-    D, step = right_products(op)
+    D, grow, times = right_products(op)
     assert D == scale
     rng = random.Random(case)
     names = op.source.names
+    every = dict.fromkeys(names)
+
+    def draw():
+        return {n: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+                for n in rng.sample(names, rng.randint(1, len(names)))}
+
     for _ in range(12):
-        u = {n: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
-             for n in rng.sample(names, rng.randint(1, len(names)))}
-        for b in names:
-            want = op.apply_vectors([u, lin_single(b)])
-            assert list(step(u, b).items()) == [(n, D * c) for n, c in want.items()]
-            # an int vector stays in ints
-            ints = {n: int(c * 6) for n, c in u.items()}
-            assert all(c.__class__ is int for c in step(ints, b).values())
-    assert step({}, names[0]) == {}
+        u, v = draw(), draw()
+        want = {b: {n: D * c for n, c in op.apply_vectors([u, lin_single(b)]).items()}
+                for b in names}
+        # every nonzero D op(u, b), in letter order, also for letters given
+        # out of basis order; the zero products are absent
+        assert grow(u, every) == [(b, w) for b, w in want.items() if w]
+        allowed = dict.fromkeys(rng.sample(names, rng.randint(1, len(names))))
+        assert grow(u, allowed) == [(b, want[b]) for b in allowed if want[b]]
+        assert times(u, v) == {n: D * c for n, c in op.apply_vectors([u, v]).items()}
+        assert all(c for _, w in grow(u, every) for c in w.values())
+        assert all(times(u, v).values())
+        # int vectors stay in ints
+        ints, intv = ({n: int(c * 6) for n, c in x.items()} for x in (u, v))
+        assert all(c.__class__ is int for _, w in grow(ints, every) for c in w.values())
+        assert all(c.__class__ is int for c in times(ints, intv).values())
+    assert grow({}, every) == [] and grow(u, {}) == []
+    assert times({}, u) == {} and times(u, {}) == {}
     with pytest.raises(MalformedInput):
         right_products(MultilinearMap(op.source, op.target, 0, 2, SYMMETRIC))
+
+
+def test_right_products_drop_products_that_cancel():
+    # x z = y and w z = -y, so (x + w) z = 0 and z is not grown; x y = 0 too
+    V = GradedSpace([("x", 0), ("w", 0), ("y", 0), ("z", 0)])
+    op = MultilinearMap(V, V, 0, 2, TENSOR).store({
+        ("x", "z"): {"y": 1}, ("w", "z"): {"y": -1}, ("w", "y"): {"x": Fraction(1, 2)}})
+    D, grow, times = right_products(op)
+    assert D == 2
+    u = {"x": 1, "w": 1}
+    assert grow(u, dict.fromkeys(V.names)) == [("y", {"x": 1})]
+    assert times(u, {"z": 3}) == {} and times(u, {"z": 1, "y": 4}) == {"x": 4}
 
 
 def test_multilinear_symmetric_koszul_read():

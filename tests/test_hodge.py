@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from hoalg import fmt
 from hoalg.cli import _example_period_data
 from hoalg.coalg import (
     OoMorphism, OoStructure, check_morphism, check_structure,
@@ -101,6 +102,26 @@ def test_corrupted_contraction_fails_cartan_with_witness():
     rep = check_cartan(bad)
     assert not rep.ok
     assert rep.first_failure()["witness"] is not None
+
+
+def test_cartan_homotopy_rejects_an_i_key_outside_L():
+    # x2's map passed as x3: x2 would silently get i = 0 and pass check_cartan
+    pkg, cartan, fpd = synthetic_package(0)
+    i = {"x1": cartan.i["x1"], "x3": cartan.i["x2"]}
+    with pytest.raises(MalformedInput, match="'x3'"):
+        CartanHomotopy(cartan.L, cartan.V, cartan.d_V, i)
+    # the same misspelling in a cartan section of an input file
+    L = cartan.L
+    lines = fmt.space_lines("A", cartan.V) + fmt.space_lines("L", L.space)
+    lines += fmt.map_lines("dA", cartan.d_V, "A", "A") + fmt.map_lines("dL", L.d, "L", "L")
+    lines += fmt.multilinear_lines("brL", L.bracket, "L", "L")
+    lines += ["dgla LL L", "  d dL", "  bracket brL"]
+    for x in L.space.names:
+        lines += fmt.map_lines("i_" + x, cartan.i[x], "A", "A")
+    good = lines + ["cartan CC LL A dA", "  x1 -> i_x1", "  x2 -> i_x2"]
+    assert check_cartan(fmt.parse("\n".join(good) + "\n").cartans["CC"]).ok
+    with pytest.raises(MalformedInput, match="'x3'"):
+        fmt.parse("\n".join(lines + ["cartan CC LL A dA", "  x1 -> i_x1", "  x3 -> i_x2"]))
 
 
 def test_torus_contraction_tables_match_golden():
@@ -327,6 +348,29 @@ def test_period_builders_take_no_commutator_after_construction(monkeypatch):
         monkeypatch.undo()
 
 
+def test_sorted_hodge_walks_compose_once_per_allowed_letter(monkeypatch):
+    # the head chains of _propagator_words and the i-chains of yukawa_model_v2
+    # grow through prefix_products with a compose loop over the letters a
+    # sorted word allows: as many compositions as one call per (word, letter)
+    # made, counted per builder (split, minimal, yukawa, yukawa_v2)
+    want = {"torus:2": [18, 71, 49, 169], "synthetic:0": [6, 12, 8, 18]}
+    compose = GradedMap.compose
+    for (name, w), (pkg, cartan, fpd) in (
+            (("torus:2", 3), torus_package(2)), (("synthetic:0", 4), synthetic_package(0))):
+        counts = []
+        for build in (lambda: split_period_map(fpd, max_weight=w),
+                      lambda: minimal_period_map(pkg, cartan, max_weight=w),
+                      lambda: yukawa_model(pkg, cartan, max_weight=w),
+                      lambda: yukawa_model_v2(pkg, cartan, max_weight=w)):
+            calls = []
+            monkeypatch.setattr(GradedMap, "compose",
+                                lambda self, other: calls.append(1) or compose(self, other))
+            build()
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts == want[name]
+
+
 # --- split period map ----------------------------------------------------------------
 
 
@@ -515,6 +559,44 @@ def test_minimal_period_map_pushes_sections_to_their_period_points(fixture):
             xi = _seeded_section(cartan, ring, "%s:%r:%d" % (fixture, ring, seed))
             got = mc_pushforward(P, ArtinElement(ring, P.source.space, xi.terms))
             assert got.terms == _period_point_block(pkg, cartan, xi), (ring, seed)
+            nonzero += not got.is_zero()
+    assert nonzero >= 6  # the comparison is not between zeros only
+
+
+def _graph_coordinate(fpd, xi) -> dict:
+    """The graph coordinate P e^{i_xi} (P-perp e^{i_xi}|_W)^{-1}: W -> A of
+    the subspace e^{i_xi} W over W along A, as {(a<-w, monomial): c}.  With
+    E = e^{i_xi} = id + (terms in m_B) and N = P-perp (E - id) P-perp, the
+    inverse of P-perp E on W is the geometric series of -N."""
+    ring, P, Pperp = xi.ring, ArtinMap.from_graded(xi.ring, fpd.P), \
+        ArtinMap.from_graded(xi.ring, fpd.Pperp)
+    E = cartan_artin_maps(fpd.cartan, xi)[0].exp()
+    N = Pperp.compose(E.plus(ArtinMap.identity(ring, fpd.cartan.V), -1)).compose(Pperp)
+    op = P.compose(E).compose(Pperp).compose(N.scaled(-1).geometric_series())
+    return {(name, mono): c for mono, gm in op.coeffs.items()
+            for name, c in _restrict_to_hom(gm, fpd.w_names, fpd.a_names).items()}
+
+
+@pytest.mark.parametrize("fixture", ["torus:2:1", "torus:2:2", "synthetic:0"])
+def test_split_period_map_pushes_sections_to_their_graph_coordinates(fixture):
+    """The split map's loop from a section to its period point: for
+    Pi = split_period_map(fpd, N - 1), the MC pushforward of xi equals the
+    graph coordinate of e^{i_xi} W over W along A (_graph_coordinate), with
+    this sign, entry for entry, and is Maurer-Cartan in the derived target.
+    The two sides share no code: one is mc._exp_series over Pi's Taylor maps,
+    the other the Artin operator series of the Cartan homotopy.  The sections
+    are seeded elements of L^1 (x) m_B, so letters of L outside degree 1 are
+    out of reach of this probe."""
+    pkg, cartan, fpd = torus_package(2, int(fixture[-1])) if fixture.startswith("torus") \
+        else synthetic_package(0)
+    nonzero = 0
+    for ring in (ArtinRing(1, 3), ArtinRing(1, 4), ArtinRing(2, 3)):
+        Pi, target = split_period_map(fpd, ring.order - 1)
+        for seed in range(3):
+            xi = _seeded_section(cartan, ring, "split:%s:%r:%d" % (fixture, ring, seed))
+            got = mc_pushforward(Pi, ArtinElement(ring, Pi.source.space, xi.terms))
+            assert got.terms == _graph_coordinate(fpd, xi), (ring, seed)
+            assert mc_check(target, got).is_zero(), (ring, seed)
             nonzero += not got.is_zero()
     assert nonzero >= 6  # the comparison is not between zeros only
 

@@ -9,7 +9,8 @@ function enumerates basis words, every Taylor-map builder stores each arity
 through the one checked write, MultilinearMap.store, the period-map sums
 are pushed in place, with no commutator, per-entry write or GradedMap copy,
 hom-space names are built, never parsed, with [d, -] pushed by one
-function, a Cartan homotopy's l_x is built once, into the table that every
+function, every walk over a product or bracket pushes from one table per
+operation, a Cartan homotopy's l_x is built once, into the table that every
 reader indexes, and the CLI prints from `run` alone, through one `_emit`,
 with its parser built from one table of `cmd_*` handlers."""
 
@@ -219,6 +220,46 @@ def test_no_basis_word_enumeration_in_library():
     found = set().union(*(_call_sites(p, "sym_words") for p in MODULES))
     assert found == {("coalg", "OoStructure.basis_words")}
     assert "itertools" not in _names(_tree(SRC / "transfer.py"))
+
+
+# Every walk over an arity-2 operation reads one int push table, built by
+# graded.right_products from the operation's stored entries: its grow is the
+# grow of graded.prefix_products, and its times multiplies two vectors.  No
+# walk pulls one letter at a time (the retired `step`), every other
+# prefix_products call passes a compose loop (a lambda), and in cocone.py
+# only cocone_associative's one-off table multiplies through DgAlgebra.mul,
+# apply_vectors or the stored entries of a product or bracket.
+PUSH_TABLE_SITES = {("graded", "right_products")}
+ONE_OFF_PRODUCT_SITES = {("cocone", "cocone_associative")}
+
+
+def _reads_op_entries(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "entries" and \
+        isinstance(node.value, ast.Attribute) and node.value.attr in {"product", "bracket"}
+
+
+def _scales_an_arity_2_family(call) -> bool:
+    return _names(call.func) == {"scaled_ints"} and isinstance(call.args[0], ast.Dict) and \
+        any(isinstance(k, ast.Constant) and k.value == 2 for k in call.args[0].keys)
+
+
+def test_walks_push_from_one_table_per_operation():
+    cocone = SRC / "cocone.py"
+    assert all("step" not in _names(_tree(p)) | _defined(_tree(p)) for p in MODULES)
+    found = set().union(*(_calls_where(p, _scales_an_arity_2_family) for p in MODULES))
+    assert found == PUSH_TABLE_SITES
+    assert _sites_where(cocone, _reads_op_entries) == ONE_OFF_PRODUCT_SITES
+    assert _call_sites(cocone, "mul") | _call_sites(cocone, "apply_vectors") == \
+        ONE_OFF_PRODUCT_SITES
+    walks = [call for p in MODULES for call in ast.walk(_tree(p)) if isinstance(call, ast.Call)
+             and _names(call.func) == {"prefix_products"}]
+    assert len(walks) == 9
+    assert {type(call.args[0]).__name__ + ":" + getattr(call.args[0], "id", "")
+            for call in walks} == {"Name:grow", "Lambda:"}
+    # every grow in cocone.py is unpacked from a right_products call
+    grows = [node.value for node in ast.walk(_tree(cocone)) if isinstance(node, ast.Assign)
+             and "grow" in _names(node.targets[0])]
+    assert grows and all(_names(value.func) == {"right_products"} for value in grows)
 
 
 # Every library builder of a Taylor map or of an End(V) operation hands
