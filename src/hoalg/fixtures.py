@@ -3,8 +3,10 @@
 Every builder takes an integer seed and returns data that provably satisfies
 its axioms (validated at construction): random complexes, their
 endomorphism DG algebras (coalg.end_dga, coalg.end_dgla) with d-stable
-splittings, mapping-cone contractions and (later in the file) the synthetic
-Hodge fixtures.  Fixtures that only the tests read live with the tests.
+splittings and Cartan data on exterior models.  `harmonic_contraction`
+contracts any complex onto harmonic representatives of its cohomology by
+forward elimination over sparse rows.  Fixtures that only the tests read
+live with the tests.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .coalg import (
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
-    hom_space, lin_acc, lin_single, map_kernel_basis,
+    hom_space, lin_acc, lin_scale, lin_single, map_kernel_basis,
 )
 from .hodge import CartanHomotopy, ExteriorModel, FormalPeriodData, check_cartan
 
@@ -102,126 +104,73 @@ def random_dga_morphism(seed: int, dim: int = 2) -> DgaMorphism:
 
 
 # ---------------------------------------------------------------------------
-# harmonic contractions of complexes (deterministic Gaussian splitting)
+# harmonic contractions of complexes (deterministic forward elimination)
 
 
-class _DegreeSplit:
-    """Echelon decomposition V_deg = B + H + C (B = im d, H harmonic reps)."""
-
-    def __init__(self, names, b_rows, h_rows):
-        self.names = names          # ambient basis names of this degree
-        self.b_rows = b_rows        # list of (coords, preimage_combination, pivot)
-        self.h_rows = h_rows        # list of (coords, pivot)
-
-    def coords(self, vec: dict):
-        return [Fraction(vec.get(n, 0)) for n in self.names]
-
-    def decompose(self, vec: dict):
-        """Return (b_coeffs, h_coeffs, c_remainder_coords)."""
-        v = self.coords(vec)
-        bc, hc = [], []
-        for row, _, piv in self.b_rows:
-            f = v[piv]
-            bc.append(f)
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
-        for row, piv in self.h_rows:
-            f = v[piv]
-            hc.append(f)
-            if f:
-                v = [x - f * y for x, y in zip(v, row)]
-        return bc, hc, v
+def _reduce(vec: dict, rows, pre=None) -> list:
+    """Subtract f * row from vec in place for each echelon row (row, preimage,
+    pivot) in order, f the entry of vec at the pivot; returns the factors f.
+    When pre is given it tracks the preimage: pre -= f * preimage."""
+    factors = []
+    for row, row_pre, piv in rows:
+        f = vec.get(piv, 0)
+        factors.append(f)
+        if f:
+            lin_acc(vec, row, -f)
+            if pre is not None:
+                lin_acc(pre, row_pre, -f)
+    return factors
 
 
-def _degree_split(space, d, deg, ker_vecs):
-    names = [n for n in space.names if space.degree[n] == deg]
-    b_rows = []
-    for pre_name in [n for n in space.names if space.degree[n] == deg - 1]:
-        img = d.value(pre_name)
-        if not img:
-            continue
-        vec = [Fraction(img.get(n, 0)) for n in names]
-        prevec = lin_single(pre_name)
-        for row, rpre, piv in b_rows:
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-                prevec = dict(prevec)
-                lin_acc(prevec, rpre, -f)
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            continue
-        lead = vec[piv]
-        vec = [x / lead for x in vec]
-        prevec = {k: v / lead for k, v in prevec.items()}
-        b_rows.append((vec, prevec, piv))
-    h_rows = []
-    for kv in ker_vecs:
-        if space.vector_degree(kv) != deg:
-            continue
-        vec = [Fraction(kv.get(n, 0)) for n in names]
-        for row, _, piv in b_rows:
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        for row, piv in h_rows:
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            continue
-        vec = [x / vec[piv] for x in vec]
-        h_rows.append((vec, piv))
-    return _DegreeSplit(names, b_rows, h_rows)
+def _append_row(rows, vec: dict, pre: dict, index: dict):
+    """Append a reduced vec, unless zero, as a row scaled to 1 at its first
+    nonzero basis name, with its entries in basis order."""
+    if vec:
+        names = sorted(vec, key=index.__getitem__)
+        inv = 1 / Fraction(vec[names[0]])
+        rows.append((lin_scale({n: vec[n] for n in names}, inv), lin_scale(pre, inv), names[0]))
 
 
 def harmonic_contraction(space: GradedSpace, d: GradedMap) -> Contraction:
     """Split (V,d) = H + acyclic part; contraction onto H with zero differential.
 
     Per degree V = B + H + C with B = im d and d: C -> B iso; the homotopy is
-    K(v) = -(d|_C)^{-1}(B-component of v).  Echelon pivots in declared basis
-    order keep everything reproducible.
+    K(v) = -(d|_C)^{-1}(B-component of v).  The B rows (images of the basis
+    one degree down, each with its preimage) and then the H rows (kernel
+    vectors) are reduced forward, against earlier rows only and never back,
+    with pivots in declared basis order: everything is reproducible, and the
+    harmonic basis that `inject` and `project` use stays as the digests pin it.
     """
     ker_vecs = map_kernel_basis(d)
-    splits = {deg: _degree_split(space, d, deg, ker_vecs)
-              for deg in space.degrees_present()}
-
-    small_basis = []
-    inj_vectors = []
+    rows, small_basis, inject, project, K = {}, [], {}, {}, {}
     for deg in space.degrees_present():
-        sp = splits[deg]
-        for i, (vec, _) in enumerate(sp.h_rows):
-            small_basis.append(("h%d_%d" % (deg, i), deg))
-            inj_vectors.append({sp.names[j]: c for j, c in enumerate(vec) if c})
+        b_rows, h_rows = [], []
+        for n in space.names:
+            if space.degree[n] == deg - 1 and d.value(n):
+                vec, pre = dict(d.value(n)), lin_single(n)
+                _reduce(vec, b_rows, pre)
+                _append_row(b_rows, vec, pre, space.index)
+        for kv in ker_vecs:
+            if space.vector_degree(kv) == deg:
+                vec = dict(kv)
+                _reduce(vec, b_rows + h_rows)
+                _append_row(h_rows, vec, {}, space.index)
+        rows[deg] = b_rows + h_rows
+        harmonic = ["h%d_%d" % (deg, i) for i in range(len(h_rows))]
+        small_basis += [(h, deg) for h in harmonic]
+        inject.update((h, row) for h, (row, _, _) in zip(harmonic, h_rows))
+        for n in space.names:
+            if space.degree[n] == deg:
+                pre = {}
+                factors = _reduce(lin_single(n), rows[deg], pre)
+                project[n] = dict(zip(harmonic, factors[len(b_rows):]))
+                # -(preimage of the B-part), then keep only its C-component below
+                _reduce(pre, rows.get(deg - 1, ()))
+                K[n] = {m: pre[m] for m in sorted(pre, key=space.index.__getitem__)}
     small = GradedSpace(small_basis)
-    d_small = GradedMap(small, small, 1)
-    inject = GradedMap(small, space, 0)
-    for (name, _), vec in zip(small_basis, inj_vectors):
-        inject.set(name, vec)
-
-    project = GradedMap(space, small, 0)
-    K = GradedMap(space, space, -1)
-    for deg in space.degrees_present():
-        sp = splits[deg]
-        below = splits.get(deg - 1)
-        small_names = [n for n, dg in small_basis if dg == deg]
-        for n in sp.names:
-            bc, hc, _ = sp.decompose(lin_single(n))
-            img = {sn: c for sn, c in zip(small_names, hc) if c}
-            if img:
-                project.set(n, img)
-            if below is not None and any(bc):
-                # -(preimage of B-part), then keep only its C-component below
-                pre: dict = {}
-                for f, (_, rpre, _) in zip(bc, sp.b_rows):
-                    if f:
-                        lin_acc(pre, rpre, -f)
-                _, _, c_coords = below.decompose(pre)
-                img_k = {below.names[i]: c for i, c in enumerate(c_coords) if c}
-                if img_k:
-                    K.set(n, img_k)
-    return Contraction(small, d_small, space, d, inject, project, K)
+    return Contraction(small, GradedMap(small, small, 1), space, d,
+                       GradedMap(small, space, 0, inject), GradedMap(space, small, 0, project),
+                       GradedMap(space, space, -1, K))
 
 
 def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None):

@@ -184,6 +184,8 @@ def _fields(body, table=None):
     fields = {}
     for line in body:
         key, ref = line.split()
+        if key in fields:
+            raise MalformedInput("repeated key %r" % key)
         fields[key] = ref if table is None else table[ref]
     return fields
 
@@ -269,8 +271,10 @@ def _parse_cartan(doc, header, body):
     _, name, dgla, vspace, dmap = header[:5]
     i = {}
     for line in body:
-        lhs, rhs = line.split("->")
-        i[lhs.strip()] = doc.maps[rhs.strip()]
+        key, ref = (part.strip() for part in line.split("->"))
+        if key in i:
+            raise MalformedInput("repeated key %r" % key)
+        i[key] = doc.maps[ref]
     doc.cartans[name] = CartanHomotopy(doc.dglas[dgla], doc.spaces[vspace],
                                        doc.maps[dmap], i)
 

@@ -8,6 +8,7 @@ import pytest
 
 from hoalg import fmt
 from hoalg.cli import run
+from hoalg.graded import MalformedInput
 from hoalg.hodge import check_cartan, check_hodge_package
 
 FULL = """
@@ -104,6 +105,30 @@ def test_parse_every_section_kind():
     assert check_cartan(doc.cartans["CC"]).ok
 
 
+CONTRACTION = """
+contraction CT V V
+  d_small zeroV
+  d_big dV
+  inject zeroV
+  project zeroV
+  homotopy zeroV
+"""
+
+
+@pytest.mark.parametrize("kind, line", [
+    ("cartan", "  x -> ix"), ("contraction", "  inject zeroV"),
+    ("dgla", "  bracket brL1"), ("hodge", "  h h2"),
+])
+def test_repeated_key_in_a_section_is_rejected(kind, line):
+    # a second line for the same key used to replace the first without a word
+    text = FULL + CONTRACTION
+    assert text.count(line + "\n") == 1
+    fmt.parse(text)
+    with pytest.raises(MalformedInput, match=r"bad %s section .*: repeated key '%s'"
+                       % (kind, line.split()[0])):
+        fmt.parse(text.replace(line + "\n", line + "\n" + line + "\n"))
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -132,6 +157,14 @@ def test_cli_file_driven_paths(full_file):
     code, out = run_cli(["--max-weight", "3", "cocone", "derived", full_file,
                          "--name", "SP"])
     assert code == 0
+
+
+def test_cli_rejects_a_repeated_key(tmp_path):
+    p = tmp_path / "repeated.alg"
+    p.write_text(FULL.replace("  d dL1\n", "  d dL1\n  d dL1\n"))
+    code, out = run_cli(["verify", "cartan", str(p), "--name", "CC"])
+    assert code == 2
+    assert out.startswith("error: bad dgla section") and "repeated key 'd'" in out
 
 
 def test_cli_mc_correspond_file_driven(tmp_path):

@@ -11,8 +11,9 @@ are pushed in place, with no commutator, per-entry write or GradedMap copy,
 hom-space names are built, never parsed, with [d, -] pushed by one
 function, every walk over a product or bracket pushes from one table per
 operation, a Cartan homotopy's l_x is built once, into the table that every
-reader indexes, and the CLI prints from `run` alone, through one `_emit`,
-with its parser built from one table of `cmd_*` handlers."""
+reader indexes, the CLI prints from `run` alone, through one `_emit`,
+with its parser built from one table of `cmd_*` handlers, and only
+graded.py builds dense coordinate rows."""
 
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ def test_no_ordering_enumeration_in_library():
 DIVISION_SITES = {
     ("graded", "bernoulli"),
     ("graded", "rref"),
-    ("fixtures", "_degree_split"),
+    ("fixtures", "_append_row"),
     ("cocone", "_fm_cocone_lie"),
     ("cocone", "fm_cocone_assoc"),
 }
@@ -135,14 +136,16 @@ def test_true_division_only_on_reviewed_sites():
 # name the k!-ordering sum; the cocone builders grow their words prefix by
 # prefix, so they do not enumerate the sorted words either.  The psi double
 # sum and the partition-sum splitting coefficient are test oracles too, and
-# the fixtures that only the tests build, and the members that only the tests
-# read (a strictness flag, a bracket of vectors, a commutator DGLA morphism),
-# live in tests/fixture_helpers.py.
+# the fixtures that only the tests build, the members that only the tests
+# read (a strictness flag, a bracket of vectors, a commutator DGLA morphism)
+# and the dense reference of the harmonic contraction live in
+# tests/fixture_helpers.py.
 PULL_NAMES = {"_coder_memo", "_morph_memo", "taylor_after", "coder_component",
               "morph_component", "nested", "signed_orderings", "_sign_table"}
 TEST_ONLY_FIXTURES = {"sl2_dgla", "heisenberg_dgla", "zero_dgla", "abelian_dgla",
                       "random_end_dgla", "random_artin_element",
-                      "is_strict", "bracket_vec", "commutator_dgla_morphism"}
+                      "is_strict", "bracket_vec", "commutator_dgla_morphism",
+                      "_DegreeSplit", "_degree_split", "dense_harmonic_contraction"}
 MODULE_PULL_NAMES = {"hodge.py": {"_chain_sum", "psi_double_sum", "split_period_coefficient"},
                      "cocone.py": {"nested", "signed_orderings", "sym_words"}}
 
@@ -410,3 +413,19 @@ def test_cli_has_one_emit_path():
     strings = [n.value for n in ast.walk(tree)
                if isinstance(n, ast.Constant) and isinstance(n.value, str)]
     assert [text for text in strings if text.startswith("unknown") and "kind" in text] == []
+
+
+# Vectors are sparse dicts: only graded.py's row reduction (rref and the
+# solvers that fill its rows) holds dense coordinate rows, so no other module
+# builds one, a list of `.get(name, 0)` over basis names.
+def _builds_dense_row(node) -> bool:
+    return isinstance(node, ast.ListComp) and any(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "get" and len(call.args) == 2
+        and isinstance(call.args[1], ast.Constant) and call.args[1].value == 0
+        for call in ast.walk(node.elt))
+
+
+def test_dense_rows_only_in_graded():
+    found = set().union(*(_sites_where(p, _builds_dense_row) for p in MODULES))
+    assert {module for module, _ in found} == {"graded"}

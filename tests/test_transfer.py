@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,15 @@ from hoalg.coalg import (
 )
 from hoalg.cocone import Splitting, derived_products_model
 from hoalg.fixtures import (
-    end_splitting, harmonic_contraction, random_complex, random_end_dga,
+    _rand_coeff, end_splitting, harmonic_contraction, random_complex, random_end_dga,
 )
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
-    UnsupportedOperation, lin_single, multilinear_from_graded_map,
+    UnsupportedOperation, check_contraction, lin_single, map_right_inverse,
+    multilinear_from_graded_map,
 )
 from hoalg.transfer import transfer_quasi_inverse, transfer_structure
+from fixture_helpers import dense_harmonic_contraction
 from pull_oracles import pull_transfer_quasi_inverse, pull_transfer_structure
 
 
@@ -70,6 +73,62 @@ def test_transfer_checks_q1_against_the_contraction_differential(case):
             transfer_structure(structure, c)
         with pytest.raises(RejectedInput, match="differs from the contraction differential"):
             transfer_quasi_inverse(structure, c, transfer_structure(big, c)[1])
+
+
+def conjugated_complex(seed: int, dim: int):
+    """A standard complex (seeded pairs d(c) = b, the other names harmonic)
+    conjugated by a seeded unipotent change of basis within each degree, so
+    that its differential, kernel and image are dense."""
+    rng = random.Random("conjugated:%d" % seed)
+    V = GradedSpace([("v%d" % i, rng.randint(0, 2)) for i in range(dim)])
+    d = GradedMap(V, V, 1)
+    used = set()
+    for n in V.names:
+        up = [m for m in V.names if m not in used and V.degree[m] == V.degree[n] + 1]
+        if n not in used and up and rng.random() < 0.6:
+            m = rng.choice(up)
+            d.set(n, lin_single(m))
+            used |= {n, m}
+    U = GradedMap(V, V, 0, {n: {**{m: _rand_coeff(rng, 0.2) for m in V.names[:j]
+                                   if V.degree[m] == V.degree[n]}, n: 1}
+                            for j, n in enumerate(V.names)})
+    return V, U.compose(d).compose(map_right_inverse(U))
+
+
+def _contraction_inputs():
+    for dim in range(1, 6):
+        for seed in range(200):
+            yield random_complex(seed, dim)
+    for dim in range(1, 4):
+        for seed in range(40):
+            big = decalage_dga(random_end_dga(seed, dim), max_weight=1)
+            yield big.space, q1_as_map(big)
+    for dim in range(2, 9):
+        for seed in range(100):
+            yield conjugated_complex(seed, dim)
+
+
+def _typed_entries(gm):
+    return [(n, [(m, c, type(c)) for m, c in vec.items()]) for n, vec in gm.entries.items()]
+
+
+def test_harmonic_contraction_matches_dense_reference():
+    # the sparse forward elimination gives the dense reference's contraction:
+    # the same harmonic basis (unreduced where the dense one is, which the
+    # conjugated complexes reach), every entry equal in value, int/Fraction
+    # type and order
+    unreduced = 0
+    for V, d in _contraction_inputs():
+        c, ref = harmonic_contraction(V, d), dense_harmonic_contraction(V, d)
+        assert c.small == ref.small and c.d_small == ref.d_small
+        for got, want in [(c.inject, ref.inject), (c.project, ref.project),
+                          (c.homotopy, ref.homotopy)]:
+            assert _typed_entries(got) == _typed_entries(want)
+        assert check_contraction(c).ok
+        rows = {h: c.inject.value(h) for h in c.small.names}
+        pivots = {h: min(row, key=V.index.__getitem__) for h, row in rows.items()}
+        unreduced += any(pivots[g] in row for h, row in rows.items() for g in rows if g != h)
+    assert unreduced >= 50
 
 
 def test_single_term_recursion_hand_expandable():
