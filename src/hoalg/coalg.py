@@ -150,7 +150,8 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
     sign (-1)^{(|y|+1)|K[i+1:]|} for moving u, of degree |y| - 1, past
     K[i+1:] first.  Every other word gets no term, so it is zero.
     Every term is one outer and one inner coefficient times an int, so the
-    sum has the scale D_outer D_inner.
+    sum has the scale D_outer D_inner; terms are summed as ints, and zeros
+    dropped at the end.
     """
     scale = outer.scale * inner.scale
     inv = inner.inv
@@ -180,9 +181,11 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
                             w, c = got[0], c * got[1]
                         else:
                             w = key[:i] + u + key[i + 1:]
-                        lin_acc(out.setdefault(w, {}), vec, -c if flip else c)
+                        acc, m = out.setdefault(w, {}), -c if flip else c
+                        for x, v in vec.items():
+                            acc[x] = acc.get(x, 0) + v * m
                 odd ^= dy
-    return out, scale
+    return _nonzero(out), scale
 
 
 def push_product(outer: dict, inner: dict, k: int, lo: int = 1) -> dict:
@@ -252,9 +255,14 @@ def _products(outer: Scaled, inner: Scaled, kmin: int, kmax: int, lo: int = 1) -
                 m, acc = c * (lifts[len(w)] // stab), buckets[len(w)].setdefault(w, {})
                 for y, v in entries[key].items():
                     acc[y] = acc.get(y, 0) + v * m
-    return {k: ({w: nz for w, vec in words.items() for nz in [{y: c for y, c in vec.items() if c}]
-                 if nz}, outer.scale * inner.scale ** k * fact[k])
+    return {k: (_nonzero(words), outer.scale * inner.scale ** k * fact[k])
             for k, words in buckets.items()}
+
+
+def _nonzero(words: dict) -> dict:
+    """{w: vector} with zero coefficients, and then empty vectors, dropped."""
+    return {w: nz for w, vec in words.items() for nz in [{y: c for y, c in vec.items() if c}]
+            if nz}
 
 
 def in_basis_order(space: GradedSpace, pushed: dict) -> list:

@@ -5,7 +5,7 @@ its axioms (validated at construction): random complexes, their
 endomorphism DG algebras (coalg.end_dga, coalg.end_dgla) with d-stable
 splittings and Cartan data on exterior models.  `harmonic_contraction`
 contracts any complex onto harmonic representatives of its cohomology by
-forward elimination over sparse rows.  Fixtures that only the tests read
+graded's sparse elimination.  Fixtures that only the tests read
 live with the tests.
 """
 
@@ -20,7 +20,7 @@ from .coalg import (
 )
 from .graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
-    hom_space, lin_acc, lin_scale, lin_single, map_kernel_basis,
+    append_row, echelon, hom_space, lin_acc, lin_single, reduce_rows,
 )
 from .hodge import CartanHomotopy, ExteriorModel, FormalPeriodData, check_cartan
 
@@ -107,54 +107,24 @@ def random_dga_morphism(seed: int, dim: int = 2) -> DgaMorphism:
 # harmonic contractions of complexes (deterministic forward elimination)
 
 
-def _reduce(vec: dict, rows, pre=None) -> list:
-    """Subtract f * row from vec in place for each echelon row (row, preimage,
-    pivot) in order, f the entry of vec at the pivot; returns the factors f.
-    When pre is given it tracks the preimage: pre -= f * preimage."""
-    factors = []
-    for row, row_pre, piv in rows:
-        f = vec.get(piv, 0)
-        factors.append(f)
-        if f:
-            lin_acc(vec, row, -f)
-            if pre is not None:
-                lin_acc(pre, row_pre, -f)
-    return factors
-
-
-def _append_row(rows, vec: dict, pre: dict, index: dict):
-    """Append a reduced vec, unless zero, as a row scaled to 1 at its first
-    nonzero basis name, with its entries in basis order."""
-    if vec:
-        names = sorted(vec, key=index.__getitem__)
-        inv = 1 / Fraction(vec[names[0]])
-        rows.append((lin_scale({n: vec[n] for n in names}, inv), lin_scale(pre, inv), names[0]))
-
-
 def harmonic_contraction(space: GradedSpace, d: GradedMap) -> Contraction:
     """Split (V,d) = H + acyclic part; contraction onto H with zero differential.
 
     Per degree V = B + H + C with B = im d and d: C -> B iso; the homotopy is
-    K(v) = -(d|_C)^{-1}(B-component of v).  The B rows (images of the basis
-    one degree down, each with its preimage) and then the H rows (kernel
-    vectors) are reduced forward, against earlier rows only and never back,
-    with pivots in declared basis order: everything is reproducible, and the
-    harmonic basis that `inject` and `project` use stays as the digests pin it.
+    K(v) = -(d|_C)^{-1}(B-component of v).  The B rows (`echelon` of d one
+    degree down: images of the basis, each with its preimage) and then the
+    H rows (echelon's kernel vectors) are reduced forward, against earlier
+    rows only and never back, with pivots in declared basis order: everything
+    is reproducible, and the harmonic basis that `inject` and `project` use
+    stays as the digests pin it.
     """
-    ker_vecs = map_kernel_basis(d)
+    echelons = {deg: echelon(d, deg) for deg in space.degrees_present()}
     rows, small_basis, inject, project, K = {}, [], {}, {}, {}
-    for deg in space.degrees_present():
-        b_rows, h_rows = [], []
-        for n in space.names:
-            if space.degree[n] == deg - 1 and d.value(n):
-                vec, pre = dict(d.value(n)), lin_single(n)
-                _reduce(vec, b_rows, pre)
-                _append_row(b_rows, vec, pre, space.index)
-        for kv in ker_vecs:
-            if space.vector_degree(kv) == deg:
-                vec = dict(kv)
-                _reduce(vec, b_rows + h_rows)
-                _append_row(h_rows, vec, {}, space.index)
+    for deg, (_, kernel) in echelons.items():
+        b_rows, h_rows = echelons.get(deg - 1, ([], ()))[0], []
+        for vec in kernel:
+            reduce_rows(vec, b_rows + h_rows)
+            append_row(h_rows, vec, {}, space.index)
         rows[deg] = b_rows + h_rows
         harmonic = ["h%d_%d" % (deg, i) for i in range(len(h_rows))]
         small_basis += [(h, deg) for h in harmonic]
@@ -162,10 +132,10 @@ def harmonic_contraction(space: GradedSpace, d: GradedMap) -> Contraction:
         for n in space.names:
             if space.degree[n] == deg:
                 pre = {}
-                factors = _reduce(lin_single(n), rows[deg], pre)
+                factors = reduce_rows(lin_single(n), rows[deg], pre)
                 project[n] = dict(zip(harmonic, factors[len(b_rows):]))
                 # -(preimage of the B-part), then keep only its C-component below
-                _reduce(pre, rows.get(deg - 1, ()))
+                reduce_rows(pre, rows.get(deg - 1, ()))
                 K[n] = {m: pre[m] for m in sorted(pre, key=space.index.__getitem__)}
     small = GradedSpace(small_basis)
     return Contraction(small, GradedMap(small, small, 1), space, d,

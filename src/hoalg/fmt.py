@@ -139,11 +139,14 @@ def _parse_space(doc, header, body):
 
 def _parse_map(doc, header, body):
     _, name, src, tgt, deg = header[:5]
-    gm = GradedMap(doc.spaces[src], doc.spaces[tgt], int(deg))
+    images = {}
     for line in body:
         lhs, rhs = line.split("->")
-        gm.set(lhs.strip(), parse_vector(rhs))
-    doc.maps[name] = gm
+        key = lhs.strip()
+        if key in images:
+            raise MalformedInput("repeated key %r" % key)
+        images[key] = parse_vector(rhs)
+    doc.maps[name] = GradedMap(doc.spaces[src], doc.spaces[tgt], int(deg), images)
 
 
 def _parse_multilinear(doc, header, body):
@@ -169,6 +172,8 @@ def _taylor(doc, body, flavor, kind, letter):
             raise MalformedInput("%s lines are `%s ARITY NAME`" % (kind, letter))
         arity = int(parts[1])
         ref = parts[2]
+        if arity in taylor:
+            raise MalformedInput("repeated key '%s %d'" % (letter, arity))
         if ref in doc.multilinears:
             taylor[arity] = doc.multilinears[ref]
             continue

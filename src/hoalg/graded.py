@@ -2,7 +2,7 @@
 
 Sparse vectors and maps indexed by named basis elements, Koszul sign
 bookkeeping, unshuffles, Bernoulli numbers, contractions of complexes and
-deterministic rational row reduction.  Every Koszul-signed sum over the
+deterministic sparse elimination.  Every Koszul-signed sum over the
 orderings of a word in the package is pushed to the sorted word, and that
 word is always the merge of two sorted words: `merge_words` gives it with
 its weight, the Koszul sign of the merge times the number of ways to pick
@@ -930,120 +930,79 @@ def check_contraction(c: Contraction) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# deterministic rational row reduction
+# deterministic sparse elimination (forward only)
 
 
-def rref(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list.
-
-    Pivots are chosen in declared column order, first nonzero row wins; this
-    makes every solve in the repo reproducible.  Entries may be ints or
-    Fractions; the reduced rows hold canonical (`exact`) values.
-    """
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(prow, len(rows)):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        pv = rows[prow][col]
-        rows[prow] = [exact(Fraction(x) / pv) for x in rows[prow]]
-        for r in range(len(rows)):
-            if r != prow and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [exact(x - f * y) for x, y in zip(rows[r], rows[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == len(rows):
-            break
-    return pivots
+def reduce_rows(vec: dict, rows, pre=None) -> list:
+    """Subtract f * row from vec in place for each echelon row (row, preimage,
+    pivot) in order, f the entry of vec at the pivot; returns the factors f.
+    When pre is given it tracks the preimage: pre -= f * preimage."""
+    factors = []
+    for row, row_pre, piv in rows:
+        f = vec.get(piv, 0)
+        factors.append(f)
+        if f:
+            lin_acc(vec, row, -f)
+            if pre is not None:
+                lin_acc(pre, row_pre, -f)
+    return factors
 
 
-def solve_matrix(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly; minimal-pivot particular solution.
+def append_row(rows, vec: dict, pre: dict, index: dict):
+    """Append a reduced vec, unless zero, as a row scaled to 1 at its first
+    nonzero basis name, with its entries in basis order."""
+    if vec:
+        names = sorted(vec, key=index.__getitem__)
+        inv = 1 / Fraction(vec[names[0]])
+        rows.append((lin_scale({n: vec[n] for n in names}, inv), lin_scale(pre, inv), names[0]))
 
-    columns: list of dicts (row_name -> coeff); rhs: dict.  Returns a list of
-    canonical (`exact`) values or None when inconsistent.  Free variables are
-    set to zero.
-    """
-    row_names = sorted({r for col in columns for r in col} | set(rhs))
-    ridx = {r: i for i, r in enumerate(row_names)}
-    n = len(columns)
-    rows = [[0] * (n + 1) for _ in row_names]
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            rows[ridx[r]][j] = exact(c)
-    for r, c in rhs.items():
-        rows[ridx[r]][n] = exact(c)
-    pivots = rref(rows, n)
-    rank = len(pivots)
-    for row in rows[rank:]:
-        if row[n]:
-            return None
-    sol = [0] * n
-    for i, col in enumerate(pivots):
-        sol[col] = rows[i][n]
-    return sol
+
+def echelon(gm: GradedMap, deg: int) -> tuple:
+    """(rows, kernel) of gm on the degree-deg source names: each image, in
+    basis order, is reduced against the rows before it, tracking its
+    preimage; one that stays nonzero becomes a row, one that reduces to zero
+    leaves its kernel vector (1 at its own name, 0 at every other name that
+    leaves one)."""
+    rows, kernel = [], []
+    for n in gm.source.names:
+        if gm.source.degree[n] == deg:
+            vec, pre = dict(gm.value(n)), lin_single(n)
+            reduce_rows(vec, rows, pre)
+            if vec:
+                append_row(rows, vec, pre, gm.target.index)
+            else:
+                kernel.append(pre)
+    return rows, kernel
+
+
+def _solve(rows, rhs: dict, index: dict):
+    """Minus the preimage tracked while rhs reduces to zero against echelon
+    rows, in basis order, or None when something is left over."""
+    vec, pre = {n: c for n, c in rhs.items() if c}, {}
+    reduce_rows(vec, rows, pre)
+    return None if vec else {n: -pre[n] for n in sorted(pre, key=index.__getitem__)}
 
 
 def map_solve(gm: GradedMap, rhs: dict):
-    """Solve gm(x) = rhs for a homogeneous rhs; returns a combination or None."""
+    """Solve gm(x) = rhs for a homogeneous rhs; returns a combination, 0 on
+    every name that leaves a kernel vector in `echelon`, or None."""
     if not rhs:
         return {}
-    deg = gm.target.vector_degree(rhs)
-    src_names = [n for n in gm.source.names if gm.source.degree[n] == deg - gm.degree]
-    cols = [gm.value(n) for n in src_names]
-    sol = solve_matrix(cols, rhs)
-    if sol is None:
-        return None
-    return {n: c for n, c in zip(src_names, sol) if c}
+    rows, _ = echelon(gm, gm.target.vector_degree(rhs) - gm.degree)
+    return _solve(rows, rhs, gm.source.index)
 
 
 def map_right_inverse(gm: GradedMap):
-    """Deterministic right inverse, None when gm is not surjective.  One
-    Gauss-Jordan pass on [A | I] per target degree, A the block of gm into
-    that degree, pivots as map_solve does, so the reduced I holds
-    map_solve(gm, t) in column t, entry for entry."""
-    inv = {}
-    for deg in gm.target.degrees_present():
-        src = [n for n in gm.source.names if gm.source.degree[n] == deg - gm.degree]
-        tgt = [t for t in gm.target.names if gm.target.degree[t] == deg]
-        rows = [[gm.value(n).get(t, 0) for n in src] + [int(t == u) for u in tgt] for t in tgt]
-        pivots = rref(rows, len(src))
-        if len(pivots) < len(tgt):
-            return None
-        inv.update((t, {src[c]: rows[r][len(src) + i] for r, c in enumerate(pivots)})
-                   for i, t in enumerate(tgt))
-    return GradedMap(gm.target, gm.source, -gm.degree, {t: inv[t] for t in gm.target.names})
+    """Deterministic right inverse, None when gm is not surjective: the
+    map_solve of each target basis name, one echelon per target degree."""
+    rows = {deg: echelon(gm, deg - gm.degree)[0] for deg in gm.target.degrees_present()}
+    inv = {t: _solve(rows[gm.target.degree[t]], {t: 1}, gm.source.index) for t in gm.target.names}
+    return None if None in inv.values() else GradedMap(gm.target, gm.source, -gm.degree, inv)
 
 
 def map_kernel_basis(gm: GradedMap):
-    """Deterministic basis of ker(gm), one echelon pass per source degree."""
-    out = []
-    for deg in gm.source.degrees_present():
-        src_names = [n for n in gm.source.names if gm.source.degree[n] == deg]
-        row_names = sorted({r for n in src_names for r in gm.value(n)})
-        ridx = {r: i for i, r in enumerate(row_names)}
-        rows = [[0] * len(src_names) for _ in row_names]
-        for j, n in enumerate(src_names):
-            for r, c in gm.value(n).items():
-                rows[ridx[r]][j] = c
-        pivots = rref(rows, len(src_names))
-        pivset = set(pivots)
-        for free in range(len(src_names)):
-            if free in pivset:
-                continue
-            vec = {src_names[free]: 1}
-            for i, col in enumerate(pivots):
-                if rows[i][free]:
-                    vec[src_names[col]] = -rows[i][free]
-            out.append(vec)
-    return out
+    """Deterministic basis of ker(gm): echelon's kernel vectors, by degree."""
+    return [v for deg in gm.source.degrees_present() for v in echelon(gm, deg)[1]]
 
 
 __all__ = [
@@ -1060,5 +1019,6 @@ __all__ = [
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
     "linear_part", "prefixed",
     "Report", "first_witness", "check_map_identity", "Contraction", "check_contraction",
-    "rref", "solve_matrix", "map_solve", "map_right_inverse", "map_kernel_basis",
+    "reduce_rows", "append_row", "echelon", "map_solve", "map_right_inverse",
+    "map_kernel_basis",
 ]

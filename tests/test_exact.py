@@ -1,7 +1,7 @@
 """Canonical coefficients: every stored coefficient is an int when integral
 and a Fraction (denominator > 1) otherwise, never a float; the sparse kernels
 agree with plain Fraction arithmetic, and the rational solvers agree with
-sympy on matrices that mix ints and Fractions."""
+sympy on rectangular maps that mix ints and Fractions."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from fixture_helpers import random_artin_element, random_end_dgla
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, SYMMETRIC,
     TENSOR, exact, lin_acc, lin_add, lin_scale, lin_single, map_kernel_basis, map_right_inverse,
-    map_solve, rref, solve_matrix, sym_normalize,
+    map_solve, sym_normalize,
 )
 from hoalg.hodge import split_period_map, torus_package
 from hoalg.mc import ArtinElement, ArtinMap, ArtinRing, gauge_act, mc_check
@@ -130,50 +130,75 @@ def test_set_and_set_entry_store_canonical_values(vec, data):
 
 # --- rational solvers against sympy ---------------------------------------------
 
-def _matrices(max_rows=5, max_cols=5):
-    return st.integers(1, max_rows).flatmap(lambda r: st.integers(1, max_cols).flatmap(
-        lambda c: st.lists(st.lists(st.one_of(st.just(0), COEFFS), min_size=c, max_size=c),
-                           min_size=r, max_size=r)))
+@st.composite
+def _rectangular_maps(draw):
+    """A degree-1 GradedMap between spaces of mixed degrees: each block, from
+    the source names of one degree into the target names one above, is
+    rectangular of any shape, empty on either side included."""
+    src = GradedSpace([("s%d" % i, draw(st.integers(0, 1))) for i in range(draw(st.integers(1, 6)))])
+    tgt = GradedSpace([("t%d" % i, draw(st.integers(1, 2))) for i in range(draw(st.integers(1, 6)))])
+    gm = GradedMap(src, tgt, 1)
+    for n in src.names:
+        gm.set(n, {t: draw(st.one_of(st.just(0), COEFFS)) for t in tgt.names
+                   if tgt.degree[t] == src.degree[n] + 1})
+    return gm
 
 
-def _to_sympy(sympy, rows):
-    return sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
-                          for x in row] for row in rows])
+def _to_sympy(sympy, rows, ncols=None):
+    ncols = len(rows[0]) if ncols is None else ncols
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(Fraction(x).numerator,
+                                                          Fraction(x).denominator)
+                                           for row in rows for x in row])
 
 
-@settings(max_examples=120, deadline=None)
-@given(_matrices())
-def test_rref_matches_sympy(rows):
+def _block(sympy, gm, deg):
+    """(matrix, source names, target names) of gm on the degree-deg source names."""
+    cols = [n for n in gm.source.names if gm.source.degree[n] == deg]
+    rows = [t for t in gm.target.names if gm.target.degree[t] == deg + gm.degree]
+    return _to_sympy(sympy, [[gm.value(n).get(t, 0) for n in cols] for t in rows],
+                     len(cols)), cols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rectangular_maps(), st.data())
+def test_map_solve_matches_sympy(gm, data):
     sympy = pytest.importorskip("sympy")
-    want, want_pivots = _to_sympy(sympy, rows).rref()
-    got = [list(r) for r in rows]
-    pivots = rref(got, len(rows[0]))
-    assert tuple(pivots) == want_pivots
-    assert _to_sympy(sympy, got) == want
-    # rows rewritten from canonical input stay canonical
-    canon = [[exact(x) for x in r] for r in rows]
-    assert rref(canon, len(rows[0])) == pivots and canon == got
-    assert all(canonical(x) for row in canon for x in row)
-
-
-@settings(max_examples=120, deadline=None)
-@given(_matrices(), st.data())
-def test_solve_matrix_matches_sympy(rows, data):
-    sympy = pytest.importorskip("sympy")
-    ncols = len(rows[0])
-    rhs = data.draw(st.lists(st.one_of(st.just(0), COEFFS),
-                             min_size=len(rows), max_size=len(rows)))
-    columns = [{i: rows[i][j] for i in range(len(rows)) if rows[i][j]} for j in range(ncols)]
-    sol = solve_matrix(columns, {i: c for i, c in enumerate(rhs) if c})
-    A = _to_sympy(sympy, rows)
-    b = _to_sympy(sympy, [[c] for c in rhs])
+    deg = data.draw(st.sampled_from(gm.target.degrees_present()))
+    A, cols, rows = _block(sympy, gm, deg - gm.degree)
+    if data.draw(st.booleans()):
+        rhs = gm.apply({n: data.draw(COEFFS) for n in cols})   # an image: solvable
+    else:
+        rhs = {t: data.draw(st.one_of(st.just(0), COEFFS)) for t in rows}
+    rhs = {t: c for t, c in rhs.items() if c}
+    sol = map_solve(gm, rhs)
+    b = _to_sympy(sympy, [[rhs.get(t, 0)] for t in rows])
     if A.rank() != A.row_join(b).rank():
         assert sol is None
         return
-    assert all(canonical(x) for x in sol)
-    assert A * _to_sympy(sympy, [[x] for x in sol]) == b
+    assert_canonical(sol)
+    assert A * _to_sympy(sympy, [[sol.get(n, 0)] for n in cols], 1) == b
     _, pivots = A.rref()
-    assert all(sol[j] == 0 for j in range(ncols) if j not in pivots)
+    assert set(sol) <= {cols[j] for j in pivots}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rectangular_maps())
+def test_map_kernel_and_right_inverse_match_sympy(gm):
+    sympy = pytest.importorskip("sympy")
+    kernel = map_kernel_basis(gm)
+    for deg in gm.source.degrees_present():
+        M, cols, _ = _block(sympy, gm, deg)
+        got = [v for v in kernel if gm.source.vector_degree(v) == deg]
+        assert [_to_sympy(sympy, [[v.get(n, 0)] for n in cols]) for v in got] == M.nullspace()
+    for v in kernel:
+        assert_canonical(v)
+    inv = map_right_inverse(gm)
+    blocks = [_block(sympy, gm, deg - gm.degree) for deg in gm.target.degrees_present()]
+    assert (inv is None) == any(A.rank() < len(rows) for A, _, rows in blocks)
+    if inv is not None:
+        assert gm.compose(inv) == GradedMap.identity(gm.target)
+        for t in gm.target.names:
+            assert_canonical(inv.value(t))
 
 
 @settings(max_examples=100, deadline=None)

@@ -117,7 +117,7 @@ contraction CT V V
 
 @pytest.mark.parametrize("kind, line", [
     ("cartan", "  x -> ix"), ("contraction", "  inject zeroV"),
-    ("dgla", "  bracket brL1"), ("hodge", "  h h2"),
+    ("dgla", "  bracket brL1"), ("hodge", "  h h2"), ("map", "  c -> cb"),
 ])
 def test_repeated_key_in_a_section_is_rejected(kind, line):
     # a second line for the same key used to replace the first without a word
@@ -127,6 +127,34 @@ def test_repeated_key_in_a_section_is_rejected(kind, line):
     with pytest.raises(MalformedInput, match=r"bad %s section .*: repeated key '%s'"
                        % (kind, line.split()[0])):
         fmt.parse(text.replace(line + "\n", line + "\n" + line + "\n"))
+
+
+TAYLOR = """
+map idV V V 0
+  c -> c
+  cb -> cb
+
+map zeroV0 V V 0
+
+structure SV V tensor 3
+  q 1 dV
+
+morphism FV SV SV
+  f 1 idV
+"""
+
+
+@pytest.mark.parametrize("kind, line, repeat", [
+    ("structure", "  q 1 dV", "  q 1 zeroV"), ("morphism", "  f 1 idV", "  f 1 zeroV0"),
+])
+def test_repeated_arity_in_a_taylor_section_is_rejected(kind, line, repeat):
+    # a second line for the same arity used to drop the first without a word
+    text = FULL + TAYLOR
+    assert text.count(line + "\n") == 1
+    assert fmt.parse(text).structures["SV"].taylor[1]
+    with pytest.raises(MalformedInput, match=r"bad %s section .*: repeated key '%s'"
+                       % (kind, " ".join(line.split()[:2]))):
+        fmt.parse(text.replace(line + "\n", line + "\n" + repeat + "\n"))
 
 
 def run_cli(argv):
@@ -165,6 +193,17 @@ def test_cli_rejects_a_repeated_key(tmp_path):
     code, out = run_cli(["verify", "cartan", str(p), "--name", "CC"])
     assert code == 2
     assert out.startswith("error: bad dgla section") and "repeated key 'd'" in out
+
+
+@pytest.mark.parametrize("kind, line, key", [
+    ("map", "  c -> cb\n", "c"), ("structure", "  q 1 dV\n", "q 1"),
+])
+def test_cli_rejects_a_repeated_map_line_or_arity(tmp_path, kind, line, key):
+    p = tmp_path / "repeated.alg"
+    p.write_text((FULL + TAYLOR).replace(line, line + line))
+    code, out = run_cli(["verify", "cartan", str(p), "--name", "CC"])
+    assert code == 2
+    assert out.startswith("error: bad %s section" % kind) and "repeated key '%s'" % key in out
 
 
 def test_cli_mc_correspond_file_driven(tmp_path):

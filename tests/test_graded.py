@@ -614,9 +614,9 @@ def _seeded_map(seed: int, shape: str) -> GradedMap:
 @pytest.mark.parametrize("shape", ("square", "wide", "tall", "short"))
 @pytest.mark.parametrize("seed", range(3))
 def test_right_inverse_equals_the_per_column_solves(seed, shape):
-    # one Gauss-Jordan pass on [A | I] per target degree reads every column
-    # of the right inverse: entry for entry map_solve's solution for each
-    # target name, and None exactly when some name has none
+    # the right inverse reuses one echelon per target degree for every
+    # target name: entry for entry map_solve's solution for each target
+    # name, and None exactly when some name has none
     gm = _seeded_map(seed, shape)
     solves = {t: map_solve(gm, lin_single(t)) for t in gm.target.names}
     inv = map_right_inverse(gm)

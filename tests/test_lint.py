@@ -99,8 +99,7 @@ def test_no_ordering_enumeration_in_library():
 # Fraction (or is made one).  A new site must be checked and added here.
 DIVISION_SITES = {
     ("graded", "bernoulli"),
-    ("graded", "rref"),
-    ("fixtures", "_append_row"),
+    ("graded", "append_row"),
     ("cocone", "_fm_cocone_lie"),
     ("cocone", "fm_cocone_assoc"),
 }
@@ -415,9 +414,9 @@ def test_cli_has_one_emit_path():
     assert [text for text in strings if text.startswith("unknown") and "kind" in text] == []
 
 
-# Vectors are sparse dicts: only graded.py's row reduction (rref and the
-# solvers that fill its rows) holds dense coordinate rows, so no other module
-# builds one, a list of `.get(name, 0)` over basis names.
+# Vectors are sparse dicts, and every elimination works on them, so no
+# module builds a dense coordinate row, a list of `.get(name, 0)` over basis
+# names.
 def _builds_dense_row(node) -> bool:
     return isinstance(node, ast.ListComp) and any(
         isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
@@ -426,6 +425,6 @@ def _builds_dense_row(node) -> bool:
         for call in ast.walk(node.elt))
 
 
-def test_dense_rows_only_in_graded():
+def test_no_module_builds_dense_rows():
     found = set().union(*(_sites_where(p, _builds_dense_row) for p in MODULES))
-    assert {module for module, _ in found} == {"graded"}
+    assert found == set()
