@@ -23,7 +23,11 @@ output to pushed_map, which stores it at 1/scale through MultilinearMap.store.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream; both flavors of decalage share
 one body, with q2 read from the operation's stored entries
-(shifted_products), which the FM cocones read too.  End(V) is end_dga, with
+(shifted_products), which the FM cocones read too.  Their axioms are read
+off the decalage residual: d^2 = 0, Leibniz and associativity are weights
+1-3 of [Q,Q] on the tensor decalage, a DG morphism's are weights 1-2 of
+check_morphism, and antisymmetry and Jacobi are pushed from the bracket's
+entries.  End(V) is end_dga, with
 [d, -] from graded.hom_differential and the product stored from the n^3
 composable triples; end_dgla is its commutator DGLA, pushed from the
 product's entries, and End(V; W) filters the stored entries.
@@ -37,8 +41,8 @@ from math import factorial, lcm
 
 from .graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, first_witness, format_vector,
-    hom_differential, hom_space, lin_acc, lin_eq, lin_scale, lin_single,
+    Report, SYMMETRIC, TENSOR, format_vector,
+    hom_differential, hom_space, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map,
     scaled_ints, sign_pow, stabilizer, sym_words, unscaled,
 )
@@ -422,50 +426,50 @@ def symmetrize_morphism(F: OoMorphism, sym_source=None, sym_target=None) -> OoMo
 # DG-Lie and DG-associative sources
 
 
-def _touching(sp: GradedSpace, d: GradedMap, op: MultilinearMap, arity: int) -> list:
-    """The words of the given arity (2 or 3) on which an axiom of the
-    arity-2 op can have a nonzero term, in basis order (index-lexicographic).
-
-    Every term of antisymmetry and Leibniz reads op on the word, on the
-    word reversed, or on the word with one letter x replaced by a letter of
-    d(x).  Every term of Jacobi and associativity reads op on two of the
-    word's three letters in word order.  So a word with a nonzero term is
-    built from a key of op as below, and every other word has all terms
-    zero, so the axiom holds on it.
-    """
-    keys = [w for w, vec in op.entries.items() if vec]
-    if arity == 3:
-        words = {key[:i] + (z,) + key[i:] for key in keys for i in range(3) for z in sp.names}
-    else:
-        from_d = preimages(d.entries)
-        words = set()
-        for a, b in keys:
-            for x in (a, *(u for u, _ in from_d.get(a, ()))):
-                words.update(((x, b), (b, x)))
-            for y in (b, *(u for u, _ in from_d.get(b, ()))):
-                words.update(((a, y), (y, a)))
-    return sorted(words, key=lambda w: [sp.index[n] for n in w])
+def _decalage_residual(alg, op: MultilinearMap, top: int) -> dict:
+    """{k: {word: int vector}}, the [Q,Q] residual at the weights k <= top of
+    the tensor decalage of alg, with q2 read from op as a plain binary
+    operation on every ordered word.  Up to one sign per word it is d^2 x at
+    (x,), the Leibniz defect d(xy) - dx.y - (-1)^|x| x.dy at (x, y) and the
+    associator (xy)z - x(yz) at (x, y, z): each axiom fails on its words."""
+    q = Scaled(_decalage(alg, op, TENSOR, top, False).taylor, top)
+    return {k: _insertion(q, q, k)[0] for k in range(1, top + 1)}
 
 
-def _dg_check(title: str, sp: GradedSpace, d: GradedMap, op: MultilinearMap,
-              before, after=()) -> Report:
-    """d^2 = 0, the (label, holds, arity) axioms `before`, the Leibniz rule
-    d(x.y) = dx.y + (-1)^|x| x.dy of op, then the axioms `after`, each run on
-    the words that touch op's support (_touching) only: all terms vanish on
-    the others, so the witness is still the first failing basis word."""
-    def leibniz(w):
-        x, y = w
-        rhs = op.apply_vectors([d.value(x), lin_single(y)])
-        lin_acc(rhs, op.apply_vectors([lin_single(x), d.value(y)]),
-                sign_pow(sp.degree[x]))
-        return lin_eq(d.apply(op.value((x, y))), rhs)
+def _lie_residuals(sp: GradedSpace, bracket: MultilinearMap) -> tuple:
+    """The antisymmetry residual [x,y] + (-1)^{|x||y|}[y,x] at (x, y) and the
+    Jacobi residual [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|}[y,[x,z]] at
+    (x, y, z), as {word: vector} pushed from the stored entries: [a,b] = v
+    adds v at (a, b) and (-1)^{|a||b|} v at (b, a), and with each [x,c] = w
+    or [c,z] = w for a letter c of v, the Jacobi terms v_c w at (x, a, b),
+    -(-1)^{|a||x|} v_c w at (a, x, b) and -v_c w at (a, b, z)."""
+    deg, entries = sp.degree, bracket.entries
+    left, right = {}, {}            # left[c]: [(z, [c,z])], right[c]: [(x, [x,c])]
+    anti, jacobi = {}, {}
+    for (a, b), vec in entries.items():
+        left.setdefault(a, []).append((b, vec))
+        right.setdefault(b, []).append((a, vec))
+    for (a, b), vec in entries.items():
+        lin_acc(anti.setdefault((a, b), {}), vec)
+        lin_acc(anti.setdefault((b, a), {}), vec, sign_pow(deg[a] * deg[b]))
+        for c, vc in vec.items():
+            for x, w in right.get(c, ()):
+                lin_acc(jacobi.setdefault((x, a, b), {}), w, vc)
+                lin_acc(jacobi.setdefault((a, x, b), {}), w, -sign_pow(deg[a] * deg[x]) * vc)
+            for z, w in left.get(c, ()):
+                lin_acc(jacobi.setdefault((a, b, z), {}), w, -vc)
+    return anti, jacobi
 
+
+def _residual_report(title: str, sp: GradedSpace, residuals) -> Report:
+    """One check per (label, {word: vector}) residual, in order: it holds
+    when every vector is empty, and its witness is the first failing word in
+    basis order (in_basis_order), a bare name at weight 1."""
     r = Report(title)
-    dd = d.compose(d)
-    r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
-    for label, holds, arity in (*before, ("leibniz", leibniz, 2), *after):
-        wit = first_witness(_touching(sp, d, op, arity), holds)
-        r.add(label, wit is None, witness=wit)
+    for label, residual in residuals:
+        failing = in_basis_order(sp, residual)
+        word = failing[0][0] if failing else None
+        r.add(label, word is None, witness=word[0] if word and len(word) == 1 else word)
     return r
 
 
@@ -482,25 +486,13 @@ class DgLieAlgebra:
         self.bracket = bracket
 
     def check(self) -> Report:
-        sp = self.space
-
-        def antisymmetric(w):
-            x, y = w
-            sign = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
-            return lin_eq(self.bracket.value((x, y)),
-                          lin_scale(self.bracket.value((y, x)), -sign))
-
-        def jacobi(w):
-            x, y, z = w
-            lhs = self.bracket.apply_vectors([lin_single(x), self.bracket.value((y, z))])
-            rhs = self.bracket.apply_vectors([self.bracket.value((x, y)), lin_single(z)])
-            sgn = -1 if (sp.degree[x] % 2 and sp.degree[y] % 2) else 1
-            lin_acc(rhs, self.bracket.apply_vectors(
-                [lin_single(y), self.bracket.value((x, z))]), sgn)
-            return lin_eq(lhs, rhs)
-
-        return _dg_check("dgla", sp, self.d, self.bracket,
-                         [("antisymmetry", antisymmetric, 2)], [("jacobi", jacobi, 3)])
+        """d^2 = 0 and leibniz off the decalage residual, which reads the
+        bracket on every ordered word and so assumes no antisymmetry; then
+        antisymmetry and Jacobi pushed from the bracket's entries."""
+        res = _decalage_residual(self, self.bracket, 2)
+        anti, jacobi = _lie_residuals(self.space, self.bracket)
+        return _residual_report("dgla", self.space, [
+            ("d^2=0", res[1]), ("antisymmetry", anti), ("leibniz", res[2]), ("jacobi", jacobi)])
 
 
 class DgAlgebra:
@@ -519,13 +511,11 @@ class DgAlgebra:
         return self.product.apply_vectors([u, v])
 
     def check(self) -> Report:
-        def associative(w):
-            x, y, z = w
-            return lin_eq(self.mul(self.product.value((x, y)), lin_single(z)),
-                          self.mul(lin_single(x), self.product.value((y, z))))
-
-        return _dg_check("dg algebra", self.space, self.d, self.product,
-                         [("associativity", associative, 3)])
+        """d^2 = 0, associativity and leibniz off the decalage residual at
+        weights 1, 3 and 2."""
+        res = _decalage_residual(self, self.product, 3)
+        return _residual_report("dg algebra", self.space, [
+            ("d^2=0", res[1]), ("associativity", res[3]), ("leibniz", res[2])])
 
     def commutator_dgla(self) -> DgLieAlgebra:
         """[x, y] = xy - (-1)^{|x||y|} yx, pushed from the product's stored
@@ -554,12 +544,14 @@ class _DgMorphism:
         self.map = gmap
 
     def check(self) -> Report:
+        """Read off check_morphism between the tensor decalages: up to sign,
+        FQ = RF is g d = d g at weight 1 and g(xy) = g(x)g(y) at weight 2."""
+        src, tgt = (_decalage(a, getattr(a, self.op), TENSOR, 2, False)
+                    for a in (self.source, self.target))
+        chain, compatible = check_morphism(decalage_dgla_morphism(self, src, tgt)).checks
         r = Report(self.title)
-        g, src, tgt = self.map, getattr(self.source, self.op), getattr(self.target, self.op)
-        r.add("chain_map", self.target.d.compose(g) == g.compose(self.source.d))
-        wit = first_witness(itertools.product(g.source.names, repeat=2), lambda w: lin_eq(
-            g.apply(src.value(w)), tgt.apply_vectors([g.value(w[0]), g.value(w[1])])))
-        r.add(self.label, wit is None, witness=wit)
+        r.add("chain_map", chain["ok"])
+        r.add(self.label, compatible["ok"], witness=compatible["witness"])
         return r
 
 
@@ -571,13 +563,6 @@ class DglaMorphism(_DgMorphism):
 class DgaMorphism(_DgMorphism):
     """Morphism of DG associative algebras."""
     title, label, op = "dga morphism", "multiplicative", "product"
-
-
-def _first_nonzero(gm: GradedMap):
-    for n in gm.source.names:
-        if gm.value(n):
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -594,13 +579,14 @@ def shifted_products(op: MultilinearMap, flavor: str) -> dict:
             if flavor == TENSOR or index[x] < index[y] or x == y and degree[x] % 2}
 
 
-def _decalage(alg, op: MultilinearMap, flavor: str, what: str, max_weight: int,
+def _decalage(alg, op: MultilinearMap, flavor: str, max_weight: int,
               validate: bool) -> OoStructure:
     """The structure on alg[1]: q1 = -s^{-1} d s and q2 = shifted_products(op)."""
     if validate:
         rep = alg.check()
         if not rep.ok:
-            raise RejectedInput("input is not a %s: %s" % (what, rep.first_failure()))
+            raise RejectedInput("input is not a %s: %s" % (
+                "DGLA" if flavor == SYMMETRIC else "DG algebra", rep.first_failure()))
     sh = alg.space.shifted(1)
     taylor = {1: MultilinearMap(sh, sh, 1, 1, flavor).store(
                   {(n,): vec for n, vec in alg.d.entries.items()}, -1),
@@ -614,21 +600,23 @@ def decalage_dgla(L: DgLieAlgebra, max_weight: int = 6, validate: bool = True) -
     q1(x) = -dx and q2(x (.) y) = (-1)^{|x|} [x, y] read through the degree
     shift (names are preserved; only degrees move).
     """
-    return _decalage(L, L.bracket, SYMMETRIC, "DGLA", max_weight, validate)
+    return _decalage(L, L.bracket, SYMMETRIC, max_weight, validate)
 
 
 def decalage_dgla_morphism(f: DglaMorphism, source: OoStructure = None,
                            target: OoStructure = None, max_weight: int = 6) -> OoMorphism:
+    """The strict morphism with f1 = f.map read through the shift, in the
+    source decalage's flavor (_DgMorphism.check passes tensor decalages)."""
     src = source or decalage_dgla(f.source, max_weight)
     tgt = target or decalage_dgla(f.target, max_weight)
-    f1 = MultilinearMap(src.space, tgt.space, 0, 1, SYMMETRIC).store(
+    f1 = MultilinearMap(src.space, tgt.space, 0, 1, src.flavor).store(
         {(n,): vec for n, vec in f.map.entries.items()})
     return OoMorphism(src, tgt, {1: f1})
 
 
 def decalage_dga(A: DgAlgebra, max_weight: int = 6, validate: bool = True) -> OoStructure:
     """A-infinity[1] structure on A[1] induced by a DG associative algebra."""
-    return _decalage(A, A.product, TENSOR, "DG algebra", max_weight, validate)
+    return _decalage(A, A.product, TENSOR, max_weight, validate)
 
 
 # ---------------------------------------------------------------------------

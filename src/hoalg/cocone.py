@@ -162,6 +162,8 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
         grow, {(b,): {b: 1} for b in B.space.names}, B.space.names, top - 1)
     fscale, fmaps = scaled_ints({1: f.map}, 1)
     fxs = {x: fmaps[1][x] for x in A.space.names if x in fmaps[1]}
+    pa = {x: A_PRE + x for x in A.space.names}      # one name object per letter
+    pb = {b: B_PRE + b for b in B.space.names}
     for i in range(top + 1):
         # mids u f(a) keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
         mids = {front + (x,): mid for x, fx in fxs.items() for front, u in fronts[i].items()
@@ -170,9 +172,9 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
         for w in [w for w in weights if w >= i]:
             for word, out in backs[w - i].items():
                 sgn = comb(w, i) * sign_pow(i + 1 + sum(B.space.degree[b] for b in word[:i]))
-                key = tuple(B_PRE + b for b in word[:i]) + (A_PRE + word[i],) + \
-                    tuple(B_PRE + b for b in word[i + 1:])
-                words[w][key] = {B_PRE + y: sgn * c for y, c in out.items()}
+                key = tuple(pb[b] for b in word[:i]) + (pa[word[i]],) + \
+                    tuple(pb[b] for b in word[i + 1:])
+                words[w][key] = {pb[y]: sgn * c for y, c in out.items()}
     for w in weights:
         taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR)).store(
             words[w], bernoulli(w) / (factorial(w) * fscale * scale ** w))
@@ -204,8 +206,10 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     scale, grow, _ = right_products(B.product)
     products = prefix_products(grow, {(b,): {b: 1} for b in B.space.names},
                                B.space.names, max_weight - 1)
+    pb = {b: B_PRE + b for b in B.space.names}      # one name object per letter
     words = [{(n,): {n: 1} for n in space.names}] + [
-        {tuple(B_PRE + b for b in word): prefix_vector(vec, B_PRE) for word, vec in level.items()}
+        {tuple(pb[b] for b in word): {pb[y]: c for y, c in vec.items()}
+         for word, vec in level.items()}
         for level in products[1:]]
 
     def word_maps(coeff_fn, source, target):

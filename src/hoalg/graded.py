@@ -288,7 +288,7 @@ class GradedSpace:
 
     The basis order is the declaration order and is the single source of
     determinism for every computation downstream.  A space is not mutated
-    after construction, so its data tuple and hash are computed once.
+    after construction, so its data tuple, hash and shifts are computed once.
     """
 
     def __init__(self, basis):
@@ -318,6 +318,7 @@ class GradedSpace:
         self.index = {n: i for i, n in enumerate(self.names)}
         self._data = tuple((n, degree[n], bidegree[n]) for n in self.names)
         self._hash = hash(self._data)
+        self._shifts = {}
 
     @property
     def dim(self) -> int:
@@ -327,8 +328,11 @@ class GradedSpace:
         return sorted(set(self.degree.values()))
 
     def shifted(self, n: int) -> "GradedSpace":
-        """V[n]: same names, degree d becomes d - n.  Bidegrees are dropped."""
-        return GradedSpace([(name, self.degree[name] - n) for name in self.names])
+        """V[n]: same names, degree d becomes d - n.  Bidegrees are dropped.
+        Built once per n and shared, as neither space is mutated."""
+        if n not in self._shifts:
+            self._shifts[n] = GradedSpace([(name, self.degree[name] - n) for name in self.names])
+        return self._shifts[n]
 
     def subspace(self, names) -> "GradedSpace":
         names = list(names)

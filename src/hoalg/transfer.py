@@ -97,8 +97,7 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     small = F.source
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
     inv_k = preimages(c.homotopy.entries)
-    fg = multilinear_from_graded_map(c.inject.compose(c.project), TENSOR)
-    inv_fg = preimages(fg.entries)
+    inv_fg = preimages(c.inject.compose(c.project).entries)
     q = Scaled(big.taylor, mw)
     for k in range(2, mw + 1):
         # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),

@@ -6,7 +6,8 @@ live next to the tests: two classical Lie algebras, the abelian and zero
 DGLAs, the endomorphism DGLA of a seeded random complex, a seeded random
 element over an Artin ring, whether a morphism is strict, the bracket of a
 DGLA as a function of two vectors, the commutator DGLA morphism of a DGA
-morphism, and a dense Gaussian reference for the harmonic contraction.
+morphism, the filiform nilmanifold algebras, and a dense Gaussian reference
+for the harmonic contraction.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from hoalg.coalg import DgLieAlgebra, DglaMorphism, end_dgla
+from hoalg.coalg import DgAlgebra, DgLieAlgebra, DglaMorphism, end_dgla
 from hoalg.fixtures import _rand_coeff, random_complex
 from hoalg.graded import (
     Contraction, GradedMap, GradedSpace, MultilinearMap, TENSOR, lin_acc, lin_single,
     map_kernel_basis,
 )
+from hoalg.hodge import ExteriorModel
 from hoalg.mc import ArtinElement
 
 
@@ -57,6 +59,19 @@ def heisenberg_dgla(degrees=(0, 0, 0)) -> DgLieAlgebra:
 
 def abelian_dgla(space: GradedSpace, d: GradedMap) -> DgLieAlgebra:
     return DgLieAlgebra(space, d, MultilinearMap(space, space, 0, 2, TENSOR))
+
+
+def filiform_dga(n: int) -> DgAlgebra:
+    """The Chevalley-Eilenberg algebra of the filiform Lie algebra of
+    dimension n: Lambda(x1..xn) with every |x_k| = 1, the wedge product and
+    dx_k = x1 x_{k-1} for k >= 3.  n = 3 is the Heisenberg algebra."""
+    E = ExteriorModel([("x%d" % k, (1, 0)) for k in range(1, n + 1)])
+    d = E.derivation({"x%d" % k: E.wedge(lin_single("x1"), lin_single("x%d" % (k - 1)))
+                      for k in range(3, n + 1)}, 1)
+    names = E.space.names
+    product = MultilinearMap(E.space, E.space, 0, 2, TENSOR).store(
+        {(a, b): E.wedge(lin_single(a), lin_single(b)) for a in names for b in names})
+    return DgAlgebra(E.space, d, product)
 
 
 def zero_dgla() -> DgLieAlgebra:

@@ -4,10 +4,11 @@ hoalg.coalg pushes every sum from the Taylor supports.  This module keeps the
 way the library computed them before: Q^j_k and F^j_k evaluated on one basis
 word at a time, memoized per object on (j, k, word), and every check,
 composite, inverse, transfer and transport looping over every basis word of
-every weight.  It also keeps the DG axiom loop over every basis word, the
-hodge builders that sum every symmetric word over its k! orderings with
-ordered-suffix memos, and the cocone builders that run a left-nested product
-on every word of `itertools.product` or of `sym_words`, and the n-ary
+every weight.  It also keeps the DG algebra, DGLA and DG-morphism axioms
+as closures run over every basis word, the hodge builders that sum every
+symmetric word over its k! orderings with ordered-suffix memos, and the
+cocone builders that run a left-nested product on every word of
+`itertools.product` or of `sym_words`, and the n-ary
 evaluation of a Taylor coefficient on Artin elements with the exponential
 series of hoalg.mc built on it, both over every ordered tuple of monomials.
 It keeps End(V) as loops over every elementary map and every pair of them, the
@@ -34,7 +35,7 @@ from math import factorial, prod
 from types import SimpleNamespace
 
 from hoalg.coalg import (
-    DgAlgebra, DgLieAlgebra, OoMorphism, OoStructure, _first_nonzero, decalage_dga,
+    DgAlgebra, DgLieAlgebra, OoMorphism, OoStructure, decalage_dga,
     decalage_dgla, symmetrize_structure,
 )
 from hoalg.cocone import A_PRE, B_PRE, CoderAction, _cocone_q1, cocone_associative
@@ -405,9 +406,25 @@ def pull_transfer_quasi_inverse(big: OoStructure, c, F: OoMorphism, max_weight=N
 # DG axioms on every basis word
 
 
-def pull_dg_check(title, sp, d, op, before, after=()) -> Report:
-    """coalg._dg_check with every axiom run over every basis word of its
-    arity (itertools.product), the first failing word as witness."""
+def _first_nonzero(gm: GradedMap):
+    for n in gm.source.names:
+        if gm.value(n):
+            return n
+    return None
+
+
+def pull_dg_check(alg) -> Report:
+    """DgLieAlgebra.check or DgAlgebra.check as closures run over every basis
+    word of their arity (itertools.product), the first failing word as
+    witness, and d^2 = 0 as d composed with itself: antisymmetry, Leibniz and
+    Jacobi for a DGLA, associativity and Leibniz for a DG algebra."""
+    sp, d = alg.space, alg.d
+    lie = isinstance(alg, DgLieAlgebra)
+    op = alg.bracket if lie else alg.product
+
+    def sign(x, y):
+        return sign_pow(sp.degree[x] * sp.degree[y])
+
     def leibniz(w):
         x, y = w
         rhs = op.apply_vectors([d.value(x), lin_single(y)])
@@ -415,12 +432,43 @@ def pull_dg_check(title, sp, d, op, before, after=()) -> Report:
                 sign_pow(sp.degree[x]))
         return lin_eq(d.apply(op.value((x, y))), rhs)
 
-    r = Report(title)
+    def antisymmetric(w):
+        x, y = w
+        return lin_eq(op.value((x, y)), lin_scale(op.value((y, x)), -sign(x, y)))
+
+    def jacobi(w):
+        x, y, z = w
+        lhs = op.apply_vectors([lin_single(x), op.value((y, z))])
+        rhs = op.apply_vectors([op.value((x, y)), lin_single(z)])
+        lin_acc(rhs, op.apply_vectors([lin_single(y), op.value((x, z))]), sign(x, y))
+        return lin_eq(lhs, rhs)
+
+    def associative(w):
+        x, y, z = w
+        return lin_eq(op.apply_vectors([op.value((x, y)), lin_single(z)]),
+                      op.apply_vectors([lin_single(x), op.value((y, z))]))
+
+    r = Report("dgla" if lie else "dg algebra")
     dd = d.compose(d)
     r.add("d^2=0", dd.is_zero(), witness=_first_nonzero(dd))
-    for label, holds, arity in (*before, ("leibniz", leibniz, 2), *after):
+    axioms = ((("antisymmetry", antisymmetric, 2), ("leibniz", leibniz, 2), ("jacobi", jacobi, 3))
+              if lie else (("associativity", associative, 3), ("leibniz", leibniz, 2)))
+    for label, holds, arity in axioms:
         wit = first_witness(itertools.product(sp.names, repeat=arity), holds)
         r.add(label, wit is None, witness=wit)
+    return r
+
+
+def pull_dg_morphism_check(m) -> Report:
+    """DglaMorphism.check or DgaMorphism.check as two GradedMap compositions
+    for chain_map and a scan of every ordered pair of basis names for the
+    compatibility with the operation, the first failing pair as witness."""
+    g, src, tgt = m.map, getattr(m.source, m.op), getattr(m.target, m.op)
+    r = Report(m.title)
+    r.add("chain_map", m.target.d.compose(g) == g.compose(m.source.d))
+    wit = first_witness(itertools.product(g.source.names, repeat=2), lambda w: lin_eq(
+        g.apply(src.value(w)), tgt.apply_vectors([g.value(w[0]), g.value(w[1])])))
+    r.add(m.label, wit is None, witness=wit)
     return r
 
 

@@ -19,9 +19,11 @@ from hoalg.coalg import (
 from hoalg.cocone import exp_log_isos
 from hoalg.fixtures import (
     end_splitting, lambda_cartan_fixture, random_complex, random_dga_morphism, random_end_dga,
+    random_filtered_inclusion,
 )
 from fixture_helpers import (
-    abelian_dgla, heisenberg_dgla, is_strict, random_end_dgla, sl2_dgla,
+    abelian_dgla, commutator_dgla_morphism, filiform_dga, heisenberg_dgla, is_strict,
+    random_end_dgla, sl2_dgla,
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
@@ -30,8 +32,8 @@ from hoalg.graded import (
 )
 from pull_oracles import (
     coder_component, morph_component, prolong_coderivation, prolong_morphism,
-    pull_check_morphism, pull_check_structure, pull_compose, pull_dg_check, pull_invert,
-    pull_transport, taylor_after,
+    pull_check_morphism, pull_check_structure, pull_compose, pull_dg_check,
+    pull_dg_morphism_check, pull_invert, pull_transport, taylor_after,
 )
 
 
@@ -839,10 +841,11 @@ def test_dgla_morphism_bracket_failure_names_first_pair():
 
 def _dg_fixtures(seed):
     """DGLAs and DGAs with and without differential, bracket or product: an
-    abelian one (empty bracket), a non-abelian lambda draw, and the
-    Heisenberg Lie and associative (x.y = z only) algebras with an extra
-    degree -1 letter u, first or last, where a planted d(u) meets the
-    operation's support, on either side, at words outside it."""
+    abelian one (empty bracket), a non-abelian lambda draw, the filiform
+    algebras n = 4 and 5, and the Heisenberg Lie and associative (x.y = z
+    only) algebras with an extra degree -1 letter u, first or last, where a
+    planted d(u) meets the operation's support, on either side, at words
+    outside it."""
     V = random_end_dgla(seed, 2).space
     L331 = lambda_cartan_fixture(3, 3, 1, p=2)[0].L
     H = heisenberg_dgla()
@@ -857,7 +860,7 @@ def _dg_fixtures(seed):
             with_u.append(algebra(sp, GradedMap(sp, sp, 1), op))
     return [random_end_dgla(seed, 2), random_end_dga(seed, 2), sl2_dgla(),
             heisenberg_dgla((0, 1, 1)), abelian_dgla(V, GradedMap(V, V, 1)),
-            random_end_dga(seed + 10, 3), L331] + with_u
+            random_end_dga(seed + 10, 3), L331, filiform_dga(4), filiform_dga(5)] + with_u
 
 
 def _planted(alg, rng, kind, count=3):
@@ -888,30 +891,69 @@ def _planted(alg, rng, kind, count=3):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_planted_dg_faults_pushed_reports_equal_pulled(seed, monkeypatch):
-    # one bumped bracket, product or d entry at a time: the DG checks over the
-    # words that touch the supports report exactly what the loop over every
-    # basis word reports, witness included
+def test_planted_dg_faults_pushed_reports_equal_pulled(seed):
+    # one bumped bracket, product or d entry at a time: the axioms read off
+    # the decalage residual and the pushed Lie tables report exactly what the
+    # closures over every basis word report, witness included
     rng = random.Random("dg-faults:%d" % seed)
     fixtures = _dg_fixtures(seed)
     planted = [b for alg in fixtures for kind in ("op", "d") for b in _planted(alg, rng, kind)]
     pushed = [alg.check() for alg in fixtures + planted]
-    monkeypatch.setattr(coalg, "_dg_check", pull_dg_check)
-    pulled = [alg.check() for alg in fixtures + planted]
+    pulled = [pull_dg_check(alg) for alg in fixtures + planted]
     assert [r.lines() for r in pushed] == [r.lines() for r in pulled]
+    assert [r.checks for r in pushed] == [r.checks for r in pulled]
     assert all(r.ok for r in pushed[:len(fixtures)])
     failing = sum(not r.ok for r in pushed[len(fixtures):])
     assert failing >= len(planted) * 2 // 3, (failing, len(planted))
 
 
+def _dg_morphisms(seed):
+    """DGA and DGLA morphisms: a random DGA morphism and its commutator DGLA
+    morphism, a filtered End(V; F) -> End(V) inclusion, and the inclusion of
+    End(V; W) into End(V) as DG algebras."""
+    m = random_dga_morphism(seed)
+    _, _, ambient, comp, _ = end_splitting(seed, 2, lie=False)
+    return [m, commutator_dgla_morphism(m), random_filtered_inclusion(seed)[2],
+            sub_algebra(ambient, [n for n in ambient.space.names if n not in comp])[1]]
+
+
+def _bumped(m, rng):
+    """A copy of a DG morphism with one coefficient of its map raised by 1,
+    at a cell (x, y) with |y| = |x| drawn by rng."""
+    g = m.map
+    cells = [(x, y) for x in g.source.names for y in g.target.names
+             if g.target.degree[y] == g.source.degree[x]]
+    x, y = rng.choice(cells)
+    bumped = GradedMap(g.source, g.target, 0, g.entries)
+    bumped.set(x, lin_acc(dict(g.value(x)), {y: 1}))
+    return type(m)(m.source, m.target, bumped)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_dg_morphism_faults_pushed_reports_equal_pulled(seed):
+    # chain_map and the compatibility read off check_morphism between the
+    # tensor decalages report what two compositions and the scan of every
+    # ordered pair report, witness included, on clean and bumped maps
+    rng = random.Random("dg-morphism-faults:%d" % seed)
+    clean = _dg_morphisms(seed)
+    bumped = [_bumped(m, rng) for m in clean for _ in range(3)]
+    pushed = [m.check() for m in clean + bumped]
+    pulled = [pull_dg_morphism_check(m) for m in clean + bumped]
+    assert [r.checks for r in pushed] == [r.checks for r in pulled]
+    assert all(r.ok for r in pushed[:len(clean)])
+    assert {type(m).__name__ for m in clean} == {"DgaMorphism", "DglaMorphism"}
+    assert sum(not r.ok for r in pushed[len(clean):]) >= len(bumped) // 2
+
+
 def test_dg_check_of_an_empty_bracket_reads_no_word(monkeypatch):
-    # every axiom of an abelian DGLA has all terms zero on every word
+    # an abelian DGLA with d = 0 pushes no residual term for any axiom
     V = random_end_dgla(0, 3).space
     L = abelian_dgla(V, GradedMap(V, V, 1))
     seen = []
-    monkeypatch.setattr(coalg, "first_witness",
-                        lambda words, holds: seen.extend(words) or None)
-    assert L.check().ok and seen == []
+    order = coalg.in_basis_order
+    monkeypatch.setattr(coalg, "in_basis_order",
+                        lambda sp, pushed: seen.append(pushed) or order(sp, pushed))
+    assert L.check().ok and seen == [{}] * 4
 
 
 # --- sub-algebras -----------------------------------------------------------

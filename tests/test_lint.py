@@ -12,8 +12,9 @@ hom-space names are built, never parsed, with [d, -] pushed by one
 function, every walk over a product or bracket pushes from one table per
 operation, a Cartan homotopy's l_x is built once, into the table that every
 reader indexes, the CLI prints from `run` alone, through one `_emit`,
-with its parser built from one table of `cmd_*` handlers, and only
-graded.py builds dense coordinate rows."""
+with its parser built from one table of `cmd_*` handlers, only
+graded.py builds dense coordinate rows, and every DG axiom is read off a
+pushed residual, with no scan over basis words."""
 
 from __future__ import annotations
 
@@ -428,3 +429,24 @@ def _builds_dense_row(node) -> bool:
 def test_no_module_builds_dense_rows():
     found = set().union(*(_sites_where(p, _builds_dense_row) for p in MODULES))
     assert found == set()
+
+
+# Every DG algebra, DGLA and DG-morphism axiom is read off a pushed residual:
+# the [Q,Q] residual of the tensor decalage, check_morphism between two
+# decalages, or the antisymmetry and Jacobi tables pushed from the bracket's
+# entries.  The word-scan helpers stay gone, and coalg enumerates ordered
+# words only in OoStructure.basis_words.
+RETIRED_DG_SCANS = {"_touching", "_dg_check", "_first_nonzero"}
+
+
+def _is_itertools_product(call) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "product" and \
+        isinstance(call.func.value, ast.Name) and call.func.value.id == "itertools"
+
+
+def test_dg_axioms_are_read_off_pushed_residuals():
+    named = {p.name: sorted((_names(_tree(p)) | _defined(_tree(p))) & RETIRED_DG_SCANS)
+             for p in MODULES}
+    assert {name: found for name, found in named.items() if found} == {}
+    assert _calls_where(SRC / "coalg.py", _is_itertools_product) == \
+        {("coalg", "OoStructure.basis_words")}

@@ -19,7 +19,7 @@ from hoalg.graded import (
     multilinear_from_graded_map,
 )
 from hoalg.transfer import transfer_quasi_inverse, transfer_structure
-from fixture_helpers import dense_harmonic_contraction
+from fixture_helpers import dense_harmonic_contraction, filiform_dga
 from pull_oracles import pull_transfer_quasi_inverse, pull_transfer_structure
 
 
@@ -251,22 +251,32 @@ def test_transfer_memo_matches_fresh_morphism(symmetric):
     assert canonical_coefficients(small, F)
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_pushed_transfer_matches_pull_build(seed):
+@pytest.mark.parametrize("case", [0, 3, "filiform:3", "filiform:4"])
+def test_pushed_transfer_matches_pull_build(case):
     # transfer_structure and transfer_quasi_inverse against the word-by-word
     # pull builds (K_k expanded word by word) on derived-product cocones,
-    # where the quasi-inverse has a coefficient in every arity up to 4
-    _, _, ambient, comp, _ = end_splitting(seed, lie=False)
-    dp = derived_products_model(Splitting(ambient, comp), max_weight=4)
-    big, c = dp.cocone_as, dp.contraction
+    # where the quasi-inverse has a coefficient in every arity up to 4, and
+    # onto the cohomology of the filiform algebras n = 3 (Heisenberg) and 4,
+    # where K_k's transpose grows f1 g1 tails
+    if isinstance(case, int):
+        _, _, ambient, comp, _ = end_splitting(case, lie=False)
+        dp = derived_products_model(Splitting(ambient, comp), max_weight=4)
+        big, c = dp.cocone_as, dp.contraction
+    else:
+        big = decalage_dga(filiform_dga(int(case.split(":")[1])), max_weight=4)
+        c = harmonic_contraction(big.space, q1_as_map(big))
     small, F = transfer_structure(big, c)
     small_o, F_o = pull_transfer_structure(big, c)
     assert entries_of(small) == entries_of(small_o)
     assert entries_of(F) == entries_of(F_o)
     G = transfer_quasi_inverse(big, c, F)
-    assert set(G.taylor) == {1, 2, 3, 4}
+    if isinstance(case, int):
+        assert set(G.taylor) == {1, 2, 3, 4}
+    else:
+        assert 2 in G.taylor
     assert entries_of(G) == entries_of(pull_transfer_quasi_inverse(big, c, F))
     assert canonical_coefficients(small, F, G)
+    assert check_morphism(G).ok
 
 
 def test_quasi_inverse_rejects_symmetric_flavor():
