@@ -479,8 +479,10 @@ class DgLieAlgebra:
     def __init__(self, space: GradedSpace, d: GradedMap, bracket: MultilinearMap):
         if d.degree != 1 or d.source != space or d.target != space:
             raise MalformedInput("differential must be a degree +1 endomorphism")
-        if bracket.arity != 2 or bracket.degree != 0 or bracket.flavor != TENSOR:
-            raise MalformedInput("bracket must be a tensor-flavor arity-2 degree-0 map")
+        if bracket.arity != 2 or bracket.degree != 0 or bracket.flavor != TENSOR or \
+                (bracket.source, bracket.target) != (space, space):
+            raise MalformedInput("bracket must be a tensor-flavor arity-2 degree-0 map "
+                                 "on the algebra's space")
         self.space = space
         self.d = d
         self.bracket = bracket
@@ -501,8 +503,10 @@ class DgAlgebra:
     def __init__(self, space: GradedSpace, d: GradedMap, product: MultilinearMap):
         if d.degree != 1 or d.source != space or d.target != space:
             raise MalformedInput("differential must be a degree +1 endomorphism")
-        if product.arity != 2 or product.degree != 0 or product.flavor != TENSOR:
-            raise MalformedInput("product must be a tensor-flavor arity-2 degree-0 map")
+        if product.arity != 2 or product.degree != 0 or product.flavor != TENSOR or \
+                (product.source, product.target) != (space, space):
+            raise MalformedInput("product must be a tensor-flavor arity-2 degree-0 map "
+                                 "on the algebra's space")
         self.space = space
         self.d = d
         self.product = product

@@ -9,6 +9,7 @@ the obstruction map, split/minimal period maps, both Yukawa models) is a
 finite exact computation over Artin coefficients.  A Cartan homotopy builds
 its table l = {x: l_x} once, on construction, and every builder reads it;
 each combination of i's or l's is one in-place sum of the table's maps.
+The period and Yukawa builders push each chain from W's basis (_push).
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from .graded import (
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
     graded_map_to_elementary, hom_differential, hom_space, lin_acc, lin_scale, lin_single,
-    linear_part, map_kernel_basis, merge_words, pair_space, prefix_products, prefix_vector,
-    prefixed, sign_pow,
+    linear_part, map_kernel_basis, merge_words, pair_space, prefix_vector, prefixed, sign_pow,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -280,8 +280,8 @@ def torus_package(n: int, p: int = None):
 
     Returns (HodgePackage, CartanHomotopy, FormalPeriodData with W = A^{>=p},
     default p = n)."""
-    if not 1 <= n <= 3:
-        raise MalformedInput("torus model supports 1 <= n <= 3")
+    if not 1 <= n <= 5:
+        raise MalformedInput("torus model supports 1 <= n <= 5")
     p = n if p is None else p
     gens = [("dz%d" % i, (1, 0)) for i in range(1, n + 1)] + \
            [("dzb%d" % i, (0, 1)) for i in range(1, n + 1)]
@@ -491,76 +491,91 @@ def _restrict_to_top_block(pkg: HodgePackage, op: ArtinMap) -> ArtinMap:
 # hom-complex structures (derived products on End(V) = End(V;W) + Hom(W,A))
 
 
-def _restrict_to_hom(gm: GradedMap, w_names, a_names) -> dict:
-    """Entries of an endomorphism as a Hom(W, A)-elementary combination."""
-    wset, aset = set(w_names), set(a_names)
-    vec = {}
-    for s, img in gm.entries.items():
-        if s not in wset:
-            continue
-        for t, cv in img.items():
-            if t in aset:
-                lin_acc(vec, lin_single("%s<-%s" % (t, s)), cv)
-    return vec
+def _restrict_to_hom(rows: dict, w_names, a_names) -> dict:
+    """The Hom(W, A) entries t<-s of a map given by its rows {s: image}, as
+    an elementary combination: each name is built once, and nothing summed."""
+    return {"%s<-%s" % (t, s): c for s, img in rows.items() if s in w_names
+            for t, c in img.items() if t in a_names}
 
 
-def _cut_sums(space: GradedSpace, pairs) -> dict:
-    """{T: sum of coeff w(B, T) . heads[B] o tails[S]} over the memo pairs
-    (heads, tails, coeff) and their keys B, S, for T the sorted word of
-    B + S, zero sums dropped.  T and w(B, T) are the merge of B and S
-    (graded.merge_words): w(B, T) is the Koszul sign of the merge times the
-    number of ways to pick B out of T, so if heads[B] and tails[S] sum the
-    signed orderings of B and S, the sum at T is the signed sum over the
-    orderings of T, grouped by the content of the first |B| letters.  Only
-    nonzero memo entries are visited, and a head only with the tails that
-    write a name it reads: every other pair composes to zero.
+def _by_row(table: dict, left=None) -> dict:
+    """{y: [(B, vector)]} for a chain table {B: {y: vector}}: each nonzero
+    vector, or its image under the GradedMap left, indexed by its row y, as
+    coalg.preimages indexes a map, so a push reads only the heads it reaches."""
+    rows: dict = {}
+    for B, vecs in table.items():
+        for y, vec in vecs.items():
+            img = vec if left is None else left.apply(vec)
+            if img:
+                rows.setdefault(y, []).append((B, img))
+    return rows
 
-    Each sum is one entries dict per T, summed in place: the term of (h, t)
-    adds coeff w t(s)[y] . h(y) to row s for every nonzero t(s)[y] (lin_acc).
-    Each nonzero sum is wrapped in a GradedMap once, with the source, target
-    and degree of its first term, since the degree depends on T's letters.
-    As in GradedMap.compose, sums of composites of checked maps are exact,
-    zero-free and of the right degree, so the rows are stored unchecked."""
-    acc: dict = {}
-    shapes: dict = {}
+
+def _merge(space: GradedSpace):
+    """The join of two sorted words of S(space): graded.merge_words."""
     index, degree = space.index, space.degree
-    for heads, tails, coeff in pairs:
-        writes = [(S, t, set().union(*t.entries.values())) for S, t in tails.items()]
-        for B, h in heads.items():
-            images = h.entries
-            for S, t, written in writes:
-                if images.keys().isdisjoint(written):
-                    continue
-                got = merge_words(B, S, index, degree)
-                if got is None:
-                    continue
-                T, w = got
-                w *= coeff
-                rows = acc.get(T)
-                if rows is None:
-                    rows = acc[T] = {}
-                    shapes[T] = (t.source, h.target, h.degree + t.degree)
-                for s, vec in t.entries.items():
-                    row = rows.setdefault(s, {})
-                    for y, c in vec.items():
-                        img = images.get(y)
-                        if img:
-                            lin_acc(row, img, w * c)
-    sums = {}
-    for T, rows in acc.items():
-        rows = {s: row for s, row in rows.items() if row}
-        if rows:
-            sums[T] = GradedMap(*shapes[T])
-            sums[T].entries = rows
-    return sums
+    return lambda B, S: merge_words(B, S, index, degree)
 
 
-def _hom_map(source: GradedSpace, target: GradedSpace, k: int, maps: dict, w_names,
+def _prepend(space: GradedSpace):
+    """The join of a sorted word grown right to left: (a,) + B, of weight 1,
+    for a letter a at or before B's first letter, an odd letter not twice."""
+    index, degree = space.index, space.degree
+    return lambda a, B: (a + B, 1) if not B or index[a[0]] < index[B[0]] or \
+        a[0] == B[0] and not degree[a[0]] % 2 else None
+
+
+def _push(tails: dict, heads: dict, join, coeff=1, acc=None) -> dict:
+    """The one walk of the period maps.  A chain is a table {S: {s: vector}},
+    one vector per source name s.  Each coefficient c at a name y of
+    tails[S][s] is pushed to the heads (B, v) in heads[y] (_by_row) only,
+    adding coeff w c . v to acc[T][s] in place, where (T, w) = join(B, S),
+    joined once per cut, and None means no term.  For join = _merge(space),
+    w(B, T) is the Koszul sign of the merge times the number of ways to pick
+    B out of T: if heads sum the signed orderings of B and tails those of S,
+    acc[T] sums those of T, grouped by the content of the first |B| letters."""
+    acc = {} if acc is None else acc
+    for S, rows in tails.items():
+        cuts: dict = {}
+        for s, vec in rows.items():
+            for y, c in vec.items():
+                for B, v in heads.get(y, ()):
+                    got = cuts[B] if B in cuts else cuts.setdefault(B, join(B, S))
+                    if got is not None:
+                        T, w = got
+                        lin_acc(acc.setdefault(T, {}).setdefault(s, {}), v, coeff * w * c)
+    return acc
+
+
+def _walk(rows, ops: dict, join, depth: int) -> list:
+    """levels[0..depth] of the chains X(B) e_y pushed from the basis vectors
+    e_y, y in rows, through the row index ops of the letter operators:
+    levels[j] = {B: {y: X(B) e_y}} over the words B of length j that join
+    grows, zero chains cut."""
+    levels = [{(): {y: {y: 1} for y in rows}}]
+    for _ in range(depth):
+        levels.append(_push(levels[-1], ops, join))
+    return levels
+
+
+def _reach(index: list, tails: dict, ops: dict, join, depth: int, left) -> None:
+    """Extend the head indexes index[j] = {y: [(B, left X(B) e_y)]}, j <= depth,
+    to the rows y that tails writes and no earlier call walked (index[0])."""
+    new = dict.fromkeys(y for vecs in tails.values() for vec in vecs.values() for y in vec
+                        if y not in index[0])
+    index[0].update(new)
+    for j, level in enumerate(_walk(new, ops, join, depth)[1:], 1):
+        for y, heads in _by_row(level, left).items():
+            index[j].setdefault(y, []).extend(heads)
+
+
+def _hom_map(source: GradedSpace, target: GradedSpace, k: int, chains: dict, w_names,
              a_names, coeff=1) -> MultilinearMap:
     """The symmetric arity-k map source -> target with coeff times the
-    Hom(W, A) entries of maps[word] on each (sorted) word."""
+    Hom(W, A) entries of the chain chains[word] on each (sorted) word."""
+    wset, aset = set(w_names), set(a_names)
     return MultilinearMap(source, target, 0, k, SYMMETRIC).store(
-        {T: _restrict_to_hom(gm, w_names, a_names) for T, gm in maps.items()}, coeff)
+        {T: _restrict_to_hom(rows, wset, aset) for T, rows in chains.items()}, coeff)
 
 
 def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int, heads,
@@ -571,27 +586,32 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
     heads, of the signed chains left o head_ops[head] .. tail_ops[tail] .. right.
     The head is a sorted sub-word B and the tail any ordering of the rest:
 
-        sum_{|B| in heads} w(B, T) . H(B) o Tail(T - B)     (_cut_sums),
+        sum_{|B| in heads} w(B, T) . H(B) Tail(T - B)     (_push),
         H(B) = left o head_ops[B[0]] o .. o head_ops[B[-1]],
-        Tail(S) = sum_{distinct b in S} w(b, S) . tail_ops[b] o Tail(S - b),
+        Tail(S) = sum_{distinct b in S} w(b, S) . tail_ops[b] Tail(S - b),
         Tail(()) = right on the sources in W.
 
-    H grows over the sorted words by graded.prefix_products.  Tail is memoized
-    by length where nonzero, for this call only, shortest words first (no
-    self-referencing closure: it would keep the memo in a reference cycle).
+    head_ops and tail_ops are the row indexes (_by_row) of the letter
+    operators.  Every chain is pushed from W's basis vectors: Tail starts at
+    right e_s, s in W, and is memoized by length for this call only; H(B) e_y
+    is walked right to left from each row y the tails write (_reach), a
+    sorted word growing by one letter at or before its first letter.
     """
     space = source.space
-    wset = set(w_names)
-    lefts = prefix_products(lambda h, xs: [(x, g) for x in xs if (g := h.compose(head_ops[x]))],
-                            {(): left}, space.names, min(max(heads), max_weight), space.degree)
-    tails = [{(): GradedMap(right.source, right.target, right.degree,
-                            {s: v for s, v in right.entries.items() if s in wset})}]
-    singles = {(x,): tail_ops[x] for x in space.names}
+    merge, prepend, first = _merge(space), _prepend(space), min(heads)
+    tails = [{(): {s: v for s in w_names if (v := right.value(s))}}]
+    index = [{} for _ in range(max_weight + 1)]
     taylor = {}
     for k in range(1, max_weight + 1):
-        if k <= max_weight - min(heads):
-            tails.append(_cut_sums(space, [(singles, tails[k - 1], 1)]))
-        total = _cut_sums(space, [(lefts[j], tails[k - j], 1) for j in heads if j <= k])
+        if k <= max_weight - first:
+            tails.append(_push(tails[k - 1], tail_ops, merge))
+        if k >= first:
+            _reach(index, tails[k - first], head_ops, prepend,
+                   min(max(heads), max_weight - k + first), left)
+        total: dict = {}
+        for j in heads:
+            if j <= k:
+                _push(tails[k - j], index[j], merge, 1, total)
         taylor[k] = _hom_map(space, target, k, total, w_names, a_names)
     return taylor
 
@@ -640,7 +660,7 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     the sum over the partitions of one ordering s is (-1)^k R(s), with
     R(()) = P-perp and R(s) = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]).
     Over the signed orderings of a sorted word T, with the first block
-    grouped by its content B (_cut_sums and its weight w), pi_k(T) is
+    grouped by its content B (_push and its weight w), pi_k(T) is
     (-1)^k SymR(T) on Hom(W, A), where
 
         SymR(T) = sum_{nonempty B} -(1/|B|!) w(B, T) . P I(B) SymR(T - B),
@@ -648,8 +668,10 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
         SymR(()) = P-perp, I(()) = id,
 
     memoized by length where nonzero, for this call only, shortest first.
-    The chains hold |T|! SymR(T), so their weights are the ints -C(|T|, |B|),
-    and (-1)^k / k! is applied once, when pi_k is stored.
+    SymR is pushed from W's basis vectors, on which P-perp is e_s, and each
+    block P I(B) only on the rows the chains reach (_reach).  The chains
+    hold |T|! SymR(T), so their weights are the ints -C(|T|, |B|), and
+    (-1)^k / k! is applied once, when pi_k is stored.
 
     Returns (morphism L[1] -> Hom*(W, A), target structure): the target is the
     symmetrized derived-product structure of the splitting
@@ -663,16 +685,15 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
         derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
     source = decalage_dgla(c.L, max_weight)
     space = source.space
-    letters = {(x,): c.i[x] for x in space.names}
-    contractions = [{(): GradedMap.identity(c.V)}]
-    blocks = [{}]
-    chains = [{(): fpd.Pperp}]
+    merge, letters = _merge(space), _by_row({(x,): c.i[x].entries for x in space.names})
+    blocks = [{} for _ in range(max_weight + 1)]
+    chains = [{(): {s: {s: 1} for s in fpd.w_names}}]
     taylor = {}
     for k in range(1, max_weight + 1):
-        contractions.append(_cut_sums(space, [(letters, contractions[k - 1], 1)]))
-        blocks.append({B: fpd.P.compose(I) for B, I in contractions[k].items()})
-        chains.append(_cut_sums(space, [(blocks[j], chains[k - j], -comb(k, j))
-                                        for j in range(1, k + 1)]))
+        _reach(blocks, chains[k - 1], letters, merge, max_weight - k + 1, fpd.P)
+        chains.append({})
+        for j in range(1, k + 1):
+            _push(chains[k - j], blocks[j], merge, -comb(k, j), chains[k])
         taylor[k] = _hom_map(space, target.space, k, chains[k], fpd.w_names, fpd.a_names,
                              Fraction(sign_pow(k), factorial(k)))
     return OoMorphism(source, target, taylor), target
@@ -695,13 +716,14 @@ def hom_transfer_contraction(pkg: HodgePackage, p: int, max_weight: int = 4):
     a_names = pkg.a_names(lambda bp, bq: bp < p)
     big = derived_hom_structure(pkg.A, pkg.d, w_names, a_names, max_weight)
     hw_top, hw_low, small = _harmonic_hom(pkg, p)
+    wset, aset, top, low = set(w_names), set(a_names), set(hw_top), set(hw_low)
     bigsp = big.space
     inject = GradedMap(small, bigsp, 0)
     for name in small.names:
         gm = elementary_to_graded_map(lin_single(name), small, pkg.H, pkg.H,
                                       small.degree[name])
         gm = pkg.iota.compose(gm).compose(pkg.pi)
-        vec = _restrict_to_hom(gm, w_names, a_names)
+        vec = _restrict_to_hom(gm.entries, wset, aset)
         if vec:
             inject.set(name, vec)
     project = GradedMap(bigsp, small, 0)
@@ -710,13 +732,13 @@ def hom_transfer_contraction(pkg: HodgePackage, p: int, max_weight: int = 4):
         gm = elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
                                       bigsp.degree[name])
         pv = pkg.pi.compose(gm).compose(pkg.iota)
-        vec = _restrict_to_hom(pv, hw_top, hw_low)
+        vec = _restrict_to_hom(pv.entries, top, low)
         if vec:
             project.set(name, vec)
         sgn = -1 if bigsp.degree[name] % 2 else 1
         kv = pkg.h.compose(gm).add(
             pkg.iota.compose(pkg.pi).compose(gm).compose(pkg.h), sgn)
-        vec = _restrict_to_hom(kv, w_names, a_names)
+        vec = _restrict_to_hom(kv.entries, wset, aset)
         if vec:
             K.set(name, vec)
     d_big = linear_part(big.taylor.get(1), bigsp, bigsp, 1)
@@ -737,17 +759,18 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
                            max_weight: int = 4) -> OoMorphism:
     """Closed-form symmetric quasi-inverse onto harmonic hom classes:
     g_k(f_1 . ... . f_k) = sum_sigma eps(sigma) pi f h(del) f ... h(del) f iota,
-    by sub-word recursion: _propagator_words with heads (1,)."""
+    by sub-word recursion: _propagator_words with heads (1,), the letter f
+    read as its elementary map, and h del f pushed from its one row."""
     hw_top, hw_low, small = _harmonic_hom(pkg, p)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
     bigsp = source.space
     hdel = pkg.h.compose(pkg.dell)
-    realized = {name: elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
-                                               bigsp.degree[name])
+    realized = {(name,): elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
+                                                  bigsp.degree[name]).entries
                 for name in bigsp.names}
     return OoMorphism(source, target, _propagator_words(
-        source, small, max_weight, (1,), pkg.pi, realized,
-        {x: hdel.compose(f) for x, f in realized.items()}, pkg.iota, hw_top, hw_low))
+        source, small, max_weight, (1,), pkg.pi, _by_row(realized),
+        _by_row(realized, hdel), pkg.iota, hw_top, hw_low))
 
 
 # ---------------------------------------------------------------------------
@@ -757,9 +780,11 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
 def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, source: OoStructure,
                        target: GradedSpace, max_weight: int, heads, w_names,
                        a_names) -> dict:
-    """_propagator_words for the chains pi i_head (h l)_tail iota."""
-    return _propagator_words(source, target, max_weight, heads, pkg.pi, c.i,
-                             {x: pkg.h.compose(lx) for x, lx in c.l.items()},
+    """_propagator_words for the chains pi i_head (h l)_tail iota, with h l_x
+    pushed row by row from the nonzeros of l_x."""
+    return _propagator_words(source, target, max_weight, heads, pkg.pi,
+                             _by_row({(x,): c.i[x].entries for x in source.space.names}),
+                             _by_row({(x,): c.l[x].entries for x in source.space.names}, pkg.h),
                              pkg.iota, w_names, a_names)
 
 
@@ -821,7 +846,8 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     """Second model on L[1] x Hom*(A^{n,*}, A^{0,*})[-1]: no propagator in the
     brackets (fiber differential -P[delbar, -], graded.hom_differential; mixed
     bracket through l).  The fiber part of q_n is the chain i_{x_1} .. i_{x_n}
-    on each sorted word, grown letter by letter (graded.prefix_products)."""
+    on each sorted word, pushed right to left from the basis vectors of
+    A^{n,*} (_walk), and the mixed q2 is pushed from the nonzeros of l_x."""
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
@@ -830,22 +856,26 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     hom = hom_space(bottom, top, pkg.A)
     base = decalage_dgla(c.L, max_weight)
     space = pair_space(base.space, hom.shifted(-1))
-    chains = prefix_products(lambda h, xs: [(x, g) for x in xs if (g := h.compose(c.i[x]))],
-                             {(): coordinate_projections(pkg.A, bottom)[0]},
-                             base.space.names, n, base.space.degree)[n]
+    tops = set(top)
+    chains = _walk(top, _by_row({(x,): c.i[x].entries for x in base.space.names}),
+                   _prepend(base.space), n)[n]
     mixed = {1: [((B_PRE + name,), lin_scale(vec, -1))
                  for name, vec in hom_differential(pkg.delbar, bottom, top).items()], 2: []}
-    for name in hom.names:
-        gm = elementary_to_graded_map(lin_single(name), hom, pkg.A, pkg.A, hom.degree[name])
-        # q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), |f| = |name| - 1, stored
-        # on the canonical word (a:x, b:f) with the block-swap Koszul sign
-        for x in c.L.space.names:
-            swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
-            vec = _restrict_to_hom(gm.compose(c.l[x]), top, bottom)
-            mixed[2].append(((A_PRE + x, B_PRE + name),
-                             lin_scale(vec, sign_pow(hom.degree[name] - 1 + swap))))
+    # q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), |f| = |f's name| - 1: for
+    # f = t<-y, f l_x sends u in A^{n,*} to l_x(u)[y] t.  It is stored on the
+    # canonical word (a:x, b:f) with the block-swap Koszul sign.
+    for x in c.L.space.names:
+        for u, img in c.l[x].entries.items():
+            for y, cv in img.items():
+                if u in tops and y in tops:
+                    for t in bottom:
+                        name = "%s<-%s" % (t, y)
+                        swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
+                        mixed[2].append(((A_PRE + x, B_PRE + name), {
+                            "%s<-%s" % (t, u): cv * sign_pow(hom.degree[name] - 1 + swap)}))
     return _fiber_model(base, space, max_weight, {n: {
-        word: _restrict_to_hom(gm, top, bottom) for word, gm in chains.items()}}, mixed)
+        word: _restrict_to_hom(rows, tops, set(bottom)) for word, rows in chains.items()}},
+        mixed)
 
 
 def yukawa_mc_fiber_residual(model: OoStructure, xi: ArtinElement) -> ArtinElement:

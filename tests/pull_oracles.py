@@ -547,7 +547,7 @@ def pull_propagator_words(left, head_ops: dict, tail_ops: dict, right, w_names, 
             cur = products[keys[p]]
             for q in range(p - 1, -1, -1):
                 cur = products[keys[q]] = ops[q].compose(cur)
-            got = words[head, tail] = _restrict_to_hom(left.compose(cur), w_names, a_names)
+            got = words[head, tail] = _restrict_to_hom(left.compose(cur).entries, w_names, a_names)
         return got
 
     return word
@@ -590,7 +590,7 @@ def pull_derived_hom_structure(V, d, w_names, a_names, max_weight=6) -> OoStruct
     for n1 in hom.names:
         comm = d.commutator(
             elementary_to_graded_map(lin_single(n1), hom, V, V, hom.degree[n1]))
-        vec = _restrict_to_hom(comm, w_names, a_names)
+        vec = _restrict_to_hom(comm.entries, w_names, a_names)
         if vec:
             q1.set_entry((n1,), vec)
         # [d, f1] o (t<-s) sends s to [d, f1](t) and the rest of V to zero
@@ -627,7 +627,7 @@ def pull_split_period_map(fpd, max_weight=4):
 
     def signed_word(head, tail):
         s = head + tail
-        return lin_scale(_restrict_to_hom(chain(s), fpd.w_names, fpd.a_names),
+        return lin_scale(_restrict_to_hom(chain(s).entries, fpd.w_names, fpd.a_names),
                          sign_pow(len(s)))
 
     taylor = pull_chain_taylor(source, target.space, max_weight, lambda k: (1,), signed_word)
@@ -746,18 +746,18 @@ def pull_yukawa_model_v2(pkg, c, max_weight=4):
     q1 = MultilinearMap(space, space, 1, 1, SYMMETRIC)
     add_prefixed(q1, base.taylor.get(1), A_PRE)
     for name in hom.names:
-        vec = _restrict_to_hom(pkg.delbar.commutator(realized[name]), top, bottom)
+        vec = _restrict_to_hom(pkg.delbar.commutator(realized[name]).entries, top, bottom)
         if vec:
             q1.set_entry((B_PRE + name,), prefix_vector(lin_scale(vec, -1), B_PRE))
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC)
     add_prefixed(q2, base.taylor.get(2), A_PRE)
     for x, y in (base.basis_words(2) if n == 2 else ()):
-        vec = _restrict_to_hom(c.i[x].compose(c.i[y]), top, bottom)
+        vec = _restrict_to_hom(c.i[x].compose(c.i[y]).entries, top, bottom)
         if vec:
             q2.add_entry((A_PRE + x, A_PRE + y), prefix_vector(vec, B_PRE))
     for name in hom.names:
         for x in c.L.space.names:
-            vec = _restrict_to_hom(realized[name].compose(c.l[x]), top, bottom)
+            vec = _restrict_to_hom(realized[name].compose(c.l[x]).entries, top, bottom)
             if vec:
                 swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
                 q2.add_entry((A_PRE + x, B_PRE + name), prefix_vector(vec, B_PRE),
@@ -769,7 +769,7 @@ def pull_yukawa_model_v2(pkg, c, max_weight=4):
             cur = GradedMap.identity(pkg.A)
             for x in reversed(word):
                 cur = c.i[x].compose(cur)
-            vec = _restrict_to_hom(cur, top, bottom)
+            vec = _restrict_to_hom(cur.entries, top, bottom)
             if vec:
                 qn.add_entry(tuple(A_PRE + w for w in word), prefix_vector(vec, B_PRE))
         taylor[n] = qn

@@ -981,3 +981,19 @@ def test_end_preserving_sub_needs_a_d_stable_subspace():
         end_preserving_sub_dgla(V, d, ["v1"])
     with pytest.raises(MalformedInput):
         end_preserving_sub_dgla(V, d, ["v9"])
+
+
+@pytest.mark.parametrize("kind", [DgLieAlgebra, DgAlgebra])
+def test_dg_algebras_refuse_an_operation_on_another_space(kind):
+    # a bracket or product stored on {p, q} does not act on the algebra's
+    # {x, y}: it is refused on construction, not left for check() to report
+    # as a non-canonical word
+    V = GradedSpace([("x", 0), ("y", 0)])
+    U = GradedSpace([("p", 0), ("q", 0)])
+    d = GradedMap(V, V, 1)
+    for source, target in ((U, U), (U, V), (V, U)):
+        op = MultilinearMap(source, target, 0, 2, TENSOR)
+        op.entries[(source.names[0], source.names[1])] = {target.names[0]: 1}
+        with pytest.raises(MalformedInput, match="on the algebra's space"):
+            kind(V, d, op)
+    assert kind(V, d, MultilinearMap(V, V, 0, 2, TENSOR)).check().ok

@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from hoalg import fmt
+from hoalg import fmt, hodge
 from hoalg.cli import _example_period_data
 from hoalg.coalg import (
     OoMorphism, OoStructure, check_morphism, check_structure,
@@ -348,14 +349,30 @@ def test_period_builders_take_no_commutator_after_construction(monkeypatch):
         monkeypatch.undo()
 
 
-def test_sorted_hodge_walks_compose_once_per_allowed_letter(monkeypatch):
-    # the head chains of _propagator_words and the i-chains of yukawa_model_v2
-    # grow through prefix_products with a compose loop over the letters a
-    # sorted word allows: as many compositions as one call per (word, letter)
-    # made, counted per builder (split, minimal, yukawa, yukawa_v2); the DGLA
-    # check of each builder's L composes no d o d
-    want = {"torus:2": [17, 70, 48, 168], "synthetic:0": [5, 11, 7, 17]}
-    compose = GradedMap.compose
+def _count_pushes(monkeypatch) -> tuple:
+    """(pushes, compositions): from now on every vector push of hodge's one
+    walk (a lin_acc call made by hodge._push) appends to pushes, and every
+    GradedMap.compose call to compositions."""
+    pushes, compositions = [], []
+    acc, compose = hodge.lin_acc, GradedMap.compose
+
+    def counted_acc(*args):
+        if sys._getframe(1).f_code.co_name == "_push":
+            pushes.append(1)
+        return acc(*args)
+
+    monkeypatch.setattr(hodge, "lin_acc", counted_acc)
+    monkeypatch.setattr(GradedMap, "compose",
+                        lambda self, other: compositions.append(1) or compose(self, other))
+    return pushes, compositions
+
+
+def test_sorted_hodge_walks_push_from_rows_without_composing(monkeypatch):
+    # every chain of the four builders is a table of vectors on W's basis,
+    # pushed to the heads that read its rows: no builder composes a
+    # GradedMap, and the pushes are pinned per builder (split, minimal,
+    # yukawa, yukawa_v2)
+    want = {"torus:2": [134, 68, 50, 34], "synthetic:0": [21, 24, 16, 7]}
     for (name, w), (pkg, cartan, fpd) in (
             (("torus:2", 3), torus_package(2)), (("synthetic:0", 4), synthetic_package(0))):
         counts = []
@@ -363,12 +380,11 @@ def test_sorted_hodge_walks_compose_once_per_allowed_letter(monkeypatch):
                       lambda: minimal_period_map(pkg, cartan, max_weight=w),
                       lambda: yukawa_model(pkg, cartan, max_weight=w),
                       lambda: yukawa_model_v2(pkg, cartan, max_weight=w)):
-            calls = []
-            monkeypatch.setattr(GradedMap, "compose",
-                                lambda self, other: calls.append(1) or compose(self, other))
+            pushes, compositions = _count_pushes(monkeypatch)
             build()
             monkeypatch.undo()
-            counts.append(len(calls))
+            assert compositions == []
+            counts.append(len(pushes))
         assert counts == want[name]
 
 
@@ -391,7 +407,7 @@ def test_split_period_k1_is_projected_contraction():
     for x in cartan.L.space.names:
         word = fpd.P.compose(cartan.i[x]).compose(fpd.Pperp)
         from hoalg.hodge import _restrict_to_hom
-        want = _restrict_to_hom(word, fpd.w_names, fpd.a_names)
+        want = _restrict_to_hom(word.entries, fpd.w_names, fpd.a_names)
         assert Pi.taylor[1].value((x,)) == want
 
 
@@ -486,7 +502,7 @@ def test_minimal_period_map_flat_torus_is_contraction_words():
     chain = pkg.pi.compose(cartan.i[x]).compose(cartan.i[y]).compose(pkg.iota)
     top = [n for n in pkg.H.names if pkg.H.bidegree[n][0] >= 2]
     low = [n for n in pkg.H.names if pkg.H.bidegree[n][0] < 2]
-    want = _restrict_to_hom(chain, top, low)
+    want = _restrict_to_hom(chain.entries, top, low)
     got = P.taylor[2].value((x, y))
     assert got == want
 
@@ -498,6 +514,72 @@ def test_minimal_period_map_k_greater_than_n_vanishes_flat():
     if q3 is not None:
         for word, vec in q3.entries.items():
             assert not vec  # contraction arity bound: i^3 kills A^{2,*}
+
+
+def _torus_minors(n: int, k: int, index: dict) -> dict:
+    """{sorted word T: p_k(T)} for the flat n-torus, read off the k x k
+    minors of xi, over the words of the degree-0 letters t_j b_a of L[1].
+
+    For xi = sum_{j,a} xi_ja t_j b_a, i_xi is the even derivation that sends
+    dz_j to eta_j = sum_a xi_ja dzb_a and kills every dzb, so e^{i_xi} is
+    the algebra map 1 + i_xi on the generators, and for
+    Omega = dz_1 ^ .. ^ dz_n
+
+        e^{i_xi} Omega = (dz_1 + eta_1) ^ .. ^ (dz_n + eta_n).
+
+    Take eta_j at the places j of J, |J| = k, and move those one-forms
+    right, past the dz_i with i > j, i not in J; that costs
+    eps(J) = (-1)^{sum_{j in J} #{i not in J: i > j}}.  Then
+    eta_{j_1} ^ .. ^ eta_{j_k} = sum_{|A| = k} det xi[J, A] dzb_A, so the part
+    of degree k in xi is sum_{J, A} eps(J) det xi[J, A] dz_{J^c} ^ dzb_A.
+    The minor is expanded by Leibniz: the bijection sigma: J -> A gives the
+    monomial prod_{j in J} xi_{j sigma(j)} with the sign of sigma, (-1) to
+    its inversions.  On W = A^{n,*}, i_xi kills dzb_S, so Omega ^ dzb_S goes
+    to that form wedge dzb_S, and dzb_A ^ dzb_S = (-1)^{#{a in A, s in S:
+    a > s}} dzb_{A + S} for disjoint A and S (0 otherwise).  Names list the
+    dz's, then the dzb's, each increasing, so dz_{J^c} ^ dzb_{A + S} is a
+    basis name with sign 1.
+
+    The letters have degree 0, so the part of degree k is
+    (1/k!) p_k(xi, .., xi) = sum_T (xi^T / stab(T)) p_k(T), and p_k(T) is
+    stab(T) times the coefficient of the monomial xi^T, the polarization.
+    The monomials of a minor are squarefree, so stab(T) = 1 wherever that
+    coefficient is nonzero, and every other word gets nothing."""
+    places = range(1, n + 1)
+    subsets = [S for r in range(n + 1) for S in itertools.combinations(places, r)]
+
+    def name(dz, dzb):
+        return "^".join(["dz%d" % i for i in dz] + ["dzb%d" % a for a in sorted(dzb)]) or "one"
+
+    out: dict = {}
+    for J in itertools.combinations(places, k):
+        eps = (-1) ** sum(1 for j in J for i in places if i > j and i not in J)
+        rest = [i for i in places if i not in J]
+        for A in itertools.combinations(places, k):
+            for image in itertools.permutations(A):
+                det = (-1) ** sum(1 for p, q in itertools.combinations(image, 2) if p > q)
+                word = tuple(sorted(("t%db%d" % ja for ja in zip(J, image)), key=index.get))
+                vec = out.setdefault(word, {})
+                for S in subsets:
+                    if not set(A) & set(S):
+                        sign = (-1) ** sum(1 for a in A for s in S if a > s)
+                        vec["%s<-%s" % (name(rest, A + S), name(places, S))] = eps * det * sign
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_minimal_period_map_of_the_flat_torus_is_its_minors(n):
+    # p_k of the flat n-torus is the polarization of the k x k minors of xi
+    # times the complementary forms (_torus_minors), on every sorted word of
+    # degree-0 letters, for every k <= n
+    pkg, cartan, fpd = torus_package(n)
+    P = minimal_period_map(pkg, cartan, max_weight=n)
+    space = P.source.space
+    for k in range(1, n + 1):
+        got = {word: vec for word, vec in P.taylor[k].entries.items()
+               if all(space.degree[x] == 0 for x in word)}
+        assert got == _torus_minors(n, k, space.index), (n, k)
+        assert got
 
 
 @pytest.mark.parametrize("fixture", ["torus", "synthetic0", "synthetic2"])
@@ -539,7 +621,7 @@ def _period_point_block(pkg, cartan, xi) -> dict:
     top, low, _ = _harmonic_hom(pkg, pkg.n)
     op = ArtinMap.from_graded(xi.ring, pkg.pi).compose(i_xi.exp()).compose(iota_xi)
     return {(name, mono): c for mono, gm in op.coeffs.items()
-            for name, c in _restrict_to_hom(gm, top, low).items()}
+            for name, c in _restrict_to_hom(gm.entries, top, low).items()}
 
 
 @pytest.mark.parametrize("fixture", ["torus:2", "torus:3", "synthetic:0", "synthetic:1",
@@ -575,7 +657,7 @@ def _graph_coordinate(fpd, xi) -> dict:
     N = Pperp.compose(E.plus(ArtinMap.identity(ring, fpd.cartan.V), -1)).compose(Pperp)
     op = P.compose(E).compose(Pperp).compose(N.scaled(-1).geometric_series())
     return {(name, mono): c for mono, gm in op.coeffs.items()
-            for name, c in _restrict_to_hom(gm, fpd.w_names, fpd.a_names).items()}
+            for name, c in _restrict_to_hom(gm.entries, fpd.w_names, fpd.a_names).items()}
 
 
 @pytest.mark.parametrize("fixture", ["torus:2:1", "torus:2:2", "synthetic:0"])
@@ -845,7 +927,7 @@ def _reference_split_taylor(fpd, source, target_space, max_weight):
                                 cur = c.i[x].compose(cur)
                             cur = fpd.P.compose(cur)
                             pos -= size
-                        lin_acc(acc, _restrict_to_hom(cur, fpd.w_names, fpd.a_names),
+                        lin_acc(acc, _restrict_to_hom(cur.entries, fpd.w_names, fpd.a_names),
                                 eps * coeff)
             if acc:
                 pk.add_entry(word, acc)
@@ -870,7 +952,7 @@ def _reference_contraction_sum(pkg, cartan, word, head, w_names, a_names):
         for x in reversed(perm[:head]):
             cur = cartan.i[x].compose(cur)
         cur = pkg.pi.compose(cur)
-        lin_acc(acc, _restrict_to_hom(cur, w_names, a_names), koszul_sign(sigma, degs))
+        lin_acc(acc, _restrict_to_hom(cur.entries, w_names, a_names), koszul_sign(sigma, degs))
     return acc
 
 
@@ -921,15 +1003,15 @@ def _reference_derived_q2(V, d, w_names, a_names):
     for n1 in hom.names:
         comm = d.commutator(realized[n1])
         for n2 in hom.names:
-            vec = _restrict_to_hom(comm.compose(realized[n2]), w_names, a_names)
+            vec = _restrict_to_hom(comm.compose(realized[n2]).entries, w_names, a_names)
             if vec:
                 out[n1, n2] = vec
     return out
 
 
 def _oracle_fixture(name):
-    if name == "torus2":
-        return torus_package(2)
+    if name.startswith("torus"):
+        return torus_package(int(name[-1]))
     if name.startswith("synthetic"):
         return synthetic_package(int(name[-1]))
     if name == "lambda021":
@@ -1021,9 +1103,11 @@ def test_graded_space_equality_is_by_value():
 # (fixture, weight, the letters its nonzero words exercise).  The torus and
 # lambda draws have odd letters in L[1], and the synthetic ones words that
 # repeat an even letter, so both the Koszul sign and the multiplicity weight
-# of a cut are covered.
+# of a cut are covered.  torus3 reaches words of three letters, and
+# lambda021 (W = A^{>=2}, not all of V) a walk that reaches rows outside W.
 PULL_FIXTURES = [
-    ("torus2", 4, "odd"), ("lambda331", 3, "odd"), ("lambda732", 3, "odd"),
+    ("torus2", 4, "odd"), ("torus3", 3, "odd"), ("lambda021", 4, "odd"),
+    ("lambda331", 3, "odd"), ("lambda732", 3, "odd"),
     ("synthetic0", 4, "repeated even"), ("synthetic1", 4, "repeated even"),
     ("synthetic2", 4, "repeated even"),
 ]
@@ -1130,38 +1214,33 @@ def test_harmonic_quasi_inverse_matches_pull_oracle(seed):
     assert any(deg[x] % 2 for f in G.taylor.values() for w in f.entries for x in w)
 
 
-# GradedMap.compose calls per builder: case -> (fixture, weight, bound); the
-# comments give the count of the chain-per-term loops, of the suffix-memo
-# builders, of the builder whose target q2 reads [d, f1] without composing,
-# and of the sub-word builders pushed from their nonzero memo entries.  A
-# return to work per ordering fails "split torus2 at 5" by two orders of
-# magnitude.
-COMPOSE_BOUNDS = {
-    "split synthetic0": ("synthetic0", 4, 100),   # 7,056 -> 418 -> 163 -> 82
-    "split torus2": ("torus2", 3, 550),           # 13,537 -> 4,405 -> 2,005 -> 461
-    "split torus2 at 5": ("torus2", 5, 600),      # 125,069 -> 511
-    "minimal torus2": ("torus2", 3, 140),         # 5,225 -> 1,773 -> 112
-    "yukawa torus2": ("torus2", 4, 100),          # 17,561 -> 4,131 -> 82
+# Vector pushes of hodge's walk per builder: case -> (fixture, weight, bound).
+# The comments give the GradedMap.compose calls of the chain-per-term loops,
+# of the suffix-memo builders, of the builder whose target q2 reads [d, f1]
+# without composing, and of the sub-word builders pushed from their nonzero
+# memo entries, then the pushes of the walk from W's basis vectors, which
+# composes nothing.  Work per ordering makes at least one push per chain
+# term it composed, so "split torus2 at 5" would fail its bound by more than
+# two orders of magnitude.
+PUSH_BOUNDS = {
+    "split synthetic0": ("synthetic0", 4, 25),    # 7,056 -> 418 -> 163 -> 82 -> 21 pushes
+    "split torus2": ("torus2", 3, 150),           # 13,537 -> 4,405 -> 2,005 -> 461 -> 134
+    "split torus2 at 5": ("torus2", 5, 150),      # 125,069 -> 511 -> 134
+    "minimal torus2": ("torus2", 3, 80),          # 5,225 -> 1,773 -> 112 -> 68
+    "yukawa torus2": ("torus2", 4, 60),           # 17,561 -> 4,131 -> 82 -> 50
 }
 
 
-@pytest.mark.parametrize("case", sorted(COMPOSE_BOUNDS))
+@pytest.mark.parametrize("case", sorted(PUSH_BOUNDS))
 def test_chain_builders_share_suffixes(case, monkeypatch):
     builder = case.split()[0]
-    fixture, weight, bound = COMPOSE_BOUNDS[case]
+    fixture, weight, bound = PUSH_BOUNDS[case]
     pkg, cartan, fpd = _oracle_fixture(fixture)
-    calls = [0]
-    compose = GradedMap.compose
-
-    def counted(self, other):
-        calls[0] += 1
-        return compose(self, other)
-
-    monkeypatch.setattr(GradedMap, "compose", counted)
+    pushes, compositions = _count_pushes(monkeypatch)
     if builder == "split":
         split_period_map(fpd, max_weight=weight)
     elif builder == "minimal":
         minimal_period_map(pkg, cartan, max_weight=weight)
     else:
         yukawa_model(pkg, cartan, max_weight=weight)
-    assert 0 < calls[0] <= bound, calls[0]
+    assert compositions == [] and 0 < len(pushes) <= bound, len(pushes)

@@ -6,8 +6,9 @@ every true division sits on a reviewed site, the word-by-word pull path,
 its memos, the per-word nested products and the test-only fixtures stay
 out of the library, sorted words are merged, not re-sorted, no library
 function enumerates basis words, every Taylor-map builder stores each arity
-through the one checked write, MultilinearMap.store, the period-map sums
-are pushed in place, with no commutator, per-entry write or GradedMap copy,
+through the one checked write, MultilinearMap.store, the period-map chains
+are pushed in place from W's basis vectors, with no commutator, per-entry
+write, GradedMap copy or composition,
 hom-space names are built, never parsed, with [d, -] pushed by one
 function, every walk over a product or bracket pushes from one table per
 operation, a Cartan homotopy's l_x is built once, into the table that every
@@ -228,8 +229,9 @@ def test_no_basis_word_enumeration_in_library():
 # Every walk over an arity-2 operation reads one int push table, built by
 # graded.right_products from the operation's stored entries: its grow is the
 # grow of graded.prefix_products, and its times multiplies two vectors.  No
-# walk pulls one letter at a time (the retired `step`), every other
-# prefix_products call passes a compose loop (a lambda), and in cocone.py
+# walk pulls one letter at a time (the retired `step`), every prefix_products
+# call passes such a grow (hodge's walks push vectors, with no compose loop),
+# and in cocone.py
 # only cocone_associative's one-off table multiplies through DgAlgebra.mul,
 # apply_vectors or the stored entries of a product or bracket.
 PUSH_TABLE_SITES = {("graded", "right_products")}
@@ -256,9 +258,9 @@ def test_walks_push_from_one_table_per_operation():
         ONE_OFF_PRODUCT_SITES
     walks = [call for p in MODULES for call in ast.walk(_tree(p)) if isinstance(call, ast.Call)
              and _names(call.func) == {"prefix_products"}]
-    assert len(walks) == 9
+    assert len(walks) == 7
     assert {type(call.args[0]).__name__ + ":" + getattr(call.args[0], "id", "")
-            for call in walks} == {"Name:grow", "Lambda:"}
+            for call in walks} == {"Name:grow"}
     # every grow in cocone.py is unpacked from a right_products call
     grows = [node.value for node in ast.walk(_tree(cocone)) if isinstance(node, ast.Assign)
              and "grow" in _names(node.targets[0])]
@@ -323,16 +325,30 @@ def test_cocone_builders_write_in_bulk(name):
 
 
 # The period-map layer pushes from the nonzeros: derived_hom_structure reads
-# both arities straight from d's entries, and _cut_sums sums each operator
-# chain into one entries dict per word.  Neither builds a commutator, writes
-# entry by entry, or copies a running GradedMap through add or scale.
-IN_PLACE_SITES = {("hodge", "derived_hom_structure"), ("hodge", "_cut_sums")}
+# both arities straight from d's entries, and the period maps walk from W.
+# Every chain is a table of vectors on the basis of W, pushed by the one walk
+# hodge._push into one entries dict per word, to the heads indexed by the
+# row they read.  No walk site builds a commutator, writes entry by entry,
+# copies a running GradedMap through add or scale, composes a GradedMap or
+# calls graded.prefix_products, and the GradedMap cut sums stay gone.
+WALK_SITES = {("hodge", name) for name in (
+    "_push", "_walk", "_reach", "_propagator_words", "_contraction_words",
+    "split_period_map", "yukawa_model_v2")}
+IN_PLACE_SITES = {("hodge", "derived_hom_structure")} | WALK_SITES
 
 
 @pytest.mark.parametrize("name", ["commutator", "set_entry", "add", "scale"])
 def test_period_sums_push_from_nonzeros_in_place(name):
     assert {scope for _, scope in IN_PLACE_SITES} <= _defined(_tree(SRC / "hodge.py"))
     assert _call_sites(SRC / "hodge.py", name) & IN_PLACE_SITES == set()
+
+
+def test_period_maps_walk_from_w():
+    hodge = _tree(SRC / "hodge.py")
+    assert {scope for _, scope in WALK_SITES} <= _defined(hodge)
+    assert "_cut_sums" not in _names(hodge) | _defined(hodge)
+    for name in ("compose", "prefix_products"):
+        assert _call_sites(SRC / "hodge.py", name) & WALK_SITES == set()
 
 
 # A Cartan homotopy derives l_x = [d_V, i_x] + i_{d_L x} once, on
