@@ -275,7 +275,10 @@ def cmd_mc(args):
 
 def cmd_period(args):
     mw = args.max_weight
-    pkg, cartan, fpd = _example_period_data(args.example or "synthetic:0", p=args.p)
+    example = args.example or "synthetic:0"
+    if args.p is not None and (args.kind == "minimal" or example.startswith("synthetic")):
+        raise MalformedInput("--p is read only by period split on torus and lambda examples")
+    pkg, cartan, fpd = _example_period_data(example, p=args.p)
     if args.kind == "split":
         P, _ = split_period_map(fpd, max_weight=mw)
     elif pkg is None:

@@ -11,7 +11,10 @@ entry of the outer family is carried back through an inverse index of the
 inner one (push_insertion, push_product), so only words with a nonzero term
 are visited, as in Gustavson's sparse product.  The product kernel fills a
 range of weights in one walk of the sorted keys over a stack of prefix
-tables, so keys that share a prefix share its expansion.  The flavor
+tables, so keys that share a prefix share its expansion.  These kernels
+expand the keys of a Taylor family, not a chain of one operation, so they
+keep their own int loops; every chain of products, brackets or operators
+grows through graded's one walk, graded.push.  The flavor
 matters where a word of blocks becomes a basis word: concatenation in T(V),
 the sorted word with its Koszul sign and multiplicity weight in S(V).  The
 terms are summed as plain ints: each family is multiplied by the lcm D of

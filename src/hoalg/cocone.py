@@ -3,7 +3,9 @@
 All constructions live on two-block spaces with uniform prefixes: `a:` for
 the first factor, `b:` for the second.  Cocones of f: L -> M sit on
 L[1] x M (a = shifted source, b = target); fiber products sit on
-A x L[1] (a = abelian complement, b = shifted base).
+A x L[1] (a = abelian complement, b = shifted base).  Every product and
+bracket chain is pushed from the nonzeros by graded's one walk
+(graded.walk), through the operation's push table (graded.right_products).
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from .coalg import (
 from .graded import (
     A_PRE, B_PRE, Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap,
     RejectedInput, Report, SYMMETRIC, TENSOR, bernoulli,
-    coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
-    linear_part, map_right_inverse, merge_words, multilinear_from_graded_map, pair_space,
-    prefix_products, prefix_vector, prefixed, right_products, scaled_ints, sign_pow,
-    sym_normalize, unscaled,
+    basis_rows, concat, coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
+    linear_part, map_right_inverse, merge_join, multilinear_from_graded_map, pair_space,
+    prefix_vector, prefixed, right_products, scaled_ints, sign_pow, sorted_join,
+    sym_normalize, unscaled, walk,
 )
 
 
@@ -51,21 +53,22 @@ def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStru
     entry, and every other mixed key none, so it is a cocone only when given
     every name.
 
-    S(v, T) is grown one letter at a time from S(v, ()) = v: each sorted word
-    S and letter b with [S(v, S), b] != 0 add
+    S(v, T) is grown one letter at a time from S(v, ()) = v, for every x at
+    once: graded.walk, with one row per x, pushes through the heads of
+    graded.right_products(M.bracket) over the letters in `targets`, and each
+    sorted word S and letter b with [S(f(x), S), b] != 0 add
 
-        weight [S(v, S), b]  at  T = sort(S + b),
+        weight [S(f(x), S), b]  at  T = sort(S + b),
 
-    with (T, weight) = merge_words(S, (b,), ..): the Koszul sign of moving b
-    past the larger odd letters of S times mult_T(b), the positions of T
-    that b can fill last, so a repeated (even) letter counts with its
-    multiplicity.  Each word makes one push, the grow of
-    graded.right_products(M.bracket): every nonzero [S(v, S), b] at once, from
-    the names of S(v, S); each (S, b) is merged once for all the letters x.
-    Words are grown only up to the last weight whose Bernoulli number is
-    nonzero, in plain int sums, level k at E D^k S(f(x), T) for the lcms E,
-    D of the denominators of f and the bracket; arity k + 1 is stored once,
-    with the factor -(B_k/k!) / (E D^k), which drops the sums that cancel.
+    with (T, weight) = merge_words(S, (b,), ..), the right-merge join: the
+    Koszul sign of moving b past the larger odd letters of S times mult_T(b),
+    the positions of T that b can fill last, so a repeated (even) letter
+    counts with its multiplicity.  Each (S, b) is merged once for all the
+    letters x.  Words are grown only up to the last weight whose Bernoulli
+    number is nonzero, in plain int sums, level k at E D^k S(f(x), T) for the
+    lcms E, D of the denominators of f and the bracket; arity k + 1 is stored
+    once, with the factor -(B_k/k!) / (E D^k), which drops the sums that
+    cancel.
     """
     L, M = f.source, f.target
     space = pair_space(L.space.shifted(1), M.space)
@@ -73,31 +76,17 @@ def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStru
     q2 = MultilinearMap(space, space, 1, 2, SYMMETRIC).store(
         prefixed(shifted_products(L.bracket, SYMMETRIC), A_PRE))
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
-    scale, grow, _ = right_products(M.bracket)
+    scale, heads, _ = right_products(M.bracket, targets)
     fscale, fx = scaled_ints({1: f.map}, 1)
+    levels = walk([{(): {x: fx[1][x] for x in sources if x in fx[1]}}], heads,
+                  merge_join(M.space, right=True), max(coeffs, default=0))
     bkey = {m: B_PRE + m for m in M.space.names}
-    letters, merged = dict.fromkeys(targets), {}
-    words = {k: {} for k in coeffs}
-    for x in sources:
-        level, ax = ({(): fx[1][x]} if x in fx[1] else {}), (A_PRE + x,)
-        for k in range(1, max(coeffs, default=0) + 1):
-            grown: dict = {}
-            for S, v in level.items():
-                merges = merged.setdefault(S, {})
-                for b, vb in grow(v, letters):
-                    if b not in merges:
-                        merges[b] = merge_words(S, (bkey[b],), space.index, space.degree)
-                    if merges[b]:
-                        T, weight = merges[b]
-                        acc = grown.setdefault(T, {})
-                        for y, c in vb.items():
-                            acc[y] = acc.get(y, 0) + weight * c
-            level = grown
-            for T, v in level.items() if k in coeffs else ():
-                words[k][ax + T] = {bkey[y]: c for y, c in v.items()}
     for k, c in coeffs.items():
+        words = {(A_PRE + x,) + bT: {bkey[y]: v for y, v in vec.items()}
+                 for T, rows in levels[k].items() for bT in [tuple(bkey[t] for t in T)]
+                 for x, vec in rows.items()}
         taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
-        taylor[k + 1].store(words[k], c / (fscale * scale ** k))
+        taylor[k + 1].store(words, c / (fscale * scale ** k))
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 
@@ -141,13 +130,13 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     q_{i+j+1}(b_1..b_i (x) a (x) b_{i+1}..b_{i+j}) =
     (B_{i+j}/(i! j!)) (-1)^{i+1+|b_1|+..+|b_i|} b_1..b_i f(a) b_{i+1}..b_{i+j}.
 
-    The products grow prefix by prefix from the nonzero ones: one table of
-    front products b_1..b_i, the mids b_1..b_i f(a), and the backs grown
-    from the mids, up to the last weight i + j whose Bernoulli number is
-    nonzero.  They are ints, E D^w times the true products of w letters and
-    f(a) for the lcms E, D of the denominators of f and B's product; weight
-    w is stored once, with C(w, i) (-1)^{..} on each word and the factor
-    (B_w/w!) / (E D^w).
+    The products are pushed from the nonzero ones (graded.walk): one walk of
+    the front products b_1..b_i from the basis letters, the mids
+    b_1..b_i f(a), and one walk of the backs from the mids, up to the last
+    weight i + j whose Bernoulli number is nonzero.  They are ints, E D^w
+    times the true products of w letters and f(a) for the lcms E, D of the
+    denominators of f and B's product; weight w is stored once, with
+    C(w, i) (-1)^{..} on each word and the factor (B_w/w!) / (E D^w).
     """
     A, B = f.source, f.target
     space = pair_space(A.space.shifted(1), B.space)
@@ -157,24 +146,27 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     weights = [w for w in range(1, max_weight) if bernoulli(w)]     # w = i + j
     words = {w: {} for w in weights}
     top = max(weights, default=0)
-    scale, grow, times = right_products(B.product)
-    fronts = [{(): None}] + prefix_products(
-        grow, {(b,): {b: 1} for b in B.space.names}, B.space.names, top - 1)
+    scale, heads, times = right_products(B.product)
+    fronts = walk([basis_rows(B.space.names)], heads, concat, top - 1)
     fscale, fmaps = scaled_ints({1: f.map}, 1)
     fxs = {x: fmaps[1][x] for x in A.space.names if x in fmaps[1]}
     pa = {x: A_PRE + x for x in A.space.names}      # one name object per letter
     pb = {b: B_PRE + b for b in B.space.names}
     for i in range(top + 1):
-        # mids u f(a) keyed b_1..b_i a, grown into b_1..b_i a b_{i+1}..b_{i+j}
-        mids = {front + (x,): mid for x, fx in fxs.items() for front, u in fronts[i].items()
-                if (mid := times(u, fx) if front else fx)}
-        backs = prefix_products(grow, mids, B.space.names, top - i)
+        # mids u f(a) keyed b_1..b_i a, one row each of the walk that grows
+        # them into b_1..b_i a b_{i+1}..b_{i+j}; fronts[i - 1] holds b_1..b_i
+        # on row b_1
+        mids = {(b,) + S + (x,): mid for S, rows in fronts[i - 1].items()
+                for b, u in rows.items() for x, fx in fxs.items()
+                if (mid := times(u, fx))} if i else {(x,): fx for x, fx in fxs.items()}
+        backs = walk([{(): mids}], heads, concat, top - i)
         for w in [w for w in weights if w >= i]:
-            for word, out in backs[w - i].items():
-                sgn = comb(w, i) * sign_pow(i + 1 + sum(B.space.degree[b] for b in word[:i]))
-                key = tuple(pb[b] for b in word[:i]) + (pa[word[i]],) + \
-                    tuple(pb[b] for b in word[i + 1:])
-                words[w][key] = {pb[y]: sgn * c for y, c in out.items()}
+            for back, rows in backs[w - i].items():
+                for mid, out in rows.items():
+                    sgn = comb(w, i) * sign_pow(i + 1 + sum(B.space.degree[b] for b in mid[:i]))
+                    key = tuple(pb[b] for b in mid[:i]) + (pa[mid[i]],) + \
+                        tuple(pb[b] for b in back)
+                    words[w][key] = {pb[y]: sgn * c for y, c in out.items()}
     for w in weights:
         taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR)).store(
             words[w], bernoulli(w) / (factorial(w) * fscale * scale ** w))
@@ -186,11 +178,11 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     Bernoulli-bracket and the associative cocone models.
 
     e_k and l_k vanish off the all-b words and multiply the b-components with
-    coefficients 1/k! and (-1)^{k+1}/k respectively; both read one table of
-    the nonzero products b_1..b_k, grown in ints at D^{k-1} times the true
-    products (D the lcm of the denominators of B's product), and store each
-    arity once with the factor 1/(k! D^{k-1}) or (-1)^{k+1}/(k D^{k-1}); for
-    k = 1 both are the identity.
+    coefficients 1/k! and (-1)^{k+1}/k respectively; both read one walk of
+    the nonzero products b_1..b_k from the basis letters, in ints at D^{k-1}
+    times the true products (D the lcm of the denominators of B's product),
+    and store each arity once with the factor 1/(k! D^{k-1}) or
+    (-1)^{k+1}/(k D^{k-1}); for k = 1 both are the identity.
     `cocones` is the pair (fm_cocone_assoc, decalage of cocone_associative)
     of f at max_weight when the caller holds it already, as
     derived_products_model returns it; else it is built.
@@ -203,13 +195,13 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
     if cinf.space != cas.space:
         raise MalformedInput("cocone spaces disagree")
     space = cinf.space
-    scale, grow, _ = right_products(B.product)
-    products = prefix_products(grow, {(b,): {b: 1} for b in B.space.names},
-                               B.space.names, max_weight - 1)
+    scale, heads, _ = right_products(B.product)
+    products = walk([basis_rows(B.space.names)], heads, concat, max_weight - 1)
     pb = {b: B_PRE + b for b in B.space.names}      # one name object per letter
     words = [{(n,): {n: 1} for n in space.names}] + [
-        {tuple(pb[b] for b in word): {pb[y]: c for y, c in vec.items()}
-         for word, vec in level.items()}
+        {(pb[b],) + bS: {pb[y]: c for y, c in vec.items()}
+         for S, rows in level.items() for bS in [tuple(pb[a] for a in S)]
+         for b, vec in rows.items()}
         for level in products[1:]]
 
     def word_maps(coeff_fn, source, target):
@@ -326,7 +318,7 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     # q1 = Pd, f1 and g1 are the linear maps of the cocone contraction
     contraction = cocone_contraction(split, inclusion, cinf.space)
     Csp = contraction.small
-    scale, grow, times = right_products(amb.product)
+    scale, heads, times = right_products(amb.product)
     prods = {w: times(amb.d.value(w[0]), {w[1]: 1})
              for w in itertools.product(split.complement_names, repeat=2)}
     q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR).store(
@@ -339,17 +331,18 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
     F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
     F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
-    prefixes = prefix_products(grow, {(a,): {a: 1} for a in amb.space.names},
-                               amb.space.names, max_weight - 1)
-    bwords, comp = {w: tuple(B_PRE + b for b in w) for ws in prefixes for w in ws}, set(Csp.names)
+    # levels[n] holds the products a w_1..w_n, on row a, at D^n
+    levels = walk([basis_rows(amb.space.names)], heads, concat, max_weight - 1)
+    bwords, comp = {S: tuple(B_PRE + b for b in S) for ws in levels for S in ws}, set(Csp.names)
 
     def g_taylor(c):
         """g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term
         without the product (so g_1 = P: c(1) = 1), pushed from the nonzero
-        prefix products u = w_1..w_m (at D^{m-1} times their value) and the
+        products w_1..w_m b of the walk, at D^m times their value, and the
         ints g_j at their own scales S_j, indexed by letter, tails[j] = {b:
-        [(word, g_j(word)_b)]}: u . g_j sums the pushes grow(u, tails[j]), at
-        D^m S_j times its term.  Arity k is lifted to one S_k, stored once."""
+        [(word, g_j(word)_b)]}: each product whose last letter b starts a
+        nonzero g_j adds its terms at D^m S_j times their value.  Arity k is
+        lifted to one S_k, stored once."""
         taylor, scales, tails = {}, {}, {0: {None: [((), 1)]}}      # tails[0]: m = k
         for k in range(1, max_weight + 1):
             terms = [(m, Fraction(c(m)), scale ** m * scales[k - m] if m < k else scale ** (k - 1))
@@ -358,20 +351,20 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
             acc: dict = {}
             for m, cm, s in terms:
                 lift, index = cm.numerator * (scales[k] // (cm.denominator * s)), tails[k - m]
-                for word, vec in prefixes[m - 1].items():
-                    for b, pv in grow(vec, index) if m < k else [(None, vec)]:
-                        pv = [(y, v) for y, v in pv.items() if y in comp]
+                # w_1..w_m b for m < k, at level m; the product w_1..w_k for m = k
+                for S, rows in levels[min(m, k - 1)].items():
+                    b, front = (S[-1], bwords[S[:-1]]) if m < k else (None, bwords[S])
+                    for a, vec in rows.items() if b in index else ():
+                        pv = {y: v for y, v in vec.items() if y in comp}
                         for tword, cb in index[b] if pv else ():
-                            row = acc.setdefault(bwords[word] + tword, {})
-                            for y, v in pv:
-                                row[y] = row.get(y, 0) + lift * cb * v
+                            lin_acc(acc.setdefault((B_PRE + a,) + front + tword, {}), pv,
+                                    lift * cb)
             taylor[k] = MultilinearMap(cinf.space, Csp, 0, k, TENSOR).store(
                 acc, Fraction(1, scales[k]))
             tails[k] = {}
             for tword, row in acc.items():
                 for b, cb in row.items():
-                    if cb:
-                        tails[k].setdefault(b, []).append((tword, cb))
+                    tails[k].setdefault(b, []).append((tword, cb))
         return taylor
 
     G_as = OoMorphism(cas, structure, g_taylor(lambda m: sign_pow(m + 1)))
@@ -449,11 +442,12 @@ def voronov_brackets(split: Splitting, max_weight: int = 6):
     Asp = split.complement_space()
     structure = OoStructure(Asp, SYMMETRIC, _derived_brackets(split, max_weight), max_weight)
     action = CoderAction(M.space.shifted(1), Asp)
-    scale, grow, _ = right_products(M.bracket)
-    for m in M.space.names:
-        for n, level in enumerate(prefix_products(grow, {(): lin_single(m)},
-                                                  split.complement_names, max_weight, Asp.degree)):
-            for word, vec in level.items():
+    # one sorted walk from every m, [...[m, a_1]..., a_n] on row m at D^n
+    scale, heads, _ = right_products(M.bracket, split.complement_names)
+    levels = walk([basis_rows(M.space.names)], heads, sorted_join(Asp, right=True), max_weight)
+    for n, level in enumerate(levels):
+        for word, rows in level.items():
+            for m, vec in rows.items():
                 pv = unscaled(split.P.apply(vec), scale ** n)
                 if pv:
                     action.set((m,), word, pv)
@@ -465,11 +459,12 @@ def _derived_brackets(split: Splitting, max_weight: int) -> dict:
     a_k] on the complement A (k = 1 gives P d a), from one sorted walk."""
     M = split.ambient
     Asp = split.complement_space()
-    first = {(a,): M.d.value(a) for a in split.complement_names if M.d.value(a)}
-    scale, grow, _ = right_products(M.bracket)
-    levels = prefix_products(grow, first, split.complement_names, max_weight - 1, Asp.degree)
+    first = {(a,): {a: M.d.value(a)} for a in split.complement_names if M.d.value(a)}
+    scale, heads, _ = right_products(M.bracket, split.complement_names)
+    levels = walk([first], heads, sorted_join(Asp, right=True), max_weight - 1)
     return {k: MultilinearMap(Asp, Asp, 1, k, SYMMETRIC).store(
-                {word: split.P.apply(vec) for word, vec in level.items()},
+                {word: split.P.apply(vec)
+                 for word, rows in level.items() for vec in rows.values()},
                 Fraction(1, scale ** (k - 1)))
             for k, level in enumerate(levels[:max_weight], 1)}
 
@@ -584,24 +579,23 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
     space = pair_space(Asp, base.space)
     adeg = Asp.degree
     xdeg = base.space.degree
-    scale, grow, _ = right_products(M.bracket)
-    # pure-A words: the derived brackets; pure-x words: base q_k here,
-    # P s f_k at level 0 of the walks below
+    scale, heads, _ = right_products(M.bracket, split.complement_names)
+    # pure-A words: the derived brackets; pure-x words: base q_k here, and
+    # P s f_k where the walk below starts
     words = _pure_words(_derived_brackets(split, max_weight), base.taylor, max_weight)
-    for j, fj in F.taylor.items():
-        for xword, sf in fj.entries.items() if j <= max_weight else ():
-            xkey = tuple(B_PRE + x for x in xword)
-            xsum = sum(xdeg[x] for x in xword)
-            # mixed words P[...[s f_j(x's), a_1]..., a_n]: one walk per entry
-            levels = prefix_products(grow, {(): sf}, split.complement_names,
-                                     max_weight - j, adeg)
-            for n, level in enumerate(levels):
-                for aword, vec in level.items():
-                    val = unscaled(split.P.apply(vec), scale ** n)
-                    # formula order (x-block, a-block); canonical is (a, x)
-                    sw = sum(adeg[a] for a in aword) * xsum
-                    lin_acc(words[j + n].setdefault(tuple(A_PRE + a for a in aword) + xkey, {}),
-                            prefix_vector(val, A_PRE), sign_pow(sw))
+    # mixed words P[...[s f_j(x's), a_1]..., a_n]: one sorted walk by weight
+    # j + n, each entry of f_j entering on its own row at level j, at D^n
+    seeds = [{}] + [{(): F.taylor[j].entries} if j in F.taylor else {}
+                    for j in range(1, max_weight + 1)]
+    levels = walk(seeds, heads, sorted_join(Asp, right=True), max_weight)
+    for k, level in enumerate(levels):
+        for aword, rows in level.items():
+            akey, asum = tuple(A_PRE + a for a in aword), sum(adeg[a] for a in aword)
+            for xword, vec in rows.items():
+                val = unscaled(split.P.apply(vec), scale ** len(aword))
+                # formula order (x-block, a-block); canonical is (a, x)
+                lin_acc(words[k].setdefault(akey + tuple(B_PRE + x for x in xword), {}),
+                        prefix_vector(val, A_PRE), sign_pow(asum * sum(xdeg[x] for x in xword)))
     taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
               for k, table in words.items()}
     return OoStructure(space, SYMMETRIC, taylor, max_weight)

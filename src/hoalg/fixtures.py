@@ -19,8 +19,8 @@ from .coalg import (
     end_preserving_sub_dgla,
 )
 from .graded import (
-    Contraction, GradedMap, GradedSpace, MultilinearMap, RejectedInput, TENSOR,
-    append_row, echelon, hom_space, lin_acc, lin_single, reduce_rows,
+    Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
+    TENSOR, append_row, echelon, hom_space, lin_acc, lin_single, reduce_rows,
 )
 from .hodge import CartanHomotopy, ExteriorModel, FormalPeriodData, check_cartan
 
@@ -152,8 +152,11 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
     (the higher derived brackets vanish because [i, i] = 0).  Returns
     (CartanHomotopy, FormalPeriodData with W = A^{>=p}, ExteriorModel).
     """
-    rng = random.Random("lambda:%d" % seed)
     p = holo if p is None else p
+    if not 1 <= p <= holo:
+        raise MalformedInput("lambda fixture needs 1 <= p <= holo: W = A^{>=p} and its "
+                             "complement must both be nonzero")
+    rng = random.Random("lambda:%d" % seed)
     gens = [("ph%d" % i, (1, 0)) for i in range(1, holo + 1)] + \
            [("ps%d" % i, (0, 1)) for i in range(1, anti + 1)]
     model = ExteriorModel(gens)

@@ -6,9 +6,11 @@ deterministic sparse elimination.  Every Koszul-signed sum over the
 orderings of a word in the package is pushed to the sorted word, and that
 word is always the merge of two sorted words: `merge_words` gives it with
 its weight, the Koszul sign of the merge times the number of ways to pick
-the second word out of it.  Every left-nested product of basis letters, of
-vectors (`right_products`) or of GradedMaps, is grown letter by letter by
-`prefix_products`.
+the second word out of it.  Every left-nested chain, of products and
+brackets (`right_products`) or of operators, is pushed letter by letter from
+its nonzeros by the one walk, `push`, through a row index of heads and a
+join that names each grown word and its weight; `walk` runs it level by
+level.
 All arithmetic is exact: every stored coefficient is an `int` when it is
 integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
 Every built multilinear map is written through one checked write,
@@ -209,53 +211,111 @@ def unscaled(vec: dict, scale: int) -> dict:
     return {n: exact(Fraction(v, scale)) for n, v in vec.items()}
 
 
-def prefix_products(grow, first: dict, letters, top: int, degree=None) -> list:
-    """levels[0..top] of the left-nested products u a_1 .. a_n.
+# ---------------------------------------------------------------------------
+# the one letter-by-letter walk: every left-nested chain of the package, of
+# products, brackets or operators, is pushed from the nonzeros (Gustavson)
 
-    levels[0] = first, a {word: value} table, and levels[n] holds w + (a,): v
-    for every entry (w, u) of levels[n - 1] and pair (a, v) of grow(u,
-    allowed), the nonzero products v of u by the letters a of `allowed` (a
-    dict, in `letters` order) in that order, so a vanishing prefix cuts its
-    whole subtree.  The values are vectors (`right_products`) or GradedMaps
-    (a compose loop over the allowed letters).  With `degree` given the words
-    grow as sorted symmetric words: a letter comes at or after the word's
-    last letter in `letters` order, and no odd letter repeats.  Parents keep
-    their order.
-    """
-    letters = tuple(letters)
-    after = {a: dict.fromkeys(b for b in letters[i:] if b != a or not degree[a] % 2)
-             for i, a in enumerate(letters)} if degree is not None else {}
-    levels, every = [first], dict.fromkeys(letters)
-    for _ in range(top):
-        levels.append({w + (a,): v for w, u in levels[-1].items()
-                       for a, v in grow(u, after[w[-1]] if w and after else every)})
+
+def push(tails: dict, heads: dict, join, coeff=1, acc=None) -> dict:
+    """One step of the walk.  A chain table is {S: {s: vector}}, one vector
+    per source s.  Each coefficient c at a name y of tails[S][s] is pushed to
+    the heads (B, v) in heads[y] (`by_row`) only, adding coeff w c . v to
+    acc[T][s] in place, where (T, w) = join(B, S), joined once per cut, and
+    None means no term.  For a merge join (`merge_join`), w(B, T) is the
+    Koszul sign of the merge times the number of ways to pick B out of T: if
+    heads sum the signed orderings of B and tails those of S, acc[T] sums
+    those of T, grouped by the content of B.  A vector that cancels stays
+    empty and pushes nothing."""
+    acc = {} if acc is None else acc
+    for S, rows in tails.items():
+        cuts: dict = {}
+        for s, vec in rows.items():
+            for y, c in vec.items():
+                for B, v in heads.get(y, ()):
+                    got = cuts[B] if B in cuts else cuts.setdefault(B, join(B, S))
+                    if got is not None:
+                        T, w = got
+                        lin_acc(acc.setdefault(T, {}).setdefault(s, {}), v, coeff * w * c)
+    return acc
+
+
+def walk(seeds: list, heads: dict, join, depth: int) -> list:
+    """levels[0..depth] of the chains pushed level by level through the row
+    index heads: levels[0] = seeds[0], and levels[n] is the push of
+    levels[n - 1] plus the table seeds[n] where given, so a source may enter
+    at the level its own weight starts.  A zero chain cuts its subtree."""
+    levels = [seeds[0]]
+    for n in range(1, depth + 1):
+        level = push(levels[-1], heads, join)
+        for S, rows in seeds[n].items() if n < len(seeds) else ():
+            for s, vec in rows.items():
+                lin_acc(level.setdefault(S, {}).setdefault(s, {}), vec)
+        levels.append(level)
     return levels
 
 
-def right_products(op):
-    """(D, grow, times) for an arity-2 tensor-flavor MultilinearMap op, read
-    from one push table {name: {b: D op(name, b)}} of ints (D the lcm of op's
-    denominators): grow(u, letters), the grow of prefix_products, pushes from
-    u's names every nonzero D op(u, b), b in `letters`, and times(u, v) =
-    D op(u, v), both in plain products with zeros dropped.  So a walk from
-    int vectors stays in ints, its level n at D^n times the true products."""
+def basis_rows(names) -> dict:
+    """{(): {y: e_y}}: the table that walks from the basis vectors e_y."""
+    return {(): {y: {y: 1} for y in names}}
+
+
+def by_row(table: dict, left=None) -> dict:
+    """{y: [(B, vector)]} for a chain table {B: {y: vector}}: each nonzero
+    vector, or its image under the GradedMap left, indexed by its row y, as
+    coalg.preimages indexes a map, so a push reads only the heads it reaches."""
+    rows: dict = {}
+    for B, vecs in table.items():
+        for y, vec in vecs.items():
+            img = vec if left is None else left.apply(vec)
+            if img:
+                rows.setdefault(y, []).append((B, img))
+    return rows
+
+
+def concat(B: tuple, S: tuple) -> tuple:
+    """The join of tensor words grown to the right: S + B, of weight 1."""
+    return S + B, 1
+
+
+def merge_join(space, right=False):
+    """The join of two sorted words of S(space), `merge_words`: the head B in
+    front of the tail S, or behind it when `right`."""
+    index, degree = space.index, space.degree
+    return (lambda B, S: merge_words(S, B, index, degree)) if right else \
+        (lambda B, S: merge_words(B, S, index, degree))
+
+
+def sorted_join(space, right=False):
+    """The join of a sorted word of S(space) grown one letter at a time: the
+    word B + S, or S + B when `right`, of weight 1, where the merge of B and
+    S (merge_words) is that word, else None."""
+    index, degree = space.index, space.degree
+
+    def join(B, S):
+        T = S + B if right else B + S
+        got = merge_words(B, S, index, degree)
+        return (T, 1) if got and got[0] == T else None
+
+    return join
+
+
+def right_products(op, letters=None) -> tuple:
+    """(D, heads, times) for an arity-2 tensor-flavor MultilinearMap op, read
+    from its entries scaled to ints (D the lcm of op's denominators): heads
+    is the row index {u: [((b,), D op(u, b))]} over the letters b in
+    `letters` (default every name), so a push of u's vector appends b to the
+    word with D u b, and times(u, v) = D op(u, v) with zeros dropped.  So a
+    walk from int vectors stays in ints, its level n at D^n times the true
+    products."""
     if op.arity != 2 or op.flavor != TENSOR:
         raise MalformedInput("right products need an arity-2 tensor-flavor map")
     scale, maps = scaled_ints({2: op}, 2)
     table: dict = {}
     for (u, b), vec in maps[2].items():
         table.setdefault(u, {})[b] = vec
-
-    def grow(vec: dict, letters) -> list:
-        out: dict = {}
-        for n, c in vec.items():
-            for b, col in table.get(n, {}).items():
-                if b in letters:
-                    acc = out.setdefault(b, {})
-                    for y, v in col.items():
-                        acc[y] = acc.get(y, 0) + c * v
-        return [(b, row) for b in letters if b in out
-                and (row := {y: v for y, v in out[b].items() if v})]
+    keep = set(op.source.names if letters is None else letters)
+    heads = {u: hs for u, row in table.items()
+             if (hs := [((b,), vec) for b, vec in row.items() if b in keep])}
 
     def times(u: dict, v: dict) -> dict:
         out: dict = {}
@@ -266,7 +326,7 @@ def right_products(op):
                     out[y] = out.get(y, 0) + c * cb * w
         return {y: w for y, w in out.items() if w}
 
-    return scale, grow, times
+    return scale, heads, times
 
 
 def format_coeff(c) -> str:
@@ -1014,7 +1074,8 @@ __all__ = [
     "koszul_sign", "unshuffles", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
-    "unscaled", "prefix_products", "right_products",
+    "unscaled", "push", "walk", "basis_rows", "by_row", "concat", "merge_join",
+    "sorted_join", "right_products",
     "format_vector", "format_coeff", "GradedSpace", "A_PRE", "B_PRE", "pair_space",
     "prefix_vector", "hom_space", "hom_differential",
     "sym_normalize", "stabilizer", "merge_words", "GradedMap",

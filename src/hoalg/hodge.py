@@ -9,7 +9,8 @@ the obstruction map, split/minimal period maps, both Yukawa models) is a
 finite exact computation over Artin coefficients.  A Cartan homotopy builds
 its table l = {x: l_x} once, on construction, and every builder reads it;
 each combination of i's or l's is one in-place sum of the table's maps.
-The period and Yukawa builders push each chain from W's basis (_push).
+The period and Yukawa builders push each chain from W's basis through the
+package's one walk, graded.push.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from .coalg import (
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
-    Report, SYMMETRIC, TENSOR, UnsupportedOperation, check_map_identity,
+    Report, SYMMETRIC, TENSOR, UnsupportedOperation, basis_rows, by_row, check_map_identity,
     coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
-    graded_map_to_elementary, hom_differential, hom_space, lin_acc, lin_scale, lin_single,
-    linear_part, map_kernel_basis, merge_words, pair_space, prefix_vector, prefixed, sign_pow,
+    graded_map_to_elementary, hom_differential, hom_space, lin_acc, lin_add, lin_scale,
+    lin_single, linear_part, map_kernel_basis, merge_join, merge_words, pair_space,
+    prefix_vector, prefixed, push, sign_pow, sorted_join, walk,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -70,36 +72,24 @@ class ExteriorModel:
         """(combo, sign) for the product of two monomials (odd letters), or None."""
         return merge_words(c1, c2, self._gen_order, self._gen_odd)
 
-    def wedge(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        for n1, c1 in u.items():
-            s1 = self._by_name[n1]
-            for n2, c2 in v.items():
-                res = self.wedge_monomials(s1, self._by_name[n2])
-                if res is None:
-                    continue
-                combo, sign = res
-                lin_acc(out, lin_single(self._subset_name[combo]), c1 * c2 * sign)
-        return out
-
     def derivation(self, images: dict, degree: int) -> GradedMap:
         """The derivation with the given values on generators (odd-rule signs
-        governed by the parity of `degree`)."""
+        governed by the parity of `degree`): each image monomial c u of g adds
+        c m' u m'' on m = m' g m'', both wedges read on position tuples."""
         gm = GradedMap(self.space, self.space, degree)
         odd = degree % 2
+        terms = {self.gen_index[g]: [(self._by_name[u], c) for u, c in img.items()]
+                 for g, img in images.items() if img}
         for name in self.space.names:
             combo = self._by_name[name]
             acc: dict = {}
             for t, gi in enumerate(combo):
-                gname = self.gens[gi][0]
-                img = images.get(gname)
-                if not img:
-                    continue
-                sign = -1 if (odd and t % 2) else 1
-                prefix = {self._subset_name[combo[:t]]: Fraction(1)}
-                rest = {self._subset_name[combo[t + 1:]]: Fraction(1)}
-                term = self.wedge(prefix, self.wedge(img, rest))
-                lin_acc(acc, term, sign)
+                sign = -1 if odd and t % 2 else 1
+                for u, c in terms.get(gi, ()):
+                    right = self.wedge_monomials(u, combo[t + 1:])
+                    both = right and self.wedge_monomials(combo[:t], right[0])
+                    if both:
+                        lin_add(acc, self._subset_name[both[0]], sign * c * right[1] * both[1])
             if acc:
                 gm.set(name, acc)
         return gm
@@ -283,6 +273,9 @@ def torus_package(n: int, p: int = None):
     if not 1 <= n <= 5:
         raise MalformedInput("torus model supports 1 <= n <= 5")
     p = n if p is None else p
+    if not 1 <= p <= n:
+        raise MalformedInput("torus model needs 1 <= p <= n: W = A^{>=p} and its "
+                             "complement must both be nonzero")
     gens = [("dz%d" % i, (1, 0)) for i in range(1, n + 1)] + \
            [("dzb%d" % i, (0, 1)) for i in range(1, n + 1)]
     model = ExteriorModel(gens)
@@ -498,74 +491,14 @@ def _restrict_to_hom(rows: dict, w_names, a_names) -> dict:
             for t, c in img.items() if t in a_names}
 
 
-def _by_row(table: dict, left=None) -> dict:
-    """{y: [(B, vector)]} for a chain table {B: {y: vector}}: each nonzero
-    vector, or its image under the GradedMap left, indexed by its row y, as
-    coalg.preimages indexes a map, so a push reads only the heads it reaches."""
-    rows: dict = {}
-    for B, vecs in table.items():
-        for y, vec in vecs.items():
-            img = vec if left is None else left.apply(vec)
-            if img:
-                rows.setdefault(y, []).append((B, img))
-    return rows
-
-
-def _merge(space: GradedSpace):
-    """The join of two sorted words of S(space): graded.merge_words."""
-    index, degree = space.index, space.degree
-    return lambda B, S: merge_words(B, S, index, degree)
-
-
-def _prepend(space: GradedSpace):
-    """The join of a sorted word grown right to left: (a,) + B, of weight 1,
-    for a letter a at or before B's first letter, an odd letter not twice."""
-    index, degree = space.index, space.degree
-    return lambda a, B: (a + B, 1) if not B or index[a[0]] < index[B[0]] or \
-        a[0] == B[0] and not degree[a[0]] % 2 else None
-
-
-def _push(tails: dict, heads: dict, join, coeff=1, acc=None) -> dict:
-    """The one walk of the period maps.  A chain is a table {S: {s: vector}},
-    one vector per source name s.  Each coefficient c at a name y of
-    tails[S][s] is pushed to the heads (B, v) in heads[y] (_by_row) only,
-    adding coeff w c . v to acc[T][s] in place, where (T, w) = join(B, S),
-    joined once per cut, and None means no term.  For join = _merge(space),
-    w(B, T) is the Koszul sign of the merge times the number of ways to pick
-    B out of T: if heads sum the signed orderings of B and tails those of S,
-    acc[T] sums those of T, grouped by the content of the first |B| letters."""
-    acc = {} if acc is None else acc
-    for S, rows in tails.items():
-        cuts: dict = {}
-        for s, vec in rows.items():
-            for y, c in vec.items():
-                for B, v in heads.get(y, ()):
-                    got = cuts[B] if B in cuts else cuts.setdefault(B, join(B, S))
-                    if got is not None:
-                        T, w = got
-                        lin_acc(acc.setdefault(T, {}).setdefault(s, {}), v, coeff * w * c)
-    return acc
-
-
-def _walk(rows, ops: dict, join, depth: int) -> list:
-    """levels[0..depth] of the chains X(B) e_y pushed from the basis vectors
-    e_y, y in rows, through the row index ops of the letter operators:
-    levels[j] = {B: {y: X(B) e_y}} over the words B of length j that join
-    grows, zero chains cut."""
-    levels = [{(): {y: {y: 1} for y in rows}}]
-    for _ in range(depth):
-        levels.append(_push(levels[-1], ops, join))
-    return levels
-
-
 def _reach(index: list, tails: dict, ops: dict, join, depth: int, left) -> None:
     """Extend the head indexes index[j] = {y: [(B, left X(B) e_y)]}, j <= depth,
     to the rows y that tails writes and no earlier call walked (index[0])."""
     new = dict.fromkeys(y for vecs in tails.values() for vec in vecs.values() for y in vec
                         if y not in index[0])
     index[0].update(new)
-    for j, level in enumerate(_walk(new, ops, join, depth)[1:], 1):
-        for y, heads in _by_row(level, left).items():
+    for j, level in enumerate(walk([basis_rows(new)], ops, join, depth)[1:], 1):
+        for y, heads in by_row(level, left).items():
             index[j].setdefault(y, []).extend(heads)
 
 
@@ -586,32 +519,31 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
     heads, of the signed chains left o head_ops[head] .. tail_ops[tail] .. right.
     The head is a sorted sub-word B and the tail any ordering of the rest:
 
-        sum_{|B| in heads} w(B, T) . H(B) Tail(T - B)     (_push),
+        sum_{|B| in heads} w(B, T) . H(B) Tail(T - B)     (graded.push),
         H(B) = left o head_ops[B[0]] o .. o head_ops[B[-1]],
         Tail(S) = sum_{distinct b in S} w(b, S) . tail_ops[b] Tail(S - b),
         Tail(()) = right on the sources in W.
 
-    head_ops and tail_ops are the row indexes (_by_row) of the letter
+    head_ops and tail_ops are the row indexes (graded.by_row) of the letter
     operators.  Every chain is pushed from W's basis vectors: Tail starts at
-    right e_s, s in W, and is memoized by length for this call only; H(B) e_y
+    right e_s, s in W, and is walked by length for this call only; H(B) e_y
     is walked right to left from each row y the tails write (_reach), a
     sorted word growing by one letter at or before its first letter.
     """
     space = source.space
-    merge, prepend, first = _merge(space), _prepend(space), min(heads)
-    tails = [{(): {s: v for s in w_names if (v := right.value(s))}}]
+    merge, prepend, first = merge_join(space), sorted_join(space), min(heads)
+    tails = walk([{(): {s: v for s in w_names if (v := right.value(s))}}], tail_ops, merge,
+                 max_weight - first)
     index = [{} for _ in range(max_weight + 1)]
     taylor = {}
     for k in range(1, max_weight + 1):
-        if k <= max_weight - first:
-            tails.append(_push(tails[k - 1], tail_ops, merge))
         if k >= first:
             _reach(index, tails[k - first], head_ops, prepend,
                    min(max(heads), max_weight - k + first), left)
         total: dict = {}
         for j in heads:
             if j <= k:
-                _push(tails[k - j], index[j], merge, 1, total)
+                push(tails[k - j], index[j], merge, 1, total)
         taylor[k] = _hom_map(space, target, k, total, w_names, a_names)
     return taylor
 
@@ -660,7 +592,7 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     the sum over the partitions of one ordering s is (-1)^k R(s), with
     R(()) = P-perp and R(s) = sum_m (-1/m!) P i_{s[0]} .. i_{s[m-1]} R(s[m:]).
     Over the signed orderings of a sorted word T, with the first block
-    grouped by its content B (_push and its weight w), pi_k(T) is
+    grouped by its content B (graded.push and its weight w), pi_k(T) is
     (-1)^k SymR(T) on Hom(W, A), where
 
         SymR(T) = sum_{nonempty B} -(1/|B|!) w(B, T) . P I(B) SymR(T - B),
@@ -685,15 +617,15 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
         derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
     source = decalage_dgla(c.L, max_weight)
     space = source.space
-    merge, letters = _merge(space), _by_row({(x,): c.i[x].entries for x in space.names})
+    merge, letters = merge_join(space), by_row({(x,): c.i[x].entries for x in space.names})
     blocks = [{} for _ in range(max_weight + 1)]
-    chains = [{(): {s: {s: 1} for s in fpd.w_names}}]
+    chains = [basis_rows(fpd.w_names)]
     taylor = {}
     for k in range(1, max_weight + 1):
         _reach(blocks, chains[k - 1], letters, merge, max_weight - k + 1, fpd.P)
         chains.append({})
         for j in range(1, k + 1):
-            _push(chains[k - j], blocks[j], merge, -comb(k, j), chains[k])
+            push(chains[k - j], blocks[j], merge, -comb(k, j), chains[k])
         taylor[k] = _hom_map(space, target.space, k, chains[k], fpd.w_names, fpd.a_names,
                              Fraction(sign_pow(k), factorial(k)))
     return OoMorphism(source, target, taylor), target
@@ -769,8 +701,8 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
                                                   bigsp.degree[name]).entries
                 for name in bigsp.names}
     return OoMorphism(source, target, _propagator_words(
-        source, small, max_weight, (1,), pkg.pi, _by_row(realized),
-        _by_row(realized, hdel), pkg.iota, hw_top, hw_low))
+        source, small, max_weight, (1,), pkg.pi, by_row(realized),
+        by_row(realized, hdel), pkg.iota, hw_top, hw_low))
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +715,8 @@ def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, source: OoStructure
     """_propagator_words for the chains pi i_head (h l)_tail iota, with h l_x
     pushed row by row from the nonzeros of l_x."""
     return _propagator_words(source, target, max_weight, heads, pkg.pi,
-                             _by_row({(x,): c.i[x].entries for x in source.space.names}),
-                             _by_row({(x,): c.l[x].entries for x in source.space.names}, pkg.h),
+                             by_row({(x,): c.i[x].entries for x in source.space.names}),
+                             by_row({(x,): c.l[x].entries for x in source.space.names}, pkg.h),
                              pkg.iota, w_names, a_names)
 
 
@@ -847,7 +779,7 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     brackets (fiber differential -P[delbar, -], graded.hom_differential; mixed
     bracket through l).  The fiber part of q_n is the chain i_{x_1} .. i_{x_n}
     on each sorted word, pushed right to left from the basis vectors of
-    A^{n,*} (_walk), and the mixed q2 is pushed from the nonzeros of l_x."""
+    A^{n,*} (graded.walk), and the mixed q2 is pushed from the nonzeros of l_x."""
     n = pkg.n
     if n < 2:
         raise UnsupportedOperation("the fiber-product models need n >= 2")
@@ -857,8 +789,8 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     base = decalage_dgla(c.L, max_weight)
     space = pair_space(base.space, hom.shifted(-1))
     tops = set(top)
-    chains = _walk(top, _by_row({(x,): c.i[x].entries for x in base.space.names}),
-                   _prepend(base.space), n)[n]
+    chains = walk([basis_rows(top)], by_row({(x,): c.i[x].entries for x in base.space.names}),
+                  sorted_join(base.space), n)[n]
     mixed = {1: [((B_PRE + name,), lin_scale(vec, -1))
                  for name, vec in hom_differential(pkg.delbar, bottom, top).items()], 2: []}
     # q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), |f| = |f's name| - 1: for

@@ -66,11 +66,16 @@ def filiform_dga(n: int) -> DgAlgebra:
     dimension n: Lambda(x1..xn) with every |x_k| = 1, the wedge product and
     dx_k = x1 x_{k-1} for k >= 3.  n = 3 is the Heisenberg algebra."""
     E = ExteriorModel([("x%d" % k, (1, 0)) for k in range(1, n + 1)])
-    d = E.derivation({"x%d" % k: E.wedge(lin_single("x1"), lin_single("x%d" % (k - 1)))
-                      for k in range(3, n + 1)}, 1)
+
+    def wedge(a, b):
+        """The wedge of two monomials, as a vector."""
+        got = E.wedge_monomials(E._by_name[a], E._by_name[b])
+        return {E._subset_name[got[0]]: got[1]} if got else {}
+
+    d = E.derivation({"x%d" % k: wedge("x1", "x%d" % (k - 1)) for k in range(3, n + 1)}, 1)
     names = E.space.names
     product = MultilinearMap(E.space, E.space, 0, 2, TENSOR).store(
-        {(a, b): E.wedge(lin_single(a), lin_single(b)) for a in names for b in names})
+        {(a, b): wedge(a, b) for a in names for b in names})
     return DgAlgebra(E.space, d, product)
 
 

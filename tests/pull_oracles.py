@@ -8,7 +8,8 @@ every weight.  It also keeps the DG algebra, DGLA and DG-morphism axioms
 as closures run over every basis word, the hodge builders that sum every
 symmetric word over its k! orderings with ordered-suffix memos, and the
 cocone builders that run a left-nested product on every word of
-`itertools.product` or of `sym_words`, and the n-ary
+`itertools.product` or of `sym_words`, the prefix-by-prefix product walk
+that graded.walk replaced, and the n-ary
 evaluation of a Taylor coefficient on Artin elements with the exponential
 series of hoalg.mc built on it, both over every ordered tuple of monomials.
 It keeps End(V) as loops over every elementary map and every pair of them, the
@@ -72,6 +73,28 @@ def nested(op, vec: dict, names) -> dict:
         if not vec:
             return {}
     return vec
+
+
+def prefix_products(grow, first: dict, letters, top: int, degree=None) -> list:
+    """levels[0..top] of the left-nested products u a_1 .. a_n, one prefix
+    and one letter at a time: the reference of graded.walk.
+
+    levels[0] = first, a {word: vector} table, and levels[n] holds w + (a,): v
+    for every entry (w, u) of levels[n - 1] and pair (a, v) of grow(u,
+    allowed), the nonzero products v of u by the letters a of `allowed` (a
+    dict, in `letters` order) in that order, so a vanishing prefix cuts its
+    whole subtree.  With `degree` given the words grow as sorted symmetric
+    words: a letter comes at or after the word's last letter in `letters`
+    order, and no odd letter repeats.  Parents keep their order.
+    """
+    letters = tuple(letters)
+    after = {a: dict.fromkeys(b for b in letters[i:] if b != a or not degree[a] % 2)
+             for i, a in enumerate(letters)} if degree is not None else {}
+    levels, every = [first], dict.fromkeys(letters)
+    for _ in range(top):
+        levels.append({w + (a,): v for w, u in levels[-1].items()
+                       for a, v in grow(u, after[w[-1]] if w and after else every)})
+    return levels
 
 
 def signed_orderings(word, degree: dict, sizes):

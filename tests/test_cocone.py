@@ -4,12 +4,13 @@ import io
 import itertools
 import math
 import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
-from hoalg import cocone
+from hoalg import cocone, graded
 from hoalg.cli import run
 from hoalg.coalg import (
     DgAlgebra, DgLieAlgebra, DgaMorphism, DglaMorphism, OoMorphism, OoStructure,
@@ -179,26 +180,22 @@ def test_cocone_lie_recursion_matches_ordering_sum(seed, weight, has_odd):
 
 
 def test_cocone_lie_brackets_once_per_last_letter(monkeypatch):
-    # the brackets are the pushes of cocone.right_products(M.bracket): one per
-    # grown word, for all its last letters at once
+    # the brackets are the head terms of graded's one walk through the push
+    # table of graded.right_products(M.bracket): each pushes one coefficient
+    # of a grown word to all the letters whose bracket reads it
     sub, amb, inc = random_filtered_inclusion(0, 2)
-    calls = []
-    right_products = cocone.right_products
+    pushes = []
+    acc = graded.lin_acc
 
-    def counted(op):
-        scale, grow, times = right_products(op)
+    def counted_acc(*args):
+        if sys._getframe(1).f_code.co_name == "push":
+            pushes.append(1)
+        return acc(*args)
 
-        def counted_grow(u, letters):
-            calls.append(u)
-            return grow(u, letters)
-
-        return scale, counted_grow, times
-
-    monkeypatch.setattr(cocone, "right_products", counted)
+    monkeypatch.setattr(graded, "lin_acc", counted_acc)
     fm_cocone_lie(inc, max_weight=6)
-    # 53 grown words; one ordering at a time makes 5,721 brackets, and one
-    # pull per (word, letter) made 212
-    assert 0 < len(calls) <= 60
+    # 166 head terms; one ordering at a time makes 5,721 brackets
+    assert 0 < len(pushes) <= 170
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

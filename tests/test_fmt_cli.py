@@ -161,6 +161,22 @@ def test_cli_malformed_integer_flag_is_exit_2(sample_file, argv):
     assert out.startswith("error: ") and "not an integer" in out
 
 
+@pytest.mark.parametrize("argv,why", [
+    (["period", "split", "--example", "torus:2", "--p", "7"], "1 <= p <= n"),
+    (["period", "split", "--example", "torus:2", "--p", "0"], "1 <= p <= n"),
+    (["period", "split", "--example", "lambda:1", "--p", "5"], "1 <= p <= holo"),
+    (["period", "minimal", "--example", "torus:1", "--p", "1"], "read only by period split"),
+    (["period", "split", "--p", "1"], "read only by period split"),
+    (["period", "split", "--example", "synthetic:1", "--p", "2"], "read only by period split"),
+])
+def test_cli_period_p_fails_loudly(argv, why):
+    # an empty W or complement once printed no arity and PASS, and --p was
+    # ignored where nothing reads it
+    code, out = run_cli(["--max-weight", "3"] + argv)
+    assert code == 2
+    assert out.startswith("error: ") and why in out
+
+
 YUKAWA_MC = """structure equation: PASS
 RELATION QQ=0 weight=1 tuple=- lhs=- rhs=- status=PASS
 RELATION QQ=0 weight=2 tuple=- lhs=- rhs=- status=PASS
@@ -392,7 +408,7 @@ DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     # sub-word memos are dicts filled from dicts, then written in basis order
     ["period", "split", "--example", "torus:2"],
     ["period", "minimal", "--example", "torus:2"],
-    # prefix walks grow dicts of words from dicts, at README weight
+    # the walks grow dicts of words from dicts, at README weight
     ["cocone", "derived", "--example", "r:1"],
     ["product", "semidirect", "--example", "end:0"],
     ["product", "fiber", "--example", "end:0"],

@@ -5,6 +5,7 @@ import itertools
 import math
 import pkgutil
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,12 +17,13 @@ from hoalg.graded import (
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions,
     elementary_to_graded_map, hom_differential, hom_space, koszul_sign, lin_scale, lin_single,
     linear_part, map_kernel_basis, map_right_inverse, map_solve,
-    merge_words, multilinear_from_graded_map, pair_space, prefix_products, right_products,
-    stabilizer, sym_normalize, sym_words, unshuffles,
+    basis_rows, concat, merge_words, multilinear_from_graded_map, pair_space, push,
+    right_products, sorted_join, stabilizer, sym_normalize, sym_words, unshuffles, walk,
 )
+from hoalg import graded
 from hoalg.fixtures import random_complex, random_end_dga
 from fixture_helpers import heisenberg_dgla, sl2_dgla
-from pull_oracles import nested
+from pull_oracles import nested, prefix_products
 
 
 # --- koszul signs -----------------------------------------------------------
@@ -282,77 +284,143 @@ def _letter_op(vec, single):
     return _word_op(vec, a)
 
 
-def _per_letter(step):
-    """The grow of prefix_products that calls step(u, a) on each allowed
-    letter a, as a loop over compositions does."""
-    return lambda u, allowed: [(a, v) for a in allowed if (v := step(u, a))]
+def _word_heads(letters, top: int) -> dict:
+    """The row index of _word_op on the words of length <= top over letters:
+    {n: [((a,), n.a)]}, the nonzero products only, as graded.walk reads it."""
+    names = ["".join(w) for k in range(top + 1) for w in itertools.product(letters, repeat=k)]
+    return {n: hs for n in names
+            if (hs := [((a,), v) for a in letters if (v := _word_op({n: 1}, a))])}
+
+
+def _words(level: dict) -> dict:
+    """A walk level {S: {first letter: vector}} as {word: vector}, the
+    vectors that cancelled dropped."""
+    return {(a,) + S: vec for S, rows in level.items() for a, vec in rows.items() if vec}
 
 
 @pytest.mark.parametrize("top", range(5))
 def test_prefix_products_match_nested_products(top):
     letters = ("x", "y", "z")
-    first = {(a,): {a: 2} for a in letters}
-    levels = prefix_products(_per_letter(_word_op), first, letters, top)
-    assert len(levels) == top + 1 and levels[0] is first
+    heads = _word_heads(letters, top)
+    levels = walk([{(): {a: {a: 2} for a in letters}}], heads, concat, top)
+    assert len(levels) == top + 1
     for n, level in enumerate(levels):
         want = {}
         for word in itertools.product(letters, repeat=n + 1):
-            vec = nested(_letter_op, first[word[:1]], word[1:])
+            vec = nested(_letter_op, {word[0]: 2}, word[1:])
             if vec:
                 want[word] = vec
-        assert list(level.items()) == list(want.items())
-    # sorted mode: the sym_words of each length, also from the empty word
+        assert _words(level) == want
+    # sorted mode: the sym_words of each length, from the empty word
     V = GradedSpace([("x", 0), ("y", 1), ("z", 2)])
-    levels = prefix_products(_per_letter(_word_op), {(): {"": 1}}, V.names, top, V.degree)
+    levels = walk([{(): {"": {"": 1}}}], heads, sorted_join(V, right=True), top)
     for n, level in enumerate(levels):
         want = {}
         for word in sym_words(V.names, V.degree, n):
             vec = nested(_letter_op, {"": 1}, word)
             if vec:
                 want[word] = vec
-        assert list(level.items()) == list(want.items())
-        assert all(level.values())
+        assert {S: rows[""] for S, rows in level.items()} == want
+        assert all(rows[""] for rows in level.values())
 
 
-def test_prefix_products_stop_at_a_vanishing_prefix():
-    calls = []
+def _count_pushes(monkeypatch) -> list:
+    """From now on every head term of graded.push (one lin_acc call) appends
+    to the returned list."""
+    pushes, acc = [], graded.lin_acc
 
-    def op(vec, name):
-        calls.append(next(iter(vec)))
-        return {} if name == "z" else {n + name: c for n, c in vec.items()}
+    def counted_acc(*args):
+        if sys._getframe(1).f_code.co_name == "push":
+            pushes.append(args[1])
+        return acc(*args)
 
-    levels = prefix_products(_per_letter(op), {("a",): {"a": 2}}, "xyz", 3)
-    assert levels[1] == {("a", "x"): {"ax": 2}, ("a", "y"): {"ay": 2}}
-    assert all("z" not in w for level in levels for w in level)
-    # 3 letters tried on 1, 2 and 4 surviving prefixes; no call extends a z
-    assert len(calls) == 3 * (1 + 2 + 4)
-    assert all("z" not in name for name in calls)
-    assert prefix_products(_per_letter(op), {}, "xyz", 2) == [{}, {}, {}]
+    monkeypatch.setattr(graded, "lin_acc", counted_acc)
+    return pushes
 
 
-def test_prefix_products_of_graded_maps_drop_zero_composites():
-    # s and t raise the index by 1 and 2 on a 4-step ladder, z is zero: a
-    # composite is zero once the raises pass 3, and a zero map is false
-    V = GradedSpace([("p%d" % i, 0) for i in range(4)])
-    ops = {"s": GradedMap(V, V, 0, {"p%d" % i: {"p%d" % (i + 1): 1} for i in range(3)}),
-           "t": GradedMap(V, V, 0, {"p%d" % i: {"p%d" % (i + 2): 2} for i in range(2)}),
-           "z": GradedMap.zero(V, V, 0)}
-    assert ops["s"] and not ops["z"] and not ops["t"].compose(ops["t"])
-    levels = prefix_products(_per_letter(lambda h, a: h.compose(ops[a])),
-                             {(): GradedMap.identity(V)}, "stz", 4)
-    for n, level in enumerate(levels):
-        want = {}
-        for word in itertools.product("stz", repeat=n):
-            gm = GradedMap.identity(V)
-            for a in word:
-                gm = gm.compose(ops[a])
-            if not gm.is_zero():
-                want[word] = gm
-        assert list(level) == list(want)
-        assert all(level[w] == want[w] for w in want)
-    assert list(levels[2]) == [("s", "s"), ("s", "t"), ("t", "s")]
-    assert list(levels[3]) == [("s", "s", "s")] and levels[4] == {}
-    assert levels[2][("t", "s")].value("p0") == {"p3": 2}
+def test_prefix_products_stop_at_a_vanishing_prefix(monkeypatch):
+    # v.x and v.y append the letter and every product by z vanishes, so z
+    # has no head and no word grows past it
+    names = ["a" + "".join(w) for k in range(3) for w in itertools.product("xy", repeat=k)]
+    heads = {n: [((b,), {n + b: 1}) for b in "xy"] for n in names}
+    pushes = _count_pushes(monkeypatch)
+    levels = walk([{(): {"a": {"a": 2}}}], heads, concat, 3)
+    assert levels[1] == {("x",): {"a": {"ax": 2}}, ("y",): {"a": {"ay": 2}}}
+    assert all("z" not in S for level in levels for S in level)
+    # 2 heads pushed from each of 1, 2 and 4 surviving prefixes
+    assert len(pushes) == 2 * (1 + 2 + 4)
+    assert all("z" not in name for vec in pushes for name in vec)
+    assert walk([{}], heads, concat, 2) == [{}, {}, {}]
+
+
+def _reference_grow(op, D):
+    """prefix_products' grow for D op, one apply_vectors call per letter."""
+    def grow(u, allowed):
+        return [(b, v) for b in allowed if (v := {
+            n: D * c for n, c in op.apply_vectors([u, lin_single(b)]).items()})]
+
+    return grow
+
+
+def _cancelling_op():
+    """x z = y and w z = -y, so (x + w) z = 0; w y = x/2, so D = 2."""
+    V = GradedSpace([("x", 0), ("w", 0), ("y", 0), ("z", 0)])
+    return MultilinearMap(V, V, 0, 2, TENSOR).store({
+        ("x", "z"): {"y": 1}, ("w", "z"): {"y": -1}, ("w", "y"): {"x": Fraction(1, 2)}})
+
+
+@pytest.mark.parametrize("case", ["every letter", "letter subset", "vanishing prefix",
+                                  "cancellation"])
+def test_walk_matches_prefix_products(case):
+    # graded.walk against the prefix-by-prefix reference, on the seeded
+    # products and brackets of RIGHT_PRODUCT_OPS
+    rng = random.Random(case)
+    if case == "every letter":
+        # tensor words from every basis letter, on every op
+        for make, _ in RIGHT_PRODUCT_OPS.values():
+            op = make()
+            D, heads, _ = right_products(op)
+            names = op.source.names
+            levels = walk([basis_rows(names)], heads, concat, 3)
+            want = prefix_products(_reference_grow(op, D), {(b,): {b: 1} for b in names},
+                                   names, 3)
+            assert [_words(level) for level in levels] == want
+    elif case == "letter subset":
+        # sorted words over a seeded subset of the letters, from every name,
+        # on the brackets (odd letters in heisenberg-odd)
+        for key in ("sl2", "heisenberg", "heisenberg-odd", "sl2*2/3"):
+            op = RIGHT_PRODUCT_OPS[key][0]()
+            sub = [n for n in op.source.names if rng.random() < 0.7]
+            D, heads, _ = right_products(op, sub)
+            levels = walk([basis_rows(op.source.names)], heads,
+                          sorted_join(op.source.subspace(sub), right=True), 4)
+            for m in op.source.names:
+                want = prefix_products(_reference_grow(op, D), {(): lin_single(m)}, sub, 4,
+                                       op.source.degree)
+                assert [{S: rows[m] for S, rows in level.items() if rows.get(m)}
+                        for level in levels] == want
+    elif case == "vanishing prefix":
+        # in the heisenberg bracket every product of two letters dies by the
+        # third, so the walk's levels empty out with the reference's
+        op = RIGHT_PRODUCT_OPS["heisenberg"][0]()
+        D, heads, _ = right_products(op)
+        names = op.source.names
+        levels = walk([basis_rows(names)], heads, concat, 3)
+        want = prefix_products(_reference_grow(op, D), {(b,): {b: 1} for b in names}, names, 3)
+        assert [_words(level) for level in levels] == want
+        assert want[1] and want[3] == {} and levels[3] == {}
+    else:
+        # (x + w) z cancels: the walk keeps the empty vector, which pushes
+        # nothing, and the reference drops the word
+        op = _cancelling_op()
+        D, heads, _ = right_products(op)
+        seed = {"x": 1, "w": 1}
+        levels = walk([{(): {"s": seed}}], heads, concat, 3)
+        want = prefix_products(_reference_grow(op, D), {(): seed}, op.source.names, 3)
+        assert levels[1][("z",)] == {"s": {}}
+        assert [{S: rows["s"] for S, rows in level.items() if rows["s"]}
+                for level in levels] == want
+        assert not any(S[0] == "z" for level in levels[2:] for S in level)
 
 
 def _scaled_op(op, coeff):
@@ -380,11 +448,19 @@ RIGHT_PRODUCT_OPS = {
 @pytest.mark.parametrize("case", list(RIGHT_PRODUCT_OPS))
 def test_right_products_match_apply_vectors(case):
     op, scale = RIGHT_PRODUCT_OPS[case][0](), RIGHT_PRODUCT_OPS[case][1]
-    D, grow, times = right_products(op)
+    D, heads, times = right_products(op)
     assert D == scale
     rng = random.Random(case)
     names = op.source.names
-    every = dict.fromkeys(names)
+
+    def products(u):
+        return {b: {n: D * c for n, c in op.apply_vectors([u, lin_single(b)]).items()}
+                for b in names}
+
+    # the row index: every nonzero D op(n, b) on the row n, and only those
+    assert {n: dict(hs) for n, hs in heads.items()} == {
+        n: row for n in names if (row := {(b,): w for b, w in products({n: 1}).items() if w})}
+    assert all(c.__class__ is int for hs in heads.values() for _, w in hs for c in w.values())
 
     def draw():
         return {n: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
@@ -392,35 +468,36 @@ def test_right_products_match_apply_vectors(case):
 
     for _ in range(12):
         u, v = draw(), draw()
-        want = {b: {n: D * c for n, c in op.apply_vectors([u, lin_single(b)]).items()}
-                for b in names}
-        # every nonzero D op(u, b), in letter order, also for letters given
-        # out of basis order; the zero products are absent
-        assert grow(u, every) == [(b, w) for b, w in want.items() if w]
-        allowed = dict.fromkeys(rng.sample(names, rng.randint(1, len(names))))
-        assert grow(u, allowed) == [(b, want[b]) for b in allowed if want[b]]
+        want = products(u)
+        # a push of u appends every letter b with D op(u, b) != 0, also for
+        # a subset of the letters given out of basis order
+        got = push({(): {"u": u}}, heads, concat)
+        assert {B: rows["u"] for B, rows in got.items() if rows["u"]} == \
+            {(b,): w for b, w in want.items() if w}
+        allowed = rng.sample(names, rng.randint(1, len(names)))
+        got = push({(): {"u": u}}, right_products(op, allowed)[1], concat)
+        assert {B: rows["u"] for B, rows in got.items() if rows["u"]} == \
+            {(b,): want[b] for b in allowed if want[b]}
         assert times(u, v) == {n: D * c for n, c in op.apply_vectors([u, v]).items()}
-        assert all(c for _, w in grow(u, every) for c in w.values())
         assert all(times(u, v).values())
         # int vectors stay in ints
         ints, intv = ({n: int(c * 6) for n, c in x.items()} for x in (u, v))
-        assert all(c.__class__ is int for _, w in grow(ints, every) for c in w.values())
+        assert all(c.__class__ is int for rows in push({(): {"u": ints}}, heads, concat).values()
+                   for c in rows["u"].values())
         assert all(c.__class__ is int for c in times(ints, intv).values())
-    assert grow({}, every) == [] and grow(u, {}) == []
+    assert push({}, heads, concat) == {} and right_products(op, ())[1] == {}
     assert times({}, u) == {} and times(u, {}) == {}
     with pytest.raises(MalformedInput):
         right_products(MultilinearMap(op.source, op.target, 0, 2, SYMMETRIC))
 
 
 def test_right_products_drop_products_that_cancel():
-    # x z = y and w z = -y, so (x + w) z = 0 and z is not grown; x y = 0 too
-    V = GradedSpace([("x", 0), ("w", 0), ("y", 0), ("z", 0)])
-    op = MultilinearMap(V, V, 0, 2, TENSOR).store({
-        ("x", "z"): {"y": 1}, ("w", "z"): {"y": -1}, ("w", "y"): {"x": Fraction(1, 2)}})
-    D, grow, times = right_products(op)
+    # x z = y and w z = -y, so (x + w) z = 0 and pushes nothing; x y = 0 too
+    op = _cancelling_op()
+    D, heads, times = right_products(op)
     assert D == 2
     u = {"x": 1, "w": 1}
-    assert grow(u, dict.fromkeys(V.names)) == [("y", {"x": 1})]
+    assert push({(): {"s": u}}, heads, concat) == {("z",): {"s": {}}, ("y",): {"s": {"x": 1}}}
     assert times(u, {"z": 3}) == {} and times(u, {"z": 1, "y": 4}) == {"x": 4}
 
 

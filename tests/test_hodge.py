@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from hoalg import fmt, hodge
+from hoalg import fmt, graded
 from hoalg.cli import _example_period_data
 from hoalg.coalg import (
     OoMorphism, OoStructure, check_morphism, check_structure,
@@ -350,18 +350,18 @@ def test_period_builders_take_no_commutator_after_construction(monkeypatch):
 
 
 def _count_pushes(monkeypatch) -> tuple:
-    """(pushes, compositions): from now on every vector push of hodge's one
-    walk (a lin_acc call made by hodge._push) appends to pushes, and every
+    """(pushes, compositions): from now on every vector push of the package's
+    one walk (a lin_acc call made by graded.push) appends to pushes, and every
     GradedMap.compose call to compositions."""
     pushes, compositions = [], []
-    acc, compose = hodge.lin_acc, GradedMap.compose
+    acc, compose = graded.lin_acc, GradedMap.compose
 
     def counted_acc(*args):
-        if sys._getframe(1).f_code.co_name == "_push":
+        if sys._getframe(1).f_code.co_name == "push":
             pushes.append(1)
         return acc(*args)
 
-    monkeypatch.setattr(hodge, "lin_acc", counted_acc)
+    monkeypatch.setattr(graded, "lin_acc", counted_acc)
     monkeypatch.setattr(GradedMap, "compose",
                         lambda self, other: compositions.append(1) or compose(self, other))
     return pushes, compositions
@@ -1214,7 +1214,7 @@ def test_harmonic_quasi_inverse_matches_pull_oracle(seed):
     assert any(deg[x] % 2 for f in G.taylor.values() for w in f.entries for x in w)
 
 
-# Vector pushes of hodge's walk per builder: case -> (fixture, weight, bound).
+# Vector pushes of graded's walk per builder: case -> (fixture, weight, bound).
 # The comments give the GradedMap.compose calls of the chain-per-term loops,
 # of the suffix-memo builders, of the builder whose target q2 reads [d, f1]
 # without composing, and of the sub-word builders pushed from their nonzero

@@ -214,8 +214,8 @@ def test_sorted_words_are_merged_not_sorted():
     assert found == SORT_SITES
 
 
-# Letter-by-letter products grow through the two shared walks,
-# graded.prefix_products and the prefix stack of coalg._products, so no
+# Letter-by-letter chains grow through graded's one walk (graded.push), and
+# the coalgebra kernels over the prefix stack of coalg._products, so no
 # library function enumerates basis words: sym_words serves
 # OoStructure.basis_words only, which stays for callers outside the library,
 # and transfer.py has no itertools.product expansion.
@@ -227,13 +227,12 @@ def test_no_basis_word_enumeration_in_library():
 
 
 # Every walk over an arity-2 operation reads one int push table, built by
-# graded.right_products from the operation's stored entries: its grow is the
-# grow of graded.prefix_products, and its times multiplies two vectors.  No
-# walk pulls one letter at a time (the retired `step`), every prefix_products
-# call passes such a grow (hodge's walks push vectors, with no compose loop),
-# and in cocone.py
-# only cocone_associative's one-off table multiplies through DgAlgebra.mul,
-# apply_vectors or the stored entries of a product or bracket.
+# graded.right_products from the operation's stored entries: its heads are
+# the row index of graded's one walk, and its times multiplies two vectors.
+# No walk pulls one letter at a time (the retired `step`), every walk or push
+# in cocone.py reads heads unpacked from a right_products call, and in
+# cocone.py only cocone_associative's one-off table multiplies through
+# DgAlgebra.mul, apply_vectors or the stored entries of a product or bracket.
 PUSH_TABLE_SITES = {("graded", "right_products")}
 ONE_OFF_PRODUCT_SITES = {("cocone", "cocone_associative")}
 
@@ -256,15 +255,88 @@ def test_walks_push_from_one_table_per_operation():
     assert _sites_where(cocone, _reads_op_entries) == ONE_OFF_PRODUCT_SITES
     assert _call_sites(cocone, "mul") | _call_sites(cocone, "apply_vectors") == \
         ONE_OFF_PRODUCT_SITES
-    walks = [call for p in MODULES for call in ast.walk(_tree(p)) if isinstance(call, ast.Call)
-             and _names(call.func) == {"prefix_products"}]
-    assert len(walks) == 7
-    assert {type(call.args[0]).__name__ + ":" + getattr(call.args[0], "id", "")
-            for call in walks} == {"Name:grow"}
-    # every grow in cocone.py is unpacked from a right_products call
-    grows = [node.value for node in ast.walk(_tree(cocone)) if isinstance(node, ast.Assign)
-             and "grow" in _names(node.targets[0])]
-    assert grows and all(_names(value.func) == {"right_products"} for value in grows)
+    walks = [call for call in ast.walk(_tree(cocone)) if isinstance(call, ast.Call)
+             and _names(call.func) & {"walk", "push"}]
+    assert len(walks) == 8
+    assert {type(call.args[1]).__name__ + ":" + getattr(call.args[1], "id", "")
+            for call in walks} == {"Name:heads"}
+    # every heads in cocone.py is unpacked from a right_products call
+    heads = [node.value for node in ast.walk(_tree(cocone)) if isinstance(node, ast.Assign)
+             and "heads" in _names(node.targets[0])]
+    assert heads and all(_names(value.func) == {"right_products"} for value in heads)
+
+
+# graded.push is the package's one letter-by-letter walk: graded.walk runs
+# it level by level, and every chain of products, brackets or operators
+# grows through it.  No other module defines a push, the retired walks stay
+# gone (prefix_products and its grow callbacks, hodge's own push, walk and
+# joins), and cocone.py and hodge.py carry no table from one pass of a loop
+# to the next: a level loop rebinds a table that the loop read before, or
+# appends to a list a value read from that list.
+RETIRED_WALKS = {"prefix_products", "grow", "_push", "_walk", "_by_row", "_merge",
+                 "_prepend"}
+
+
+def _stored(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Store)}
+
+
+def _carried(loop) -> set:
+    """The names a `for` loop carries from one pass to the next: rebound by
+    an assignment in its body after the body first read them, or appended
+    to by a call whose argument reads them."""
+    body = [node for stmt in loop.body for node in ast.walk(stmt)]
+    first: dict = {}
+    for node in sorted((n for n in body if isinstance(n, ast.Name)),
+                       key=lambda n: (n.lineno, n.col_offset)):
+        first.setdefault(node.id, node.ctx)
+    out = {name for name, ctx in first.items() if isinstance(ctx, ast.Load)} & \
+        {t.id for n in body if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+         for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+         if isinstance(t, ast.Name)}
+    for call in body:
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and \
+                call.func.attr == "append" and isinstance(call.func.value, ast.Name) and \
+                call.func.value.id in set().union(*(_names(a) for a in call.args)):
+            out.add(call.func.value.id)
+    return out
+
+
+def test_one_walk_in_graded():
+    defines = {p.name for p in MODULES if "push" in _defined(_tree(p))}
+    assert defines == {"graded.py"}
+    named = {p.name: sorted((_defined(_tree(p)) | _stored(_tree(p))) & RETIRED_WALKS)
+             for p in MODULES}
+    assert {name: found for name, found in named.items() if found} == {}
+    for name in ("cocone.py", "hodge.py"):
+        loops = [node for node in ast.walk(_tree(SRC / name)) if isinstance(node, ast.For)]
+        assert loops and {(node.lineno, tuple(sorted(_carried(node)))) for node in loops
+                          if _carried(node)} == set(), name
+
+
+# Every hand-rolled sparse accumulate, x[k] = x.get(k, 0) + .., sits on a
+# reviewed site, as every division does: the int kernels of coalg, the
+# exact sums lin_acc and lin_add that graded.push and every other builder
+# call, right_products' times, and the int Maurer-Cartan series of mc with
+# its Artin word products.
+ACCUMULATE_SITES = {
+    ("coalg", "_insertion"), ("coalg", "_products"), ("graded", "lin_acc"),
+    ("graded", "lin_add"), ("graded", "right_products.times"), ("mc", "_exp_series"),
+    ("mc", "_word_product"),
+}
+
+
+def _accumulates(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) and \
+        isinstance(node.left, ast.Call) and isinstance(node.left.func, ast.Attribute) and \
+        node.left.func.attr == "get" and len(node.left.args) == 2 and \
+        isinstance(node.left.args[1], ast.Constant) and node.left.args[1].value == 0
+
+
+def test_hand_rolled_accumulates_only_on_reviewed_sites():
+    found = set().union(*(_sites_where(p, _accumulates) for p in MODULES))
+    assert found == ACCUMULATE_SITES
 
 
 # Every library builder of a Taylor map or of an End(V) operation hands
@@ -326,29 +398,34 @@ def test_cocone_builders_write_in_bulk(name):
 
 # The period-map layer pushes from the nonzeros: derived_hom_structure reads
 # both arities straight from d's entries, and the period maps walk from W.
-# Every chain is a table of vectors on the basis of W, pushed by the one walk
-# hodge._push into one entries dict per word, to the heads indexed by the
-# row they read.  No walk site builds a commutator, writes entry by entry,
-# copies a running GradedMap through add or scale, composes a GradedMap or
-# calls graded.prefix_products, and the GradedMap cut sums stay gone.
+# Every chain is a table of vectors on the basis of W, pushed by graded's one
+# walk into one entries dict per word, to the heads indexed by the row they
+# read.  No walk site builds a commutator, writes entry by entry, copies a
+# running GradedMap through add or scale or composes a GradedMap, and the
+# GradedMap cut sums stay gone.
 WALK_SITES = {("hodge", name) for name in (
-    "_push", "_walk", "_reach", "_propagator_words", "_contraction_words",
-    "split_period_map", "yukawa_model_v2")}
+    "_reach", "_propagator_words", "_contraction_words", "split_period_map",
+    "yukawa_model_v2")} | {("graded", name) for name in ("push", "walk", "by_row")}
 IN_PLACE_SITES = {("hodge", "derived_hom_structure")} | WALK_SITES
+
+
+def _walk_calls(name) -> set:
+    return set().union(*(_call_sites(SRC / (module + ".py"), name)
+                         for module in {module for module, _ in IN_PLACE_SITES}))
 
 
 @pytest.mark.parametrize("name", ["commutator", "set_entry", "add", "scale"])
 def test_period_sums_push_from_nonzeros_in_place(name):
-    assert {scope for _, scope in IN_PLACE_SITES} <= _defined(_tree(SRC / "hodge.py"))
-    assert _call_sites(SRC / "hodge.py", name) & IN_PLACE_SITES == set()
+    for module in {module for module, _ in IN_PLACE_SITES}:
+        assert {scope for mod, scope in IN_PLACE_SITES if mod == module} <= \
+            _defined(_tree(SRC / (module + ".py")))
+    assert _walk_calls(name) & IN_PLACE_SITES == set()
 
 
 def test_period_maps_walk_from_w():
     hodge = _tree(SRC / "hodge.py")
-    assert {scope for _, scope in WALK_SITES} <= _defined(hodge)
     assert "_cut_sums" not in _names(hodge) | _defined(hodge)
-    for name in ("compose", "prefix_products"):
-        assert _call_sites(SRC / "hodge.py", name) & WALK_SITES == set()
+    assert _walk_calls("compose") & WALK_SITES == set()
 
 
 # A Cartan homotopy derives l_x = [d_V, i_x] + i_{d_L x} once, on
