@@ -429,13 +429,13 @@ def symmetrize_morphism(F: OoMorphism, sym_source=None, sym_target=None) -> OoMo
 # DG-Lie and DG-associative sources
 
 
-def _decalage_residual(alg, op: MultilinearMap, top: int) -> dict:
+def _decalage_residual(alg, op: MultilinearMap, top: int, built=None) -> dict:
     """{k: {word: int vector}}, the [Q,Q] residual at the weights k <= top of
-    the tensor decalage of alg, with q2 read from op as a plain binary
-    operation on every ordered word.  Up to one sign per word it is d^2 x at
-    (x,), the Leibniz defect d(xy) - dx.y - (-1)^|x| x.dy at (x, y) and the
-    associator (xy)z - x(yz) at (x, y, z): each axiom fails on its words."""
-    q = Scaled(_decalage(alg, op, TENSOR, top, False).taylor, top)
+    the tensor decalage of alg (or `built`), with q2 read from op as a plain
+    binary operation on every ordered word.  Up to one sign per word it is
+    d^2 x at (x,), the Leibniz defect d(xy) - dx.y - (-1)^|x| x.dy at (x, y)
+    and the associator (xy)z - x(yz) at (x, y, z): each axiom fails on them."""
+    q = Scaled((built or _decalage(alg, op, TENSOR, top, False)).taylor, top)
     return {k: _insertion(q, q, k)[0] for k in range(1, top + 1)}
 
 
@@ -517,10 +517,10 @@ class DgAlgebra:
     def mul(self, u: dict, v: dict) -> dict:
         return self.product.apply_vectors([u, v])
 
-    def check(self) -> Report:
-        """d^2 = 0, associativity and leibniz off the decalage residual at
-        weights 1, 3 and 2."""
-        res = _decalage_residual(self, self.product, 3)
+    def check(self, decalage: OoStructure = None) -> Report:
+        """d^2 = 0, associativity and leibniz off the residual at weights 1,
+        3 and 2 of the tensor decalage, or of `decalage` (decalage_dga's)."""
+        res = _decalage_residual(self, self.product, 3, decalage)
         return _residual_report("dg algebra", self.space, [
             ("d^2=0", res[1]), ("associativity", res[3]), ("leibniz", res[2])])
 
@@ -588,17 +588,19 @@ def shifted_products(op: MultilinearMap, flavor: str) -> dict:
 
 def _decalage(alg, op: MultilinearMap, flavor: str, max_weight: int,
               validate: bool) -> OoStructure:
-    """The structure on alg[1]: q1 = -s^{-1} d s and q2 = shifted_products(op)."""
-    if validate:
-        rep = alg.check()
-        if not rep.ok:
-            raise RejectedInput("input is not a %s: %s" % (
-                "DGLA" if flavor == SYMMETRIC else "DG algebra", rep.first_failure()))
+    """The structure on alg[1]: q1 = -s^{-1} d s and q2 = shifted_products(op);
+    a DG algebra is checked on this build (DgAlgebra.check)."""
     sh = alg.space.shifted(1)
     taylor = {1: MultilinearMap(sh, sh, 1, 1, flavor).store(
                   {(n,): vec for n, vec in alg.d.entries.items()}, -1),
               2: MultilinearMap(sh, sh, 1, 2, flavor).store(shifted_products(op, flavor))}
-    return OoStructure(sh, flavor, taylor, max_weight)
+    out = OoStructure(sh, flavor, taylor, max_weight)
+    if validate:
+        rep = alg.check() if flavor == SYMMETRIC else alg.check(out)
+        if not rep.ok:
+            raise RejectedInput("input is not a %s: %s" % (
+                "DGLA" if flavor == SYMMETRIC else "DG algebra", rep.first_failure()))
+    return out
 
 
 def decalage_dgla(L: DgLieAlgebra, max_weight: int = 6, validate: bool = True) -> OoStructure:

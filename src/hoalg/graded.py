@@ -261,15 +261,28 @@ def basis_rows(names) -> dict:
 
 def by_row(table: dict, left=None) -> dict:
     """{y: [(B, vector)]} for a chain table {B: {y: vector}}: each nonzero
-    vector, or its image under the GradedMap left, indexed by its row y, as
+    vector, or its image under left (a GradedMap, or a set of names: the
+    projection onto their span, read as a filter), indexed by its row y, as
     coalg.preimages indexes a map, so a push reads only the heads it reaches."""
     rows: dict = {}
     for B, vecs in table.items():
         for y, vec in vecs.items():
-            img = vec if left is None else left.apply(vec)
+            img = vec if left is None else left.apply(vec) if isinstance(left, GradedMap) \
+                else {n: c for n, c in vec.items() if n in left}
             if img:
                 rows.setdefault(y, []).append((B, img))
     return rows
+
+
+def scaled_rows(*indexes) -> tuple:
+    """(D, [D * index, ..]) for row indexes {y: [(B, vector)]} (by_row), D the
+    lcm of their denominators: a walk through them stays in ints, its level n
+    at D^n times the true chains, which one factor 1/D^n undoes on store."""
+    scale = lcm(*(c.denominator for index in indexes for heads in index.values()
+                  for _, vec in heads for c in vec.values()))
+    return scale, list(indexes) if scale == 1 else [
+        {y: [(B, {n: c.numerator * (scale // c.denominator) for n, c in vec.items()})
+             for B, vec in heads] for y, heads in index.items()} for index in indexes]
 
 
 def concat(B: tuple, S: tuple) -> tuple:
@@ -1074,7 +1087,7 @@ __all__ = [
     "koszul_sign", "unshuffles", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
     "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
-    "unscaled", "push", "walk", "basis_rows", "by_row", "concat", "merge_join",
+    "unscaled", "push", "walk", "basis_rows", "by_row", "scaled_rows", "concat", "merge_join",
     "sorted_join", "right_products",
     "format_vector", "format_coeff", "GradedSpace", "A_PRE", "B_PRE", "pair_space",
     "prefix_vector", "hom_space", "hom_differential",

@@ -10,7 +10,8 @@ finite exact computation over Artin coefficients.  A Cartan homotopy builds
 its table l = {x: l_x} once, on construction, and every builder reads it;
 each combination of i's or l's is one in-place sum of the table's maps.
 The period and Yukawa builders push each chain from W's basis through the
-package's one walk, graded.push.
+package's one walk, graded.push, split, minimal and Yukawa v1 in ints at one
+scale per call; split reads P as a name filter and builds its target in S(V).
 """
 
 from __future__ import annotations
@@ -18,20 +19,19 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .coalg import (
-    DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla,
-    end_preserving_sub_dgla, symmetrize_structure,
+    DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla, end_preserving_sub_dgla,
 )
 from .cocone import A_PRE, B_PRE, fm_cocone_lie
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, basis_rows, by_row, check_map_identity,
-    coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
+    concat, coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
     graded_map_to_elementary, hom_differential, hom_space, lin_acc, lin_add, lin_scale,
     lin_single, linear_part, map_kernel_basis, merge_join, merge_words, pair_space,
-    prefix_vector, prefixed, push, sign_pow, sorted_join, walk,
+    prefix_vector, prefixed, push, scaled_rows, sign_pow, sorted_join, walk,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -497,7 +497,7 @@ def _reach(index: list, tails: dict, ops: dict, join, depth: int, left) -> None:
     new = dict.fromkeys(y for vecs in tails.values() for vec in vecs.values() for y in vec
                         if y not in index[0])
     index[0].update(new)
-    for j, level in enumerate(walk([basis_rows(new)], ops, join, depth)[1:], 1):
+    for j, level in enumerate(walk([basis_rows(new)], ops, join, depth if new else 0)[1:], 1):
         for y, heads in by_row(level, left).items():
             index[j].setdefault(y, []).extend(heads)
 
@@ -525,12 +525,14 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
         Tail(()) = right on the sources in W.
 
     head_ops and tail_ops are the row indexes (graded.by_row) of the letter
-    operators.  Every chain is pushed from W's basis vectors: Tail starts at
-    right e_s, s in W, and is walked by length for this call only; H(B) e_y
-    is walked right to left from each row y the tails write (_reach), a
-    sorted word growing by one letter at or before its first letter.
+    operators, pushed in ints at one scale D (graded.scaled_rows) until each
+    arity is stored.  Every chain is pushed from W's basis vectors: Tail
+    starts at right e_s, s in W, and is walked by length for this call only;
+    H(B) e_y is walked right to left from each row y the tails write
+    (_reach), a sorted word growing by one letter at or before its first one.
     """
     space = source.space
+    scale, (head_ops, tail_ops) = scaled_rows(head_ops, tail_ops)
     merge, prepend, first = merge_join(space), sorted_join(space), min(heads)
     tails = walk([{(): {s: v for s in w_names if (v := right.value(s))}}], tail_ops, merge,
                  max_weight - first)
@@ -544,12 +546,12 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
         for j in heads:
             if j <= k:
                 push(tails[k - j], index[j], merge, 1, total)
-        taylor[k] = _hom_map(space, target, k, total, w_names, a_names)
+        taylor[k] = _hom_map(space, target, k, total, w_names, a_names, Fraction(1, scale ** k))
     return taylor
 
 
 def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
-                          max_weight: int = 6) -> OoStructure:
+                          max_weight: int = 6, flavor: str = TENSOR) -> OoStructure:
     """A-infinity[1] structure on Hom*(W, A) for the splitting
     End(V) = End(V; W) (+) Hom(W, A): q1 = the projected commutator P[d, -],
     which is graded.hom_differential(d, A, W), and q2 the derived product
@@ -562,22 +564,28 @@ def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
 
     so only the A -> W entries of d reach q2: the d o E part of [d, E](t2)
     vanishes, because t2 is in A and E reads s in W only.  Each arity is one
-    table and one store."""
+    table and one store.  In S(V), the symmetrized tensor structure built
+    without it, an entry (e1, e2) is pushed to its sorted word
+    merge_words((e1,), (e2,)) with the Koszul sign times the stabilizer."""
     hom = hom_space(a_names, w_names, V)
-    wset, aset = set(w_names), set(a_names)
-    deg = V.degree
+    wset, aset, deg = set(w_names), set(a_names), V.degree
+    join = merge_join(hom, right=True) if flavor == SYMMETRIC else concat    # e2 behind e1
+    reach = [(u, y, c) for u, img in d.entries.items() for y, c in img.items()
+             if u in aset and y in wset]
+    scale = lcm(*(c.denominator for _, _, c in reach))
     q1 = {(n,): vec for n, vec in hom_differential(d, a_names, w_names).items()}
     q2: dict = {}
-    for u, img in d.entries.items():
-        for y, c in img.items():
-            if u in aset and y in wset:    # [d, t<-y] o (u<-s2)
-                for t in a_names:
-                    coeff = -sign_pow(deg[t] - deg[y]) * c
-                    for s2 in w_names:
-                        q2[("%s<-%s" % (t, y), "%s<-%s" % (u, s2))] = {"%s<-%s" % (t, s2): coeff}
-    return OoStructure(hom, TENSOR, {1: MultilinearMap(hom, hom, 1, 1, TENSOR).store(q1),
-                                     2: MultilinearMap(hom, hom, 1, 2, TENSOR).store(q2)},
-                       max_weight)
+    for u, y, c in reach:    # [d, t<-y] o (u<-s2), in ints at the scale
+        for t in a_names:
+            coeff = -sign_pow(deg[t] - deg[y]) * c.numerator * (scale // c.denominator)
+            e1 = "%s<-%s" % (t, y)
+            for s2 in w_names:
+                got = join(("%s<-%s" % (u, s2),), (e1,))
+                if got:
+                    lin_add(q2.setdefault(got[0], {}), "%s<-%s" % (t, s2), got[1] * coeff)
+    return OoStructure(hom, flavor, {
+        1: MultilinearMap(hom, hom, 1, 1, flavor).store(q1),
+        2: MultilinearMap(hom, hom, 1, 2, flavor).store(q2, Fraction(1, scale))}, max_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -601,33 +609,33 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
 
     memoized by length where nonzero, for this call only, shortest first.
     SymR is pushed from W's basis vectors, on which P-perp is e_s, and each
-    block P I(B) only on the rows the chains reach (_reach).  The chains
-    hold |T|! SymR(T), so their weights are the ints -C(|T|, |B|), and
-    (-1)^k / k! is applied once, when pi_k is stored.
+    block P I(B), P read as the filter on A's names, only on the rows the
+    chains reach (_reach).  The chains hold D^|T| |T|! SymR(T), for the
+    letters i_x scaled to ints at one scale D (graded.scaled_rows), so their
+    weights are the ints -C(|T|, |B|), and (-1)^k / (k! D^k) is applied once,
+    when pi_k is stored.
 
     Returns (morphism L[1] -> Hom*(W, A), target structure): the target is the
-    symmetrized derived-product structure of the splitting
-    End(V) = End(V; W) (+) Hom(W, A).
+    symmetric derived-product structure of End(V) = End(V; W) (+) Hom(W, A).
     """
     c = fpd.cartan
     rep = fpd.check()
     if not rep.ok:
         raise RejectedInput("period data invalid: %s" % rep.first_failure())
-    target = symmetrize_structure(
-        derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight))
+    target = derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight, SYMMETRIC)
     source = decalage_dgla(c.L, max_weight)
-    space = source.space
-    merge, letters = merge_join(space), by_row({(x,): c.i[x].entries for x in space.names})
+    space, keep, merge = source.space, set(fpd.a_names), merge_join(source.space)
+    scale, (letters,) = scaled_rows(by_row({(x,): c.i[x].entries for x in space.names}))
     blocks = [{} for _ in range(max_weight + 1)]
     chains = [basis_rows(fpd.w_names)]
     taylor = {}
     for k in range(1, max_weight + 1):
-        _reach(blocks, chains[k - 1], letters, merge, max_weight - k + 1, fpd.P)
+        _reach(blocks, chains[k - 1], letters, merge, max_weight - k + 1, keep)
         chains.append({})
         for j in range(1, k + 1):
             push(chains[k - j], blocks[j], merge, -comb(k, j), chains[k])
         taylor[k] = _hom_map(space, target.space, k, chains[k], fpd.w_names, fpd.a_names,
-                             Fraction(sign_pow(k), factorial(k)))
+                             Fraction(sign_pow(k), factorial(k) * scale ** k))
     return OoMorphism(source, target, taylor), target
 
 

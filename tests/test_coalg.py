@@ -907,6 +907,36 @@ def test_planted_dg_faults_pushed_reports_equal_pulled(seed):
     assert failing >= len(planted) * 2 // 3, (failing, len(planted))
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_validated_dga_decalage_reads_its_own_build(seed):
+    # a DG algebra's check reads its residual from the decalage it is handed:
+    # the report, witness included, is the one it builds for itself, and a
+    # validated decalage_dga refuses exactly the algebras the check fails
+    rng = random.Random("dg-faults:%d" % seed)
+    algs = [alg for alg in _dg_fixtures(seed) if isinstance(alg, DgAlgebra)]
+    algs += [b for alg in algs for kind in ("op", "d") for b in _planted(alg, rng, kind)]
+    for alg in algs:
+        own = alg.check()
+        assert alg.check(decalage_dga(alg, max_weight=3, validate=False)).lines() == own.lines()
+        if own.ok:
+            assert decalage_dga(alg, max_weight=3).taylor == \
+                decalage_dga(alg, max_weight=3, validate=False).taylor
+        else:
+            with pytest.raises(RejectedInput) as err:
+                decalage_dga(alg, max_weight=3)
+            assert str(err.value) == "input is not a DG algebra: %s" % own.first_failure()
+
+
+def test_validated_dga_decalage_is_built_once(monkeypatch):
+    # decalage_dga(validate=True) builds the tensor decalage once and checks
+    # the algebra on that build, not on a second one of its own
+    builds = []
+    build = coalg._decalage
+    monkeypatch.setattr(coalg, "_decalage", lambda *args: builds.append(1) or build(*args))
+    q = decalage_dga(filiform_dga(6), max_weight=4)
+    assert len(builds) == 1 and q.flavor == TENSOR
+
+
 def _dg_morphisms(seed):
     """DGA and DGLA morphisms: a random DGA morphism and its commutator DGLA
     morphism, a filtered End(V; F) -> End(V) inclusion, and the inclusion of

@@ -17,8 +17,9 @@ from hoalg.graded import (
     SYMMETRIC, TENSOR, bernoulli, check_contraction, compositions,
     elementary_to_graded_map, hom_differential, hom_space, koszul_sign, lin_scale, lin_single,
     linear_part, map_kernel_basis, map_right_inverse, map_solve,
-    basis_rows, concat, merge_words, multilinear_from_graded_map, pair_space, push,
-    right_products, sorted_join, stabilizer, sym_normalize, sym_words, unshuffles, walk,
+    basis_rows, by_row, concat, coordinate_projections, merge_words,
+    multilinear_from_graded_map, pair_space, push, right_products, scaled_rows, sorted_join,
+    stabilizer, sym_normalize, sym_words, unshuffles, walk,
 )
 from hoalg import graded
 from hoalg.fixtures import random_complex, random_end_dga
@@ -367,6 +368,35 @@ def _cancelling_op():
     V = GradedSpace([("x", 0), ("w", 0), ("y", 0), ("z", 0)])
     return MultilinearMap(V, V, 0, 2, TENSOR).store({
         ("x", "z"): {"y": 1}, ("w", "z"): {"y": -1}, ("w", "y"): {"x": Fraction(1, 2)}})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_by_row_name_filter_is_the_coordinate_projection(seed):
+    # a set of names as by_row's left gives the rows that the coordinate
+    # projection onto their span gives through GradedMap.apply, vectors that
+    # the filter empties included (they are dropped)
+    rng = random.Random("by-row:%d" % seed)
+    V = GradedSpace([("n%d" % i, 0) for i in range(6)])
+    keep = [n for n in V.names if rng.random() < 0.5]
+    table = {(b,): {y: {n: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                        for n in rng.sample(V.names, rng.randint(1, 3))}
+                    for y in rng.sample(V.names, 3)} for b in "abc"}
+    table = {B: {y: {n: c for n, c in vec.items() if c} for y, vec in rows.items()}
+             for B, rows in table.items()}
+    P, _ = coordinate_projections(V, keep)
+    assert by_row(table, set(keep)) == by_row(table, P)
+    assert by_row(table, set()) == {} and by_row(table, set(V.names)) == by_row(table)
+
+
+def test_scaled_rows_are_ints_at_one_scale():
+    heads = {"y": [(("a",), {"u": Fraction(1, 2), "v": 3})]}
+    tails = {"u": [(("b",), {"y": Fraction(-2, 3)})], "v": []}
+    D, (h, t) = scaled_rows(heads, tails)
+    assert D == 6 and h == {"y": [(("a",), {"u": 3, "v": 18})]}
+    assert t == {"u": [(("b",), {"y": -4})], "v": []}
+    assert all(type(c) is int for index in (h, t) for hs in index.values()
+               for _, vec in hs for c in vec.values())
+    assert scaled_rows({"y": [((), {"y": 2})]}) == (1, [{"y": [((), {"y": 2})]}])
 
 
 @pytest.mark.parametrize("case", ["every letter", "letter subset", "vanishing prefix",

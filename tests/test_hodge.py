@@ -388,6 +388,47 @@ def test_sorted_hodge_walks_push_from_rows_without_composing(monkeypatch):
         assert counts == want[name]
 
 
+def _push_types(monkeypatch) -> list:
+    """From now on the type of every coefficient that graded.push adds (a
+    lin_acc call made by push, coeff times each entry) appends to a list."""
+    added, acc = [], graded.lin_acc
+
+    def typed_acc(target, vec, coeff=1):
+        if sys._getframe(1).f_code.co_name == "push":
+            added.extend(type(coeff * c) for c in vec.values())
+        return acc(target, vec, coeff)
+
+    monkeypatch.setattr(graded, "lin_acc", typed_acc)
+    return added
+
+
+def test_period_walks_push_ints(monkeypatch):
+    # synthetic:0's i_x carry halves, yet every coefficient that graded.push
+    # adds in split, minimal and Yukawa v1 is an int: each builder scales its
+    # rows once to ints at one scale D and stores level k with its 1/D^k
+    pkg, cartan, fpd = synthetic_package(0)
+    assert any(type(c) is Fraction for gm in cartan.i.values()
+               for vec in gm.entries.values() for c in vec.values())
+    for build in (lambda: split_period_map(fpd, max_weight=4),
+                  lambda: minimal_period_map(pkg, cartan, max_weight=4),
+                  lambda: yukawa_model(pkg, cartan, max_weight=4)):
+        added = _push_types(monkeypatch)
+        build()
+        monkeypatch.undo()
+        assert added and set(added) == {int}
+
+
+def test_split_reads_p_as_a_name_filter(monkeypatch):
+    # P is the coordinate projection onto A's names, so split keeps those
+    # names (graded.by_row) and applies no GradedMap
+    fpd = synthetic_package(0)[2]
+    applied, apply = [], GradedMap.apply
+    monkeypatch.setattr(GradedMap, "apply",
+                        lambda self, vec: applied.append(1) or apply(self, vec))
+    Pi, _ = split_period_map(fpd, max_weight=4)
+    assert Pi.taylor and applied == []
+
+
 # --- split period map ----------------------------------------------------------------
 
 
@@ -1061,6 +1102,41 @@ def test_derived_hom_q2_matches_composed_reference(fixture):
     ref = _reference_derived_q2(*args)
     assert (q2.entries if q2 is not None else {}) == ref
     assert bool(ref) == (fixture not in ("torus2", "lambda021"))
+
+
+TARGET_FIXTURES = ["synthetic:%d" % n for n in range(24)] + \
+    ["lambda:%d:%d" % (n, p) for n in range(20) for p in (1, 2)] + \
+    ["torus:%d" % n for n in (1, 2, 3)]
+
+
+def _typed(taylor) -> dict:
+    return {k: {w: {y: (c, type(c)) for y, c in vec.items()} for w, vec in m.entries.items()}
+            for k, m in taylor.items()}
+
+
+@pytest.mark.parametrize("ref", TARGET_FIXTURES)
+def test_split_target_is_the_symmetrized_tensor_structure(ref):
+    """split_period_map builds its target in S(V), reading each tensor q2
+    entry (e1, e2) through merge_words((e1,), (e2,)).  It must equal the
+    test-only reference symmetrize_structure(derived_hom_structure(..)),
+    entry for entry and coefficient type for type, at weights 2 to 5.
+
+    This test and the perfbench digests are the only guards on the target's
+    q2: check_morphism(Pi) does not see it, and it passed on each of 36
+    single-entry bumps of that q2 on synthetic:0-5."""
+    kind, n, *p = ref.split(":")
+    if kind == "lambda":
+        fpd = lambda_cartan_fixture(int(n), 2, 1, int(p[0]))[1]
+    else:
+        fpd = (synthetic_package if kind == "synthetic" else torus_package)(int(n))[2]
+    c = fpd.cartan
+    for weight in range(2, 6):
+        _, target = split_period_map(fpd, max_weight=weight)
+        want = symmetrize_structure(
+            derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, weight))
+        assert (target.flavor, target.max_weight) == (SYMMETRIC, weight)
+        assert target.space == want.space and _typed(target.taylor) == _typed(want.taylor)
+        assert (2 in target.taylor) == (kind == "synthetic")
 
 
 HOM_EXAMPLES = ["torus:%d" % n for n in (1, 2, 3)] + \
