@@ -6,6 +6,9 @@ L[1] x M (a = shifted source, b = target); fiber products sit on
 A x L[1] (a = abelian complement, b = shifted base).  Every product and
 bracket chain is pushed from the nonzeros by graded's one walk
 (graded.walk), through the operation's push table (graded.right_products).
+The semidirect product, the fiber product and hodge's Yukawa models are
+built by one gluing, glued_structure: the two blocks' own families plus the
+caller's mixed terms, summed per arity and stored once.
 """
 
 from __future__ import annotations
@@ -470,19 +473,28 @@ def _derived_brackets(split: Splitting, max_weight: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# semidirect products
+# two-block gluing and semidirect products
 
 
-def _pure_words(first: dict, second: dict, max_weight: int) -> dict:
-    """{k: table} for k <= max_weight on a two-block space: the Taylor family
-    first on the a: words and second on the b: words, the tables to which
-    the semidirect and fiber products add their mixed words."""
+def glued_structure(space: GradedSpace, first: dict, second: dict, terms,
+                    max_weight: int) -> OoStructure:
+    """The symmetric structure on a two-block space whose q_k, k <= max_weight,
+    holds the Taylor family first on the a: words, second on the b: words
+    and the mixed terms (k, key, vector, coefficient), each adding
+    coefficient times vector at the canonical word key of arity k.  A term may
+    land on a word of a block's own structure and is summed with its entry;
+    a term above max_weight is dropped.  Each arity is stored once."""
     words = {k: {} for k in range(1, max_weight + 1)}
     for family, prefix in ((first, A_PRE), (second, B_PRE)):
         for k, q in family.items():
             if k <= max_weight:
                 words[k].update(prefixed(q.entries, prefix))
-    return words
+    for k, key, vec, coeff in terms:
+        if k <= max_weight:
+            lin_acc(words[k].setdefault(key, {}), vec, coeff)
+    return OoStructure(space, SYMMETRIC, {
+        k: MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
+        for k, table in words.items()}, max_weight)
 
 
 def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
@@ -499,23 +511,17 @@ def semidirect_product(I: OoStructure, M: OoStructure, action: CoderAction,
         raise MalformedInput("semidirect products are symmetric-flavor only")
     if action.i_space != I.space or action.m_space != M.space:
         raise MalformedInput("the action must act on I's space by M's space")
-    space = pair_space(I.space, M.space)
     ideg = I.space.degree
     mdeg = M.space.degree
-    words = _pure_words(I.taylor, M.taylor, max_weight)
-    for (lm, li), comp in action.comps.items():
-        if lm and lm + li <= max_weight:
-            for (mword, iword), act in comp.items():
-                # formula order is (m-block, i-block); the canonical word is
-                # (i-block, m-block): block swap Koszul sign.  With li = 0
-                # the word is pure-M, next to M's own entry
-                sw = sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)
-                key = tuple(A_PRE + n for n in iword) + tuple(B_PRE + n for n in mword)
-                lin_acc(words[lm + li].setdefault(key, {}), prefix_vector(act, A_PRE),
-                        sign_pow(sw))
-    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
-              for k, table in words.items()}
-    out = OoStructure(space, SYMMETRIC, taylor, max_weight)
+    # formula order is (m-block, i-block); the canonical word is (i-block,
+    # m-block): block swap Koszul sign.  With li = 0 the word is pure-M, next
+    # to M's own entry
+    terms = ((lm + li, tuple(A_PRE + n for n in iword) + tuple(B_PRE + n for n in mword),
+              prefix_vector(act, A_PRE),
+              sign_pow(sum(ideg[n] for n in iword) * sum(mdeg[n] for n in mword)))
+             for (lm, li), comp in action.comps.items() if lm
+             for (mword, iword), act in comp.items())
+    out = glued_structure(pair_space(I.space, M.space), I.taylor, M.taylor, terms, max_weight)
     if validate:
         rep = check_structure(out)
         if not rep.ok:
@@ -576,29 +582,24 @@ def fiber_product_model(L: DgLieAlgebra, split: Splitting, F: OoMorphism,
         raise MalformedInput("fiber products need a symmetric-flavor morphism")
     Asp = split.complement_space()
     base = decalage_dgla(L, max_weight, validate=False)
-    space = pair_space(Asp, base.space)
     adeg = Asp.degree
     xdeg = base.space.degree
     scale, heads, _ = right_products(M.bracket, split.complement_names)
-    # pure-A words: the derived brackets; pure-x words: base q_k here, and
-    # P s f_k where the walk below starts
-    words = _pure_words(_derived_brackets(split, max_weight), base.taylor, max_weight)
     # mixed words P[...[s f_j(x's), a_1]..., a_n]: one sorted walk by weight
-    # j + n, each entry of f_j entering on its own row at level j, at D^n
+    # j + n, each entry of f_j entering on its own row at level j, at D^n; at
+    # n = 0 they are P s f_j on the pure-x words, next to base q_j
     seeds = [{}] + [{(): F.taylor[j].entries} if j in F.taylor else {}
                     for j in range(1, max_weight + 1)]
     levels = walk(seeds, heads, sorted_join(Asp, right=True), max_weight)
-    for k, level in enumerate(levels):
-        for aword, rows in level.items():
-            akey, asum = tuple(A_PRE + a for a in aword), sum(adeg[a] for a in aword)
-            for xword, vec in rows.items():
-                val = unscaled(split.P.apply(vec), scale ** len(aword))
-                # formula order (x-block, a-block); canonical is (a, x)
-                lin_acc(words[k].setdefault(akey + tuple(B_PRE + x for x in xword), {}),
-                        prefix_vector(val, A_PRE), sign_pow(asum * sum(xdeg[x] for x in xword)))
-    taylor = {k: MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
-              for k, table in words.items()}
-    return OoStructure(space, SYMMETRIC, taylor, max_weight)
+    # formula order (x-block, a-block); canonical is (a, x)
+    terms = ((k, tuple(A_PRE + a for a in aword) + tuple(B_PRE + x for x in xword),
+              prefix_vector(split.P.apply(vec), A_PRE),
+              Fraction(sign_pow(sum(adeg[a] for a in aword) * sum(xdeg[x] for x in xword)),
+                       scale ** len(aword)))
+             for k, level in enumerate(levels) for aword, rows in level.items()
+             for xword, vec in rows.items())
+    return glued_structure(pair_space(Asp, base.space), _derived_brackets(split, max_weight),
+                           base.taylor, terms, max_weight)
 
 
 
@@ -607,5 +608,5 @@ __all__ = [
     "exp_log_isos", "Splitting", "cocone_contraction", "DerivedProducts",
     "derived_products_model", "CoderAction",
     "voronov_brackets", "semidirect_product", "strictify_fibration",
-    "fiber_product_model",
+    "fiber_product_model", "glued_structure",
 ]

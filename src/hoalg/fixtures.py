@@ -247,11 +247,7 @@ def lambda_cartan_fixture(seed: int, holo: int = 2, anti: int = 1, p: int = None
             vec = decompose(imaps[n1].commutator(lmaps[n2]))
             if vec:
                 br.set_entry((n1, n2), vec)
-    L = DgLieAlgebra(Lsp, dL, br)
-    rep = L.check()
-    if not rep.ok:
-        raise RejectedInput("lambda fixture failed DGLA axioms: %s" % rep.first_failure())
-    cartan = CartanHomotopy(L, V, d, imaps)
+    cartan = CartanHomotopy(DgLieAlgebra(Lsp, dL, br), V, d, imaps)
     rep = check_cartan(cartan)
     if not rep.ok:
         raise RejectedInput("lambda fixture failed Cartan identities: %s"

@@ -6,12 +6,15 @@ differentials, a harmonic inclusion/projection pair, and a degree (0,-1)
 propagator satisfying the formal Kaehler identities.  Cartan homotopies
 supply the contraction operators; everything downstream (perturbation maps,
 the obstruction map, split/minimal period maps, both Yukawa models) is a
-finite exact computation over Artin coefficients.  A Cartan homotopy builds
-its table l = {x: l_x} once, on construction, and every builder reads it;
-each combination of i's or l's is one in-place sum of the table's maps.
-The period and Yukawa builders push each chain from W's basis through the
-package's one walk, graded.push, split, minimal and Yukawa v1 in ints at one
-scale per call; split reads P as a name filter and builds its target in S(V).
+finite exact computation over Artin coefficients.  A Cartan homotopy checks
+that L is a DGLA and builds its table l = {x: l_x} once, on construction,
+and every builder reads it; each combination of i's or l's is one in-place
+sum of the table's maps.  The period and Yukawa builders push each chain
+from W's basis through the package's one walk, graded.push, split, minimal
+and Yukawa v1 in ints at one scale per call; split reads P as a name filter
+and builds its target in S(V).  Each arity's int table is stored once with
+its factor, by the period maps, or glued once into a Yukawa model
+(cocone.glued_structure), with the fiber on the b: block.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from math import comb, factorial, lcm
 from .coalg import (
     DgLieAlgebra, OoMorphism, OoStructure, decalage_dgla, end_preserving_sub_dgla,
 )
-from .cocone import A_PRE, B_PRE, fm_cocone_lie
+from .cocone import A_PRE, B_PRE, fm_cocone_lie, glued_structure
 from .graded import (
     Contraction, GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput,
     Report, SYMMETRIC, TENSOR, UnsupportedOperation, basis_rows, by_row, check_map_identity,
     concat, coordinate_projections, elementary_to_graded_map, first_witness, format_vector,
     graded_map_to_elementary, hom_differential, hom_space, lin_acc, lin_add, lin_scale,
     lin_single, linear_part, map_kernel_basis, merge_join, merge_words, pair_space,
-    prefix_vector, prefixed, push, scaled_rows, sign_pow, sorted_join, walk,
+    prefix_vector, push, scaled_rows, sign_pow, sorted_join, walk,
 )
 from .mc import ArtinElement, ArtinMap, dgla_mc_residual, mc_check
 
@@ -163,6 +166,8 @@ class CartanHomotopy:
 
     The boundary l_x = [d_V, i_x] + i_{d_L x} is derived once, on
     construction, into the table l = {x: l_x}, which every reader shares.
+    L is checked once, on construction too (RejectedInput unless it is a
+    DGLA), so the builders read its decalage unvalidated.
     """
 
     def __init__(self, L: DgLieAlgebra, V: GradedSpace, d_V: GradedMap, i: dict):
@@ -181,6 +186,9 @@ class CartanHomotopy:
                 raise MalformedInput("i_%s must be a map on V" % x)
             if gm.degree != L.space.degree[x] - 1:
                 raise MalformedInput("i_%s must have degree |%s| - 1" % (x, x))
+        rep = L.check()
+        if not rep.ok:
+            raise RejectedInput("input is not a DGLA: %s" % rep.first_failure())
         self.l = {x: _combination(V, [(d_V.commutator(self.i[x]), 1)] +
                                   [(self.i[y], c) for y, c in L.d.value(x).items()])
                   for x in L.space.names}
@@ -502,22 +510,27 @@ def _reach(index: list, tails: dict, ops: dict, join, depth: int, left) -> None:
             index[j].setdefault(y, []).extend(heads)
 
 
-def _hom_map(source: GradedSpace, target: GradedSpace, k: int, chains: dict, w_names,
-             a_names, coeff=1) -> MultilinearMap:
-    """The symmetric arity-k map source -> target with coeff times the
-    Hom(W, A) entries of the chain chains[word] on each (sorted) word."""
+def _hom_table(chains: dict, w_names, a_names) -> dict:
+    """{word: the Hom(W, A) entries of the chain chains[word]}."""
     wset, aset = set(w_names), set(a_names)
-    return MultilinearMap(source, target, 0, k, SYMMETRIC).store(
-        {T: _restrict_to_hom(rows, wset, aset) for T, rows in chains.items()}, coeff)
+    return {T: _restrict_to_hom(rows, wset, aset) for T, rows in chains.items()}
 
 
-def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int, heads,
-                      left: GradedMap, head_ops: dict, tail_ops: dict, right: GradedMap,
-                      w_names, a_names) -> dict:
-    """The Taylor family source -> target whose arity-k map holds the Hom(W, A)
-    entries of the sums over the (j, 1, .., 1)-unshuffles of each word T, j in
-    heads, of the signed chains left o head_ops[head] .. tail_ops[tail] .. right.
-    The head is a sorted sub-word B and the tail any ordering of the rest:
+def _hom_maps(source: GradedSpace, target: GradedSpace, family: dict) -> dict:
+    """{k: the symmetric arity-k map source -> target holding factor times
+    table} for a family {k: (table, factor)}, each arity stored once."""
+    return {k: MultilinearMap(source, target, 0, k, SYMMETRIC).store(table, factor)
+            for k, (table, factor) in family.items()}
+
+
+def _propagator_words(space: GradedSpace, max_weight: int, heads, left: GradedMap,
+                      head_ops: dict, tail_ops: dict, right: GradedMap, w_names,
+                      a_names) -> dict:
+    """{k: (table, factor)} for k <= max_weight, where the table holds the
+    Hom(W, A) entries (_hom_table) of the sums over the (j, 1, .., 1)-unshuffles
+    of each sorted word T of S(space), j in heads, of the signed chains
+    left o head_ops[head] .. tail_ops[tail] .. right.  The head is a sorted
+    sub-word B and the tail any ordering of the rest:
 
         sum_{|B| in heads} w(B, T) . H(B) Tail(T - B)     (graded.push),
         H(B) = left o head_ops[B[0]] o .. o head_ops[B[-1]],
@@ -525,19 +538,19 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
         Tail(()) = right on the sources in W.
 
     head_ops and tail_ops are the row indexes (graded.by_row) of the letter
-    operators, pushed in ints at one scale D (graded.scaled_rows) until each
-    arity is stored.  Every chain is pushed from W's basis vectors: Tail
-    starts at right e_s, s in W, and is walked by length for this call only;
-    H(B) e_y is walked right to left from each row y the tails write
-    (_reach), a sorted word growing by one letter at or before its first one.
+    operators, pushed in ints at one scale D (graded.scaled_rows), so arity
+    k's table is D^k times its value and its factor 1/D^k.  Every chain is
+    pushed from W's basis vectors: Tail starts at right e_s, s in W, and is
+    walked by length for this call only; H(B) e_y is walked right to left
+    from each row y the tails write (_reach), a sorted word growing by one
+    letter at or before its first one.
     """
-    space = source.space
     scale, (head_ops, tail_ops) = scaled_rows(head_ops, tail_ops)
     merge, prepend, first = merge_join(space), sorted_join(space), min(heads)
     tails = walk([{(): {s: v for s in w_names if (v := right.value(s))}}], tail_ops, merge,
                  max_weight - first)
     index = [{} for _ in range(max_weight + 1)]
-    taylor = {}
+    family = {}
     for k in range(1, max_weight + 1):
         if k >= first:
             _reach(index, tails[k - first], head_ops, prepend,
@@ -546,8 +559,8 @@ def _propagator_words(source: OoStructure, target: GradedSpace, max_weight: int,
         for j in heads:
             if j <= k:
                 push(tails[k - j], index[j], merge, 1, total)
-        taylor[k] = _hom_map(space, target, k, total, w_names, a_names, Fraction(1, scale ** k))
-    return taylor
+        family[k] = (_hom_table(total, w_names, a_names), Fraction(1, scale ** k))
+    return family
 
 
 def derived_hom_structure(V: GradedSpace, d: GradedMap, w_names, a_names,
@@ -623,20 +636,20 @@ def split_period_map(fpd: FormalPeriodData, max_weight: int = 4):
     if not rep.ok:
         raise RejectedInput("period data invalid: %s" % rep.first_failure())
     target = derived_hom_structure(c.V, c.d_V, fpd.w_names, fpd.a_names, max_weight, SYMMETRIC)
-    source = decalage_dgla(c.L, max_weight)
+    source = decalage_dgla(c.L, max_weight, validate=False)
     space, keep, merge = source.space, set(fpd.a_names), merge_join(source.space)
     scale, (letters,) = scaled_rows(by_row({(x,): c.i[x].entries for x in space.names}))
     blocks = [{} for _ in range(max_weight + 1)]
     chains = [basis_rows(fpd.w_names)]
-    taylor = {}
+    family = {}
     for k in range(1, max_weight + 1):
         _reach(blocks, chains[k - 1], letters, merge, max_weight - k + 1, keep)
         chains.append({})
         for j in range(1, k + 1):
             push(chains[k - j], blocks[j], merge, -comb(k, j), chains[k])
-        taylor[k] = _hom_map(space, target.space, k, chains[k], fpd.w_names, fpd.a_names,
-                             Fraction(sign_pow(k), factorial(k) * scale ** k))
-    return OoMorphism(source, target, taylor), target
+        family[k] = (_hom_table(chains[k], fpd.w_names, fpd.a_names),
+                     Fraction(sign_pow(k), factorial(k) * scale ** k))
+    return OoMorphism(source, target, _hom_maps(space, target.space, family)), target
 
 
 def split_period_coefficient_closed(k: int, j: int) -> Fraction:
@@ -708,23 +721,22 @@ def harmonic_quasi_inverse(pkg: HodgePackage, p: int, source: OoStructure,
     realized = {(name,): elementary_to_graded_map(lin_single(name), bigsp, pkg.A, pkg.A,
                                                   bigsp.degree[name]).entries
                 for name in bigsp.names}
-    return OoMorphism(source, target, _propagator_words(
-        source, small, max_weight, (1,), pkg.pi, by_row(realized),
-        by_row(realized, hdel), pkg.iota, hw_top, hw_low))
+    return OoMorphism(source, target, _hom_maps(bigsp, small, _propagator_words(
+        bigsp, max_weight, (1,), pkg.pi, by_row(realized), by_row(realized, hdel),
+        pkg.iota, hw_top, hw_low)))
 
 
 # ---------------------------------------------------------------------------
 # minimal period map (harmonic target, trivial structure)
 
 
-def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, source: OoStructure,
-                       target: GradedSpace, max_weight: int, heads, w_names,
-                       a_names) -> dict:
+def _contraction_words(pkg: HodgePackage, c: CartanHomotopy, space: GradedSpace,
+                       max_weight: int, heads, w_names, a_names) -> dict:
     """_propagator_words for the chains pi i_head (h l)_tail iota, with h l_x
     pushed row by row from the nonzeros of l_x."""
-    return _propagator_words(source, target, max_weight, heads, pkg.pi,
-                             by_row({(x,): c.i[x].entries for x in source.space.names}),
-                             by_row({(x,): c.l[x].entries for x in source.space.names}, pkg.h),
+    return _propagator_words(space, max_weight, heads, pkg.pi,
+                             by_row({(x,): c.i[x].entries for x in space.names}),
+                             by_row({(x,): c.l[x].entries for x in space.names}, pkg.h),
                              pkg.iota, w_names, a_names)
 
 
@@ -735,30 +747,13 @@ def minimal_period_map(pkg: HodgePackage, c: CartanHomotopy,
     structure, by sub-word recursion: _propagator_words with heads 1..k."""
     hw_top, hw_low, small = _harmonic_hom(pkg, pkg.n)
     target = OoStructure(small, SYMMETRIC, {}, max_weight)
-    source = decalage_dgla(c.L, max_weight)
-    return OoMorphism(source, target, _contraction_words(
-        pkg, c, source, small, max_weight, range(1, max_weight + 1), hw_top, hw_low))
+    source = decalage_dgla(c.L, max_weight, validate=False)
+    return OoMorphism(source, target, _hom_maps(source.space, small, _contraction_words(
+        pkg, c, source.space, max_weight, range(1, max_weight + 1), hw_top, hw_low)))
 
 
 # ---------------------------------------------------------------------------
 # Yukawa models
-
-
-def _fiber_model(base: OoStructure, space: GradedSpace, max_weight: int, chains: dict,
-                 mixed: dict) -> OoStructure:
-    """A Yukawa model on space = L[1] x fiber: q_k is base q_k on the a:
-    block, plus the fiber vectors chains[k][word] on the a: words, plus the
-    (key, fiber vector) pairs of mixed[k], for every arity k <= max_weight."""
-    taylor = {}
-    for k in range(1, max_weight + 1):
-        # a chain's a: word may also carry base q_k, so the two are summed
-        table = prefixed(base.taylor[k].entries if k in base.taylor else {}, A_PRE)
-        terms = [(tuple(A_PRE + x for x in word), vec)
-                 for word, vec in chains.get(k, {}).items()]
-        for key, vec in terms + mixed.get(k, []):
-            lin_acc(table.setdefault(key, {}), prefix_vector(vec, B_PRE))
-        taylor[k] = MultilinearMap(space, space, 1, k, SYMMETRIC).store(table)
-    return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 
 def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
@@ -775,10 +770,12 @@ def yukawa_model(pkg: HodgePackage, c: CartanHomotopy,
     top = [x for x in hw if pkg.H.bidegree[x][0] == n]
     bottom = [x for x in hw if pkg.H.bidegree[x][0] == 0]
     hom = hom_space(bottom, top, pkg.H)
-    base = decalage_dgla(c.L, max_weight)
-    fibers = _contraction_words(pkg, c, base, hom, max_weight, (n,), top, bottom)
-    return _fiber_model(base, pair_space(base.space, hom.shifted(-1)), max_weight,
-                        {k: f.entries for k, f in fibers.items()}, {})
+    base = decalage_dgla(c.L, max_weight, validate=False)
+    fibers = _contraction_words(pkg, c, base.space, max_weight, (n,), top, bottom)
+    terms = ((k, tuple(A_PRE + x for x in word), prefix_vector(vec, B_PRE), factor)
+             for k, (table, factor) in fibers.items() for word, vec in table.items())
+    return glued_structure(pair_space(base.space, hom.shifted(-1)), base.taylor, {}, terms,
+                           max_weight)
 
 
 def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
@@ -794,13 +791,15 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
     top = pkg.a_names(lambda bp, bq: bp == n)
     bottom = pkg.a_names(lambda bp, bq: bp == 0)
     hom = hom_space(bottom, top, pkg.A)
-    base = decalage_dgla(c.L, max_weight)
+    base = decalage_dgla(c.L, max_weight, validate=False)
     space = pair_space(base.space, hom.shifted(-1))
     tops = set(top)
     chains = walk([basis_rows(top)], by_row({(x,): c.i[x].entries for x in base.space.names}),
                   sorted_join(base.space), n)[n]
-    mixed = {1: [((B_PRE + name,), lin_scale(vec, -1))
-                 for name, vec in hom_differential(pkg.delbar, bottom, top).items()], 2: []}
+    terms = [(n, tuple(A_PRE + x for x in word), prefix_vector(vec, B_PRE), 1)
+             for word, vec in _hom_table(chains, top, bottom).items()]
+    terms += [(1, (B_PRE + name,), prefix_vector(vec, B_PRE), -1)
+              for name, vec in hom_differential(pkg.delbar, bottom, top).items()]
     # q2(s f (x) s^{-1} x) = (-1)^{|f|} s(f l_x), |f| = |f's name| - 1: for
     # f = t<-y, f l_x sends u in A^{n,*} to l_x(u)[y] t.  It is stored on the
     # canonical word (a:x, b:f) with the block-swap Koszul sign.
@@ -811,11 +810,10 @@ def yukawa_model_v2(pkg: HodgePackage, c: CartanHomotopy,
                     for t in bottom:
                         name = "%s<-%s" % (t, y)
                         swap = space.degree[A_PRE + x] * space.degree[B_PRE + name]
-                        mixed[2].append(((A_PRE + x, B_PRE + name), {
-                            "%s<-%s" % (t, u): cv * sign_pow(hom.degree[name] - 1 + swap)}))
-    return _fiber_model(base, space, max_weight, {n: {
-        word: _restrict_to_hom(rows, tops, set(bottom)) for word, rows in chains.items()}},
-        mixed)
+                        terms.append((2, (A_PRE + x, B_PRE + name),
+                                      {B_PRE + "%s<-%s" % (t, u): cv},
+                                      sign_pow(hom.degree[name] - 1 + swap)))
+    return glued_structure(space, base.taylor, {}, terms, max_weight)
 
 
 def yukawa_mc_fiber_residual(model: OoStructure, xi: ArtinElement) -> ArtinElement:
@@ -845,7 +843,7 @@ def strict_period_morphism(fpd: FormalPeriodData, max_weight: int = 3):
     c = fpd.cartan
     sub, amb, inc = end_preserving_sub_dgla(c.V, c.d_V, fpd.w_names)
     cocone = fm_cocone_lie(inc, max_weight)
-    source = decalage_dgla(c.L, max_weight)
+    source = decalage_dgla(c.L, max_weight, validate=False)
     f1 = MultilinearMap(source.space, cocone.space, 0, 1, SYMMETRIC)
     for x, lx in c.l.items():
         vec = prefix_vector(graded_map_to_elementary(lx, sub.space), A_PRE)

@@ -646,6 +646,32 @@ def test_voronov_structure_checks(seed):
     assert check_structure(phi).ok
 
 
+# --- two-block gluing -------------------------------------------------------------
+
+
+def test_glued_structure_sums_overlaps_and_drops_high_terms():
+    # a mixed term on a word of a block's own structure is summed with that
+    # entry, down to nothing where they cancel, and a term above max_weight
+    # is dropped, not stored
+    X = GradedSpace([("x", 0), ("y", 1)])
+    U = GradedSpace([("u", 0), ("v", 1)])
+    space = graded.pair_space(X, U)
+    first = {1: MultilinearMap(X, X, 1, 1, SYMMETRIC).store({("x",): {"y": 2}})}
+    second = {2: MultilinearMap(U, U, 1, 2, SYMMETRIC).store({("u", "u"): {"v": 3}})}
+    terms = [(1, ("a:x",), {"a:y": 1, "b:v": 5}, Fraction(1, 2)),
+             (2, ("b:u", "b:u"), {"b:v": 1}, -3),
+             (2, ("a:x", "b:u"), {"b:v": 2}, 2),
+             (3, ("a:x", "a:x", "b:u"), {"b:v": 1}, 1)]
+    glued = cocone.glued_structure(space, first, second, terms, 2)
+    assert glued.space == space and glued.flavor == SYMMETRIC and glued.max_weight == 2
+    assert sorted(glued.taylor) == [1, 2]
+    assert glued.taylor[1].entries == {("a:x",): {"a:y": Fraction(5, 2), "b:v": Fraction(5, 2)}}
+    assert glued.taylor[2].entries == {("a:x", "b:u"): {"b:v": 4}}
+    assert type(glued.taylor[2].entries[("a:x", "b:u")]["b:v"]) is int
+    # the blocks' own maps are read, not changed
+    assert first[1].entries == {("x",): {"y": 2}} and second[2].entries == {("u", "u"): {"v": 3}}
+
+
 # --- semidirect products ----------------------------------------------------------
 
 

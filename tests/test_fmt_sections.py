@@ -187,6 +187,38 @@ def test_cli_file_driven_paths(full_file):
     assert code == 0
 
 
+NON_DGLA = """
+space L3
+  a 0
+  b 1
+  c 2
+
+map dL3 L3 L3 1
+  a -> b
+  b -> c
+
+multilinear brL3 L3 L3 0 2 tensor
+
+dgla LB L3
+  d dL3
+  bracket brL3
+
+cartan CB LB A2 delbar2
+"""
+
+
+def test_cli_verify_cartan_rejects_a_non_dgla_when_parsed(tmp_path):
+    # d^2 != 0 on LB, while every i of CB is zero, so each Cartan identity
+    # holds: the homotopy checks its DGLA when the file is parsed, and the
+    # command exits 2 before any identity is read
+    p = tmp_path / "non_dgla.alg"
+    p.write_text(FULL + NON_DGLA)
+    code, out = run_cli(["verify", "cartan", str(p), "--name", "CB"])
+    assert code == 2
+    assert out.startswith("error: bad cartan section") and "input is not a DGLA" in out
+    assert "d^2=0" in out
+
+
 def test_cli_rejects_a_repeated_key(tmp_path):
     p = tmp_path / "repeated.alg"
     p.write_text(FULL.replace("  d dL1\n", "  d dL1\n  d dL1\n"))

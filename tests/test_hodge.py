@@ -12,13 +12,13 @@ import pytest
 from hoalg import fmt, graded
 from hoalg.cli import _example_period_data
 from hoalg.coalg import (
-    OoMorphism, OoStructure, check_morphism, check_structure,
+    DgLieAlgebra, OoMorphism, OoStructure, check_morphism, check_structure,
     compose_morphisms, decalage_dgla, symmetrize_structure,
 )
 from hoalg.cocone import A_PRE, B_PRE, Splitting, fiber_product_model
 from hoalg.fixtures import lambda_cartan_fixture
 from hoalg.graded import (
-    GradedMap, GradedSpace, MalformedInput, RejectedInput, SYMMETRIC,
+    GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
     check_contraction, hom_space, lin_single, sign_pow,
 )
 from hoalg.hodge import (
@@ -123,6 +123,32 @@ def test_cartan_homotopy_rejects_an_i_key_outside_L():
     assert check_cartan(fmt.parse("\n".join(good) + "\n").cartans["CC"]).ok
     with pytest.raises(MalformedInput, match="'x3'"):
         fmt.parse("\n".join(lines + ["cartan CC LL A dA", "  x1 -> i_x1", "  x3 -> i_x2"]))
+
+
+def test_cartan_homotopy_rejects_a_non_dgla():
+    # d^2 != 0 on L; with every i zero, each Cartan identity would still hold
+    pkg, cartan, fpd = torus_package(1)
+    Lsp = GradedSpace([("a", 0), ("b", 1), ("c", 2)])
+    d = GradedMap(Lsp, Lsp, 1, {"a": lin_single("b"), "b": lin_single("c")})
+    L = DgLieAlgebra(Lsp, d, MultilinearMap(Lsp, Lsp, 0, 2, TENSOR))
+    with pytest.raises(RejectedInput, match=r"^input is not a DGLA: .*d\^2=0"):
+        CartanHomotopy(L, cartan.V, cartan.d_V, {})
+
+
+def test_cartan_homotopy_checks_its_dgla_once(monkeypatch):
+    # L is checked when the homotopy is built, and the period builders read
+    # its decalage without checking it again
+    calls, check = [], DgLieAlgebra.check
+    monkeypatch.setattr(DgLieAlgebra, "check", lambda self: calls.append(self) or check(self))
+    pkg, cartan, fpd = synthetic_package(0)
+    assert calls == [cartan.L]
+    del calls[:]
+    split_period_map(fpd, max_weight=3)
+    minimal_period_map(pkg, cartan, max_weight=3)
+    yukawa_model(pkg, cartan, max_weight=3)
+    yukawa_model_v2(pkg, cartan, max_weight=3)
+    strict_period_morphism(fpd, max_weight=2)
+    assert calls == []
 
 
 def test_torus_contraction_tables_match_golden():
@@ -388,6 +414,31 @@ def test_sorted_hodge_walks_push_from_rows_without_composing(monkeypatch):
         assert counts == want[name]
 
 
+def test_yukawa_model_stores_each_arity_once(monkeypatch):
+    # the gluing writes each arity of the pair space once, and no fiber
+    # coefficient passes through a MultilinearMap of its own first: every
+    # other store of the build is base q1 or q2 on L[1]
+    stores, store = [], MultilinearMap.store
+
+    def counted(self, words, factor=1):
+        stores.append((self.source, self.target, self.arity))
+        return store(self, words, factor)
+
+    for (pkg, cartan, fpd), w in ((torus_package(2), 3), (synthetic_package(0), 4)):
+        base = decalage_dgla(cartan.L, max_weight=w).space
+        monkeypatch.setattr(MultilinearMap, "store", counted)
+        Y = yukawa_model(pkg, cartan, max_weight=w)
+        monkeypatch.undo()
+        assert any(y.startswith(B_PRE) for q in Y.taylor.values() for vec in q.entries.values()
+                   for y in vec)
+        assert sorted(k for _, target, k in stores if target == Y.space) == \
+            list(range(1, w + 1))
+        assert sorted(k for source, target, k in stores if target != Y.space
+                      and (source, target) == (base, base)) == [1, 2]
+        assert len(stores) == w + 2
+        del stores[:]
+
+
 def _push_types(monkeypatch) -> list:
     """From now on the type of every coefficient that graded.push adds (a
     lin_acc call made by push, coeff times each entry) appends to a list."""
@@ -503,33 +554,6 @@ def test_split_period_component_collapses_on_torus():
     assert nonzero == 9
 
 
-def test_yukawa_cubic_of_the_three_torus():
-    """For torus:3 the H^{3,0} -> H^{0,3} block of the weight-3 minimal period
-    map on (t_a b_alpha, t_b b_beta, t_c b_gamma) is eps_{abc} eps_{alpha beta
-    gamma}: the polarization of xi -> 6 det xi (Bryant-Griffiths 1983).
-    yukawa_model's fiber bracket carries the same block."""
-    pkg, cartan, fpd = torus_package(3)
-    P = minimal_period_map(pkg, cartan, max_weight=3)
-    Y = yukawa_model(pkg, cartan, max_weight=3)
-    block = "dzb1^dzb2^dzb3<-dz1^dz2^dz3"
-    names = sorted(("t%db%d" % (a, al) for a in (1, 2, 3) for al in (1, 2, 3)),
-                   key=P.source.space.index.get)
-
-    def eps(p):
-        if len(set(p)) < 3:
-            return 0
-        return sign_pow(sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)))
-
-    words = list(itertools.combinations_with_replacement(names, 3))
-    assert len(words) == 165
-    for word in words:
-        want = eps([int(n[1]) for n in word]) * eps([int(n[3]) for n in word])
-        assert P.taylor[3].value(word).get(block, 0) == want, word
-        fiber = Y.taylor[3].value(tuple(A_PRE + n for n in word))
-        assert fiber.get(B_PRE + block, 0) == want, word
-    assert sum(1 for word in words if P.taylor[3].value(word).get(block)) == 6
-
-
 # --- minimal period map ---------------------------------------------------------------
 
 
@@ -608,19 +632,82 @@ def _torus_minors(n: int, k: int, index: dict) -> dict:
     return out
 
 
+def _flat_torus(n: int, cache={}) -> tuple:
+    """(package, homotopy, minimal period map at weight n) of the flat n-torus,
+    built once per test session: torus:5's package and map take about a
+    second, and the minors and Yukawa tests read them."""
+    if n not in cache:
+        pkg, cartan, fpd = torus_package(n)
+        cache[n] = pkg, cartan, minimal_period_map(pkg, cartan, max_weight=n)
+    return cache[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_minimal_period_map_of_the_flat_torus_is_its_minors(n):
     # p_k of the flat n-torus is the polarization of the k x k minors of xi
     # times the complementary forms (_torus_minors), on every sorted word of
     # degree-0 letters, for every k <= n
-    pkg, cartan, fpd = torus_package(n)
-    P = minimal_period_map(pkg, cartan, max_weight=n)
+    pkg, cartan, P = _flat_torus(n)
     space = P.source.space
     for k in range(1, n + 1):
         got = {word: vec for word, vec in P.taylor[k].entries.items()
                if all(space.degree[x] == 0 for x in word)}
         assert got == _torus_minors(n, k, space.index), (n, k)
         assert got
+
+
+def _yukawa_block_is_the_minimal_block(n: int, build) -> dict:
+    """Check that the dzb1^..^dzbn<-dz1^..^dzn block of the fiber q_n of the
+    Yukawa model `build` of torus:n equals that block of the minimal period
+    map's p_n, which the minors test pins to the closed form, on every sorted
+    word of degree-0 letters, and return the block {word: coefficient}."""
+    pkg, cartan, P = _flat_torus(n)
+    space = P.source.space
+    block = "%s<-%s" % ("^".join("dzb%d" % i for i in range(1, n + 1)),
+                        "^".join("dz%d" % i for i in range(1, n + 1)))
+
+    def degree0(word):
+        return all(space.degree[x] == 0 for x in word)
+
+    want = {word: vec[block] for word, vec in P.taylor[n].entries.items()
+            if degree0(word) and block in vec}
+    # the block is the polarized n x n determinant: one word per permutation
+    assert len(want) == factorial(n)
+    Y = build(pkg, cartan, max_weight=n)
+    fiber = {tuple(x[len(A_PRE):] for x in key): vec[B_PRE + block]
+             for key, vec in Y.taylor[n].entries.items()
+             if B_PRE + block in vec and all(x.startswith(A_PRE) for x in key)}
+    assert {word: c for word, c in fiber.items() if degree0(word)} == want
+    return want
+
+
+def test_yukawa_cubic_of_the_three_torus():
+    """For torus:3 the H^{3,0} -> H^{0,3} block of the weight-3 minimal period
+    map on (t_a b_alpha, t_b b_beta, t_c b_gamma) is eps_{abc} eps_{alpha beta
+    gamma}: the polarization of xi -> 6 det xi (Bryant-Griffiths 1983).
+    The fiber q3 of both Yukawa models carries the same block."""
+    want = _yukawa_block_is_the_minimal_block(3, yukawa_model)
+    assert _yukawa_block_is_the_minimal_block(3, yukawa_model_v2) == want
+    names = sorted(("t%db%d" % (a, al) for a in (1, 2, 3) for al in (1, 2, 3)),
+                   key=_flat_torus(3)[2].source.space.index.get)
+
+    def eps(p):
+        if len(set(p)) < 3:
+            return 0
+        return sign_pow(sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)))
+
+    words = list(itertools.combinations_with_replacement(names, 3))
+    assert len(words) == 165
+    for word in words:
+        assert want.get(word, 0) == eps([int(n[1]) for n in word]) * \
+            eps([int(n[3]) for n in word]), word
+
+
+@pytest.mark.parametrize("build", [yukawa_model, yukawa_model_v2], ids=["v1", "v2"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_yukawa_n_linear_coupling_of_the_flat_torus(n, build):
+    # the n-linear coupling on torus:4 and torus:5, as on torus:3 above
+    _yukawa_block_is_the_minimal_block(n, build)
 
 
 @pytest.mark.parametrize("fixture", ["torus", "synthetic0", "synthetic2"])

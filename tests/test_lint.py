@@ -6,7 +6,9 @@ every true division sits on a reviewed site, the word-by-word pull path,
 its memos, the per-word nested products and the test-only fixtures stay
 out of the library, sorted words are merged, not re-sorted, no library
 function enumerates basis words, every Taylor-map builder stores each arity
-through the one checked write, MultilinearMap.store, the period-map chains
+through the one checked write, MultilinearMap.store, a stored family is
+prefixed onto a pair-space block only by the two-block gluing and the cocone
+q1/q2 builders, the period-map chains
 are pushed in place from W's basis vectors, with no commutator, per-entry
 write, GradedMap copy or composition,
 hom-space names are built, never parsed, with [d, -] pushed by one
@@ -341,10 +343,13 @@ def test_hand_rolled_accumulates_only_on_reviewed_sites():
 
 # Every library builder of a Taylor map or of an End(V) operation hands
 # MultilinearMap.store, the one checked write, a finished {canonical word:
-# vector} table per arity, either itself or through coalg.pushed_map, which
-# stores a push kernel's int output at its scale.  The builders make no per-entry write (set_entry, add_entry)
-# and no per-entry Fraction product (lin_scale).  add_entry serves the
-# parser only, and the retired per-word writers stay gone.
+# vector} table per arity, either itself, through coalg.pushed_map, which
+# stores a push kernel's int output at its scale, or, for a structure on a
+# two-block space (semidirect, fiber product, both Yukawa models), through
+# cocone.glued_structure, which stores each arity once.  The builders make
+# no per-entry write (set_entry, add_entry) and no per-entry Fraction product
+# (lin_scale).  add_entry serves the parser only, and the retired per-word
+# writers stay gone.
 STORE_BUILDERS = {
     ("coalg", "compose_morphisms"), ("coalg", "invert_morphism"),
     ("coalg", "transport_structure"), ("coalg", "_decalage"),
@@ -355,7 +360,8 @@ STORE_BUILDERS = {
     ("cocone", "_cocone_q1"), ("cocone", "derived_products_model"),
     ("cocone", "_derived_brackets"), ("cocone", "semidirect_product"),
     ("cocone", "fiber_product_model"), ("cocone", "strictify_fibration"),
-    ("hodge", "_hom_map"), ("hodge", "_fiber_model"), ("hodge", "derived_hom_structure"),
+    ("cocone", "glued_structure"), ("hodge", "_hom_maps"), ("hodge", "yukawa_model"),
+    ("hodge", "yukawa_model_v2"), ("hodge", "derived_hom_structure"),
     ("graded", "multilinear_from_graded_map"),
 }
 BULK_STORE_SITES = {
@@ -367,9 +373,8 @@ BULK_STORE_SITES = {
     ("cocone", "exp_log_isos.word_maps"), ("cocone", "_cocone_q1"),
     ("cocone", "cocone_associative"), ("cocone", "derived_products_model"),
     ("cocone", "derived_products_model.g_taylor"), ("cocone", "_derived_brackets"),
-    ("cocone", "semidirect_product"), ("cocone", "fiber_product_model"),
-    ("cocone", "strictify_fibration"),
-    ("hodge", "_hom_map"), ("hodge", "_fiber_model"), ("hodge", "derived_hom_structure"),
+    ("cocone", "glued_structure"), ("cocone", "strictify_fibration"),
+    ("hodge", "_hom_maps"), ("hodge", "derived_hom_structure"),
 }
 PUSHED_MAP_SITES = {
     ("coalg", "compose_morphisms"), ("coalg", "invert_morphism"),
@@ -394,6 +399,17 @@ def test_cocone_builders_write_in_bulk(name):
     named = {p.name: sorted((_names(_tree(p)) | _defined(_tree(p))) & RETIRED_WRITERS)
              for p in MODULES}
     assert {module: hits for module, hits in named.items() if hits} == {}
+
+
+# A stored family reaches a block of a pair space through graded.prefixed
+# only in the gluing of two-block structures and in the cocone q1/q2
+# builders, so no builder re-prefixes a stored family on its own.
+PREFIXED_SITES = {("cocone", name) for name in (
+    "glued_structure", "_fm_cocone_lie", "_cocone_q1", "cocone_associative", "fm_cocone_assoc")}
+
+
+def test_families_are_prefixed_only_by_the_gluing():
+    assert set().union(*(_call_sites(p, "prefixed") for p in MODULES)) == PREFIXED_SITES
 
 
 # The period-map layer pushes from the nonzeros: derived_hom_structure reads
