@@ -7,9 +7,15 @@ is filled from the lower ones, and in both flavors the sums are pushed from
 the Taylor supports by the kernels coalg._products and coalg._insertion, whose
 int output is stored at its scale through coalg.pushed_map.
 
-The homotopy word operator is the arity-consistent
-K_k = sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)}; the test suite pins this
-choice through G F = Id and the closed-form nested-projection inverse.
+G pulls sum_{j<k} g_j Q^j_k back along the arity-consistent homotopy
+K_k = sum_i id^{(x)i} (x) K (x) (f1 g1)^{(x)(k-i-1)} (pinned by G F = Id and the
+nested-projection inverse) in one right-to-left pass per word, down to its
+first letter with a K-preimage: each K-preimage u of word[i] adds word[:i] + u + t,
+with the sign (-1)^{|word[:i]|} of the odd K, for each (f1 g1)-preimage t of
+word[i+1:]; then the tails t grow by the preimages of word[i], and once they are
+empty no earlier letter adds a term.  K_k is a tensor product read off the letters
+of a word key, as the coalg kernels read theirs, not operators composed on the
+names of a vector, so the pass is not a graded.push walk.
 """
 
 from __future__ import annotations
@@ -63,31 +69,10 @@ def transfer_structure(big: OoStructure, c: Contraction, max_weight=None,
     return small, F
 
 
-def _homotopy_transpose(word: tuple, inv_k: dict, inv_fg: dict, space):
-    """(w, c) with c a term of the coefficient of `word` in K_k(w): w agrees
-    with word before i, w[i] is a preimage of word[i] under K (inv_k maps a
-    name to its [(preimage, coefficient)]), and w[i+1:] one of word[i+1:] under
-    (f1 g1)^{(x)(k-i-1)}, grown one letter at a time from the index inv_fg of f1 g1.
-    K is odd, so the term at i carries (-1)^{deg(word_0)+...+deg(word_{i-1})}."""
-    odd = 0
-    for i, y in enumerate(word):
-        if y in inv_k:
-            tails = {(): 1}
-            for z in word[i + 1:]:
-                tails = {w + (u,): c * cu for w, c in tails.items() for u, cu in inv_fg.get(z, ())}
-            for u, cu in inv_k[y]:
-                for w, cw in tails.items():
-                    yield word[:i] + (u,) + w, (-cu if odd else cu) * cw
-        odd ^= space.degree[y] & 1
-
-
 def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
                            max_weight=None, validate: bool = True) -> OoMorphism:
-    """Quasi-inverse G: big -> small with G o F = Id (tensor flavor only).
-
-    g_k = sum_{j=1}^{k-1} g_j Q^j_k K_k; the closed form in the symmetric
-    flavor is out of scope (the recursions there are far more involved).
-    """
+    """Quasi-inverse G: big -> small with G o F = Id and g_k = sum_{j<k} g_j Q^j_k K_k,
+    in the tensor flavor only (the symmetric closed form is out of scope)."""
     if big.flavor != TENSOR:
         raise UnsupportedOperation(
             "explicit quasi-inverse is implemented for the tensor flavor only")
@@ -98,16 +83,30 @@ def transfer_quasi_inverse(big: OoStructure, c: Contraction, F: OoMorphism,
     G = OoMorphism(big, small, {1: multilinear_from_graded_map(c.project, TENSOR)})
     inv_k = preimages(c.homotopy.entries)
     inv_fg = preimages(c.inject.compose(c.project).entries)
-    q = Scaled(big.taylor, mw)
+    q, degree = Scaled(big.taylor, mw), big.space.degree
     for k in range(2, mw + 1):
         # sum_{j<k} g_j Q^j_k on every k-word at once (G holds no g_k yet),
-        # then pulled back along K_k through its transpose, at the same scale
+        # then pulled back along K_k at the same scale (odd = |word[:i]| mod 2)
         inserted, scale = _insertion(Scaled(G.taylor, k), q, k)
         pushed: dict = {}
-        for tup, vec in inserted.items():
-            if vec:
-                for word, cf in _homotopy_transpose(tup, inv_k, inv_fg, big.space):
-                    lin_acc(pushed.setdefault(word, {}), vec, cf)
+        for word, vec in inserted.items():
+            for lo, y in enumerate(word):
+                if y in inv_k:
+                    break
+            else:
+                continue
+            odd, tails, i = sum(degree[y] for y in word) & 1, {(): 1}, len(word)
+            while tails and i > lo:
+                i -= 1
+                y = word[i]
+                odd ^= degree[y] & 1
+                for u, cu in inv_k.get(y, ()):
+                    for w, cw in tails.items():
+                        lin_acc(pushed.setdefault(word[:i] + (u,) + w, {}), vec,
+                                (-cu if odd else cu) * cw)
+                if i > lo:
+                    tails = {(u,) + w: cw * cu for w, cw in tails.items()
+                             for u, cu in inv_fg.get(y, ())}
         gk = pushed_map(big.space, small.space, 0, k, TENSOR, (pushed, scale))
         if not gk.is_zero():
             G.taylor[k] = gk

@@ -516,6 +516,11 @@ def test_split_period_map_is_morphism(fixture):
 
 
 def test_split_period_component_collapses_on_torus():
+    for n, nonzero in [(1, 2), (2, 17), (3, 169), (4, 2199)]:
+        _check_split_period_closed_form(n, nonzero)
+
+
+def _check_split_period_closed_form(n: int, nonzero: int):
     """On the flat torus with W = A^{>=1}, the A^{1+j} -> A^{1+j-k} component
     of pi_k is split_period_coefficient_closed(k, j) times the chain
     i_{w[0]} o .. o i_{w[k-1]} in word order, with no sign left over.
@@ -528,30 +533,40 @@ def test_split_period_component_collapses_on_torus():
     over i_y with the sign (-1)^{|x||y|}, the same sign eps(s) carries, so
     every ordering contributes the chain in word order with sign +1, and
     the partition sum leaves the closed coefficient.
-    Every arity >= 3 vanishes: three contractions kill A^{<=2, *}.
+    Every arity > n vanishes: n + 1 contractions kill A^{<=n, *}.
+
+    The canonical words of S(W) grow by a last letter, and a word whose
+    chain is zero is not extended, since every extension's chain is zero
+    too; every stored word must have a nonzero chain, and the nonzero words
+    over all arities are counted (n = 1..4 give 2, 17, 169 and 2,199).
     """
-    pkg, cartan, fpd = torus_package(2, p=1)
-    Pi, target = split_period_map(fpd, max_weight=5)
-    assert set(Pi.taylor) == {1, 2}
+    pkg, cartan, fpd = torus_package(n, p=1)
+    Pi, target = split_period_map(fpd, max_weight=n + 1)
+    assert set(Pi.taylor) == set(range(1, n + 1))
     from hoalg.graded import elementary_to_graded_map
-    k = 2
-    nonzero = 0
-    for x, y in Pi.source.basis_words(k):
-        got = Pi.taylor[k].value((x, y))
-        nonzero += bool(got)
-        gm = elementary_to_graded_map(got, target.space, pkg.A, pkg.A) \
-            if got else None
-        chain = cartan.i[x].compose(cartan.i[y])
-        for src in pkg.A.names:
-            p, q = pkg.A.bidegree[src]
-            if p < 1:
-                continue
-            j = p - 1
-            coeff = split_period_coefficient_closed(k, j) if p - k < 1 else 0
-            want = {t: c * coeff for t, c in chain.value(src).items() if coeff}
-            have = gm.value(src) if gm is not None else {}
-            assert have == want, (x, y, src)
-    assert nonzero == 9
+    W = Pi.source.space
+    reach = {x: {t for vec in cartan.i[x].entries.values() for t in vec} for x in W.names}
+    level, found = {(): GradedMap.identity(pkg.A)}, 0
+    for k in range(1, n + 2):
+        level = {w + (x,): chain.compose(cartan.i[x]) for w, chain in level.items()
+                 for x in W.names[W.index[w[-1]] if w else 0:]
+                 if not (w and x == w[-1] and W.degree[x] % 2)
+                 and not reach[x].isdisjoint(chain.entries)}
+        level = {w: chain for w, chain in level.items() if chain}
+        stored = Pi.taylor[k].entries if k in Pi.taylor else {}
+        assert set(stored) <= set(level), k
+        for w, chain in level.items():
+            got = stored.get(w, {})
+            found += bool(got)
+            have = elementary_to_graded_map(got, target.space, pkg.A, pkg.A).entries
+            want = {}
+            for src, img in chain.entries.items():
+                p = pkg.A.bidegree[src][0]
+                coeff = split_period_coefficient_closed(k, p - 1) if p >= 1 > p - k else 0
+                if coeff:
+                    want[src] = {t: c * coeff for t, c in img.items()}
+            assert have == want, (w, k)
+    assert found == nonzero
 
 
 # --- minimal period map ---------------------------------------------------------------

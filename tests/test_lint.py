@@ -272,11 +272,12 @@ def test_walks_push_from_one_table_per_operation():
 # it level by level, and every chain of products, brackets or operators
 # grows through it.  No other module defines a push, the retired walks stay
 # gone (prefix_products and its grow callbacks, hodge's own push, walk and
-# joins), and cocone.py and hodge.py carry no table from one pass of a loop
-# to the next: a level loop rebinds a table that the loop read before, or
-# appends to a list a value read from that list.
+# joins, and transfer's _homotopy_transpose), and cocone.py and hodge.py
+# carry no table from one pass of a loop to the next: a level loop rebinds a
+# table that the loop read before, or appends to a list a value read from
+# that list.
 RETIRED_WALKS = {"prefix_products", "grow", "_push", "_walk", "_by_row", "_merge",
-                 "_prepend"}
+                 "_prepend", "_homotopy_transpose"}
 
 
 def _stored(tree) -> set:

@@ -163,9 +163,16 @@ def test_single_term_recursion_hand_expandable():
     assert gotf == wantf
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_transferred_structure_and_morphism_check(seed):
-    big = decalage_dga(random_end_dga(seed, 2), max_weight=4)
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "filiform:5:6", "filiform:6:5"])
+def test_transferred_structure_and_morphism_check(case):
+    # the filiform cases transfer onto the cohomology of non-formal algebras,
+    # n = 5 at weight 6 and n = 6 at weight 5, where the pull along K_k grows
+    # (f1 g1)-preimage tails of length 4-5, past the weight-4 pull-oracle cases
+    if isinstance(case, int):
+        big = decalage_dga(random_end_dga(case, 2), max_weight=4)
+    else:
+        n, weight = map(int, case.split(":")[1:])
+        big = decalage_dga(filiform_dga(n), max_weight=weight)
     bigd = q1_as_map(big)
     c0 = harmonic_contraction(big.space, bigd)
     c = Contraction(c0.small, c0.d_small, big.space, bigd, c0.inject,
@@ -179,7 +186,7 @@ def test_transferred_structure_and_morphism_check(seed):
     id1 = comp.taylor.get(1)
     for n in small.space.names:
         assert id1.value((n,)) == {n: Fraction(1)}
-    for k in range(2, 5):
+    for k in range(2, big.max_weight + 1):
         assert comp.taylor.get(k) is None or comp.taylor[k].is_zero()
 
 
@@ -277,6 +284,25 @@ def test_pushed_transfer_matches_pull_build(case):
     assert entries_of(G) == entries_of(pull_transfer_quasi_inverse(big, c, F))
     assert canonical_coefficients(small, F, G)
     assert check_morphism(G).ok
+
+
+def test_heisenberg_massey_products():
+    # r_3 of the transfer onto the cohomology of the Heisenberg algebra
+    # (filiform n = 3) on the classes of (x1, x1, x2) and (x2, x2, x1) is the
+    # Massey product <x1, x1, x2> = +-[x1 x3], resp. <x2, x2, x1> = +-[x2 x3],
+    # both with zero indeterminacy in H^2 (Lu-Palmieri-Wu-Zhang, "A-infinity
+    # structures on Ext algebras", JPAA 2009, Thm 3.1)
+    big = decalage_dga(filiform_dga(3), max_weight=4)
+    c = harmonic_contraction(big.space, q1_as_map(big))
+    small, _ = transfer_structure(big, c)
+    cls = {}
+    for h in c.small.names:
+        (name, coeff), = c.inject.value(h).items()
+        if coeff == 1:
+            cls[name] = h
+    for a, b, bracket in [("x1", "x2", "x1^x3"), ("x2", "x1", "x2^x3")]:
+        got = small.taylor[3].value((cls[a], cls[a], cls[b]))
+        assert got in ({cls[bracket]: 1}, {cls[bracket]: -1}), (a, b, got)
 
 
 def test_quasi_inverse_rejects_symmetric_flavor():
