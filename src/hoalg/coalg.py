@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm
 
 from .graded import (
@@ -129,14 +130,18 @@ def preimages(entries: dict) -> dict:
 class Scaled:
     """The arities n <= top of a Taylor family t at one integer scale D:
     entries[n] = D t_n (graded.scaled_ints) and inv[n] = preimages(entries[n]),
-    with the source space of t and whether its words are read in S(V)."""
+    with the source space of t and whether its words are read in S(V).  The
+    kernels read inv only on their inner family, so it is built on first read."""
 
     def __init__(self, taylor: dict, top: int):
         self.scale, self.entries = scaled_ints(taylor, top)
-        self.inv = {n: preimages(e) for n, e in self.entries.items()}
         t = next(iter(taylor.values()), None)
         self.space = t.source if t is not None else None
         self.symmetric = t is not None and t.flavor == SYMMETRIC
+
+    @cached_property
+    def inv(self) -> dict:
+        return {n: preimages(e) for n, e in self.entries.items()}
 
 
 def push_insertion(outer: dict, inner: dict, k: int) -> dict:

@@ -8,7 +8,9 @@ bracket chain is pushed from the nonzeros by graded's one walk
 (graded.walk), through the operation's push table (graded.right_products).
 The semidirect product, the fiber product and hodge's Yukawa models are
 built by one gluing, glued_structure: the two blocks' own families plus the
-caller's mixed terms, summed per arity and stored once.
+caller's mixed terms, summed per arity and stored once.  The derived-products
+model is the homotopy transfer of the associative cocone along
+cocone_contraction (transfer.py); only its G_inf keeps a closed form.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .graded import (
     prefix_vector, prefixed, right_products, scaled_ints, sign_pow, sorted_join,
     sym_normalize, unscaled, walk,
 )
+from .transfer import transfer_quasi_inverse, transfer_structure
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +313,16 @@ DerivedProducts = namedtuple(
 
 def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProducts:
     """Derived-product model (C, Pd, P(dc1.c2)) on a square-zero complement,
-    with the four quasi-isomorphisms to/from both cocone models."""
+    with the four quasi-isomorphisms to/from both cocone models.
+
+    The structure, F_as and G_as are transferred from the associative cocone
+    along cocone_contraction; F_inf has F_as's coefficients.  G_inf keeps its
+    closed form g_k(w) = sum_m ((-1)^{m+1}/m!) P(w_1..w_m . g_{k-m}(w[m:])),
+    the m = k term without the product (g_1 = P), pushed from the nonzero
+    products w_1..w_m b of one walk, at D^m times their value, and the ints
+    g_j at their scales S_j, indexed by letter, tails[j] = {b: [(word,
+    g_j(word)_b)]}; arity k is lifted to one S_k and stored once.
+    """
     rep = split.check("square_zero")
     if not rep.ok:
         raise RejectedInput("splitting invalid: %s" % rep.first_failure())
@@ -318,63 +330,40 @@ def derived_products_model(split: Splitting, max_weight: int = 6) -> DerivedProd
     inclusion = split.sub_dga()
     cinf = fm_cocone_assoc(inclusion, max_weight)
     cas = decalage_dga(cocone_associative(inclusion), max_weight, validate=False)
-    # q1 = Pd, f1 and g1 are the linear maps of the cocone contraction
     contraction = cocone_contraction(split, inclusion, cinf.space)
+    structure, F_as = transfer_structure(cas, contraction, max_weight, validate=False)
+    G_as = transfer_quasi_inverse(cas, contraction, F_as, max_weight, validate=False)
     Csp = contraction.small
-    scale, heads, times = right_products(amb.product)
-    prods = {w: times(amb.d.value(w[0]), {w[1]: 1})
-             for w in itertools.product(split.complement_names, repeat=2)}
-    q2 = MultilinearMap(Csp, Csp, 1, 2, TENSOR).store(
-        {w: split.P.apply(u) for w, u in prods.items()}, Fraction(1, scale))
-    f2 = MultilinearMap(Csp, cinf.space, 0, 2, TENSOR).store(
-        {w: prefix_vector(split.Pperp.apply(u), A_PRE) for w, u in prods.items()},
-        Fraction(1, scale))
-    q1 = multilinear_from_graded_map(contraction.d_small, TENSOR)
-    structure = OoStructure(Csp, TENSOR, {1: q1, 2: q2}, max_weight)
-    f1 = multilinear_from_graded_map(contraction.inject, TENSOR)
-    F_inf = OoMorphism(structure, cinf, {1: f1, 2: f2})
-    F_as = OoMorphism(structure, cas, {1: f1, 2: f2})
     # levels[n] holds the products a w_1..w_n, on row a, at D^n
+    scale, heads, _ = right_products(amb.product)
     levels = walk([basis_rows(amb.space.names)], heads, concat, max_weight - 1)
     bwords, comp = {S: tuple(B_PRE + b for b in S) for ws in levels for S in ws}, set(Csp.names)
-
-    def g_taylor(c):
-        """g_k(w) = sum_m c(m) P(w_1..w_m . g_{k-m}(w[m:])), the m = k term
-        without the product (so g_1 = P: c(1) = 1), pushed from the nonzero
-        products w_1..w_m b of the walk, at D^m times their value, and the
-        ints g_j at their own scales S_j, indexed by letter, tails[j] = {b:
-        [(word, g_j(word)_b)]}: each product whose last letter b starts a
-        nonzero g_j adds its terms at D^m S_j times their value.  Arity k is
-        lifted to one S_k, stored once."""
-        taylor, scales, tails = {}, {}, {0: {None: [((), 1)]}}      # tails[0]: m = k
-        for k in range(1, max_weight + 1):
-            terms = [(m, Fraction(c(m)), scale ** m * scales[k - m] if m < k else scale ** (k - 1))
-                     for m in range(1, k + 1)]
-            scales[k] = lcm(*(cm.denominator * s for _, cm, s in terms))
-            acc: dict = {}
-            for m, cm, s in terms:
-                lift, index = cm.numerator * (scales[k] // (cm.denominator * s)), tails[k - m]
-                # w_1..w_m b for m < k, at level m; the product w_1..w_k for m = k
-                for S, rows in levels[min(m, k - 1)].items():
-                    b, front = (S[-1], bwords[S[:-1]]) if m < k else (None, bwords[S])
-                    for a, vec in rows.items() if b in index else ():
-                        pv = {y: v for y, v in vec.items() if y in comp}
-                        for tword, cb in index[b] if pv else ():
-                            lin_acc(acc.setdefault((B_PRE + a,) + front + tword, {}), pv,
-                                    lift * cb)
-            taylor[k] = MultilinearMap(cinf.space, Csp, 0, k, TENSOR).store(
-                acc, Fraction(1, scales[k]))
-            tails[k] = {}
-            for tword, row in acc.items():
-                for b, cb in row.items():
-                    tails[k].setdefault(b, []).append((tword, cb))
-        return taylor
-
-    G_as = OoMorphism(cas, structure, g_taylor(lambda m: sign_pow(m + 1)))
-    G_inf = OoMorphism(cinf, structure,
-                       g_taylor(lambda m: Fraction(sign_pow(m + 1), factorial(m))))
-    return DerivedProducts(structure, F_as, G_as, F_inf, G_inf,
-                           cas, cinf, inclusion, contraction)
+    taylor, scales, tails = {}, {}, {0: {None: [((), 1)]}}      # tails[0]: m = k
+    for k in range(1, max_weight + 1):
+        # (m, sign, denominator of the ints of term m: m! D^m S_{k-m}, k! D^{k-1} at m = k)
+        terms = [(m, sign_pow(m + 1), factorial(m) * scale ** min(m, k - 1) *
+                  (scales[k - m] if m < k else 1)) for m in range(1, k + 1)]
+        scales[k] = lcm(*(s for _, _, s in terms))
+        acc: dict = {}
+        for m, sign, s in terms:
+            lift, index = sign * (scales[k] // s), tails[k - m]
+            # w_1..w_m b for m < k, at level m; the product w_1..w_k for m = k
+            for S, rows in levels[min(m, k - 1)].items():
+                b, front = (S[-1], bwords[S[:-1]]) if m < k else (None, bwords[S])
+                for a, vec in rows.items() if b in index else ():
+                    pv = {y: v for y, v in vec.items() if y in comp}
+                    for tword, cb in index[b] if pv else ():
+                        lin_acc(acc.setdefault((B_PRE + a,) + front + tword, {}), pv,
+                                lift * cb)
+        taylor[k] = MultilinearMap(cinf.space, Csp, 0, k, TENSOR).store(
+            acc, Fraction(1, scales[k]))
+        tails[k] = {}
+        for tword, row in acc.items():
+            for b, cb in row.items():
+                tails[k].setdefault(b, []).append((tword, cb))
+    return DerivedProducts(structure, F_as, G_as, OoMorphism(structure, cinf, F_as.taylor),
+                           OoMorphism(cinf, structure, taylor), cas, cinf, inclusion,
+                           contraction)
 
 
 # ---------------------------------------------------------------------------

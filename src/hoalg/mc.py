@@ -125,6 +125,9 @@ class ArtinElement:
         if isinstance(coeff, float):
             raise MalformedInput("float coefficient rejected (exact arithmetic only)")
         mono = tuple(mono)
+        if len(mono) != self.ring.generators or min(mono, default=0) < 0:
+            raise MalformedInput("monomial %r: need %d nonnegative exponents, one per generator"
+                                 % (mono, self.ring.generators))
         if sum(mono) >= self.ring.order:
             return
         if sum(mono) == 0 and not self.allow_constant:

@@ -577,20 +577,22 @@ def test_derived_products_rejects_bad_complement():
         derived_products_model(Splitting(A, A.space.names), max_weight=3)
 
 
-def test_gas_matches_transfer_quasi_inverse():
-    # the recursion of the transfer quasi-inverse reproduces the closed-form
-    # nested-projection morphism on the associative cocone
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fm_cocone_transfer_gives_the_derived_model(seed):
+    # the model is transferred from the associative cocone; transferring the
+    # Bernoulli cocone along the same contraction, validated, gives the same
+    # structure, F_inf's coefficients and the closed-form nested projections
+    # of G_inf
     from hoalg.transfer import transfer_quasi_inverse, transfer_structure
-    sp = end_dga_splitting(1, 3)
-    dp = derived_products_model(sp, max_weight=4)
-    small, F = transfer_structure(dp.cocone_as, dp.contraction, max_weight=4)
-    for k in set(small.taylor) | set(dp.structure.taylor):
-        assert small.taylor.get(k) == dp.structure.taylor.get(k), k
-    for k in set(F.taylor) | set(dp.F_as.taylor):
-        assert F.taylor.get(k) == dp.F_as.taylor.get(k), k
-    G = transfer_quasi_inverse(dp.cocone_as, dp.contraction, F, max_weight=4)
-    for k in set(G.taylor) | set(dp.G_as.taylor):
-        assert G.taylor.get(k) == dp.G_as.taylor.get(k), k
+    dp = derived_products_model(end_dga_splitting(seed, 3), max_weight=5)
+    small, F = transfer_structure(dp.cocone_inf, dp.contraction, max_weight=5)
+    assert small.taylor.keys() == dp.structure.taylor.keys()
+    assert all(small.taylor[k] == dp.structure.taylor[k] for k in small.taylor)
+    assert F.taylor.keys() == dp.F_inf.taylor.keys()
+    assert all(F.taylor[k] == dp.F_inf.taylor[k] for k in F.taylor)
+    G = transfer_quasi_inverse(dp.cocone_inf, dp.contraction, F, max_weight=5)
+    assert G.taylor.keys() == dp.G_inf.taylor.keys() and len(G.taylor) > 2
+    assert all(G.taylor[k] == dp.G_inf.taylor[k] for k in G.taylor)
 
 
 # --- voronov ---------------------------------------------------------------------

@@ -377,6 +377,15 @@ def test_cli_unsupported_request_is_exit_2(tmp_path, argv, message):
     assert run_cli(argv) == (2, "error: %s\n" % message)
 
 
+@pytest.mark.parametrize("kind", ["v1", "v2"])
+def test_cli_yukawa_mc_needs_a_generator(kind):
+    # over Q[t]/m^N with no generator m_B = 0, so there is no element xi to
+    # test: one error line and exit 2, not a residual at the constant term
+    code, out = run_cli(["--max-weight", "3", "--artin", "0,3", "yukawa", kind,
+                         "--example", "torus:2", "mc"])
+    assert code == 2 and out.startswith("error: monomial (1,)") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize("kind", ["structure", "morphism", "contraction"])
 def test_cli_verify_example_serves_cartan_and_hodge_only(kind):
     # without FILE the error once said --example was missing although it was given

@@ -5,7 +5,8 @@ word (`koszul_sign` and `unshuffles` stay public as the tests' reference),
 every true division sits on a reviewed site, the word-by-word pull path,
 its memos, the per-word nested products and the test-only fixtures stay
 out of the library, sorted words are merged, not re-sorted, no library
-function enumerates basis words, every Taylor-map builder stores each arity
+function enumerates basis words, the derived-products model is transferred
+along its contraction, every Taylor-map builder stores each arity
 through the one checked write, MultilinearMap.store, a stored family is
 prefixed onto a pair-space block only by the two-block gluing and the cocone
 q1/q2 builders, the period-map chains
@@ -220,12 +221,37 @@ def test_sorted_words_are_merged_not_sorted():
 # the coalgebra kernels over the prefix stack of coalg._products, so no
 # library function enumerates basis words: sym_words serves
 # OoStructure.basis_words only, which stays for callers outside the library,
-# and transfer.py has no itertools.product expansion.
+# transfer.py has no itertools.product expansion, and in cocone.py only the
+# one-off product table of cocone_associative and the splitting's closure
+# check expand letter pairs.
+def _is_itertools_product(call) -> bool:
+    return isinstance(call.func, ast.Attribute) and call.func.attr == "product" and \
+        isinstance(call.func.value, ast.Name) and call.func.value.id == "itertools"
+
+
 def test_no_basis_word_enumeration_in_library():
     assert set().union(*(_call_sites(p, "basis_words") for p in MODULES)) == set()
     found = set().union(*(_call_sites(p, "sym_words") for p in MODULES))
     assert found == {("coalg", "OoStructure.basis_words")}
     assert "itertools" not in _names(_tree(SRC / "transfer.py"))
+    assert _calls_where(SRC / "cocone.py", _is_itertools_product) == \
+        {("cocone", "cocone_associative"), ("cocone", "Splitting.check")}
+
+
+# The derived-products model is the homotopy transfer of the associative
+# cocone along its contraction: only derived_products_model calls the
+# transfer in cocone.py, and it stores one map of its own, the closed-form
+# G_inf, so no closed form of the structure, F or G_as comes back.
+def test_derived_products_model_is_transferred():
+    cocone = SRC / "cocone.py"
+    for name in ("transfer_structure", "transfer_quasi_inverse"):
+        assert _call_sites(cocone, name) == {("cocone", "derived_products_model")}
+    model = next(f for f in _tree(cocone).body
+                 if isinstance(f, ast.FunctionDef) and f.name == "derived_products_model")
+    assert [f.name for f in ast.walk(model) if isinstance(f, ast.FunctionDef)] == \
+        ["derived_products_model"]
+    assert sum(isinstance(c, ast.Call) and "store" in _names(c.func)
+               for c in ast.walk(model)) == 1
 
 
 # Every walk over an arity-2 operation reads one int push table, built by
@@ -373,7 +399,7 @@ BULK_STORE_SITES = {
     ("cocone", "_fm_cocone_lie"), ("cocone", "fm_cocone_assoc"),
     ("cocone", "exp_log_isos.word_maps"), ("cocone", "_cocone_q1"),
     ("cocone", "cocone_associative"), ("cocone", "derived_products_model"),
-    ("cocone", "derived_products_model.g_taylor"), ("cocone", "_derived_brackets"),
+    ("cocone", "_derived_brackets"),
     ("cocone", "glued_structure"), ("cocone", "strictify_fibration"),
     ("hodge", "_hom_maps"), ("hodge", "derived_hom_structure"),
 }
@@ -547,11 +573,6 @@ def test_no_module_builds_dense_rows():
 # entries.  The word-scan helpers stay gone, and coalg enumerates ordered
 # words only in OoStructure.basis_words.
 RETIRED_DG_SCANS = {"_touching", "_dg_check", "_first_nonzero"}
-
-
-def _is_itertools_product(call) -> bool:
-    return isinstance(call.func, ast.Attribute) and call.func.attr == "product" and \
-        isinstance(call.func.value, ast.Name) and call.func.value.id == "itertools"
 
 
 def test_dg_axioms_are_read_off_pushed_residuals():

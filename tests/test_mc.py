@@ -63,6 +63,19 @@ def test_element_must_be_in_max_ideal():
     assert x.lines() == ["x t1 -> 1"]
 
 
+def test_element_refuses_monomials_off_the_ring():
+    # a monomial has one nonnegative exponent per generator, so a short or
+    # long one, or one with a negative exponent, is refused, not stored
+    sp = GradedSpace([("x", 0)])
+    for ring, mono in ((ArtinRing(0, 3), (1,)), (ArtinRing(1, 3), (1, 0)),
+                       (ArtinRing(2, 3), (1,)), (ArtinRing(2, 3), (2, -1))):
+        with pytest.raises(MalformedInput):
+            ArtinElement(ring, sp).add("x", mono, 1)
+    x = ArtinElement(ArtinRing(2, 3), sp)
+    x.add("x", (1, 1), 1)
+    assert x.terms == {("x", (1, 1)): 1}
+
+
 def test_element_sums_stay_canonical_and_refuse_other_rings_or_spaces():
     R = t_ring()
     sp = GradedSpace([("x", 0), ("y", 0)])
