@@ -294,12 +294,13 @@ def cmd_yukawa(args):
     pkg, cartan, _ = _example_period_data(args.example or "torus:2")
     if pkg is None:
         raise MalformedInput("yukawa models need a hodge package example")
+    if args.action == "mc" and (ring := _artin(args.artin)).generators < 1:
+        raise MalformedInput("yukawa ... mc needs --artin g,N with g >= 1")
     build = yukawa_model if args.kind == "v1" else yukawa_model_v2
     model = build(pkg, cartan, max_weight=mw)
     reports = [check_structure(model, max_weight=min(mw, 3))]
     extra = []
     if args.action == "mc":
-        ring = _artin(args.artin)
         extra.append("quadratic maurer-cartan residual table:")
         mono = tuple([1] + [0] * (ring.generators - 1))
         deg1 = [x for x in cartan.L.space.names if cartan.L.space.degree[x] == 1]

@@ -14,15 +14,14 @@ range of weights in one walk of the sorted keys over a stack of prefix
 tables, so keys that share a prefix share its expansion.  These kernels
 expand the keys of a Taylor family, not a chain of one operation, so they
 keep their own int loops; every chain of products, brackets or operators
-grows through graded's one walk, graded.push.  The flavor
-matters where a word of blocks becomes a basis word: concatenation in T(V),
-the sorted word with its Koszul sign and multiplicity weight in S(V).  The
-terms are summed as plain ints: each family is multiplied by the lcm D of
-its denominators (Scaled), every term is brought to one scale per weight
-(D_outer D_inner for an insertion, D_outer D_inner^k k! for a product), and
-each output coefficient is divided once at the end; a check divides only
-its witness's residual, and a builder hands the kernel's (ints, scale)
-output to pushed_map, which stores it at 1/scale through MultilinearMap.store.
+grows through graded's one walk, graded.push.  The flavor matters where a
+word of blocks becomes a basis word: concatenation in T(V), the sorted word
+with its Koszul sign and multiplicity weight in S(V).  The terms are summed
+as plain ints: the kernels read each map's stored ints and lift arity n from
+its scale to the family's lcm D (Scaled) in multipliers they apply anyway,
+so a weight has one scale (D_outer D_inner for an insertion, D_outer
+D_inner^k k! for a product); a check divides only its witness's residual,
+and pushed_map hands a builder's (ints, scale) to MultilinearMap.store.
 Also home to the DG-Lie / DG-associative source types and the decalage
 constructors feeding everything downstream; both flavors of decalage share
 one body, with q2 read from the operation's stored entries
@@ -30,10 +29,10 @@ one body, with q2 read from the operation's stored entries
 off the decalage residual: d^2 = 0, Leibniz and associativity are weights
 1-3 of [Q,Q] on the tensor decalage, a DG morphism's are weights 1-2 of
 check_morphism, and antisymmetry and Jacobi are pushed from the bracket's
-entries.  End(V) is end_dga, with
-[d, -] from graded.hom_differential and the product stored from the n^3
-composable triples; end_dgla is its commutator DGLA, pushed from the
-product's entries, and End(V; W) filters the stored entries.
+entries.  End(V) is end_dga, with [d, -] from graded.hom_differential and
+the product stored from the n^3 composable triples; end_dgla is its
+commutator DGLA, pushed from the product's entries, and End(V; W) filters
+the stored entries.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from .graded import (
     Report, SYMMETRIC, TENSOR, format_vector,
     hom_differential, hom_space, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_words, multilinear_from_graded_map,
-    scaled_ints, sign_pow, stabilizer, sym_words, unscaled,
+    sign_pow, stabilizer, sym_words, unscaled,
 )
 
 
@@ -128,20 +127,28 @@ def preimages(entries: dict) -> dict:
 
 
 class Scaled:
-    """The arities n <= top of a Taylor family t at one integer scale D:
-    entries[n] = D t_n (graded.scaled_ints) and inv[n] = preimages(entries[n]),
-    with the source space of t and whether its words are read in S(V).  The
-    kernels read inv only on their inner family, so it is built on first read."""
+    """The arities n <= top of a Taylor family t at the lcm D of their scales
+    s_n: entries[n] is t_n's stored ints, and lifts[n] = D / s_n lifts them
+    in the outer family's key multipliers and in inv[n], the preimages that
+    the inner one reads (built on first read); t's space, and S(V) or not."""
 
     def __init__(self, taylor: dict, top: int):
-        self.scale, self.entries = scaled_ints(taylor, top)
+        self.entries = {n: t.ints for n, t in taylor.items() if n <= top}
+        self.scale = lcm(*(taylor[n].scale for n in self.entries))
+        self.lifts = {n: self.scale // taylor[n].scale for n in self.entries}
         t = next(iter(taylor.values()), None)
         self.space = t.source if t is not None else None
         self.symmetric = t is not None and t.flavor == SYMMETRIC
 
     @cached_property
     def inv(self) -> dict:
-        return {n: preimages(e) for n, e in self.entries.items()}
+        inv: dict = {}
+        for n, entries in self.entries.items():
+            lift, pre = self.lifts[n], inv.setdefault(n, {})
+            for u, vec in entries.items():
+                for y, c in vec.items():
+                    pre.setdefault(y, []).append((u, c * lift))
+        return inv
 
 
 def push_insertion(outer: dict, inner: dict, k: int) -> dict:
@@ -161,9 +168,9 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
     is the merge of K without K[i] and u (graded.merge_words), with one more
     sign (-1)^{(|y|+1)|K[i+1:]|} for moving u, of degree |y| - 1, past
     K[i+1:] first.  Every other word gets no term, so it is zero.
-    Every term is one outer and one inner coefficient times an int, so the
-    sum has the scale D_outer D_inner; terms are summed as ints, and zeros
-    dropped at the end.
+    Every term is one outer and one inner coefficient, each times its lift,
+    so the sum has the scale D_outer D_inner; terms are summed as ints, and
+    zeros dropped at the end.
     """
     scale = outer.scale * inner.scale
     inv = inner.inv
@@ -172,7 +179,7 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
     symmetric, index, degree = inner.symmetric, inner.space.index, inner.space.degree
     out: dict = {}
     for j, entries in outer.entries.items():
-        pre = inv.get(k - j + 1)
+        pre, lift = inv.get(k - j + 1), outer.lifts[j]
         if not pre:
             continue
         for key, vec in entries.items():
@@ -193,7 +200,7 @@ def _insertion(outer: Scaled, inner: Scaled, k: int) -> tuple:
                             w, c = got[0], c * got[1]
                         else:
                             w = key[:i] + u + key[i + 1:]
-                        acc, m = out.setdefault(w, {}), -c if flip else c
+                        acc, m = out.setdefault(w, {}), (-c if flip else c) * lift
                         for x, v in vec.items():
                             acc[x] = acc.get(x, 0) + v * m
                 odd ^= dy
@@ -217,9 +224,9 @@ def _products(outer: Scaled, inner: Scaled, kmin: int, kmax: int, lo: int = 1) -
     read sorted, with its Koszul sign and the weight of the ways to cut it
     into the blocks u_i, and the ordered choices count every term stab(K)
     times, so the sum is divided by it.  A term has the scale
-    D_outer D_inner^j stab(K) and is lifted to its weight's scale
-    D_outer D_inner^k k! by the int D_inner^(k-j) k!/stab(K) (stab(K)
-    divides j!, which divides k!); T(V) leaves out k! and stab(K).
+    s_j D_inner^j stab(K) and is lifted to its weight's scale
+    D_outer D_inner^k k! by the int (D_outer/s_j) D_inner^(k-j) k!/stab(K)
+    (stab(K) divides j!, which divides k!); T(V) leaves out k! and stab(K).
     The keys of t_j are walked sorted, over a stack of the partial tables
     {u_1 + .. + u_i: prod c} of the current key's prefixes K[:i], popped
     back to the prefix the next key shares, so each shared prefix is grown
@@ -238,7 +245,8 @@ def _products(outer: Scaled, inner: Scaled, kmin: int, kmax: int, lo: int = 1) -
     for j, entries in outer.entries.items():
         if not (blocks and lo <= j <= kmax):
             continue
-        lifts = {k: inner.scale ** (k - j) * fact[k] for k in range(max(j, kmin), kmax + 1)}
+        lifts = {k: outer.lifts[j] * inner.scale ** (k - j) * fact[k]
+                 for k in range(max(j, kmin), kmax + 1)}
         stack, prev = [{(): 1}], ()
         for key in sorted(K for K in entries if blocks.keys() >= set(K)):
             p = 0

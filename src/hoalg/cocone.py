@@ -30,7 +30,7 @@ from .graded import (
     RejectedInput, Report, SYMMETRIC, TENSOR, bernoulli,
     basis_rows, concat, coordinate_projections, first_witness, lin_acc, lin_scale, lin_single,
     linear_part, map_right_inverse, merge_join, multilinear_from_graded_map, pair_space,
-    prefix_vector, prefixed, right_products, scaled_ints, sign_pow, sorted_join,
+    prefix_vector, prefixed, right_products, sign_pow, sorted_join,
     sym_normalize, unscaled, walk,
 )
 from .transfer import transfer_quasi_inverse, transfer_structure
@@ -83,8 +83,8 @@ def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStru
         prefixed(shifted_products(L.bracket, SYMMETRIC), A_PRE))
     coeffs = {k: -bernoulli(k) / factorial(k) for k in range(1, max_weight) if bernoulli(k)}
     scale, heads, _ = right_products(M.bracket, targets)
-    fscale, fx = scaled_ints({1: f.map}, 1)
-    levels = walk([{(): {x: fx[1][x] for x in sources if x in fx[1]}}], heads,
+    fx = multilinear_from_graded_map(f.map, TENSOR)     # f at its int scale
+    levels = walk([{(): {x: fx.ints[x,] for x in sources if (x,) in fx.ints}}], heads,
                   merge_join(M.space, right=True), max(coeffs, default=0))
     bkey = {m: B_PRE + m for m in M.space.names}
     for k, c in coeffs.items():
@@ -92,7 +92,7 @@ def _fm_cocone_lie(f: DglaMorphism, max_weight: int, sources, targets) -> OoStru
                  for T, rows in levels[k].items() for bT in [tuple(bkey[t] for t in T)]
                  for x, vec in rows.items()}
         taylor[k + 1] = q2 if k == 1 else MultilinearMap(space, space, 1, k + 1, SYMMETRIC)
-        taylor[k + 1].store(words, c / (fscale * scale ** k))
+        taylor[k + 1].store(words, c / (fx.scale * scale ** k))
     return OoStructure(space, SYMMETRIC, taylor, max_weight)
 
 
@@ -142,7 +142,7 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     weight i + j whose Bernoulli number is nonzero.  They are ints, E D^w
     times the true products of w letters and f(a) for the lcms E, D of the
     denominators of f and B's product; weight w is stored once, with
-    C(w, i) (-1)^{..} on each word and the factor (B_w/w!) / (E D^w).
+    sign(B_w) C(w, i) (-1)^{..} on each word and the factor |B_w|/(w! E D^w).
     """
     A, B = f.source, f.target
     space = pair_space(A.space.shifted(1), B.space)
@@ -154,8 +154,8 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
     top = max(weights, default=0)
     scale, heads, times = right_products(B.product)
     fronts = walk([basis_rows(B.space.names)], heads, concat, top - 1)
-    fscale, fmaps = scaled_ints({1: f.map}, 1)
-    fxs = {x: fmaps[1][x] for x in A.space.names if x in fmaps[1]}
+    fx = multilinear_from_graded_map(f.map, TENSOR)     # f at its int scale
+    fxs = {x: fx.ints[x,] for x in A.space.names if (x,) in fx.ints}
     pa = {x: A_PRE + x for x in A.space.names}      # one name object per letter
     pb = {b: B_PRE + b for b in B.space.names}
     for i in range(top + 1):
@@ -167,15 +167,16 @@ def fm_cocone_assoc(f: DgaMorphism, max_weight: int = 6) -> OoStructure:
                 if (mid := times(u, fx))} if i else {(x,): fx for x, fx in fxs.items()}
         backs = walk([{(): mids}], heads, concat, top - i)
         for w in [w for w in weights if w >= i]:
+            cw = comb(w, i) if bernoulli(w) > 0 else -comb(w, i)
             for back, rows in backs[w - i].items():
                 for mid, out in rows.items():
-                    sgn = comb(w, i) * sign_pow(i + 1 + sum(B.space.degree[b] for b in mid[:i]))
+                    sgn = cw * sign_pow(i + 1 + sum(B.space.degree[b] for b in mid[:i]))
                     key = tuple(pb[b] for b in mid[:i]) + (pa[mid[i]],) + \
                         tuple(pb[b] for b in back)
                     words[w][key] = {pb[y]: sgn * c for y, c in out.items()}
     for w in weights:
         taylor.setdefault(w + 1, MultilinearMap(space, space, 1, w + 1, TENSOR)).store(
-            words[w], bernoulli(w) / (factorial(w) * fscale * scale ** w))
+            words[w], abs(bernoulli(w)) / (factorial(w) * fx.scale * scale ** w))
     return OoStructure(space, TENSOR, taylor, max_weight)
 
 
@@ -211,10 +212,8 @@ def exp_log_isos(f: DgaMorphism, max_weight: int = 6, cocones=None):
         for level in products[1:]]
 
     def word_maps(coeff_fn, source, target):
-        taylor = {k: MultilinearMap(space, space, 0, k, TENSOR) for k in range(1, max_weight + 1)}
-        for k, level in enumerate(words, 1):
-            taylor[k].store(level, Fraction(coeff_fn(k), scale ** (k - 1)))
-        return OoMorphism(source, target, taylor)
+        return OoMorphism(source, target, {k: MultilinearMap(space, space, 0, k, TENSOR).store(
+            level, Fraction(coeff_fn(k), scale ** (k - 1))) for k, level in enumerate(words, 1)})
 
     E = word_maps(lambda k: Fraction(1, factorial(k)), cinf, cas)
     Lm = word_maps(lambda k: Fraction((-1) ** (k + 1), k), cas, cinf)

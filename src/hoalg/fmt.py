@@ -321,11 +321,9 @@ def map_lines(name: str, gm: GradedMap, src: str, tgt: str):
 def multilinear_lines(name: str, mm: MultilinearMap, src: str, tgt: str):
     out = ["multilinear %s %s %s %d %d %s"
            % (name, src, tgt, mm.degree, mm.arity, mm.flavor)]
-    for key in sorted(mm.entries, key=lambda k: [mm.source.index[n] for n in k]):
-        vec = mm.entries[key]
-        if vec:
-            out.append("  (%s) -> %s" % (", ".join(key),
-                                         format_vector(vec, mm.target)))
+    entries = mm.entries
+    for key in sorted(entries, key=lambda k: [mm.source.index[n] for n in k]):
+        out.append("  (%s) -> %s" % (", ".join(key), format_vector(entries[key], mm.target)))
     return out
 
 

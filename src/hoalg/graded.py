@@ -10,14 +10,12 @@ the second word out of it.  Every left-nested chain, of products and
 brackets (`right_products`) or of operators, is pushed letter by letter from
 its nonzeros by the one walk, `push`, through a row index of heads and a
 join that names each grown word and its weight; `walk` runs it level by
-level.
-All arithmetic is exact: every stored coefficient is an `int` when it is
-integral and a `fractions.Fraction` otherwise (see `exact`), never a float.
-Every built multilinear map is written through one checked write,
-`MultilinearMap.store`, which takes a finished {canonical word: vector}
-table and a factor; `set_entry` is one normalized word of it.
-Objects are treated as immutable once built, so sharing between threads is
-safe.
+level.  All arithmetic is exact, never float: an exact coefficient is an
+`int` when integral and a `fractions.Fraction` otherwise (see `exact`).  A
+multilinear map keeps its builder's ints at one reduced scale, written by
+one checked write, `MultilinearMap.store`, and read exactly through its
+`entries` view.  Objects are treated as immutable once built, so sharing
+between threads is safe.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm, prod
 
 
 class MalformedInput(ValueError):
@@ -191,24 +189,9 @@ def lin_eq(a: dict, b: dict) -> bool:
     return {n: v for n, v in a.items() if v} == {n: v for n, v in b.items() if v}
 
 
-def scaled_ints(family: dict, top: int) -> tuple:
-    """(D, {n: {key: D * vector}}) over the maps family[n] with n <= top,
-    where D is the lcm of the denominators of their coefficients, so every
-    scaled coefficient is an int.  Sums of products of scaled coefficients
-    then need no Fraction arithmetic, and `unscaled` divides once at the end."""
-    maps = {n: t.entries for n, t in family.items() if n <= top}
-    scale = lcm(*(c.denominator for entries in maps.values()
-                  for vec in entries.values() for c in vec.values()))
-    return scale, {n: {key: {y: c.numerator * (scale // c.denominator) for y, c in vec.items()}
-                       for key, vec in entries.items()}
-                   for n, entries in maps.items()}
-
-
 def unscaled(vec: dict, scale: int) -> dict:
     """vec / scale for a vector of ints, one exact division per coefficient."""
-    if scale == 1:
-        return vec
-    return {n: exact(Fraction(v, scale)) for n, v in vec.items()}
+    return vec if scale == 1 else {n: exact(Fraction(v, scale)) for n, v in vec.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,7 @@ def sorted_join(space, right=False):
 
 def right_products(op, letters=None) -> tuple:
     """(D, heads, times) for an arity-2 tensor-flavor MultilinearMap op, read
-    from its entries scaled to ints (D the lcm of op's denominators): heads
+    from its stored ints at its scale D: heads
     is the row index {u: [((b,), D op(u, b))]} over the letters b in
     `letters` (default every name), so a push of u's vector appends b to the
     word with D u b, and times(u, v) = D op(u, v) with zeros dropped.  So a
@@ -322,9 +305,8 @@ def right_products(op, letters=None) -> tuple:
     products."""
     if op.arity != 2 or op.flavor != TENSOR:
         raise MalformedInput("right products need an arity-2 tensor-flavor map")
-    scale, maps = scaled_ints({2: op}, 2)
     table: dict = {}
-    for (u, b), vec in maps[2].items():
+    for (u, b), vec in op.ints.items():
         table.setdefault(u, {})[b] = vec
     keep = set(op.source.names if letters is None else letters)
     heads = {u: hs for u, row in table.items()
@@ -339,7 +321,7 @@ def right_products(op, letters=None) -> tuple:
                     out[y] = out.get(y, 0) + c * cb * w
         return {y: w for y, w in out.items() if w}
 
-    return scale, heads, times
+    return op.scale, heads, times
 
 
 def format_coeff(c) -> str:
@@ -719,7 +701,9 @@ class MultilinearMap:
 
     Symmetric entries are stored on the canonical (basis-ordered) tuple only;
     reading any other order applies the Koszul sign on the fly, and words with
-    a repeated odd symbol read as zero.
+    a repeated odd symbol read as zero.  The map is the zero-free int table
+    ints = {canonical word: {name: int}} over one scale, reduced (gcd(scale,
+    every int) = 1), so the pair is unique; `entries` divides it on each read.
     """
 
     def __init__(self, source: GradedSpace, target: GradedSpace, degree: int,
@@ -733,7 +717,12 @@ class MultilinearMap:
         self.degree = int(degree)
         self.arity = int(arity)
         self.flavor = flavor
-        self.entries = {}
+        self.ints, self.scale = {}, 1
+
+    @property
+    def entries(self) -> dict:
+        """{canonical word: exact vector}, ints / scale, computed on each read."""
+        return {key: unscaled(vec, self.scale) for key, vec in self.ints.items()}
 
     def normalize(self, names):
         if len(names) != self.arity:
@@ -747,32 +736,30 @@ class MultilinearMap:
 
     def set_entry(self, names, vec: dict):
         """entries[names] = vec, on the canonical word with its Koszul sign."""
-        if any(isinstance(c, float) for c in vec.values()):
-            raise MalformedInput("float coefficient rejected (exact arithmetic only)")
         key, sign = self.normalize(names)
         if key is not None:
-            self.store({key: vec}, sign)
-        elif any(vec.values()):
+            self.store({key: dict(vec)}, sign)
+        elif any(exact(c) for c in vec.values()):
             raise MalformedInput("word %r is zero in the symmetric algebra" % (names,))
 
     def add_entry(self, names, vec: dict, coeff=1):
         """entries[names] += coeff * vec, for input read word by word (fmt)."""
         key, sign = self.normalize(names)
-        if key is not None:
-            self.store({key: lin_acc(dict(self.entries.get(key, {})), vec, coeff * sign)})
+        if key is not None:     # value(names) is sign times the entry at key
+            self.store({key: lin_acc(dict(self.value(names)), vec, coeff)}, sign)
 
     def store(self, words: dict, factor=1) -> "MultilinearMap":
         """The one checked write: entries[w] = factor * words[w] for a table
-        {canonical word: int or Fraction vector}, one exact division
-        Fraction(v p, q) per distinct coefficient v for factor = p/q, zero
-        coefficients dropped and a word whose vector is zero removed.  A
-        builder passes ints at one scale D with the factor over D.  One pass
-        checks arity, source names, canonical words of S(V) and target
-        degrees before anything is stored, and raises MalformedInput.
-        Returns the map."""
-        p, q = factor.numerator, factor.denominator
+        {canonical word: int or Fraction vector} (no float), zero coefficients
+        dropped and a word whose vector is zero removed, next to the words
+        stored before, at the lcm of the scales, reduced by the gcd.  A builder
+        passes ints at one scale D with the factor over D, and a vector that
+        the factor leaves as it is is adopted, so the caller writes no more to
+        it (the map writes to no stored vector).  One pass checks arity,
+        source names, canonical words of S(V) and target degrees before
+        anything is stored, and raises MalformedInput.  Returns the map."""
         sdeg, tdeg, index = self.source.degree, self.target.degree, self.source.index
-        sym, out, seen = self.flavor == SYMMETRIC, {}, {}
+        sym = self.flavor == SYMMETRIC
         for key, vec in words.items():
             ok, want, last = len(key) == self.arity, self.degree, -1
             for n in key:
@@ -784,19 +771,36 @@ class MultilinearMap:
             if not ok:
                 raise MalformedInput("arity-%d map: %r -> %r is not a canonical word or has "
                                      "a degree mismatch" % (self.arity, key, vec))
-            out[key] = {y: exact(c * p) for y, c in vec.items() if c} if q == 1 else \
-                {y: seen[c] if c in seen else seen.setdefault(c, exact(Fraction(c * p, q)))
-                 for y, c in vec.items() if c}
-        self.entries.update(out)
-        for key in [key for key, vec in out.items() if not vec]:
-            del self.entries[key]
+        p, q = factor.numerator, factor.denominator
+        if any(c.__class__ is not int for vec in words.values() for c in vec.values()):
+            den = lcm(*(exact(c).denominator for vec in words.values() for c in vec.values()))
+            words, q = {key: {y: (exact(c) * den).numerator for y, c in vec.items()}
+                        for key, vec in words.items()}, q * den
+        scale = lcm(self.scale, q)
+        m, lift = p * (scale // q), scale // self.scale
+        new = {key: vec if m == 1 and 0 not in vec.values() else
+               {y: cm for y, c in vec.items() if (cm := c * m)} for key, vec in words.items()}
+        ints = new if not self.ints else self.ints if lift == 1 else \
+            {key: {y: c * lift for y, c in vec.items()} for key, vec in self.ints.items()}
+        if ints is not new:
+            ints.update(new)
+        for key in [key for key in words if not ints[key]]:
+            del ints[key]
+        g = scale
+        for vec in ints.values():
+            if g == 1:
+                break
+            g = gcd(g, *vec.values())
+        if g > 1:
+            ints = {key: {y: c // g for y, c in vec.items()} for key, vec in ints.items()}
+        self.ints, self.scale = ints, scale // g
         return self
 
     def value(self, names) -> dict:
         key, sign = self.normalize(names)
-        vec = self.entries.get(key)
+        vec = self.ints.get(key)
         if vec:
-            return vec if sign == 1 else lin_scale(vec, sign)
+            return unscaled(vec if sign == 1 else {y: -c for y, c in vec.items()}, self.scale)
         # a stored word has known names, and normalize has read every name of
         # a symmetric word, so only a tensor miss is checked
         if self.flavor == TENSOR:
@@ -811,46 +815,40 @@ class MultilinearMap:
             raise MalformedInput("expected %d arguments" % self.arity)
         out: dict = {}
         for combo in itertools.product(*[list(v.items()) for v in vectors]):
-            coeff = 1
-            names = []
-            for n, c in combo:
-                coeff *= c
-                names.append(n)
+            coeff = prod(c for _, c in combo)
             if coeff:
-                lin_acc(out, self.value(tuple(names)), coeff)
+                lin_acc(out, self.value(tuple(n for n, _ in combo)), coeff)
         return out
 
     def symmetrized(self) -> "MultilinearMap":
         """Sum over all permutations with Koszul signs (tensor -> symmetric).
 
         The sum at a sorted word w reads every ordering of w, so each stored
-        key K is pushed to its sorted word w instead, with the Koszul sign of
-        the sort times stab(w), the number of orderings of w that give K."""
+        key K is pushed to w instead, in ints, with the Koszul sign of the
+        sort times stab(w), the number of orderings of w that give K."""
         if self.flavor != TENSOR:
             raise MalformedInput("can only symmetrize a tensor-flavor map")
         acc: dict = {}
-        for key, vec in self.entries.items():
+        for key, vec in self.ints.items():
             got = sym_normalize(key, self.source.index, self.source.degree)
             if got is not None:
                 lin_acc(acc.setdefault(got[0], {}), vec, got[1] * stabilizer(got[0]))
         return MultilinearMap(self.source, self.target, self.degree, self.arity,
-                              SYMMETRIC).store(acc)
+                              SYMMETRIC).store(acc, Fraction(1, self.scale))
 
     def is_zero(self) -> bool:
-        return all(not any(v.values()) for v in self.entries.values())
+        return not self.ints
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearMap):
             return NotImplemented
-        if (self.source, self.target, self.degree, self.arity, self.flavor) != \
-           (other.source, other.target, other.degree, other.arity, other.flavor):
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(lin_eq(self.entries.get(k, {}), other.entries.get(k, {})) for k in keys)
+        return (self.source, self.target, self.degree, self.arity, self.flavor,
+                self.scale, self.ints) == (other.source, other.target, other.degree,
+                                           other.arity, other.flavor, other.scale, other.ints)
 
     def __repr__(self):
         return "MultilinearMap(%s, arity %d, degree %d, %d entries)" % (
-            self.flavor, self.arity, self.degree, len(self.entries))
+            self.flavor, self.arity, self.degree, len(self.ints))
 
 
 def multilinear_from_graded_map(gm: GradedMap, flavor: str) -> MultilinearMap:
@@ -1086,13 +1084,11 @@ __all__ = [
     "Fraction", "MalformedInput", "RejectedInput", "UnsupportedOperation",
     "koszul_sign", "unshuffles", "compositions", "sym_words",
     "bernoulli", "factorial", "sign_pow",
-    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "scaled_ints",
-    "unscaled", "push", "walk", "basis_rows", "by_row", "scaled_rows", "concat", "merge_join",
-    "sorted_join", "right_products",
-    "format_vector", "format_coeff", "GradedSpace", "A_PRE", "B_PRE", "pair_space",
-    "prefix_vector", "hom_space", "hom_differential",
-    "sym_normalize", "stabilizer", "merge_words", "GradedMap",
-    "coordinate_projections",
+    "exact", "lin_acc", "lin_add", "lin_scale", "lin_single", "lin_eq", "unscaled", "push",
+    "walk", "basis_rows", "by_row", "scaled_rows", "concat", "merge_join", "sorted_join",
+    "right_products", "format_vector", "format_coeff", "GradedSpace", "A_PRE", "B_PRE",
+    "pair_space", "prefix_vector", "hom_space", "hom_differential", "sym_normalize",
+    "stabilizer", "merge_words", "GradedMap", "coordinate_projections",
     "elementary_to_graded_map", "graded_map_to_elementary",
     "TENSOR", "SYMMETRIC", "MultilinearMap", "multilinear_from_graded_map",
     "linear_part", "prefixed",

@@ -30,7 +30,7 @@ from .coalg import DgLieAlgebra, DglaMorphism, OoMorphism, OoStructure
 from .cocone import A_PRE, B_PRE, _fm_cocone_lie
 from .graded import (
     SYMMETRIC, GradedMap, GradedSpace, MalformedInput, Report, exact, format_coeff, lin_acc,
-    lin_add, lin_eq, lin_scale, linear_part, map_solve, stabilizer,
+    lin_add, lin_eq, lin_scale, linear_part, map_solve, stabilizer, unscaled,
 )
 
 
@@ -68,6 +68,13 @@ class ArtinRing:
         if sum(out) >= self.order:
             return None
         return out
+
+    def monomial(self, mono) -> tuple:
+        """mono as a tuple of g nonnegative exponents, else MalformedInput."""
+        if len(mono := tuple(mono)) == self.generators and min(mono, default=0) >= 0:
+            return mono
+        raise MalformedInput("monomial %r: need %d nonnegative exponents, one per generator"
+                             % (mono, self.generators))
 
     def mono_str(self, mono) -> str:
         if sum(mono) == 0:
@@ -124,10 +131,7 @@ class ArtinElement:
             raise MalformedInput("unknown basis element %r" % name)
         if isinstance(coeff, float):
             raise MalformedInput("float coefficient rejected (exact arithmetic only)")
-        mono = tuple(mono)
-        if len(mono) != self.ring.generators or min(mono, default=0) < 0:
-            raise MalformedInput("monomial %r: need %d nonnegative exponents, one per generator"
-                                 % (mono, self.ring.generators))
+        mono = self.ring.monomial(mono)
         if sum(mono) >= self.ring.order:
             return
         if sum(mono) == 0 and not self.allow_constant:
@@ -215,7 +219,7 @@ class ArtinMap:
 
     def add(self, mono, gm: GradedMap, coeff=1):
         """self += coeff t^mono gm, in place (nothing beyond m^N)."""
-        mono = tuple(mono)
+        mono = self.ring.monomial(mono)
         if sum(mono) >= self.ring.order:
             return
         if (gm.source, gm.target) != (self.source, self.target):
@@ -363,7 +367,7 @@ def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
     The products grow along the keys' shared prefixes, truncated at m^N, and
     an empty one cuts every key that extends it.  The terms with n >= ring
     order vanish because x lies in V (x) m_B.  Every term is summed as an int
-    at one scale, and each output coefficient is divided once."""
+    at one scale, each key's multiplier lifting t_n's stored ints to it."""
     ring = x.ring
     top = ring.order - 1
     degree = x.space.degree
@@ -373,30 +377,24 @@ def _exp_series(taylor: dict, x: ArtinElement, target) -> ArtinElement:
         letters.setdefault(a, {})[mono] = c.numerator * (dx // c.denominator)
     carried = set(letters)
     products = {(): {ring.one: 1}}      # word -> dx^len(word) prod_i x_{word_i}
-    live = []
-    for n in range(1, top + 1):
-        t = taylor.get(n)
-        if t is None:
-            continue
+    maps = {n: taylor[n] for n in range(1, top + 1) if n in taylor}
+    dq = lcm(*(t.scale for t in maps.values()))
+    acc: dict = {}
+    for n, t in maps.items():
         sym = t.flavor == SYMMETRIC
-        for key, vec in t.entries.items():
+        for key, vec in t.ints.items():
             p = carried.issuperset(key) and _word_product(products, key, letters, ring)
             if not p or sym and sum(degree[a] % 2 for a in key) > 1:
                 continue
-            # n! c(K), lifted from dx^n to dx^top and from n! to top!
+            # n! c(K), lifted from dx^n to dx^top, n! to top! and t_n's scale to dq
             lift = (factorial(n) // stabilizer(key) if sym else 1) * \
-                (factorial(top) // factorial(n)) * dx ** (top - n)
-            live.append((lift, vec, p))
-    dq = lcm(*(c.denominator for _, vec, _ in live for c in vec.values()))
-    acc: dict = {}
-    for lift, vec, p in live:
-        for y, c in vec.items():
-            cy = lift * c.numerator * (dq // c.denominator)
-            for mono, v in p.items():
-                acc[y, mono] = acc.get((y, mono), 0) + cy * v
+                (factorial(top) // factorial(n)) * dx ** (top - n) * (dq // t.scale)
+            for y, c in vec.items():
+                cy = lift * c
+                for mono, v in p.items():
+                    acc[y, mono] = acc.get((y, mono), 0) + cy * v
     scale = factorial(top) * dq * dx ** top
-    return ArtinElement._of(ring, target, {
-        key: exact(Fraction(v, scale)) for key, v in acc.items() if v})
+    return ArtinElement._of(ring, target, unscaled({k: v for k, v in acc.items() if v}, scale))
 
 
 def _word_product(products: dict, word: tuple, letters: dict, ring: ArtinRing) -> dict:

@@ -807,11 +807,11 @@ def pull_symmetrized(q: MultilinearMap) -> MultilinearMap:
     """MultilinearMap.symmetrized as the signed sum over the k! orderings of
     every sorted word."""
     out = MultilinearMap(q.source, q.target, q.degree, q.arity, SYMMETRIC)
-    deg = q.source.degree
+    deg, entries = q.source.degree, q.entries
     for word in sym_words(q.source.names, deg, q.arity):
         acc: dict = {}
         for perm, sign in signed_orderings(word, deg, (1,) * q.arity):
-            lin_acc(acc, q.entries.get(perm, {}), sign)
+            lin_acc(acc, entries.get(perm, {}), sign)
         if acc:
             out.set_entry(word, acc)
     return out

@@ -27,7 +27,7 @@ from fixture_helpers import (
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    koszul_sign, lin_acc, lin_add, lin_single, lin_scale, merge_words, scaled_ints, stabilizer,
+    koszul_sign, lin_acc, lin_add, lin_single, lin_scale, merge_words, stabilizer,
     sym_normalize, sym_words, unshuffles,
 )
 from pull_oracles import (
@@ -416,7 +416,9 @@ def test_scaled_kernels_match_the_pull_oracles(flavor, pool):
     F = OoMorphism(s, t, scale_family(flavor, 0, pool, 2))
     G = OoMorphism(t, s, scale_family(flavor, 0, pool, 3))
     for family in (s.taylor, F.taylor, G.taylor):
-        scale = scaled_ints(family, SCALE_TOP)[0]
+        scale = math.lcm(*(Fraction(c).denominator for t in family.values()
+                           for vec in t.entries.values() for c in vec.values()))
+        assert Scaled(family, SCALE_TOP).scale == scale
         assert scale == (1 if pool is INTS else math.lcm(7, 11, 13, 30240)), scale
     if flavor == SYMMETRIC:
         assert any(len(set(K)) < len(K) for f in F.taylor.values() for K in f.entries)
@@ -441,8 +443,9 @@ def test_scaled_kernels_match_the_pull_oracles(flavor, pool):
 
 def _per_key_product(outer, inner, k, lo):
     """The product kernel at one weight, each key expanded on its own block
-    by block with no shared prefix, as ({w: int vector}, scale): the
-    reference that the prefix stack of coalg._products must reproduce."""
+    by block with no shared prefix and lifted from its arity's stored scale,
+    as ({w: int vector}, scale): the reference that the prefix stack of
+    coalg._products must reproduce."""
     symmetric, inv, top = inner.symmetric, inner.inv, max(inner.inv, default=0)
     fact = math.factorial(k) if symmetric else 1
     out = {}
@@ -460,7 +463,8 @@ def _per_key_product(outer, inner, k, lo):
                             if got is not None:
                                 lin_add(nxt, got[0], c * cu * got[1])
                 words = nxt
-            m = inner.scale ** (k - j) * fact // (stabilizer(key) if symmetric else 1)
+            m = outer.lifts[j] * inner.scale ** (k - j) * fact // \
+                (stabilizer(key) if symmetric else 1)
             for w, c in words.items():
                 lin_acc(out.setdefault(w, {}), vec, c * m)
     return nonzero(out), outer.scale * inner.scale ** k * fact
@@ -1022,8 +1026,8 @@ def test_dg_algebras_refuse_an_operation_on_another_space(kind):
     U = GradedSpace([("p", 0), ("q", 0)])
     d = GradedMap(V, V, 1)
     for source, target in ((U, U), (U, V), (V, U)):
-        op = MultilinearMap(source, target, 0, 2, TENSOR)
-        op.entries[(source.names[0], source.names[1])] = {target.names[0]: 1}
+        op = MultilinearMap(source, target, 0, 2, TENSOR).store(
+            {(source.names[0], source.names[1]): {target.names[0]: 1}})
         with pytest.raises(MalformedInput, match="on the algebra's space"):
             kind(V, d, op)
     assert kind(V, d, MultilinearMap(V, V, 0, 2, TENSOR)).check().ok

@@ -35,7 +35,7 @@ from fixture_helpers import (
 )
 from hoalg.graded import (
     GradedMap, GradedSpace, MalformedInput, MultilinearMap, RejectedInput, SYMMETRIC, TENSOR,
-    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis, scaled_ints,
+    bernoulli, check_contraction, lin_acc, lin_single, map_kernel_basis,
     sign_pow, sym_words,
 )
 from hoalg.hodge import split_period_map, torus_package
@@ -1062,8 +1062,9 @@ def _rescaled_morphism(f):
 
 
 def _scales(*maps):
-    """The lcm of the denominators of each map (graded.scaled_ints)."""
-    return [scaled_ints({1: m}, 1)[0] for m in maps]
+    """The lcm of the denominators of each map's coefficients."""
+    return [math.lcm(*(Fraction(c).denominator for vec in m.entries.values()
+                       for c in vec.values())) for m in maps]
 
 
 # Every random_filtered_inclusion and random_dga_morphism key has integral

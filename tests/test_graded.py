@@ -615,8 +615,8 @@ def test_store_divides_once_per_coefficient():
     assert ten.entries == {("y", "x"): {"z": Fraction(1, 3)}, ("w", "z"): {"z": 1},
                            ("x", "y"): {"z": 1}}
     assert type(ten.entries[("x", "y")]["z"]) is int
-    # equal coefficients, int or Fraction, share one division within a call;
-    # the next call divides at its own factor
+    # int and Fraction vectors at a Fraction factor; the next call is stored
+    # at its own factor, over the words already there
     sym.store({("x", "y"): {"z": 6}, ("w", "w"): {"w": Fraction(6)}, ("z", "w"): {"z": -6}},
               Fraction(1, 4))
     assert sym.entries == {("x", "y"): {"z": Fraction(3, 2)}, ("w", "w"): {"w": Fraction(3, 2)},
@@ -641,6 +641,138 @@ def test_store_refuses_non_canonical_words_and_degree_mismatches(case):
     with pytest.raises(MalformedInput):
         target.store({**good, word: vec}, Fraction(1, 2))
     assert target.entries == {}                 # nothing is stored before the check
+
+
+# --- the stored representation: ints at one reduced scale --------------------
+
+REP_SPACE = GradedSpace([("x", 0), ("y", 0), ("b", 1), ("c", 1)])
+# every degree-0 tensor word of arity 2 with a letter of its degree to go to
+REP_WORDS = {w: [n for n in REP_SPACE.names
+                 if REP_SPACE.degree[n] == REP_SPACE.degree[w[0]] + REP_SPACE.degree[w[1]]]
+             for w in itertools.product(REP_SPACE.names, repeat=2)}
+REP_WORDS = {w: names for w, names in REP_WORDS.items() if names}
+FACTORS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 30))
+
+
+@st.composite
+def rep_tables(draw, fractions=None):
+    """A {word: vector} table of REP_SPACE, ints or Fractions (zeros too)."""
+    if fractions is None:
+        fractions = draw(st.booleans())
+    coeff = st.fractions(-6, 6, max_denominator=15) if fractions else st.integers(-40, 40)
+    words = draw(st.lists(st.sampled_from(sorted(REP_WORDS)), unique=True, max_size=8))
+    return {w: draw(st.dictionaries(st.sampled_from(REP_WORDS[w]), coeff, max_size=2))
+            for w in words}
+
+
+def _rep_map():
+    return MultilinearMap(REP_SPACE, REP_SPACE, 0, 2, TENSOR)
+
+
+def _exact_products(table, factor):
+    """The {word: vector} that storing table at factor must read back."""
+    out = {w: {y: v for y, c in vec.items() if (v := graded.exact(factor * c))}
+           for w, vec in table.items()}
+    return {w: vec for w, vec in out.items() if vec}
+
+
+def _reduced(m) -> bool:
+    ints = [c for vec in m.ints.values() for c in vec.values()]
+    return m.scale >= 1 and all(type(c) is int and c for c in ints) and \
+        math.gcd(m.scale, *ints) == 1 and all(m.ints.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rep_tables(), FACTORS)
+def test_store_reads_back_the_exact_products_at_a_reduced_scale(table, factor):
+    m = _rep_map().store(table, factor)
+    want = _exact_products(table, factor)
+    assert m.entries == want
+    assert all(type(c) is int or c.denominator > 1 for vec in m.entries.values()
+               for c in vec.values())
+    assert _reduced(m)
+    assert m.scale == math.lcm(*(Fraction(c).denominator for vec in want.values()
+                                 for c in vec.values()))
+    assert m.is_zero() == (not want)
+    for w in REP_WORDS:
+        assert m.value(w) == want.get(w, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep_tables(fractions=False), FACTORS, st.integers(1, 50))
+def test_equality_does_not_depend_on_the_builders_scale(table, factor, t):
+    # the same exact table handed over as ints at a larger scale D t, at the
+    # factor over D t, or as its Fractions: one reduced table, so == holds
+    m = _rep_map().store(table, factor)
+    p, q = factor.numerator, factor.denominator
+    big = {w: {y: c * p * t for y, c in vec.items()} for w, vec in table.items()}
+    assert _rep_map().store(big, Fraction(1, q * t)) == m
+    assert _rep_map().store(m.entries) == m
+    assert (_rep_map().store(table, factor + 1) == m) == (not any(
+        c for vec in table.values() for c in vec.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rep_tables(), FACTORS, rep_tables(), FACTORS)
+def test_a_second_store_merges_at_the_lcm(first, f1, second, f2):
+    m = _rep_map().store(first, f1)
+    stored = dict(m.ints)
+    before = {w: dict(vec) for w, vec in stored.items()}
+    m.store(second, f2)
+    # the second table's words overwrite the first's, and one whose vector is
+    # zero removes the word
+    want = {**_exact_products(first, f1), **{w: {} for w in second},
+            **_exact_products(second, f2)}
+    assert m.entries == {w: vec for w, vec in want.items() if vec} and _reduced(m)
+    assert m == _rep_map().store({**first, **{w: {} for w in second}}, f1).store(second, f2)
+    assert stored == before         # the map writes to no vector it stored
+
+
+@settings(max_examples=80, deadline=None)
+@given(rep_tables(), FACTORS)
+def test_per_word_writes_and_symmetrized_agree_with_one_store(table, factor):
+    once = _rep_map().store(table, factor)
+    by_word, added = _rep_map(), _rep_map()
+    for w, vec in table.items():
+        by_word.set_entry(w, {y: factor * c for y, c in vec.items()})
+        added.add_entry(w, vec, factor)
+        added.add_entry(w, vec, factor)
+        added.add_entry(w, vec, -factor)
+    assert by_word == once and added == once
+    # symmetrized reads the stored ints: it equals the symmetrization of the
+    # exact values, summed as Fractions word by word
+    sym = MultilinearMap(REP_SPACE, REP_SPACE, 0, 2, SYMMETRIC)
+    for w, vec in once.entries.items():
+        got = sym_normalize(w, REP_SPACE.index, REP_SPACE.degree)
+        if got is not None:
+            sym.add_entry(got[0], vec, got[1] * stabilizer(got[0]))
+    assert once.symmetrized() == sym and _reduced(once.symmetrized())
+
+
+def test_store_refuses_floats_and_keeps_what_it_had():
+    m = _rep_map().store({("x", "y"): {"x": 3}}, Fraction(1, 2))
+    for table, factor in (({("x", "x"): {"y": 0.5}}, 1), ({("x", "x"): {"y": 1.0}}, 3),
+                          ({("x", "x"): {"y": 2, "x": 0.25}}, Fraction(1, 3))):
+        with pytest.raises(MalformedInput, match="float"):
+            m.store(table, factor)
+        with pytest.raises(MalformedInput, match="float"):
+            m.set_entry(("x", "x"), table[("x", "x")])
+    with pytest.raises(MalformedInput, match="float"):
+        m.add_entry(("x", "x"), {"y": 0.5})
+    assert m.entries == {("x", "y"): {"x": Fraction(3, 2)}} and (m.scale, m.ints) == \
+        (2, {("x", "y"): {"x": 3}})
+
+
+def test_store_adopts_a_builders_int_vectors():
+    # a zero-free int vector at a factor that leaves it unchanged is kept as
+    # it is, and a reduction or another factor stores new vectors
+    vec = {"x": 3, "y": -5}
+    m = _rep_map().store({("x", "y"): vec}, Fraction(1, 4))
+    assert m.ints[("x", "y")] is vec and m.scale == 4
+    assert _rep_map().store({("x", "y"): vec}, -1).ints[("x", "y")] == {"x": -3, "y": 5}
+    assert _rep_map().store({("x", "y"): {"x": 6, "y": 2}}, Fraction(1, 4)).ints == \
+        {("x", "y"): {"x": 3, "y": 1}}
+    assert vec == {"x": 3, "y": -5}
 
 
 # --- contractions -----------------------------------------------------------

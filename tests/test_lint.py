@@ -17,8 +17,10 @@ function, every walk over a product or bracket pushes from one table per
 operation, a Cartan homotopy's l_x is built once, into the table that every
 reader indexes, the CLI prints from `run` alone, through one `_emit`,
 with its parser built from one table of `cmd_*` handlers, only
-graded.py builds dense coordinate rows, and every DG axiom is read off a
-pushed residual, with no scan over basis words."""
+graded.py builds dense coordinate rows, every DG axiom is read off a
+pushed residual, with no scan over basis words, and a Taylor map keeps its
+builder's ints at one scale, which store adopts and the hot readers take as
+they are."""
 
 from __future__ import annotations
 
@@ -101,24 +103,38 @@ def test_no_ordering_enumeration_in_library():
 
 # Coefficients are ints when integral, and int / int is a float, so every `/`
 # in the library is a reviewed site whose left operand is known to be a
-# Fraction (or is made one).  A new site must be checked and added here.
+# Fraction (or is made one).  Int sums are divided back by their scale, one
+# exact division per coefficient, through graded.unscaled only, so each call
+# of it is a reviewed site too: the exact view of a stored Taylor map
+# (MultilinearMap.entries) and value, which reads a word at a time, the
+# kernels' push_insertion and push_product, a check's witness, the Voronov
+# action and mc's series.  A new site must be checked and added here.
 DIVISION_SITES = {
     ("graded", "bernoulli"),
     ("graded", "append_row"),
+    ("graded", "entries"),
+    ("graded", "value"),
+    ("coalg", "push_insertion"),
+    ("coalg", "push_product"),
+    ("coalg", "_check_weights"),
     ("cocone", "_fm_cocone_lie"),
     ("cocone", "fm_cocone_assoc"),
+    ("cocone", "voronov_brackets"),
+    ("mc", "_exp_series"),
 }
 
 
 def _division_sites(path) -> set:
-    """(module, innermost enclosing function) of every `/` and `/=`."""
+    """(module, innermost enclosing function) of every `/`, `/=` and call
+    of graded.unscaled."""
     out = set()
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                 else func
-            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div) \
+                    or isinstance(child, ast.Call) and _names(child.func) == {"unscaled"}:
                 out.add((path.stem, inner))
             visit(child, inner)
 
@@ -255,13 +271,19 @@ def test_derived_products_model_is_transferred():
 
 
 # Every walk over an arity-2 operation reads one int push table, built by
-# graded.right_products from the operation's stored entries: its heads are
-# the row index of graded's one walk, and its times multiplies two vectors.
-# No walk pulls one letter at a time (the retired `step`), every walk or push
-# in cocone.py reads heads unpacked from a right_products call, and in
-# cocone.py only cocone_associative's one-off table multiplies through
+# graded.right_products from the operation's stored ints at its scale: its
+# heads are the row index of graded's one walk, and its times multiplies two
+# vectors.  No walk pulls one letter at a time (the retired `step`), every
+# walk or push in cocone.py reads heads unpacked from a right_products call,
+# and in cocone.py only cocone_associative's one-off table multiplies through
 # DgAlgebra.mul, apply_vectors or the stored entries of a product or bracket.
+# Outside MultilinearMap's own methods a stored int table is read by
+# right_products, the only reader of an operation's table, by the readers of
+# a whole Taylor family, coalg.Scaled and mc's series, and by the two FM
+# cocones, which read f at its int scale.
 PUSH_TABLE_SITES = {("graded", "right_products")}
+INT_TABLE_SITES = PUSH_TABLE_SITES | {("coalg", "Scaled.__init__"), ("mc", "_exp_series"),
+                                      ("cocone", "_fm_cocone_lie"), ("cocone", "fm_cocone_assoc")}
 ONE_OFF_PRODUCT_SITES = {("cocone", "cocone_associative")}
 
 
@@ -270,15 +292,22 @@ def _reads_op_entries(node) -> bool:
         isinstance(node.value, ast.Attribute) and node.value.attr in {"product", "bracket"}
 
 
-def _scales_an_arity_2_family(call) -> bool:
-    return _names(call.func) == {"scaled_ints"} and isinstance(call.args[0], ast.Dict) and \
-        any(isinstance(k, ast.Constant) and k.value == 2 for k in call.args[0].keys)
+def _reads_an_int_table(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "ints" and \
+        _names(node.value) != {"self"}
+
+
+def _reads_an_operation_table(node) -> bool:
+    return _reads_an_int_table(node) and bool(_names(node.value) & {"op", "product", "bracket"})
 
 
 def test_walks_push_from_one_table_per_operation():
     cocone = SRC / "cocone.py"
     assert all("step" not in _names(_tree(p)) | _defined(_tree(p)) for p in MODULES)
-    found = set().union(*(_calls_where(p, _scales_an_arity_2_family) for p in MODULES))
+    found = set().union(*(_sites_where(p, _reads_an_int_table) for p in MODULES))
+    assert {site for site in found if not site[1].startswith("MultilinearMap.")} == \
+        INT_TABLE_SITES
+    found = set().union(*(_sites_where(p, _reads_an_operation_table) for p in MODULES))
     assert found == PUSH_TABLE_SITES
     assert _sites_where(cocone, _reads_op_entries) == ONE_OFF_PRODUCT_SITES
     assert _call_sites(cocone, "mul") | _call_sites(cocone, "apply_vectors") == \
@@ -366,6 +395,40 @@ def _accumulates(node) -> bool:
 def test_hand_rolled_accumulates_only_on_reviewed_sites():
     found = set().union(*(_sites_where(p, _accumulates) for p in MODULES))
     assert found == ACCUMULATE_SITES
+
+
+# A Taylor map holds its builder's ints at one reduced scale.  store adopts
+# them and builds no Fraction; the hot readers of a stored map (coalg.Scaled,
+# graded.right_products, mc._exp_series) take its ints and scale as they
+# are, through no exact view (entries) and no Fraction, and Scaled and
+# right_products read no denominator (the series reads only those of its
+# Artin element).  The per-family rescaling pass, graded.scaled_ints, is
+# gone.
+HOT_READERS = {("coalg", "Scaled"), ("graded", "right_products"), ("mc", "_exp_series")}
+
+
+def _scope(path, qualname):
+    """The class or function definition `Class.function` of a module."""
+    node = _tree(path)
+    for part in qualname.split("."):
+        node = next(n for n in ast.iter_child_nodes(node) if isinstance(
+            n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+    return node
+
+
+def _reads_an_exact_view(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "entries" and \
+        _names(node.value) != {"self"}
+
+
+def test_taylor_maps_keep_their_builders_ints():
+    assert "Fraction" not in _names(_scope(SRC / "graded.py", "MultilinearMap.store"))
+    for module, name in HOT_READERS:
+        node = _scope(SRC / (module + ".py"), name)
+        assert "Fraction" not in _names(node), name
+        assert not any(_reads_an_exact_view(n) for n in ast.walk(node)), name
+        assert module == "mc" or "denominator" not in _names(node), name
+    assert all("scaled_ints" not in _names(_tree(p)) | _defined(_tree(p)) for p in MODULES)
 
 
 # Every library builder of a Taylor map or of an End(V) operation hands

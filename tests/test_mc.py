@@ -76,6 +76,24 @@ def test_element_refuses_monomials_off_the_ring():
     assert x.terms == {("x", (1, 1)): 1}
 
 
+def test_operator_refuses_monomials_off_the_ring():
+    # ArtinMap.add checks its monomial as ArtinElement.add does: a short or
+    # long one, or one with a negative exponent, is refused, not stored
+    sp = GradedSpace([("x", 0)])
+    ident = GradedMap.identity(sp)
+    for ring, mono in ((ArtinRing(0, 3), (1,)), (ArtinRing(1, 3), (1, 0)),
+                       (ArtinRing(2, 3), (1,)), (ArtinRing(2, 3), (2, -1))):
+        op = ArtinMap(ring, sp, sp)
+        with pytest.raises(MalformedInput, match="nonnegative exponents"):
+            op.add(mono, ident)
+        with pytest.raises(MalformedInput, match="nonnegative exponents"):
+            ArtinMap(ring, sp, sp, {mono: ident})
+        assert op.coeffs == {}
+    op = ArtinMap(ArtinRing(2, 3), sp, sp)
+    op.add([1, 1], ident)
+    assert op.coeffs == {(1, 1): ident}
+
+
 def test_element_sums_stay_canonical_and_refuse_other_rings_or_spaces():
     R = t_ring()
     sp = GradedSpace([("x", 0), ("y", 0)])
